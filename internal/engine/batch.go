@@ -49,7 +49,8 @@ type Query struct {
 	// fails the query rather than being silently rewritten.
 	K *int `json:"k,omitempty"`
 	// Mode selects the top-k backend: ModeExact (default when empty),
-	// ModeIVF, or the quantized tiers ModeSQ8 / ModeIVFSQ.
+	// ModeIVF, the quantized tiers ModeSQ8 / ModeIVFSQ, or the
+	// half-precision tiers ModeFP16 / ModeIVFFP16.
 	Mode string `json:"mode,omitempty"`
 	// NProbe overrides the IVF probe count for this query; 0 keeps the
 	// index default.
@@ -65,8 +66,8 @@ type Result struct {
 	Undirected *float64      `json:"undirected,omitempty"`
 	Top        []core.Scored `json:"top,omitempty"`
 	// Backend reports which path answered a top-k op: BackendExact,
-	// BackendIVF, BackendSQ8, BackendIVFSQ, or BackendScan (brute force;
-	// no fresh index).
+	// BackendIVF, BackendSQ8, BackendIVFSQ, BackendFP16, BackendIVFFP16,
+	// or BackendScan (brute force; no fresh index).
 	Backend string `json:"backend,omitempty"`
 	Err     string `json:"error,omitempty"`
 }
@@ -225,7 +226,7 @@ func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int,
 			}
 			p.q = m.Emb.AttrQueryInto(q.Node, getVec(m.Emb.Xf.Cols))
 			p.qPooled = true
-			p.subs, res.Backend = attrSubs(shards, mode)
+			p.subs, res.Backend = pick(shards, attrSpace, mode)
 		} else {
 			if !inRange(q.Src, m.Nodes()) {
 				return fail("engine: src %d out of range [0,%d)", q.Src, m.Nodes())
@@ -233,9 +234,9 @@ func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int,
 			u := q.Src
 			p.q = m.Emb.Xf.Row(u)
 			p.opt.Skip = func(id int) bool { return id == u }
-			p.subs, res.Backend = linkSubs(shards, mode)
+			p.subs, res.Backend = pick(shards, linkSpace, mode)
 		}
-		p.mult = preparedMult(p.subs, p.opt)
+		p.mult = preparedMult(p.subs)
 		*prep = append(*prep, p)
 	default:
 		return fail("unknown op %q", q.Op)
@@ -246,10 +247,10 @@ func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int,
 // preparedMult resolves the quantized re-rank multiplier for a prepared
 // search against the first live shard (the engine builds every shard with
 // the same configuration, so any shard answers for all).
-func preparedMult(subs []index.Index, opt index.Options) int {
+func preparedMult(subs []index.Index) int {
 	for _, sub := range subs {
 		if sub != nil {
-			return index.RerankMult(sub, opt)
+			return index.RerankMult(sub)
 		}
 	}
 	return 1

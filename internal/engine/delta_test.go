@@ -206,7 +206,11 @@ func recallAt(want, got []core.Scored) float64 {
 // involved) still matches bit for bit.
 func TestAttrUpdateGramCorrection(t *testing.T) {
 	var stats []UpdateStats
-	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold,
+	// Every cell of the grid, so the reseat arm re-derives all six; the
+	// inverted modes probe every list, which takes the fresh build's
+	// retrained quantizer out of the comparison.
+	full := IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true, FP16: true}
+	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold, WithIndex(full),
 		WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
 	before := eng.IndexStatus()
 	if _, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 10, Attr: 3, Weight: 2}}); err != nil {
@@ -227,25 +231,29 @@ func TestAttrUpdateGramCorrection(t *testing.T) {
 		t.Fatalf("affinity status %+v, want enabled with 1 gram correction", as)
 	}
 	m := eng.Model()
-	fresh, err := New(m.Graph, m.Emb, m.Cfg,
-		WithIndex(IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true}))
+	fresh, err := New(m.Graph, m.Emb, m.Cfg, WithIndex(full))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The corrected Z differs from a fresh Xb·G only by float round-off
 	// (~1e-15 relative), which can swap genuinely tied candidates but not
 	// lose a clear top-k member.
-	totalRecall, queries := 0.0, 0
-	for u := 0; u < m.Nodes(); u += 29 {
-		want := mustTop(t, fresh, true, u, 8, ModeExact, 0)
-		got := mustTop(t, eng, true, u, 8, ModeExact, 0)
-		totalRecall += recallAt(want.Results, got.Results)
-		queries++
-		sameAnswers(t, "attrs exact after attr update",
-			mustTop(t, fresh, false, u, 5, ModeExact, 0), mustTop(t, eng, false, u, 5, ModeExact, 0))
-	}
-	if avg := totalRecall / float64(queries); avg < 0.99 {
-		t.Fatalf("gram-corrected link recall %.4f vs fresh build, want >= 0.99", avg)
+	for _, mode := range []string{ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16} {
+		totalRecall, queries := 0.0, 0
+		for u := 0; u < m.Nodes(); u += 29 {
+			want := mustTop(t, fresh, true, u, 8, mode, 0)
+			got := mustTop(t, eng, true, u, 8, mode, 0)
+			if got.Backend != mode {
+				t.Fatalf("mode %s answered by %q", mode, got.Backend)
+			}
+			totalRecall += recallAt(want.Results, got.Results)
+			queries++
+			sameAnswers(t, "attrs "+mode+" after attr update",
+				mustTop(t, fresh, false, u, 5, mode, 0), mustTop(t, eng, false, u, 5, mode, 0))
+		}
+		if avg := totalRecall / float64(queries); avg < 0.99 {
+			t.Fatalf("gram-corrected link recall %.4f in mode %s vs fresh build, want >= 0.99", avg, mode)
+		}
 	}
 }
 
@@ -331,7 +339,11 @@ func TestUpdateObserverReportsDeltas(t *testing.T) {
 // observer's timing split, and the frontier size all reporting it.
 func TestAffinityCountersTrackIncrementalRecurrence(t *testing.T) {
 	var stats []UpdateStats
-	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold,
+	// Every cell of the grid, so the reseat arm re-derives all six; the
+	// inverted modes probe every list, which takes the fresh build's
+	// retrained quantizer out of the comparison.
+	full := IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true, FP16: true}
+	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold, WithIndex(full),
 		WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
 	if as := eng.AffinityStatus(); !as.Enabled || as.Incremental != 0 || as.Full != 0 {
 		t.Fatalf("initial affinity status %+v", as)

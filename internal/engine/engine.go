@@ -97,18 +97,12 @@ type Engine struct {
 	idxManual bool
 	shards    *shardSet
 
-	// restoredQuant holds a bundle's SQ8 payload for the initial index
-	// builds (it is valid for exactly the restored model version; see
-	// buildSQ8). The first applied update clears it — no later version
-	// can ever match — via an atomic pointer, since shard rebuild workers
-	// read it concurrently.
-	restoredQuant atomic.Pointer[restoredQuant]
-
-	// restoredHalf holds a bundle's binary16 payload for the initial
-	// index builds, with the same lifecycle as restoredQuant: valid for
-	// exactly the restored model version, cleared by the first applied
-	// update, read concurrently by shard rebuild workers.
-	restoredHalf atomic.Pointer[restoredHalf]
+	// restored holds a bundle's int8 and binary16 payloads for the
+	// initial index builds (they are valid for exactly the restored model
+	// version; see restoredCodes). The first applied update clears it —
+	// no later version can ever match — via an atomic pointer, since
+	// shard rebuild workers read it concurrently.
+	restored atomic.Pointer[restoredPayloads]
 
 	// wal, when attached, receives every applied update's delta before
 	// the new version publishes (see AttachWAL in wal.go). Atomic because
@@ -132,18 +126,20 @@ type Engine struct {
 // Callers detect it with errors.Is.
 var ErrFenced = errors.New("engine: fenced by a newer epoch")
 
-// restoredQuant pairs a bundle's quantized payload with the only model
-// version it encodes.
-type restoredQuant struct {
-	version      uint64
-	links, attrs store.QuantizedMatrix
+// restoredPayloads pairs a bundle's encoded payloads (either may be nil)
+// with the only model version they encode.
+type restoredPayloads struct {
+	version uint64
+	quant   *store.QuantPayload
+	half    *store.HalfPayload
 }
 
-// restoredHalf pairs a bundle's binary16 payload with the only model
-// version it encodes.
-type restoredHalf struct {
-	version      uint64
-	links, attrs store.HalfMatrix
+// restoredFrom returns b's encoded payloads, nil when it carries none.
+func restoredFrom(b *store.Bundle) *restoredPayloads {
+	if b.Quant == nil && b.Half == nil {
+		return nil
+	}
+	return &restoredPayloads{version: b.ModelVersion, quant: b.Quant, half: b.Half}
 }
 
 // DefaultUpdateSweeps is the number of CCD refinement sweeps an update
@@ -538,10 +534,9 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	} else {
 		e.met.updFull.Inc()
 	}
-	// A restored quantized or binary16 payload encodes exactly the
-	// restored version; once the model moves past it, free it.
-	e.restoredQuant.Store(nil)
-	e.restoredHalf.Store(nil)
+	// A restored payload encodes exactly the restored version; once the
+	// model moves past it, free it.
+	e.restored.Store(nil)
 	// The model is live immediately; the index catches up asynchronously
 	// and queries fall back to the scan path until it publishes. The delta
 	// tells the per-shard workers which rows to refresh: a full-sweep
@@ -550,8 +545,8 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	// it every link candidate row, so the link space goes full then.
 	d := idxDelta{target: next.Version}
 	if incremental {
-		d.links = touched.Nodes
-		d.attrs = touched.Attrs
+		d.dirty[linkSpace] = touched.Nodes
+		d.dirty[attrSpace] = touched.Attrs
 		d.rows = touched.Rows()
 		if len(touched.Attrs) > 0 {
 			// An attribute delta moves Y rows and with them G = YᵀY — every
@@ -567,11 +562,11 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 				stats.GramCorrection = true
 				e.met.gram.Inc()
 			} else {
-				d.linksFull = true
+				d.full[linkSpace] = true
 			}
 		}
 	} else {
-		d.linksFull, d.attrsFull = true, true
+		d.full = [nSpaces]bool{true, true}
 		d.rows = g.N + g.D
 	}
 	e.scheduleIndexRebuild(d)
@@ -717,16 +712,12 @@ func (e *Engine) bundleFor(m *Model) *store.Bundle {
 			IVF: c.IVF, NList: c.NList, NProbe: c.NProbe, Seed: c.Seed, Shards: c.Shards,
 			Quantize: c.Quantize, Rerank: c.Rerank, FP16: c.FP16,
 		}
-		if c.Quantize {
-			// Optional: ship the SQ8 encodings so the restored engine
-			// publishes its quantized tier without re-quantizing. Only a
+		if c.Quantize || c.FP16 {
+			// Optional: ship the encodings so the restored engine
+			// publishes its compressed tiers without re-encoding. Only a
 			// consistent shard cut at m's exact version is usable; mid-
-			// rebuild the payload is simply omitted.
-			b.Quant = e.assembleQuant(m)
-		}
-		if c.FP16 {
-			// Same contract for the binary16 encodings.
-			b.Half = e.assembleHalf(m)
+			// rebuild the payloads are simply omitted.
+			b.Quant, b.Half = e.assembleCodes(m)
 		}
 	}
 	return b
@@ -762,13 +753,8 @@ func FromBundle(b *store.Bundle, opts ...Option) (*Engine, error) {
 		})
 		opts = append([]Option{restore}, opts...)
 	}
-	if q := b.Quant; q != nil {
-		rq := &restoredQuant{version: b.ModelVersion, links: q.Links, attrs: q.Attrs}
-		opts = append([]Option{func(e *Engine) { e.restoredQuant.Store(rq) }}, opts...)
-	}
-	if h := b.Half; h != nil {
-		rh := &restoredHalf{version: b.ModelVersion, links: h.Links, attrs: h.Attrs}
-		opts = append([]Option{func(e *Engine) { e.restoredHalf.Store(rh) }}, opts...)
+	if r := restoredFrom(b); r != nil {
+		opts = append([]Option{func(e *Engine) { e.restored.Store(r) }}, opts...)
 	}
 	return newEngine(g, emb, b.Cfg, b.ModelVersion, opts)
 }

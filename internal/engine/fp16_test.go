@@ -155,7 +155,7 @@ func TestFP16SnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.restoredHalf.Load() == nil {
+	if restored.restored.Load() == nil {
 		t.Fatal("restored engine dropped the payload before building")
 	}
 	st := restored.IndexStatus()
@@ -207,7 +207,7 @@ func TestFP16SnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := restored.ApplyEdges(eng.Model().Graph.Edges()[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if restored.restoredHalf.Load() != nil {
+	if restored.restored.Load() != nil {
 		t.Fatal("stale payload survived an update")
 	}
 	restored.WaitForIndex()

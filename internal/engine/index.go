@@ -183,62 +183,68 @@ func WithManualIndexRebuild() Option {
 	return func(e *Engine) { e.idxManual = true }
 }
 
+// The candidate spaces a shard indexes.
+const (
+	linkSpace = iota // Z = Xb·G, one row per node; queried with Xf[u]
+	attrSpace        // Y, one row per attribute; queried with Xf[v]+Xb[v]
+	nSpaces
+)
+
+// The layout axis of the index grid; the codec axis is index.Codec.
+const (
+	flat = iota
+	inverted
+	nLayouts
+)
+
+// cells is one space's part of a shard generation: the index grid, nil
+// where the configuration builds no cell. A layout's float64 cell is
+// built whenever any cell of that layout is. All ids a cell returns are
+// global (see index.Shift).
+type cells [nLayouts][index.NumCodecs]*index.Table
+
 // shardIdx is one shard's immutable index generation, valid for exactly
-// one model version. All ids it returns are global (see index.Shift).
-// Every enabled representation is built BEFORE the shardIdx is published
-// through its slot, so a query can never observe a shard whose exact tier
-// is at one version and whose quantized tier is at another. A generation
-// produced by incremental refresh shares unchanged storage (the candidate
-// block, quantized codes, inverted lists) with its predecessor; a shard
+// one model version. Every enabled cell is built BEFORE the shardIdx is
+// published through its slot, so a query can never observe a shard whose
+// exact cell is at one version and whose quantized cell is at another. A
+// generation produced by incremental refresh shares unchanged storage (the
+// candidate block, codes, inverted lists) with its predecessor; a shard
 // with no dirty rows shares everything and republishing it is O(1).
 type shardIdx struct {
-	version    uint64
-	z          *mat.Dense  // this shard's block of Z = Xb·G (rows lo..hi)
-	links      index.Index // over z; query vector is Xf[u]
-	attrs      index.Index // over Y[alo:ahi); nil when the shard has no attr rows
-	linksIVF   index.Index // nil unless cfg.IVF
-	attrsIVF   index.Index
-	linksSQ    index.Index // nil unless cfg.Quantize
-	attrsSQ    index.Index
-	linksIVFSQ index.Index // nil unless cfg.IVF && cfg.Quantize
-	attrsIVFSQ index.Index
-	linksFP16  index.Index // nil unless cfg.FP16
-	attrsFP16  index.Index
-	linksIVFFP index.Index // nil unless cfg.IVF && cfg.FP16
-	attrsIVFFP index.Index
+	version uint64
+	z       *mat.Dense // this shard's block of Z = Xb·G
+	spaces  [nSpaces]cells
 }
 
 // shardPending is one shard's accumulated rebuild obligation: the model
-// version the delta reaches (0 = nothing pending) and the dirty rows —
-// coalesced across every update since the shard last published — that
-// carry the published index to it. linksFull/attrsFull poison a space
+// version the delta reaches (0 = nothing pending) and, per space, the
+// dirty rows — coalesced across every update since the shard last
+// published — that carry the published index to it. full poisons a space
 // into a full rebuild (full-sweep model updates; any Y movement for the
 // link space, since G = YᵀY shifts every candidate row).
 type shardPending struct {
-	target    uint64
-	linksFull bool
-	attrsFull bool
-	links     map[int]struct{} // global Z row ids inside this shard's range
-	attrs     map[int]struct{} // global Y row ids inside this shard's range
+	target uint64
+	full   [nSpaces]bool
+	dirty  [nSpaces]map[int]struct{} // global row ids inside this shard's range
 	// grams are the accumulated low-rank link-space corrections of the
 	// attribute deltas since the shard last published, oldest first. Each
 	// is additive on every row whose Xb row did not change, and rows that
-	// did change are in links and get recomputed exactly — so applying
-	// them all against the current model's Xb is order-independent and
-	// reproduces the pending Z shift without a full transform. Ignored
-	// when linksFull poisons the space (the rebuild recomputes Z anyway).
+	// did change are in dirty[linkSpace] and get recomputed exactly — so
+	// applying them all against the current model's Xb is
+	// order-independent and reproduces the pending Z shift without a full
+	// transform. Ignored when the link space is poisoned (the rebuild
+	// recomputes Z anyway).
 	grams []*core.GramDelta
 }
 
 // idxDelta is one published update's dirty-row report, handed from apply
 // to the shard scheduler, which splits it across the per-shard pendings.
 type idxDelta struct {
-	target       uint64
-	linksFull    bool
-	attrsFull    bool
-	links, attrs []int
-	gram         *core.GramDelta // low-rank Z correction of an attr delta
-	rows         int             // total dirty rows, for monitoring
+	target uint64
+	full   [nSpaces]bool
+	dirty  [nSpaces][]int
+	gram   *core.GramDelta // low-rank Z correction of an attr delta
+	rows   int             // total dirty rows, for monitoring
 }
 
 // shardSet is the sharded serving-index state of one Engine: the fixed
@@ -246,9 +252,11 @@ type idxDelta struct {
 // so the ranges never change), one published-index slot per shard, and
 // the per-shard rebuild scheduling state.
 type shardSet struct {
-	linkRanges [][2]int // contiguous row ranges of Z; one per shard
-	attrRanges [][2]int // contiguous row ranges of Y; len <= len(linkRanges)
-	slots      []atomic.Pointer[shardIdx]
+	// ranges[sp] are the contiguous row ranges of space sp, one per
+	// shard; the attribute space may span fewer shards than the link
+	// space.
+	ranges [nSpaces][][2]int
+	slots  []atomic.Pointer[shardIdx]
 
 	// Per-shard async rebuild scheduling, all under mu: at most one
 	// worker goroutine runs per shard (running[s]); updates merge their
@@ -280,27 +288,23 @@ func newShardSet(n, d, s int) *shardSet {
 		linkRanges = [][2]int{{0, 0}}
 	}
 	ss := &shardSet{
-		linkRanges: linkRanges,
-		attrRanges: mat.SplitRanges(d, len(linkRanges)),
-		slots:      make([]atomic.Pointer[shardIdx], len(linkRanges)),
-		pending:    make([]shardPending, len(linkRanges)),
-		running:    make([]bool, len(linkRanges)),
-		buildMu:    make([]sync.Mutex, len(linkRanges)),
+		slots:   make([]atomic.Pointer[shardIdx], len(linkRanges)),
+		pending: make([]shardPending, len(linkRanges)),
+		running: make([]bool, len(linkRanges)),
+		buildMu: make([]sync.Mutex, len(linkRanges)),
 	}
+	ss.ranges[linkSpace] = linkRanges
+	ss.ranges[attrSpace] = mat.SplitRanges(d, len(linkRanges))
 	ss.idleC = sync.NewCond(&ss.mu)
 	return ss
 }
 
-// linkShard maps a global Z row to its shard. SplitRanges uses equal
-// ceil(n/S)-sized chunks (the last possibly shorter), so this is a
-// division, not a search.
-func (ss *shardSet) linkShard(r int) int {
-	return r / (ss.linkRanges[0][1] - ss.linkRanges[0][0])
-}
-
-// attrShard maps a global Y row to the shard holding it.
-func (ss *shardSet) attrShard(r int) int {
-	return r / (ss.attrRanges[0][1] - ss.attrRanges[0][0])
+// shardOf maps a global row of space sp to the shard holding it.
+// SplitRanges uses equal ceil(n/S)-sized chunks (the last possibly
+// shorter), so this is a division, not a search.
+func (ss *shardSet) shardOf(sp, r int) int {
+	first := ss.ranges[sp][0]
+	return r / (first[1] - first[0])
 }
 
 // markLocked merges one update's delta into every shard's pending
@@ -311,28 +315,23 @@ func (ss *shardSet) markLocked(d idxDelta) {
 	for s := range ss.pending {
 		p := &ss.pending[s]
 		p.target = d.target
-		p.linksFull = p.linksFull || d.linksFull
-		p.attrsFull = p.attrsFull || d.attrsFull
+		for sp := range p.full {
+			p.full[sp] = p.full[sp] || d.full[sp]
+		}
 		if d.gram != nil {
 			p.grams = append(p.grams, d.gram)
 		}
 	}
-	if !d.linksFull {
-		for _, r := range d.links {
-			p := &ss.pending[ss.linkShard(r)]
-			if p.links == nil {
-				p.links = make(map[int]struct{})
-			}
-			p.links[r] = struct{}{}
+	for sp := range d.dirty {
+		if d.full[sp] || len(ss.ranges[sp]) == 0 {
+			continue
 		}
-	}
-	if !d.attrsFull && len(ss.attrRanges) > 0 {
-		for _, r := range d.attrs {
-			p := &ss.pending[ss.attrShard(r)]
-			if p.attrs == nil {
-				p.attrs = make(map[int]struct{})
+		for _, r := range d.dirty[sp] {
+			p := &ss.pending[ss.shardOf(sp, r)]
+			if p.dirty[sp] == nil {
+				p.dirty[sp] = make(map[int]struct{})
 			}
-			p.attrs[r] = struct{}{}
+			p.dirty[sp][r] = struct{}{}
 		}
 	}
 }
@@ -344,10 +343,10 @@ func (ss *shardSet) remergeLocked(s int, p shardPending) {
 	if p.target > cur.target {
 		cur.target = p.target
 	}
-	cur.linksFull = cur.linksFull || p.linksFull
-	cur.attrsFull = cur.attrsFull || p.attrsFull
-	cur.links = unionRows(cur.links, p.links)
-	cur.attrs = unionRows(cur.attrs, p.attrs)
+	for sp := range cur.full {
+		cur.full[sp] = cur.full[sp] || p.full[sp]
+		cur.dirty[sp] = unionRows(cur.dirty[sp], p.dirty[sp])
+	}
 	if len(p.grams) > 0 {
 		// p's corrections predate whatever accumulated meanwhile.
 		cur.grams = append(append([]*core.GramDelta(nil), p.grams...), cur.grams...)
@@ -412,260 +411,189 @@ func (e *Engine) shardBuildParams(m *Model) buildParams {
 }
 
 // buildShardIdx materializes shard s's indexes for m from scratch. Only
-// the shard's own block of Z is computed (rows linkRanges[s]), which is
-// what makes S rebuilds S-times smaller than one monolithic build.
+// the shard's own block of Z is computed, which is what makes S rebuilds
+// S-times smaller than one monolithic build.
 func (e *Engine) buildShardIdx(m *Model, s int) *shardIdx {
 	bp := e.shardBuildParams(m)
 	si := &shardIdx{version: m.Version}
-	e.buildShardLinks(si, m, s, bp)
-	e.buildShardAttrs(si, m, s, bp)
+	for sp := range si.spaces {
+		e.buildSpace(si, sp, m, s, bp)
+	}
 	return si
 }
 
-// buildShardLinks fills si's link-space tiers with a full build over the
-// shard's freshly computed Z block.
-func (e *Engine) buildShardLinks(si *shardIdx, m *Model, s int, bp buildParams) {
-	ss := e.shards
-	lo, hi := ss.linkRanges[s][0], ss.linkRanges[s][1]
-	z := m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
-	si.z = z
-	si.links = index.Shift(index.NewExact(z, bp.threads), lo)
-	if bp.cfg.IVF {
-		iv := index.BuildIVF(z, bp.ivfCfg)
-		si.linksIVF = index.Shift(iv, lo)
-		if bp.cfg.Quantize {
-			si.linksIVFSQ = index.Shift(index.NewIVFSQ(iv, z, bp.cfg.Rerank), lo)
-		}
-		if bp.cfg.FP16 {
-			si.linksIVFFP = index.Shift(index.NewIVFFP16(iv, z), lo)
-		}
-	}
-	if bp.cfg.Quantize {
-		si.linksSQ = index.Shift(e.buildSQ8(quantLinks, m.Version, z, lo, bp.cfg.Rerank, bp.threads), lo)
-	}
-	if bp.cfg.FP16 {
-		si.linksFP16 = index.Shift(e.buildFP16(quantLinks, m.Version, z, lo, bp.threads), lo)
-	}
-}
-
-// buildShardAttrs fills si's attribute-space tiers with a full build over
-// the shard's Y block (a view of the model's matrix, not a copy).
-func (e *Engine) buildShardAttrs(si *shardIdx, m *Model, s int, bp buildParams) {
-	ss := e.shards
-	if s >= len(ss.attrRanges) {
+// buildSpace fills si's cells of space sp with a full build over the
+// shard's candidate rows: its freshly computed block of Z, or its block
+// of Y (a view of the model's matrix, not a copy). One BuildIVF serves
+// every inverted cell, so three codecs cost one k-means and one copy of
+// the lists. No-op for a shard holding no rows of the space.
+func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, s int, bp buildParams) {
+	ranges := e.shards.ranges[sp]
+	if s >= len(ranges) {
 		return
 	}
-	alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
-	y := m.Emb.Y.RowSlice(alo, ahi)
-	si.attrs = index.Shift(index.NewExact(y, bp.threads), alo)
+	lo, hi := ranges[s][0], ranges[s][1]
+	var rows *mat.Dense
+	if sp == linkSpace {
+		rows = m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
+		si.z = rows
+	} else {
+		rows = m.Emb.Y.RowSlice(lo, hi)
+	}
+	ex := index.NewExact(rows, bp.threads)
+	var iv *index.Table
 	if bp.cfg.IVF {
-		iv := index.BuildIVF(y, bp.ivfCfg)
-		si.attrsIVF = index.Shift(iv, alo)
-		if bp.cfg.Quantize {
-			si.attrsIVFSQ = index.Shift(index.NewIVFSQ(iv, y, bp.cfg.Rerank), alo)
-		}
-		if bp.cfg.FP16 {
-			si.attrsIVFFP = index.Shift(index.NewIVFFP16(iv, y), alo)
-		}
+		iv = index.BuildIVF(rows, bp.ivfCfg)
 	}
-	if bp.cfg.Quantize {
-		si.attrsSQ = index.Shift(e.buildSQ8(quantAttrs, m.Version, y, alo, bp.cfg.Rerank, bp.threads), alo)
-	}
-	if bp.cfg.FP16 {
-		si.attrsFP16 = index.Shift(e.buildFP16(quantAttrs, m.Version, y, alo, bp.threads), alo)
+	for c, on := range [index.NumCodecs]bool{index.F64: true, index.I8: bp.cfg.Quantize, index.F16: bp.cfg.FP16} {
+		if !on {
+			continue
+		}
+		c := index.Codec(c)
+		var cell *index.Table
+		if codes, ok := e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols); ok {
+			cell = index.FromCodes(rows, c, codes, bp.cfg.Rerank, bp.threads)
+		} else {
+			cell = ex.Encode(c, bp.cfg.Rerank)
+		}
+		si.spaces[sp][flat][c] = cell.Shift(lo)
+		if iv != nil {
+			si.spaces[sp][inverted][c] = iv.Encode(c, bp.cfg.Rerank).Shift(lo)
+		}
 	}
 }
 
 // refreshShard produces shard s's next generation from base using p's
-// dirty rows, choosing per space between sharing (no dirty rows),
-// incremental refresh (dirty fraction at or below the threshold), and a
-// full rebuild (poisoned space or a delta past the threshold). Incremental
-// link refresh recomputes only the dirty Z rows (core's row-restricted
-// transform is bit-identical to the full product), patches them into a
-// clone of the previous block, and runs each tier's copy-on-write Refresh;
-// the IVF tier keeps its trained coarse quantizer, exactly as a frozen-
-// quantizer full rebuild would assign every row. fullWork reports whether
-// any space fell back to a from-scratch build.
+// dirty rows; see refreshSpace for the per-space choice. fullWork reports
+// whether any space fell back to a from-scratch build.
 func (e *Engine) refreshShard(m *Model, s int, base *shardIdx, p shardPending) (si *shardIdx, fullWork bool) {
 	bp := e.shardBuildParams(m)
-	ss := e.shards
-	thr := e.refreshThreshold
 	si = &shardIdx{version: m.Version}
-
-	lo, hi := ss.linkRanges[s][0], ss.linkRanges[s][1]
-	linkRows := sortedRowsIn(p.links, lo, hi)
-	gramRank := 0
-	for _, gd := range p.grams {
-		gramRank += gd.Rank()
-	}
-	switch {
-	case p.linksFull || gramRank >= m.Emb.Y.Cols ||
-		float64(len(linkRows)) > thr*float64(hi-lo):
-		// Poisoned space, a coalesced correction whose rank bound reaches
-		// the factor width (correcting every row would cost as much as the
-		// full transform), or a dirty delta past the threshold.
-		e.buildShardLinks(si, m, s, bp)
-		fullWork = true
-	case len(linkRows) == 0 && len(p.grams) == 0:
-		si.z = base.z
-		si.links, si.linksIVF = base.links, base.linksIVF
-		si.linksSQ, si.linksIVFSQ = base.linksSQ, base.linksIVFSQ
-		si.linksFP16, si.linksIVFFP = base.linksFP16, base.linksIVFFP
-	case len(p.grams) > 0:
-		// Low-rank path: every candidate row shifts by Xb[i]·ΔG, so apply
-		// the accumulated corrections to the whole block in O(n·rank·k),
-		// then overwrite the dirty rows — the rows whose Xb changed, for
-		// which the additive correction is wrong — with exactly recomputed
-		// values. Every tier re-derives from the moved block: SQ8
-		// re-encodes all rows, the IVF keeps its assignments (Reseat — the
-		// values moved by a correction-sized nudge, not to new clusters),
-		// and IVFSQ re-quantizes the reseated lists.
-		z := base.z.Clone()
-		for _, gd := range p.grams {
-			gd.Apply(z, m.Emb.Xb, lo, bp.threads)
-		}
-		if len(linkRows) > 0 {
-			patch := m.Scorer.TransformedCandidatesRows(linkRows, bp.threads)
-			for j, r := range linkRows {
-				copy(z.Row(r-lo), patch.Row(j))
-			}
-		}
-		si.z = z
-		si.links = index.Shift(unshift(base.links).(*index.Exact).Refresh(z), lo)
-		if base.linksIVF != nil {
-			iv := unshift(base.linksIVF).(*index.IVF).Reseat(z)
-			si.linksIVF = index.Shift(iv, lo)
-			if base.linksIVFSQ != nil {
-				si.linksIVFSQ = index.Shift(unshift(base.linksIVFSQ).(*index.IVFSQ).Refresh(iv, z), lo)
-			}
-			if base.linksIVFFP != nil {
-				si.linksIVFFP = index.Shift(unshift(base.linksIVFFP).(*index.IVFFP16).Refresh(iv, z), lo)
-			}
-		}
-		if base.linksSQ != nil {
-			si.linksSQ = index.Shift(index.NewSQ8(z, bp.cfg.Rerank, bp.threads), lo)
-		}
-		if base.linksFP16 != nil {
-			si.linksFP16 = index.Shift(index.NewFP16(z, bp.threads), lo)
-		}
-	default:
-		z := base.z.Clone()
-		patch := m.Scorer.TransformedCandidatesRows(linkRows, bp.threads)
-		local := make([]int, len(linkRows))
-		for j, r := range linkRows {
-			copy(z.Row(r-lo), patch.Row(j))
-			local[j] = r - lo
-		}
-		si.z = z
-		si.links = index.Shift(unshift(base.links).(*index.Exact).Refresh(z), lo)
-		if base.linksIVF != nil {
-			iv := unshift(base.linksIVF).(*index.IVF).Refresh(z, local)
-			si.linksIVF = index.Shift(iv, lo)
-			if base.linksIVFSQ != nil {
-				si.linksIVFSQ = index.Shift(unshift(base.linksIVFSQ).(*index.IVFSQ).Refresh(iv, z), lo)
-			}
-			if base.linksIVFFP != nil {
-				si.linksIVFFP = index.Shift(unshift(base.linksIVFFP).(*index.IVFFP16).Refresh(iv, z), lo)
-			}
-		}
-		if base.linksSQ != nil {
-			si.linksSQ = index.Shift(unshift(base.linksSQ).(*index.SQ8).Refresh(z, local), lo)
-		}
-		if base.linksFP16 != nil {
-			si.linksFP16 = index.Shift(unshift(base.linksFP16).(*index.FP16).Refresh(z, local), lo)
-		}
-	}
-
-	if s >= len(ss.attrRanges) {
-		return si, fullWork
-	}
-	alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
-	attrRows := sortedRowsIn(p.attrs, alo, ahi)
-	switch {
-	case p.attrsFull || float64(len(attrRows)) > thr*float64(ahi-alo):
-		e.buildShardAttrs(si, m, s, bp)
-		fullWork = true
-	case len(attrRows) == 0:
-		// The previous generation's backends wrap a view of the previous
-		// Y; with no dirty rows in this shard's range those rows are
-		// bit-identical in the new model, so sharing them is exact.
-		si.attrs, si.attrsIVF = base.attrs, base.attrsIVF
-		si.attrsSQ, si.attrsIVFSQ = base.attrsSQ, base.attrsIVFSQ
-		si.attrsFP16, si.attrsIVFFP = base.attrsFP16, base.attrsIVFFP
-	default:
-		y := m.Emb.Y.RowSlice(alo, ahi)
-		local := make([]int, len(attrRows))
-		for j, r := range attrRows {
-			local[j] = r - alo
-		}
-		si.attrs = index.Shift(unshift(base.attrs).(*index.Exact).Refresh(y), alo)
-		if base.attrsIVF != nil {
-			iv := unshift(base.attrsIVF).(*index.IVF).Refresh(y, local)
-			si.attrsIVF = index.Shift(iv, alo)
-			if base.attrsIVFSQ != nil {
-				si.attrsIVFSQ = index.Shift(unshift(base.attrsIVFSQ).(*index.IVFSQ).Refresh(iv, y), alo)
-			}
-			if base.attrsIVFFP != nil {
-				si.attrsIVFFP = index.Shift(unshift(base.attrsIVFFP).(*index.IVFFP16).Refresh(iv, y), alo)
-			}
-		}
-		if base.attrsSQ != nil {
-			si.attrsSQ = index.Shift(unshift(base.attrsSQ).(*index.SQ8).Refresh(y, local), alo)
-		}
-		if base.attrsFP16 != nil {
-			si.attrsFP16 = index.Shift(unshift(base.attrsFP16).(*index.FP16).Refresh(y, local), alo)
+	for sp := range si.spaces {
+		if e.refreshSpace(si, sp, m, s, base, p, bp) {
+			fullWork = true
 		}
 	}
 	return si, fullWork
 }
 
-// Quantized-payload spaces a bundle may carry (see buildSQ8).
-const (
-	quantLinks = iota // the link candidate matrix Z = Xb·G
-	quantAttrs        // the attribute candidate matrix Y
-)
-
-// buildSQ8 builds one shard's SQ8 tier over full, the shard's block of
-// candidate rows [lo, lo+full.Rows) of the given space. When a
-// bundle-restored encoding matches this model version and shape, its row
-// slice is reused instead of re-quantizing — per-row quantization makes
-// the slice bit-identical to a fresh encoding, so restored and
-// self-computed tiers are interchangeable; on any mismatch (newer model
-// version, different shape) the payload is ignored and the rows are
-// quantized fresh.
-func (e *Engine) buildSQ8(space int, version uint64, full *mat.Dense, lo, rerank, threads int) *index.SQ8 {
-	if rq := e.restoredQuant.Load(); rq != nil && rq.version == version {
-		qm := &rq.links
-		if space == quantAttrs {
-			qm = &rq.attrs
+// refreshSpace fills si's cells of space sp from base, choosing between
+// sharing (nothing pending), incremental refresh (dirty fraction at or
+// below the threshold), reseating after a low-rank Gram correction, and a
+// full rebuild (poisoned space or a delta past the threshold), which it
+// reports. Incremental link refresh recomputes only the dirty Z rows
+// (core's row-restricted transform is bit-identical to the full product)
+// and patches them into a clone of the previous block; the attribute
+// block is a view of the new Y. Every cell then takes index's
+// copy-on-write Refresh, the inverted ones behind their float64 cell so
+// the layout is refreshed once; the coarse quantizer stays frozen, exactly
+// as a frozen-quantizer full rebuild would assign every row.
+func (e *Engine) refreshSpace(si *shardIdx, sp int, m *Model, s int, base *shardIdx, p shardPending, bp buildParams) (full bool) {
+	ranges := e.shards.ranges[sp]
+	if s >= len(ranges) {
+		return false
+	}
+	lo, hi := ranges[s][0], ranges[s][1]
+	dirty := sortedRowsIn(p.dirty[sp], lo, hi)
+	var grams []*core.GramDelta
+	if sp == linkSpace {
+		grams = p.grams
+	}
+	gramRank := 0
+	for _, gd := range grams {
+		gramRank += gd.Rank()
+	}
+	switch {
+	case p.full[sp] || gramRank >= m.Emb.Y.Cols ||
+		float64(len(dirty)) > e.refreshThreshold*float64(hi-lo):
+		// Poisoned space, a coalesced correction whose rank bound reaches
+		// the factor width (correcting every row would cost as much as the
+		// full transform), or a dirty delta past the threshold.
+		e.buildSpace(si, sp, m, s, bp)
+		return true
+	case len(dirty) == 0 && len(grams) == 0:
+		// The rows are bit-identical in the new model (the previous
+		// generation's attribute cells wrap a view of the previous Y), so
+		// sharing them is exact.
+		si.spaces[sp] = base.spaces[sp]
+		if sp == linkSpace {
+			si.z = base.z
 		}
-		hi := lo + full.Rows
-		if qm.Dim == full.Cols && hi <= qm.Rows {
-			return index.NewSQ8FromCodes(full,
-				qm.Codes[lo*qm.Dim:hi*qm.Dim], qm.Scale[lo:hi], qm.Base[lo:hi],
-				rerank, threads)
+		return false
+	}
+	var rows *mat.Dense
+	if sp == linkSpace {
+		// Every candidate row shifts by Xb[i]·ΔG under a correction, so
+		// apply the accumulated ones to the whole block in O(n·rank·k),
+		// then overwrite the dirty rows — the rows whose Xb changed, for
+		// which the additive correction is wrong — with exactly recomputed
+		// values.
+		rows = base.z.Clone()
+		for _, gd := range grams {
+			gd.Apply(rows, m.Emb.Xb, lo, bp.threads)
+		}
+		if len(dirty) > 0 {
+			patch := m.Scorer.TransformedCandidatesRows(dirty, bp.threads)
+			for j, r := range dirty {
+				copy(rows.Row(r-lo), patch.Row(j))
+			}
+		}
+		si.z = rows
+	} else {
+		rows = m.Emb.Y.RowSlice(lo, hi)
+	}
+	local := make([]int, len(dirty))
+	for j, r := range dirty {
+		local[j] = r - lo
+	}
+	for l := range base.spaces[sp] {
+		var lead *index.Table
+		for c, old := range base.spaces[sp][l] {
+			if old == nil {
+				continue
+			}
+			var next *index.Table
+			if len(grams) > 0 {
+				// A correction moved every row by a small nudge, not to
+				// new clusters: keep the assignments, re-encode everything.
+				next = old.Reseat(rows, lead)
+			} else {
+				next = old.Refresh(rows, local, lead)
+			}
+			if lead == nil {
+				lead = next // the float64 cell comes first and is always built
+			}
+			si.spaces[sp][l][c] = next
 		}
 	}
-	return index.NewSQ8(full, rerank, threads)
+	return false
 }
 
-// buildFP16 builds one shard's binary16 tier over full, the shard's block
-// of candidate rows [lo, lo+full.Rows) of the given space, reusing a
-// bundle-restored encoding's row slice when it matches this model version
-// and shape — the per-element encoding makes the slice bit-identical to a
-// fresh encoding, exactly like buildSQ8's per-row reuse.
-func (e *Engine) buildFP16(space int, version uint64, full *mat.Dense, lo, threads int) *index.FP16 {
-	if rh := e.restoredHalf.Load(); rh != nil && rh.version == version {
-		hm := &rh.links
-		if space == quantAttrs {
-			hm = &rh.attrs
+// restoredCodes returns the bundle-restored encoding of rows [lo, hi) of
+// space sp under codec c, when one exists that matches this model version
+// and shape. The encodings are per row (per element for binary16), so the
+// row slice of the whole matrix's payload is bit-identical to encoding the
+// shard's rows fresh: restored and self-computed cells are
+// interchangeable, and on any mismatch (newer model version, different
+// shape) the payload is ignored and the rows are encoded fresh.
+func (e *Engine) restoredCodes(sp int, c index.Codec, version uint64, lo, hi, dim int) (index.Codes, bool) {
+	r := e.restored.Load()
+	if r == nil || r.version != version {
+		return index.Codes{}, false
+	}
+	switch {
+	case c == index.I8 && r.quant != nil:
+		qm := [nSpaces]*store.QuantizedMatrix{&r.quant.Links, &r.quant.Attrs}[sp]
+		if qm.Dim == dim && hi <= qm.Rows {
+			return index.Codes{I8: qm.Codes[lo*dim : hi*dim], Scale: qm.Scale[lo:hi], Base: qm.Base[lo:hi]}, true
 		}
-		hi := lo + full.Rows
-		if hm.Dim == full.Cols && hi <= hm.Rows {
-			return index.NewFP16FromCodes(full, hm.Codes[lo*hm.Dim:hi*hm.Dim], threads)
+	case c == index.F16 && r.half != nil:
+		hm := [nSpaces]*store.HalfMatrix{&r.half.Links, &r.half.Attrs}[sp]
+		if hm.Dim == dim && hi <= hm.Rows {
+			return index.Codes{F16: hm.Codes[lo*dim : hi*dim]}, true
 		}
 	}
-	return index.NewFP16(full, threads)
+	return index.Codes{}, false
 }
 
 // freshShards returns one consistent cut of the published shard indexes:
@@ -941,11 +869,9 @@ func (e *Engine) IndexStatus() IndexStatus {
 		if minVer == 0 || si.version < minVer {
 			minVer = si.version
 		}
-		if s == 0 && si.linksIVF != nil {
-			if iv, ok := unshift(si.linksIVF).(*index.IVF); ok {
-				st.NList = iv.NList()
-				st.NProbe = iv.DefaultNProbe()
-			}
+		if iv := si.spaces[linkSpace][inverted][index.F64]; s == 0 && iv != nil {
+			st.NList = iv.NList()
+			st.NProbe = iv.DefaultNProbe()
 		}
 	}
 	if complete {
@@ -954,91 +880,51 @@ func (e *Engine) IndexStatus() IndexStatus {
 	return st
 }
 
-// assembleQuant reassembles the full-matrix SQ8 payload from a fresh
-// consistent shard cut at m's version, or nil when any shard is stale or
-// still building — the payload is an optional bundle section, and a
-// loader just re-quantizes (bit-identically) without it. Because the
-// encoding is per-row, concatenating the shards' blocks in shard order IS
-// the whole matrix's encoding.
-func (e *Engine) assembleQuant(m *Model) *store.QuantPayload {
+// assembleCodes reassembles the full-matrix int8 and binary16 payloads
+// from a fresh consistent shard cut at m's version; either is nil when
+// its tier is not built or any shard is stale or still building — the
+// payloads are optional bundle sections, and a loader just re-encodes
+// (bit-identically) without them. Because the encodings are per row,
+// concatenating the shards' flat blocks in shard order IS the whole
+// matrix's encoding.
+func (e *Engine) assembleCodes(m *Model) (*store.QuantPayload, *store.HalfPayload) {
 	shards := e.freshShards(m)
 	if shards == nil {
-		return nil
+		return nil, nil
 	}
+	dim := m.Emb.Xf.Cols
 	qp := &store.QuantPayload{
-		Links: store.QuantizedMatrix{Rows: m.Nodes(), Dim: m.Emb.Xf.Cols},
-		Attrs: store.QuantizedMatrix{Rows: m.Attrs(), Dim: m.Emb.Xf.Cols},
-	}
-	appendSQ := func(qm *store.QuantizedMatrix, idx index.Index) bool {
-		sq, ok := unshift(idx).(*index.SQ8)
-		if !ok {
-			return false
-		}
-		qm.Codes = append(qm.Codes, sq.Codes()...)
-		qm.Scale = append(qm.Scale, sq.Scale()...)
-		qm.Base = append(qm.Base, sq.Base()...)
-		return true
-	}
-	for _, si := range shards {
-		if si.linksSQ == nil || !appendSQ(&qp.Links, si.linksSQ) {
-			return nil
-		}
-		if si.attrsSQ != nil && !appendSQ(&qp.Attrs, si.attrsSQ) {
-			return nil
-		}
-	}
-	if len(qp.Links.Scale) != qp.Links.Rows || len(qp.Attrs.Scale) != qp.Attrs.Rows {
-		return nil // defensive: a partial assembly must not be persisted
-	}
-	return qp
-}
-
-// assembleHalf reassembles the full-matrix binary16 payload from a fresh
-// consistent shard cut at m's version, or nil when any shard is stale or
-// still building; same derived-state contract as assembleQuant — a loader
-// without the payload just re-encodes bit-identically.
-func (e *Engine) assembleHalf(m *Model) *store.HalfPayload {
-	shards := e.freshShards(m)
-	if shards == nil {
-		return nil
+		Links: store.QuantizedMatrix{Rows: m.Nodes(), Dim: dim},
+		Attrs: store.QuantizedMatrix{Rows: m.Attrs(), Dim: dim},
 	}
 	hp := &store.HalfPayload{
-		Links: store.HalfMatrix{Rows: m.Nodes(), Dim: m.Emb.Xf.Cols},
-		Attrs: store.HalfMatrix{Rows: m.Attrs(), Dim: m.Emb.Xf.Cols},
+		Links: store.HalfMatrix{Rows: m.Nodes(), Dim: dim},
+		Attrs: store.HalfMatrix{Rows: m.Attrs(), Dim: dim},
 	}
-	appendFP := func(hm *store.HalfMatrix, idx index.Index) bool {
-		fp, ok := unshift(idx).(*index.FP16)
-		if !ok {
-			return false
-		}
-		hm.Codes = append(hm.Codes, fp.Codes()...)
-		return true
-	}
+	qms := [nSpaces]*store.QuantizedMatrix{&qp.Links, &qp.Attrs}
+	hms := [nSpaces]*store.HalfMatrix{&hp.Links, &hp.Attrs}
 	for _, si := range shards {
-		if si.linksFP16 == nil || !appendFP(&hp.Links, si.linksFP16) {
-			return nil
-		}
-		if si.attrsFP16 != nil && !appendFP(&hp.Attrs, si.attrsFP16) {
-			return nil
+		for sp := range si.spaces {
+			if t := si.spaces[sp][flat][index.I8]; t != nil {
+				c := t.Codes()
+				qms[sp].Codes = append(qms[sp].Codes, c.I8...)
+				qms[sp].Scale = append(qms[sp].Scale, c.Scale...)
+				qms[sp].Base = append(qms[sp].Base, c.Base...)
+			}
+			if t := si.spaces[sp][flat][index.F16]; t != nil {
+				hms[sp].Codes = append(hms[sp].Codes, t.Codes().F16...)
+			}
 		}
 	}
-	if len(hp.Links.Codes) != hp.Links.Rows*hp.Links.Dim ||
-		len(hp.Attrs.Codes) != hp.Attrs.Rows*hp.Attrs.Dim {
-		return nil // defensive: a partial assembly must not be persisted
+	// A partial assembly (tier not built, a shard lacking its cell) must
+	// not be persisted.
+	if !e.idxCfg.Quantize || len(qp.Links.Scale) != qp.Links.Rows || len(qp.Attrs.Scale) != qp.Attrs.Rows {
+		qp = nil
 	}
-	return hp
-}
-
-// unshift unwraps index.Shift wrappers for status introspection.
-func unshift(idx index.Index) index.Index {
-	type unwrapper interface{ Unwrap() index.Index }
-	for {
-		u, ok := idx.(unwrapper)
-		if !ok {
-			return idx
-		}
-		idx = u.Unwrap()
+	if !e.idxCfg.FP16 || len(hp.Links.Codes) != hp.Links.Rows*dim || len(hp.Attrs.Codes) != hp.Attrs.Rows*dim {
+		hp = nil
 	}
+	return qp, hp
 }
 
 // TopKAnswer is one served top-k result with its provenance: the model
@@ -1051,9 +937,10 @@ type TopKAnswer struct {
 
 // TopLinks answers a link-prediction top-k query through the sharded
 // index when a fresh consistent shard set exists, falling back to the
-// brute-force scan otherwise. mode is ModeExact (default when empty) or
-// ModeIVF; nprobe overrides the per-shard IVF probe count when > 0. The
-// query node itself is excluded.
+// brute-force scan otherwise. mode is one of the six Mode constants
+// (ModeExact when empty); a mode whose cell the configuration did not
+// build degrades as pick describes. nprobe overrides the per-shard probe
+// count of the inverted modes when > 0. The query node itself is excluded.
 func (e *Engine) TopLinks(u, k int, mode string, nprobe int) (TopKAnswer, error) {
 	m := e.Model()
 	shards := e.freshShards(m)
@@ -1084,9 +971,7 @@ func validateTopK(k int, mode string, nprobe int) (string, error) {
 	if mode == "" {
 		mode = ModeExact
 	}
-	switch mode {
-	case ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16:
-	default:
+	if _, ok := modeCell[mode]; !ok {
 		return "", fmt.Errorf("engine: unknown mode %q (want %q, %q, %q, %q, %q, or %q)",
 			mode, ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16)
 	}
@@ -1096,71 +981,47 @@ func validateTopK(k int, mode string, nprobe int) (string, error) {
 	return mode, nil
 }
 
-// pickSubs selects one backend field across a shard set. The choice is
-// uniform across shards (every generation builds the same backends), so
-// one backend label describes the whole fan-out. A mode whose backend was
-// not built degrades along ivfsq → ivf → exact / sq8 → exact (and
-// likewise ivffp16 → ivf → exact / fp16 → exact), mirroring how an IVF
-// request on an exact-only index already served exact.
-func pickSubs(shards []*shardIdx, mode string, get func(*shardIdx, string) index.Index) ([]index.Index, string) {
-	backend := BackendExact
-	switch {
-	case mode == ModeIVFSQ && get(shards[0], BackendIVFSQ) != nil:
-		backend = BackendIVFSQ
-	case mode == ModeIVFFP16 && get(shards[0], BackendIVFFP16) != nil:
-		backend = BackendIVFFP16
-	case (mode == ModeIVF || mode == ModeIVFSQ || mode == ModeIVFFP16) && get(shards[0], BackendIVF) != nil:
-		backend = BackendIVF
-	case mode == ModeSQ8 && get(shards[0], BackendSQ8) != nil:
-		backend = BackendSQ8
-	case mode == ModeFP16 && get(shards[0], BackendFP16) != nil:
-		backend = BackendFP16
+// modeCell places each query mode in the index grid, and backends names
+// each cell as answers report it.
+var (
+	modeCell = map[string]struct {
+		layout int
+		codec  index.Codec
+	}{
+		ModeExact: {flat, index.F64}, ModeSQ8: {flat, index.I8}, ModeFP16: {flat, index.F16},
+		ModeIVF: {inverted, index.F64}, ModeIVFSQ: {inverted, index.I8}, ModeIVFFP16: {inverted, index.F16},
+	}
+	backends = [nLayouts][index.NumCodecs]string{
+		flat:     {BackendExact, BackendSQ8, BackendFP16},
+		inverted: {BackendIVF, BackendIVFSQ, BackendIVFFP16},
+	}
+)
+
+// pick selects the cell of space sp that answers mode across a shard
+// set. The choice is uniform across shards (every generation builds the
+// same cells), so one backend label describes the whole fan-out. A mode
+// whose cell was not built first gives up its codec, then its layout —
+// ivfsq → ivf → exact and sq8 → exact (likewise ivffp16 → ivf → exact and
+// fp16 → exact) — so an inverted mode never lands on a flat compressed
+// cell. Shards past the attribute row space contribute nil entries, which
+// the fan-out skips.
+func pick(shards []*shardIdx, sp int, mode string) ([]index.Index, string) {
+	at := modeCell[mode]
+	l, c := at.layout, at.codec
+	built := &shards[0].spaces[sp]
+	if built[l][c] == nil {
+		c = index.F64
+	}
+	if built[l][c] == nil {
+		l = flat
 	}
 	subs := make([]index.Index, len(shards))
 	for i, si := range shards {
-		subs[i] = get(si, backend)
+		if t := si.spaces[sp][l][c]; t != nil {
+			subs[i] = t
+		}
 	}
-	return subs, backend
-}
-
-// linkSubs selects each shard's link backend for mode.
-func linkSubs(shards []*shardIdx, mode string) ([]index.Index, string) {
-	return pickSubs(shards, mode, func(si *shardIdx, backend string) index.Index {
-		switch backend {
-		case BackendIVF:
-			return si.linksIVF
-		case BackendSQ8:
-			return si.linksSQ
-		case BackendIVFSQ:
-			return si.linksIVFSQ
-		case BackendFP16:
-			return si.linksFP16
-		case BackendIVFFP16:
-			return si.linksIVFFP
-		}
-		return si.links
-	})
-}
-
-// attrSubs selects each shard's attribute backend for mode. Shards past
-// the attribute row space contribute nil entries, which the fan-out
-// skips.
-func attrSubs(shards []*shardIdx, mode string) ([]index.Index, string) {
-	return pickSubs(shards, mode, func(si *shardIdx, backend string) index.Index {
-		switch backend {
-		case BackendIVF:
-			return si.attrsIVF
-		case BackendSQ8:
-			return si.attrsSQ
-		case BackendIVFSQ:
-			return si.attrsIVFSQ
-		case BackendFP16:
-			return si.attrsFP16
-		case BackendIVFFP16:
-			return si.attrsIVFFP
-		}
-		return si.attrs
-	})
+	return subs, backends[l][c]
 }
 
 // topLinks runs the link top-k against this model, fanning out over
@@ -1178,7 +1039,7 @@ func (m *Model) topLinks(shards []*shardIdx, met *engineMetrics, u, k int, mode 
 	if shards != nil {
 		q := m.Emb.Xf.Row(u)
 		skip := func(id int) bool { return id == u }
-		subs, backend := linkSubs(shards, mode)
+		subs, backend := pick(shards, linkSpace, mode)
 		res, fan, merge := index.SearchShardedTimed(subs, q, k, index.Options{NProbe: nprobe, Skip: skip})
 		recordStages(met, fan, merge)
 		return res, backend, nil
@@ -1201,7 +1062,7 @@ func (m *Model) topAttrs(shards []*shardIdx, met *engineMetrics, v, k int, mode 
 	}
 	if shards != nil {
 		q := m.Emb.AttrQueryInto(v, getVec(m.Emb.Xf.Cols))
-		subs, backend := attrSubs(shards, mode)
+		subs, backend := pick(shards, attrSpace, mode)
 		res, fan, merge := index.SearchShardedTimed(subs, q, k, index.Options{NProbe: nprobe})
 		recordStages(met, fan, merge)
 		putVec(q)

@@ -191,7 +191,7 @@ func TestQuantizedSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.restoredQuant.Load() == nil {
+	if restored.restored.Load() == nil {
 		t.Fatal("restored engine dropped the payload before building")
 	}
 	st := restored.IndexStatus()
@@ -238,7 +238,7 @@ func TestQuantizedSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := restored.ApplyEdges(eng.Model().Graph.Edges()[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if restored.restoredQuant.Load() != nil {
+	if restored.restored.Load() != nil {
 		t.Fatal("stale payload survived an update")
 	}
 	restored.WaitForIndex()

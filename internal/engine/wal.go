@@ -164,18 +164,9 @@ func (e *Engine) LoadBundle(b *store.Bundle) error {
 	// The retained affinity state described the replaced graph; drop it
 	// so the next update rebuilds from the new one.
 	e.affState, e.affVersion = nil, 0
-	if q := b.Quant; q != nil {
-		e.restoredQuant.Store(&restoredQuant{version: b.ModelVersion, links: q.Links, attrs: q.Attrs})
-	} else {
-		e.restoredQuant.Store(nil)
-	}
-	if h := b.Half; h != nil {
-		e.restoredHalf.Store(&restoredHalf{version: b.ModelVersion, links: h.Links, attrs: h.Attrs})
-	} else {
-		e.restoredHalf.Store(nil)
-	}
+	e.restored.Store(restoredFrom(b))
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))
-	e.scheduleIndexRebuild(idxDelta{target: next.Version, linksFull: true, attrsFull: true, rows: g.N + g.D})
+	e.scheduleIndexRebuild(idxDelta{target: next.Version, full: [nSpaces]bool{true, true}, rows: g.N + g.D})
 	return nil
 }

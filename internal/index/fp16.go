@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -18,11 +17,9 @@ import (
 // perturbation almost never reorders a top-k (the committed bench holds
 // recall@10 at ≈ 0.999 with re-rank = none, gated on the missed-slot
 // count with a binomial sampling allowance — the residual misses are
-// rank-boundary ties below the 2^-11 half resolution). Two backends
-// share the machinery, mirroring the SQ8 pair:
-//
-//   - FP16 encodes a flat matrix (the half-precision sibling of Exact);
-//   - IVFFP16 encodes each inverted list of an existing IVF.
+// rank-boundary ties below the 2^-11 half resolution). This file is the
+// binary16 codec: the conversions, the encoding, the kernel dispatch and
+// the scan.
 //
 // Encoding is PER ELEMENT (round-to-nearest-even, no shared statistics),
 // so any row slice of a matrix encodes to exactly the row slice of the
@@ -31,9 +28,9 @@ import (
 // refresh re-encode only dirty rows. Decoding a half is EXACT in
 // float64, and the scan accumulates in the one canonical order fixed by
 // DotFP16Generic, so fp16 scores (and therefore rankings) are
-// bit-identical across instruction sets and build tags. Unlike the
-// quantized two-phase backends, fp16 scores are final: a sharded fan-out
-// merges them like Exact's, no global survivor cut required.
+// bit-identical across instruction sets and build tags. Unlike the int8
+// codec's, fp16 scores are final: a sharded fan-out merges them like the
+// float64 codec's, no global survivor cut required.
 
 // F64ToFP16 converts x to IEEE 754 binary16 with round-to-nearest-even,
 // directly from the float64 bits (no intermediate float32, so no double
@@ -157,7 +154,7 @@ func dotFP16(q []float64, c []uint16) float64 {
 
 // DotFP16 exposes the dispatched fp16 dot kernel for the kernel
 // microbenchmark (`benchexp -exp kernel`); serving paths call dotFP16
-// through the FP16/IVFFP16 backends.
+// through the binary16 codec.
 func DotFP16(q []float64, c []uint16) float64 { return dotFP16(q, c) }
 
 // DotFP16Generic is the portable decode-and-accumulate kernel and the
@@ -198,211 +195,32 @@ func DotFP16Generic(q []float64, c []uint16) float64 {
 	return s
 }
 
-// FP16 is the half-precision flat backend: the binary16 encoding of the
-// candidate matrix, scanned in parallel row blocks like Exact, no
-// re-rank. The full float64 matrix is shared (not copied) only to carry
-// the shape/refresh contract the engine expects; queries never touch it.
-// Immutable after construction and safe for concurrent searches.
-type FP16 struct {
-	full    *mat.Dense
-	codes   []uint16
-	threads int
-}
+// f16Codec is the half-precision codec: binary16 codes scanned with the
+// decode-and-accumulate kernel, scores final.
+type f16Codec struct{}
 
-// NewFP16 encodes data (one candidate per row, shared with the caller —
-// it must not be mutated afterwards, as with NewExact) and returns the
-// half-precision backend. threads is the search fan-out, values <= 1
-// scan serially.
-func NewFP16(data *mat.Dense, threads int) *FP16 {
-	return NewFP16FromCodes(data, EncodeFP16Rows(data), threads)
-}
+func (f16Codec) prepare(pq *query, q []float64) { pq.q = q }
+func (f16Codec) final() bool                    { return true }
 
-// NewFP16FromCodes wraps an existing encoding (e.g. one restored from a
-// bundle, or a row slice of a larger matrix's encoding) instead of
-// re-encoding. codes must agree with data's shape; it is shared, not
-// copied. It panics on a shape mismatch — a corrupt persisted payload
-// must fail loudly at build time, not skew scores at query time.
-func NewFP16FromCodes(data *mat.Dense, codes []uint16, threads int) *FP16 {
-	if len(codes) != data.Rows*data.Cols {
-		panic(fmt.Sprintf("index: FP16 payload shape mismatch: %d codes for %dx%d",
-			len(codes), data.Rows, data.Cols))
+func (f16Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
+	if prev == nil {
+		return Codes{F16: EncodeFP16Rows(rows)}
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	return &FP16{full: data, codes: codes, threads: threads}
-}
-
-// Len returns the candidate count.
-func (f *FP16) Len() int { return f.full.Rows }
-
-// Dim returns the vector dimension.
-func (f *FP16) Dim() int { return f.full.Cols }
-
-// Kind returns KindFP16.
-func (f *FP16) Kind() string { return KindFP16 }
-
-// Codes exposes the binary16 encoding (row-major) for persistence.
-func (f *FP16) Codes() []uint16 { return f.codes }
-
-// Refresh returns a half-precision backend over data (which must have
-// this index's shape) re-encoding only the listed dirty rows; every
-// other row's codes are copied from this index. Because encoding is per
-// element, the result is bit-identical to NewFP16(data, threads) at
-// O(|dirty|·dim) encoding cost instead of O(n·dim).
-func (f *FP16) Refresh(data *mat.Dense, dirty []int) *FP16 {
-	if data.Rows != f.full.Rows || data.Cols != f.full.Cols {
-		panic(fmt.Sprintf("index: FP16 refresh shape mismatch: %dx%d data for %dx%d index",
-			data.Rows, data.Cols, f.full.Rows, f.full.Cols))
-	}
-	codes := append([]uint16(nil), f.codes...)
-	dim := data.Cols
+	c := Codes{F16: append([]uint16(nil), prev.F16...)}
+	dim := rows.Cols
 	for _, r := range dirty {
-		encodeFP16RowInto(data.Row(r), codes[r*dim:(r+1)*dim])
+		encodeFP16RowInto(rows.Row(r), c.F16[r*dim:(r+1)*dim])
 	}
-	return NewFP16FromCodes(data, codes, f.threads)
+	return c
 }
 
-// Search scans every candidate's half-encoded row. Scores are the
-// decode-and-accumulate inner products — final, not re-ranked. See Index
-// for the result contract.
-func (f *FP16) Search(q []float64, k int, opt Options) []core.Scored {
-	n := f.full.Rows
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		return nil
-	}
-	nb := f.threads
-	if lim := n / minParallelRows; nb > lim {
-		nb = lim
-	}
-	return mergeSearch(k, n, nb, func(t *core.TopK, lo, hi int) {
-		f.scanCodes(t, q, lo, hi, opt.Skip)
-	})
-}
-
-// scanCodes offers rows [lo, hi) to t under the fp16 score, walking the
-// code rows with one advancing slice like SQ8's scan.
-func (f *FP16) scanCodes(t *core.TopK, q []float64, lo, hi int, skip func(int) bool) {
-	dim := f.full.Cols
-	rows := f.codes[lo*dim : hi*dim]
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			t.Offer(i, dotFP16(q, rows[:dim]))
-			rows = rows[dim:]
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		row := rows[:dim]
-		rows = rows[dim:]
-		if skip(i) {
+func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) {
+	dim := len(pq.q)
+	for j := s.lo; j < s.hi; j++ {
+		id := s.id(j)
+		if s.skip != nil && s.skip(id) {
 			continue
 		}
-		t.Offer(i, dotFP16(q, row))
+		top.Offer(id, dotFP16(pq.q, b.F16[j*dim:(j+1)*dim]))
 	}
-}
-
-// String summarizes the structure for logs.
-func (f *FP16) String() string {
-	return fmt.Sprintf("fp16(n=%d dim=%d)", f.full.Rows, f.full.Cols)
-}
-
-// IVFFP16 layers the binary16 row encoding over an existing IVF's
-// inverted lists: a query prunes to the probed lists AND scans 2-byte
-// rows inside them, no re-rank. The wrapped IVF is shared (it is
-// immutable), so building IVFFP16 next to IVF costs one encoding pass,
-// not a second k-means.
-type IVFFP16 struct {
-	iv    *IVF
-	full  *mat.Dense // candidates by GLOBAL id, for the refresh contract
-	codes [][]uint16 // per list, aligned with iv.vecs rows
-}
-
-// NewIVFFP16 encodes each inverted list of iv. data must be the matrix
-// iv was built from (row i = candidate i); it is shared, not copied.
-func NewIVFFP16(iv *IVF, data *mat.Dense) *IVFFP16 {
-	if data.Rows != iv.n || data.Cols != iv.dim {
-		panic(fmt.Sprintf("index: IVFFP16 data %dx%d does not match ivf n=%d dim=%d",
-			data.Rows, data.Cols, iv.n, iv.dim))
-	}
-	h := &IVFFP16{iv: iv, full: data, codes: make([][]uint16, len(iv.vecs))}
-	for l, vecs := range iv.vecs {
-		h.codes[l] = EncodeFP16Rows(vecs)
-	}
-	return h
-}
-
-// Len returns the candidate count.
-func (h *IVFFP16) Len() int { return h.iv.n }
-
-// Dim returns the vector dimension.
-func (h *IVFFP16) Dim() int { return h.iv.dim }
-
-// Kind returns KindIVFFP16.
-func (h *IVFFP16) Kind() string { return KindIVFFP16 }
-
-// IVF returns the wrapped inverted file.
-func (h *IVFFP16) IVF() *IVF { return h.iv }
-
-// Refresh layers this index's encoding onto iv, a Refresh/Rebuild
-// descendant of h.IVF() over data: an inverted list whose vector block
-// is shared with the wrapped IVF (pointer-equal, i.e. IVF.Refresh left
-// it untouched) reuses its codes, and only rebuilt lists are re-encoded.
-// The result is bit-identical to NewIVFFP16(iv, data) at
-// O(affected-list rows) encoding cost.
-func (h *IVFFP16) Refresh(iv *IVF, data *mat.Dense) *IVFFP16 {
-	if data.Rows != iv.n || data.Cols != iv.dim {
-		panic(fmt.Sprintf("index: IVFFP16 refresh data %dx%d does not match ivf n=%d dim=%d",
-			data.Rows, data.Cols, iv.n, iv.dim))
-	}
-	out := &IVFFP16{iv: iv, full: data, codes: make([][]uint16, len(iv.vecs))}
-	for l, vecs := range iv.vecs {
-		if l < len(h.iv.vecs) && vecs == h.iv.vecs[l] {
-			out.codes[l] = h.codes[l]
-			continue
-		}
-		out.codes[l] = EncodeFP16Rows(vecs)
-	}
-	return out
-}
-
-// Search probes like IVF (Options.NProbe has the same meaning) and scans
-// the probed lists' half-encoded rows. With NProbe == NList the answer
-// equals FP16.Search bit for bit.
-func (h *IVFFP16) Search(q []float64, k int, opt Options) []core.Scored {
-	n := h.iv.n
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		return nil
-	}
-	lists := h.iv.probeLists(q, opt.NProbe)
-	return h.iv.fanScan(k, lists, func(t *core.TopK, l, lo, hi int) {
-		h.scanListCodes(t, q, l, lo, hi, opt.Skip)
-	})
-}
-
-// scanListCodes offers rows [lo, hi) of list l to t under the fp16
-// score.
-func (h *IVFFP16) scanListCodes(t *core.TopK, q []float64, l, lo, hi int, skip func(int) bool) {
-	ids := h.iv.ids[l]
-	codes := h.codes[l]
-	dim := h.iv.dim
-	for j := lo; j < hi; j++ {
-		id := int(ids[j])
-		if skip != nil && skip(id) {
-			continue
-		}
-		t.Offer(id, dotFP16(q, codes[j*dim:(j+1)*dim]))
-	}
-}
-
-// String summarizes the structure for logs.
-func (h *IVFFP16) String() string {
-	return fmt.Sprintf("ivffp16(n=%d dim=%d nlist=%d nprobe=%d)",
-		h.iv.n, h.iv.dim, h.iv.NList(), h.iv.nprobe)
 }

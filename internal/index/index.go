@@ -1,36 +1,51 @@
 // Package index provides top-k maximum-inner-product retrieval over a
 // fixed set of candidate vectors — the serving-path complement to the
-// training code in internal/core. Two backends implement one interface:
+// training code in internal/core. Both of the paper's serving queries are
+// this one operation: link prediction over the precomputed transform
+// Z = Xb·G (so a query is a single scan with no per-query O(k²) setup),
+// attribute inference over Y.
 //
-//   - Exact scans a flat candidate matrix with a parallel blocked kernel
-//     and is always correct. For the link model the matrix is the
-//     precomputed transform Z = Xb·G, so a query is a single scan with no
-//     per-query O(k²) setup.
-//   - IVF adds a k-means coarse quantizer (an inverted file over the same
-//     vectors) for approximate sub-linear search; the recall/latency
-//     trade-off is controlled per query by the number of probed lists.
-//   - SQ8 keeps an additional per-row 8-bit scalar-quantized copy of the
-//     candidate matrix: scans read one eighth of the bytes (the scaling
-//     wall on large candidate sets is memory bandwidth, not compute),
-//     and an exact float64 re-rank of the rerank*k best survivors makes
-//     the final ranking near-exact — and fully exact when the re-rank
-//     window covers every candidate.
-//   - IVFSQ combines the two: IVF's probed-list pruning over SQ8's
-//     quantized rows, with the same exact re-rank.
+// There is one index type, Table, and every backend is a cell of a
+// layout × codec grid:
 //
-// Both backends are immutable after construction and safe for concurrent
-// searches. internal/engine builds one index per model version and swaps
+//	layout \ codec   float64     int8 + re-rank   binary16
+//	flat             exact       sq8              fp16
+//	inverted         ivf         ivfsq            ivffp16
+//	bytes/dimension  8           1 (+8/row)       2
+//	exact re-rank    no          yes              no
+//
+// The layout says which rows a query visits. Flat is one block scanned
+// whole and is always correct. Inverted adds a k-means coarse quantizer
+// (an inverted file over the same vectors) for approximate sub-linear
+// search: only the lists whose centroids score best against the query are
+// scanned, and the recall/latency trade-off is set per query by the
+// number of probed lists.
+//
+// The codec says how a block stores and scores its rows. The scaling wall
+// on large candidate sets is memory bandwidth, not compute, so the two
+// compressed codecs scan fewer bytes per row: int8 keeps a per-row scalar
+// quantization and restores exact scores by re-ranking the rerank*k best
+// survivors in float64 (fully exact when that window covers every
+// candidate); binary16's scores are accurate enough to be final.
+//
+// Tables are immutable after construction and safe for concurrent
+// searches. internal/engine builds one set per model version and swaps
 // whole sets atomically, so a query never observes a half-built
-// structure. Each backend additionally offers a copy-on-write Refresh
-// constructor for dynamic updates: given the new candidate matrix and the
-// set of rows that actually changed, it produces the next immutable
-// generation touching only O(Δ) state — re-wrapping the patched matrix
-// (Exact), re-encoding only dirty rows (SQ8), or moving only dirty rows
-// between inverted lists against the frozen coarse quantizer (IVF/IVFSQ)
-// — while sharing all unchanged storage with the previous generation. All rankings use core.Better ordering (score descending,
-// ties by ascending id), which makes exact and IVF results bit-for-bit
-// comparable: IVF probing every list returns exactly the exact backend's
-// answer.
+// structure. For dynamic updates Table.Refresh produces the next
+// immutable generation from the new candidate matrix and the set of rows
+// that actually changed, touching only O(Δ) state and sharing the rest
+// with its predecessor. What is re-done per cell:
+//
+//	flat, float64       nothing (the patched matrix is re-wrapped)
+//	flat, int8/binary16 the dirty rows are re-encoded
+//	inverted, float64   the dirty rows move between lists against the
+//	                    frozen quantizer; touched lists are re-gathered
+//	inverted, int8/b16  the touched lists are re-encoded
+//
+// All rankings use core.Better ordering (score descending, ties by
+// ascending id), which makes results bit-for-bit comparable across the
+// grid: an inverted table probing every list returns exactly its flat
+// sibling's answer, and int8 with a covering re-rank exactly float64's.
 package index
 
 import (
@@ -49,16 +64,10 @@ const (
 
 // Options tunes one Search call.
 type Options struct {
-	// NProbe is the number of inverted lists an IVF search scans. Values
-	// <= 0 mean the index's build-time default; values above nlist are
-	// clamped. The exact and SQ8 backends ignore it.
+	// NProbe is the number of inverted lists a search scans. Values <= 0
+	// mean the index's build-time default; values above nlist are
+	// clamped. The flat layout ignores it.
 	NProbe int
-	// Rerank overrides a quantized backend's survivor multiplier: the
-	// approximate scan keeps the Rerank*k best candidates by quantized
-	// score and the exact re-rank picks the final k among them. Values
-	// <= 0 mean the index's build-time default; the unquantized backends
-	// ignore it.
-	Rerank int
 	// Skip, when non-nil, excludes candidate ids from the result (e.g.
 	// the query node itself in link prediction).
 	Skip func(id int) bool
@@ -67,10 +76,10 @@ type Options struct {
 // Index is a top-k retrieval structure over Len() candidate vectors of
 // dimension Dim(). Search returns the k candidates with the largest inner
 // product against q in core.Better order (highest score first, ties by
-// ascending id); k is clamped to the candidate count. For Exact (and IVF
-// probing every list) fewer than k results mean the candidate set after
-// Skip was exhausted; a partial-probe IVF search may return fewer simply
-// because the probed lists held fewer candidates.
+// ascending id); k is clamped to the candidate count. For a flat table
+// (and an inverted one probing every list) fewer than k results mean the
+// candidate set after Skip was exhausted; a partial-probe search may
+// return fewer simply because the probed lists held fewer candidates.
 type Index interface {
 	Search(q []float64, k int, opt Options) []core.Scored
 	Len() int

@@ -60,7 +60,7 @@ func TestExactRefreshMatchesFullBuild(t *testing.T) {
 	data := randMatrix(300, 8, 1)
 	old := NewExact(data, 2)
 	newData, _ := refreshDelta(data, 17, 2)
-	ref := old.Refresh(newData)
+	ref := old.Refresh(newData, nil, nil)
 	full := NewExact(newData, 2)
 	for _, q := range queries(8, 10, 3) {
 		sameResults(t, "exact", full.Search(q, 9, Options{}), ref.Search(q, 9, Options{}))
@@ -75,18 +75,18 @@ func TestSQ8RefreshBitForBit(t *testing.T) {
 	old := NewSQ8(data, 3, 2)
 	for _, nDirty := range []int{1, 13, 100, 257} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*7)
-		ref := old.Refresh(newData, dirty)
+		ref := old.Refresh(newData, dirty, nil)
 		full := NewSQ8(newData, 3, 2)
-		if len(ref.Codes()) != len(full.Codes()) {
+		if len(ref.Codes().I8) != len(full.Codes().I8) {
 			t.Fatalf("nDirty=%d: code lengths differ", nDirty)
 		}
-		for i := range full.Codes() {
-			if ref.Codes()[i] != full.Codes()[i] {
+		for i := range full.Codes().I8 {
+			if ref.Codes().I8[i] != full.Codes().I8[i] {
 				t.Fatalf("nDirty=%d: code %d differs after refresh", nDirty, i)
 			}
 		}
-		for i := range full.Scale() {
-			if ref.Scale()[i] != full.Scale()[i] || ref.Base()[i] != full.Base()[i] {
+		for i := range full.Codes().Scale {
+			if ref.Codes().Scale[i] != full.Codes().Scale[i] || ref.Codes().Base[i] != full.Codes().Base[i] {
 				t.Fatalf("nDirty=%d: row %d parameters differ after refresh", nDirty, i)
 			}
 		}
@@ -106,26 +106,26 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 	old := BuildIVF(data, IVFConfig{NList: 8, Seed: 11, Threads: 2})
 	for _, nDirty := range []int{1, 25, 150} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*13)
-		ref := old.Refresh(newData, dirty)
+		ref := old.Refresh(newData, dirty, nil)
 		full := old.Rebuild(newData)
 		if ref.NList() != full.NList() {
 			t.Fatalf("nDirty=%d: nlist differs", nDirty)
 		}
 		shared := 0
 		for l := 0; l < ref.NList(); l++ {
-			if len(ref.ids[l]) != len(full.ids[l]) {
-				t.Fatalf("nDirty=%d list %d: %d members vs %d", nDirty, l, len(ref.ids[l]), len(full.ids[l]))
+			if len(ref.inverted().ids[l]) != len(full.inverted().ids[l]) {
+				t.Fatalf("nDirty=%d list %d: %d members vs %d", nDirty, l, len(ref.inverted().ids[l]), len(full.inverted().ids[l]))
 			}
-			for j := range full.ids[l] {
-				if ref.ids[l][j] != full.ids[l][j] {
+			for j := range full.inverted().ids[l] {
+				if ref.inverted().ids[l][j] != full.inverted().ids[l][j] {
 					t.Fatalf("nDirty=%d list %d: member %d is %d, want %d",
-						nDirty, l, j, ref.ids[l][j], full.ids[l][j])
+						nDirty, l, j, ref.inverted().ids[l][j], full.inverted().ids[l][j])
 				}
 			}
-			if ref.vecs[l].MaxAbsDiff(full.vecs[l]) != 0 {
+			if ref.inverted().vecs[l].MaxAbsDiff(full.inverted().vecs[l]) != 0 {
 				t.Fatalf("nDirty=%d list %d: vectors differ", nDirty, l)
 			}
-			if ref.vecs[l] == old.vecs[l] {
+			if ref.inverted().vecs[l] == old.inverted().vecs[l] {
 				shared++
 			}
 		}
@@ -135,8 +135,8 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 		if nDirty == 1 && shared < ref.NList()-2 {
 			t.Fatalf("nDirty=1: only %d of %d lists shared storage", shared, ref.NList())
 		}
-		for i := range full.assigned {
-			if ref.assigned[i] != full.assigned[i] {
+		for i := range full.inverted().assigned {
+			if ref.inverted().assigned[i] != full.inverted().assigned[i] {
 				t.Fatalf("nDirty=%d: stored assignment differs at row %d", nDirty, i)
 			}
 		}
@@ -154,13 +154,13 @@ func TestIVFRefreshChains(t *testing.T) {
 	cur := BuildIVF(data, IVFConfig{NList: 6, Seed: 3})
 	for step := 0; step < 4; step++ {
 		newData, dirty := refreshDelta(data, 10+step*20, int64(step)*31+1)
-		cur = cur.Refresh(newData, dirty)
+		cur = cur.Refresh(newData, dirty, nil)
 		full := cur.Rebuild(newData) // same frozen centroids
 		for l := 0; l < cur.NList(); l++ {
-			if len(cur.ids[l]) != len(full.ids[l]) {
+			if len(cur.inverted().ids[l]) != len(full.inverted().ids[l]) {
 				t.Fatalf("step %d list %d: membership diverged", step, l)
 			}
-			if cur.vecs[l].MaxAbsDiff(full.vecs[l]) != 0 {
+			if cur.inverted().vecs[l].MaxAbsDiff(full.inverted().vecs[l]) != 0 {
 				t.Fatalf("step %d list %d: vectors diverged", step, l)
 			}
 		}
@@ -181,16 +181,16 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	for i := range newData.Data {
 		newData.Data[i] += 0.01 * rng.NormFloat64()
 	}
-	res := old.Reseat(newData)
-	if res.cents != old.cents || &res.assigned[0] != &old.assigned[0] {
+	res := old.Reseat(newData, nil)
+	if res.inverted().cents != old.inverted().cents || &res.inverted().assigned[0] != &old.inverted().assigned[0] {
 		t.Fatal("Reseat must share the quantizer and the stored assignment")
 	}
 	for l := 0; l < res.NList(); l++ {
-		if &res.ids[l][0] != &old.ids[l][0] {
+		if &res.inverted().ids[l][0] != &old.inverted().ids[l][0] {
 			t.Fatalf("list %d: Reseat must share id storage", l)
 		}
-		for j, id := range res.ids[l] {
-			row := res.vecs[l].Row(j)
+		for j, id := range res.inverted().ids[l] {
+			row := res.inverted().vecs[l].Row(j)
 			for p, v := range newData.Row(int(id)) {
 				if row[p] != v {
 					t.Fatalf("list %d row %d: vector not refreshed", l, j)
@@ -209,7 +209,7 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	// assert the cheaper invariant that chains still serve exactly under
 	// full probe.
 	chained, dirty := refreshDelta(newData, 9, 47)
-	cur := res.Refresh(chained, dirty)
+	cur := res.Refresh(chained, dirty, nil)
 	fullChained := NewExact(chained, 1)
 	for _, q := range queries(6, 8, 49) {
 		sameResults(t, "reseat+refresh full-probe",
@@ -226,7 +226,7 @@ func TestIVFReseatShapePanics(t *testing.T) {
 			t.Fatal("mismatched shape should panic")
 		}
 	}()
-	iv.Reseat(randMatrix(49, 4, 3))
+	iv.Reseat(randMatrix(49, 4, 3), nil)
 }
 
 // TestIVFSQRefreshBitForBit: the quantized inverted file refreshed
@@ -239,25 +239,25 @@ func TestIVFSQRefreshBitForBit(t *testing.T) {
 	// Two dirty rows touch at most four of the ten lists, so code reuse
 	// is guaranteed for the rest.
 	newData, dirty := refreshDelta(data, 2, 17)
-	newIV := iv.Refresh(newData, dirty)
-	ref := old.Refresh(newIV, newData)
+	newIV := iv.Refresh(newData, dirty, nil)
+	ref := old.Refresh(newData, dirty, newIV)
 	full := NewIVFSQ(newIV, newData, 2)
 	shared := 0
-	for l := range full.codes {
-		if len(ref.codes[l]) != len(full.codes[l]) {
+	for l := range full.blocks {
+		if len(ref.blocks[l].I8) != len(full.blocks[l].I8) {
 			t.Fatalf("list %d: code lengths differ", l)
 		}
-		for j := range full.codes[l] {
-			if ref.codes[l][j] != full.codes[l][j] {
+		for j := range full.blocks[l].I8 {
+			if ref.blocks[l].I8[j] != full.blocks[l].I8[j] {
 				t.Fatalf("list %d: code %d differs", l, j)
 			}
 		}
-		for j := range full.scale[l] {
-			if ref.scale[l][j] != full.scale[l][j] || ref.base[l][j] != full.base[l][j] {
+		for j := range full.blocks[l].Scale {
+			if ref.blocks[l].Scale[j] != full.blocks[l].Scale[j] || ref.blocks[l].Base[j] != full.blocks[l].Base[j] {
 				t.Fatalf("list %d row %d: parameters differ", l, j)
 			}
 		}
-		if newIV.vecs[l] == iv.vecs[l] && &ref.codes[l][0] == &old.codes[l][0] {
+		if newIV.inverted().vecs[l] == iv.inverted().vecs[l] && &ref.blocks[l].I8[0] == &old.blocks[l].I8[0] {
 			shared++
 		}
 	}
@@ -282,9 +282,9 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 
 	type shard struct {
 		block *mat.Dense
-		ex    *Exact
-		sq    *SQ8
-		iv    *IVF
+		ex    *Table
+		sq    *Table
+		iv    *Table
 	}
 	old := make([]shard, len(ranges))
 	for i, r := range ranges {
@@ -316,9 +316,9 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 				copy(block.Row(l), newData.Row(r[0]+l))
 			}
 		}
-		exSubs[i] = Shift(old[i].ex.Refresh(block), r[0])
-		sqSubs[i] = Shift(old[i].sq.Refresh(block, local), r[0])
-		ivSubs[i] = Shift(old[i].iv.Refresh(block, local), r[0])
+		exSubs[i] = Shift(old[i].ex.Refresh(block, local, nil), r[0])
+		sqSubs[i] = Shift(old[i].sq.Refresh(block, local, nil), r[0])
+		ivSubs[i] = Shift(old[i].iv.Refresh(block, local, nil), r[0])
 	}
 
 	fullExact := NewExact(newData, 1)

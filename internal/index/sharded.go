@@ -8,100 +8,25 @@ import (
 )
 
 // Sharded serving: a large candidate matrix is split into contiguous row
-// shards, each indexed independently (Exact, IVF, or a quantized
-// backend), and a query fans out across the shards in parallel, merging
-// the per-shard results under core.Better. Because candidate ids are
+// shards, each indexed independently (any cell of the layout × codec
+// grid), and a query fans out across the shards in parallel, merging the
+// per-shard results under core.Better. Because candidate ids are
 // globally unique and Better is a total order, the merged top-k of exact
 // backends is the unique global top-k — bit-for-bit independent of the
 // shard count (and likewise for IVF probing every list).
 //
-// Quantized backends need one extra move to keep that guarantee: the
-// survivor CUT must happen globally, not per shard. A shard's quantized
-// scan returns its rerank*k best candidates by approximate score
-// (PartialSearch), the merge selects the global rerank*k best of those
-// (approximate scores are shard-invariant because quantization is per
-// row), and only then does the exact re-rank pick the final k
-// (MergePartials). Cutting per shard instead would re-rank a
+// A codec whose scores are approximate needs one extra move to keep that
+// guarantee: the survivor CUT must happen globally, not per shard. A
+// shard's quantized scan returns its rerank*k best candidates by
+// approximate score (PartialSearch), the merge selects the global
+// rerank*k best of those (approximate scores are shard-invariant because
+// quantization is per row), and only then does the exact re-rank pick the
+// final k (MergePartials). Cutting per shard instead would re-rank a
 // shard-count-dependent survivor set and let the answer drift with S.
-// The pieces here are the id re-basing wrapper (Shift), the per-shard
-// search (PartialSearch), the deterministic merge (MergePartials), and
-// the fan-out driver (SearchSharded); internal/engine owns shard
-// lifecycle and per-shard rebuilds.
-
-// shifted re-bases a sub-index built over rows [base, base+Len()) of a
-// larger candidate set: result ids are translated from local to global,
-// and Options.Skip keeps receiving global ids.
-type shifted struct {
-	idx  Index
-	base int
-}
-
-// Shift wraps idx so that its local candidate ids [0, Len()) appear as
-// global ids [base, base+Len()). base 0 returns idx unchanged. A
-// quantized idx yields a wrapper that preserves the two-phase quantized
-// contract across the id translation.
-func Shift(idx Index, base int) Index {
-	if base == 0 {
-		return idx
-	}
-	s := &shifted{idx: idx, base: base}
-	if q, ok := idx.(quantized); ok {
-		return &shiftedQuant{shifted: s, q: q}
-	}
-	return s
-}
-
-// localSkip translates a global-id Skip into the wrapped index's local id
-// space.
-func (s *shifted) localSkip(opt Options) Options {
-	if skip := opt.Skip; skip != nil {
-		base := s.base
-		opt.Skip = func(id int) bool { return skip(id + base) }
-	}
-	return opt
-}
-
-// Search translates Skip from global to local ids, runs the wrapped
-// search, and re-bases the result ids to global.
-func (s *shifted) Search(q []float64, k int, opt Options) []core.Scored {
-	res := s.idx.Search(q, k, s.localSkip(opt))
-	for i := range res {
-		res[i].ID += s.base
-	}
-	return res
-}
-
-// Len returns the wrapped candidate count.
-func (s *shifted) Len() int { return s.idx.Len() }
-
-// Dim returns the wrapped vector dimension.
-func (s *shifted) Dim() int { return s.idx.Dim() }
-
-// Kind returns the wrapped backend kind.
-func (s *shifted) Kind() string { return s.idx.Kind() }
-
-// Unwrap exposes the wrapped index for status introspection (e.g.
-// reading an IVF backend's resolved nlist through the shift).
-func (s *shifted) Unwrap() Index { return s.idx }
-
-// shiftedQuant is Shift's wrapper for quantized backends: the same id
-// re-basing, plus forwarding of the two-phase search. It is a separate
-// type so that a shifted Exact does NOT satisfy the quantized interface
-// by accident.
-type shiftedQuant struct {
-	*shifted
-	q quantized
-}
-
-func (s *shiftedQuant) searchQuant(q []float64, m int, opt Options) []approxScored {
-	res := s.q.searchQuant(q, m, s.localSkip(opt))
-	for i := range res {
-		res[i].id += s.base
-	}
-	return res
-}
-
-func (s *shiftedQuant) rerankMult() int { return s.q.rerankMult() }
+// The pieces here are the per-shard search (PartialSearch), the
+// deterministic merge (MergePartials), and the fan-out driver
+// (SearchSharded); Shift gives each shard its global id range, and
+// internal/engine owns shard lifecycle and per-shard rebuilds.
 
 // Partial is one shard's contribution to a fanned-out top-k search:
 // final-scored results for a plain backend, or the approximate survivor
@@ -113,18 +38,24 @@ type Partial struct {
 	quant []approxScored
 }
 
-// RerankMult resolves the survivor multiplier a quantized fan-out over
-// sub uses: the per-query Options override when positive, else sub's
-// build-time default, else 1 (plain backends re-rank nothing). Callers
-// fanning out over several shards resolve it once — against any shard,
-// since the engine builds every shard with the same configuration — and
-// pass the same value to MergePartials.
-func RerankMult(sub Index, opt Options) int {
-	if opt.Rerank > 0 {
-		return opt.Rerank
+// approximate returns sub as a table whose codec's scores need the exact
+// re-rank, or nil.
+func approximate(sub Index) *Table {
+	if t, ok := sub.(*Table); ok && !codecs[t.codec].final() {
+		return t
 	}
-	if qz, ok := sub.(quantized); ok {
-		return qz.rerankMult()
+	return nil
+}
+
+// RerankMult resolves the survivor multiplier a fan-out over sub uses:
+// sub's build-time value when its scores are approximate, else 1 (final
+// scores re-rank nothing). Callers fanning out over several shards
+// resolve it once — against any shard, since the engine builds every
+// shard with the same configuration — and pass the same value to
+// MergePartials.
+func RerankMult(sub Index) int {
+	if t := approximate(sub); t != nil {
+		return t.rerank
 	}
 	return 1
 }
@@ -134,8 +65,8 @@ func RerankMult(sub Index, opt Options) int {
 // mult*k-candidate survivor set so the global cut can happen in
 // MergePartials.
 func PartialSearch(sub Index, q []float64, k, mult int, opt Options) Partial {
-	if qz, ok := sub.(quantized); ok {
-		return Partial{quant: qz.searchQuant(q, rerankBudget(k, mult, sub.Len()), opt)}
+	if t := approximate(sub); t != nil {
+		return Partial{quant: t.survivors(q, rerankBudget(k, mult, t.Len()), opt)}
 	}
 	return Partial{plain: sub.Search(q, k, opt)}
 }
@@ -222,7 +153,7 @@ func SearchShardedTimed(subs []Index, q []float64, k int, opt Options) (res []co
 		res = live[0].Search(q, k, opt)
 		return res, time.Since(t0), 0
 	}
-	mult := RerankMult(live[0], opt)
+	mult := RerankMult(live[0])
 	parts := make([]Partial, len(live))
 	var wg sync.WaitGroup
 	for i, s := range live {

@@ -1,9 +1,7 @@
 package index
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"pane/internal/core"
 	"pane/internal/mat"
@@ -17,11 +15,8 @@ import (
 // dimension to 1 is close to an 8x traffic cut; the re-rank touches only
 // a constant number of float rows per query, which restores exact scores
 // — and exact orderings whenever the true top-k survives the quantized
-// cut. Two backends share the machinery:
-//
-//   - SQ8 quantizes a flat matrix (the quantized sibling of Exact);
-//   - IVFSQ quantizes each inverted list of an existing IVF, so a query
-//     pays probed-list pruning AND 1-byte rows.
+// cut. This file is the int8 codec: the encoding, the kernel dispatch and
+// the scan; which rows a query visits is the layout's business.
 //
 // Quantization is PER ROW: each candidate row stores its own (scale,
 // base) pair and codes c ∈ [-128, 127] reconstructing x̂[j] = base +
@@ -33,9 +28,9 @@ import (
 // A per-column scheme would tie every code to global column statistics
 // and break that equality the moment shards rebuild independently.
 
-// DefaultRerank is the survivor multiplier when neither the build config
-// nor Options.Rerank sets one: the exact re-rank considers the
-// DefaultRerank*k best quantized scores. 4 is comfortably past the window
+// DefaultRerank is the survivor multiplier when the build config sets
+// none: the exact re-rank considers the DefaultRerank*k best quantized
+// scores. 4 is comfortably past the window
 // 8-bit error needs at ≥ 0.99 recall@10 on embedding-shaped data while
 // keeping the re-rank a constant, negligible cost.
 const DefaultRerank = 4
@@ -123,7 +118,7 @@ func dotI8(a, b []int8) int32 {
 
 // DotI8 exposes the dispatched quantized dot kernel for the kernel
 // microbenchmark (`benchexp -exp kernel`); serving paths call dotI8
-// through the SQ8/IVFSQ backends.
+// through the int8 codec.
 func DotI8(a, b []int8) int32 { return dotI8(a, b) }
 
 // DotI8Generic exposes the portable kernel the same way.
@@ -185,369 +180,46 @@ func quantizeQuery(q []float64, dst []int8) (step, qsum float64) {
 	return step, qsum
 }
 
-// i8Pool recycles the per-query quantized-query scratch so a search adds
-// no steady-state allocation for it.
-var i8Pool sync.Pool
+// i8Codec is the quantized codec: int8 codes scanned with the int32 kernel
+// under the approximate score above, then re-ranked exactly by the table.
+type i8Codec struct{}
 
-func getI8(n int) []int8 {
-	if p, _ := i8Pool.Get().(*[]int8); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+func (i8Codec) final() bool { return false }
+
+func (i8Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
+	if prev == nil {
+		codes, scale, base := QuantizeRows(rows)
+		return Codes{I8: codes, Scale: scale, Base: base}
 	}
-	return make([]int8, n)
-}
-
-func putI8(v []int8) { i8Pool.Put(&v) }
-
-// approxScored is one survivor of a quantized scan: the candidate id, the
-// quantized score that selected it, and its exact float64 score. The
-// approximate score drives the sharded survivor merge (it is
-// shard-invariant), the exact score the final ranking.
-type approxScored struct {
-	id            int
-	approx, exact float64
-}
-
-// quantized is the two-phase contract the quantized backends implement
-// and the sharded fan-out keys on: searchQuant returns the backend's m
-// best candidates by quantized score, each carrying its exact score, and
-// rerankMult the build-time survivor multiplier.
-type quantized interface {
-	searchQuant(q []float64, m int, opt Options) []approxScored
-	rerankMult() int
-}
-
-// rerankBudget is the survivor-window size of one quantized search:
-// mult*k, clamped to the candidate count (and guarded against overflow).
-func rerankBudget(k, mult, n int) int {
-	m := k * mult
-	if m < k || m > n {
-		m = n
+	c := Codes{
+		I8:    append([]int8(nil), prev.I8...),
+		Scale: append([]float32(nil), prev.Scale...),
+		Base:  append([]float32(nil), prev.Base...),
 	}
-	return m
-}
-
-// finishRerank turns a survivor set into the final top-k under the exact
-// scores, with the shared core.Better tie-break.
-func finishRerank(surv []approxScored, k int) []core.Scored {
-	final := core.GetTopK(k)
-	for _, c := range surv {
-		final.Offer(c.id, c.exact)
-	}
-	res := final.Take()
-	core.PutTopK(final)
-	return res
-}
-
-// SQ8 is the quantized flat backend: the full float64 candidate matrix
-// (shared, not copied — for the exact re-rank) plus its per-row int8
-// encoding. Immutable after construction and safe for concurrent
-// searches.
-type SQ8 struct {
-	full    *mat.Dense
-	codes   []int8
-	scale   []float32
-	base    []float32
-	rerank  int
-	threads int
-}
-
-// NewSQ8 quantizes data (one candidate per row, shared with the caller —
-// it must not be mutated afterwards, as with NewExact) and returns the
-// quantized backend. rerank <= 0 means DefaultRerank; threads is the
-// search fan-out, values <= 1 scan serially.
-func NewSQ8(data *mat.Dense, rerank, threads int) *SQ8 {
-	codes, scale, base := QuantizeRows(data)
-	return NewSQ8FromCodes(data, codes, scale, base, rerank, threads)
-}
-
-// NewSQ8FromCodes wraps an existing encoding (e.g. one restored from a
-// bundle, or a row slice of a larger matrix's encoding) instead of
-// re-quantizing. The slices must agree with data's shape; they are shared,
-// not copied. It panics on a shape mismatch — a corrupt persisted payload
-// must fail loudly at build time, not skew scores at query time.
-func NewSQ8FromCodes(data *mat.Dense, codes []int8, scale, base []float32, rerank, threads int) *SQ8 {
-	if len(codes) != data.Rows*data.Cols || len(scale) != data.Rows || len(base) != data.Rows {
-		panic(fmt.Sprintf("index: SQ8 payload shape mismatch: %d codes, %d scales, %d bases for %dx%d",
-			len(codes), len(scale), len(base), data.Rows, data.Cols))
-	}
-	if rerank <= 0 {
-		rerank = DefaultRerank
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return &SQ8{full: data, codes: codes, scale: scale, base: base, rerank: rerank, threads: threads}
-}
-
-// Len returns the candidate count.
-func (s *SQ8) Len() int { return s.full.Rows }
-
-// Dim returns the vector dimension.
-func (s *SQ8) Dim() int { return s.full.Cols }
-
-// Kind returns KindSQ8.
-func (s *SQ8) Kind() string { return KindSQ8 }
-
-// Rerank returns the build-time survivor multiplier.
-func (s *SQ8) Rerank() int { return s.rerank }
-
-// Codes exposes the int8 encoding (row-major) for persistence.
-func (s *SQ8) Codes() []int8 { return s.codes }
-
-// Scale exposes the per-row code step for persistence.
-func (s *SQ8) Scale() []float32 { return s.scale }
-
-// Base exposes the per-row reconstruction offset for persistence.
-func (s *SQ8) Base() []float32 { return s.base }
-
-func (s *SQ8) rerankMult() int { return s.rerank }
-
-// Refresh returns a quantized backend over data (which must have this
-// index's shape) re-encoding only the listed dirty rows; every other
-// row's codes and parameters are copied from this index. The contract is
-// the copy-on-write refresh shared by all backends: rows not listed in
-// dirty must be value-identical to the rows this index was built from.
-// Because quantization is per row, the result is bit-identical to
-// NewSQ8(data, rerank, threads) at O(|dirty|·dim) encoding cost instead
-// of O(n·dim).
-func (s *SQ8) Refresh(data *mat.Dense, dirty []int) *SQ8 {
-	if data.Rows != s.full.Rows || data.Cols != s.full.Cols {
-		panic(fmt.Sprintf("index: SQ8 refresh shape mismatch: %dx%d data for %dx%d index",
-			data.Rows, data.Cols, s.full.Rows, s.full.Cols))
-	}
-	codes := append([]int8(nil), s.codes...)
-	scale := append([]float32(nil), s.scale...)
-	base := append([]float32(nil), s.base...)
-	dim := data.Cols
+	dim := rows.Cols
 	for _, r := range dirty {
-		scale[r], base[r] = quantizeRowInto(data.Row(r), codes[r*dim:(r+1)*dim])
+		c.Scale[r], c.Base[r] = quantizeRowInto(rows.Row(r), c.I8[r*dim:(r+1)*dim])
 	}
-	return NewSQ8FromCodes(data, codes, scale, base, s.rerank, s.threads)
+	return c
 }
 
-// Search scans the quantized rows for the rerank*k best approximate
-// scores, then re-ranks those survivors exactly. With rerank*k >= Len()
-// every candidate survives and the answer equals Exact.Search bit for
-// bit. See Index for the result contract.
-func (s *SQ8) Search(q []float64, k int, opt Options) []core.Scored {
-	n := s.full.Rows
-	if k > n {
-		k = n
+func (i8Codec) prepare(pq *query, q []float64) {
+	pq.q = q
+	if cap(pq.i8) < len(q) {
+		pq.i8 = make([]int8, len(q))
 	}
-	if k < 1 {
-		return nil
-	}
-	mult := opt.Rerank
-	if mult <= 0 {
-		mult = s.rerank
-	}
-	return finishRerank(s.searchQuant(q, rerankBudget(k, mult, n), opt), k)
+	pq.i8 = pq.i8[:len(q)]
+	pq.step, pq.sum = quantizeQuery(q, pq.i8)
 }
 
-// searchQuant is SQ8's half of the quantized two-phase contract: the m
-// best candidates by quantized score, exact scores attached.
-func (s *SQ8) searchQuant(q []float64, m int, opt Options) []approxScored {
-	n := s.full.Rows
-	if m > n {
-		m = n
-	}
-	if m < 1 || n == 0 {
-		return nil
-	}
-	qq := getI8(s.full.Cols)
-	step, qsum := quantizeQuery(q, qq)
-	nb := s.threads
-	if lim := n / minParallelRows; nb > lim {
-		nb = lim
-	}
-	approx := mergeSearch(m, n, nb, func(t *core.TopK, lo, hi int) {
-		s.scanCodes(t, qq, step, qsum, lo, hi, opt.Skip)
-	})
-	putI8(qq)
-	return attachExact(approx, q, s.full)
-}
-
-// scanCodes offers rows [lo, hi) to t under the quantized score. The
-// code rows are walked with one advancing slice (no per-row index
-// arithmetic or bounds re-derivation) and the skip-free case takes a
-// branchless-per-row fast path — at ~1 byte per dimension the scan is
-// cheap enough that per-row overhead shows up in profiles.
-func (s *SQ8) scanCodes(t *core.TopK, qq []int8, step, qsum float64, lo, hi int, skip func(int) bool) {
-	dim := s.full.Cols
-	rows := s.codes[lo*dim : hi*dim]
-	scale, base := s.scale[lo:hi], s.base[lo:hi]
-	if skip == nil {
-		for i := range scale {
-			d := float64(dotI8(qq, rows[:dim]))
-			rows = rows[dim:]
-			t.Offer(lo+i, float64(base[i])*qsum+float64(scale[i])*step*d)
-		}
-		return
-	}
-	for i := range scale {
-		row := rows[:dim]
-		rows = rows[dim:]
-		if skip(lo + i) {
+func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) {
+	dim := len(pq.i8)
+	for j := s.lo; j < s.hi; j++ {
+		id := s.id(j)
+		if s.skip != nil && s.skip(id) {
 			continue
 		}
-		d := float64(dotI8(qq, row))
-		t.Offer(lo+i, float64(base[i])*qsum+float64(scale[i])*step*d)
+		d := float64(dotI8(pq.i8, b.I8[j*dim:(j+1)*dim]))
+		top.Offer(id, float64(b.Base[j])*pq.sum+float64(b.Scale[j])*pq.step*d)
 	}
-}
-
-// attachExact computes the exact score of each survivor against the full
-// float64 rows — the same mat.Dot the Exact backend scans with, so a
-// survivor's re-ranked score is bit-identical to its exact-backend score.
-func attachExact(approx []core.Scored, q []float64, full *mat.Dense) []approxScored {
-	out := make([]approxScored, len(approx))
-	for i, a := range approx {
-		out[i] = approxScored{id: a.ID, approx: a.Score, exact: mat.Dot(q, full.Row(a.ID))}
-	}
-	return out
-}
-
-// String summarizes the structure for logs.
-func (s *SQ8) String() string {
-	return fmt.Sprintf("sq8(n=%d dim=%d rerank=%d)", s.full.Rows, s.full.Cols, s.rerank)
-}
-
-// IVFSQ layers SQ8 row encoding over an existing IVF's inverted lists: a
-// query prunes to the probed lists AND scans 1-byte rows inside them,
-// with the same exact re-rank on top. The wrapped IVF is shared (it is
-// immutable), so building IVFSQ next to IVF costs one quantization pass,
-// not a second k-means.
-type IVFSQ struct {
-	iv     *IVF
-	full   *mat.Dense // candidates by GLOBAL id, for the re-rank
-	codes  [][]int8   // per list, aligned with iv.vecs rows
-	scale  [][]float32
-	base   [][]float32
-	rerank int
-}
-
-// NewIVFSQ quantizes each inverted list of iv. data must be the matrix iv
-// was built from (row i = candidate i); it is shared for the re-rank
-// pass, not copied. rerank <= 0 means DefaultRerank.
-func NewIVFSQ(iv *IVF, data *mat.Dense, rerank int) *IVFSQ {
-	if data.Rows != iv.n || data.Cols != iv.dim {
-		panic(fmt.Sprintf("index: IVFSQ data %dx%d does not match ivf n=%d dim=%d",
-			data.Rows, data.Cols, iv.n, iv.dim))
-	}
-	if rerank <= 0 {
-		rerank = DefaultRerank
-	}
-	sq := &IVFSQ{
-		iv: iv, full: data, rerank: rerank,
-		codes: make([][]int8, len(iv.vecs)),
-		scale: make([][]float32, len(iv.vecs)),
-		base:  make([][]float32, len(iv.vecs)),
-	}
-	for l, vecs := range iv.vecs {
-		sq.codes[l], sq.scale[l], sq.base[l] = QuantizeRows(vecs)
-	}
-	return sq
-}
-
-// Len returns the candidate count.
-func (sq *IVFSQ) Len() int { return sq.iv.n }
-
-// Dim returns the vector dimension.
-func (sq *IVFSQ) Dim() int { return sq.iv.dim }
-
-// Kind returns KindIVFSQ.
-func (sq *IVFSQ) Kind() string { return KindIVFSQ }
-
-// Rerank returns the build-time survivor multiplier.
-func (sq *IVFSQ) Rerank() int { return sq.rerank }
-
-// IVF returns the wrapped inverted file.
-func (sq *IVFSQ) IVF() *IVF { return sq.iv }
-
-func (sq *IVFSQ) rerankMult() int { return sq.rerank }
-
-// Refresh layers this index's quantization onto iv, a Refresh/Rebuild
-// descendant of sq.IVF() over data: an inverted list whose vector block
-// is shared with the wrapped IVF (pointer-equal, i.e. IVF.Refresh left it
-// untouched) reuses its codes, and only rebuilt lists are re-quantized.
-// The result is bit-identical to NewIVFSQ(iv, data, rerank) at
-// O(affected-list rows) encoding cost.
-func (sq *IVFSQ) Refresh(iv *IVF, data *mat.Dense) *IVFSQ {
-	if data.Rows != iv.n || data.Cols != iv.dim {
-		panic(fmt.Sprintf("index: IVFSQ refresh data %dx%d does not match ivf n=%d dim=%d",
-			data.Rows, data.Cols, iv.n, iv.dim))
-	}
-	out := &IVFSQ{
-		iv: iv, full: data, rerank: sq.rerank,
-		codes: make([][]int8, len(iv.vecs)),
-		scale: make([][]float32, len(iv.vecs)),
-		base:  make([][]float32, len(iv.vecs)),
-	}
-	for l, vecs := range iv.vecs {
-		if l < len(sq.iv.vecs) && vecs == sq.iv.vecs[l] {
-			out.codes[l], out.scale[l], out.base[l] = sq.codes[l], sq.scale[l], sq.base[l]
-			continue
-		}
-		out.codes[l], out.scale[l], out.base[l] = QuantizeRows(vecs)
-	}
-	return out
-}
-
-// Search probes like IVF (Options.NProbe has the same meaning), scans the
-// probed lists' quantized rows for the rerank*k best approximate scores,
-// and re-ranks those exactly. With NProbe == NList and rerank*k >= Len()
-// the answer equals Exact.Search bit for bit.
-func (sq *IVFSQ) Search(q []float64, k int, opt Options) []core.Scored {
-	n := sq.iv.n
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		return nil
-	}
-	mult := opt.Rerank
-	if mult <= 0 {
-		mult = sq.rerank
-	}
-	return finishRerank(sq.searchQuant(q, rerankBudget(k, mult, n), opt), k)
-}
-
-// searchQuant is IVFSQ's half of the quantized two-phase contract.
-func (sq *IVFSQ) searchQuant(q []float64, m int, opt Options) []approxScored {
-	iv := sq.iv
-	if m > iv.n {
-		m = iv.n
-	}
-	if m < 1 || iv.n == 0 {
-		return nil
-	}
-	qq := getI8(iv.dim)
-	step, qsum := quantizeQuery(q, qq)
-	lists := iv.probeLists(q, opt.NProbe)
-	approx := iv.fanScan(m, lists, func(t *core.TopK, l, lo, hi int) {
-		sq.scanListCodes(t, l, lo, hi, qq, step, qsum, opt.Skip)
-	})
-	putI8(qq)
-	return attachExact(approx, q, sq.full)
-}
-
-// scanListCodes offers rows [lo, hi) of list l to t under the quantized
-// score.
-func (sq *IVFSQ) scanListCodes(t *core.TopK, l, lo, hi int, qq []int8, step, qsum float64, skip func(int) bool) {
-	ids := sq.iv.ids[l]
-	codes, scale, base := sq.codes[l], sq.scale[l], sq.base[l]
-	dim := sq.iv.dim
-	for j := lo; j < hi; j++ {
-		id := int(ids[j])
-		if skip != nil && skip(id) {
-			continue
-		}
-		d := float64(dotI8(qq, codes[j*dim:(j+1)*dim]))
-		t.Offer(id, float64(base[j])*qsum+float64(scale[j])*step*d)
-	}
-}
-
-// String summarizes the structure for logs.
-func (sq *IVFSQ) String() string {
-	return fmt.Sprintf("ivfsq(n=%d dim=%d nlist=%d nprobe=%d rerank=%d)",
-		sq.iv.n, sq.iv.dim, sq.iv.NList(), sq.iv.nprobe, sq.rerank)
 }

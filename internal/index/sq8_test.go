@@ -63,15 +63,14 @@ func TestSQ8FullRerankEqualsExact(t *testing.T) {
 	if !sameScored(sq.Search(q, 7, Options{Skip: skip}), exact.Search(q, 7, Options{Skip: skip})) {
 		t.Fatal("sq8 skip filter diverges from exact")
 	}
-	// Options.Rerank override can force the full window on a
-	// default-rerank index.
-	def := NewSQ8(data, 0, 2)
-	if def.Rerank() != DefaultRerank {
+	// rerank 0 resolves to the default at build time; a build-time
+	// rerank covering every row reaches the full window.
+	if def := NewSQ8(data, 0, 2); def.Rerank() != DefaultRerank {
 		t.Fatalf("default rerank %d", def.Rerank())
 	}
-	full := def.Search(q, 10, Options{Rerank: data.Rows})
+	full := NewSQ8(data, data.Rows, 2).Search(q, 10, Options{})
 	if !sameScored(full, exact.Search(q, 10, Options{})) {
-		t.Fatal("Options.Rerank override does not reach the full window")
+		t.Fatal("a covering build-time rerank does not reach the full window")
 	}
 }
 
@@ -163,7 +162,7 @@ func TestShardedSQ8SurvivorCutIsGlobal(t *testing.T) {
 		Shift(NewSQ8(data.RowSlice(0, 400), 0, 1), 0),
 		Shift(NewSQ8(data.RowSlice(400, 1000), 0, 1), 400),
 	}
-	mult := RerankMult(subs[0], Options{})
+	mult := RerankMult(subs[0])
 	if mult != DefaultRerank {
 		t.Fatalf("resolved mult %d", mult)
 	}
@@ -220,8 +219,10 @@ func TestQuantizedDegenerateInputs(t *testing.T) {
 func TestQuantizedInterfaceCompliance(t *testing.T) {
 	var _ Index = NewSQ8(mat.New(1, 1), 0, 1)
 	var _ Index = NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)
-	var _ quantized = NewSQ8(mat.New(1, 1), 0, 1)
-	var _ quantized = NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)
+	if approximate(NewSQ8(mat.New(1, 1), 0, 1)) == nil ||
+		approximate(NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)) == nil {
+		t.Fatal("int8 cells must take the two-phase re-rank path")
+	}
 	sq := NewSQ8(mat.New(5, 3), 2, 2)
 	if sq.Len() != 5 || sq.Dim() != 3 || sq.Kind() != KindSQ8 || sq.Rerank() != 2 {
 		t.Fatalf("sq8 metadata: %d %d %s %d", sq.Len(), sq.Dim(), sq.Kind(), sq.Rerank())
@@ -232,10 +233,10 @@ func TestQuantizedInterfaceCompliance(t *testing.T) {
 	}
 	// A shifted quantized index keeps the quantized contract; a shifted
 	// exact one must NOT acquire it.
-	if _, ok := Shift(sq, 3).(quantized); !ok {
+	if approximate(Shift(sq, 3)) == nil {
 		t.Fatal("shifted sq8 lost the quantized contract")
 	}
-	if _, ok := Shift(NewExact(mat.New(5, 3), 1), 3).(quantized); ok {
+	if approximate(Shift(NewExact(mat.New(5, 3), 1), 3)) != nil {
 		t.Fatal("shifted exact claims the quantized contract")
 	}
 	// dotI8 covers every unroll tail exactly.

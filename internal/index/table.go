@@ -1,0 +1,436 @@
+package index
+
+import (
+	"fmt"
+	"sync"
+
+	"pane/internal/core"
+	"pane/internal/mat"
+)
+
+// Table is the one index type: a layout (which blocks of candidate rows a
+// query visits) times a codec (how a block stores and scores its rows).
+// Every Kind is a cell of that grid. A Table is immutable after
+// construction and safe for concurrent searches; Refresh, Reseat and
+// Rebuild return the next generation and leave the receiver intact.
+type Table struct {
+	data    *mat.Dense // candidates by local id, shared with the caller
+	lay     layout
+	codec   Codec
+	blocks  []block // one per layout block, encoded by codec
+	base    int     // global id of local candidate 0 (see Shift)
+	rerank  int     // survivor multiplier of a codec whose scores are approximate, else 0
+	threads int
+}
+
+var kinds = [2][NumCodecs]string{
+	{KindExact, KindSQ8, KindFP16},
+	{KindIVF, KindIVFSQ, KindIVFFP16},
+}
+
+// newCell builds the (lay, c) cell over data. blocks, when non-nil, is an
+// existing encoding to adopt instead of encoding the layout's blocks.
+func newCell(data *mat.Dense, lay layout, c Codec, rerank, threads int, blocks []block) *Table {
+	if codecs[c].final() {
+		rerank = 0
+	} else if rerank <= 0 {
+		rerank = DefaultRerank
+	}
+	if threads < 1 {
+		threads = 1
+	}
+	t := &Table{data: data, lay: lay, codec: c, blocks: blocks, rerank: rerank, threads: threads}
+	if blocks == nil {
+		t = t.over(data, lay, nil, false)
+	}
+	return t
+}
+
+// NewExact is the flat float64 cell: data (one candidate per row) is
+// wrapped without copying, so the caller must not mutate it afterwards.
+// threads is the search fan-out; values <= 1 scan serially.
+func NewExact(data *mat.Dense, threads int) *Table {
+	return newCell(data, flat{data}, F64, 0, threads, nil)
+}
+
+// NewSQ8 is the flat int8 cell: data is shared for the exact re-rank and
+// its rows are quantized once. rerank <= 0 means DefaultRerank.
+func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
+	return newCell(data, flat{data}, I8, rerank, threads, nil)
+}
+
+// NewFP16 is the flat binary16 cell.
+func NewFP16(data *mat.Dense, threads int) *Table {
+	return newCell(data, flat{data}, F16, 0, threads, nil)
+}
+
+// BuildIVF is the inverted float64 cell: data is clustered into an
+// inverted file (see IVFConfig) and copied list by list, so the caller
+// may keep using it; builds with the same data and config are bit-for-bit
+// reproducible.
+func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
+	return newCell(data, trainInverted(data, cfg), F64, 0, cfg.Threads, nil)
+}
+
+// NewIVFSQ is the inverted int8 cell over iv's inverted file, which it
+// shares: a second codec over one BuildIVF costs one encoding pass, not a
+// second k-means or a second copy of the lists. data must be the matrix
+// iv was built from. rerank <= 0 means DefaultRerank.
+func NewIVFSQ(iv *Table, data *mat.Dense, rerank int) *Table {
+	iv.checkShape(data)
+	return iv.Encode(I8, rerank)
+}
+
+// NewIVFFP16 is the inverted binary16 cell over iv's inverted file; see
+// NewIVFSQ.
+func NewIVFFP16(iv *Table, data *mat.Dense) *Table {
+	iv.checkShape(data)
+	return iv.Encode(F16, 0)
+}
+
+// Encode returns the cell of t's layout and candidates under codec c,
+// sharing both with t. rerank <= 0 means DefaultRerank where c re-ranks.
+func (t *Table) Encode(c Codec, rerank int) *Table {
+	return newCell(t.data, t.lay, c, rerank, t.threads, nil).Shift(t.base)
+}
+
+// FromCodes is the flat cell of codec c over data that adopts an existing
+// encoding (one restored from a bundle, or a row slice of a larger
+// matrix's) instead of encoding. The slices are shared, not copied. It
+// panics on a shape mismatch — a corrupt persisted payload must fail
+// loudly at build time, not skew scores at query time.
+func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Table {
+	n, dim := data.Rows, data.Cols
+	ok := false
+	switch c {
+	case I8:
+		ok = len(codes.I8) == n*dim && len(codes.Scale) == n && len(codes.Base) == n
+	case F16:
+		ok = len(codes.F16) == n*dim
+	}
+	if !ok {
+		panic(fmt.Sprintf("index: %s payload shape mismatch for %dx%d candidates", kinds[0][c], n, dim))
+	}
+	return newCell(data, flat{data}, c, rerank, threads, []block{{rows: data, Codes: codes}})
+}
+
+// Shift returns idx with its candidate ids [0, Len()) re-based to global
+// ids [base, base+Len()): results carry global ids and Options.Skip
+// receives them. base 0 returns idx unchanged.
+func Shift(idx Index, base int) Index {
+	if base == 0 {
+		return idx
+	}
+	return idx.(*Table).Shift(base)
+}
+
+// Shift is the package-level Shift on the concrete type: a shallow copy
+// sharing every block, with the id base moved.
+func (t *Table) Shift(base int) *Table {
+	if base == 0 {
+		return t
+	}
+	out := *t
+	out.base += base
+	return &out
+}
+
+// Len returns the candidate count.
+func (t *Table) Len() int { return t.data.Rows }
+
+// Dim returns the vector dimension.
+func (t *Table) Dim() int { return t.data.Cols }
+
+// Kind names the cell: one of the six Kind constants.
+func (t *Table) Kind() string {
+	l := 0
+	if t.inverted() != nil {
+		l = 1
+	}
+	return kinds[l][t.codec]
+}
+
+// NList returns the number of inverted lists, 0 for a flat table.
+func (t *Table) NList() int {
+	if iv := t.inverted(); iv != nil {
+		return iv.cents.Rows
+	}
+	return 0
+}
+
+// DefaultNProbe returns the build-time default probe count, 0 for a flat
+// table.
+func (t *Table) DefaultNProbe() int {
+	if iv := t.inverted(); iv != nil {
+		return iv.nprobe
+	}
+	return 0
+}
+
+// Rerank returns the build-time survivor multiplier, 0 when the codec's
+// scores are final.
+func (t *Table) Rerank() int { return t.rerank }
+
+// Codes exposes a flat table's encoding for persistence.
+func (t *Table) Codes() Codes { return t.blocks[0].Codes }
+
+// String summarizes the structure for logs.
+func (t *Table) String() string {
+	return fmt.Sprintf("%s(n=%d dim=%d nlist=%d nprobe=%d rerank=%d)",
+		t.Kind(), t.Len(), t.Dim(), t.NList(), t.DefaultNProbe(), t.rerank)
+}
+
+func (t *Table) inverted() *inverted {
+	iv, _ := t.lay.(*inverted)
+	return iv
+}
+
+func (t *Table) checkShape(data *mat.Dense) {
+	if data.Rows != t.data.Rows || data.Cols != t.data.Cols {
+		panic(fmt.Sprintf("index: %s data %dx%d does not match index n=%d dim=%d",
+			t.Kind(), data.Rows, data.Cols, t.data.Rows, t.data.Cols))
+	}
+}
+
+// Refresh returns the next generation of t over data, in which only the
+// listed dirty rows (local ids; ascending for an inverted file) differ
+// from the rows t holds; the caller contracts that every other row is
+// value-identical. Only O(Δ) state is touched and the rest is shared with
+// t: a flat block re-encodes its dirty rows, an inverted file moves them
+// between lists against its frozen coarse quantizer and re-encodes the
+// lists that changed. The result is bit-identical to a fresh build over
+// data (for an inverted file, to Rebuild).
+//
+// lead, when non-nil, is the already refreshed float64 cell of t's layout
+// over the same data: t adopts its layout instead of refreshing a copy,
+// so every codec over one BuildIVF moves each dirty row once and keeps
+// sharing one set of list blocks.
+func (t *Table) Refresh(data *mat.Dense, dirty []int, lead *Table) *Table {
+	t.checkShape(data)
+	if lead != nil {
+		return t.over(data, lead.lay, dirty, true)
+	}
+	return t.over(data, t.lay.refresh(data, dirty), dirty, true)
+}
+
+// Reseat returns the next generation of t over data when every row's
+// values moved but no row should change lists: the coarse quantizer, the
+// list memberships and the per-row assignment are kept and every block is
+// re-encoded. It is the right refresh after a low-rank correction that
+// nudges all candidates at once — reassigning n rows would cost O(n ·
+// nlist) for home lists that almost never change. A row whose nearest
+// centroid did drift stays in its old list until the next full build.
+// lead is as in Refresh.
+func (t *Table) Reseat(data *mat.Dense, lead *Table) *Table {
+	t.checkShape(data)
+	if lead != nil {
+		return t.over(data, lead.lay, nil, false)
+	}
+	return t.over(data, t.lay.reseat(data), nil, false)
+}
+
+// Rebuild re-indexes data (t's dimension, any row count) from scratch
+// against t's coarse quantizer: every row is reassigned and every block
+// encoded. It is the frozen-quantizer full build Refresh must reproduce
+// bit for bit; retraining the quantizer is BuildIVF's decision.
+func (t *Table) Rebuild(data *mat.Dense) *Table {
+	if data.Cols != t.data.Cols {
+		panic(fmt.Sprintf("index: %s rebuild dim %d does not match index dim %d", t.Kind(), data.Cols, t.data.Cols))
+	}
+	return t.over(data, t.lay.rebuild(data), nil, false)
+}
+
+// over returns t's codec and settings over (data, lay). With reuse, lay
+// descends from t's layout and t's encoding is kept where it still holds:
+// a block whose rows lay shares with t is shared, and a flat block (same
+// membership by construction) re-encodes only the dirty rows.
+func (t *Table) over(data *mat.Dense, lay layout, dirty []int, reuse bool) *Table {
+	out := *t
+	out.data, out.lay = data, lay
+	out.blocks = make([]block, lay.nblocks())
+	enc := codecs[t.codec]
+	for b := range out.blocks {
+		rows, ids := lay.block(b)
+		var prev *Codes
+		if reuse && b < len(t.blocks) {
+			if rows == t.blocks[b].rows {
+				out.blocks[b] = t.blocks[b]
+				continue
+			}
+			if ids == nil {
+				prev = &t.blocks[b].Codes
+			}
+		}
+		out.blocks[b] = block{rows: rows, Codes: enc.encode(rows, prev, dirty)}
+	}
+	return &out
+}
+
+// Search is the one search: clamp k, scan the blocks the layout visits
+// under the codec's score, and — when that score is approximate — re-rank
+// the rerank*k best survivors exactly. See Index for the result contract.
+func (t *Table) Search(q []float64, k int, opt Options) []core.Scored {
+	n := t.data.Rows
+	if k > n {
+		k = n
+	}
+	if k < 1 {
+		return nil
+	}
+	if codecs[t.codec].final() {
+		return t.scan(q, k, opt)
+	}
+	surv := t.survivors(q, rerankBudget(k, t.rerank, n), opt)
+	final := core.GetTopK(k)
+	for _, c := range surv {
+		final.Offer(c.id, c.exact)
+	}
+	res := final.Take()
+	core.PutTopK(final)
+	return res
+}
+
+// approxScored is one survivor of an approximate scan: the candidate id,
+// the codec score that selected it, and its exact float64 score. The
+// approximate score drives the sharded survivor merge (it is
+// shard-invariant), the exact score the final ranking.
+type approxScored struct {
+	id            int
+	approx, exact float64
+}
+
+// rerankBudget is the survivor-window size of one approximate search:
+// mult*k, clamped to the candidate count (and guarded against overflow).
+func rerankBudget(k, mult, n int) int {
+	m := k * mult
+	if m < k || m > n {
+		m = n
+	}
+	return m
+}
+
+// survivors returns the m best candidates by codec score with their exact
+// scores attached — the same mat.Dot the float64 codec scans with, so a
+// survivor's re-ranked score is bit-identical to its exact-cell score.
+func (t *Table) survivors(q []float64, m int, opt Options) []approxScored {
+	approx := t.scan(q, m, opt)
+	out := make([]approxScored, len(approx))
+	for i, a := range approx {
+		out[i] = approxScored{id: a.ID, approx: a.Score, exact: mat.Dot(q, t.data.Row(a.ID-t.base))}
+	}
+	return out
+}
+
+// minParallelRows is the per-worker row budget below which goroutine
+// fan-out costs more than the scan it parallelizes.
+const minParallelRows = 2048
+
+// scan returns the m best candidates by codec score among the rows the
+// layout visits for q. The fan-out is over row-weighted groups of block
+// segments: splitting by visited ROW count (not block count) keeps
+// workers balanced when list sizes are skewed — one huge cluster cannot
+// serialize the search behind a single goroutine — and a segment boundary
+// may fall inside a block. Workers keep private accumulators merged under
+// core.Better, so the answer is independent of the worker count.
+func (t *Table) scan(q []float64, m int, opt Options) []core.Scored {
+	if m < 1 {
+		return nil
+	}
+	pq := queryPool.Get().(*query)
+	defer queryPool.Put(pq)
+	codecs[t.codec].prepare(pq, q)
+	visit := t.lay.probe(q, opt.NProbe)
+	size := func(b int) int { return t.blocks[b].rows.Rows }
+	rows := 0
+	for _, v := range visit {
+		rows += size(v.ID)
+	}
+	nb := t.threads
+	if lim := rows / minParallelRows; nb > lim {
+		nb = lim
+	}
+	if nb <= 1 {
+		top := core.GetTopK(m)
+		for _, v := range visit {
+			t.scanSpan(top, pq, v.ID, 0, size(v.ID), opt.Skip)
+		}
+		res := top.Take()
+		core.PutTopK(top)
+		return res
+	}
+	groups := probeGroups(visit, size, rows, nb)
+	return mergeSearch(m, len(groups), func(top *core.TopK, g int) {
+		for _, seg := range groups[g] {
+			t.scanSpan(top, pq, seg.list, seg.lo, seg.hi, opt.Skip)
+		}
+	})
+}
+
+// scanSpan offers rows [lo, hi) of block b to top: the one place a search
+// crosses into the codec, once per contiguous row range.
+func (t *Table) scanSpan(top *core.TopK, pq *query, b, lo, hi int, skip func(int) bool) {
+	_, ids := t.lay.block(b)
+	codecs[t.codec].scan(top, &t.blocks[b], pq, span{lo: lo, hi: hi, ids: ids, base: t.base, skip: skip})
+}
+
+// probeSeg is a contiguous row range [lo, hi) of one block.
+type probeSeg struct {
+	list, lo, hi int
+}
+
+// probeGroups packs the visited blocks' rows into at most nb groups of
+// near-equal row count, splitting within a block where a boundary falls.
+func probeGroups(lists []core.Scored, size func(int) int, totalRows, nb int) [][]probeSeg {
+	target := (totalRows + nb - 1) / nb
+	groups := make([][]probeSeg, 0, nb)
+	var cur []probeSeg
+	acc := 0
+	for _, l := range lists {
+		sz := size(l.ID)
+		for pos := 0; pos < sz; {
+			take := target - acc
+			if rem := sz - pos; take > rem {
+				take = rem
+			}
+			cur = append(cur, probeSeg{list: l.ID, lo: pos, hi: pos + take})
+			pos += take
+			acc += take
+			if acc == target {
+				groups = append(groups, cur)
+				cur, acc = nil, 0
+			}
+		}
+	}
+	if len(cur) > 0 {
+		groups = append(groups, cur)
+	}
+	return groups
+}
+
+// mergeSearch runs scan for each of n work units on its own goroutine
+// with a private top-k accumulator, and merges the partial results under
+// core.Better's total order — so the answer is identical for every n.
+func mergeSearch(k, n int, scan func(top *core.TopK, unit int)) []core.Scored {
+	parts := make([][]core.Scored, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			top := core.GetTopK(k)
+			scan(top, i)
+			parts[i] = top.Take()
+			core.PutTopK(top)
+		}(i)
+	}
+	wg.Wait()
+	final := core.GetTopK(k)
+	for _, p := range parts {
+		for _, s := range p {
+			final.Offer(s.ID, s.Score)
+		}
+	}
+	res := final.Take()
+	core.PutTopK(final)
+	return res
+}
