@@ -33,7 +33,7 @@
 // the attribute batch), and -baseline/-tolerance gate the model, index,
 // and total speedups the same way the top-k gate does.
 //
-// `-exp kernel` microbenchmarks the four scan kernels (float64 dot,
+// `-exp kernel` microbenchmarks the five scan kernels (float64 dot and dot4,
 // blocked GEMM, int8 dot, fp16 decode-and-accumulate) portable vs
 // dispatched at several dims, records what each op dispatched to
 // (generic/avx2/neon), and writes BENCH_kernel.json. With -baseline the

@@ -105,6 +105,18 @@ func (t *TopK) Offer(id int, score float64) {
 	}
 }
 
+// Admits reports whether Offer would retain the candidate. It is cheap
+// enough to inline, so a scan can test a score against the current k-th
+// best before paying for anything else about the candidate — its skip
+// predicate, the Offer call — which almost every row of a long scan then
+// never pays.
+func (t *TopK) Admits(id int, score float64) bool {
+	if len(t.h) < t.k {
+		return true
+	}
+	return t.k > 0 && Better(Scored{ID: id, Score: score}, t.h[0])
+}
+
 // Len returns the number of candidates currently retained.
 func (t *TopK) Len() int { return len(t.h) }
 

@@ -2,11 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"pane/internal/core"
 	"pane/internal/index"
-	"pane/internal/obs"
 )
 
 // Batch query execution: N heterogeneous queries evaluated against ONE
@@ -16,14 +17,18 @@ import (
 // through the same per-version sharded index as the single-query
 // endpoints, and each result reports the backend that answered it.
 //
-// Dispatch is shard-first: instead of fanning each top-k query out to
-// every shard (queries × shards goroutines, one dispatch per pair), the
-// batch prepares all its top-k searches up front and runs one worker per
-// shard that scans every prepared query against that shard's index. The
-// per-query partial results are then merged under core.TopK, which is
-// order-independent for unique ids — so the batch answers are bit-for-bit
-// identical to issuing the queries one at a time, with S dispatches
-// instead of queries × S.
+// Execution is tile-major: the batch validates and prepares all its top-k
+// searches up front, groups them by the index cell that answers them, and
+// hands each group to index.SearchBatch, which walks every shard's rows
+// once — in cache-sized tiles, by row range across shards × threads — and
+// scores every member of the group against a tile while it is resident.
+// The candidate rows are read once per batch; a member keeps its own
+// vector, skip, probe and accumulators, every (member, row) score comes
+// from the same dot kernel in the same summation order as a single query
+// (which is why the batch is not routed through the GEMM, whose order
+// differs), and top-k under core.Better does not depend on how rows were
+// grouped — so a batch member's answer is bit-for-bit the answer the
+// query gets alone.
 
 // Query ops understood by Execute.
 const (
@@ -76,7 +81,7 @@ type Result struct {
 // current model — resolving the model and one consistent shard set once,
 // so the whole batch is answered at one version — and reports that
 // version. With a fresh sharded index the batch's top-k queries are
-// dispatched shard-first (see the package comment above).
+// scanned together (see the comment above).
 func (e *Engine) Execute(qs []Query) ([]Result, uint64) {
 	m := e.Model()
 	shards := e.freshShards(m)
@@ -90,84 +95,89 @@ func (m *Model) Execute(qs []Query) []Result { return m.execute(qs, nil, nil) }
 
 // vecPool recycles per-query float64 scratch (the AttrQueryInto targets):
 // a batch of attribute top-k queries would otherwise allocate one vector
-// per query. Entries are pooled by capacity check, since engines with
-// different embedding widths may share the process.
-var vecPool sync.Pool
+// per query. Entries travel as *[]float64 so a round trip allocates
+// nothing, and a vector too short for this engine's embedding width is
+// regrown in place rather than dropped (engines of different widths may
+// share the process).
+var vecPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
-func getVec(n int) []float64 {
-	if p, _ := vecPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+func getVec(n int) *[]float64 {
+	p := vecPool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
 	}
-	return make([]float64, n)
+	*p = (*p)[:n]
+	return p
 }
 
-func putVec(v []float64) { vecPool.Put(&v) }
+func putVec(p *[]float64) { vecPool.Put(p) }
 
-// preparedTopK is one validated top-k search of a batch, ready to run
-// against any shard: the query vector, the global-id skip, the resolved
-// quantized re-rank multiplier, and the per-shard sub-index selection.
+// preparedTopK is one validated top-k search of a batch: the result slot
+// it fills, the cell of the index grid that answers it, and the search
+// itself. vec is the pooled vector behind an attribute query, returned
+// once the search has run.
 type preparedTopK struct {
-	resIdx  int // index of the result slot to fill after the merge
-	q       []float64
-	qPooled bool // q came from vecPool and is returned after the merge
-	k       int
-	mult    int
-	opt     index.Options
-	subs    []index.Index
+	resIdx int
+	cell   cell
+	vec    *[]float64
+	index.BatchQuery
 }
 
 func (m *Model) execute(qs []Query, shards []*shardIdx, met *engineMetrics) []Result {
 	out := make([]Result, len(qs))
 	var prep []preparedTopK
+	if shards != nil {
+		n := 0
+		for i := range qs {
+			if qs[i].Op == OpTopAttrs || qs[i].Op == OpTopLinks {
+				n++
+			}
+		}
+		prep = make([]preparedTopK, 0, n)
+	}
 	for i, q := range qs {
 		out[i] = m.run(q, shards, met, i, &prep)
 	}
 	if len(prep) > 0 {
-		runShardFirst(prep, len(shards), out, met)
+		runPrepared(prep, shards, out, met)
 	}
 	return out
 }
 
-// runShardFirst executes the batch's prepared top-k searches with one
-// worker per shard, then merges each query's per-shard partials into its
-// result slot. The merge goes through index.MergePartials — the same
-// two-phase survivor cut the single-query fan-out uses — so a quantized
-// batch answer is bit-for-bit what the query would get issued alone.
-func runShardFirst(prep []preparedTopK, nShards int, out []Result, met *engineMetrics) {
-	// partials[p][s] is query p's contribution from shard s.
-	partials := make([][]index.Partial, len(prep))
-	for p := range partials {
-		partials[p] = make([]index.Partial, nShards)
-	}
-	fanSp := obs.StartSpan(met.fanoutHist())
-	var wg sync.WaitGroup
-	for s := 0; s < nShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for p, pq := range prep {
-				if sub := pq.subs[s]; sub != nil {
-					partials[p][s] = index.PartialSearch(sub, pq.q, pq.k, pq.mult, pq.opt)
-				}
+// runPrepared answers the batch's prepared top-k searches cell by cell:
+// the members one cell answers go to index.SearchBatch together, which
+// walks every shard's rows once for all of them (see internal/index
+// scan.go). Members keep batch order within a cell and land in their own
+// result slots, so the grouping is invisible in the output.
+func runPrepared(prep []preparedTopK, shards []*shardIdx, out []Result, met *engineMetrics) {
+	t0 := time.Now()
+	slices.SortStableFunc(prep, func(a, b preparedTopK) int { return a.cell.order() - b.cell.order() })
+	group := make([]index.BatchQuery, 0, len(prep))
+	tops := make([][]core.Scored, len(prep))
+	for lo := 0; lo < len(prep); lo += len(group) {
+		c := prep[lo].cell
+		group = group[:0]
+		for _, p := range prep[lo:] {
+			if p.cell != c {
+				break
 			}
-		}(s)
+			group = append(group, p.BatchQuery)
+		}
+		met.recordWork(c, index.SearchBatch(c.tables(shards), group, tops[lo:]))
 	}
-	wg.Wait()
-	fanSp.End()
-	mergeSp := obs.StartSpan(met.mergeHist())
-	for p, pq := range prep {
-		out[pq.resIdx].Top = index.MergePartials(partials[p], pq.k, pq.mult)
-		if pq.qPooled {
-			putVec(pq.q)
+	for i, p := range prep {
+		out[p.resIdx].Top = tops[i]
+		if p.vec != nil {
+			putVec(p.vec)
 		}
 	}
-	mergeSp.End()
+	met.recordBatch(len(prep), time.Since(t0))
 }
 
 // run evaluates one query. Scalar ops are answered inline; top-k ops with
-// a fresh shard set are validated, appended to prep for the shard-first
-// pass, and have their Backend set immediately (the merge later fills
-// Top). Without shards, top-k ops scan inline.
+// a fresh shard set are validated, appended to prep for the batch scan,
+// and have their Backend set immediately (runPrepared later fills Top).
+// Without shards, top-k ops scan inline.
 func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int, prep *[]preparedTopK) Result {
 	res := Result{Op: q.Op}
 	fail := func(format string, args ...interface{}) Result {
@@ -219,41 +229,30 @@ func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int,
 		if err != nil {
 			return fail("%v", err)
 		}
-		p := preparedTopK{resIdx: resIdx, k: k, opt: index.Options{NProbe: q.NProbe}}
+		p := preparedTopK{resIdx: resIdx}
+		p.K, p.Opt.NProbe = k, q.NProbe
 		if q.Op == OpTopAttrs {
 			if !inRange(q.Node, m.Nodes()) {
 				return fail("engine: node %d out of range [0,%d)", q.Node, m.Nodes())
 			}
-			p.q = m.Emb.AttrQueryInto(q.Node, getVec(m.Emb.Xf.Cols))
-			p.qPooled = true
-			p.subs, res.Backend = pick(shards, attrSpace, mode)
+			p.vec = getVec(m.Emb.Xf.Cols)
+			p.Q = m.Emb.AttrQueryInto(q.Node, *p.vec)
+			p.cell = pick(shards, attrSpace, mode)
 		} else {
 			if !inRange(q.Src, m.Nodes()) {
 				return fail("engine: src %d out of range [0,%d)", q.Src, m.Nodes())
 			}
 			u := q.Src
-			p.q = m.Emb.Xf.Row(u)
-			p.opt.Skip = func(id int) bool { return id == u }
-			p.subs, res.Backend = pick(shards, linkSpace, mode)
+			p.Q = m.Emb.Xf.Row(u)
+			p.Opt.Skip = func(id int) bool { return id == u }
+			p.cell = pick(shards, linkSpace, mode)
 		}
-		p.mult = preparedMult(p.subs)
+		res.Backend = p.cell.backend()
 		*prep = append(*prep, p)
 	default:
 		return fail("unknown op %q", q.Op)
 	}
 	return res
-}
-
-// preparedMult resolves the quantized re-rank multiplier for a prepared
-// search against the first live shard (the engine builds every shard with
-// the same configuration, so any shard answers for all).
-func preparedMult(subs []index.Index) int {
-	for _, sub := range subs {
-		if sub != nil {
-			return index.RerankMult(sub)
-		}
-	}
-	return 1
 }
 
 // batchK resolves a batch query's K: nil means DefaultK, and an explicit

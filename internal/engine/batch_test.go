@@ -1,0 +1,201 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pane/internal/core"
+	"pane/internal/datagen"
+	"pane/internal/mat"
+)
+
+// batchTestModel is a graph with enough nodes that a table's thread
+// split engages (index.minParallelRows per unit) around a random
+// embedding: batch = single is a property of the scan, not of training.
+func batchTestModel(t *testing.T) func(shards, threads int) *Engine {
+	t.Helper()
+	g, err := datagen.Generate(datagen.Config{
+		Name: "batchtest", N: 9000, AvgOutDeg: 3, D: 40, AttrsPer: 3, Communities: 8, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{K: 12, Alpha: 0.5, Eps: 0.25, Seed: 5}
+	rng := rand.New(rand.NewSource(5))
+	random := func(rows int) *mat.Dense {
+		m := mat.New(rows, cfg.K/2)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	emb := &core.Embedding{Xf: random(g.N), Xb: random(g.N), Y: random(g.D)}
+	return func(shards, threads int) *Engine {
+		eng, err := New(g, emb, cfg, WithIndex(IndexConfig{
+			IVF: true, Quantize: true, FP16: true, NList: 9, NProbe: 2, Shards: shards, Threads: threads,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+}
+
+// TestBatchEqualsSingles is the batch scan's contract: every member of a
+// batch — whatever shares the batch with it — carries exactly the answer
+// (ids, score bits, backend, error) the same query gets issued alone, in
+// every mode, both spaces, at every shard and thread count, for batch
+// sizes on both sides of the scan's query-block width.
+func TestBatchEqualsSingles(t *testing.T) {
+	build := batchTestModel(t)
+	modes := []string{ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16}
+	for _, shards := range []int{1, 2, 3} {
+		for _, threads := range []int{1, 4} {
+			eng := build(shards, threads)
+			n, d := eng.Model().Nodes(), eng.Model().Attrs()
+			rng := rand.New(rand.NewSource(int64(10*shards + threads)))
+			pool := []int{0, 1, n - 1, rng.Intn(n), rng.Intn(n), rng.Intn(n)} // few sources: duplicates are the rule
+			for _, size := range []int{1, 2, 31, 33, 97} {
+				// Offsets walk the 12 (mode, space) pairs through every
+				// position of a batch this small; larger ones hold them all.
+				for off := 0; off < 2*len(modes); off += size {
+					qs := make([]Query, size)
+					for j := range qs {
+						combo := (off + j) % (2 * len(modes))
+						q := Query{Op: OpTopLinks, Mode: modes[combo%len(modes)], Src: pool[rng.Intn(len(pool))]}
+						if combo >= len(modes) {
+							q.Op, q.Node = OpTopAttrs, q.Src
+						}
+						q.K = kp([]int{1, 3, 10, d + 7}[rng.Intn(4)]) // d+7 exceeds the attribute candidates
+						q.NProbe = []int{0, 0, 1, 3, 1 << 20}[rng.Intn(5)]
+						switch rng.Intn(12) {
+						case 0:
+							q.Op = "top-nothing"
+						case 1:
+							q.K = kp(0)
+						case 2:
+							q.Src, q.Node = n, -1
+						case 3:
+							q.K = kp(n + 5) // more than there are link candidates
+						case 4:
+							q = Query{Op: OpLinkScore, Src: q.Src, Dst: pool[0]}
+						}
+						qs[j] = q
+					}
+					results, version := eng.Execute(qs)
+					if version != eng.Version() || len(results) != size {
+						t.Fatalf("%d results at version %d", len(results), version)
+					}
+					for j, q := range qs {
+						label := fmt.Sprintf("shards=%d threads=%d size=%d member %d %+v k=%d", shards, threads, size, j, q, *orK(q.K))
+						checkMember(t, label, eng, q, results[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func orK(k *int) *int {
+	if k == nil {
+		return kp(DefaultK)
+	}
+	return k
+}
+
+// checkMember compares one batch result with the same query issued alone.
+func checkMember(t *testing.T, label string, eng *Engine, q Query, got Result) {
+	t.Helper()
+	var want TopKAnswer
+	var err error
+	switch q.Op {
+	case OpTopLinks:
+		want, err = eng.TopLinks(q.Src, *orK(q.K), q.Mode, q.NProbe)
+	case OpTopAttrs:
+		want, err = eng.TopAttrs(q.Node, *orK(q.K), q.Mode, q.NProbe)
+	case OpLinkScore:
+		if got.Err != "" || got.Score == nil || *got.Score != eng.Model().Scorer.Directed(q.Src, q.Dst) {
+			t.Fatalf("%s: scalar member %+v", label, got)
+		}
+		return
+	default:
+		if got.Err == "" || got.Top != nil {
+			t.Fatalf("%s: unknown op answered %+v", label, got)
+		}
+		return
+	}
+	if err != nil {
+		if got.Err == "" || got.Top != nil || got.Backend != "" {
+			t.Fatalf("%s: fails alone (%v) but the batch answered %+v", label, err, got)
+		}
+		return
+	}
+	if got.Err != "" {
+		t.Fatalf("%s: failed in the batch: %s", label, got.Err)
+	}
+	if want.Backend == BackendScan {
+		t.Fatalf("%s: no fresh index, the comparison would be scan against scan", label)
+	}
+	if got.Backend != want.Backend {
+		t.Fatalf("%s: backend %q, alone %q", label, got.Backend, want.Backend)
+	}
+	sameAnswers(t, label, want, TopKAnswer{Results: got.Top})
+}
+
+// TestIndexWorkCounters pins pane_index_rows_scored_total and
+// pane_index_bytes_streamed_total: they are functions of the input alone,
+// and a batch scores as many (query, row) pairs as its members issued
+// singly while walking the candidate bytes once instead of once each.
+func TestIndexWorkCounters(t *testing.T) {
+	eng := batchTestModel(t)(1, 1)
+	n, dim := eng.Model().Nodes(), eng.Model().Emb.Xf.Cols
+	counter := func(name, backend string) uint64 {
+		v, ok := eng.Metrics().Snapshot()[fmt.Sprintf(`%s{backend="%s"}`, name, backend)].(uint64)
+		if !ok {
+			t.Fatalf("no series %s for backend %s", name, backend)
+		}
+		return v
+	}
+	work := func(backend string, run func()) (rows, bytes uint64) {
+		r0, b0 := counter("pane_index_rows_scored_total", backend), counter("pane_index_bytes_streamed_total", backend)
+		run()
+		return counter("pane_index_rows_scored_total", backend) - r0, counter("pane_index_bytes_streamed_total", backend) - b0
+	}
+	const members = 32
+	batch := make([]Query, members)
+	for i := range batch {
+		batch[i] = Query{Op: OpTopLinks, Src: i * 17, K: kp(10)}
+	}
+	for _, tier := range []struct {
+		mode, backend string
+		rowBytes      int
+	}{
+		{ModeExact, BackendExact, 8 * dim},
+		{ModeFP16, BackendFP16, 2 * dim},
+		{ModeSQ8, BackendSQ8, dim + 8},
+	} {
+		for i := range batch {
+			batch[i].Mode = tier.mode
+		}
+		for rep := 0; rep < 2; rep++ { // the counts repeat exactly
+			rows, bytes := work(tier.backend, func() { eng.Execute(batch) })
+			if rows != uint64(members*n) || bytes != uint64(n*tier.rowBytes) {
+				t.Fatalf("%s batch: %d rows scored over %d bytes, want %d over %d", tier.mode, rows, bytes, members*n, n*tier.rowBytes)
+			}
+			rows, bytes = work(tier.backend, func() {
+				for _, q := range batch {
+					mustTop(t, eng, true, q.Src, 10, tier.mode, 0)
+				}
+			})
+			if rows != uint64(members*n) || bytes != uint64(members*n*tier.rowBytes) {
+				t.Fatalf("%s singles: %d rows scored over %d bytes, want %d over %d", tier.mode, rows, bytes, members*n, members*n*tier.rowBytes)
+			}
+		}
+	}
+	// An inverted probe touches only the lists it visits.
+	rows, bytes := work(BackendIVF, func() { mustTop(t, eng, true, 3, 10, ModeIVF, 0) })
+	if rows == 0 || rows >= uint64(n) || bytes != rows*uint64(8*dim) {
+		t.Fatalf("ivf single: %d rows over %d bytes of %d candidates", rows, bytes, n)
+	}
+}

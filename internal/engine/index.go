@@ -997,31 +997,55 @@ var (
 	}
 )
 
+// cell is one position of a space's index grid.
+type cell struct {
+	space, layout int
+	codec         index.Codec
+}
+
+// order numbers the cells, so a batch can sort its searches by cell.
+func (c cell) order() int { return (c.space*nLayouts+c.layout)*int(index.NumCodecs) + int(c.codec) }
+
+// backend names the cell as answers and metrics report it.
+func (c cell) backend() string { return backends[c.layout][c.codec] }
+
+// tables returns the cell's table in every shard, nil for a shard past
+// the attribute row space, which a search skips.
+func (c cell) tables(shards []*shardIdx) []*index.Table {
+	tables := make([]*index.Table, len(shards))
+	for i, si := range shards {
+		tables[i] = si.spaces[c.space][c.layout][c.codec]
+	}
+	return tables
+}
+
 // pick selects the cell of space sp that answers mode across a shard
 // set. The choice is uniform across shards (every generation builds the
 // same cells), so one backend label describes the whole fan-out. A mode
 // whose cell was not built first gives up its codec, then its layout —
 // ivfsq → ivf → exact and sq8 → exact (likewise ivffp16 → ivf → exact and
 // fp16 → exact) — so an inverted mode never lands on a flat compressed
-// cell. Shards past the attribute row space contribute nil entries, which
-// the fan-out skips.
-func pick(shards []*shardIdx, sp int, mode string) ([]index.Index, string) {
+// cell.
+func pick(shards []*shardIdx, sp int, mode string) cell {
 	at := modeCell[mode]
-	l, c := at.layout, at.codec
+	c := cell{space: sp, layout: at.layout, codec: at.codec}
 	built := &shards[0].spaces[sp]
-	if built[l][c] == nil {
-		c = index.F64
+	if built[c.layout][c.codec] == nil {
+		c.codec = index.F64
 	}
-	if built[l][c] == nil {
-		l = flat
+	if built[c.layout][c.codec] == nil {
+		c.layout = flat
 	}
-	subs := make([]index.Index, len(shards))
-	for i, si := range shards {
-		if t := si.spaces[sp][l][c]; t != nil {
-			subs[i] = t
-		}
-	}
-	return subs, backends[l][c]
+	return c
+}
+
+// search answers one query over cell c of shards and records the stages
+// and the work it took.
+func (c cell) search(shards []*shardIdx, met *engineMetrics, q index.BatchQuery) []core.Scored {
+	var out [1][]core.Scored
+	st := index.SearchBatch(c.tables(shards), []index.BatchQuery{q}, out[:])
+	met.recordSearch(c, st)
+	return out[0]
 }
 
 // topLinks runs the link top-k against this model, fanning out over
@@ -1037,12 +1061,10 @@ func (m *Model) topLinks(shards []*shardIdx, met *engineMetrics, u, k int, mode 
 		return nil, "", fmt.Errorf("engine: src %d out of range [0,%d)", u, m.Nodes())
 	}
 	if shards != nil {
-		q := m.Emb.Xf.Row(u)
+		c := pick(shards, linkSpace, mode)
 		skip := func(id int) bool { return id == u }
-		subs, backend := pick(shards, linkSpace, mode)
-		res, fan, merge := index.SearchShardedTimed(subs, q, k, index.Options{NProbe: nprobe, Skip: skip})
-		recordStages(met, fan, merge)
-		return res, backend, nil
+		res := c.search(shards, met, index.BatchQuery{Q: m.Emb.Xf.Row(u), K: k, Opt: index.Options{NProbe: nprobe, Skip: skip}})
+		return res, c.backend(), nil
 	}
 	sp := obs.StartSpan(met.scanHist())
 	res := m.Scorer.TopKTargets(u, k, nil)
@@ -1061,24 +1083,14 @@ func (m *Model) topAttrs(shards []*shardIdx, met *engineMetrics, v, k int, mode 
 		return nil, "", fmt.Errorf("engine: node %d out of range [0,%d)", v, m.Nodes())
 	}
 	if shards != nil {
-		q := m.Emb.AttrQueryInto(v, getVec(m.Emb.Xf.Cols))
-		subs, backend := pick(shards, attrSpace, mode)
-		res, fan, merge := index.SearchShardedTimed(subs, q, k, index.Options{NProbe: nprobe})
-		recordStages(met, fan, merge)
-		putVec(q)
-		return res, backend, nil
+		c := pick(shards, attrSpace, mode)
+		vec := getVec(m.Emb.Xf.Cols)
+		res := c.search(shards, met, index.BatchQuery{Q: m.Emb.AttrQueryInto(v, *vec), K: k, Opt: index.Options{NProbe: nprobe}})
+		putVec(vec)
+		return res, c.backend(), nil
 	}
 	sp := obs.StartSpan(met.scanHist())
 	res := m.Emb.TopKAttrs(v, k, nil)
 	sp.End()
 	return res, BackendScan, nil
-}
-
-// recordStages records a fan-out/merge timing pair; nil-safe for met.
-func recordStages(met *engineMetrics, fan, merge time.Duration) {
-	if met == nil {
-		return
-	}
-	met.stageFanout.Observe(fan)
-	met.stageMerge.Observe(merge)
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"time"
+
+	"pane/internal/index"
 	"pane/internal/obs"
 )
 
@@ -37,12 +40,21 @@ type engineMetrics struct {
 	buildDurIncr *obs.Histogram
 	buildDurFull *obs.Histogram
 
-	// Query stages. Fan-out covers the parallel per-shard searches, merge
-	// the partial combination, scan the brute-force fallback when no fresh
-	// consistent shard cut exists.
-	stageFanout *obs.Histogram
-	stageMerge  *obs.Histogram
-	stageScan   *obs.Histogram
+	// Query stages, one observation per single query: fan-out covers the
+	// parallel row scans, merge the combination of their contributions,
+	// scan the brute-force fallback when no fresh consistent shard cut
+	// exists. A batch's top-k members are scanned together, so they record
+	// one batch_scan observation per batch, beside how many they were.
+	stageFanout    *obs.Histogram
+	stageMerge     *obs.Histogram
+	stageScan      *obs.Histogram
+	stageBatchScan *obs.Histogram
+	batchQueries   *obs.Histogram
+
+	// Index work by answering backend: (query, row) pairs scored and
+	// encoded bytes walked — a batch walks a row once for all its members.
+	rowsScored    [nLayouts][index.NumCodecs]*obs.Counter
+	bytesStreamed [nLayouts][index.NumCodecs]*obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -52,7 +64,9 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		affDur    = "Affinity phase wall time per update, by kind."
 		buildHelp = "Per-shard index build cycles by kind (incremental refresh vs full rebuild)."
 		buildDur  = "Per-shard index build wall time, by kind."
-		stageHelp = "Top-k query stage wall time (shard fan-out, partial merge, brute-force scan fallback)."
+		stageHelp = "Top-k query stage wall time (shard fan-out, partial merge, brute-force scan fallback; batch_scan is per batch, the others per query)."
+		rowsHelp  = "Query-row pairs scored by the index, by answering backend."
+		bytesHelp = "Encoded candidate bytes the index walked, by answering backend; a batch walks each row once for all its members."
 	)
 	// Info gauge: one always-1 series per kernel, labeled with the
 	// instruction set it dispatches to, so dashboards can tell at a
@@ -62,7 +76,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Active instruction set per compute kernel (1 = this op dispatches to this ISA).",
 			obs.L("op", op), obs.L("isa", isa)).Set(1)
 	}
-	return &engineMetrics{
+	m := &engineMetrics{
 		reg:     reg,
 		updIncr: reg.Counter("pane_updates_total", updHelp, obs.L("path", "incremental")),
 		updFull: reg.Counter("pane_updates_total", updHelp, obs.L("path", "full")),
@@ -95,32 +109,59 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		stageFanout:  reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "fanout")),
 		stageMerge:   reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "merge")),
 		stageScan:    reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "scan")),
+
+		stageBatchScan: reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "batch_scan")),
+		batchQueries: reg.CountHistogram("pane_batch_queries",
+			"Top-k queries of one batch answered through the index in one pass."),
 	}
+	for l := range backends {
+		for c, backend := range backends[l] {
+			m.rowsScored[l][c] = reg.Counter("pane_index_rows_scored_total", rowsHelp, obs.L("backend", backend))
+			m.bytesStreamed[l][c] = reg.Counter("pane_index_bytes_streamed_total", bytesHelp, obs.L("backend", backend))
+		}
+	}
+	return m
 }
 
-// The stage accessors are nil-safe because Model methods run with a nil
+// The recorders are nil-safe because Model methods run with a nil
 // *engineMetrics when invoked outside an engine (Model.Execute), and
 // obs.StartSpan over a nil histogram is a no-op.
-
-func (m *engineMetrics) fanoutHist() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.stageFanout
-}
-
-func (m *engineMetrics) mergeHist() *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.stageMerge
-}
 
 func (m *engineMetrics) scanHist() *obs.Histogram {
 	if m == nil {
 		return nil
 	}
 	return m.stageScan
+}
+
+// recordSearch records one single-query index search: its two stages and
+// its work.
+func (m *engineMetrics) recordSearch(c cell, st index.Stats) {
+	if m == nil {
+		return
+	}
+	m.stageFanout.Observe(st.Fanout)
+	m.stageMerge.Observe(st.Merge)
+	m.recordWork(c, st)
+}
+
+// recordWork adds a search's rows and bytes to its backend's counters.
+func (m *engineMetrics) recordWork(c cell, st index.Stats) {
+	if m == nil {
+		return
+	}
+	m.rowsScored[c.layout][c.codec].Add(uint64(st.RowsScored))
+	m.bytesStreamed[c.layout][c.codec].Add(uint64(st.BytesStreamed))
+}
+
+// recordBatch records one batch's index pass: how long its n top-k
+// members took together.
+func (m *engineMetrics) recordBatch(n int, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stageBatchScan.Observe(d)
+	m.batchQueries.ObserveCount(n)
 }
 
 // WithMetricsRegistry records the engine's metrics into reg instead of a

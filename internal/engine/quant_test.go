@@ -77,7 +77,7 @@ func TestQuantizedModesServeAndReport(t *testing.T) {
 // TestShardedQuantizedBitForBitIdentical is satellite property (c) at the
 // engine layer: sq8 answers through S shards equal single-shard sq8
 // EXACTLY — the survivor cut is global — for links and attributes, via
-// both the single-query path and the shard-first batch path.
+// both the single-query path and the batch path.
 func TestShardedQuantizedBitForBitIdentical(t *testing.T) {
 	g, emb, cfg := shardTestModel(t)
 	newEng := func(shards int) *Engine {
@@ -126,7 +126,7 @@ func TestShardedQuantizedBitForBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// The shard-first batch path must agree with the single-query
+		// The batch path must agree with the single-query
 		// path on quantized modes too (same two-phase merge).
 		k := 10
 		qs := []Query{

@@ -33,7 +33,7 @@ func shardTestModel(t *testing.T) (*graph.Graph, *core.Embedding, core.Config) {
 // TestShardedExactBitForBitIdentical is the acceptance criterion of the
 // sharded engine: exact top-k through S shards must equal single-shard
 // exact EXACTLY — same ids, same float bits — for links and attributes,
-// via both the single-query path and the shard-first batch path.
+// via both the single-query path and the batch path.
 func TestShardedExactBitForBitIdentical(t *testing.T) {
 	g, emb, cfg := shardTestModel(t)
 	newEng := func(shards int) *Engine {
@@ -83,7 +83,7 @@ func TestShardedExactBitForBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// The shard-first batch path must agree with the single-query path.
+		// The batch path must agree with the single-query path.
 		k := 10
 		qs := []Query{
 			{Op: OpTopLinks, Src: 0, K: &k},
@@ -174,7 +174,7 @@ func TestShardedLifecycleRace(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Queriers: sharded top-k in both modes, plus shard-first batches.
+	// Queriers: sharded top-k in both modes, plus batches.
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -206,11 +206,21 @@ func TestShardedLifecycleRace(t *testing.T) {
 					t.Errorf("%d results", len(ans.Results))
 					return
 				}
+				// A /batch-shaped request: several top-links over two cells
+				// (a repeated source among them) beside a top-attrs. The
+				// batch resolves ONE shard cut, so its members are all
+				// indexed or all scanned, and the same question asked twice
+				// — or asked of exact and of full-probe IVF — gets the same
+				// answer; members scanned at different generations would not.
 				k := 4
 				results, _ := eng.Execute([]Query{
 					{Op: OpTopLinks, Src: u, K: &k},
+					{Op: OpTopLinks, Src: (u + 1) % g.N, K: &k, Mode: ModeIVF},
 					{Op: OpTopAttrs, Node: u, K: &k},
+					{Op: OpTopLinks, Src: u, K: &k, Mode: ModeIVF, NProbe: 1 << 20},
+					{Op: OpTopLinks, Src: u, K: &k},
 				})
+				scanned := 0
 				for _, r := range results {
 					if r.Err != "" {
 						t.Errorf("batch: %s", r.Err)
@@ -219,6 +229,22 @@ func TestShardedLifecycleRace(t *testing.T) {
 					if len(r.Top) != 4 {
 						t.Errorf("batch: %d results", len(r.Top))
 						return
+					}
+					if r.Backend == BackendScan {
+						scanned++
+					}
+				}
+				if scanned != 0 && scanned != len(results) {
+					t.Errorf("batch mixed %d scanned members with %d indexed ones", scanned, len(results)-scanned)
+					return
+				}
+				for _, twin := range []int{3, 4} {
+					for j := range results[0].Top {
+						if results[0].Top[j] != results[twin].Top[j] {
+							t.Errorf("batch members 0 and %d disagree at rank %d: %v vs %v",
+								twin, j, results[0].Top[j], results[twin].Top[j])
+							return
+						}
 					}
 				}
 			}

@@ -46,7 +46,7 @@ type KernelCell struct {
 // plus the generic-vs-dispatched timing grid.
 type KernelBench struct {
 	// ISAs records what every kernel dispatched to on the measuring
-	// build and host (engine.KernelDispatch: dot/axpy/gemm/sq8dot/fp16dot
+	// build and host (engine.KernelDispatch: dot/dot4/axpy/gemm/sq8dot/fp16dot
 	// → generic|avx2|neon).
 	ISAs  map[string]string `json:"isas"`
 	Cells []KernelCell      `json:"cells"`
@@ -56,8 +56,8 @@ type KernelBench struct {
 // cannot hoist or eliminate the kernel calls.
 var kernelSink float64
 
-// RunKernel times the four scan kernels (float64 dot, blocked GEMM,
-// int8 dot, fp16 decode-and-accumulate) at each dim, portable vs
+// RunKernel times the five scan kernels (float64 dot, its four-query
+// form, blocked GEMM, int8 dot, fp16 decode-and-accumulate) at each dim, portable vs
 // dispatched, on deterministic pseudo-random inputs. It fails (rather
 // than reporting a meaningless grid) when a dispatched kernel disagrees
 // with its portable twin — the bit-identity contract the index tiers are
@@ -114,6 +114,14 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			ai[i] = int8(rng.Intn(255) - 127)
 			bi[i] = int8(rng.Intn(255) - 127)
 		}
+		// Four more vectors for dot4: one row (bv) against four queries.
+		var qv [4][]float64
+		for q := range qv {
+			qv[q] = make([]float64, d)
+			for i := range qv[q] {
+				qv[q][i] = rng.NormFloat64()
+			}
+		}
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))
 		am := mat.New(d, d)
 		bm := mat.New(d, d)
@@ -128,6 +136,13 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		// numbers are worth printing.
 		if g, s := mat.DotGeneric(av, bv), mat.Dot(av, bv); g != s {
 			return nil, fmt.Errorf("experiments: dot dispatch diverges from generic at dim %d: %v != %v", d, s, g)
+		}
+		var s4 [4]float64
+		s4[0], s4[1], s4[2], s4[3] = mat.Dot4(qv[0], qv[1], qv[2], qv[3], bv)
+		for q := range qv {
+			if g := mat.DotGeneric(qv[q], bv); g != s4[q] {
+				return nil, fmt.Errorf("experiments: dot4 dispatch diverges from generic at dim %d product %d: %v != %v", d, q, s4[q], g)
+			}
 		}
 		if g, s := index.DotI8Generic(ai, bi), index.DotI8(ai, bi); g != s {
 			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %d != %d", d, s, g)
@@ -158,6 +173,15 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		cell("dot", 16*d,
 			func() { kernelSink += mat.DotGeneric(av, bv) },
 			func() { kernelSink += mat.Dot(av, bv) })
+		// One call is four products: compare ns/op with four times dot's.
+		cell("dot4", 40*d,
+			func() {
+				kernelSink += mat.DotGeneric(qv[0], bv) + mat.DotGeneric(qv[1], bv) + mat.DotGeneric(qv[2], bv) + mat.DotGeneric(qv[3], bv)
+			},
+			func() {
+				a, b, c, e := mat.Dot4(qv[0], qv[1], qv[2], qv[3], bv)
+				kernelSink += a + b + c + e
+			})
 		cell("gemm", 3*8*d*d,
 			func() { mat.MulIntoGeneric(dst, am, bm); kernelSink += dst.Data[0] },
 			func() { mat.MulInto(dst, am, bm); kernelSink += dst.Data[0] })

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"pane/internal/core"
@@ -92,6 +94,74 @@ type ShardScalingPoint struct {
 	RecallAtK         float64 `json:"recall_at_k"`
 }
 
+// BatchPoint is one row of the batch-size sweep: the same exact top-links
+// queries answered through Engine.Execute in batches of Size and through
+// Engine.TopLinks one at a time, every batch member verified bit for bit
+// against its single-query answer.
+type BatchPoint struct {
+	Size       int     `json:"size"`
+	BatchQPS   float64 `json:"batch_qps"`   // queries per second through Execute
+	SinglesQPS float64 `json:"singles_qps"` // the same queries through TopLinks
+	// Speedup is batch_qps / singles_qps — a same-machine, same-run ratio,
+	// the figure CheckTopKBaseline gates at Size 32.
+	Speedup         float64 `json:"batch_speedup"`
+	AllocsPerMember float64 `json:"allocs_per_member"`
+}
+
+// batchSweepSizes is the batch-size axis; batchGateSize the point the
+// perf gate reads.
+var batchSweepSizes = []int{1, 4, 16, 32, 64, 128}
+
+const batchGateSize = 32
+
+// Env says where a report's numbers were taken, so they can be read at
+// all: the same run on half the cores or without the vector kernels is a
+// different experiment.
+type Env struct {
+	CPU        string            `json:"cpu"`
+	Cores      int               `json:"cores"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Kernels    map[string]string `json:"kernels"` // engine.KernelDispatch: op → instruction set
+	Go         string            `json:"go"`
+	Commit     string            `json:"commit,omitempty"`
+}
+
+// CaptureEnv stamps the running process. The CPU model is read from
+// /proc/cpuinfo where there is one; the commit is the VCS revision the
+// toolchain recorded in the binary ("+dirty" when the tree had uncommitted
+// changes), absent when built outside a repository.
+func CaptureEnv() *Env {
+	e := &Env{
+		Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernels: engine.KernelDispatch(), Go: runtime.Version(),
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				e.CPU = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+				break
+			}
+		}
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		dirty := ""
+		for _, kv := range info.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				e.Commit = kv.Value
+			case "vcs.modified":
+				if kv.Value == "true" {
+					dirty = "+dirty"
+				}
+			}
+		}
+		if e.Commit != "" {
+			e.Commit += dirty
+		}
+	}
+	return e
+}
+
 // TopKBench is the measured exact-vs-IVF serving comparison emitted as
 // BENCH_topk.json by `benchexp -exp topk`. QPS numbers are single-stream
 // (one query at a time, as a latency-sensitive caller sees them).
@@ -105,6 +175,10 @@ type TopKBench struct {
 	NList   int `json:"nlist"`
 	NProbe  int `json:"nprobe"`
 	Rerank  int `json:"rerank"` // quantized survivor multiplier in effect
+	// Threads is core.Config.Threads: training parallelism and, divided by
+	// the shard count, each table's search fan-out — what the allocs/query
+	// columns scale with.
+	Threads int `json:"threads,omitempty"`
 
 	TrainSeconds      float64 `json:"train_seconds"`
 	IndexBuildSeconds float64 `json:"index_build_seconds"`
@@ -157,6 +231,12 @@ type TopKBench struct {
 	// S ∈ ShardPoints, exact AND sq8 answers verified bit-for-bit against
 	// S=1.
 	Sharding []ShardScalingPoint `json:"sharding,omitempty"`
+
+	// Batch is the batch-size sweep over exact top-links on the S=1
+	// engine, and Env where all of the above was measured; both omitempty
+	// so reports written before they existed still parse and gate.
+	Batch []BatchPoint `json:"batch,omitempty"`
+	Env   *Env         `json:"env,omitempty"`
 }
 
 // RunTopK generates a community-structured graph, trains a model, builds
@@ -332,7 +412,7 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 	b := &TopKBench{
 		N: g.N, Edges: g.M(), D: g.D, K: opt.K,
 		Queries: opt.Queries, TopK: opt.TopK,
-		NList: st.NList, NProbe: st.NProbe, Rerank: st.Rerank,
+		NList: st.NList, NProbe: st.NProbe, Rerank: st.Rerank, Threads: opt.Threads,
 		TrainSeconds: trainSec, IndexBuildSeconds: buildSec,
 		ScanQPS: scanQPS, ExactQPS: exactQPS, IVFQPS: ivfQPS,
 		SQ8QPS: sq8QPS, IVFSQQPS: ivfsqQPS,
@@ -363,6 +443,15 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 		IVFSQLatency:         ivfsqLat,
 		FP16Latency:          fp16Lat,
 		IVFFP16Latency:       ivffpLat,
+	}
+
+	b.Env = CaptureEnv()
+	for _, size := range batchSweepSizes {
+		p, err := batchPoint(eng, nodes, exactRes, opt.TopK, size)
+		if err != nil {
+			return nil, err
+		}
+		b.Batch = append(b.Batch, p)
 	}
 
 	for _, s := range opt.ShardPoints {
@@ -430,6 +519,61 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 	return b, nil
 }
 
+// batchPoint measures one batch size: nodes cut into consecutive batches
+// of size through Execute, then the same nodes through TopLinks, on one
+// stream. want holds the exact single-query answers already measured, and
+// a batch member that differs from its own in any id or score bit fails
+// the run — batching is only worth a number while it is invisible.
+func batchPoint(eng *engine.Engine, nodes []int, want [][]core.Scored, topK, size int) (BatchPoint, error) {
+	k := topK
+	batches := make([][]engine.Query, 0, (len(nodes)+size-1)/size)
+	for lo := 0; lo < len(nodes); lo += size {
+		qs := make([]engine.Query, 0, size)
+		for _, u := range nodes[lo:min(lo+size, len(nodes))] {
+			qs = append(qs, engine.Query{Op: engine.OpTopLinks, Src: u, K: &k})
+		}
+		batches = append(batches, qs)
+	}
+	results := make([][]engine.Result, len(batches))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	t0 := time.Now()
+	for i, qs := range batches {
+		results[i], _ = eng.Execute(qs)
+	}
+	batchSec := time.Since(t0).Seconds()
+	runtime.ReadMemStats(&ms1)
+	t0 = time.Now()
+	for _, u := range nodes {
+		if _, err := eng.TopLinks(u, topK, engine.ModeExact, 0); err != nil {
+			return BatchPoint{}, err
+		}
+	}
+	singlesSec := time.Since(t0).Seconds()
+	i := 0
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.Err != "" || r.Backend != engine.BackendExact || len(r.Top) != len(want[i]) {
+				return BatchPoint{}, fmt.Errorf("experiments: batch size %d query %d: backend %q, %d results (single: %d), error %q",
+					size, i, r.Backend, len(r.Top), len(want[i]), r.Err)
+			}
+			for j := range r.Top {
+				if r.Top[j] != want[i][j] {
+					return BatchPoint{}, fmt.Errorf("experiments: batch size %d diverges from the single query at query %d rank %d: %v != %v",
+						size, i, j, r.Top[j], want[i][j])
+				}
+			}
+			i++
+		}
+	}
+	n := float64(len(nodes))
+	return BatchPoint{
+		Size: size, BatchQPS: n / batchSec, SinglesQPS: n / singlesSec,
+		Speedup:         singlesSec / batchSec,
+		AllocsPerMember: float64(ms1.Mallocs-ms0.Mallocs) / n,
+	}, nil
+}
+
 // PrintTopK renders the comparison as a table.
 func PrintTopK(w io.Writer, b *TopKBench) {
 	fmt.Fprintf(w, "Top-k serving: n=%d m=%d d=%d k=%d, %d queries, top-%d (nlist=%d nprobe=%d rerank=%d)\n",
@@ -453,6 +597,16 @@ func PrintTopK(w io.Writer, b *TopKBench) {
 	if b.FP16QPS > 0 {
 		fmt.Fprintf(w, "%-22s %12.1f %9.1fx %10.4f %12.1f %s\n", "index fp16", b.FP16QPS, b.SpeedupFP16VsScan, b.RecallFP16, b.FP16Allocs, latCols(b.FP16Latency))
 		fmt.Fprintf(w, "%-22s %12.1f %9.1fx %10.4f %12.1f %s\n", "index ivffp16", b.IVFFP16QPS, b.SpeedupIVFFP16VsScan, b.RecallIVFFP16, b.IVFFP16Allocs, latCols(b.IVFFP16Latency))
+	}
+	if len(b.Batch) > 0 {
+		fmt.Fprintf(w, "\nBatch size (exact top-links, Execute vs one TopLinks per query, members verified bit-for-bit):\n")
+		fmt.Fprintf(w, "%-8s %14s %14s %10s %14s\n", "size", "batch q/s", "singles q/s", "speedup", "allocs/member")
+		for _, p := range b.Batch {
+			fmt.Fprintf(w, "%-8d %14.1f %14.1f %9.2fx %14.1f\n", p.Size, p.BatchQPS, p.SinglesQPS, p.Speedup, p.AllocsPerMember)
+		}
+	}
+	if e := b.Env; e != nil {
+		fmt.Fprintf(w, "\nenv: %q, %d cores, GOMAXPROCS %d, %s, kernels %v, commit %s\n", e.CPU, e.Cores, e.GOMAXPROCS, e.Go, e.Kernels, e.Commit)
 	}
 	if len(b.Sharding) > 0 {
 		fmt.Fprintf(w, "\nShard scaling (exact, sq8, and fp16 verified bit-for-bit against S=1):\n")
@@ -536,9 +690,23 @@ func CheckTopKBaseline(cur, base *TopKBench, tol float64) error {
 		{"FP16", cur.SpeedupFP16VsScan, base.SpeedupFP16VsScan},
 		{"IVFFP16", cur.SpeedupIVFFP16VsScan, base.SpeedupIVFFP16VsScan},
 	}
+	// The batch gate reads one point of the sweep, as a same-run ratio
+	// like the rest; a baseline without the sweep gates nothing.
+	gatePoint := func(b *TopKBench) float64 {
+		for _, p := range b.Batch {
+			if p.Size == batchGateSize {
+				return p.Speedup
+			}
+		}
+		return 0
+	}
+	speedups = append(speedups, struct {
+		name      string
+		cur, base float64
+	}{fmt.Sprintf("batch(%d)", batchGateSize), gatePoint(cur), gatePoint(base)})
 	for _, s := range speedups {
 		if s.base > 0 && s.cur < s.base*(1-tol) {
-			failures = append(failures, fmt.Sprintf("%s speedup-vs-scan %.2fx dropped more than %.0f%% below baseline %.2fx",
+			failures = append(failures, fmt.Sprintf("%s speedup %.2fx dropped more than %.0f%% below baseline %.2fx",
 				s.name, s.cur, tol*100, s.base))
 		}
 	}

@@ -95,6 +95,25 @@ func TestCheckTopKBaselineFailsOnRegression(t *testing.T) {
 	if err := CheckTopKBaseline(bench(), base, -1); err == nil {
 		t.Fatal("negative tolerance accepted")
 	}
+
+	// The batch gate reads the sweep's size-32 point as a same-run ratio:
+	// a collapse there fails, other sizes do not gate, and a baseline
+	// written before the sweep existed gates nothing.
+	swept := bench()
+	swept.Batch = []BatchPoint{{Size: 4, Speedup: 2}, {Size: batchGateSize, Speedup: 3}}
+	flat := bench()
+	flat.Batch = []BatchPoint{{Size: 4, Speedup: 0.5}, {Size: batchGateSize, Speedup: 2.5}}
+	if err := CheckTopKBaseline(flat, swept, 0.25); err != nil {
+		t.Fatalf("in-tolerance batch speedup rejected: %v", err)
+	}
+	flat.Batch[1].Speedup = 1.2
+	err = CheckTopKBaseline(flat, swept, 0.25)
+	if err == nil || !strings.Contains(err.Error(), "batch(32) speedup") {
+		t.Fatalf("batch speedup regression not caught: %v", err)
+	}
+	if err := CheckTopKBaseline(flat, base, 0.25); err != nil {
+		t.Fatalf("baseline without a batch sweep gated one: %v", err)
+	}
 }
 
 // TestRunTopKSmallEndToEnd runs the whole serving benchmark on a tiny
@@ -125,6 +144,18 @@ func TestRunTopKSmallEndToEnd(t *testing.T) {
 		}
 	}
 
+	if len(b.Batch) != len(batchSweepSizes) {
+		t.Fatalf("batch sweep %+v", b.Batch)
+	}
+	for i, p := range b.Batch {
+		if p.Size != batchSweepSizes[i] || p.BatchQPS <= 0 || p.SinglesQPS <= 0 || p.Speedup <= 0 || p.AllocsPerMember <= 0 {
+			t.Fatalf("degenerate batch point %+v", p)
+		}
+	}
+	if e := b.Env; e == nil || e.Cores < 1 || e.GOMAXPROCS < 1 || e.Go == "" || e.Kernels["dot"] == "" {
+		t.Fatalf("env stamp %+v", b.Env)
+	}
+
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := WriteTopKJSON(path, b); err != nil {
 		t.Fatal(err)
@@ -133,7 +164,8 @@ func TestRunTopKSmallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.IVFQPS != b.IVFQPS || back.RecallAtK != b.RecallAtK || len(back.Sharding) != len(b.Sharding) {
+	if back.IVFQPS != b.IVFQPS || back.RecallAtK != b.RecallAtK || len(back.Sharding) != len(b.Sharding) ||
+		len(back.Batch) != len(b.Batch) || back.Env == nil || back.Env.Go != b.Env.Go {
 		t.Fatalf("JSON round trip changed the report: %+v vs %+v", back, b)
 	}
 	// A fresh run gates cleanly against itself.

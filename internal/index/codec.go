@@ -1,8 +1,6 @@
 package index
 
 import (
-	"sync"
-
 	"pane/internal/core"
 	"pane/internal/mat"
 )
@@ -32,6 +30,15 @@ type codec interface {
 	// final reports whether scan's scores are the answer's scores; if not
 	// the table re-ranks the survivors exactly.
 	final() bool
+	// rowBytes is what scanning one row of dimension dim reads of b.
+	rowBytes(dim int) int
+}
+
+// quadCodec is a codec whose dot kernel has a four-query form: scan4 is
+// scan for four queries at once, reading each row once for the four.
+// Every score is bit for bit the one scan produces.
+type quadCodec interface {
+	scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span)
 }
 
 var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
@@ -55,15 +62,13 @@ type block struct {
 	Codes
 }
 
-// query is a search's query as a codec scores against it. Pooled, so the
-// int8 scratch adds no steady-state allocation.
+// query is a search's query as a codec scores against it. Pooled with the
+// search's scratch, so the int8 buffer adds no steady-state allocation.
 type query struct {
 	q         []float64
 	i8        []int8 // int8 codec: q quantized symmetrically
 	step, sum float64
 }
-
-var queryPool = sync.Pool{New: func() interface{} { return new(query) }}
 
 // span is a contiguous row range [lo, hi) of one block together with what
 // turns a row into an offer: ids maps block rows to local candidate ids
@@ -84,19 +89,45 @@ func (s *span) id(j int) int {
 	return s.base + j
 }
 
+// keep offers a row that top.Admits to top, unless skip excludes it. Scan loops
+// test the score first (inline) and call keep only for the few rows that
+// pass: skip is a call through a closure and almost no row of a long scan
+// beats the current k-th best, so asking the predicate only about rows
+// that would be kept takes it off the per-row path. It is pure, so the
+// order of the two tests cannot show in the answer.
+func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
+	if skip == nil || !skip(id) {
+		top.Offer(id, score)
+	}
+}
+
 // f64Codec scores the float64 rows directly with mat.Dot.
 type f64Codec struct{}
 
 func (f64Codec) encode(*mat.Dense, *Codes, []int) Codes { return Codes{} }
 func (f64Codec) prepare(pq *query, q []float64)         { pq.q = q }
 func (f64Codec) final() bool                            { return true }
+func (f64Codec) rowBytes(dim int) int                   { return 8 * dim }
 
 func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 	for j := s.lo; j < s.hi; j++ {
-		id := s.id(j)
-		if s.skip != nil && s.skip(id) {
-			continue
+		score := mat.Dot(pq.q, b.rows.Row(j))
+		if id := s.id(j); top.Admits(id, score) {
+			keep(top, s.skip, id, score)
 		}
-		top.Offer(id, mat.Dot(pq.q, b.rows.Row(j)))
+	}
+}
+
+func (f64Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) {
+	q0, q1, q2, q3 := pqs[0].q, pqs[1].q, pqs[2].q, pqs[3].q
+	for j := s.lo; j < s.hi; j++ {
+		var scores [4]float64
+		scores[0], scores[1], scores[2], scores[3] = mat.Dot4(q0, q1, q2, q3, b.rows.Row(j))
+		id := s.id(j)
+		for i, top := range tops {
+			if top.Admits(id, scores[i]) {
+				keep(top, skips[i], id, scores[i])
+			}
+		}
 	}
 }

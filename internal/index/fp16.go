@@ -201,6 +201,7 @@ type f16Codec struct{}
 
 func (f16Codec) prepare(pq *query, q []float64) { pq.q = q }
 func (f16Codec) final() bool                    { return true }
+func (f16Codec) rowBytes(dim int) int           { return 2 * dim }
 
 func (f16Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
 	if prev == nil {
@@ -217,10 +218,9 @@ func (f16Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
 func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 	dim := len(pq.q)
 	for j := s.lo; j < s.hi; j++ {
-		id := s.id(j)
-		if s.skip != nil && s.skip(id) {
-			continue
+		score := dotFP16(pq.q, b.F16[j*dim:(j+1)*dim])
+		if id := s.id(j); top.Admits(id, score) {
+			keep(top, s.skip, id, score)
 		}
-		top.Offer(id, dotFP16(pq.q, b.F16[j*dim:(j+1)*dim]))
 	}
 }

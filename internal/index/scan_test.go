@@ -1,0 +1,145 @@
+package index
+
+import (
+	"fmt"
+	"testing"
+
+	"pane/internal/core"
+	"pane/internal/mat"
+)
+
+// batchVsAlone answers qs together and one by one over tables and
+// requires identical results, member by member.
+func batchVsAlone(t *testing.T, label string, tables []*Table, qs []BatchQuery) [][]core.Scored {
+	t.Helper()
+	together := make([][]core.Scored, len(qs))
+	SearchBatch(tables, qs, together)
+	for i, q := range qs {
+		var alone [1][]core.Scored
+		SearchBatch(tables, []BatchQuery{q}, alone[:])
+		if !sameScored(together[i], alone[0]) {
+			t.Fatalf("%s member %d:\nin the batch %v\nalone        %v", label, i, together[i], alone[0])
+		}
+	}
+	return together
+}
+
+// TestSearchBatchTileBoundaries walks row counts on both sides of a tile
+// edge, under every codec and both layouts: a member's answer must not
+// depend on where the tiles fall, and a skip that removes the member's
+// best candidate must remove it from that member only.
+func TestSearchBatchTileBoundaries(t *testing.T) {
+	const dim, members = 8, 5
+	queries := mixture(members, dim, 4, 71)
+	for c := Codec(0); c < NumCodecs; c++ {
+		tile := tileBytes / codecs[c].rowBytes(dim)
+		for _, n := range []int{1, tile - 1, tile, tile + 1, 2*tile + 1} {
+			data := mixture(n, dim, 4, int64(72+n))
+			// The rows on either side of the first tile edge are planted as
+			// some member's clear winner, so a row lost at the edge shows.
+			for _, r := range []int{tile - 1, tile} {
+				if r < n {
+					for j, v := range queries.Row(r % members) {
+						data.Row(r)[j] = 3 * v
+					}
+				}
+			}
+			flatCell := NewExact(data, 1).Encode(c, 0)
+			for _, tab := range []*Table{flatCell, BuildIVF(data, IVFConfig{NList: 3, NProbe: 2, Seed: 1}).Encode(c, 0)} {
+				label := fmt.Sprintf("%s n=%d", tab.Kind(), n)
+				qs := make([]BatchQuery, members)
+				for i := range qs {
+					qs[i] = BatchQuery{Q: queries.Row(i), K: 3}
+				}
+				plain := batchVsAlone(t, label, []*Table{tab}, qs)
+				// Member 0 now skips its winner; the others keep theirs.
+				winner := plain[0][0].ID
+				qs[0].Opt.Skip = func(id int) bool { return id == winner }
+				skipped := batchVsAlone(t, label+" skip", []*Table{tab}, qs)
+				for _, s := range skipped[0] {
+					if s.ID == winner {
+						t.Fatalf("%s: skipped id %d answered", label, winner)
+					}
+				}
+				for i := 1; i < members; i++ {
+					if !sameScored(skipped[i], plain[i]) {
+						t.Fatalf("%s: member %d changed when member 0 skipped", label, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchBatchUnitsAndBlocks covers the two other cuts: row ranges
+// (shards × threads, past minParallelRows) and query blocks (a batch
+// wider than queryBlock makes a second pass). Flat cells answer alike at
+// every partition, so the unsharded single-threaded table is the oracle.
+func TestSearchBatchUnitsAndBlocks(t *testing.T) {
+	const dim = 6
+	data := mixture(3*minParallelRows+17, dim, 12, 81)
+	queries := mixture(queryBlock+3, dim, 12, 82)
+	qs := make([]BatchQuery, queries.Rows)
+	for i := range qs {
+		self := i * 31
+		qs[i] = BatchQuery{Q: queries.Row(i), K: 1 + i%12, Opt: Options{NProbe: i % 5, Skip: func(id int) bool { return id == self }}}
+	}
+	qs[7].K = 0 // answered nil, scans nothing
+	for c := Codec(0); c < NumCodecs; c++ {
+		whole := NewExact(data, 1).Encode(c, 0)
+		want := make([][]core.Scored, len(qs))
+		for i, q := range qs {
+			want[i] = whole.Search(q.Q, q.K, q.Opt)
+		}
+		if want[7] != nil {
+			t.Fatalf("k=0 answered %v", want[7])
+		}
+		for _, shards := range []int{1, 2, 3} {
+			for _, threads := range []int{1, 3} {
+				var flatTabs, ivfTabs []*Table
+				for _, r := range mat.SplitRanges(data.Rows, shards) {
+					rows := data.RowSlice(r[0], r[1])
+					flatTabs = append(flatTabs, NewExact(rows, threads).Encode(c, 0).Shift(r[0]))
+					ivfTabs = append(ivfTabs, BuildIVF(rows, IVFConfig{NList: 5, Seed: 2, Threads: threads}).Encode(c, 0).Shift(r[0]))
+				}
+				label := fmt.Sprintf("%s shards=%d threads=%d", whole.Kind(), shards, threads)
+				if units := flatTabs[0].plan(nil, make([]member, 2)); shards == 1 && len(units) != threads {
+					t.Fatalf("%s: %d units, the thread split did not engage", label, len(units))
+				}
+				got := batchVsAlone(t, label, flatTabs, qs)
+				for i := range qs {
+					if !sameScored(got[i], want[i]) {
+						t.Fatalf("%s member %d:\nsharded batch %v\nunsharded     %v", label, i, got[i], want[i])
+					}
+				}
+				batchVsAlone(t, label+" inverted", ivfTabs, qs)
+			}
+		}
+	}
+}
+
+// TestSearchBatchStats pins the work counters: a batch scores every
+// (member, row) pair its members would score alone, and walks the
+// encoded bytes once.
+func TestSearchBatchStats(t *testing.T) {
+	const n, dim, members = 1000, 16, 7
+	data := mixture(n, dim, 4, 91)
+	queries := mixture(members, dim, 4, 92)
+	qs := make([]BatchQuery, members)
+	for i := range qs {
+		qs[i] = BatchQuery{Q: queries.Row(i), K: 4}
+	}
+	out := make([][]core.Scored, members)
+	for c := Codec(0); c < NumCodecs; c++ {
+		tab := NewExact(data, 1).Encode(c, 0)
+		rowBytes := int64(codecs[c].rowBytes(dim))
+		st := SearchBatch([]*Table{tab}, qs, out)
+		if st.RowsScored != members*n || st.BytesStreamed != n*rowBytes {
+			t.Fatalf("%s batch: %d rows over %d bytes", tab.Kind(), st.RowsScored, st.BytesStreamed)
+		}
+		st = SearchBatch([]*Table{tab}, qs[:1], out)
+		if st.RowsScored != n || st.BytesStreamed != n*rowBytes {
+			t.Fatalf("%s single: %d rows over %d bytes", tab.Kind(), st.RowsScored, st.BytesStreamed)
+		}
+	}
+}

@@ -24,7 +24,7 @@ import (
 // representation of a row independent of every other row — which is what
 // keeps sharded serving honest: a contiguous row shard quantizes to
 // exactly the row slice of the whole matrix's quantization, so a sharded
-// fan-out (see MergePartials) returns bit-for-bit the unsharded answer.
+// fan-out (see mergePartials) returns bit-for-bit the unsharded answer.
 // A per-column scheme would tie every code to global column statistics
 // and break that equality the moment shards rebuild independently.
 
@@ -186,6 +186,9 @@ type i8Codec struct{}
 
 func (i8Codec) final() bool { return false }
 
+// rowBytes counts the codes and the row's (scale, base) pair.
+func (i8Codec) rowBytes(dim int) int { return dim + 8 }
+
 func (i8Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
 	if prev == nil {
 		codes, scale, base := QuantizeRows(rows)
@@ -215,11 +218,10 @@ func (i8Codec) prepare(pq *query, q []float64) {
 func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 	dim := len(pq.i8)
 	for j := s.lo; j < s.hi; j++ {
-		id := s.id(j)
-		if s.skip != nil && s.skip(id) {
-			continue
-		}
 		d := float64(dotI8(pq.i8, b.I8[j*dim:(j+1)*dim]))
-		top.Offer(id, float64(b.Base[j])*pq.sum+float64(b.Scale[j])*pq.step*d)
+		score := float64(b.Base[j])*pq.sum + float64(b.Scale[j])*pq.step*d
+		if id := s.id(j); top.Admits(id, score) {
+			keep(top, s.skip, id, score)
+		}
 	}
 }

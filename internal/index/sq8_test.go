@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pane/internal/core"
 	"pane/internal/mat"
 )
 
@@ -128,7 +129,7 @@ func TestSQ8DefaultRerankRecall(t *testing.T) {
 // quantized tier quantizes per row: a sharded fan-out over row slices of
 // the matrix — each slice quantized independently, searched with the
 // PARTIAL default re-rank window — must return bit-for-bit the unsharded
-// answer, because the survivor cut is applied globally in MergePartials.
+// answer, because the survivor cut is applied globally in mergePartials.
 func TestShardedSQ8EqualsUnsharded(t *testing.T) {
 	data := mixture(3000, 8, 10, 51)
 	queries := mixture(40, 8, 10, 52)
@@ -158,24 +159,33 @@ func TestShardedSQ8SurvivorCutIsGlobal(t *testing.T) {
 	data := mixture(1000, 8, 6, 61)
 	q := mixture(1, 8, 6, 62).Row(0)
 	whole := NewSQ8(data, 0, 1)
-	subs := []Index{
-		Shift(NewSQ8(data.RowSlice(0, 400), 0, 1), 0),
-		Shift(NewSQ8(data.RowSlice(400, 1000), 0, 1), 400),
+	subs := []*Table{
+		NewSQ8(data.RowSlice(0, 400), 0, 1),
+		NewSQ8(data.RowSlice(400, 1000), 0, 1).Shift(400),
 	}
-	mult := RerankMult(subs[0])
+	mult := subs[0].Rerank()
 	if mult != DefaultRerank {
 		t.Fatalf("resolved mult %d", mult)
 	}
 	k := 10
-	parts := []Partial{
-		PartialSearch(subs[0], q, k, mult, Options{}),
-		PartialSearch(subs[1], q, k, mult, Options{}),
+	ms := []member{{k: k}}
+	codecs[I8].prepare(&ms[0].query, q)
+	s := &scratch{ms: ms, mult: mult, tops: make([]*core.TopK, len(subs)), parts: make([]partial, len(subs))}
+	for _, sub := range subs {
+		s.units = sub.plan(s.units, ms)
 	}
+	if len(s.units) != len(subs) {
+		t.Fatalf("%d units for %d single-threaded shards", len(s.units), len(subs))
+	}
+	for u := range s.units {
+		s.run(u)
+	}
+	parts := s.parts
 	if got, want := len(parts[0].quant)+len(parts[1].quant), 2*mult*k; got != want {
 		t.Fatalf("survivor windows: %d candidates, want %d", got, want)
 	}
-	if !sameScored(MergePartials(parts, k, mult), whole.Search(q, k, Options{})) {
-		t.Fatal("MergePartials diverges from the unsharded search")
+	if !sameScored(mergePartials(parts, k, mult), whole.Search(q, k, Options{})) {
+		t.Fatal("mergePartials diverges from the unsharded search")
 	}
 }
 
@@ -219,8 +229,9 @@ func TestQuantizedDegenerateInputs(t *testing.T) {
 func TestQuantizedInterfaceCompliance(t *testing.T) {
 	var _ Index = NewSQ8(mat.New(1, 1), 0, 1)
 	var _ Index = NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)
-	if approximate(NewSQ8(mat.New(1, 1), 0, 1)) == nil ||
-		approximate(NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)) == nil {
+	reranks := func(x Index) bool { return x.(*Table).Rerank() > 0 }
+	if !reranks(NewSQ8(mat.New(1, 1), 0, 1)) ||
+		!reranks(NewIVFSQ(BuildIVF(mat.New(1, 1), IVFConfig{}), mat.New(1, 1), 0)) {
 		t.Fatal("int8 cells must take the two-phase re-rank path")
 	}
 	sq := NewSQ8(mat.New(5, 3), 2, 2)
@@ -233,10 +244,10 @@ func TestQuantizedInterfaceCompliance(t *testing.T) {
 	}
 	// A shifted quantized index keeps the quantized contract; a shifted
 	// exact one must NOT acquire it.
-	if approximate(Shift(sq, 3)) == nil {
+	if !reranks(Shift(sq, 3)) {
 		t.Fatal("shifted sq8 lost the quantized contract")
 	}
-	if approximate(Shift(NewExact(mat.New(5, 3), 1), 3)) != nil {
+	if reranks(Shift(NewExact(mat.New(5, 3), 1), 3)) {
 		t.Fatal("shifted exact claims the quantized contract")
 	}
 	// dotI8 covers every unroll tail exactly.

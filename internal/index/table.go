@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sync"
 
 	"pane/internal/core"
 	"pane/internal/mat"
@@ -266,28 +265,14 @@ func (t *Table) over(data *mat.Dense, lay layout, dirty []int, reuse bool) *Tabl
 	return &out
 }
 
-// Search is the one search: clamp k, scan the blocks the layout visits
-// under the codec's score, and — when that score is approximate — re-rank
-// the rerank*k best survivors exactly. See Index for the result contract.
+// Search is SearchBatch over this one table and this one query: clamp k,
+// scan the blocks the layout visits under the codec's score, and — when
+// that score is approximate — re-rank the rerank*k best survivors exactly.
+// See Index for the result contract.
 func (t *Table) Search(q []float64, k int, opt Options) []core.Scored {
-	n := t.data.Rows
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		return nil
-	}
-	if codecs[t.codec].final() {
-		return t.scan(q, k, opt)
-	}
-	surv := t.survivors(q, rerankBudget(k, t.rerank, n), opt)
-	final := core.GetTopK(k)
-	for _, c := range surv {
-		final.Offer(c.id, c.exact)
-	}
-	res := final.Take()
-	core.PutTopK(final)
-	return res
+	var out [1][]core.Scored
+	SearchBatch([]*Table{t}, []BatchQuery{{Q: q, K: k, Opt: opt}}, out[:])
+	return out[0]
 }
 
 // approxScored is one survivor of an approximate scan: the candidate id,
@@ -307,130 +292,4 @@ func rerankBudget(k, mult, n int) int {
 		m = n
 	}
 	return m
-}
-
-// survivors returns the m best candidates by codec score with their exact
-// scores attached — the same mat.Dot the float64 codec scans with, so a
-// survivor's re-ranked score is bit-identical to its exact-cell score.
-func (t *Table) survivors(q []float64, m int, opt Options) []approxScored {
-	approx := t.scan(q, m, opt)
-	out := make([]approxScored, len(approx))
-	for i, a := range approx {
-		out[i] = approxScored{id: a.ID, approx: a.Score, exact: mat.Dot(q, t.data.Row(a.ID-t.base))}
-	}
-	return out
-}
-
-// minParallelRows is the per-worker row budget below which goroutine
-// fan-out costs more than the scan it parallelizes.
-const minParallelRows = 2048
-
-// scan returns the m best candidates by codec score among the rows the
-// layout visits for q. The fan-out is over row-weighted groups of block
-// segments: splitting by visited ROW count (not block count) keeps
-// workers balanced when list sizes are skewed — one huge cluster cannot
-// serialize the search behind a single goroutine — and a segment boundary
-// may fall inside a block. Workers keep private accumulators merged under
-// core.Better, so the answer is independent of the worker count.
-func (t *Table) scan(q []float64, m int, opt Options) []core.Scored {
-	if m < 1 {
-		return nil
-	}
-	pq := queryPool.Get().(*query)
-	defer queryPool.Put(pq)
-	codecs[t.codec].prepare(pq, q)
-	visit := t.lay.probe(q, opt.NProbe)
-	size := func(b int) int { return t.blocks[b].rows.Rows }
-	rows := 0
-	for _, v := range visit {
-		rows += size(v.ID)
-	}
-	nb := t.threads
-	if lim := rows / minParallelRows; nb > lim {
-		nb = lim
-	}
-	if nb <= 1 {
-		top := core.GetTopK(m)
-		for _, v := range visit {
-			t.scanSpan(top, pq, v.ID, 0, size(v.ID), opt.Skip)
-		}
-		res := top.Take()
-		core.PutTopK(top)
-		return res
-	}
-	groups := probeGroups(visit, size, rows, nb)
-	return mergeSearch(m, len(groups), func(top *core.TopK, g int) {
-		for _, seg := range groups[g] {
-			t.scanSpan(top, pq, seg.list, seg.lo, seg.hi, opt.Skip)
-		}
-	})
-}
-
-// scanSpan offers rows [lo, hi) of block b to top: the one place a search
-// crosses into the codec, once per contiguous row range.
-func (t *Table) scanSpan(top *core.TopK, pq *query, b, lo, hi int, skip func(int) bool) {
-	_, ids := t.lay.block(b)
-	codecs[t.codec].scan(top, &t.blocks[b], pq, span{lo: lo, hi: hi, ids: ids, base: t.base, skip: skip})
-}
-
-// probeSeg is a contiguous row range [lo, hi) of one block.
-type probeSeg struct {
-	list, lo, hi int
-}
-
-// probeGroups packs the visited blocks' rows into at most nb groups of
-// near-equal row count, splitting within a block where a boundary falls.
-func probeGroups(lists []core.Scored, size func(int) int, totalRows, nb int) [][]probeSeg {
-	target := (totalRows + nb - 1) / nb
-	groups := make([][]probeSeg, 0, nb)
-	var cur []probeSeg
-	acc := 0
-	for _, l := range lists {
-		sz := size(l.ID)
-		for pos := 0; pos < sz; {
-			take := target - acc
-			if rem := sz - pos; take > rem {
-				take = rem
-			}
-			cur = append(cur, probeSeg{list: l.ID, lo: pos, hi: pos + take})
-			pos += take
-			acc += take
-			if acc == target {
-				groups = append(groups, cur)
-				cur, acc = nil, 0
-			}
-		}
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
-}
-
-// mergeSearch runs scan for each of n work units on its own goroutine
-// with a private top-k accumulator, and merges the partial results under
-// core.Better's total order — so the answer is identical for every n.
-func mergeSearch(k, n int, scan func(top *core.TopK, unit int)) []core.Scored {
-	parts := make([][]core.Scored, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			top := core.GetTopK(k)
-			scan(top, i)
-			parts[i] = top.Take()
-			core.PutTopK(top)
-		}(i)
-	}
-	wg.Wait()
-	final := core.GetTopK(k)
-	for _, p := range parts {
-		for _, s := range p {
-			final.Offer(s.ID, s.Score)
-		}
-	}
-	res := final.Take()
-	core.PutTopK(final)
-	return res
 }

@@ -34,7 +34,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (f *family) write(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
+	typ := f.kind
+	if typ == kindCountHistogram {
+		typ = kindHistogram // same exposition, boundaries in counts
+	}
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, typ); err != nil {
 		return err
 	}
 	m := *f.series.Load()
@@ -59,7 +63,7 @@ func (s *series) write(w io.Writer, name, kind string) error {
 	case kindGauge:
 		_, err := fmt.Fprintf(w, "%s %s\n", seriesName(name, s.labels), formatFloat(s.g.Value()))
 		return err
-	case kindHistogram:
+	case kindHistogram, kindCountHistogram:
 		b, total := s.h.snapshot()
 		var cum uint64
 		for i := 0; i < numBuckets; i++ {
@@ -75,7 +79,7 @@ func (s *series) write(w io.Writer, name, kind string) error {
 			}
 			le := "+Inf"
 			if i < numBuckets-1 {
-				le = formatFloat(bucketUpperSeconds(i))
+				le = formatFloat(s.h.upper(i))
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", joinLabels(s.labels, `le="`+le+`"`)), cum); err != nil {
 				return err
@@ -153,6 +157,13 @@ func (r *Registry) Snapshot() map[string]any {
 					"p50_ms":      sum.P50,
 					"p95_ms":      sum.P95,
 					"p99_ms":      sum.P99,
+				}
+			case kindCountHistogram:
+				out[key] = map[string]any{
+					"count": s.h.Count(),
+					"sum":   s.h.Sum(),
+					"p50":   s.h.Quantile(0.50),
+					"p99":   s.h.Quantile(0.99),
 				}
 			}
 		}

@@ -23,6 +23,11 @@ func testRegistry() *Registry {
 	h.Observe(500 * time.Microsecond)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(time.Minute) // +Inf bucket
+	// A count histogram: the same buckets read as sizes, not seconds.
+	sizes := r.CountHistogram("pane_test_batch_queries", "Queries per batch.")
+	for _, n := range []int{1, 32, 33} {
+		sizes.ObserveCount(n)
+	}
 	// Values needing escapes must render as valid exposition.
 	r.Counter("pane_test_escapes_total", "Help with \\ and\nnewline.", L("v", "a\"b\\c\nd")).Inc()
 	return r
@@ -86,6 +91,13 @@ func TestExpositionLint(t *testing.T) {
 		`pane_test_requests_total{code="200",route="/a"} 3`,
 		`pane_test_requests_total{code="500",route="/b"} 1`,
 		`pane_test_inflight 2`,
+		"# TYPE pane_test_batch_queries histogram",
+		`pane_test_batch_queries_bucket{le="1"} 1`,
+		`pane_test_batch_queries_bucket{le="32"} 2`,
+		`pane_test_batch_queries_bucket{le="64"} 3`,
+		`pane_test_batch_queries_bucket{le="+Inf"} 3`,
+		`pane_test_batch_queries_sum 66`,
+		`pane_test_batch_queries_count 3`,
 		`pane_test_escapes_total{v="a\"b\\c\nd"} 1`,
 		"# HELP pane_test_escapes_total Help with \\\\ and\\nnewline.",
 	} {
@@ -182,5 +194,12 @@ func TestSnapshot(t *testing.T) {
 	}
 	if h["sum_seconds"].(float64) < 60 {
 		t.Fatalf("snapshot histogram sum %v lost the 60s observation", h["sum_seconds"])
+	}
+	sizes, ok := snap["pane_test_batch_queries"].(map[string]any)
+	if !ok || sizes["count"].(uint64) != 3 || sizes["sum"].(float64) != 66 {
+		t.Fatalf("snapshot count histogram = %v, want 3 observations summing to 66", sizes)
+	}
+	if p50 := sizes["p50"].(float64); p50 <= 1 || p50 > 32 {
+		t.Fatalf("snapshot count histogram p50 = %v, want within the (1, 32] bucket", p50)
 	}
 }

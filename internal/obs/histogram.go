@@ -31,11 +31,19 @@ type Histogram struct {
 	buckets [numBuckets]atomic.Uint64
 	sumNs   atomic.Int64
 	count   atomic.Uint64
+	// perUnit is how many recorded units make one exposed unit: 1e9 for a
+	// latency histogram (nanoseconds in, seconds out), 2^minBucketExp for
+	// a count histogram, whose boundaries are therefore 1, 2, 4, … 2^24.
+	perUnit float64
 }
 
 // NewHistogram returns a histogram usable standalone (benchexp records
 // per-query latencies into one without any registry).
-func NewHistogram() *Histogram { return &Histogram{} }
+func NewHistogram() *Histogram { return &Histogram{perUnit: 1e9} }
+
+// NewCountHistogram returns a histogram of sizes rather than durations
+// (queries per batch): the same power-of-two buckets, read as counts.
+func NewCountHistogram() *Histogram { return &Histogram{perUnit: 1 << minBucketExp} }
 
 // bucketIndex maps a duration in nanoseconds to its bucket: the first
 // bucket whose upper bound 2^(minBucketExp+i) is ≥ ns. Values at or
@@ -53,13 +61,13 @@ func bucketIndex(ns int64) int {
 	return i
 }
 
-// bucketUpperSeconds returns bucket i's inclusive upper bound in
-// seconds; the last bucket is +Inf.
-func bucketUpperSeconds(i int) float64 {
+// upper returns bucket i's inclusive upper bound in the histogram's
+// exposed unit (seconds, or counts); the last bucket is +Inf.
+func (h *Histogram) upper(i int) float64 {
 	if i == numBuckets-1 {
 		return math.Inf(1)
 	}
-	return float64(int64(1)<<(minBucketExp+i)) / 1e9
+	return float64(int64(1)<<(minBucketExp+i)) / h.perUnit
 }
 
 // Observe records one duration. Negative durations clamp to zero
@@ -74,6 +82,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 }
 
+// ObserveCount records one size into a count histogram.
+func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) << minBucketExp) }
+
 // ObserveSeconds records a duration given in seconds.
 func (h *Histogram) ObserveSeconds(s float64) {
 	h.Observe(time.Duration(s * 1e9))
@@ -82,8 +93,9 @@ func (h *Histogram) ObserveSeconds(s float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of observed durations in seconds.
-func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / 1e9 }
+// Sum returns the sum of observed durations in seconds (of observed
+// sizes, for a count histogram).
+func (h *Histogram) Sum() float64 { return float64(h.sumNs.Load()) / h.perUnit }
 
 // snapshot copies the bucket counts once so quantile math runs on a
 // consistent-enough view (each bucket is individually consistent; the
@@ -97,7 +109,7 @@ func (h *Histogram) snapshot() (b [numBuckets]uint64, total uint64) {
 }
 
 // Quantile returns an estimate of the q-th quantile (0 ≤ q ≤ 1) in
-// seconds, interpolating linearly within the target bucket. Returns 0
+// seconds (in counts, for a count histogram), interpolating linearly within the target bucket. Returns 0
 // when the histogram is empty. Observations in the +Inf bucket report
 // the last finite boundary — the estimate is a floor there, like
 // Prometheus's histogram_quantile.
@@ -123,13 +135,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 			continue
 		}
 		if i == numBuckets-1 {
-			return bucketUpperSeconds(numBuckets - 2)
+			return h.upper(numBuckets - 2)
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = bucketUpperSeconds(i - 1)
+			lo = h.upper(i - 1)
 		}
-		hi := bucketUpperSeconds(i)
+		hi := h.upper(i)
 		frac := 0.0
 		if b[i] > 0 {
 			frac = (rank - prev) / float64(b[i])
@@ -141,7 +153,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		return lo + (hi-lo)*frac
 	}
-	return bucketUpperSeconds(numBuckets - 2)
+	return h.upper(numBuckets - 2)
 }
 
 // LatencySummary is the p50/p95/p99 triple benchexp embeds in its JSON

@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// bucketUpperSeconds is a latency histogram's bucket bound, in seconds.
+func bucketUpperSeconds(i int) float64 { return NewHistogram().upper(i) }
+
 // TestBucketBoundaries is the boundary property test: a duration exactly
 // on a power-of-two boundary lands in the bucket whose upper bound IS
 // that boundary (le is inclusive), and one nanosecond more lands in the

@@ -57,6 +57,9 @@ const (
 	kindCounter   = "counter"
 	kindGauge     = "gauge"
 	kindHistogram = "histogram"
+	// kindCountHistogram is exposed as TYPE histogram; it is a kind of its
+	// own so one name cannot be both a latency and a count family.
+	kindCountHistogram = "count_histogram"
 )
 
 // family is one metric family: a name, HELP/TYPE metadata fixed at first
@@ -136,6 +139,12 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return r.lookup(name, help, kindHistogram, labels).h
 }
 
+// CountHistogram returns the canonical count histogram for name+labels
+// (see NewCountHistogram); see Counter for the registration rules.
+func (r *Registry) CountHistogram(name, help string, labels ...Label) *Histogram {
+	return r.lookup(name, help, kindCountHistogram, labels).h
+}
+
 func (r *Registry) lookup(name, help, kind string, labels []Label) *series {
 	f := r.family(name, help, kind)
 	key := labelKey(labels)
@@ -188,6 +197,8 @@ func (f *family) register(key, kind string) *series {
 		s.g = &Gauge{}
 	case kindHistogram:
 		s.h = NewHistogram()
+	case kindCountHistogram:
+		s.h = NewCountHistogram()
 	}
 	next := make(map[string]*series, len(old)+1)
 	for k, v := range old {

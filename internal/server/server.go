@@ -20,8 +20,9 @@
 // candidate count are clamped. With a sharded serving index, top-k
 // queries fan out across the shards in parallel and /healthz reports the
 // per-shard index generations ("shard_versions") next to the model
-// version; a batch's top-k queries are dispatched shard-first (one pass
-// per shard over the whole batch) to amortize fan-out overhead.
+// version; a batch's top-k queries are scanned together (one pass over
+// each shard's rows for the whole batch), each answered exactly as if
+// issued alone.
 //
 // /healthz additionally exposes the delta-update pipeline's state under
 // "index": "incremental_refreshes" and "full_rebuilds" count shard build

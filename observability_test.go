@@ -125,6 +125,40 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A batch's top-k members are scanned together: one batch_scan
+	// observation and one pane_batch_queries sample of 3, and nothing added
+	// to the per-query fan-out stage, whose samples would then mix units.
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(
+		`{"queries":[{"op":"top-links","src":1,"k":5},{"op":"top-links","src":2,"k":5},{"op":"top-attrs","node":3,"k":5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	batched := scrapeMetrics(t, ts.URL)
+	for series, grew := range map[string]float64{
+		`pane_query_stage_duration_seconds_count{stage="batch_scan"}`: 1,
+		`pane_query_stage_duration_seconds_count{stage="fanout"}`:     0,
+		`pane_query_stage_duration_seconds_count{stage="merge"}`:      0,
+		`pane_batch_queries_count`:                                    1,
+		`pane_batch_queries_sum`:                                      3,
+	} {
+		if got := batched[series] - first[series]; got != grew {
+			t.Fatalf("series %s grew by %v over one 3-member batch, want %v", series, got, grew)
+		}
+	}
+	for _, series := range []string{
+		`pane_index_rows_scored_total{backend="exact"}`,
+		`pane_index_bytes_streamed_total{backend="exact"}`,
+	} {
+		if first[series] <= 0 || batched[series] <= first[series] {
+			t.Fatalf("series %s: %v before the batch, %v after", series, first[series], batched[series])
+		}
+	}
+
 	traffic(2)
 	eng.WaitForIndex()
 	second := scrapeMetrics(t, ts.URL)
