@@ -14,6 +14,7 @@ import (
 
 	"pane/internal/baselines"
 	"pane/internal/core"
+	"pane/internal/datagen"
 	"pane/internal/dataset"
 	"pane/internal/eval"
 	"pane/internal/experiments"
@@ -362,6 +363,39 @@ func BenchmarkAblationRandSVDPowerIters(b *testing.B) {
 			}
 			b.ReportMetric(relErr, "rel-err")
 		})
+	}
+}
+
+// BenchmarkQR times the thin Householder QR at the shape training spends
+// its time in: one SMGreedyInit block of the bench/ fixture (n = 30,000
+// nodes over 2 threads, sketch width k/2 + svd.Oversample = 72).
+func BenchmarkQR(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := mat.New(15000, 72)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svd.QR(a)
+	}
+}
+
+// BenchmarkPSVDCCD times the factorization half of training at the bench/
+// fixture's shape and configuration (n = 30,000, d = 100, K = 128,
+// eps = 0.25, 2 threads) — what the benchmark reports as core.svdccd_s.
+func BenchmarkPSVDCCD(b *testing.B) {
+	g, err := datagen.Generate(datagen.Config{
+		Name: "bench", N: 30000, AvgOutDeg: 8, D: 100, AttrsPer: 6, Communities: 50, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{K: 128, Alpha: 0.5, Eps: 0.25, Threads: 2, Seed: 1}
+	f, bb := core.AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), cfg.Threads)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.PSVDCCD(f, bb, cfg, cfg.Threads)
 	}
 }
 

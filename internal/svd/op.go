@@ -31,10 +31,26 @@ func (o DenseOp) Dims() (int, int) { return o.M.Rows, o.M.Cols }
 // Apply implements Op.
 func (o DenseOp) Apply(x *mat.Dense) *mat.Dense { return mat.ParMul(o.M, x, o.nb()) }
 
-// ApplyT implements Op.
+// ApplyT implements Op: a row-parallel pass over M with one partial
+// accumulator per worker, merged in worker order at the end, so every
+// output element keeps a single writer and a fixed summation order.
 func (o DenseOp) ApplyT(x *mat.Dense) *mat.Dense {
+	nb := o.nb()
+	if nb <= 1 {
+		return mat.MulAT(o.M, x)
+	}
+	ranges := mat.SplitRanges(o.M.Rows, nb)
+	parts := make([]*mat.Dense, len(ranges))
+	mat.ParallelRanges(len(ranges), len(ranges), func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			rg := ranges[w]
+			parts[w] = mat.MulAT(o.M.RowView(rg[0], rg[1]), x.RowView(rg[0], rg[1]))
+		}
+	})
 	out := mat.New(o.M.Cols, x.Cols)
-	parMulATInto(out, o.M, x, o.nb())
+	for _, p := range parts {
+		out.AddScaled(1, p)
+	}
 	return out
 }
 
@@ -45,9 +61,9 @@ func (o DenseOp) nb() int {
 	return o.NB
 }
 
-// RandSVDOp is RandSVD generalized to an implicit operator. See RandSVD
-// for the algorithm; the only difference is that every product with A or
-// Aᵀ goes through op.
+// RandSVDOp is the subspace-iteration loop behind RandSVD, for an
+// implicit operator: every product with A or Aᵀ goes through op. See
+// RandSVD for the algorithm.
 func RandSVDOp(op Op, k, q int, rng *rand.Rand, nb int) Result {
 	r, c := op.Dims()
 	p := k + Oversample

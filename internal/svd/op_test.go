@@ -50,3 +50,92 @@ func TestRandSVDOpRecoversLowRank(t *testing.T) {
 		t.Fatal("failed to recover rank-3 matrix through the operator path")
 	}
 }
+
+// randSVDDense is the dense subspace-iteration loop RandSVD carried before
+// it became the DenseOp case of RandSVDOp, kept verbatim (buffers reused,
+// the projection formed as Qᵀ·a rather than (aᵀ·Q)ᵀ) as the oracle for
+// TestRandSVDIsDenseOpCase.
+func randSVDDense(a *mat.Dense, k, q int, rng *rand.Rand, nb int) Result {
+	r, c := a.Rows, a.Cols
+	p := k + Oversample
+	if p > c {
+		p = c
+	}
+	if p > r {
+		p = r
+	}
+	if k > p {
+		k = p
+	}
+	mulATInto := func(dst, a, b *mat.Dense) {
+		if nb <= 1 {
+			dst.CopyFrom(mat.MulAT(a, b))
+			return
+		}
+		ranges := mat.SplitRanges(a.Rows, nb)
+		parts := make([]*mat.Dense, len(ranges))
+		mat.ParallelRanges(len(ranges), len(ranges), func(lo, hi int) {
+			for w := lo; w < hi; w++ {
+				rg := ranges[w]
+				parts[w] = mat.MulAT(a.RowView(rg[0], rg[1]), b.RowView(rg[0], rg[1]))
+			}
+		})
+		dst.Zero()
+		for _, p := range parts {
+			dst.AddScaled(1, p)
+		}
+	}
+	omega := mat.New(c, p)
+	for i := range omega.Data {
+		omega.Data[i] = rng.NormFloat64()
+	}
+	y := mat.New(r, p)
+	mat.ParMulInto(y, a, omega, nb)
+	qm := Orthonormalize(y)
+	z := mat.New(c, p)
+	for it := 0; it < q; it++ {
+		mulATInto(z, a, qm)
+		mat.ParMulInto(y, a, z, nb)
+		qm = Orthonormalize(y)
+	}
+	b := mat.New(p, c)
+	mulATInto(b, qm, a) // b = qmᵀ · a
+	small := Jacobi(b)
+	u := mat.ParMul(qm, small.U, nb)
+	return Result{U: u, S: small.S, V: small.V}.Truncate(k)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRandSVDIsDenseOpCase pins the merge of the two subspace-iteration
+// loops: RandSVD through DenseOp returns the bits the dedicated dense loop
+// returned, at every worker count, on tall, wide and rank-deficient input.
+func TestRandSVDIsDenseOpCase(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	inputs := map[string]*mat.Dense{
+		"tall":     randomDense(rng, 300, 40),
+		"wide":     randomDense(rng, 24, 90),
+		"low-rank": lowRank(rng, 120, 30, 5),
+	}
+	for name, a := range inputs {
+		for _, nb := range []int{1, 2, 4} {
+			for _, q := range []int{0, 2} {
+				want := randSVDDense(a, 8, q, rand.New(rand.NewSource(5)), nb)
+				got := RandSVD(a, 8, q, rand.New(rand.NewSource(5)), nb)
+				if !sameBits(got.U.Data, want.U.Data) || !sameBits(got.S, want.S) || !sameBits(got.V.Data, want.V.Data) {
+					t.Fatalf("%s nb=%d q=%d: RandSVD via DenseOp is not bit-identical to the dense loop", name, nb, q)
+				}
+			}
+		}
+	}
+}

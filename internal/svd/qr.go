@@ -15,13 +15,34 @@ import (
 // Householder reflections: a = q·r with q having orthonormal columns
 // (r x c) and rr upper triangular (c x c).
 func QR(a *mat.Dense) (q, rr *mat.Dense) {
+	w, betas := householder(a)
+	n := a.Cols
+	rr = mat.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			rr.Set(i, j, w.At(i, j))
+		}
+	}
+	return formQ(w, betas), rr
+}
+
+// Orthonormalize returns a matrix with orthonormal columns spanning the
+// column space of a (the Q factor of a thin QR; R is never formed).
+func Orthonormalize(a *mat.Dense) *mat.Dense {
+	return formQ(householder(a))
+}
+
+// householder reduces a copy of a to R in its upper triangle, leaving the
+// reflector vectors (v[k] = 1 implicit) below the diagonal and their
+// scalings in betas.
+func householder(a *mat.Dense) (w *mat.Dense, betas []float64) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic("svd: QR requires rows >= cols")
 	}
 	// Work on a copy; w holds the Householder vectors in its lower part.
-	w := a.Clone()
-	betas := make([]float64, n)
+	w = a.Clone()
+	betas = make([]float64, n)
 	for k := 0; k < n; k++ {
 		// Compute the Householder reflector for column k below the diagonal.
 		var norm float64
@@ -61,15 +82,14 @@ func QR(a *mat.Dense) (q, rr *mat.Dense) {
 			}
 		}
 	}
-	// Extract R.
-	rr = mat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rr.Set(i, j, w.At(i, j))
-		}
-	}
-	// Accumulate Q by applying the reflectors to the identity, in reverse.
-	q = mat.New(m, n)
+	return w, betas
+}
+
+// formQ accumulates the thin Q by applying the reflectors to the identity,
+// in reverse.
+func formQ(w *mat.Dense, betas []float64) *mat.Dense {
+	m, n := w.Rows, w.Cols
+	q := mat.New(m, n)
 	for j := 0; j < n; j++ {
 		q.Set(j, j, 1)
 	}
@@ -89,12 +109,5 @@ func QR(a *mat.Dense) (q, rr *mat.Dense) {
 			}
 		}
 	}
-	return q, rr
-}
-
-// Orthonormalize returns a matrix with orthonormal columns spanning the
-// column space of a (the Q factor of a thin QR).
-func Orthonormalize(a *mat.Dense) *mat.Dense {
-	q, _ := QR(a)
 	return q
 }

@@ -25,76 +25,7 @@ const Oversample = 8
 //
 // nb parallelizes the dense products over row blocks; results for a given
 // seed are identical regardless of nb (each output row has one writer).
+// It is the DenseOp case of RandSVDOp, which holds the one loop.
 func RandSVD(a *mat.Dense, k, q int, rng *rand.Rand, nb int) Result {
-	r, c := a.Rows, a.Cols
-	p := k + Oversample
-	if p > c {
-		p = c
-	}
-	if p > r {
-		p = r
-	}
-	if k > p {
-		k = p
-	}
-	// Sketch.
-	omega := mat.New(c, p)
-	for i := range omega.Data {
-		omega.Data[i] = rng.NormFloat64()
-	}
-	y := mat.New(r, p)
-	parMulInto(y, a, omega, nb)
-	qm := Orthonormalize(y)
-	// Power iterations sharpen the subspace toward the top singular vectors.
-	z := mat.New(c, p)
-	for it := 0; it < q; it++ {
-		parMulATInto(z, a, qm, nb)
-		parMulInto(y, a, z, nb)
-		qm = Orthonormalize(y)
-	}
-	// Project and decompose the small matrix exactly.
-	b := mat.New(p, c)
-	parMulATIntoT(b, qm, a, nb) // b = qmᵀ · a
-	small := Jacobi(b)
-	u := mat.ParMul(qm, small.U, nb)
-	return Result{U: u, S: small.S, V: small.V}.Truncate(k)
-}
-
-// parMulInto computes dst = a*b with nb workers.
-func parMulInto(dst, a, b *mat.Dense, nb int) {
-	mat.ParMulInto(dst, a, b, nb)
-}
-
-// parMulATInto computes dst = aᵀ*b (c x p) with nb workers over columns of
-// a. Implemented as a row-parallel pass over a with per-worker partial
-// accumulators merged at the end, to keep single-writer semantics.
-func parMulATInto(dst, a, b *mat.Dense, nb int) {
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("svd: parMulATInto shape mismatch")
-	}
-	if nb <= 1 {
-		tmp := mat.MulAT(a, b)
-		dst.CopyFrom(tmp)
-		return
-	}
-	ranges := mat.SplitRanges(a.Rows, nb)
-	parts := make([]*mat.Dense, len(ranges))
-	mat.ParallelRanges(len(ranges), len(ranges), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			rg := ranges[w]
-			av := a.RowView(rg[0], rg[1])
-			bv := b.RowView(rg[0], rg[1])
-			parts[w] = mat.MulAT(av, bv)
-		}
-	})
-	dst.Zero()
-	for _, p := range parts {
-		dst.AddScaled(1, p)
-	}
-}
-
-// parMulATIntoT computes dst = aᵀ*b where a is r x p and b is r x c, with
-// the same partial-sum strategy.
-func parMulATIntoT(dst, a, b *mat.Dense, nb int) {
-	parMulATInto(dst, a, b, nb)
+	return RandSVDOp(DenseOp{M: a, NB: nb}, k, q, rng, nb)
 }
