@@ -58,16 +58,11 @@ func main() {
 
 	cfg := core.Config{K: *k, Alpha: *alpha, Eps: *eps, Threads: *threads, Seed: *seed}
 	start := time.Now()
-	var emb *core.Embedding
-	if *threads > 1 {
-		emb, err = core.ParallelPANE(g, cfg)
-	} else {
-		emb, err = core.PANE(g, cfg)
-	}
+	emb, timing, err := core.Train(g, cfg)
 	if err != nil {
 		log.Fatalf("embedding: %v", err)
 	}
-	log.Printf("embedded in %.2fs (t=%d iterations)", time.Since(start).Seconds(), cfg.Iterations())
+	log.Printf("embedded in %.2fs (t=%d iterations): %v", time.Since(start).Seconds(), cfg.Iterations(), timing)
 
 	bundle := &store.Bundle{
 		ModelVersion: 1,

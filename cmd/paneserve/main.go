@@ -255,11 +255,17 @@ func main() {
 		cfg := core.Config{K: *k, Alpha: *alpha, Eps: *eps, Threads: *threads, Seed: *seed}
 		start := time.Now()
 		opts := append(append([]engine.Option{}, commonOpts...), indexOpts(false)...)
-		eng, err = engine.Train(g, cfg, opts...)
+		// engine.Train, taken apart so the log can say where the
+		// training time went.
+		emb, timing, err := core.Train(g, cfg)
 		if err != nil {
 			log.Fatalf("training: %v", err)
 		}
-		log.Printf("trained in %.1fs", time.Since(start).Seconds())
+		log.Printf("trained in %.2fs: %v", time.Since(start).Seconds(), timing)
+		eng, err = engine.New(g, emb, cfg, opts...)
+		if err != nil {
+			log.Fatalf("building engine: %v", err)
+		}
 		if *snapPath != "" {
 			if _, err := eng.Snapshot(*snapPath); err != nil {
 				log.Fatalf("initial snapshot: %v", err)

@@ -129,43 +129,6 @@ func RefineRowsFrom(prev *Embedding, f, b *mat.Dense, cfg Config, sweeps, nb int
 	return &e
 }
 
-// refineRows runs sweeps restricted CCD iterations over the full solver
-// state: the node phase visits only the listed node rows, the attribute
-// phase only the listed attribute rows. The phase structure (and all
-// per-row arithmetic) matches refine exactly.
-func refineRows(st *state, sweeps, nb int, nodes, attrs []int) {
-	half := st.Xf.Cols
-	for it := 0; it < sweeps; it++ {
-		yColT := st.Y.T()
-		yNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(yColT.Row(l), yColT.Row(l))
-			if s > 0 {
-				yNormInv[l] = 1 / s
-			}
-		}
-		mat.ParallelRanges(len(nodes), nb, func(lo, hi int) {
-			ccdNodeSweepRows(st, yNormInv, yColT, nodes[lo:hi])
-		})
-		xfColT := st.Xf.T()
-		xbColT := st.Xb.T()
-		xNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(xfColT.Row(l), xfColT.Row(l)) + mat.Dot(xbColT.Row(l), xbColT.Row(l))
-			if s > 0 {
-				xNormInv[l] = 1 / s
-			}
-		}
-		sfT := st.Sf.T()
-		sbT := st.Sb.T()
-		mat.ParallelRanges(len(attrs), nb, func(lo, hi int) {
-			ccdAttrSweepRows(st, xNormInv, xfColT, xbColT, sfT, sbT, attrs[lo:hi])
-		})
-		st.Sf = sfT.T()
-		st.Sb = sbT.T()
-	}
-}
-
 // refineNodeRowsGathered is the node-only fast path of RefineRowsFrom:
 // the touched rows are gathered into compact matrices, their residual
 // rows built directly (O(|Δ|·d·k), not O(n·d·k)), swept with Y fixed,
@@ -209,15 +172,14 @@ func refineNodeRowsGatheredTargets(prev *Embedding, fRows, bRows *mat.Dense, swe
 	// and norms are loop-invariant.
 	yColT := prev.Y.T()
 	yNormInv := make([]float64, half)
-	for l := 0; l < half; l++ {
-		s := mat.Dot(yColT.Row(l), yColT.Row(l))
-		if s > 0 {
-			yNormInv[l] = 1 / s
-		}
+	for l := range yNormInv {
+		yNormInv[l] = inverse(mat.Dot(yColT.Row(l), yColT.Row(l)))
 	}
 	for it := 0; it < sweeps; it++ {
 		mat.ParallelRanges(nd, nb, func(lo, hi int) {
-			ccdNodeSweep(st, yNormInv, yColT, lo, hi)
+			for j := lo; j < hi; j++ {
+				ccdNodeRow(st, yNormInv, yColT, j)
+			}
 		})
 	}
 	e := &Embedding{Xf: prev.Xf.Clone(), Xb: prev.Xb.Clone(), Y: prev.Y}

@@ -17,10 +17,12 @@ type Embedding struct {
 func (e *Embedding) K() int { return 2 * e.Xf.Cols }
 
 // state is the mutable solver state: the embeddings plus the dynamically
-// maintained residuals Sf = Xf·Yᵀ − F' and Sb = Xb·Yᵀ − B'.
+// maintained residuals Sf = Xf·Yᵀ − F' and Sb = Xb·Yᵀ − B'. svdTime is
+// where the initializer's randomized SVDs spent their time (Timing).
 type state struct {
 	Embedding
-	Sf, Sb *mat.Dense
+	Sf, Sb  *mat.Dense
+	svdTime svd.StageTime
 }
 
 // GreedyInit (Algorithm 3) seeds the solver: a randomized SVD of F' gives
@@ -40,7 +42,7 @@ func GreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 	sf.Sub(f)
 	sb := mat.ParMulBT(xb, y, nb)
 	sb.Sub(b)
-	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb}
+	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb, svdTime: res.Time}
 }
 
 // RandomInit seeds the solver with small Gaussian embeddings instead of
@@ -85,8 +87,9 @@ func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 		}
 	}
 	type blockFactor struct {
-		u *mat.Dense // (block rows) x half, already scaled by Σ
-		v *mat.Dense // d x half
+		u    *mat.Dense // (block rows) x half, already scaled by Σ
+		v    *mat.Dense // d x half
+		time svd.StageTime
 	}
 	factors := make([]blockFactor, len(blocks))
 	// Pre-draw per-block RNG seeds deterministically so the parallel
@@ -100,17 +103,26 @@ func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 			rg := blocks[w]
 			blockRng := rand.New(rand.NewSource(seeds[w]))
 			res := svd.RandSVD(f.RowView(rg[0], rg[1]), half, t, blockRng, 1)
-			factors[w] = blockFactor{u: padCols(res.UScaled(), half), v: padCols(res.V, half)}
+			factors[w] = blockFactor{u: padCols(res.UScaled(), half), v: padCols(res.V, half), time: res.Time}
 		}
 	})
 	// Merge: stack V1ᵀ..Vnbᵀ into a (nb·half) x d matrix and decompose it.
+	// The blocks ran side by side, so the slowest one is what their SVDs
+	// cost on the clock; the merge SVD below comes on top.
+	var svdTime svd.StageTime
 	stacked := make([]*mat.Dense, len(blocks))
 	for i, fac := range factors {
 		stacked[i] = fac.v.T()
+		if bt := fac.time; bt.Sketch+bt.QR+bt.Project > svdTime.Sketch+svdTime.QR+svdTime.Project {
+			svdTime = bt
+		}
 	}
 	vBig := mat.StackRows(stacked...)
 	mergeRng := rand.New(rand.NewSource(rng.Int63()))
 	merged := svd.RandSVD(vBig, half, t, mergeRng, nb)
+	svdTime.Sketch += merged.Time.Sketch
+	svdTime.QR += merged.Time.QR
+	svdTime.Project += merged.Time.Project
 	y := padCols(merged.V, half)
 	w := padCols(merged.UScaled(), half) // (nb·half) x half
 	// Stitch: Xf[Vi] = Ui · W[i·half:(i+1)·half], Xb[Vi] = B'[Vi]·Y,
@@ -135,7 +147,7 @@ func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 			sb.RowView(rg[0], rg[1]).CopyFrom(sbBlock)
 		}
 	})
-	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb}
+	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb, svdTime: svdTime}
 }
 
 // padCols widens m with zero columns up to want columns, when a truncated

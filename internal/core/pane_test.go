@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"pane/internal/graph"
@@ -267,5 +268,38 @@ func TestPANERandomInitWorseEarly(t *testing.T) {
 	}
 	if Objective(greedy, f, b) >= Objective(random, f, b) {
 		t.Fatal("greedy init not better than random at 1 CCD sweep")
+	}
+}
+
+// TestTrainReportsWhereTimeWent: Train is ParallelPANE plus a Timing whose
+// parts fit inside their totals and whose one-line form names every stage.
+func TestTrainReportsWhereTimeWent(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := testGraph(rng, 120, 12)
+	cfg := smallConfig()
+	want, err := ParallelPANE(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, tm, err := Train(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowsEqual(got.Xf.Data, want.Xf.Data) || !rowsEqual(got.Xb.Data, want.Xb.Data) || !rowsEqual(got.Y.Data, want.Y.Data) {
+		t.Fatal("Train and ParallelPANE disagree")
+	}
+	if tm.Affinity <= 0 || tm.Init <= 0 || tm.CCD <= 0 || tm.QR <= 0 || tm.CCDNode <= 0 || tm.CCDAttr <= 0 {
+		t.Fatalf("a stage took no time: %+v", tm)
+	}
+	if tm.Sketch+tm.QR+tm.Project > tm.Init || tm.CCDNode+tm.CCDAttr > tm.CCD {
+		t.Fatalf("parts exceed their totals: %+v", tm)
+	}
+	for _, stage := range []string{"affinity", "init", "sketch", "QR", "project+Jacobi", "CCD", "node", "attr"} {
+		if !strings.Contains(tm.String(), stage) {
+			t.Fatalf("%q missing from %q", stage, tm.String())
+		}
+	}
+	if _, _, err := Train(g, Config{K: 3}); err == nil {
+		t.Fatal("Train accepted an odd K")
 	}
 }

@@ -312,15 +312,7 @@ func newEngine(g *graph.Graph, emb *core.Embedding, cfg core.Config, version uin
 // Train trains a fresh model for g (parallel when cfg.Threads > 1) and
 // returns it wrapped in an Engine at version 1.
 func Train(g *graph.Graph, cfg core.Config, opts ...Option) (*Engine, error) {
-	var (
-		emb *core.Embedding
-		err error
-	)
-	if cfg.Threads > 1 {
-		emb, err = core.ParallelPANE(g, cfg)
-	} else {
-		emb, err = core.PANE(g, cfg)
-	}
+	emb, _, err := core.Train(g, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -181,7 +181,9 @@ func MulRowInto(dst []float64, a *Dense, i int, b *Dense) {
 
 // MulAT returns aᵀ*b without materializing aᵀ. a is r x c, b is r x n,
 // the result is c x n. This is the shape needed for Y-updates in CCD and
-// for projecting in RandSVD.
+// for projecting in RandSVD. Every output row accumulates its r rank-1
+// terms in ascending row order through the axpy kernel, one rounding per
+// product, so the result is the same on every build and ISA.
 func MulAT(a, b *Dense) *Dense {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulAT dimension mismatch %dx%d ᵀ* %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -195,10 +197,7 @@ func MulAT(a, b *Dense) *Dense {
 			if av == 0 {
 				continue
 			}
-			op := out.Data[p*n : (p+1)*n]
-			for j, bv := range bi {
-				op[j] += av * bv
-			}
+			axpyTo(out.Data[p*n:(p+1)*n], av, bi)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package svd
 
 import (
 	"math/rand"
+	"time"
 
 	"pane/internal/mat"
 )
@@ -76,17 +77,31 @@ func RandSVDOp(op Op, k, q int, rng *rand.Rand, nb int) Result {
 	if k > p {
 		k = p
 	}
+	var tm StageTime
+	t := time.Now()
+	lap := func(d *time.Duration) {
+		now := time.Now()
+		*d += now.Sub(t)
+		t = now
+	}
 	omega := mat.New(c, p)
 	for i := range omega.Data {
 		omega.Data[i] = rng.NormFloat64()
 	}
-	qm := Orthonormalize(op.Apply(omega))
+	y := op.Apply(omega)
+	lap(&tm.Sketch)
+	qm := Orthonormalize(y)
+	lap(&tm.QR)
 	for it := 0; it < q; it++ {
-		qm = Orthonormalize(op.Apply(op.ApplyT(qm)))
+		y = op.Apply(op.ApplyT(qm))
+		lap(&tm.Sketch)
+		qm = Orthonormalize(y)
+		lap(&tm.QR)
 	}
 	// b = qmᵀ·A = (Aᵀ·qm)ᵀ, computed through ApplyT to stay implicit.
 	bt := op.ApplyT(qm) // c x p
 	small := Jacobi(bt.T())
 	u := mat.ParMul(qm, small.U, nb)
-	return Result{U: u, S: small.S, V: small.V}.Truncate(k)
+	lap(&tm.Project)
+	return Result{U: u, S: small.S, V: small.V, Time: tm}.Truncate(k)
 }
