@@ -36,10 +36,13 @@
 // `-exp kernel` microbenchmarks the five scan kernels (float64 dot and dot4,
 // blocked GEMM, int8 dot, fp16 decode-and-accumulate) portable vs
 // dispatched at several dims, records what each op dispatched to
-// (generic/avx2/neon), and writes BENCH_kernel.json. With -baseline the
+// (generic/avx2/neon), times the training stages built on them at the
+// benchmark fixture's shape (QR, the same-flop GEMM, one CCD node and one
+// attribute half-sweep), and writes BENCH_kernel.json. With -baseline the
 // gate fails when an op the baseline ran vectorized now dispatches to
-// generic, or when a same-machine generic/dispatched speedup ratio drops
-// by more than -tolerance.
+// generic, when a same-machine generic/dispatched speedup ratio drops by
+// more than -tolerance, or when QR seconds over GEMM seconds rises by more
+// than -tolerance.
 //
 // `-exp replicate` measures the replication tier: WAL append throughput
 // under each fsync policy (always/interval/none), and how a follower

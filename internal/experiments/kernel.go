@@ -4,14 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
 	"time"
 
+	"pane/internal/core"
+	"pane/internal/datagen"
 	"pane/internal/engine"
 	"pane/internal/index"
 	"pane/internal/mat"
+	"pane/internal/svd"
 )
 
 // KernelOptions configures the compute-kernel microbenchmark of
@@ -50,6 +54,80 @@ type KernelBench struct {
 	// → generic|avx2|neon).
 	ISAs  map[string]string `json:"isas"`
 	Cells []KernelCell      `json:"cells"`
+	// Train times the factorization half of training on the same kernels;
+	// Env is where all of it was measured. Both omitempty so reports
+	// written before they existed still load (and gate nothing).
+	Train *KernelTrain `json:"train,omitempty"`
+	Env   *Env         `json:"env,omitempty"`
+}
+
+// KernelTrain is the train section of the kernel report: the stages
+// core.PSVDCCD is made of, at the one shape the end-to-end benchmark's
+// fixture hands each worker (an SMGreedyInit block of M = 15,000 nodes,
+// sketch width N = k/2 + svd.Oversample = 72, D = 100 attributes), each
+// the fastest of trainRepeats runs.
+type KernelTrain struct {
+	M int `json:"m"`
+	N int `json:"n"`
+	D int `json:"d"`
+	// QRSeconds is one thin Householder svd.QR of an M x N panel —
+	// 2·(2MN² − 2N³/3) ≈ 4MN² flops. GemmSeconds is two mat.MulAT(a, a)
+	// of the same panel, 4MN² flops through the axpy kernel: what the
+	// same arithmetic costs with no dependency between its passes.
+	QRSeconds   float64 `json:"qr_seconds"`
+	GemmSeconds float64 `json:"gemm_seconds"`
+	// One CCD node half-sweep and one attribute half-sweep over an
+	// M-node, D-attribute model with N − svd.Oversample coordinates per
+	// row, single-threaded, read off core.Train's Timing.
+	CCDNodeSeconds float64 `json:"ccd_node_seconds"`
+	CCDAttrSeconds float64 `json:"ccd_attr_seconds"`
+	// QRVsGemm is QRSeconds / GemmSeconds, a same-machine ratio and the
+	// figure CheckKernelBaseline gates: a QR that walks its panel against
+	// the memory layout costs tens of GEMMs, not a few.
+	QRVsGemm float64 `json:"qr_vs_gemm"`
+}
+
+const (
+	trainM, trainN, trainD = 15000, 72, 100
+	trainRepeats           = 3
+)
+
+// runKernelTrain measures the train section.
+func runKernelTrain(seed int64) (*KernelTrain, error) {
+	rng := rand.New(rand.NewSource(seed))
+	panel := mat.New(trainM, trainN)
+	for i := range panel.Data {
+		panel.Data[i] = rng.NormFloat64()
+	}
+	g, err := datagen.Generate(datagen.Config{
+		Name: "kernel-train", N: trainM, AvgOutDeg: 8, D: trainD, AttrsPer: 6, Communities: 50, Seed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// One sweep (CCDIters) after one power iteration, one thread, so the
+	// Timing's CCD fields are exactly one half-sweep each.
+	cfg := core.Config{K: 2 * (trainN - svd.Oversample), Alpha: 0.5, Eps: 0.25, Threads: 1, CCDIters: 1, PowerIters: 1, Seed: seed}
+	t := &KernelTrain{M: trainM, N: trainN, D: trainD,
+		QRSeconds: math.Inf(1), GemmSeconds: math.Inf(1), CCDNodeSeconds: math.Inf(1), CCDAttrSeconds: math.Inf(1)}
+	for rep := 0; rep < trainRepeats; rep++ {
+		start := time.Now()
+		_, r := svd.QR(panel)
+		t.QRSeconds = math.Min(t.QRSeconds, time.Since(start).Seconds())
+		start = time.Now()
+		gram := mat.MulAT(panel, panel)
+		gram2 := mat.MulAT(panel, panel)
+		t.GemmSeconds = math.Min(t.GemmSeconds, time.Since(start).Seconds())
+		kernelSink += r.Data[0] + gram.Data[0] + gram2.Data[0]
+		_, tm, err := core.Train(g, cfg)
+		if err != nil {
+			return nil, err
+		}
+		t.CCDNodeSeconds = math.Min(t.CCDNodeSeconds, tm.CCDNode.Seconds())
+		t.CCDAttrSeconds = math.Min(t.CCDAttrSeconds, tm.CCDAttr.Seconds())
+	}
+	t.QRVsGemm = t.QRSeconds / t.GemmSeconds
+	return t, nil
 }
 
 // kernelSink keeps the timed loops' results observable so the compiler
@@ -58,7 +136,8 @@ var kernelSink float64
 
 // RunKernel times the five scan kernels (float64 dot, its four-query
 // form, blocked GEMM, int8 dot, fp16 decode-and-accumulate) at each dim, portable vs
-// dispatched, on deterministic pseudo-random inputs. It fails (rather
+// dispatched, on deterministic pseudo-random inputs, and the training
+// stages built on them at one fixed shape (KernelTrain). It fails (rather
 // than reporting a meaningless grid) when a dispatched kernel disagrees
 // with its portable twin — the bit-identity contract the index tiers are
 // built on, checked here one more time on the bench's own inputs.
@@ -99,7 +178,11 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		}
 	}
 
-	b := &KernelBench{ISAs: engine.KernelDispatch()}
+	b := &KernelBench{ISAs: engine.KernelDispatch(), Env: CaptureEnv()}
+	var err error
+	if b.Train, err = runKernelTrain(opt.Seed); err != nil {
+		return nil, err
+	}
 	for _, d := range opt.Dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("experiments: non-positive kernel dim %d", d)
@@ -212,6 +295,12 @@ func PrintKernel(w io.Writer, b *KernelBench) {
 		fmt.Fprintf(w, "%-10s %6d %14.1f %14.1f %9.2fx %12.2f\n",
 			c.Op, c.Dim, c.GenericNsOp, c.DispatchNsOp, c.Speedup, c.DispatchGBs)
 	}
+	if t := b.Train; t != nil {
+		fmt.Fprintf(w, "\nTraining stages at m=%d n=%d d=%d (fastest of %d):\n", t.M, t.N, t.D, trainRepeats)
+		fmt.Fprintf(w, "  QR %.3fs, same-flop MulAT pair %.3fs (qr_vs_gemm %.2f); CCD node half-sweep %.3fs, attribute half-sweep %.3fs\n",
+			t.QRSeconds, t.GemmSeconds, t.QRVsGemm, t.CCDNodeSeconds, t.CCDAttrSeconds)
+	}
+	printEnv(w, b.Env)
 }
 
 // WriteKernelJSON writes the report to path as indented JSON.
@@ -237,18 +326,23 @@ func ReadKernelJSON(path string) (*KernelBench, error) {
 	return b, nil
 }
 
-// CheckKernelBaseline is the kernel-tier CI gate. Two checks:
+// CheckKernelBaseline is the kernel-tier CI gate. Three checks:
 //
 //   - Dispatch regression: an op the baseline ran vectorized (avx2/neon)
 //     that the current run dispatches to "generic" fails outright — a
 //     build-tag or CPU-detection regression silently costs more than any
 //     timing wobble, and the ratio gate below would not see it (the
 //     generic/generic ratio is a healthy-looking 1.0x).
+//
 //   - Speedup regression: per (op, dim) cell present in both reports,
 //     the same-run generic/dispatched ratio must stay within tol of the
 //     baseline's. The ratio is same-machine by construction, so the
 //     baseline's host drops out; tol is generous (CI passes 0.5) because
 //     microbenchmark ratios wobble more than end-to-end QPS.
+//
+//   - Training regression: when both reports carry a train section,
+//     qr_vs_gemm (QR seconds over same-flop GEMM seconds, lower is
+//     better) may not exceed the baseline's by more than tol.
 //
 // Cells only the baseline has (a dim the current run skipped) are
 // ignored; a baseline without SIMD (generic ISAs) gates nothing, so the
@@ -282,6 +376,10 @@ func CheckKernelBaseline(cur, base *KernelBench, tol float64) error {
 			failures = append(failures, fmt.Sprintf("%s dim=%d speedup %.2fx dropped more than %.0f%% below baseline %.2fx",
 				c.Op, c.Dim, c.Speedup, tol*100, bc.Speedup))
 		}
+	}
+	if cur.Train != nil && base.Train != nil && cur.Train.QRVsGemm > base.Train.QRVsGemm*(1+tol) {
+		failures = append(failures, fmt.Sprintf("train qr_vs_gemm %.2f rose more than %.0f%% above baseline %.2f",
+			cur.Train.QRVsGemm, tol*100, base.Train.QRVsGemm))
 	}
 	if len(failures) == 0 {
 		return nil

@@ -31,10 +31,26 @@ func TestRunKernelSmallEndToEnd(t *testing.T) {
 			t.Fatalf("ISAs missing %q: %v", op, b.ISAs)
 		}
 	}
+	// The train section: every stage timed at the fixed shape, and a
+	// kernel-backed QR within a small multiple of the same-flop GEMM (the
+	// strided one it replaced measured 40-50x).
+	tr := b.Train
+	if tr == nil || tr.M != 15000 || tr.N != 72 || tr.D != 100 {
+		t.Fatalf("train section %+v", tr)
+	}
+	if tr.QRSeconds <= 0 || tr.GemmSeconds <= 0 || tr.CCDNodeSeconds <= 0 || tr.CCDAttrSeconds <= 0 {
+		t.Fatalf("degenerate train section %+v", tr)
+	}
+	if want := tr.QRSeconds / tr.GemmSeconds; tr.QRVsGemm != want || tr.QRVsGemm > 10 {
+		t.Fatalf("qr_vs_gemm %v (QR %vs, GEMM %vs)", tr.QRVsGemm, tr.QRSeconds, tr.GemmSeconds)
+	}
+	if e := b.Env; e == nil || e.Cores < 1 || e.Go == "" {
+		t.Fatalf("env stamp %+v", b.Env)
+	}
 
 	var out bytes.Buffer
 	PrintKernel(&out, b)
-	for _, want := range []string{"Kernel dispatch:", "fp16dot", "gemm"} {
+	for _, want := range []string{"Kernel dispatch:", "fp16dot", "gemm", "qr_vs_gemm", "env:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, out.String())
 		}
@@ -48,7 +64,8 @@ func TestRunKernelSmallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Cells) != len(b.Cells) || back.ISAs["dot"] != b.ISAs["dot"] {
+	if len(back.Cells) != len(b.Cells) || back.ISAs["dot"] != b.ISAs["dot"] ||
+		back.Train == nil || *back.Train != *b.Train || back.Env == nil || back.Env.Go != b.Env.Go {
 		t.Fatalf("JSON round trip changed the report")
 	}
 	// A fresh run gates cleanly against itself at zero tolerance.
@@ -111,6 +128,27 @@ func TestCheckKernelBaselineGates(t *testing.T) {
 	genCur.Cells[0].Speedup = 0.5
 	if err := CheckKernelBaseline(genCur, genBase, 0.5); err != nil {
 		t.Fatalf("generic baseline gated: %v", err)
+	}
+
+	// The train ratio is lower-is-better: within tolerance passes, a QR
+	// that fell off the kernels fails, and a baseline (or a run) without
+	// the section gates nothing.
+	base.Train = &KernelTrain{QRSeconds: 0.06, GemmSeconds: 0.03, QRVsGemm: 2}
+	cur = kernelBench()
+	cur.Train = &KernelTrain{QRSeconds: 0.08, GemmSeconds: 0.03, QRVsGemm: 2.9}
+	if err := CheckKernelBaseline(cur, base, 0.5); err != nil {
+		t.Fatalf("in-tolerance train ratio rejected: %v", err)
+	}
+	cur.Train = &KernelTrain{QRSeconds: 1.6, GemmSeconds: 0.03, QRVsGemm: 53}
+	err = CheckKernelBaseline(cur, base, 0.5)
+	if err == nil || !strings.Contains(err.Error(), "qr_vs_gemm") {
+		t.Fatalf("strided-QR regression not caught: %v", err)
+	}
+	if err := CheckKernelBaseline(cur, kernelBench(), 0.5); err != nil {
+		t.Fatalf("baseline without a train section gated: %v", err)
+	}
+	if err := CheckKernelBaseline(kernelBench(), base, 0.5); err != nil {
+		t.Fatalf("run without a train section gated: %v", err)
 	}
 
 	if err := CheckKernelBaseline(kernelBench(), base, -1); err == nil {

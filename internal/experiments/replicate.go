@@ -86,6 +86,10 @@ type ReplicateBench struct {
 	// RecallVsLeader is the followers' mean top-10 link recall against
 	// the leader after convergence; the run fails below 0.999.
 	RecallVsLeader float64 `json:"recall_vs_leader"`
+
+	// Env is where the run was measured; omitempty so reports written
+	// before it existed still load.
+	Env *Env `json:"env,omitempty"`
 }
 
 // RunReplicate measures the replication tier. Phase one times raw WAL
@@ -128,6 +132,7 @@ func RunReplicate(opt ReplicateOptions) (*ReplicateBench, error) {
 	b := &ReplicateBench{
 		N: opt.N, D: opt.D, K: opt.K,
 		Backlog: opt.Backlog, BatchEdges: opt.BatchEdges,
+		Env: CaptureEnv(),
 	}
 
 	// Phase one: append throughput per fsync policy. The same record
@@ -313,6 +318,7 @@ func PrintReplicate(w io.Writer, b *ReplicateBench) {
 	fmt.Fprintf(w, "sync-free append speedup: %.1fx (none vs always)\n", b.SyncFreeSpeedup)
 	fmt.Fprintf(w, "catch-up: replay %.3fs (%.0f records/s) vs bundle %.3fs — crossover at %.0f records (recall %.4f)\n",
 		b.ReplaySeconds, b.ReplayRecordsPerSec, b.SnapshotSeconds, b.CrossoverRecords, b.RecallVsLeader)
+	printEnv(w, b.Env)
 }
 
 // WriteReplicateJSON writes the report to path as indented JSON.

@@ -162,6 +162,14 @@ func CaptureEnv() *Env {
 	return e
 }
 
+// printEnv renders a report's stamp, when it has one (reports written
+// before the stamp existed load without).
+func printEnv(w io.Writer, e *Env) {
+	if e != nil {
+		fmt.Fprintf(w, "\nenv: %q, %d cores, GOMAXPROCS %d, %s, kernels %v, commit %s\n", e.CPU, e.Cores, e.GOMAXPROCS, e.Go, e.Kernels, e.Commit)
+	}
+}
+
 // TopKBench is the measured exact-vs-IVF serving comparison emitted as
 // BENCH_topk.json by `benchexp -exp topk`. QPS numbers are single-stream
 // (one query at a time, as a latency-sensitive caller sees them).
@@ -605,9 +613,7 @@ func PrintTopK(w io.Writer, b *TopKBench) {
 			fmt.Fprintf(w, "%-8d %14.1f %14.1f %9.2fx %14.1f\n", p.Size, p.BatchQPS, p.SinglesQPS, p.Speedup, p.AllocsPerMember)
 		}
 	}
-	if e := b.Env; e != nil {
-		fmt.Fprintf(w, "\nenv: %q, %d cores, GOMAXPROCS %d, %s, kernels %v, commit %s\n", e.CPU, e.Cores, e.GOMAXPROCS, e.Go, e.Kernels, e.Commit)
-	}
+	printEnv(w, b.Env)
 	if len(b.Sharding) > 0 {
 		fmt.Fprintf(w, "\nShard scaling (exact, sq8, and fp16 verified bit-for-bit against S=1):\n")
 		fmt.Fprintf(w, "%-8s %14s %12s %12s %12s %12s %10s\n", "shards", "build (s)", "exact QPS", "ivf QPS", "sq8 QPS", "fp16 QPS", "recall")

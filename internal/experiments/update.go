@@ -116,6 +116,10 @@ type UpdateBench struct {
 	// the gram-corrected refresh, against a fresh index built around its
 	// own model; the run fails below 0.999.
 	AttrRecall float64 `json:"attr_recall"`
+
+	// Env is where the run was measured; omitempty so reports written
+	// before it existed still load.
+	Env *Env `json:"env,omitempty"`
 }
 
 // RunUpdate generates a community graph, trains one model, and wraps it
@@ -215,6 +219,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 	b := &UpdateBench{
 		N: g.N, Edges: g.M(), D: g.D, K: opt.K, Shards: opt.Shards,
 		TrainSeconds: trainSec, IndexBuildSeconds: buildSec,
+		Env: CaptureEnv(),
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 2))
 	for _, delta := range opt.Deltas {
@@ -464,6 +469,7 @@ func PrintUpdate(w io.Writer, b *UpdateBench) {
 		b.IncrementalRefreshes, b.FullRebuilds, b.AffinityIncremental, b.AffinityFull)
 	fmt.Fprintf(w, "attr delta: %d entries over %d attrs, full %.3fs vs incr %.3fs (gram-corrected, recall %.4f)\n",
 		b.AttrEntries, b.AttrAttrs, b.AttrFullTotalSeconds, b.AttrIncrTotalSeconds, b.AttrRecall)
+	printEnv(w, b.Env)
 }
 
 // WriteUpdateJSON writes the report to path as indented JSON.
