@@ -7,6 +7,7 @@ import (
 
 	"pane/internal/graph"
 	"pane/internal/mat"
+	"pane/internal/svd"
 )
 
 // checkGraph rejects inputs PANE cannot embed: the affinity model needs
@@ -61,14 +62,12 @@ func Train(g *graph.Graph, cfg Config) (*Embedding, Timing, error) {
 // totals; the fields under each are parts of it, and what they leave
 // over is the seeds' residual set-up and the sweeps' transposes.
 type Timing struct {
-	Affinity time.Duration // APMI / PAPMI
-	Init     time.Duration // GreedyInit / SMGreedyInit, of which:
-	Sketch   time.Duration //   products with F' and F'ᵀ
-	QR       time.Duration //   re-orthonormalizations
-	Project  time.Duration //   projection, Jacobi SVD, Q·U_B
-	CCD      time.Duration // the refinement sweeps, of which:
-	CCDNode  time.Duration //   node half-sweeps
-	CCDAttr  time.Duration //   attribute half-sweeps
+	Affinity      time.Duration // APMI / PAPMI
+	Init          time.Duration // GreedyInit / SMGreedyInit, of which:
+	svd.StageTime               //   Sketch, QR, Project of its randomized SVDs
+	CCD           time.Duration // the refinement sweeps, of which:
+	CCDNode       time.Duration //   node half-sweeps
+	CCDAttr       time.Duration //   attribute half-sweeps
 }
 
 // String renders the split on one line, in seconds.
@@ -102,7 +101,7 @@ func psvdccd(f, b *mat.Dense, cfg Config, nb int) (*Embedding, Timing) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := time.Now()
 	st := SMGreedyInit(f, b, cfg.K, cfg.powerIters(), rng, nb)
-	tm := Timing{Init: time.Since(start), Sketch: st.svdTime.Sketch, QR: st.svdTime.QR, Project: st.svdTime.Project}
+	tm := Timing{Init: time.Since(start), StageTime: st.svdTime}
 	start = time.Now()
 	tm.CCDNode, tm.CCDAttr = refine(st, cfg.ccdIters(), nb)
 	tm.CCD = time.Since(start)
