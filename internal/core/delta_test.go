@@ -108,7 +108,7 @@ func TestRefineRowsFromGatheredMatchesGeneral(t *testing.T) {
 // generalization, not a different solver.
 func TestRefineRowsFromFullDeltaMatchesRefineFrom(t *testing.T) {
 	prev, f2, b2, cfg, _ := deltaFixture(t, 50)
-	all := UpdateDelta{Nodes: seq(prev.Xf.Rows), Attrs: seq(prev.Y.Rows)}
+	all := UpdateDelta{Nodes: upTo(prev.Xf.Rows), Attrs: upTo(prev.Y.Rows)}
 	want := RefineFrom(prev, f2, b2, cfg, 2, 1)
 	got := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, all)
 	if want.Xf.MaxAbsDiff(got.Xf) != 0 || want.Xb.MaxAbsDiff(got.Xb) != 0 || want.Y.MaxAbsDiff(got.Y) != 0 {
@@ -132,7 +132,7 @@ func TestRefineRowsFromParallelMatchesSerial(t *testing.T) {
 // still improve the fit to the new targets.
 func TestRefineRowsFromLowersObjective(t *testing.T) {
 	prev, f2, b2, cfg, g2 := deltaFixture(t, 70)
-	delta := UpdateDelta{Nodes: seq(g2.N)[:10], Attrs: []int{1, 2}}
+	delta := UpdateDelta{Nodes: upTo(g2.N)[:10], Attrs: []int{1, 2}}
 	before := Objective(prev, f2, b2)
 	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
 	if after := Objective(next, f2, b2); after >= before {
@@ -181,14 +181,6 @@ func rowsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // TestRefineRowsFromRejectsMalformedDelta: the exported low-level entry

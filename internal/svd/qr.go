@@ -8,7 +8,12 @@ package svd
 import "pane/internal/mat"
 
 // qrPanel is how many consecutive reflectors are applied to a trailing row
-// while it is resident.
+// while it is resident: a row of the 15,000-row panels training factors is
+// 120 KB, so 8 reflector rows and the row they are applied to are 1.1 MB —
+// half of a 2 MB L2 — and the trailing rows stream from L3 once per 8
+// reflectors instead of once per reflector (68 → 55 ms at 15,000 x 72).
+// Each row still meets the reflectors one at a time and in the same
+// order, so the width changes no bit of the result.
 const qrPanel = 8
 
 // QR computes a thin QR factorization of a (m x n, m >= n) using
@@ -29,14 +34,14 @@ const qrPanel = 8
 //
 // Work. Factoring and forming Q cost 2·(2mn² − 2n³/3) flops, 0.31 Gflop
 // for the 15,000 x 72 panels training spends its time on. The strided walk
-// delivered that at 0.15 Gflop/s. Here reflector k streams its own
-// 8(m−k) bytes and each trailing row once per dot and twice per axpy — 24
-// bytes per 4 flops against a working copy (8.6 MB at that shape) larger
-// than L2, so the factorization runs at the kernels' memory-bound rate
-// (mat.dot_gbps; ~3 Gflop/s on the reference box), not at the GEMM rate a
-// panel-blocked compact-WY form would reach. At that rate QR is about as
-// large as each CCD half-sweep in core.PSVDCCD and no longer what training
-// waits for, so the blocked form was not built.
+// delivered that at 0.15 Gflop/s. Here every reflector application reads
+// v and the trailing row for the dot and reads both and writes the row for
+// the axpy — 40 bytes per 4 flops against a working copy (8.6 MB at that
+// shape) larger than L2 — so the factorization runs at the kernels'
+// streaming rate, about 5 Gflop/s on the reference box against 8 for
+// mat.MulInto on the same shape. That is about one CCD half-sweep
+// of core.PSVDCCD per QR and no longer what training waits for, so a
+// compact-WY form with a GEMM trailing update was not built.
 func QR(a *mat.Dense) (q, rr *mat.Dense) {
 	wt, betas := householder(a)
 	n := a.Cols
@@ -68,15 +73,14 @@ func householder(a *mat.Dense) (wt *mat.Dense, betas []float64) {
 	betas = make([]float64, n)
 	for k0 := 0; k0 < n; k0 += qrPanel {
 		k1 := min(k0+qrPanel, n)
-		for k := k0; k < k1; k++ {
-			betas[k] = reflector(wt.Row(k)[k:])
-			for j := k + 1; j < k1; j++ {
+		// Every row from the panel on takes the panel's reflectors that
+		// precede it; a row inside the panel then becomes the next one.
+		for j := k0; j < n; j++ {
+			for k := k0; k < min(j, k1); k++ {
 				reflect(betas[k], wt.Row(k)[k+1:], wt.Row(j)[k:])
 			}
-		}
-		for j := k1; j < n; j++ {
-			for k := k0; k < k1; k++ {
-				reflect(betas[k], wt.Row(k)[k+1:], wt.Row(j)[k:])
+			if j < k1 {
+				betas[j] = reflector(wt.Row(j)[j:])
 			}
 		}
 	}
@@ -118,9 +122,9 @@ func reflector(col []float64) (beta float64) {
 		sign = -1.0
 	}
 	v0 := col[0] + sign*norm
-	inv := 1 / v0
-	for i := range col[1:] {
-		col[1+i] *= inv
+	v, inv := col[1:], 1/v0
+	for i := range v {
+		v[i] *= inv
 	}
 	col[0] = -sign * norm
 	return v0 / (sign * norm)
