@@ -339,9 +339,9 @@ func BenchmarkAblationCCDIncrementalResiduals(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The full recompute a maintenance-free CCD would need after
 			// every coordinate pass.
-			sf := mat.MulBT(e.Xf, e.Y)
+			sf := mat.MulBT(e.Xf.Dense(), e.Y)
 			sf.Sub(f)
-			sb := mat.MulBT(e.Xb, e.Y)
+			sb := mat.MulBT(e.Xb.Dense(), e.Y)
 			sb.Sub(bb)
 		}
 	})

@@ -84,7 +84,7 @@ func main() {
 			suffix string
 			m      *mat.Dense
 		}{
-			{".xf", emb.Xf}, {".xb", emb.Xb}, {".y", emb.Y},
+			{".xf", emb.Xf.Dense()}, {".xb", emb.Xb.Dense()}, {".y", emb.Y},
 		} {
 			if err := writeMatrix(*textPrefix+out.suffix, out.m); err != nil {
 				log.Fatalf("writing %s: %v", *textPrefix+out.suffix, err)

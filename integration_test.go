@@ -10,6 +10,7 @@ import (
 	"pane/internal/datagen"
 	"pane/internal/eval"
 	"pane/internal/graph"
+	"pane/internal/mat"
 	"pane/internal/store"
 )
 
@@ -66,10 +67,10 @@ func TestPipelineFilesToPredictions(t *testing.T) {
 		t.Fatalf("pipeline AUC=%v AP=%v below sanity floor", auc, ap)
 	}
 	// Persist and reload the embedding; predictions must be identical.
-	if err := store.SaveDenseFile(filepath.Join(dir, "xf.bin"), emb.Xf); err != nil {
+	if err := store.SaveDenseFile(filepath.Join(dir, "xf.bin"), emb.Xf.Dense()); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveDenseFile(filepath.Join(dir, "xb.bin"), emb.Xb); err != nil {
+	if err := store.SaveDenseFile(filepath.Join(dir, "xb.bin"), emb.Xb.Dense()); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.SaveDenseFile(filepath.Join(dir, "y.bin"), emb.Y); err != nil {
@@ -87,7 +88,7 @@ func TestPipelineFilesToPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := &core.Embedding{Xf: xf, Xb: xb, Y: y}
+	reloaded := &core.Embedding{Xf: mat.Page(xf), Xb: mat.Page(xb), Y: y}
 	rs := core.NewLinkScorer(reloaded)
 	for i := 0; i < 50; i++ {
 		u, v := rng.Intn(g.N), rng.Intn(g.N)

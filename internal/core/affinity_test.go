@@ -265,13 +265,13 @@ func TestRefineRowsFromStateMatchesRefineRowsFrom(t *testing.T) {
 	} {
 		want := RefineRowsFrom(emb, f, b, cfg, 2, 2, delta)
 		got := RefineRowsFromState(s, emb, cfg, 2, 2, delta)
-		for i, v := range want.Xf.Data {
-			if got.Xf.Data[i] != v {
+		for i, v := range want.Xf.Dense().Data {
+			if got.Xf.Dense().Data[i] != v {
 				t.Fatalf("delta %+v: Xf differs at %d", delta, i)
 			}
 		}
-		for i, v := range want.Xb.Data {
-			if got.Xb.Data[i] != v {
+		for i, v := range want.Xb.Dense().Data {
+			if got.Xb.Dense().Data[i] != v {
 				t.Fatalf("delta %+v: Xb differs at %d", delta, i)
 			}
 		}

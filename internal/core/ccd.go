@@ -200,9 +200,9 @@ func transposeInto(dst, src *mat.Dense, nb int) {
 // ‖Xf·Yᵀ − F'‖² + ‖Xb·Yᵀ − B'‖², recomputed from scratch (not from the
 // maintained residuals) so tests can cross-check residual maintenance.
 func Objective(e *Embedding, f, b *mat.Dense) float64 {
-	rf := mat.MulBT(e.Xf, e.Y)
+	rf := mat.MulBT(e.Xf.Dense(), e.Y)
 	rf.Sub(f)
-	rb := mat.MulBT(e.Xb, e.Y)
+	rb := mat.MulBT(e.Xb.Dense(), e.Y)
 	rb.Sub(b)
 	nf := rf.FrobeniusNorm()
 	nbn := rb.FrobeniusNorm()

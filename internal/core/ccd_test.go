@@ -81,10 +81,10 @@ func TestCCDMonotoneObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f, b := affinityPair(rng, 35, 14, 5)
 	st := RandomInit(f, b, 8, rng, 1)
-	prev := Objective(&st.Embedding, f, b)
+	prev := Objective(st.embedding(), f, b)
 	for sweep := 0; sweep < 5; sweep++ {
 		refine(st, 1, 1)
-		cur := Objective(&st.Embedding, f, b)
+		cur := Objective(st.embedding(), f, b)
 		if cur > prev+1e-9 {
 			t.Fatalf("objective rose from %v to %v at sweep %d", prev, cur, sweep)
 		}
@@ -128,8 +128,8 @@ func TestGreedyInitBeatsRandomInit(t *testing.T) {
 	r := RandomInit(f, b, 8, rand.New(rand.NewSource(7)), 1)
 	refine(g, cfgIters, 1)
 	refine(r, cfgIters, 1)
-	og := Objective(&g.Embedding, f, b)
-	or := Objective(&r.Embedding, f, b)
+	og := Objective(g.embedding(), f, b)
+	or := Objective(r.embedding(), f, b)
 	if og >= or {
 		t.Fatalf("greedy objective %v not below random %v", og, or)
 	}
@@ -142,8 +142,8 @@ func TestSMGreedyInitCloseToSerial(t *testing.T) {
 	f, b := affinityPair(rng, 60, 18, 4)
 	serial := GreedyInit(f, b, 8, 5, rand.New(rand.NewSource(1)), 1)
 	sm := SMGreedyInit(f, b, 8, 5, rand.New(rand.NewSource(1)), 4)
-	objSerial := Objective(&serial.Embedding, f, b)
-	objSM := Objective(&sm.Embedding, f, b)
+	objSerial := Objective(serial.embedding(), f, b)
+	objSM := Objective(sm.embedding(), f, b)
 	// Allow the parallel variant a modest slack — it performs extra
 	// truncations.
 	if objSM > 2*objSerial+1e-9 {
@@ -226,7 +226,7 @@ func TestObjectiveZeroForPerfectFactorization(t *testing.T) {
 		y.Data[i] = rng.NormFloat64()
 	}
 	f := mat.MulBT(xf, y)
-	e := &Embedding{Xf: xf, Xb: xf, Y: y}
+	e := &Embedding{Xf: mat.Page(xf), Xb: mat.Page(xf), Y: y}
 	if o := Objective(e, f, f); o > 1e-18 {
 		t.Fatalf("objective %v for perfect factorization", o)
 	}
@@ -235,7 +235,7 @@ func TestObjectiveZeroForPerfectFactorization(t *testing.T) {
 // embeddingHash folds every bit of an embedding into 64 bits (FNV-1a).
 func embeddingHash(e *Embedding) uint64 {
 	h := uint64(14695981039346656037)
-	for _, m := range []*mat.Dense{e.Xf, e.Xb, e.Y} {
+	for _, m := range []*mat.Dense{e.Xf.Dense(), e.Xb.Dense(), e.Y} {
 		for _, v := range m.Data {
 			bits := math.Float64bits(v)
 			for s := 0; s < 64; s += 8 {
@@ -283,10 +283,10 @@ func TestCCDSweepAtKernelWidths(t *testing.T) {
 	f, b := affinityPair(rng, 301, 43, 6)
 	mk := func() *state { return RandomInit(f, b, 14, rand.New(rand.NewSource(5)), 1) }
 	serial := mk()
-	prev := Objective(&serial.Embedding, f, b)
+	prev := Objective(serial.embedding(), f, b)
 	for sweep := 0; sweep < 3; sweep++ {
 		refine(serial, 1, 1)
-		cur := Objective(&serial.Embedding, f, b)
+		cur := Objective(serial.embedding(), f, b)
 		if cur > prev*(1+1e-12) {
 			t.Fatalf("sweep %d raised the objective %v -> %v", sweep, prev, cur)
 		}

@@ -91,15 +91,37 @@ func TestRefineRowsFromGatheredMatchesGeneral(t *testing.T) {
 	fast := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, UpdateDelta{Nodes: nodes})
 
 	// Drive the general path by hand: full residual state, node rows only.
-	st := &state{Embedding: Embedding{Xf: prev.Xf.Clone(), Xb: prev.Xb.Clone(), Y: prev.Y.Clone()}}
-	st.Sf = mat.ParMulBT(st.Xf, st.Y, 1)
-	st.Sf.Sub(f2)
-	st.Sb = mat.ParMulBT(st.Xb, st.Y, 1)
-	st.Sb.Sub(b2)
+	st := warmState(prev, f2, b2, 1)
 	refineRows(st, 2, 1, nodes, nil)
 
-	if fast.Xf.MaxAbsDiff(st.Xf) != 0 || fast.Xb.MaxAbsDiff(st.Xb) != 0 {
+	if fast.Xf.Dense().MaxAbsDiff(st.Xf) != 0 || fast.Xb.Dense().MaxAbsDiff(st.Xb) != 0 {
 		t.Fatal("gathered node-only path diverges from the full-state restricted sweep")
+	}
+}
+
+// TestRefineRowsFromSharesUntouchedPages: a node-only refinement returns
+// Y by pointer and copies only the Xf/Xb pages holding a delta row; every
+// other page is the previous embedding's memory, and prev itself is bit
+// for bit what it was.
+func TestRefineRowsFromSharesUntouchedPages(t *testing.T) {
+	prev, f2, b2, cfg, _ := deltaFixture(t, 70)
+	before := [2]*mat.Dense{prev.Xf.Dense(), prev.Xb.Dense()}
+	nodes := []int{2, 3, 2*mat.PageRows + 1} // the first and the last of the fixture's three pages
+	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 2, UpdateDelta{Nodes: nodes})
+	if next.Y != prev.Y {
+		t.Fatal("node-only refinement did not return Y by pointer")
+	}
+	dirty := map[int]bool{}
+	for _, v := range nodes {
+		dirty[v/mat.PageRows] = true
+	}
+	for k := range prev.Xf.Pages() {
+		if next.Xf.SamePage(prev.Xf, k) == dirty[k] || next.Xb.SamePage(prev.Xb, k) == dirty[k] {
+			t.Fatalf("page %d: shared with prev must be %v", k, !dirty[k])
+		}
+	}
+	if prev.Xf.Dense().MaxAbsDiff(before[0]) != 0 || prev.Xb.Dense().MaxAbsDiff(before[1]) != 0 {
+		t.Fatal("refinement wrote through a page it shares with prev")
 	}
 }
 
@@ -111,7 +133,7 @@ func TestRefineRowsFromFullDeltaMatchesRefineFrom(t *testing.T) {
 	all := UpdateDelta{Nodes: upTo(prev.Xf.Rows), Attrs: upTo(prev.Y.Rows)}
 	want := RefineFrom(prev, f2, b2, cfg, 2, 1)
 	got := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, all)
-	if want.Xf.MaxAbsDiff(got.Xf) != 0 || want.Xb.MaxAbsDiff(got.Xb) != 0 || want.Y.MaxAbsDiff(got.Y) != 0 {
+	if want.Xf.Dense().MaxAbsDiff(got.Xf.Dense()) != 0 || want.Xb.Dense().MaxAbsDiff(got.Xb.Dense()) != 0 || want.Y.MaxAbsDiff(got.Y) != 0 {
 		t.Fatal("full-delta restricted refinement diverges from RefineFrom")
 	}
 }
@@ -123,7 +145,7 @@ func TestRefineRowsFromParallelMatchesSerial(t *testing.T) {
 	delta := UpdateDelta{Nodes: []int{1, 4, 9, 16, 25, 36}, Attrs: []int{0, 3, 8}}
 	serial := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
 	par := RefineRowsFrom(prev, f2, b2, cfg, 2, 4, delta)
-	if serial.Xf.MaxAbsDiff(par.Xf) != 0 || serial.Xb.MaxAbsDiff(par.Xb) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
+	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
 		t.Fatal("parallel restricted refinement deviates from serial")
 	}
 }

@@ -26,21 +26,23 @@ func RefineFrom(prev *Embedding, f, b *mat.Dense, cfg Config, sweeps, nb int) *E
 	if nb < 1 {
 		nb = 1
 	}
-	st := &state{Embedding: Embedding{
-		Xf: prev.Xf.Clone(),
-		Xb: prev.Xb.Clone(),
-		Y:  prev.Y.Clone(),
-	}}
-	st.Sf = mat.ParMulBT(st.Xf, st.Y, nb)
-	st.Sf.Sub(f)
-	st.Sb = mat.ParMulBT(st.Xb, st.Y, nb)
-	st.Sb.Sub(b)
+	st := warmState(prev, f, b, nb)
 	if sweeps <= 0 {
 		sweeps = cfg.ccdIters()
 	}
 	refine(st, sweeps, nb)
-	e := st.Embedding
-	return &e
+	return st.embedding()
+}
+
+// warmState seeds the solver with contiguous copies of prev's factors and
+// rebuilds both residuals against f and b in full, O(n·d·k).
+func warmState(prev *Embedding, f, b *mat.Dense, nb int) *state {
+	st := &state{Xf: prev.Xf.Dense(), Xb: prev.Xb.Dense(), Y: prev.Y.Clone()}
+	st.Sf = mat.ParMulBT(st.Xf, st.Y, nb)
+	st.Sf.Sub(f)
+	st.Sb = mat.ParMulBT(st.Xb, st.Y, nb)
+	st.Sb.Sub(b)
+	return st
 }
 
 // UpdateDelta is the row delta of one dynamic update: the node rows whose
@@ -115,26 +117,18 @@ func RefineRowsFrom(prev *Embedding, f, b *mat.Dense, cfg Config, sweeps, nb int
 	if len(delta.Attrs) == 0 {
 		return refineNodeRowsGathered(prev, f, b, sweeps, nb, delta.Nodes)
 	}
-	st := &state{Embedding: Embedding{
-		Xf: prev.Xf.Clone(),
-		Xb: prev.Xb.Clone(),
-		Y:  prev.Y.Clone(),
-	}}
-	st.Sf = mat.ParMulBT(st.Xf, st.Y, nb)
-	st.Sf.Sub(f)
-	st.Sb = mat.ParMulBT(st.Xb, st.Y, nb)
-	st.Sb.Sub(b)
+	st := warmState(prev, f, b, nb)
 	refineRows(st, sweeps, nb, delta.Nodes, delta.Attrs)
-	e := st.Embedding
-	return &e
+	return st.embedding()
 }
 
 // refineNodeRowsGathered is the node-only fast path of RefineRowsFrom:
 // the touched rows are gathered into compact matrices, their residual
 // rows built directly (O(|Δ|·d·k), not O(n·d·k)), swept with Y fixed,
-// and scattered back into clones of the previous factors. Y is returned
-// by reference, unchanged — which is what lets the serving layer keep
-// every Gram-derived structure (G, Z rows of untouched nodes) bit-for-bit.
+// and scattered into copies of the previous factors' pages that hold them
+// (every other page is shared with prev). Y is returned by reference,
+// unchanged — which is what lets the serving layer keep every
+// Gram-derived structure (G, Z rows of untouched nodes) bit-for-bit.
 func refineNodeRowsGathered(prev *Embedding, f, b *mat.Dense, sweeps, nb int, nodes []int) *Embedding {
 	fRows := mat.New(len(nodes), f.Cols)
 	bRows := mat.New(len(nodes), b.Cols)
@@ -159,7 +153,7 @@ func refineNodeRowsGatheredTargets(prev *Embedding, fRows, bRows *mat.Dense, swe
 		copy(subXf.Row(j), prev.Xf.Row(v))
 		copy(subXb.Row(j), prev.Xb.Row(v))
 	}
-	st := &state{Embedding: Embedding{Xf: subXf, Xb: subXb, Y: prev.Y}}
+	st := &state{Xf: subXf, Xb: subXb, Y: prev.Y}
 	st.Sf = mat.ParMulBT(subXf, prev.Y, nb)
 	st.Sb = mat.ParMulBT(subXb, prev.Y, nb)
 	for j := range nodes {
@@ -182,12 +176,7 @@ func refineNodeRowsGatheredTargets(prev *Embedding, fRows, bRows *mat.Dense, swe
 			}
 		})
 	}
-	e := &Embedding{Xf: prev.Xf.Clone(), Xb: prev.Xb.Clone(), Y: prev.Y}
-	for j, v := range nodes {
-		copy(e.Xf.Row(v), subXf.Row(j))
-		copy(e.Xb.Row(v), subXb.Row(j))
-	}
-	return e
+	return &Embedding{Xf: prev.Xf.WithRows(nodes, subXf), Xb: prev.Xb.WithRows(nodes, subXb), Y: prev.Y}
 }
 
 // RefineRowsFromState is RefineRowsFrom with the affinity targets served
@@ -219,18 +208,9 @@ func RefineRowsFromState(st *AffinityState, prev *Embedding, cfg Config, sweeps,
 		return refineNodeRowsGatheredTargets(prev, fRows, bRows, sweeps, nb, delta.Nodes)
 	}
 	f, b := st.Affinity(nb)
-	stt := &state{Embedding: Embedding{
-		Xf: prev.Xf.Clone(),
-		Xb: prev.Xb.Clone(),
-		Y:  prev.Y.Clone(),
-	}}
-	stt.Sf = mat.ParMulBT(stt.Xf, stt.Y, nb)
-	stt.Sf.Sub(f)
-	stt.Sb = mat.ParMulBT(stt.Xb, stt.Y, nb)
-	stt.Sb.Sub(b)
+	stt := warmState(prev, f, b, nb)
 	refineRows(stt, sweeps, nb, delta.Nodes, delta.Attrs)
-	e := stt.Embedding
-	return &e
+	return stt.embedding()
 }
 
 // UpdateEmbeddingRows is the delta-restricted form of UpdateEmbedding: it

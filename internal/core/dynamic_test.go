@@ -45,10 +45,10 @@ func TestRefineFromDoesNotMutatePrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := prev.Xf.Clone()
+	snapshot := prev.Xf.Dense()
 	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), 1)
 	RefineFrom(prev, f, b, cfg, 2, 1)
-	if prev.Xf.MaxAbsDiff(snapshot) != 0 {
+	if prev.Xf.Dense().MaxAbsDiff(snapshot) != 0 {
 		t.Fatal("RefineFrom mutated the previous embedding")
 	}
 }
@@ -160,7 +160,7 @@ func TestRefineFromParallelMatchesSerial(t *testing.T) {
 	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), 1)
 	serial := RefineFrom(prev, f, b, cfg, 3, 1)
 	par := RefineFrom(prev, f, b, cfg, 3, 4)
-	if serial.Xf.MaxAbsDiff(par.Xf) > 1e-12 || serial.Y.MaxAbsDiff(par.Y) > 1e-12 {
+	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) > 1e-12 || serial.Y.MaxAbsDiff(par.Y) > 1e-12 {
 		t.Fatal("parallel warm refinement deviates from serial")
 	}
 }

@@ -56,7 +56,7 @@ func (d *GramDelta) Rank() int { return 2 * d.yOld.Rows }
 // node ids are [lo, lo+z.Rows): row j of z is corrected using Xb row
 // lo+j. nb parallelizes over the block's rows; each row is owned by one
 // worker, so results are deterministic.
-func (d *GramDelta) Apply(z, xb *mat.Dense, lo, nb int) {
+func (d *GramDelta) Apply(z *mat.Dense, xb *mat.Paged, lo, nb int) {
 	if z.Cols != xb.Cols || z.Cols != d.yOld.Cols {
 		panic(fmt.Sprintf("core: GramDelta Apply width mismatch: z %d, xb %d, delta %d",
 			z.Cols, xb.Cols, d.yOld.Cols))

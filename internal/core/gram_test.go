@@ -51,7 +51,7 @@ func TestGramDeltaApplyMatchesFullTransform(t *testing.T) {
 		}
 		z := mat.New(n, k2)
 		copy(z.Data, zOld.Data)
-		gd.Apply(z, xb, 0, nb)
+		gd.Apply(z, mat.Page(xb), 0, nb)
 
 		scale := 0.0
 		for _, v := range zWant.Data {
@@ -87,7 +87,7 @@ func TestGramDeltaApplyBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := mat.ParMul(xb, mat.MulAT(yOld, yOld), 1)
-	gd.Apply(full, xb, 0, 2)
+	gd.Apply(full, mat.Page(xb), 0, 2)
 
 	lo, hi := 7, 15
 	block := mat.New(hi-lo, k2)
@@ -95,7 +95,7 @@ func TestGramDeltaApplyBlock(t *testing.T) {
 	for j := lo; j < hi; j++ {
 		copy(block.Row(j-lo), base.Row(j))
 	}
-	gd.Apply(block, xb, lo, 1)
+	gd.Apply(block, mat.Page(xb), lo, 1)
 	for j := lo; j < hi; j++ {
 		for p, v := range block.Row(j - lo) {
 			if v != full.Row(j)[p] {
@@ -128,7 +128,7 @@ func TestGramDeltaErrors(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("width mismatch", func() { gd.Apply(mat.New(2, 4), mat.New(6, 4), 0, 1) })
-	mustPanic("row overflow", func() { gd.Apply(mat.New(4, 3), mat.New(6, 3), 3, 1) })
-	mustPanic("negative lo", func() { gd.Apply(mat.New(2, 3), mat.New(6, 3), -1, 1) })
+	mustPanic("width mismatch", func() { gd.Apply(mat.New(2, 4), mat.Page(mat.New(6, 4)), 0, 1) })
+	mustPanic("row overflow", func() { gd.Apply(mat.New(4, 3), mat.Page(mat.New(6, 3)), 3, 1) })
+	mustPanic("negative lo", func() { gd.Apply(mat.New(2, 3), mat.Page(mat.New(6, 3)), -1, 1) })
 }

@@ -8,21 +8,31 @@ import (
 )
 
 // Embedding bundles PANE's output: forward and backward node embeddings
-// (n x k/2 each) and attribute embeddings (d x k/2).
+// (n x k/2 each) and attribute embeddings (d x k/2). It is immutable; the
+// node factors are row-paged so an update (dynamic.go) shares every page
+// it does not write with the embedding it started from.
 type Embedding struct {
-	Xf, Xb, Y *mat.Dense
+	Xf, Xb *mat.Paged
+	Y      *mat.Dense
 }
 
 // K returns the total per-node space budget (twice the column count).
 func (e *Embedding) K() int { return 2 * e.Xf.Cols }
 
-// state is the mutable solver state: the embeddings plus the dynamically
-// maintained residuals Sf = Xf·Yᵀ − F' and Sb = Xb·Yᵀ − B'. svdTime is
-// where the initializer's randomized SVDs spent their time (Timing).
+// state is the mutable solver state: the factors, contiguous for the
+// sweeps, plus the dynamically maintained residuals Sf = Xf·Yᵀ − F' and
+// Sb = Xb·Yᵀ − B'. svdTime is where the initializer's randomized SVDs
+// spent their time (Timing).
 type state struct {
-	Embedding
-	Sf, Sb  *mat.Dense
-	svdTime svd.StageTime
+	Xf, Xb, Y *mat.Dense
+	Sf, Sb    *mat.Dense
+	svdTime   svd.StageTime
+}
+
+// embedding publishes the solver's factors, wrapped without a copy: st
+// must not be swept afterwards.
+func (st *state) embedding() *Embedding {
+	return &Embedding{Xf: mat.Page(st.Xf), Xb: mat.Page(st.Xb), Y: st.Y}
 }
 
 // GreedyInit (Algorithm 3) seeds the solver: a randomized SVD of F' gives
@@ -42,7 +52,7 @@ func GreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 	sf.Sub(f)
 	sb := mat.ParMulBT(xb, y, nb)
 	sb.Sub(b)
-	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb, svdTime: res.Time}
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb, svdTime: res.Time}
 }
 
 // RandomInit seeds the solver with small Gaussian embeddings instead of
@@ -62,7 +72,7 @@ func RandomInit(f, b *mat.Dense, k int, rng *rand.Rand, nb int) *state {
 	sf.Sub(f)
 	sb := mat.ParMulBT(xb, y, nb)
 	sb.Sub(b)
-	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb}
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb}
 }
 
 // SMGreedyInit (Algorithm 7) is the split-merge parallel variant of
@@ -147,7 +157,7 @@ func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 			sb.RowView(rg[0], rg[1]).CopyFrom(sbBlock)
 		}
 	})
-	return &state{Embedding: Embedding{Xf: xf, Xb: xb, Y: y}, Sf: sf, Sb: sb, svdTime: svdTime}
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb, svdTime: svdTime}
 }
 
 // padCols widens m with zero columns up to want columns, when a truncated

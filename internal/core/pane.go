@@ -85,8 +85,7 @@ func SVDCCD(f, b *mat.Dense, cfg Config, nb int) *Embedding {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := GreedyInit(f, b, cfg.K, cfg.powerIters(), rng, nb)
 	refine(st, cfg.ccdIters(), nb)
-	e := st.Embedding
-	return &e
+	return st.embedding()
 }
 
 // PSVDCCD (Algorithm 8) is the parallel joint factorization: the
@@ -105,8 +104,7 @@ func psvdccd(f, b *mat.Dense, cfg Config, nb int) (*Embedding, Timing) {
 	start = time.Now()
 	tm.CCDNode, tm.CCDAttr = refine(st, cfg.ccdIters(), nb)
 	tm.CCD = time.Since(start)
-	e := st.Embedding
-	return &e, tm
+	return st.embedding(), tm
 }
 
 // PANERandomInit is the PANE-R ablation of §5.7: identical to PANE except
@@ -124,6 +122,5 @@ func PANERandomInit(g *graph.Graph, cfg Config) (*Embedding, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := RandomInit(f, b, cfg.K, rng, 1)
 	refine(st, cfg.ccdIters(), 1)
-	e := st.Embedding
-	return &e, nil
+	return st.embedding(), nil
 }

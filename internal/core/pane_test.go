@@ -28,7 +28,7 @@ func TestPANEEndToEndShapes(t *testing.T) {
 	if e.Xf.Cols != 8 || e.Xb.Cols != 8 || e.Y.Cols != 8 || e.K() != 16 {
 		t.Fatal("embedding widths wrong")
 	}
-	for _, m := range []*mat.Dense{e.Xf, e.Xb, e.Y} {
+	for _, m := range []*mat.Dense{e.Xf.Dense(), e.Xb.Dense(), e.Y} {
 		for i, v := range m.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("non-finite embedding value at %d", i)
@@ -57,8 +57,8 @@ func TestPANEApproximatesAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relF := relErr(mat.MulBT(e.Xf, e.Y), f)
-	relB := relErr(mat.MulBT(e.Xb, e.Y), b)
+	relF := relErr(mat.MulBT(e.Xf.Dense(), e.Y), f)
+	relB := relErr(mat.MulBT(e.Xb.Dense(), e.Y), b)
 	if relF > 0.35 || relB > 0.35 {
 		t.Fatalf("reconstruction error too high: F %v, B %v", relF, relB)
 	}
@@ -107,7 +107,7 @@ func TestParallelPANESingleThreadDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Xf.MaxAbsDiff(b.Xf) > 1e-12 || a.Y.MaxAbsDiff(b.Y) > 1e-12 {
+	if a.Xf.Dense().MaxAbsDiff(b.Xf.Dense()) > 1e-12 || a.Y.MaxAbsDiff(b.Y) > 1e-12 {
 		t.Fatal("Threads=1 parallel PANE differs from serial PANE")
 	}
 }
@@ -118,12 +118,12 @@ func TestPANEDeterministicForSeed(t *testing.T) {
 	cfg := smallConfig()
 	a, _ := PANE(g, cfg)
 	b, _ := PANE(g, cfg)
-	if a.Xf.MaxAbsDiff(b.Xf) > 0 || a.Xb.MaxAbsDiff(b.Xb) > 0 || a.Y.MaxAbsDiff(b.Y) > 0 {
+	if a.Xf.Dense().MaxAbsDiff(b.Xf.Dense()) > 0 || a.Xb.Dense().MaxAbsDiff(b.Xb.Dense()) > 0 || a.Y.MaxAbsDiff(b.Y) > 0 {
 		t.Fatal("same seed produced different embeddings")
 	}
 	cfg.Seed = 999
 	c, _ := PANE(g, cfg)
-	if a.Xf.MaxAbsDiff(c.Xf) == 0 {
+	if a.Xf.Dense().MaxAbsDiff(c.Xf.Dense()) == 0 {
 		t.Fatal("different seed produced identical embeddings (suspicious)")
 	}
 }
@@ -189,6 +189,27 @@ func TestLinkScorerMatchesEquation22(t *testing.T) {
 		if got := s.Undirected(u, v); math.Abs(got-(s.Directed(u, v)+s.Directed(v, u))) > 1e-12 {
 			t.Fatal("Undirected != sum of directions")
 		}
+	}
+}
+
+// TestLinkScorerForReusesGram: an update that returns Y by pointer keeps
+// the previous scorer's G (no recompute, same matrix); one that moved Y
+// gets the G a fresh scorer would build.
+func TestLinkScorerForReusesGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	e, err := PANE(testGraph(rng, 20, 6), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewLinkScorer(e)
+	sameY := &Embedding{Xf: e.Xb, Xb: e.Xf, Y: e.Y}
+	if got := s.For(sameY); got.g != s.g || got.e != sameY {
+		t.Fatal("For recomputed G although Y did not move")
+	}
+	movedY := &Embedding{Xf: e.Xf, Xb: e.Xb, Y: e.Y.Clone()}
+	movedY.Y.Row(0)[0] += 1
+	if got, want := s.For(movedY), NewLinkScorer(movedY); got.g == s.g || got.g.MaxAbsDiff(want.g) != 0 {
+		t.Fatal("For kept a stale G after Y moved")
 	}
 }
 
@@ -285,7 +306,7 @@ func TestTrainReportsWhereTimeWent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsEqual(got.Xf.Data, want.Xf.Data) || !rowsEqual(got.Xb.Data, want.Xb.Data) || !rowsEqual(got.Y.Data, want.Y.Data) {
+	if !rowsEqual(got.Xf.Dense().Data, want.Xf.Dense().Data) || !rowsEqual(got.Xb.Dense().Data, want.Xb.Dense().Data) || !rowsEqual(got.Y.Data, want.Y.Data) {
 		t.Fatal("Train and ParallelPANE disagree")
 	}
 	if tm.Affinity <= 0 || tm.Init <= 0 || tm.CCD <= 0 || tm.QR <= 0 || tm.CCDNode <= 0 || tm.CCDAttr <= 0 {

@@ -28,6 +28,16 @@ func NewLinkScorer(e *Embedding) *LinkScorer {
 	return &LinkScorer{e: e, g: mat.MulAT(e.Y, e.Y)}
 }
 
+// For returns the scorer for e, an update of s's embedding: G depends on
+// Y alone, so when the update left Y in place (a node-only delta returns
+// it by pointer) s's G is e's, and only otherwise is it recomputed.
+func (s *LinkScorer) For(e *Embedding) *LinkScorer {
+	if e.Y == s.e.Y {
+		return &LinkScorer{e: e, g: s.g}
+	}
+	return NewLinkScorer(e)
+}
+
 // Directed returns p(u, v), the score of the directed edge u → v.
 func (s *LinkScorer) Directed(u, v int) float64 {
 	xu := s.e.Xf.Row(u)
@@ -70,7 +80,7 @@ func (s *LinkScorer) TransformedCandidates(nb int) *mat.Dense {
 // bit-for-bit identical to TransformedCandidates: sharded serving can
 // build S independent blocks concurrently without changing any score.
 func (s *LinkScorer) TransformedCandidatesRange(lo, hi, nb int) *mat.Dense {
-	return mat.ParMul(s.e.Xb.RowSlice(lo, hi), s.g, nb)
+	return s.e.Xb.MulRange(lo, hi, s.g, nb)
 }
 
 // TransformedCandidatesRows materializes only the listed rows of Z =
@@ -84,7 +94,7 @@ func (s *LinkScorer) TransformedCandidatesRows(rows []int, nb int) *mat.Dense {
 	out := mat.New(len(rows), s.g.Cols)
 	mat.ParallelRanges(len(rows), nb, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			mat.MulRowInto(out.Row(j), s.e.Xb, rows[j], s.g)
+			mat.MulRowInto(out.Row(j), s.e.Xb.Row(rows[j]), s.g)
 		}
 	})
 	return out

@@ -200,8 +200,8 @@ func TestTopKTieBreakAscendingID(t *testing.T) {
 	// ties; the ranking must come back in ascending attribute id.
 	row := []float64{0.3, 0.7}
 	e := &Embedding{
-		Xf: mat.FromRows([][]float64{{1, 2}}),
-		Xb: mat.FromRows([][]float64{{0.5, 0.25}}),
+		Xf: mat.Page(mat.FromRows([][]float64{{1, 2}})),
+		Xb: mat.Page(mat.FromRows([][]float64{{0.5, 0.25}})),
 		Y:  mat.FromRows([][]float64{row, row, row, row}),
 	}
 	got := e.TopKAttrs(0, 3, nil)

@@ -233,12 +233,17 @@ type UpdateStats struct {
 	DirtyAttrs  int
 	Incremental bool
 
-	// Model-side timing split (benchexp reports these as
-	// affinity_seconds / ccd_seconds; the remainder of the model wall time
-	// is graph merge + scorer + publish). Zero when the affinity path is
-	// disabled — the legacy paths don't separate the two phases.
+	// The ack path by stage, the same observations
+	// pane_update_stage_duration_seconds records (benchexp -exp update
+	// reads them from here): graph merge, affinity, CCD refinement,
+	// scorer, WAL append. AffinitySeconds and CCDSeconds are zero when the
+	// affinity path is disabled — the legacy paths don't separate the two
+	// phases; WALSeconds is zero without a log.
+	GraphSeconds    float64
 	AffinitySeconds float64
 	CCDSeconds      float64
+	ScorerSeconds   float64
+	WALSeconds      float64
 	// AffinityIncremental reports whether the recurrence was patched over
 	// the delta's frontier (vs re-run in full); AffinityFrontier is the
 	// total frontier size (forward + backward rows re-run).
@@ -429,10 +434,12 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		return nil, fmt.Errorf("%w: this engine is at epoch %d, epoch %d exists", ErrFenced, ep, seen)
 	}
 	prev := e.Model()
+	t0 := time.Now()
 	g, err := prev.Graph.WithUpdates(edges, attrs)
 	if err != nil {
 		return nil, err
 	}
+	graphSeconds := e.met.observeStage(stageGraph, t0)
 	// The update's row delta: exactly the node and attribute rows whose
 	// embedding rows a restricted warm start would move. Small deltas take
 	// the delta path — restricted sweeps leave every untouched row
@@ -449,6 +456,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		stats = UpdateStats{
 			Version: prev.Version + 1, Incremental: incremental,
 			DirtyNodes: len(touched.Nodes), DirtyAttrs: len(touched.Attrs),
+			GraphSeconds: graphSeconds,
 		}
 	)
 	if e.affinityThreshold > 0 && thr > 0 {
@@ -457,7 +465,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		// and the frontier fits the budget, rebuilding it otherwise. The
 		// state is graph-derived only, so a rebuilt state is valid for any
 		// later delta regardless of how this update refines the embedding.
-		t0 := time.Now()
+		t0 = time.Now()
 		st := e.affState
 		stale := st == nil || e.affVersion != prev.Version ||
 			st.Drift() > affinityDriftRebuild || !incremental
@@ -477,7 +485,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		e.affState, e.affVersion = st, prev.Version+1
 		e.met.affFrontier.Set(float64(affUp.FrontierF + affUp.FrontierB))
 		e.met.affDrift.Set(st.Drift())
-		stats.AffinitySeconds = time.Since(t0).Seconds()
+		stats.AffinitySeconds = e.met.observeStage(stageAffinity, t0)
 		if stale {
 			e.met.affDurFull.ObserveSeconds(stats.AffinitySeconds)
 		} else {
@@ -485,14 +493,14 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		}
 		stats.AffinityIncremental = !stale
 		stats.AffinityFrontier = affUp.FrontierF + affUp.FrontierB
-		t1 := time.Now()
+		t0 = time.Now()
 		if incremental {
 			emb = core.RefineRowsFromState(st, prev.Emb, prev.Cfg, e.sweeps, threads(prev.Cfg), touched)
 		} else {
 			f, b := st.Affinity(threads(prev.Cfg))
 			emb = core.RefineFrom(prev.Emb, f, b, prev.Cfg, e.sweeps, threads(prev.Cfg))
 		}
-		stats.CCDSeconds = time.Since(t1).Seconds()
+		stats.CCDSeconds = e.met.observeStage(stageCCD, t0)
 		e.met.ccdDur.ObserveSeconds(stats.CCDSeconds)
 	} else if incremental {
 		emb, err = core.UpdateEmbeddingRows(g, prev.Emb, prev.Cfg, e.sweeps, touched)
@@ -502,22 +510,26 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	if err != nil {
 		return nil, err
 	}
+	t0 = time.Now()
 	next := &Model{
 		Version: prev.Version + 1,
 		Cfg:     prev.Cfg,
 		Graph:   g,
 		Emb:     emb,
-		Scorer:  core.NewLinkScorer(emb),
+		Scorer:  prev.Scorer.For(emb),
 	}
+	stats.ScorerSeconds = e.met.observeStage(stageScorer, t0)
 	// Write-ahead: the update's delta must be durable under the log's
 	// sync policy before the version it produced becomes visible. On
 	// append failure nothing publishes — the caller sees the error and
 	// the model stays at prev (the retained affinity state self-heals:
 	// its version no longer matches, so the next update rebuilds it).
 	if w := e.wal.Load(); w != nil {
+		t0 = time.Now()
 		if err := w.Append(wal.Record{Version: next.Version, Epoch: ep, Edges: edges, Attrs: attrs}); err != nil {
 			return nil, err
 		}
+		stats.WALSeconds = e.met.observeStage(stageWAL, t0)
 	}
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))

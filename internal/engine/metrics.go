@@ -24,6 +24,7 @@ type engineMetrics struct {
 	affDurIncr   *obs.Histogram
 	affDurFull   *obs.Histogram
 	ccdDur       *obs.Histogram
+	updStage     [nUpdateStages]*obs.Histogram // the ack path, stage by stage
 	affFrontier  *obs.Gauge
 	affDrift     *obs.Gauge
 	gram         *obs.Counter
@@ -55,6 +56,27 @@ type engineMetrics struct {
 	// encoded bytes walked — a batch walks a row once for all its members.
 	rowsScored    [nLayouts][index.NumCodecs]*obs.Counter
 	bytesStreamed [nLayouts][index.NumCodecs]*obs.Counter
+}
+
+// The stages of one update's ack path, in order; see observeStage.
+const (
+	stageGraph = iota
+	stageAffinity
+	stageCCD
+	stageScorer
+	stageWAL
+	nUpdateStages
+)
+
+var updateStageNames = [nUpdateStages]string{"graph", "affinity", "ccd", "scorer", "wal"}
+
+// observeStage records the time since start as one observation of an
+// update stage and returns it in seconds, for UpdateStats — one stopwatch
+// for /metrics, the update observer and the benchmarks.
+func (m *engineMetrics) observeStage(stage int, start time.Time) float64 {
+	sec := time.Since(start).Seconds()
+	m.updStage[stage].ObserveSeconds(sec)
+	return sec
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -113,6 +135,11 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		stageBatchScan: reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "batch_scan")),
 		batchQueries: reg.CountHistogram("pane_batch_queries",
 			"Top-k queries of one batch answered through the index in one pass."),
+	}
+	for st, name := range updateStageNames {
+		m.updStage[st] = reg.Histogram("pane_update_stage_duration_seconds",
+			"Wall time of one update's ack path by stage: graph merge, affinity, CCD refinement, scorer, WAL append.",
+			obs.L("stage", name))
 	}
 	for l := range backends {
 		for c, backend := range backends[l] {

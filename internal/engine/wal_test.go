@@ -494,3 +494,43 @@ func TestLoadBundle(t *testing.T) {
 		t.Fatal("LoadBundle on a WAL-attached engine accepted")
 	}
 }
+
+// TestUpdateStagesOneSetOfBooks: the stage times an observer receives in
+// UpdateStats are the observations pane_update_stage_duration_seconds
+// holds — one stopwatch per stage, read by /metrics, the observer and the
+// benchmarks alike — and every stage of a logged edge update is timed.
+func TestUpdateStagesOneSetOfBooks(t *testing.T) {
+	var got []UpdateStats
+	eng := trainTestEngine(t, WithUpdateObserver(func(s UpdateStats) { got = append(got, s) }))
+	log, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := eng.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 3
+	for i := 0; i < updates; i++ {
+		if _, err := eng.ApplyEdges([]graph.Edge{{Src: i, Dst: i + 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sums [nUpdateStages]float64
+	for _, s := range got {
+		for st, sec := range [nUpdateStages]float64{s.GraphSeconds, s.AffinitySeconds, s.CCDSeconds, s.ScorerSeconds, s.WALSeconds} {
+			// Reusing G takes tens of nanoseconds; a coarse clock may read 0.
+			if sec < 0 || (sec == 0 && st != stageScorer) {
+				t.Fatalf("update v%d: stage %q not timed: %+v", s.Version, updateStageNames[st], s)
+			}
+			sums[st] += sec
+		}
+	}
+	for st, h := range eng.met.updStage {
+		// The histogram keeps whole nanoseconds per observation.
+		if d := h.Sum() - sums[st]; h.Count() != updates || d > 1e-8 || d < -1e-8 {
+			t.Fatalf("stage %q: histogram holds %d observations summing to %.9fs, observers saw %d summing to %.9fs",
+				updateStageNames[st], h.Count(), h.Sum(), len(got), sums[st])
+		}
+	}
+}

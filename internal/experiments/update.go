@@ -6,13 +6,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"sort"
 	"time"
 
 	"pane/internal/core"
 	"pane/internal/datagen"
 	"pane/internal/engine"
 	"pane/internal/graph"
-	"pane/internal/obs"
 )
 
 // UpdateOptions configures the update-to-fresh-index comparison of
@@ -43,9 +43,11 @@ type UpdateOptions struct {
 // publish); IndexSeconds the time from publish until every shard serves
 // the new version — the update-to-fresh-index latency the delta pipeline
 // exists to shrink. The incremental model time is further broken into
-// its three phases: affinity (frontier BFS + recurrence patch), CCD
-// (warm-start coordinate descent), and transform (everything else —
-// graph merge, factor transforms, publish).
+// the engine's own stage times (engine.UpdateStats, the observations
+// pane_update_stage_duration_seconds records): graph merge, affinity
+// (frontier BFS + recurrence patch), CCD (warm-start coordinate descent)
+// and scorer; what remains of the model time is publish and index
+// scheduling.
 type UpdatePoint struct {
 	DeltaEdges int `json:"delta_edges"`
 	DirtyRows  int `json:"dirty_rows"` // distinct node rows the batch touches
@@ -57,10 +59,11 @@ type UpdatePoint struct {
 	IncrIndexSeconds float64 `json:"incr_index_seconds"`
 	IncrTotalSeconds float64 `json:"incr_total_seconds"`
 
-	// Incremental model-phase split (sums to IncrModelSeconds).
-	IncrAffinitySeconds  float64 `json:"incr_affinity_seconds"`
-	IncrCCDSeconds       float64 `json:"incr_ccd_seconds"`
-	IncrTransformSeconds float64 `json:"incr_transform_seconds"`
+	// Incremental model time by engine stage (at most IncrModelSeconds).
+	IncrGraphSeconds    float64 `json:"incr_graph_seconds"`
+	IncrAffinitySeconds float64 `json:"incr_affinity_seconds"`
+	IncrCCDSeconds      float64 `json:"incr_ccd_seconds"`
+	IncrScorerSeconds   float64 `json:"incr_scorer_seconds"`
 	// AffinityIncremental reports whether the point's recurrence was
 	// patched over the delta frontier (false = frontier exceeded the
 	// budget and the engine fell back to a full recurrence pass).
@@ -75,15 +78,30 @@ type UpdatePoint struct {
 	SpeedupModel float64 `json:"speedup_model"`
 	SpeedupIndex float64 `json:"speedup_index"`
 	SpeedupTotal float64 `json:"speedup_total"`
-
-	// IncrLatency summarizes the point's per-repeat incremental
-	// update-to-fresh-index totals (every repeat, where the *Seconds
-	// fields above keep only the minimum), recorded into the same
-	// obs.Histogram type the live server scrapes. Pointer with omitempty
-	// so pre-existing baselines still parse (CheckUpdateBaseline never
-	// reads it).
-	IncrLatency *obs.LatencySummary `json:"incr_latency_ms,omitempty"`
 }
+
+// AckBreakdown is where a small update's ack goes: the median of each
+// engine stage, in milliseconds, over Count consecutive updates of
+// EdgesPerUpdate random edges on the incremental engine, each read from
+// that update's engine.UpdateStats. SumMs is the median of the per-update
+// stage sums. The engines here run without a log, so the WAL stage is
+// absent; BENCH_replicate.json has the append cost.
+type AckBreakdown struct {
+	Count          int     `json:"count"`
+	EdgesPerUpdate int     `json:"edges_per_update"`
+	GraphMs        float64 `json:"graph_ms"`
+	AffinityMs     float64 `json:"affinity_ms"`
+	CCDMs          float64 `json:"ccd_ms"`
+	ScorerMs       float64 `json:"scorer_ms"`
+	SumMs          float64 `json:"sum_ms"`
+}
+
+// ackUpdates and ackEdges size the ack breakdown: enough updates for a
+// median, each the end-to-end benchmark's write (bench/: 8 edges).
+const (
+	ackUpdates = 32
+	ackEdges   = 8
+)
 
 // UpdateBench is the measured comparison emitted as BENCH_update.json by
 // `benchexp -exp update`.
@@ -97,6 +115,8 @@ type UpdateBench struct {
 	// IndexBuildSeconds is the initial full build both engines start from.
 	IndexBuildSeconds float64       `json:"index_build_seconds"`
 	Points            []UpdatePoint `json:"points"`
+	// Ack is the per-stage ack breakdown of small updates.
+	Ack AckBreakdown `json:"ack_ms"`
 	// Final healthz counters of the incremental engine: every post-initial
 	// shard cycle must have been served incrementally.
 	IncrementalRefreshes uint64 `json:"incremental_refreshes"`
@@ -239,13 +259,11 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 			touched[edges[i].Dst] = struct{}{}
 		}
 		p.DirtyRows = len(touched)
-		incrH := obs.NewHistogram()
 		for rep := 0; rep < opt.Repeats; rep++ {
 			im, ii, err := timeUpdate(engIncr, edges)
 			if err != nil {
 				return nil, err
 			}
-			incrH.ObserveSeconds(im + ii)
 			st := lastStats
 			fm, fi, err := timeUpdate(engFull, edges)
 			if err != nil {
@@ -253,8 +271,8 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 			}
 			if rep == 0 || im+ii < p.IncrTotalSeconds {
 				p.IncrModelSeconds, p.IncrIndexSeconds, p.IncrTotalSeconds = im, ii, im+ii
+				p.IncrGraphSeconds, p.IncrScorerSeconds = st.GraphSeconds, st.ScorerSeconds
 				p.IncrAffinitySeconds, p.IncrCCDSeconds = st.AffinitySeconds, st.CCDSeconds
-				p.IncrTransformSeconds = im - st.AffinitySeconds - st.CCDSeconds
 				p.AffinityIncremental = st.AffinityIncremental
 				p.AffinityFrontier = st.AffinityFrontier
 			}
@@ -271,9 +289,31 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 		if p.IncrTotalSeconds > 0 {
 			p.SpeedupTotal = p.FullTotalSeconds / p.IncrTotalSeconds
 		}
-		lat := incrH.SummaryMs()
-		p.IncrLatency = &lat
 		b.Points = append(b.Points, p)
+	}
+
+	// The ack path of a small update, stage by stage, from the engine's
+	// own timers.
+	var graphMs, affMs, ccdMs, scorerMs, sumMs []float64
+	for i := 0; i < ackUpdates; i++ {
+		edges := make([]graph.Edge, ackEdges)
+		for j := range edges {
+			edges[j] = graph.Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}
+		}
+		if _, _, err := timeUpdate(engIncr, edges); err != nil {
+			return nil, err
+		}
+		st := lastStats
+		graphMs = append(graphMs, st.GraphSeconds*1e3)
+		affMs = append(affMs, st.AffinitySeconds*1e3)
+		ccdMs = append(ccdMs, st.CCDSeconds*1e3)
+		scorerMs = append(scorerMs, st.ScorerSeconds*1e3)
+		sumMs = append(sumMs, (st.GraphSeconds+st.AffinitySeconds+st.CCDSeconds+st.ScorerSeconds)*1e3)
+	}
+	b.Ack = AckBreakdown{
+		Count: ackUpdates, EdgesPerUpdate: ackEdges,
+		GraphMs: median(graphMs), AffinityMs: median(affMs), CCDMs: median(ccdMs),
+		ScorerMs: median(scorerMs), SumMs: median(sumMs),
 	}
 
 	// Report integrity. The incremental engine must (a) have served every
@@ -407,6 +447,13 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 	return b, nil
 }
 
+// median returns the middle of xs (the upper one of an even count),
+// sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
 func recallScored(want, got []core.Scored) float64 {
 	if len(want) == 0 {
 		return 1
@@ -450,21 +497,19 @@ func sameScored(label string, u int, want, got []core.Scored) error {
 func PrintUpdate(w io.Writer, b *UpdateBench) {
 	fmt.Fprintf(w, "Update-to-fresh-index: n=%d m=%d d=%d k=%d, %d shards (train %.1fs, initial build %.1fs)\n",
 		b.N, b.Edges, b.D, b.K, b.Shards, b.TrainSeconds, b.IndexBuildSeconds)
-	fmt.Fprintf(w, "%-8s %-8s | %10s %10s %10s | %10s %10s %10s | %10s %10s %10s | %8s %8s %8s | %9s %9s %9s\n",
+	fmt.Fprintf(w, "%-8s %-8s | %10s %10s %10s | %10s %10s %10s | %10s %10s %10s %10s | %8s %8s %8s\n",
 		"Δedges", "dirty", "full mdl", "full idx", "full tot", "incr mdl", "incr idx", "incr tot",
-		"aff", "ccd", "xform", "mdl spd", "idx spd", "tot spd", "p50(ms)", "p95(ms)", "p99(ms)")
+		"graph", "aff", "ccd", "scorer", "mdl spd", "idx spd", "tot spd")
 	for _, p := range b.Points {
-		lat := fmt.Sprintf("%9s %9s %9s", "-", "-", "-")
-		if p.IncrLatency != nil {
-			lat = fmt.Sprintf("%9.1f %9.1f %9.1f", p.IncrLatency.P50, p.IncrLatency.P95, p.IncrLatency.P99)
-		}
-		fmt.Fprintf(w, "%-8d %-8d | %9.3fs %9.3fs %9.3fs | %9.3fs %9.3fs %9.3fs | %9.3fs %9.3fs %9.3fs | %7.1fx %7.1fx %7.1fx | %s\n",
+		fmt.Fprintf(w, "%-8d %-8d | %9.3fs %9.3fs %9.3fs | %9.3fs %9.3fs %9.3fs | %9.4fs %9.4fs %9.4fs %9.4fs | %7.1fx %7.1fx %7.1fx\n",
 			p.DeltaEdges, p.DirtyRows,
 			p.FullModelSeconds, p.FullIndexSeconds, p.FullTotalSeconds,
 			p.IncrModelSeconds, p.IncrIndexSeconds, p.IncrTotalSeconds,
-			p.IncrAffinitySeconds, p.IncrCCDSeconds, p.IncrTransformSeconds,
-			p.SpeedupModel, p.SpeedupIndex, p.SpeedupTotal, lat)
+			p.IncrGraphSeconds, p.IncrAffinitySeconds, p.IncrCCDSeconds, p.IncrScorerSeconds,
+			p.SpeedupModel, p.SpeedupIndex, p.SpeedupTotal)
 	}
+	fmt.Fprintf(w, "ack of a %d-edge update by stage (median ms over %d): graph %.3f, affinity %.3f, ccd %.3f, scorer %.3f, sum %.3f\n",
+		b.Ack.EdgesPerUpdate, b.Ack.Count, b.Ack.GraphMs, b.Ack.AffinityMs, b.Ack.CCDMs, b.Ack.ScorerMs, b.Ack.SumMs)
 	fmt.Fprintf(w, "incremental engine: %d incremental refreshes, %d full builds (initial only); %d affinity patches, %d full recurrence passes\n",
 		b.IncrementalRefreshes, b.FullRebuilds, b.AffinityIncremental, b.AffinityFull)
 	fmt.Fprintf(w, "attr delta: %d entries over %d attrs, full %.3fs vs incr %.3fs (gram-corrected, recall %.4f)\n",

@@ -100,10 +100,13 @@ func TestRunUpdateSmoke(t *testing.T) {
 		t.Fatalf("attr phase %+v", b)
 	}
 	for _, p := range b.Points {
-		sum := p.IncrAffinitySeconds + p.IncrCCDSeconds + p.IncrTransformSeconds
-		if d := sum - p.IncrModelSeconds; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("Δ=%d phase split %.9f does not sum to model time %.9f", p.DeltaEdges, sum, p.IncrModelSeconds)
+		sum := p.IncrGraphSeconds + p.IncrAffinitySeconds + p.IncrCCDSeconds + p.IncrScorerSeconds
+		if p.IncrGraphSeconds <= 0 || p.IncrCCDSeconds <= 0 || sum > p.IncrModelSeconds {
+			t.Fatalf("Δ=%d engine stages %+v do not fit inside model time %.9f", p.DeltaEdges, p, p.IncrModelSeconds)
 		}
+	}
+	if a := b.Ack; a.Count < 30 || a.GraphMs <= 0 || a.AffinityMs <= 0 || a.CCDMs <= 0 || a.SumMs < a.GraphMs {
+		t.Fatalf("ack breakdown %+v", a)
 	}
 	var buf bytes.Buffer
 	PrintUpdate(&buf, b)

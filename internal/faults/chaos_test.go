@@ -163,11 +163,12 @@ func TestChaosLeaderKillPromotion(t *testing.T) {
 	waitVersion(t, r0.Engine(), leader.Version(), "follower 0")
 	waitVersion(t, r1.Engine(), leader.Version(), "follower 1")
 
-	// The leader applies two more updates nobody replicates (v8, v9 on
-	// epoch 0), then dies mid-deployment.
+	// The leader drops off the network, then applies two more updates
+	// (v8, v9 on epoch 0) before it dies: with its listener closed first,
+	// no follower poll can slip in between and replicate them.
+	ts.Close()
 	chaosUpdate(t, leader, 7)
 	chaosUpdate(t, leader, 8)
-	ts.Close()
 
 	// The orphaned followers degrade: rounds fail, staleness flips on,
 	// reads keep serving.

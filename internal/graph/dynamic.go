@@ -43,19 +43,23 @@ func (g *Graph) AttrEntries() []AttrEntry {
 // weighted set ER. Node and attribute counts are unchanged, so entries
 // referencing ids outside [0,N) x [0,D) are rejected.
 //
-// The delta is folded into the parent's CSRs with an O(m) sorted-row
-// merge instead of the entry-list rebuild New performs, and the parent's
-// derived-matrix cache (Walk / NormalizedAttrs products), when it has been
-// materialized, is carried over with only the dirty rows and columns
-// recomputed — the two changes that keep the per-update graph cost
-// proportional to the graph, not to re-deriving the dense seeds.
+// The delta is folded into the parent's CSRs page by page: Adj, AdjT and
+// Attr share every row page the delta does not touch with g's, and the
+// parent's derived-matrix cache (Walk / NormalizedAttrs products), when it
+// has been materialized, is carried over with only the dirty rows and
+// columns recomputed — so an edge delta costs its own size plus one
+// pointer per page, not the graph's.
 func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 	edgeEntries := make([]sparse.Entry, 0, len(edges))
+	edgeEntriesT := make([]sparse.Entry, 0, len(edges))
+	srcSet := map[int]bool{}
 	for _, e := range edges {
 		if e.Src < 0 || e.Src >= g.N || e.Dst < 0 || e.Dst >= g.N {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, g.N)
 		}
 		edgeEntries = append(edgeEntries, sparse.Entry{Row: e.Src, Col: e.Dst, Val: 1})
+		edgeEntriesT = append(edgeEntriesT, sparse.Entry{Row: e.Dst, Col: e.Src, Val: 1})
+		srcSet[e.Src] = true
 	}
 	attrEntries := make([]sparse.Entry, 0, len(attrs))
 	nodeSet := map[int]bool{}
@@ -74,26 +78,20 @@ func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 		nodeSet[a.Node] = true
 		attrSet[a.Attr] = true
 	}
-	adj := g.Adj
-	if len(edgeEntries) > 0 {
-		adj = g.Adj.MergeEntries(edgeEntries, func(old, add float64) float64 { return 1 })
-	}
-	attr := g.Attr
-	if len(attrEntries) > 0 {
-		attr = g.Attr.MergeEntries(attrEntries, func(old, add float64) float64 { return old + add })
-	}
-	ng := &Graph{N: g.N, D: g.D, Adj: adj, Attr: attr, Labels: g.Labels}
-	if adj == g.Adj {
-		ng.AdjT, ng.outDeg = g.AdjT, g.outDeg
-	} else {
-		ng.AdjT = adj.T()
-		ng.outDeg = adj.RowSums()
+	// An inserted edge has weight 1 whether or not it was already stored,
+	// on both sides, so AdjT stays exactly Adj's transpose.
+	one := func(old, add float64) float64 { return 1 }
+	ng := &Graph{
+		N: g.N, D: g.D, Labels: g.Labels,
+		Adj:  g.Adj.MergeEntries(edgeEntries, one),
+		AdjT: g.AdjT.MergeEntries(edgeEntriesT, one),
+		Attr: g.Attr.MergeEntries(attrEntries, func(old, add float64) float64 { return old + add }),
 	}
 	g.prodMu.Lock()
 	old := g.prod
 	g.prodMu.Unlock()
 	if old != nil {
-		ng.prod = ng.patchDerived(old, sortedKeys(nodeSet), sortedKeys(attrSet))
+		ng.prod = ng.patchDerived(old, sortedKeys(srcSet), sortedKeys(nodeSet), sortedKeys(attrSet))
 	}
 	return ng, nil
 }
@@ -122,14 +120,12 @@ func FromCSR(adj, attr *sparse.CSR, labels [][]int) (*Graph, error) {
 	if labels != nil && len(labels) != adj.R {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), adj.R)
 	}
-	g := &Graph{
+	return &Graph{
 		N:      adj.R,
 		D:      attr.C,
 		Adj:    adj,
 		AdjT:   adj.T(),
 		Attr:   attr,
 		Labels: labels,
-	}
-	g.outDeg = adj.RowSums()
-	return g, nil
+	}, nil
 }

@@ -36,8 +36,6 @@ type Graph struct {
 	Attr   *sparse.CSR // n x d attribute matrix R
 	Labels [][]int     // optional per-node label sets (may be nil)
 
-	outDeg []float64
-
 	// Lazily-built cache of the derived matrices (P, Pᵀ, Rr, Rc, …).
 	// Logically the graph stays immutable: the cache only memoizes pure
 	// functions of Adj/Attr, and WithUpdates carries it across versions
@@ -86,16 +84,14 @@ func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, err
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
 	adj := sparse.NewCSR(n, n, adjEntries)
-	g := &Graph{
+	return &Graph{
 		N:      n,
 		D:      d,
 		Adj:    adj,
 		AdjT:   adj.T(),
 		Attr:   sparse.NewCSR(n, d, attrEntries),
 		Labels: labels,
-	}
-	g.outDeg = adj.RowSums()
-	return g, nil
+	}, nil
 }
 
 // M returns the number of directed edges.
@@ -104,8 +100,9 @@ func (g *Graph) M() int { return g.Adj.NNZ() }
 // NNZAttr returns |ER|, the number of node-attribute associations.
 func (g *Graph) NNZAttr() int { return g.Attr.NNZ() }
 
-// OutDegree returns the out-degree of node v.
-func (g *Graph) OutDegree(v int) float64 { return g.outDeg[v] }
+// OutDegree returns the out-degree of node v: the sum of its out-edge
+// weights, read off the adjacency row.
+func (g *Graph) OutDegree(v int) float64 { return g.Adj.RowSum(v) }
 
 // Walk returns the random-walk matrix P = D⁻¹A together with its
 // transpose Pᵀ. Rows of dangling nodes (out-degree 0) are zero: a walk at

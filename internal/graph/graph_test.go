@@ -57,13 +57,12 @@ func TestNewValidation(t *testing.T) {
 func TestWalkRowStochastic(t *testing.T) {
 	g := mustNew(t, 4, 0, []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, nil, nil)
 	p, pt := g.Walk()
-	sums := p.RowSums()
-	for i, s := range sums[:3] {
-		if math.Abs(s-1) > 1e-12 {
+	for i := 0; i < 3; i++ {
+		if s := p.RowSum(i); math.Abs(s-1) > 1e-12 {
 			t.Fatalf("row %d of P sums to %v", i, s)
 		}
 	}
-	if sums[3] != 0 {
+	if p.RowSum(3) != 0 {
 		t.Fatal("dangling node 3 should have a zero row")
 	}
 	// Pᵀ really is the transpose.
@@ -121,9 +120,9 @@ func TestRunningExampleConstraints(t *testing.T) {
 		t.Fatal("v5 attribute constraint violated")
 	}
 	// All attribute weights are 1.
-	for _, v := range g.Attr.Vals {
-		if v != 1 {
-			t.Fatalf("attribute weight %v != 1", v)
+	for _, a := range g.AttrEntries() {
+		if a.Weight != 1 {
+			t.Fatalf("attribute weight %v != 1", a.Weight)
 		}
 	}
 	// Every node must be able to continue a walk (no dead ends for v1-v5).
@@ -229,7 +228,8 @@ func TestPropertyWalkMassConservation(t *testing.T) {
 			return false
 		}
 		p, _ := g.Walk()
-		for i, s := range p.RowSums() {
+		for i := 0; i < n; i++ {
+			s := p.RowSum(i)
 			if g.OutDegree(i) > 0 && math.Abs(s-1) > 1e-9 {
 				return false
 			}

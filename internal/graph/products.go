@@ -31,14 +31,11 @@ func (g *Graph) products() *derived {
 }
 
 func (g *Graph) buildDerived() *derived {
-	p := g.Adj.Clone()
 	inv := make([]float64, g.N)
-	for i, dg := range g.outDeg {
-		if dg > 0 {
-			inv[i] = 1 / dg
-		}
+	for i := range inv {
+		inv[i] = g.invOutDegree(i)
 	}
-	p.ScaleRows(inv)
+	p := g.Adj.ScaleRows(inv)
 	rr := g.Attr.ToDense()
 	rc := rr.Clone()
 	rr.NormalizeRows()
@@ -50,6 +47,15 @@ func (g *Graph) buildDerived() *derived {
 	colSums := rc.ColSums()
 	scaleColumns(rc, colSums)
 	return &derived{p: p, pt: p.T(), rr: rr, rc: rc, attrColSums: colSums}
+}
+
+// invOutDegree is the factor row v of P scales row v of Adj by: 1/out-degree,
+// 0 for a dangling node.
+func (g *Graph) invOutDegree(v int) float64 {
+	if dg := g.OutDegree(v); dg > 0 {
+		return 1 / dg
+	}
+	return 0
 }
 
 // scaleColumns is the scaling pass of Dense.NormalizeColumns with the sums
@@ -88,23 +94,25 @@ func (g *Graph) AttrT() *sparse.CSR {
 }
 
 // patchDerived carries a parent graph's derived cache into ng, recomputing
-// only what the delta dirtied: the walk matrices are rebuilt from the
-// merged adjacency (O(m) copy + transpose, no dense work), Rr rows are
-// re-normalized for the touched nodes only, and Rc columns (with their
+// only what the delta dirtied: row u of P and column u of Pᵀ (one entry in
+// the Pᵀ row of each of u's out-neighbours) for every edge source u —
+// an added out-edge rescales the whole row — merged into the parent's
+// pages, Rr rows for the touched nodes only, and Rc columns (with their
 // sums) for the touched attributes only. Every recomputed value goes
 // through the same arithmetic as a fresh buildDerived, so the patched
 // cache is bit-identical to one built from scratch on ng.
-func (ng *Graph) patchDerived(old *derived, touchedNodes, touchedAttrs []int) *derived {
-	d := &derived{}
-	p := ng.Adj.Clone()
-	inv := make([]float64, ng.N)
-	for i, dg := range ng.outDeg {
-		if dg > 0 {
-			inv[i] = 1 / dg
+func (ng *Graph) patchDerived(old *derived, edgeSrcs, touchedNodes, touchedAttrs []int) *derived {
+	var pRows, ptRows []sparse.Entry
+	for _, u := range edgeSrcs {
+		inv := ng.invOutDegree(u)
+		cols, vals := ng.Adj.Row(u)
+		for k, c := range cols {
+			pRows = append(pRows, sparse.Entry{Row: u, Col: int(c), Val: vals[k] * inv})
+			ptRows = append(ptRows, sparse.Entry{Row: int(c), Col: u, Val: vals[k] * inv})
 		}
 	}
-	p.ScaleRows(inv)
-	d.p, d.pt = p, p.T()
+	set := func(old, v float64) float64 { return v }
+	d := &derived{p: old.p.MergeEntries(pRows, set), pt: old.pt.MergeEntries(ptRows, set)}
 	if len(touchedNodes) == 0 && len(touchedAttrs) == 0 {
 		d.rr, d.rc, d.attrColSums, d.attrT = old.rr, old.rc, old.attrColSums, old.attrT
 		return d

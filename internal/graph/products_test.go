@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pane/internal/mat"
@@ -51,13 +52,10 @@ func csrsEqual(a, b *sparse.CSR) bool {
 	if a.R != b.R || a.C != b.C || a.NNZ() != b.NNZ() {
 		return false
 	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.Cols {
-		if a.Cols[k] != b.Cols[k] || a.Vals[k] != b.Vals[k] {
+	for i := 0; i < a.R; i++ {
+		ac, av := a.Row(i)
+		bc, bv := b.Row(i)
+		if !slices.Equal(ac, bc) || !slices.Equal(av, bv) {
 			return false
 		}
 	}

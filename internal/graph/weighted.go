@@ -51,16 +51,14 @@ func NewWeighted(n, d int, edges []WeightedEdge, attrs []AttrEntry, labels [][]i
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
 	adj := sparse.NewCSR(n, n, adjEntries)
-	g := &Graph{
+	return &Graph{
 		N:      n,
 		D:      d,
 		Adj:    adj,
 		AdjT:   adj.T(),
 		Attr:   sparse.NewCSR(n, d, attrEntries),
 		Labels: labels,
-	}
-	g.outDeg = adj.RowSums()
-	return g, nil
+	}, nil
 }
 
 // EdgeWeight returns the weight of edge (u, v), zero when absent.

@@ -160,14 +160,15 @@ func ParMulInto(dst, a, b *Dense, nb int) {
 	})
 }
 
-// MulRowInto computes dst = a.Row(i)·b, a single output row of a*b, using
-// the same accumulation kernel (and therefore the same float rounding) as
-// Mul/ParMul. Incremental rebuilds rely on this bit-identity: recomputing
-// only the rows of a product that changed yields exactly the rows a full
-// recompute would. dst must have length b.Cols and must not alias a or b.
-func MulRowInto(dst []float64, a *Dense, i int, b *Dense) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulRowInto inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// MulRowInto computes dst = a·b for one row vector a, a single output row
+// of a product, using the same accumulation kernel (and therefore the
+// same float rounding) as Mul/ParMul. Incremental rebuilds rely on this
+// bit-identity: recomputing only the rows of a product that changed
+// yields exactly the rows a full recompute would. dst must have length
+// b.Cols and must not alias a or b.
+func MulRowInto(dst, a []float64, b *Dense) {
+	if len(a) != b.Rows {
+		panic(fmt.Sprintf("mat: MulRowInto inner dimension mismatch 1x%d * %dx%d", len(a), b.Rows, b.Cols))
 	}
 	if len(dst) != b.Cols {
 		panic("mat: MulRowInto dst length mismatch")
@@ -175,8 +176,7 @@ func MulRowInto(dst []float64, a *Dense, i int, b *Dense) {
 	for j := range dst {
 		dst[j] = 0
 	}
-	out := &Dense{Rows: 1, Cols: b.Cols, Data: dst}
-	gemmRows(out, a.RowSlice(i, i+1), b, 0, 1)
+	gemmRows(&Dense{Rows: 1, Cols: b.Cols, Data: dst}, &Dense{Rows: 1, Cols: len(a), Data: a}, b, 0, 1)
 }
 
 // MulAT returns aᵀ*b without materializing aᵀ. a is r x c, b is r x n,

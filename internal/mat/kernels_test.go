@@ -176,7 +176,7 @@ func TestMulIntoMatchesGenericExhaustive(t *testing.T) {
 		// MulRowInto must agree row-for-row with the full product.
 		row := make([]float64, n)
 		for i := 0; i < m; i++ {
-			MulRowInto(row, a, i, b)
+			MulRowInto(row, a.Row(i), b)
 			for j, v := range row {
 				if math.Float64bits(v) != math.Float64bits(want.Data[i*n+j]) {
 					t.Fatalf("MulRowInto row %d col %d = %x, full product %x", i, j, math.Float64bits(v), math.Float64bits(want.Data[i*n+j]))

@@ -20,26 +20,119 @@ import (
 	"pane/internal/mat"
 )
 
-// CSR is an immutable sparse matrix in compressed sparse row format.
-// Row i's entries are Cols[RowPtr[i]:RowPtr[i+1]] and the matching
-// Vals[RowPtr[i]:RowPtr[i+1]], sorted by column index.
+// CSR is an immutable sparse matrix in compressed sparse row format,
+// stored as row pages of mat.PageRows rows: row i's entries are a
+// contiguous run of (column, value) pairs, sorted by column, inside page
+// i/PageRows. A freshly built CSR is one allocation per array that every
+// page aliases (Flat returns it as is, and whole-matrix kernels stream it
+// with unit stride); MergeEntries copies the page slice and rebuilds only
+// the pages its entries fall in, sharing every other page with the
+// matrix it came from.
 type CSR struct {
-	R, C   int
-	RowPtr []int
-	Cols   []int32
-	Vals   []float64
+	R, C  int
+	nnz   int
+	pages []*page
+
+	// The contiguous arrays the pages alias; nil once a merge has
+	// replaced a page.
+	rowPtr []int
+	cols   []int32
+	vals   []float64
 }
 
+// page holds up to PageRows consecutive rows: local row r is
+// cols[ptr[r]:ptr[r+1]] and the matching vals. The offsets are absolute
+// into the shared arrays of a freshly built CSR and start at 0 in a page
+// rebuilt by a merge.
+type page struct {
+	ptr  []int
+	cols []int32
+	vals []float64
+}
+
+func (pg *page) nnz() int { return pg.ptr[len(pg.ptr)-1] - pg.ptr[0] }
+
+// fromArrays pages a CSR over its contiguous arrays without copying.
+func fromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) *CSR {
+	m := &CSR{R: r, C: c, nnz: len(cols), rowPtr: rowPtr, cols: cols, vals: vals}
+	ps := make([]page, (r+mat.PageRows-1)/mat.PageRows)
+	m.pages = make([]*page, len(ps))
+	for k := range ps {
+		lo, hi := k*mat.PageRows, min((k+1)*mat.PageRows, r)
+		ps[k] = page{ptr: rowPtr[lo : hi+1], cols: cols, vals: vals}
+		m.pages[k] = &ps[k]
+	}
+	return m
+}
+
+// FromArrays builds a CSR over the given contiguous arrays (row i is
+// cols[rowPtr[i]:rowPtr[i+1]], sorted by column) without copying them;
+// the caller must not write them afterwards. It is how a deserialized
+// matrix enters the package, so the arrays are checked, not trusted.
+func FromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) (*CSR, error) {
+	if r < 0 || c < 0 || len(rowPtr) != r+1 || rowPtr[0] != 0 || rowPtr[r] != len(cols) || len(vals) != len(cols) {
+		return nil, fmt.Errorf("sparse: %dx%d CSR with %d row pointers, %d columns, %d values: lengths or end offsets disagree",
+			r, c, len(rowPtr), len(cols), len(vals))
+	}
+	for i := 0; i < r; i++ {
+		if rowPtr[i] > rowPtr[i+1] {
+			return nil, fmt.Errorf("sparse: row pointers decrease at row %d", i)
+		}
+	}
+	for i, col := range cols {
+		if col < 0 || int(col) >= c {
+			return nil, fmt.Errorf("sparse: column %d out of range at entry %d", col, i)
+		}
+	}
+	return fromArrays(r, c, rowPtr, cols, vals), nil
+}
+
+// Flat returns the matrix as contiguous CSR arrays, shared and read-only:
+// free for a freshly built matrix, an O(nnz) assembly after a merge.
+func (m *CSR) Flat() (rowPtr []int, cols []int32, vals []float64) {
+	if m.rowPtr != nil {
+		return m.rowPtr, m.cols, m.vals
+	}
+	rowPtr = make([]int, m.R+1)
+	cols = make([]int32, 0, m.nnz)
+	vals = make([]float64, 0, m.nnz)
+	for i := 0; i < m.R; i++ {
+		cs, vs := m.Row(i)
+		cols = append(cols, cs...)
+		vals = append(vals, vs...)
+		rowPtr[i+1] = len(cols)
+	}
+	return rowPtr, cols, vals
+}
+
+// SamePage reports whether page k of m and o is the same memory — what a
+// merge that put no entry in the page guarantees.
+func (m *CSR) SamePage(o *CSR, k int) bool { return m.pages[k] == o.pages[k] }
+
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Cols) }
+func (m *CSR) NNZ() int { return m.nnz }
 
 // RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
+func (m *CSR) RowNNZ(i int) int {
+	cols, _ := m.Row(i)
+	return len(cols)
+}
 
 // Row returns the column indices and values of row i as shared slices.
 func (m *CSR) Row(i int) ([]int32, []float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return m.Cols[lo:hi], m.Vals[lo:hi]
+	pg, r := m.pages[i/mat.PageRows], i%mat.PageRows
+	lo, hi := pg.ptr[r], pg.ptr[r+1]
+	return pg.cols[lo:hi], pg.vals[lo:hi]
+}
+
+// RowSum returns the sum of row i's stored values, left to right.
+func (m *CSR) RowSum(i int) float64 {
+	_, vals := m.Row(i)
+	var s float64
+	for _, v := range vals {
+		s += v
+	}
+	return s
 }
 
 // At returns the value at (i, j), zero when the entry is not stored.
@@ -87,38 +180,34 @@ func NewCSR(r, c int, entries []Entry) *CSR {
 		vals[p] = e.Val
 		next[e.Row]++
 	}
-	m := &CSR{R: r, C: c, RowPtr: rowPtr, Cols: cols, Vals: vals}
-	m.sortRowsAndMergeDuplicates()
-	return m
+	rowPtr, cols, vals = sortRowsAndMergeDuplicates(r, rowPtr, cols, vals)
+	return fromArrays(r, c, rowPtr, cols, vals)
 }
 
 // sortRowsAndMergeDuplicates sorts each row by column and sums duplicates,
 // compacting the storage in place.
-func (m *CSR) sortRowsAndMergeDuplicates() {
-	outPtr := make([]int, m.R+1)
+func sortRowsAndMergeDuplicates(r int, rowPtr []int, cols []int32, vals []float64) ([]int, []int32, []float64) {
+	outPtr := make([]int, r+1)
 	w := 0
-	for i := 0; i < m.R; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		row := rowSorter{cols: m.Cols[lo:hi], vals: m.Vals[lo:hi]}
-		sort.Sort(row)
+	for i := 0; i < r; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		sort.Sort(rowSorter{cols: cols[lo:hi], vals: vals[lo:hi]})
 		outPtr[i] = w
 		for k := lo; k < hi; {
-			col := m.Cols[k]
-			sum := m.Vals[k]
+			col := cols[k]
+			sum := vals[k]
 			k++
-			for k < hi && m.Cols[k] == col {
-				sum += m.Vals[k]
+			for k < hi && cols[k] == col {
+				sum += vals[k]
 				k++
 			}
-			m.Cols[w] = col
-			m.Vals[w] = sum
+			cols[w] = col
+			vals[w] = sum
 			w++
 		}
 	}
-	outPtr[m.R] = w
-	m.RowPtr = outPtr
-	m.Cols = m.Cols[:w]
-	m.Vals = m.Vals[:w]
+	outPtr[r] = w
+	return outPtr, cols[:w], vals[:w]
 }
 
 type rowSorter struct {
@@ -137,16 +226,19 @@ func (s rowSorter) Swap(i, j int) {
 // result's rows come out already column-sorted.
 func (m *CSR) T() *CSR {
 	counts := make([]int, m.C+1)
-	for _, c := range m.Cols {
-		counts[c+1]++
+	for i := 0; i < m.R; i++ {
+		cs, _ := m.Row(i)
+		for _, c := range cs {
+			counts[c+1]++
+		}
 	}
 	for i := 0; i < m.C; i++ {
 		counts[i+1] += counts[i]
 	}
 	rowPtr := make([]int, m.C+1)
 	copy(rowPtr, counts)
-	cols := make([]int32, len(m.Cols))
-	vals := make([]float64, len(m.Vals))
+	cols := make([]int32, m.nnz)
+	vals := make([]float64, m.nnz)
 	for i := 0; i < m.R; i++ {
 		cs, vs := m.Row(i)
 		for k, c := range cs {
@@ -156,7 +248,7 @@ func (m *CSR) T() *CSR {
 			counts[c]++
 		}
 	}
-	return &CSR{R: m.C, C: m.R, RowPtr: rowPtr, Cols: cols, Vals: vals}
+	return fromArrays(m.C, m.R, rowPtr, cols, vals)
 }
 
 // ToDense materializes m as a dense matrix. Intended for tests and small
@@ -173,50 +265,31 @@ func (m *CSR) ToDense() *mat.Dense {
 	return out
 }
 
-// ScaleRows multiplies row i by s[i] in place. Used to turn an adjacency
-// matrix into the random-walk matrix P = D⁻¹A.
-func (m *CSR) ScaleRows(s []float64) {
+// ScaleRows returns m with row i multiplied by s[i], as a freshly built
+// matrix. Used to turn an adjacency matrix into the random-walk matrix
+// P = D⁻¹A.
+func (m *CSR) ScaleRows(s []float64) *CSR {
 	if len(s) != m.R {
 		panic("sparse: ScaleRows length mismatch")
 	}
+	rowPtr, cols, vals := m.Flat()
+	scaled := make([]float64, len(vals))
 	for i := 0; i < m.R; i++ {
-		f := s[i]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			m.Vals[k] *= f
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			scaled[k] = vals[k] * s[i]
 		}
 	}
-}
-
-// RowSums returns the per-row sum of stored values.
-func (m *CSR) RowSums() []float64 {
-	sums := make([]float64, m.R)
-	for i := 0; i < m.R; i++ {
-		_, vals := m.Row(i)
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		sums[i] = s
-	}
-	return sums
+	return fromArrays(m.R, m.C, rowPtr, cols, scaled)
 }
 
 // ColSums returns the per-column sum of stored values.
 func (m *CSR) ColSums() []float64 {
 	sums := make([]float64, m.C)
-	for k, c := range m.Cols {
-		sums[c] += m.Vals[k]
+	for i := 0; i < m.R; i++ {
+		cols, vals := m.Row(i)
+		for k, c := range cols {
+			sums[c] += vals[k]
+		}
 	}
 	return sums
-}
-
-// Clone returns a deep copy of m.
-func (m *CSR) Clone() *CSR {
-	out := &CSR{
-		R: m.R, C: m.C,
-		RowPtr: append([]int(nil), m.RowPtr...),
-		Cols:   append([]int32(nil), m.Cols...),
-		Vals:   append([]float64(nil), m.Vals...),
-	}
-	return out
 }

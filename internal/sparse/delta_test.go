@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -93,13 +94,10 @@ func csrEqual(a, b *CSR) bool {
 	if a.R != b.R || a.C != b.C || a.NNZ() != b.NNZ() {
 		return false
 	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.Cols {
-		if a.Cols[k] != b.Cols[k] || a.Vals[k] != b.Vals[k] {
+	for i := 0; i < a.R; i++ {
+		ac, av := a.Row(i)
+		bc, bv := b.Row(i)
+		if !slices.Equal(ac, bc) || !slices.Equal(av, bv) {
 			return false
 		}
 	}
@@ -110,7 +108,7 @@ func TestMergeEntriesSumMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sum := func(old, add float64) float64 { return old + add }
 	for trial := 0; trial < 30; trial++ {
-		r, c := 4+rng.Intn(20), 4+rng.Intn(20)
+		r, c := 4+rng.Intn(70), 4+rng.Intn(20) // up to five row pages
 		// Quarter-integer weights make float addition exact, so the merged
 		// result is bit-identical to a rebuild no matter the addition order.
 		var base []Entry
@@ -131,6 +129,13 @@ func TestMergeEntriesSumMatchesRebuild(t *testing.T) {
 		if !csrEqual(got, want) {
 			t.Fatalf("trial %d: MergeEntries(sum) differs from rebuild", trial)
 		}
+		// The contiguous form assembled from the merged pages is the
+		// rebuild's own arrays, which is what a bundle writes.
+		gp, gc, gv := got.Flat()
+		wp, wc, wv := want.Flat()
+		if !slices.Equal(gp, wp) || !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+			t.Fatalf("trial %d: Flat() of the merged matrix differs from the rebuild's", trial)
+		}
 	}
 }
 
@@ -140,8 +145,7 @@ func TestMergeEntriesKeepOne(t *testing.T) {
 	got := m.MergeEntries([]Entry{{0, 1, 1}, {0, 2, 1}, {0, 2, 1}, {1, 0, 1}}, one)
 	want := NewCSR(3, 3, []Entry{{0, 1, 1}, {0, 2, 1}, {1, 0, 1}, {2, 2, 1}})
 	// The keep-one combine collapses duplicates to weight 1, the adjacency
-	// semantics of graph.New.
-	want.Vals[0], want.Vals[1], want.Vals[2], want.Vals[3] = 1, 1, 1, 1
+	// semantics of graph.New (NewCSR would sum them; want lists none).
 	if !csrEqual(got, want) {
 		t.Fatalf("MergeEntries(keep-one) = %+v, want %+v", got, want)
 	}

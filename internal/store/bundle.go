@@ -41,7 +41,8 @@ import (
 type Bundle struct {
 	ModelVersion uint64
 	Cfg          core.Config
-	Xf, Xb, Y    *mat.Dense
+	Xf, Xb       *mat.Paged
+	Y            *mat.Dense
 	Adj, Attr    *sparse.CSR
 	Labels       [][]int
 	// Index optionally records the serving-index configuration so a
@@ -147,10 +148,13 @@ func WriteBundle(w io.Writer, b *Bundle) error {
 	if err := writeLabels(bw, b.Labels); err != nil {
 		return err
 	}
-	for _, m := range []*mat.Dense{b.Xf, b.Xb, b.Y} {
-		if err := writeDense(bw, m); err != nil {
+	for _, m := range []*mat.Paged{b.Xf, b.Xb} {
+		if err := writeDense(bw, m.Rows, m.Cols, m.Pages()...); err != nil {
 			return err
 		}
+	}
+	if err := writeDense(bw, b.Y.Rows, b.Y.Cols, b.Y.Data); err != nil {
+		return err
 	}
 	for _, m := range []*sparse.CSR{b.Adj, b.Attr} {
 		if err := writeCSR(bw, m); err != nil {
@@ -401,10 +405,15 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 	if b.Labels, err = readLabels(br); err != nil {
 		return nil, err
 	}
-	for _, dst := range []**mat.Dense{&b.Xf, &b.Xb, &b.Y} {
-		if *dst, err = readDense(br); err != nil {
+	for _, dst := range []**mat.Paged{&b.Xf, &b.Xb} {
+		m, err := readDense(br)
+		if err != nil {
 			return nil, err
 		}
+		*dst = mat.Page(m)
+	}
+	if b.Y, err = readDense(br); err != nil {
+		return nil, err
 	}
 	for _, dst := range []**sparse.CSR{&b.Adj, &b.Attr} {
 		if *dst, err = readCSR(br); err != nil {

@@ -32,8 +32,8 @@ func testBundle(withLabels bool) *Bundle {
 	b := &Bundle{
 		ModelVersion: 42,
 		Cfg:          core.Config{K: 2 * half, Alpha: 0.5, Eps: 0.015, Threads: 3, Seed: 9},
-		Xf:           randDense(n, half),
-		Xb:           randDense(n, half),
+		Xf:           mat.Page(randDense(n, half)),
+		Xb:           mat.Page(randDense(n, half)),
 		Y:            randDense(d, half),
 		Adj:          adj,
 		Attr:         attr,
@@ -62,7 +62,7 @@ func TestBundleRoundTrip(t *testing.T) {
 			t.Fatalf("config %+v != %+v", got.Cfg, b.Cfg)
 		}
 		for name, pair := range map[string][2]*mat.Dense{
-			"Xf": {got.Xf, b.Xf}, "Xb": {got.Xb, b.Xb}, "Y": {got.Y, b.Y},
+			"Xf": {got.Xf.Dense(), b.Xf.Dense()}, "Xb": {got.Xb.Dense(), b.Xb.Dense()}, "Y": {got.Y, b.Y},
 		} {
 			if !pair[0].Equal(pair[1], 0) {
 				t.Fatalf("%s not bit-equal after round trip", name)
@@ -132,7 +132,7 @@ func TestBundleReadsFormatV1(t *testing.T) {
 	if got.Index != nil || got.Quant != nil {
 		t.Fatalf("v1 bundle grew sections: %+v %+v", got.Index, got.Quant)
 	}
-	if got.ModelVersion != b.ModelVersion || !got.Xf.Equal(b.Xf, 0) {
+	if got.ModelVersion != b.ModelVersion || !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v1 payload mangled")
 	}
 }
@@ -161,7 +161,7 @@ func TestBundleReadsFormatV2(t *testing.T) {
 	if got.Index == nil || *got.Index != want {
 		t.Fatalf("v2 index meta %+v, want %+v", got.Index, want)
 	}
-	if !got.Xf.Equal(b.Xf, 0) {
+	if !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v2 payload mangled")
 	}
 }
@@ -190,7 +190,7 @@ func TestBundleReadsFormatV3(t *testing.T) {
 	if got.Quant != nil {
 		t.Fatalf("v3 bundle grew a quantized payload")
 	}
-	if !got.Xf.Equal(b.Xf, 0) {
+	if !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v3 payload mangled")
 	}
 }
@@ -322,7 +322,7 @@ func TestBundleReadsFormatV4(t *testing.T) {
 			t.Fatalf("v4 quant code %d differs", i)
 		}
 	}
-	if !got.Xf.Equal(b.Xf, 0) {
+	if !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v4 payload mangled")
 	}
 }
@@ -396,7 +396,7 @@ func TestBundleFileAtomicSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ModelVersion != b.ModelVersion || !got.Xf.Equal(b.Xf, 0) {
+	if got.ModelVersion != b.ModelVersion || !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("file round trip changed the bundle")
 	}
 }

@@ -45,17 +45,18 @@ func writeCSR(w io.Writer, m *sparse.CSR) error {
 	}
 	// One bulk write for the row pointers: binary.Write on a []uint64 hits
 	// encoding/binary's fast path, vs a reflection round trip per element.
-	ptr := make([]uint64, len(m.RowPtr))
-	for i, p := range m.RowPtr {
+	rowPtr, cols, vals := m.Flat()
+	ptr := make([]uint64, len(rowPtr))
+	for i, p := range rowPtr {
 		ptr[i] = uint64(p)
 	}
 	if err := binary.Write(w, order, ptr); err != nil {
 		return err
 	}
-	if err := binary.Write(w, order, m.Cols); err != nil {
+	if err := binary.Write(w, order, cols); err != nil {
 		return err
 	}
-	return binary.Write(w, order, m.Vals)
+	return binary.Write(w, order, vals)
 }
 
 // ReadCSR deserializes a CSR written by WriteCSR.
@@ -78,32 +79,25 @@ func readCSR(r io.Reader) (*sparse.CSR, error) {
 	if rows > limit || cols > limit || nnz > limit {
 		return nil, fmt.Errorf("store: implausible CSR dimensions %dx%d nnz=%d", rows, cols, nnz)
 	}
-	m := &sparse.CSR{
-		R: int(rows), C: int(cols),
-		RowPtr: make([]int, rows+1),
-		Cols:   make([]int32, nnz),
-		Vals:   make([]float64, nnz),
-	}
 	ptr := make([]uint64, rows+1)
 	if err := binary.Read(r, order, ptr); err != nil {
 		return nil, fmt.Errorf("store: reading row pointers: %w", err)
 	}
+	rowPtr := make([]int, rows+1)
 	for i, v := range ptr {
-		m.RowPtr[i] = int(v)
+		rowPtr[i] = int(v)
 	}
-	if m.RowPtr[rows] != int(nnz) {
-		return nil, fmt.Errorf("store: row pointer tail %d != nnz %d", m.RowPtr[rows], nnz)
-	}
-	if err := binary.Read(r, order, m.Cols); err != nil {
+	colIdx := make([]int32, nnz)
+	if err := binary.Read(r, order, colIdx); err != nil {
 		return nil, fmt.Errorf("store: reading columns: %w", err)
 	}
-	if err := binary.Read(r, order, m.Vals); err != nil {
+	vals := make([]float64, nnz)
+	if err := binary.Read(r, order, vals); err != nil {
 		return nil, fmt.Errorf("store: reading values: %w", err)
 	}
-	for i, c := range m.Cols {
-		if c < 0 || uint64(c) >= cols {
-			return nil, fmt.Errorf("store: column %d out of range at entry %d", c, i)
-		}
+	m, err := sparse.FromArrays(int(rows), int(cols), rowPtr, colIdx, vals)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return m, nil
 }
@@ -111,19 +105,26 @@ func readCSR(r io.Reader) (*sparse.CSR, error) {
 // WriteDense serializes m.
 func WriteDense(w io.Writer, m *mat.Dense) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeDense(bw, m); err != nil {
+	if err := writeDense(bw, m.Rows, m.Cols, m.Data); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// writeDense writes the dense section to w without buffering or flushing.
-func writeDense(w io.Writer, m *mat.Dense) error {
-	hdr := []uint64{magicDense, uint64(m.Rows), uint64(m.Cols)}
+// writeDense writes a rows x cols dense section to w without buffering or
+// flushing; pages are its row-major data in order, in any number of
+// pieces — one for a mat.Dense, the row pages of a mat.Paged.
+func writeDense(w io.Writer, rows, cols int, pages ...[]float64) error {
+	hdr := []uint64{magicDense, uint64(rows), uint64(cols)}
 	if err := binary.Write(w, order, hdr); err != nil {
 		return err
 	}
-	return binary.Write(w, order, m.Data)
+	for _, pg := range pages {
+		if err := binary.Write(w, order, pg); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadDense deserializes a matrix written by WriteDense.

@@ -115,6 +115,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// take the incremental path; the full build cycles are the
 		// construction-time ones.
 		`pane_updates_total{path="incremental"}`,
+		`pane_update_stage_duration_seconds_count{stage="graph"}`,
+		`pane_update_stage_duration_seconds_count{stage="affinity"}`,
+		`pane_update_stage_duration_seconds_count{stage="ccd"}`,
+		`pane_update_stage_duration_seconds_count{stage="scorer"}`,
 		`pane_index_build_cycles_total{kind="full"}`,
 		`pane_index_build_cycles_total{kind="incremental"}`,
 		"pane_model_version",
