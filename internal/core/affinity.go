@@ -187,7 +187,7 @@ func (s *AffinityState) AffinityRows(rows []int, nb int) (fRows, bRows *mat.Dens
 	bRows = mat.New(len(rows), s.d)
 	invCol := s.invColSums()
 	nf, df := float64(s.n), float64(s.d)
-	mat.ParallelRanges(len(rows), nb, func(lo, hi int) {
+	mat.ParallelRanges(len(rows), mat.RowWorkers(len(rows), nb), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			s.affinityRowInto(fRows.Row(j), bRows.Row(j), rows[j], invCol, nf, df)
 		}
@@ -319,7 +319,7 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs 
 // patched row is bit-identical to a full pass over the same inputs.
 func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src, seed *mat.Dense, frontier []int, nb int) {
 	a := 1 - s.alpha
-	mat.ParallelRanges(len(frontier), nb, func(lo, hi int) {
+	mat.ParallelRanges(len(frontier), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := frontier[k]
 			m.AxpyRowInto(dst.Row(i), i, a, src, s.alpha, seed.Row(i))
@@ -387,7 +387,7 @@ func (s *AffinityState) patchFinalF(m *sparse.CSR, src, seed *mat.Dense, frontie
 func (s *AffinityState) patchFinalB(m *sparse.CSR, src, seed *mat.Dense, frontier []int, nb int) {
 	a := 1 - s.alpha
 	dst := s.finalB()
-	mat.ParallelRanges(len(frontier), nb, func(lo, hi int) {
+	mat.ParallelRanges(len(frontier), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := frontier[k]
 			row := dst.Row(i)

@@ -134,7 +134,7 @@ func refineRows(st *state, sweeps, nb int, nodes, attrs []int) (node, attr time.
 				norms[l] = inverse(mat.Dot(yColT.Row(l), yColT.Row(l)))
 			}
 			start := time.Now()
-			mat.ParallelRanges(len(nodes), nb, func(lo, hi int) {
+			mat.ParallelRanges(len(nodes), mat.RowWorkers(len(nodes), nb), func(lo, hi int) {
 				for _, v := range nodes[lo:hi] {
 					ccdNodeRow(st, norms, yColT, v)
 				}

@@ -170,7 +170,7 @@ func refineNodeRowsGatheredTargets(prev *Embedding, fRows, bRows *mat.Dense, swe
 		yNormInv[l] = inverse(mat.Dot(yColT.Row(l), yColT.Row(l)))
 	}
 	for it := 0; it < sweeps; it++ {
-		mat.ParallelRanges(nd, nb, func(lo, hi int) {
+		mat.ParallelRanges(nd, mat.RowWorkers(nd, nb), func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				ccdNodeRow(st, yNormInv, yColT, j)
 			}

@@ -92,7 +92,7 @@ func (s *LinkScorer) TransformedCandidatesRange(lo, hi, nb int) *mat.Dense {
 // the worker count over the listed rows.
 func (s *LinkScorer) TransformedCandidatesRows(rows []int, nb int) *mat.Dense {
 	out := mat.New(len(rows), s.g.Cols)
-	mat.ParallelRanges(len(rows), nb, func(lo, hi int) {
+	mat.ParallelRanges(len(rows), mat.RowWorkers(len(rows), nb), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			mat.MulRowInto(out.Row(j), s.e.Xb.Row(rows[j]), s.g)
 		}

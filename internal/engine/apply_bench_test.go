@@ -12,12 +12,13 @@ import (
 )
 
 // applyFixture is the end-to-end benchmark's model shape (bench/: n =
-// 30,000, average out-degree 8, d = 100, K = 128) wrapped in an engine
-// without an index, so ApplyEdges is the ack path alone. The embedding is
-// random: no stage of an update costs more or less for trained values.
-// The first update, which builds the retained affinity state in full, is
-// applied here; next returns the 8-edge batches of the benchmark's writes.
-func applyFixture(tb testing.TB) (eng *Engine, next func() []graph.Edge) {
+// 30,000, average out-degree 8, d = 100, K = 128) wrapped in an engine —
+// without an index unless opts add one, so ApplyEdges is the ack path
+// alone. The embedding is random: no stage of an update costs more or
+// less for trained values. The first update, which builds the retained
+// affinity state in full, is applied here; next returns the 8-edge
+// batches of the benchmark's writes.
+func applyFixture(tb testing.TB, opts ...Option) (eng *Engine, next func() []graph.Edge) {
 	tb.Helper()
 	g, err := datagen.Generate(datagen.Config{
 		Name: "bench", N: 30000, AvgOutDeg: 8, D: 100, AttrsPer: 6, Communities: 50, Seed: 1,
@@ -35,7 +36,7 @@ func applyFixture(tb testing.TB) (eng *Engine, next func() []graph.Edge) {
 	}
 	cfg := core.Config{K: 128, Alpha: 0.5, Eps: 0.25, Threads: 2, Seed: 1}
 	emb := &core.Embedding{Xf: mat.Page(random(g.N, 64)), Xb: mat.Page(random(g.N, 64)), Y: random(g.D, 64)}
-	eng, err = New(g, emb, cfg, WithRefreshThreshold(1), WithAffinityThreshold(1))
+	eng, err = New(g, emb, cfg, append([]Option{WithRefreshThreshold(1), WithAffinityThreshold(1)}, opts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,8 +50,12 @@ func applyFixture(tb testing.TB) (eng *Engine, next func() []graph.Edge) {
 	if _, err := eng.ApplyEdges(next()); err != nil {
 		tb.Fatal(err)
 	}
+	eng.WaitForIndex()
 	return eng, next
 }
+
+// benchIndex is the end-to-end benchmark's index: all six cells, 2 shards.
+var benchIndex = WithIndex(IndexConfig{IVF: true, Quantize: true, FP16: true, Shards: 2})
 
 // BenchmarkApplyEdges times one 8-edge update through the whole ack path
 // at the benchmark's shape: graph merge, affinity patch, restricted CCD,
@@ -88,5 +93,63 @@ func TestApplyEdgesAllocationBound(t *testing.T) {
 		t.Fatalf("ApplyEdges allocates %d bytes per 8-edge update, over the 1 MiB bound", per)
 	} else {
 		t.Logf("ApplyEdges allocates %d bytes per 8-edge update", per)
+	}
+}
+
+// BenchmarkRefreshEdges times one 8-edge update through the ack path AND
+// the index refresh it wakes, at the benchmark's shape with all six cells
+// in 2 shards: what a write costs the machine, not only its caller.
+func BenchmarkRefreshEdges(b *testing.B) {
+	eng, next := applyFixture(b, benchIndex)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.ApplyEdges(next()); err != nil {
+			b.Fatal(err)
+		}
+		eng.WaitForIndex()
+	}
+}
+
+// TestRefreshEdgesAllocationBound is the O(Δ) gate for the index side: an
+// 8-edge update's refresh of both shards may allocate its dirty pages,
+// the lists its dirty rows left or joined, and one pointer per page —
+// never a copy of a candidate block or of a cell's codes (24.8 MB when it
+// cloned them). It also pins the refresh's books: every dirty row is
+// encoded once per compressed cell, and nothing else is.
+func TestRefreshEdgesAllocationBound(t *testing.T) {
+	eng, next := applyFixture(t, benchIndex)
+	const updates = 20
+	batches := make([][]graph.Edge, updates)
+	dirty := 0
+	for i := range batches {
+		batches[i] = next()
+		dirty += len(touchedDelta(batches[i], nil).Nodes)
+	}
+	encoded := func() (n uint64) {
+		for l := range eng.met.rowsEncoded {
+			for _, c := range eng.met.rowsEncoded[l] {
+				n += c.Value()
+			}
+		}
+		return n
+	}
+	rows0, bytes0 := encoded(), eng.met.bytesCopied.Value()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, edges := range batches {
+		if _, err := eng.ApplyEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		eng.WaitForIndex()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / updates
+	t.Logf("update + refresh allocates %d bytes per 8-edge update, the refresh copies %d", per, (eng.met.bytesCopied.Value()-bytes0)/updates)
+	if per > 8<<20 {
+		t.Fatalf("update + refresh allocates %d bytes per 8-edge update, over the 8 MiB bound", per)
+	}
+	if got, want := encoded()-rows0, uint64(dirty*2*2); got != want {
+		t.Fatalf("refresh encoded %d rows for %d dirty rows, want %d (2 compressed codecs x 2 layouts)", got, dirty, want)
 	}
 }

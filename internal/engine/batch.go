@@ -123,7 +123,7 @@ type preparedTopK struct {
 	index.BatchQuery
 }
 
-func (m *Model) execute(qs []Query, shards []*shardIdx, met *engineMetrics) []Result {
+func (m *Model) execute(qs []Query, shards *cut, met *engineMetrics) []Result {
 	out := make([]Result, len(qs))
 	var prep []preparedTopK
 	if shards != nil {
@@ -149,7 +149,7 @@ func (m *Model) execute(qs []Query, shards []*shardIdx, met *engineMetrics) []Re
 // walks every shard's rows once for all of them (see internal/index
 // scan.go). Members keep batch order within a cell and land in their own
 // result slots, so the grouping is invisible in the output.
-func runPrepared(prep []preparedTopK, shards []*shardIdx, out []Result, met *engineMetrics) {
+func runPrepared(prep []preparedTopK, shards *cut, out []Result, met *engineMetrics) {
 	t0 := time.Now()
 	slices.SortStableFunc(prep, func(a, b preparedTopK) int { return a.cell.order() - b.cell.order() })
 	group := make([]index.BatchQuery, 0, len(prep))
@@ -178,7 +178,7 @@ func runPrepared(prep []preparedTopK, shards []*shardIdx, out []Result, met *eng
 // a fresh shard set are validated, appended to prep for the batch scan,
 // and have their Backend set immediately (runPrepared later fills Top).
 // Without shards, top-k ops scan inline.
-func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int, prep *[]preparedTopK) Result {
+func (m *Model) run(q Query, shards *cut, met *engineMetrics, resIdx int, prep *[]preparedTopK) Result {
 	res := Result{Op: q.Op}
 	fail := func(format string, args ...interface{}) Result {
 		res.Err = fmt.Sprintf(format, args...)

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"pane/internal/core"
 	"pane/internal/datagen"
 	"pane/internal/graph"
+	"pane/internal/index"
+	"pane/internal/mat"
 )
 
 // deltaTestEngine trains a modest community graph and wraps it with the
@@ -562,7 +566,7 @@ func TestDeltaOverlapLifecycleRace(t *testing.T) {
 			}
 			m := eng.Model()
 			if shards := eng.freshShards(m); shards != nil {
-				for s, si := range shards {
+				for s, si := range shards.shards {
 					if si.version != m.Version {
 						t.Errorf("mixed-version cut: shard %d at %d, model at %d", s, si.version, m.Version)
 						return
@@ -631,5 +635,170 @@ func TestDeltaOverlapLifecycleRace(t *testing.T) {
 			mustTop(t, fresh, true, u, 8, ModeExact, 0), mustTop(t, eng, true, u, 8, ModeExact, 0))
 		sameAnswers(t, "post-race sq8",
 			mustTop(t, fresh, true, u, 8, ModeSQ8, 0), mustTop(t, eng, true, u, 8, ModeSQ8, 0))
+	}
+}
+
+// allModes lists the six cells' query modes.
+var allModes = []string{ModeExact, ModeSQ8, ModeFP16, ModeIVF, ModeIVFSQ, ModeIVFFP16}
+
+// cutAnswers answers a fixed probe set in all six modes (the inverted
+// ones at full probe too) straight off one retained cut of one model.
+func cutAnswers(t *testing.T, m *Model, c *cut) (out [][]core.Scored) {
+	t.Helper()
+	for u := 0; u < m.Nodes(); u += 57 {
+		for _, mode := range allModes {
+			for _, nprobe := range []int{0, 1 << 20} {
+				res, backend, err := m.topLinks(c, nil, u, 8, mode, nprobe)
+				if err != nil || backend != mode {
+					t.Errorf("u=%d mode=%s: backend %q, err %v", u, mode, backend, err) // readers call this too
+					return nil
+				}
+				out = append(out, res)
+			}
+		}
+	}
+	return out
+}
+
+// TestRefreshChainSharesPages is the engine-level copy-on-write property:
+// 200 edge updates, each refreshed on its own, through all six cells in
+// two shards and — the same updates — in one. Every generation shares
+// with its parent every page of Z no dirty row is on; every retained cut,
+// read all the while by goroutines racing the refreshes, keeps answering
+// exactly as it did when it was published; sharded answers equal
+// unsharded ones; and the last generation equals a fresh build around the
+// final model bit for bit — as does an engine restored from a snapshot of
+// it, whose cells sit on the bundle's payload instead of re-encoding.
+func TestRefreshChainSharesPages(t *testing.T) {
+	all := IndexConfig{IVF: true, NList: 4, NProbe: 4, Quantize: true, FP16: true}
+	sharded, unsharded := all, all
+	sharded.Shards, unsharded.Shards = 2, 1
+	eng, g := deltaTestEngine(t, 2, 1.0, WithIndex(sharded), WithAffinityThreshold(1))
+	one, _ := deltaTestEngine(t, 1, 1.0, WithIndex(unsharded), WithAffinityThreshold(1))
+
+	type retained struct {
+		m    *Model
+		c    *cut
+		want [][]core.Scored
+	}
+	retain := func() retained {
+		m := eng.Model()
+		c := eng.freshShards(m)
+		if c == nil {
+			t.Fatalf("no cut at version %d after WaitForIndex", m.Version)
+		}
+		return retained{m, c, cutAnswers(t, m, c)}
+	}
+	var mu sync.Mutex
+	kept := []retained{retain()}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				k := kept[i%len(kept)]
+				mu.Unlock()
+				if !reflect.DeepEqual(cutAnswers(t, k.m, k.c), k.want) {
+					t.Errorf("the cut at version %d changed its answers under a later refresh", k.m.Version)
+					return
+				}
+			}
+		}(r)
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	const chain = 200
+	for i := 0; i < chain; i++ {
+		edges := []graph.Edge{{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}, {Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}}
+		prev := kept[len(kept)-1].c
+		for _, e := range []*Engine{eng, one} {
+			if _, err := e.ApplyEdges(edges); err != nil {
+				t.Fatal(err)
+			}
+			e.WaitForIndex()
+		}
+		cur := retain()
+		dirtyPage := map[[2]int]bool{}
+		for _, r := range touchedDelta(edges, nil).Nodes {
+			s := eng.shards.shardOf(linkSpace, r)
+			dirtyPage[[2]int{s, (r - eng.shards.ranges[linkSpace][s][0]) / mat.PageRows}] = true
+		}
+		for s, sh := range cur.c.shards {
+			for k := range sh.z.Pages() {
+				if sh.z.SamePage(prev.shards[s].z, k) == dirtyPage[[2]int{s, k}] {
+					t.Fatalf("update %d shard %d: Z page %d shared=%v, dirty=%v", i, s, k, !dirtyPage[[2]int{s, k}], dirtyPage[[2]int{s, k}])
+				}
+			}
+			if sh.spaces[attrSpace] != prev.shards[s].spaces[attrSpace] {
+				t.Fatalf("update %d shard %d: an edge update rebuilt the attribute cells", i, s)
+			}
+		}
+		mu.Lock()
+		if i%10 == 9 {
+			kept = append(kept, cur)
+		} else {
+			kept[len(kept)-1] = cur // the newest cut is always the last
+		}
+		mu.Unlock()
+	}
+	close(stop)
+	readers.Wait()
+	for _, k := range kept {
+		if !reflect.DeepEqual(cutAnswers(t, k.m, k.c), k.want) {
+			t.Fatalf("the cut at version %d no longer answers as it did", k.m.Version)
+		}
+	}
+	if st := eng.IndexStatus(); st.FullRebuilds != uint64(st.Shards) || st.IncrementalRefreshes != chain*uint64(st.Shards) {
+		t.Fatalf("index status %+v: the chain must have been refreshed incrementally throughout", st)
+	}
+
+	// Sharded = unsharded = a fresh build = a restored engine. The flat
+	// cells and full-probe inverted ones compare across engines whatever
+	// their quantizers; default-probe answers only where the quantizer is
+	// the same one, frozen (eng and its restored copy retrain: skip).
+	m := eng.Model()
+	fresh, err := New(m.Graph, m.Emb, m.Cfg, WithIndex(sharded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "chain.pane")
+	if _, err := eng.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := restored.restored.Load()
+	if r == nil || r.quant == nil || r.half == nil {
+		t.Fatal("the snapshot of a refreshed engine carries no payloads")
+	}
+	lo, hi := restored.shards.ranges[linkSpace][1][0], restored.shards.ranges[linkSpace][1][1]
+	dim := m.Emb.Xf.Cols
+	q, okQ := restored.restoredCodes(linkSpace, index.I8, m.Version, lo, hi, dim)
+	h, okH := restored.restoredCodes(linkSpace, index.F16, m.Version, lo, hi, dim)
+	if !okQ || !okH || &q.I8[0] != &r.quant.Links.Codes[lo*dim] || &q.Scale[0] != &r.quant.Links.Scale[lo] || &h.F16[0] != &r.half.Links.Codes[lo*dim] {
+		t.Fatal("a shard's restored codes are not views of the bundle's payload")
+	}
+	for u := 0; u < g.N; u += 7 {
+		for _, mode := range allModes {
+			nprobe := 0
+			if modeCell[mode].layout == inverted {
+				nprobe = 1 << 20
+			}
+			want := mustTop(t, fresh, true, u, 10, mode, nprobe)
+			for label, other := range map[string]*Engine{"refreshed": eng, "unsharded": one, "restored": restored} {
+				sameAnswers(t, label+" links "+mode, want, mustTop(t, other, true, u, 10, mode, nprobe))
+			}
+			sameAnswers(t, "attrs "+mode, mustTop(t, fresh, false, u, 6, mode, nprobe), mustTop(t, eng, false, u, 6, mode, nprobe))
+		}
 	}
 }

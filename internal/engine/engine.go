@@ -547,7 +547,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	// update dirties everything, a restricted one only its touched rows —
 	// except that any moved Y row shifts the Gram matrix G = YᵀY and with
 	// it every link candidate row, so the link space goes full then.
-	d := idxDelta{target: next.Version}
+	d := idxDelta{target: next.Version, at: time.Now()}
 	if incremental {
 		d.dirty[linkSpace] = touched.Nodes
 		d.dirty[attrSpace] = touched.Attrs

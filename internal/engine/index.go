@@ -207,13 +207,24 @@ type cells [nLayouts][index.NumCodecs]*index.Table
 // one model version. Every enabled cell is built BEFORE the shardIdx is
 // published through its slot, so a query can never observe a shard whose
 // exact cell is at one version and whose quantized cell is at another. A
-// generation produced by incremental refresh shares unchanged storage (the
-// candidate block, codes, inverted lists) with its predecessor; a shard
-// with no dirty rows shares everything and republishing it is O(1).
+// generation produced by incremental refresh shares with its predecessor
+// every 16-row page of the candidate block and of each flat cell's codes
+// that no dirty row is on, and every inverted list no dirty row left or
+// joined; a shard with no dirty rows shares everything and republishing it
+// is O(1).
 type shardIdx struct {
 	version uint64
-	z       *mat.Dense // this shard's block of Z = Xb·G
+	z       *mat.Paged // this shard's block of Z = Xb·G, on the pages the flat link cells hold
 	spaces  [nSpaces]cells
+}
+
+// cut is one consistent set of shard generations — every shard at the
+// same model version — with each cell's per-shard tables laid out for
+// index.SearchBatch, assembled once by the publish that completes it.
+type cut struct {
+	version uint64
+	shards  []*shardIdx
+	tables  [nSpaces][nLayouts][index.NumCodecs][]*index.Table
 }
 
 // shardPending is one shard's accumulated rebuild obligation: the model
@@ -245,6 +256,7 @@ type idxDelta struct {
 	dirty  [nSpaces][]int
 	gram   *core.GramDelta // low-rank Z correction of an attr delta
 	rows   int             // total dirty rows, for monitoring
+	at     time.Time       // when the model was published
 }
 
 // shardSet is the sharded serving-index state of one Engine: the fixed
@@ -257,6 +269,10 @@ type shardSet struct {
 	// space.
 	ranges [nSpaces][][2]int
 	slots  []atomic.Pointer[shardIdx]
+	cut    atomic.Pointer[cut] // the newest complete cut of slots; versions only rise
+	// published is the newest model publish the index was told of; until
+	// a cut at its version exists, top-k reads fall back to the scan.
+	published atomic.Pointer[idxDelta]
 
 	// Per-shard async rebuild scheduling, all under mu: at most one
 	// worker goroutine runs per shard (running[s]); updates merge their
@@ -436,7 +452,7 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, s int, bp buildParam
 	var rows *mat.Dense
 	if sp == linkSpace {
 		rows = m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
-		si.z = rows
+		si.z = mat.Page(rows)
 	} else {
 		rows = m.Emb.Y.RowSlice(lo, hi)
 	}
@@ -461,6 +477,7 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, s int, bp buildParam
 			si.spaces[sp][inverted][c] = iv.Encode(c, bp.cfg.Rerank).Shift(lo)
 		}
 	}
+	e.met.recordBuildWork(&si.spaces[sp], 0)
 }
 
 // refreshShard produces shard s's next generation from base using p's
@@ -483,11 +500,13 @@ func (e *Engine) refreshShard(m *Model, s int, base *shardIdx, p shardPending) (
 // full rebuild (poisoned space or a delta past the threshold), which it
 // reports. Incremental link refresh recomputes only the dirty Z rows
 // (core's row-restricted transform is bit-identical to the full product)
-// and patches them into a clone of the previous block; the attribute
-// block is a view of the new Y. Every cell then takes index's
-// copy-on-write Refresh, the inverted ones behind their float64 cell so
-// the layout is refreshed once; the coarse quantizer stays frozen, exactly
-// as a frozen-quantizer full rebuild would assign every row.
+// and the new block is the previous one WithRows: one pointer per page and
+// the dirty pages are copied, the rest shared. A correction rewrites every
+// row, so that path copies the block whole; the attribute block is a view
+// of the new Y. Every cell then takes index's copy-on-write Refresh, the
+// inverted ones behind their float64 cell so the layout is refreshed once;
+// the coarse quantizer stays frozen, exactly as a frozen-quantizer full
+// rebuild would assign every row.
 func (e *Engine) refreshSpace(si *shardIdx, sp int, m *Model, s int, base *shardIdx, p shardPending, bp buildParams) (full bool) {
 	ranges := e.shards.ranges[sp]
 	if s >= len(ranges) {
@@ -521,30 +540,38 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, m *Model, s int, base *shard
 		}
 		return false
 	}
-	var rows *mat.Dense
+	local := make([]int, len(dirty))
+	for j, r := range dirty {
+		local[j] = r - lo
+	}
+	var rows *mat.Paged
+	var copied int64
 	if sp == linkSpace {
-		// Every candidate row shifts by Xb[i]·ΔG under a correction, so
-		// apply the accumulated ones to the whole block in O(n·rank·k),
-		// then overwrite the dirty rows — the rows whose Xb changed, for
-		// which the additive correction is wrong — with exactly recomputed
-		// values.
-		rows = base.z.Clone()
-		for _, gd := range grams {
-			gd.Apply(rows, m.Emb.Xb, lo, bp.threads)
+		rows = base.z
+		if len(grams) > 0 {
+			// Every candidate row shifts by Xb[i]·ΔG under a correction, so
+			// apply the accumulated ones to a copy of the whole block in
+			// O(n·rank·k); the dirty rows — whose Xb changed, for which the
+			// additive correction is wrong — are overwritten below.
+			z := rows.Dense()
+			for _, gd := range grams {
+				gd.Apply(z, m.Emb.Xb, lo, bp.threads)
+			}
+			rows, copied = mat.Page(z), int64(8*len(z.Data))
 		}
 		if len(dirty) > 0 {
-			patch := m.Scorer.TransformedCandidatesRows(dirty, bp.threads)
-			for j, r := range dirty {
-				copy(rows.Row(r-lo), patch.Row(j))
+			was := rows
+			rows = was.WithRows(local, m.Scorer.TransformedCandidatesRows(dirty, bp.threads))
+			for k, pg := range rows.Pages() {
+				copied += 24 // the page slice
+				if !rows.SamePage(was, k) {
+					copied += int64(8 * len(pg))
+				}
 			}
 		}
 		si.z = rows
 	} else {
-		rows = m.Emb.Y.RowSlice(lo, hi)
-	}
-	local := make([]int, len(dirty))
-	for j, r := range dirty {
-		local[j] = r - lo
+		rows = mat.Page(m.Emb.Y.RowSlice(lo, hi))
 	}
 	for l := range base.spaces[sp] {
 		var lead *index.Table
@@ -566,6 +593,7 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, m *Model, s int, base *shard
 			si.spaces[sp][l][c] = next
 		}
 	}
+	e.met.recordBuildWork(&si.spaces[sp], copied)
 	return false
 }
 
@@ -585,36 +613,70 @@ func (e *Engine) restoredCodes(sp int, c index.Codec, version uint64, lo, hi, di
 	case c == index.I8 && r.quant != nil:
 		qm := [nSpaces]*store.QuantizedMatrix{&r.quant.Links, &r.quant.Attrs}[sp]
 		if qm.Dim == dim && hi <= qm.Rows {
-			return index.Codes{I8: qm.Codes[lo*dim : hi*dim], Scale: qm.Scale[lo:hi], Base: qm.Base[lo:hi]}, true
+			return index.Codes{I8: qm.Codes, Scale: qm.Scale, Base: qm.Base}.Rows(lo, hi, dim), true
 		}
 	case c == index.F16 && r.half != nil:
 		hm := [nSpaces]*store.HalfMatrix{&r.half.Links, &r.half.Attrs}[sp]
 		if hm.Dim == dim && hi <= hm.Rows {
-			return index.Codes{F16: hm.Codes[lo*dim : hi*dim]}, true
+			return index.Codes{F16: hm.Codes}.Rows(lo, hi, dim), true
 		}
 	}
 	return index.Codes{}, false
 }
 
-// freshShards returns one consistent cut of the published shard indexes:
-// every shard serving exactly m's version. Anything else (disabled, some
-// shard still building, or a mixed generation set mid-catchup) returns
-// nil and the caller scans — a query can never combine shards from two
-// model versions.
-func (e *Engine) freshShards(m *Model) []*shardIdx {
-	ss := e.shards
-	if ss == nil {
+// freshShards returns the consistent cut of the published shard indexes
+// at m's version: every shard serving exactly that version. Anything else
+// (disabled, some shard still building, or a mixed generation set
+// mid-catchup) returns nil and the caller scans — a query can never
+// combine shards from two model versions.
+func (e *Engine) freshShards(m *Model) *cut {
+	if e.shards == nil {
 		return nil
 	}
-	out := make([]*shardIdx, len(ss.slots))
-	for s := range ss.slots {
-		si := ss.slots[s].Load()
-		if si == nil || si.version != m.Version {
-			return nil
-		}
-		out[s] = si
+	if c := e.shards.cut.Load(); c != nil && c.version == m.Version {
+		return c
 	}
-	return out
+	return nil
+}
+
+// publish stores shard s's new generation and, when that completes a cut
+// — every slot at si's version — assembles and publishes the cut. Slots
+// and cuts only move forward, so a publisher that lost a race to a newer
+// cut leaves it in place.
+func (e *Engine) publish(s int, si *shardIdx) {
+	ss := e.shards
+	ss.slots[s].Store(si)
+	c := &cut{version: si.version, shards: make([]*shardIdx, len(ss.slots))}
+	for i := range ss.slots {
+		sh := ss.slots[i].Load()
+		if sh == nil || sh.version != si.version {
+			return
+		}
+		c.shards[i] = sh
+	}
+	slab := make([]*index.Table, 0, nSpaces*nLayouts*int(index.NumCodecs)*len(c.shards))
+	for sp := range c.tables {
+		for l := range c.tables[sp] {
+			for cd := range c.tables[sp][l] {
+				for _, sh := range c.shards {
+					slab = append(slab, sh.spaces[sp][l][cd]) // nil past the attribute row space: a search skips it
+				}
+				c.tables[sp][l][cd] = slab[len(slab)-len(c.shards) : len(slab) : len(slab)]
+			}
+		}
+	}
+	for {
+		old := ss.cut.Load()
+		if old != nil && old.version >= c.version {
+			return
+		}
+		if ss.cut.CompareAndSwap(old, c) {
+			if p := ss.published.Load(); p != nil && p.target == c.version {
+				e.met.publishLag.Observe(time.Since(p.at))
+			}
+			return
+		}
+	}
 }
 
 // scheduleIndexRebuild merges one published update's dirty-row delta into
@@ -632,6 +694,7 @@ func (e *Engine) scheduleIndexRebuild(d idxDelta) {
 		return
 	}
 	e.met.lastDelta.Set(float64(d.rows))
+	e.shards.published.Store(&idxDelta{target: d.target, at: d.at}) // not d: it would pin the delta's rows
 	if e.idxManual {
 		return
 	}
@@ -728,7 +791,7 @@ func (e *Engine) buildShard(s int, p shardPending) bool {
 		e.met.buildIncr.Inc()
 		e.met.buildDurIncr.Observe(d)
 	}
-	ss.slots[s].Store(si)
+	e.publish(s, si)
 	return true
 }
 
@@ -744,7 +807,7 @@ func (e *Engine) rebuildShardFull(s int) {
 		return
 	}
 	t0 := time.Now()
-	ss.slots[s].Store(e.buildShardIdx(m, s))
+	e.publish(s, e.buildShardIdx(m, s))
 	e.met.buildFull.Inc()
 	e.met.buildDurFull.Observe(time.Since(t0))
 }
@@ -888,8 +951,8 @@ func (e *Engine) IndexStatus() IndexStatus {
 // concatenating the shards' flat blocks in shard order IS the whole
 // matrix's encoding.
 func (e *Engine) assembleCodes(m *Model) (*store.QuantPayload, *store.HalfPayload) {
-	shards := e.freshShards(m)
-	if shards == nil {
+	fresh := e.freshShards(m)
+	if fresh == nil {
 		return nil, nil
 	}
 	dim := m.Emb.Xf.Cols
@@ -903,18 +966,19 @@ func (e *Engine) assembleCodes(m *Model) (*store.QuantPayload, *store.HalfPayloa
 	}
 	qms := [nSpaces]*store.QuantizedMatrix{&qp.Links, &qp.Attrs}
 	hms := [nSpaces]*store.HalfMatrix{&hp.Links, &hp.Attrs}
-	for _, si := range shards {
-		for sp := range si.spaces {
-			if t := si.spaces[sp][flat][index.I8]; t != nil {
-				c := t.Codes()
-				qms[sp].Codes = append(qms[sp].Codes, c.I8...)
-				qms[sp].Scale = append(qms[sp].Scale, c.Scale...)
-				qms[sp].Base = append(qms[sp].Base, c.Base...)
-			}
-			if t := si.spaces[sp][flat][index.F16]; t != nil {
-				hms[sp].Codes = append(hms[sp].Codes, t.Codes().F16...)
+	for sp := range fresh.tables {
+		var q, h index.Codes
+		for _, t := range fresh.tables[sp][flat][index.I8] {
+			if t != nil {
+				q = t.AppendCodes(q)
 			}
 		}
+		for _, t := range fresh.tables[sp][flat][index.F16] {
+			if t != nil {
+				h = t.AppendCodes(h)
+			}
+		}
+		qms[sp].Codes, qms[sp].Scale, qms[sp].Base, hms[sp].Codes = q.I8, q.Scale, q.Base, h.F16
 	}
 	// A partial assembly (tier not built, a shard lacking its cell) must
 	// not be persisted.
@@ -943,8 +1007,7 @@ type TopKAnswer struct {
 // count of the inverted modes when > 0. The query node itself is excluded.
 func (e *Engine) TopLinks(u, k int, mode string, nprobe int) (TopKAnswer, error) {
 	m := e.Model()
-	shards := e.freshShards(m)
-	res, backend, err := m.topLinks(shards, e.met, u, k, mode, nprobe)
+	res, backend, err := m.topLinks(e.freshShards(m), e.met, u, k, mode, nprobe)
 	if err != nil {
 		return TopKAnswer{}, err
 	}
@@ -955,8 +1018,7 @@ func (e *Engine) TopLinks(u, k int, mode string, nprobe int) (TopKAnswer, error)
 // mode/nprobe semantics.
 func (e *Engine) TopAttrs(v, k int, mode string, nprobe int) (TopKAnswer, error) {
 	m := e.Model()
-	shards := e.freshShards(m)
-	res, backend, err := m.topAttrs(shards, e.met, v, k, mode, nprobe)
+	res, backend, err := m.topAttrs(e.freshShards(m), e.met, v, k, mode, nprobe)
 	if err != nil {
 		return TopKAnswer{}, err
 	}
@@ -1009,14 +1071,9 @@ func (c cell) order() int { return (c.space*nLayouts+c.layout)*int(index.NumCode
 // backend names the cell as answers and metrics report it.
 func (c cell) backend() string { return backends[c.layout][c.codec] }
 
-// tables returns the cell's table in every shard, nil for a shard past
-// the attribute row space, which a search skips.
-func (c cell) tables(shards []*shardIdx) []*index.Table {
-	tables := make([]*index.Table, len(shards))
-	for i, si := range shards {
-		tables[i] = si.spaces[c.space][c.layout][c.codec]
-	}
-	return tables
+// tables returns the cell's table in every shard of the cut.
+func (c cell) tables(shards *cut) []*index.Table {
+	return shards.tables[c.space][c.layout][c.codec]
 }
 
 // pick selects the cell of space sp that answers mode across a shard
@@ -1026,10 +1083,10 @@ func (c cell) tables(shards []*shardIdx) []*index.Table {
 // ivfsq → ivf → exact and sq8 → exact (likewise ivffp16 → ivf → exact and
 // fp16 → exact) — so an inverted mode never lands on a flat compressed
 // cell.
-func pick(shards []*shardIdx, sp int, mode string) cell {
+func pick(shards *cut, sp int, mode string) cell {
 	at := modeCell[mode]
 	c := cell{space: sp, layout: at.layout, codec: at.codec}
-	built := &shards[0].spaces[sp]
+	built := &shards.shards[0].spaces[sp]
 	if built[c.layout][c.codec] == nil {
 		c.codec = index.F64
 	}
@@ -1041,7 +1098,7 @@ func pick(shards []*shardIdx, sp int, mode string) cell {
 
 // search answers one query over cell c of shards and records the stages
 // and the work it took.
-func (c cell) search(shards []*shardIdx, met *engineMetrics, q index.BatchQuery) []core.Scored {
+func (c cell) search(shards *cut, met *engineMetrics, q index.BatchQuery) []core.Scored {
 	var out [1][]core.Scored
 	st := index.SearchBatch(c.tables(shards), []index.BatchQuery{q}, out[:])
 	met.recordSearch(c, st)
@@ -1052,7 +1109,7 @@ func (c cell) search(shards []*shardIdx, met *engineMetrics, q index.BatchQuery)
 // shards when non-nil. met may be nil (Model.Execute outside an engine);
 // with one, the shard fan-out, merge, and scan-fallback stages record
 // into the engine's stage histograms.
-func (m *Model) topLinks(shards []*shardIdx, met *engineMetrics, u, k int, mode string, nprobe int) ([]core.Scored, string, error) {
+func (m *Model) topLinks(shards *cut, met *engineMetrics, u, k int, mode string, nprobe int) ([]core.Scored, string, error) {
 	mode, err := validateTopK(k, mode, nprobe)
 	if err != nil {
 		return nil, "", err
@@ -1074,7 +1131,7 @@ func (m *Model) topLinks(shards []*shardIdx, met *engineMetrics, u, k int, mode 
 
 // topAttrs runs the attribute top-k against this model, fanning out over
 // shards when non-nil; see topLinks for met semantics.
-func (m *Model) topAttrs(shards []*shardIdx, met *engineMetrics, v, k int, mode string, nprobe int) ([]core.Scored, string, error) {
+func (m *Model) topAttrs(shards *cut, met *engineMetrics, v, k int, mode string, nprobe int) ([]core.Scored, string, error) {
 	mode, err := validateTopK(k, mode, nprobe)
 	if err != nil {
 		return nil, "", err

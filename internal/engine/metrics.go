@@ -40,6 +40,12 @@ type engineMetrics struct {
 	buildFull    *obs.Counter
 	buildDurIncr *obs.Histogram
 	buildDurFull *obs.Histogram
+	// What shard generations cost in work, not time (index.Work), and the
+	// window in which top-k reads scan: from a model's publish to the
+	// consistent cut at its version.
+	rowsEncoded [nLayouts][index.NumCodecs]*obs.Counter
+	bytesCopied *obs.Counter
+	publishLag  *obs.Histogram
 
 	// Query stages, one observation per single query: fan-out covers the
 	// parallel row scans, merge the combination of their contributions,
@@ -128,9 +134,13 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		buildFull:    reg.Counter("pane_index_build_cycles_total", buildHelp, obs.L("kind", "full")),
 		buildDurIncr: reg.Histogram("pane_index_build_duration_seconds", buildDur, obs.L("kind", "incremental")),
 		buildDurFull: reg.Histogram("pane_index_build_duration_seconds", buildDur, obs.L("kind", "full")),
-		stageFanout:  reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "fanout")),
-		stageMerge:   reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "merge")),
-		stageScan:    reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "scan")),
+		bytesCopied: reg.Counter("pane_index_refresh_bytes_copied_total",
+			"Bytes of rows, ids, codes and page slices a shard generation wrote rather than shared with its parent."),
+		publishLag: reg.Histogram("pane_index_publish_lag_seconds",
+			"Time from a model version's publish to the consistent shard cut at that version; top-k reads scan meanwhile."),
+		stageFanout: reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "fanout")),
+		stageMerge:  reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "merge")),
+		stageScan:   reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "scan")),
 
 		stageBatchScan: reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "batch_scan")),
 		batchQueries: reg.CountHistogram("pane_batch_queries",
@@ -145,6 +155,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		for c, backend := range backends[l] {
 			m.rowsScored[l][c] = reg.Counter("pane_index_rows_scored_total", rowsHelp, obs.L("backend", backend))
 			m.bytesStreamed[l][c] = reg.Counter("pane_index_bytes_streamed_total", bytesHelp, obs.L("backend", backend))
+			m.rowsEncoded[l][c] = reg.Counter("pane_index_refresh_rows_encoded_total",
+				"Rows encoded producing shard generations, by cell; a refresh encodes its dirty rows.", obs.L("backend", backend))
 		}
 	}
 	return m
@@ -179,6 +191,21 @@ func (m *engineMetrics) recordWork(c cell, st index.Stats) {
 	}
 	m.rowsScored[c.layout][c.codec].Add(uint64(st.RowsScored))
 	m.bytesStreamed[c.layout][c.codec].Add(uint64(st.BytesStreamed))
+}
+
+// recordBuildWork adds the work of a space's freshly produced cells and
+// the bytes copied to make the rows they index.
+func (m *engineMetrics) recordBuildWork(cs *cells, copied int64) {
+	for l := range cs {
+		for c, t := range cs[l] {
+			if t != nil {
+				w := t.Work()
+				m.rowsEncoded[l][c].Add(uint64(w.RowsEncoded))
+				copied += w.BytesCopied
+			}
+		}
+	}
+	m.bytesCopied.Add(uint64(copied))
 }
 
 // recordBatch records one batch's index pass: how long its n top-k

@@ -264,7 +264,7 @@ func TestShardedLifecycleRace(t *testing.T) {
 			}
 			m := eng.Model()
 			if shards := eng.freshShards(m); shards != nil {
-				for s, si := range shards {
+				for s, si := range shards.shards {
 					if si.version != m.Version {
 						t.Errorf("mixed-version shard set: shard %d at %d, model at %d", s, si.version, m.Version)
 						return

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"pane/internal/core"
 	"pane/internal/graph"
@@ -167,6 +168,6 @@ func (e *Engine) LoadBundle(b *store.Bundle) error {
 	e.restored.Store(restoredFrom(b))
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))
-	e.scheduleIndexRebuild(idxDelta{target: next.Version, full: [nSpaces]bool{true, true}, rows: g.N + g.D})
+	e.scheduleIndexRebuild(idxDelta{target: next.Version, full: [nSpaces]bool{true, true}, rows: g.N + g.D, at: time.Now()})
 	return nil
 }

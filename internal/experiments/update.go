@@ -13,6 +13,7 @@ import (
 	"pane/internal/datagen"
 	"pane/internal/engine"
 	"pane/internal/graph"
+	"pane/internal/obs"
 )
 
 // UpdateOptions configures the update-to-fresh-index comparison of
@@ -85,15 +86,22 @@ type UpdatePoint struct {
 // EdgesPerUpdate random edges on the incremental engine, each read from
 // that update's engine.UpdateStats. SumMs is the median of the per-update
 // stage sums. The engines here run without a log, so the WAL stage is
-// absent; BENCH_replicate.json has the append cost.
+// absent; BENCH_replicate.json has the append cost. The Refresh fields are
+// the index refresh the ack wakes, per update, off the engine's registry:
+// mean shard refresh time (pane_index_build_duration_seconds) and the work
+// counters pane_index_refresh_{bytes_copied,rows_encoded}_total, which
+// repeat exactly for a seed.
 type AckBreakdown struct {
-	Count          int     `json:"count"`
-	EdgesPerUpdate int     `json:"edges_per_update"`
-	GraphMs        float64 `json:"graph_ms"`
-	AffinityMs     float64 `json:"affinity_ms"`
-	CCDMs          float64 `json:"ccd_ms"`
-	ScorerMs       float64 `json:"scorer_ms"`
-	SumMs          float64 `json:"sum_ms"`
+	Count              int     `json:"count"`
+	EdgesPerUpdate     int     `json:"edges_per_update"`
+	GraphMs            float64 `json:"graph_ms"`
+	AffinityMs         float64 `json:"affinity_ms"`
+	CCDMs              float64 `json:"ccd_ms"`
+	ScorerMs           float64 `json:"scorer_ms"`
+	SumMs              float64 `json:"sum_ms"`
+	RefreshMs          float64 `json:"refresh_ms"`
+	RefreshBytes       float64 `json:"refresh_bytes"`
+	RefreshRowsEncoded float64 `json:"refresh_rows_encoded"`
 }
 
 // ackUpdates and ackEdges size the ack breakdown: enough updates for a
@@ -294,15 +302,29 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 
 	// The ack path of a small update, stage by stage, from the engine's
 	// own timers.
-	var graphMs, affMs, ccdMs, scorerMs, sumMs []float64
+	var graphMs, affMs, ccdMs, scorerMs, sumMs, refreshMs, refreshBytes, refreshRows []float64
+	reg := engIncr.Metrics()
+	refreshes := reg.Histogram("pane_index_build_duration_seconds", "", obs.L("kind", "incremental"))
+	refreshWork := func() (sec float64, cycles, bytes, rows uint64) {
+		for _, backend := range []string{engine.BackendExact, engine.BackendSQ8, engine.BackendFP16,
+			engine.BackendIVF, engine.BackendIVFSQ, engine.BackendIVFFP16} {
+			rows += reg.Counter("pane_index_refresh_rows_encoded_total", "", obs.L("backend", backend)).Value()
+		}
+		return refreshes.Sum(), refreshes.Count(), reg.Counter("pane_index_refresh_bytes_copied_total", "").Value(), rows
+	}
 	for i := 0; i < ackUpdates; i++ {
 		edges := make([]graph.Edge, ackEdges)
 		for j := range edges {
 			edges[j] = graph.Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}
 		}
+		sec0, cycles0, bytes0, rows0 := refreshWork()
 		if _, _, err := timeUpdate(engIncr, edges); err != nil {
 			return nil, err
 		}
+		sec1, cycles1, bytes1, rows1 := refreshWork()
+		refreshMs = append(refreshMs, (sec1-sec0)*1e3/float64(max(1, cycles1-cycles0)))
+		refreshBytes = append(refreshBytes, float64(bytes1-bytes0))
+		refreshRows = append(refreshRows, float64(rows1-rows0))
 		st := lastStats
 		graphMs = append(graphMs, st.GraphSeconds*1e3)
 		affMs = append(affMs, st.AffinitySeconds*1e3)
@@ -314,6 +336,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 		Count: ackUpdates, EdgesPerUpdate: ackEdges,
 		GraphMs: median(graphMs), AffinityMs: median(affMs), CCDMs: median(ccdMs),
 		ScorerMs: median(scorerMs), SumMs: median(sumMs),
+		RefreshMs: median(refreshMs), RefreshBytes: median(refreshBytes), RefreshRowsEncoded: median(refreshRows),
 	}
 
 	// Report integrity. The incremental engine must (a) have served every
@@ -508,8 +531,9 @@ func PrintUpdate(w io.Writer, b *UpdateBench) {
 			p.IncrGraphSeconds, p.IncrAffinitySeconds, p.IncrCCDSeconds, p.IncrScorerSeconds,
 			p.SpeedupModel, p.SpeedupIndex, p.SpeedupTotal)
 	}
-	fmt.Fprintf(w, "ack of a %d-edge update by stage (median ms over %d): graph %.3f, affinity %.3f, ccd %.3f, scorer %.3f, sum %.3f\n",
-		b.Ack.EdgesPerUpdate, b.Ack.Count, b.Ack.GraphMs, b.Ack.AffinityMs, b.Ack.CCDMs, b.Ack.ScorerMs, b.Ack.SumMs)
+	fmt.Fprintf(w, "ack of a %d-edge update by stage (median ms over %d): graph %.3f, affinity %.3f, ccd %.3f, scorer %.3f, sum %.3f; the refresh behind it: %.3f ms a shard, %.0f bytes copied, %.0f rows encoded\n",
+		b.Ack.EdgesPerUpdate, b.Ack.Count, b.Ack.GraphMs, b.Ack.AffinityMs, b.Ack.CCDMs, b.Ack.ScorerMs, b.Ack.SumMs,
+		b.Ack.RefreshMs, b.Ack.RefreshBytes, b.Ack.RefreshRowsEncoded)
 	fmt.Fprintf(w, "incremental engine: %d incremental refreshes, %d full builds (initial only); %d affinity patches, %d full recurrence passes\n",
 		b.IncrementalRefreshes, b.FullRebuilds, b.AffinityIncremental, b.AffinityFull)
 	fmt.Fprintf(w, "attr delta: %d entries over %d attrs, full %.3fs vs incr %.3fs (gram-corrected, recall %.4f)\n",

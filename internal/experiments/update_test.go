@@ -108,6 +108,11 @@ func TestRunUpdateSmoke(t *testing.T) {
 	if a := b.Ack; a.Count < 30 || a.GraphMs <= 0 || a.AffinityMs <= 0 || a.CCDMs <= 0 || a.SumMs < a.GraphMs {
 		t.Fatalf("ack breakdown %+v", a)
 	}
+	// An 8-edge update dirties at most 16 rows, each encoded once per
+	// compressed cell the run builds; it copies pages and lists, not blocks.
+	if a := b.Ack; a.RefreshMs <= 0 || a.RefreshBytes <= 0 || a.RefreshRowsEncoded <= 0 || a.RefreshRowsEncoded > 16*4 {
+		t.Fatalf("refresh books in the ack breakdown %+v", a)
+	}
 	var buf bytes.Buffer
 	PrintUpdate(&buf, b)
 	if !strings.Contains(buf.String(), "Update-to-fresh-index") {

@@ -1,6 +1,9 @@
 package index
 
 import (
+	"math"
+	"slices"
+
 	"pane/internal/core"
 	"pane/internal/mat"
 )
@@ -19,10 +22,12 @@ const (
 // is crossed once per contiguous row range, never once per row, so each
 // implementation's scan loop stays monomorphic over its dot kernel.
 type codec interface {
-	// encode returns the encoding of rows. With prev — the encoding an
-	// earlier generation held for the same row positions — only the dirty
-	// rows are re-encoded and the rest copied.
-	encode(rows *mat.Dense, prev *Codes, dirty []int) Codes
+	// alloc returns room for the encoding of n rows of dimension dim, one
+	// allocation per array; encodeRow writes row's encoding at position j
+	// of c. A row's encoding depends on that row alone, so it can be
+	// carried from one position, block or generation to another.
+	alloc(n, dim int) Codes
+	encodeRow(c Codes, j int, row []float64)
 	// prepare readies pq to score rows against q.
 	prepare(pq *query, q []float64)
 	// scan offers the rows of b that s spans to top.
@@ -53,13 +58,137 @@ type Codes struct {
 	F16         []uint16
 }
 
+// Rows returns the encoding of rows [lo, hi) as a view of c, which holds
+// rows of dimension dim.
+func (c Codes) Rows(lo, hi, dim int) Codes { return c.rows(lo, hi, hi, dim) }
+
+// rows is Rows with the view's capacity reaching on to row max.
+func (c Codes) rows(lo, hi, max, dim int) Codes {
+	var out Codes
+	if c.Scale != nil {
+		out.I8, out.Scale, out.Base = c.I8[lo*dim:hi*dim:max*dim], c.Scale[lo:hi:max], c.Base[lo:hi:max]
+	}
+	if c.F16 != nil {
+		out.F16 = c.F16[lo*dim : hi*dim : max*dim]
+	}
+	return out
+}
+
+// reach is how many rows lie behind a page's first in one piece of memory
+// — its own and, by their capacity, the following pages' up to the first
+// one a refresh replaced. A scan reads on through them as one contiguous
+// run, so a block nothing has patched is scanned exactly as one array.
+func (c Codes) reach(dim int) int {
+	switch {
+	case c.Scale != nil:
+		return cap(c.Scale)
+	case dim > 0:
+		return cap(c.F16) / dim
+	}
+	return math.MaxInt32
+}
+
+// copyRow copies the encoding at position i of src to position j of c.
+func (c *Codes) copyRow(j int, src *Codes, i, dim int) {
+	if c.Scale != nil {
+		copy(c.I8[j*dim:(j+1)*dim], src.I8[i*dim:(i+1)*dim])
+		c.Scale[j], c.Base[j] = src.Scale[i], src.Base[i]
+	}
+	if c.F16 != nil {
+		copy(c.F16[j*dim:(j+1)*dim], src.F16[i*dim:(i+1)*dim])
+	}
+}
+
+// bytes is the size of the encoding.
+func (c Codes) bytes() int64 {
+	return int64(len(c.I8) + 4*len(c.Scale) + 4*len(c.Base) + 2*len(c.F16))
+}
+
+// pageCodes cuts c, the encoding of n rows, into mat.PageRows-row pages
+// that alias it: a freshly encoded (or restored) block stays one
+// allocation per array, and every page reaches to its end.
+func pageCodes(c Codes, n, dim int) []Codes {
+	pages := make([]Codes, (n+mat.PageRows-1)/mat.PageRows)
+	for k := range pages {
+		pages[k] = c.rows(k*mat.PageRows, min((k+1)*mat.PageRows, n), n, dim)
+	}
+	return pages
+}
+
 // block is one layout block as a table holds it: the float64 rows (the
-// caller's matrix under the flat layout, one inverted list's contiguous
+// caller's matrix under the flat layout, one inverted list's gathered
 // copy otherwise — shared with the layout, never copied per codec) and
-// the table's codec's encoding of them.
+// the table's codec's encoding of them, on pages with the same
+// boundaries: codes[k] encodes page k of rows.
 type block struct {
-	rows *mat.Dense
-	Codes
+	rows  *mat.Paged
+	codes []Codes
+}
+
+// encodeBlock returns the paged encoding of a block's rows, candidates ids
+// (nil: row j is candidate j). A row that is not dirty and that prev — the
+// previous generation's block, candidates prevIDs — also holds keeps its
+// encoding; all three id lists ascend, so one merge walk finds them.
+func encodeBlock(enc codec, rows *mat.Paged, ids []int32, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
+	c := enc.alloc(rows.Rows, rows.Cols)
+	if c.Scale == nil && c.F16 == nil {
+		return nil
+	}
+	i, d := 0, 0
+	for j := range rows.Rows {
+		id := j
+		if ids != nil {
+			id = int(ids[j])
+		}
+		for d < len(dirty) && dirty[d] < id {
+			d++
+		}
+		for i < len(prevIDs) && int(prevIDs[i]) < id {
+			i++
+		}
+		if i < len(prevIDs) && int(prevIDs[i]) == id && (d == len(dirty) || dirty[d] != id) {
+			c.copyRow(j, &prev[i/mat.PageRows], i%mat.PageRows, rows.Cols)
+			continue
+		}
+		enc.encodeRow(c, j, rows.Row(j))
+		w.RowsEncoded++
+	}
+	w.BytesCopied += c.bytes()
+	return pageCodes(c, rows.Rows, rows.Cols)
+}
+
+// patchBlock returns prev, the paged encoding of a flat block, with the
+// dirty rows re-encoded from rows: the page slice and the pages holding a
+// dirty row are copied, every other page is shared. A copied page is
+// memory of its own, so the pages before it stop reaching across it.
+func patchBlock(enc codec, rows *mat.Paged, prev []Codes, dirty []int, w *Work) []Codes {
+	if prev == nil {
+		return nil
+	}
+	out := slices.Clone(prev)
+	w.BytesCopied += int64(96 * len(out)) // four slice headers a page
+	for _, r := range dirty {
+		k := r / mat.PageRows
+		if pg := &out[k]; pg.shares(prev[k]) {
+			n := min(mat.PageRows, rows.Rows-k*mat.PageRows)
+			*pg = Codes{I8: slices.Clone(pg.I8), Scale: slices.Clone(pg.Scale), Base: slices.Clone(pg.Base), F16: slices.Clone(pg.F16)}.rows(0, n, n, rows.Cols)
+			w.BytesCopied += pg.bytes()
+			for p := k - 1; p >= 0 && out[p].reach(rows.Cols) > (k-p)*mat.PageRows; p-- {
+				out[p] = out[p].rows(0, mat.PageRows, (k-p)*mat.PageRows, rows.Cols)
+			}
+		}
+		enc.encodeRow(out[k], r%mat.PageRows, rows.Row(r))
+		w.RowsEncoded++
+	}
+	return out
+}
+
+// shares reports whether two pages of one codec are the same memory.
+func (c Codes) shares(d Codes) bool {
+	if c.Scale != nil {
+		return &c.Scale[0] == &d.Scale[0]
+	}
+	return len(c.F16) == 0 || &c.F16[0] == &d.F16[0]
 }
 
 // query is a search's query as a codec scores against it. Pooled with the
@@ -104,30 +233,41 @@ func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
 // f64Codec scores the float64 rows directly with mat.Dot.
 type f64Codec struct{}
 
-func (f64Codec) encode(*mat.Dense, *Codes, []int) Codes { return Codes{} }
-func (f64Codec) prepare(pq *query, q []float64)         { pq.q = q }
-func (f64Codec) final() bool                            { return true }
-func (f64Codec) rowBytes(dim int) int                   { return 8 * dim }
+func (f64Codec) alloc(int, int) Codes            { return Codes{} }
+func (f64Codec) encodeRow(Codes, int, []float64) {}
+func (f64Codec) prepare(pq *query, q []float64)  { pq.q = q }
+func (f64Codec) final() bool                     { return true }
+func (f64Codec) rowBytes(dim int) int            { return 8 * dim }
 
 func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) {
-	for j := s.lo; j < s.hi; j++ {
-		score := mat.Dot(pq.q, b.rows.Row(j))
-		if id := s.id(j); top.Admits(id, score) {
-			keep(top, s.skip, id, score)
+	dim := b.rows.Cols
+	for j := s.lo; j < s.hi; {
+		rows, n := b.rows.Run(j, s.hi)
+		for x := range n {
+			score := mat.Dot(pq.q, rows[x*dim:(x+1)*dim])
+			if id := s.id(j + x); top.Admits(id, score) {
+				keep(top, s.skip, id, score)
+			}
 		}
+		j += n
 	}
 }
 
 func (f64Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) {
 	q0, q1, q2, q3 := pqs[0].q, pqs[1].q, pqs[2].q, pqs[3].q
-	for j := s.lo; j < s.hi; j++ {
-		var scores [4]float64
-		scores[0], scores[1], scores[2], scores[3] = mat.Dot4(q0, q1, q2, q3, b.rows.Row(j))
-		id := s.id(j)
-		for i, top := range tops {
-			if top.Admits(id, scores[i]) {
-				keep(top, skips[i], id, scores[i])
+	dim := b.rows.Cols
+	for j := s.lo; j < s.hi; {
+		rows, n := b.rows.Run(j, s.hi)
+		for x := range n {
+			var scores [4]float64
+			scores[0], scores[1], scores[2], scores[3] = mat.Dot4(q0, q1, q2, q3, rows[x*dim:(x+1)*dim])
+			id := s.id(j + x)
+			for i, top := range tops {
+				if top.Admits(id, scores[i]) {
+					keep(top, skips[i], id, scores[i])
+				}
 			}
 		}
+		j += n
 	}
 }

@@ -1,0 +1,300 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"pane/internal/core"
+	"pane/internal/mat"
+)
+
+// grid is the six cells over one candidate block, as the engine holds
+// them: three flat cells and three inverted ones sharing one layout.
+type grid struct {
+	z     *mat.Paged
+	cells [6]*Table // exact, sq8, fp16, ivf, ivfsq, ivffp16
+}
+
+func buildGrid(data *mat.Dense, base int) grid {
+	iv := BuildIVF(data, IVFConfig{NList: 9, Seed: 3})
+	g := grid{z: mat.Page(data), cells: [6]*Table{
+		NewExact(data, 1), NewSQ8(data, 3, 1), NewFP16(data, 1), iv, NewIVFSQ(iv, data, 3), NewIVFFP16(iv, data),
+	}}
+	for i, c := range g.cells {
+		g.cells[i] = c.Shift(base)
+	}
+	return g
+}
+
+// refresh is the engine's refreshSpace: the block WithRows, the flat cells
+// on their own, the inverted compressed cells behind the float64 one.
+func (g grid) refresh(dirty []int, patch *mat.Dense) grid {
+	next := grid{z: g.z.WithRows(dirty, patch)}
+	for i, c := range g.cells {
+		var lead *Table
+		if i > 3 {
+			lead = next.cells[3]
+		}
+		next.cells[i] = c.Refresh(next.z, dirty, lead)
+	}
+	return next
+}
+
+// answers searches every cell (the inverted ones at their default probe
+// and at full probe) with every query.
+func (g grid) answers(qs [][]float64) (out [][]core.Scored) {
+	for _, c := range g.cells {
+		for _, q := range qs {
+			out = append(out, c.Search(q, 7, Options{}), c.Search(q, 7, Options{NProbe: 1 << 20}))
+		}
+	}
+	return out
+}
+
+// checkRuns asserts what reach promises: reading on from any page through
+// as many rows as it reaches gives exactly the rows the pages themselves
+// hold — no stretch runs across a page a refresh replaced.
+func checkRuns(t *testing.T, label string, tb *Table) {
+	t.Helper()
+	for l := range tb.blocks {
+		b := &tb.blocks[l]
+		dim, whole := b.rows.Cols, b.whole()
+		for j := 0; j < b.rows.Rows; j += mat.PageRows {
+			run, n := b.rows.Run(j, b.rows.Rows)
+			for x := 0; x < n; x++ {
+				if !reflect.DeepEqual(run[x*dim:(x+1)*dim], b.rows.Row(j+x)) {
+					t.Fatalf("%s block %d: row run from %d is stale at +%d", label, l, j, x)
+				}
+			}
+			if b.codes == nil {
+				continue
+			}
+			pg := b.codes[j/mat.PageRows]
+			n = min(pg.reach(dim), b.rows.Rows-j)
+			if !reflect.DeepEqual(pg.rows(0, n, n, dim), whole.Rows(j, j+n, dim)) {
+				t.Fatalf("%s block %d: code run of %d rows from %d is stale", label, l, n, j)
+			}
+		}
+	}
+}
+
+// sameEncoding asserts two tables hold bit-identical blocks: members,
+// rows and codes.
+func sameEncoding(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	if len(got.blocks) != len(want.blocks) {
+		t.Fatalf("%s: %d blocks, want %d", label, len(got.blocks), len(want.blocks))
+	}
+	for l := range want.blocks {
+		_, gi := got.lay.block(l)
+		_, wi := want.lay.block(l)
+		if !reflect.DeepEqual(gi, wi) && (len(gi) > 0 || len(wi) > 0) {
+			t.Fatalf("%s block %d: members differ", label, l)
+		}
+		if got.blocks[l].rows.Dense().MaxAbsDiff(want.blocks[l].rows.Dense()) != 0 {
+			t.Fatalf("%s block %d: rows differ", label, l)
+		}
+		if g, w := got.blocks[l].whole(), want.blocks[l].whole(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s block %d: codes differ", label, l)
+		}
+	}
+}
+
+// TestRefreshChainCopyOnWrite chains random dirty-row refreshes over all
+// six cells, unsharded and in two shards cut off a page boundary, and
+// holds the chain to the copy-on-write contract: every generation equals
+// a fresh build (flat) or a Rebuild against the frozen quantizer
+// (inverted) bit for bit, sharded equals unsharded, a generation shares
+// with its parent every page of rows and codes no dirty row is on and
+// every list none left or joined, and every earlier generation — read all
+// the while by goroutines racing the refreshes — keeps answering exactly
+// as it did when it was the newest.
+func TestRefreshChainCopyOnWrite(t *testing.T) {
+	const rows, dim, cut, steps = 700, 12, 350, 240
+	rng := rand.New(rand.NewSource(5))
+	data := randMatrix(rows, dim, 21)
+	qs := queries(dim, 4, 22)
+
+	whole := buildGrid(data.Clone(), 0)
+	shards := [2]grid{buildGrid(data.RowSlice(0, cut).Clone(), 0), buildGrid(data.RowSlice(cut, rows).Clone(), cut)}
+	bounds := [3]int{0, cut, rows}
+
+	type retained struct {
+		g    grid
+		want [][]core.Scored
+	}
+	var mu sync.Mutex
+	kept := []retained{{whole, whole.answers(qs)}}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				k := kept[i%len(kept)]
+				mu.Unlock()
+				if !reflect.DeepEqual(k.g.answers(qs), k.want) {
+					t.Errorf("a retained generation changed its answers under a later refresh")
+					return
+				}
+			}
+		}(r)
+	}
+
+	for step := 1; step <= steps; step++ {
+		// 1–6 dirty rows, ascending; now and then two on one page.
+		set := map[int]bool{}
+		for n := 1 + rng.Intn(6); len(set) < n; {
+			r := rng.Intn(rows)
+			set[r] = true
+			if rng.Intn(4) == 0 {
+				set[min(r+1, rows-1)] = true
+			}
+		}
+		var dirty []int
+		for r := 0; r < rows; r++ {
+			if set[r] {
+				dirty = append(dirty, r)
+			}
+		}
+		patch := mat.New(len(dirty), dim)
+		for j, r := range dirty {
+			for p := range patch.Row(j) {
+				patch.Row(j)[p] = rng.NormFloat64()
+			}
+			copy(data.Row(r), patch.Row(j))
+		}
+
+		prev := whole
+		whole = whole.refresh(dirty, patch)
+		for s := range shards {
+			var local []int
+			var lo int
+			for j, r := range dirty {
+				if r >= bounds[s] && r < bounds[s+1] {
+					if local == nil {
+						lo = j
+					}
+					local = append(local, r-bounds[s])
+				}
+			}
+			if local != nil {
+				shards[s] = shards[s].refresh(local, patch.RowSlice(lo, lo+len(local)))
+			}
+		}
+
+		// Structure: what the delta did not touch is the parent's memory.
+		dirtyPage := map[int]bool{}
+		for _, r := range dirty {
+			dirtyPage[r/mat.PageRows] = true
+		}
+		for k := range whole.z.Pages() {
+			if whole.z.SamePage(prev.z, k) == dirtyPage[k] {
+				t.Fatalf("step %d: Z page %d shared=%v, dirty=%v", step, k, !dirtyPage[k], dirtyPage[k])
+			}
+			for _, i := range []int{1, 2} {
+				if whole.cells[i].blocks[0].codes[k].shares(prev.cells[i].blocks[0].codes[k]) == dirtyPage[k] {
+					t.Fatalf("step %d: cell %d code page %d shared=%v, dirty=%v", step, i, k, !dirtyPage[k], dirtyPage[k])
+				}
+			}
+		}
+		iv, old := whole.cells[3].inverted(), prev.cells[3].inverted()
+		untouched := 0
+		for l := range iv.vecs {
+			if iv.vecs[l] != old.vecs[l] {
+				continue
+			}
+			untouched++
+			for i := 3; i < 6; i++ {
+				nb, ob := whole.cells[i].blocks[l], prev.cells[i].blocks[l]
+				if nb.rows != ob.rows || (len(nb.codes) > 0 && !nb.codes[0].shares(ob.codes[0])) {
+					t.Fatalf("step %d: cell %d does not share untouched list %d", step, i, l)
+				}
+			}
+		}
+		if untouched < len(iv.vecs)-2*len(dirty) {
+			t.Fatalf("step %d: %d dirty rows left only %d of %d lists untouched", step, len(dirty), untouched, len(iv.vecs))
+		}
+		for i, c := range whole.cells {
+			checkRuns(t, fmt.Sprintf("step %d cell %d", step, i), c)
+		}
+
+		// Sharded = unsharded, every step; retained generations pile up
+		// for the readers.
+		got := whole.answers(qs)
+		at := 0
+		for i := range whole.cells {
+			subs := []Index{shards[0].cells[i], shards[1].cells[i]}
+			for _, q := range qs {
+				// Default probes differ between one quantizer and two; the
+				// full-probe answers are the comparable ones.
+				sameResults(t, fmt.Sprintf("step %d cell %d sharded", step, i),
+					got[at+1], SearchSharded(subs, q, 7, Options{NProbe: 1 << 20}))
+				at += 2
+			}
+		}
+		if step%8 == 0 {
+			mu.Lock()
+			kept = append(kept, retained{whole, got})
+			mu.Unlock()
+		}
+
+		// Bit for bit a fresh build, every so often and at the end.
+		if step%40 == 0 {
+			fresh := data.Clone()
+			sameEncoding(t, "exact", whole.cells[0], NewExact(fresh, 1))
+			sameEncoding(t, "sq8", whole.cells[1], NewSQ8(fresh, 3, 1))
+			sameEncoding(t, "fp16", whole.cells[2], NewFP16(fresh, 1))
+			rebuilt := whole.cells[3].Rebuild(mat.Page(fresh))
+			sameEncoding(t, "ivf", whole.cells[3], rebuilt)
+			sameEncoding(t, "ivfsq", whole.cells[4], rebuilt.Encode(I8, 3))
+			sameEncoding(t, "ivffp16", whole.cells[5], rebuilt.Encode(F16, 0))
+			for i := range data.Rows {
+				if whole.cells[3].inverted().home(i) != rebuilt.inverted().home(i) {
+					t.Fatalf("step %d: stored assignment of row %d differs from a rebuild's", step, i)
+				}
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	for i, k := range kept {
+		if !reflect.DeepEqual(k.g.answers(qs), k.want) {
+			t.Fatalf("retained generation %d of %d no longer answers as it did", i, len(kept))
+		}
+	}
+}
+
+// TestFromCodesPagesAliasPayload: a restored payload is adopted, not
+// copied — every page of the block is a view of the payload's arrays —
+// and a refresh leaves every untouched page on the payload.
+func TestFromCodesPagesAliasPayload(t *testing.T) {
+	const rows, dim = 100, 5
+	data := randMatrix(rows, dim, 8)
+	i8, scale, base := QuantizeRows(data)
+	f16 := EncodeFP16Rows(data)
+	sq := FromCodes(data, I8, Codes{I8: i8, Scale: scale, Base: base}, 0, 1)
+	fp := FromCodes(data, F16, Codes{F16: f16}, 0, 1)
+	patch := randMatrix(1, dim, 9)
+	z := mat.Page(data).WithRows([]int{40}, patch)
+	for gen, pair := range [][2]*Table{{sq, fp}, {sq.Refresh(z, []int{40}, nil), fp.Refresh(z, []int{40}, nil)}} {
+		for k := 0; k*mat.PageRows < rows; k++ {
+			at := k * mat.PageRows
+			q, h := pair[0].blocks[0].codes[k], pair[1].blocks[0].codes[k]
+			onPayload := &q.I8[0] == &i8[at*dim] && &q.Scale[0] == &scale[at] && &q.Base[0] == &base[at] && &h.F16[0] == &f16[at*dim]
+			if want := gen == 0 || k != 40/mat.PageRows; onPayload != want {
+				t.Fatalf("generation %d page %d: on the payload = %v, want %v", gen, k, onPayload, want)
+			}
+		}
+	}
+}

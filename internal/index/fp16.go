@@ -113,21 +113,11 @@ func FP16ToF64(h uint16) float64 {
 // the half encoding of data.Row(i)[j]. Per-element and deterministic, so
 // any row slice of data encodes to the corresponding slice of codes.
 func EncodeFP16Rows(data *mat.Dense) []uint16 {
-	codes := make([]uint16, data.Rows*data.Cols)
-	dim := data.Cols
-	for i := 0; i < data.Rows; i++ {
-		encodeFP16RowInto(data.Row(i), codes[i*dim:(i+1)*dim])
+	c := f16Codec{}.alloc(data.Rows, data.Cols)
+	for i := range data.Rows {
+		f16Codec{}.encodeRow(c, i, data.Row(i))
 	}
-	return codes
-}
-
-// encodeFP16RowInto encodes one candidate row into c (which must have
-// length len(row)) — the per-row unit EncodeFP16Rows and the incremental
-// Refresh share. Stale codes in c are fully overwritten.
-func encodeFP16RowInto(row []float64, c []uint16) {
-	for j, v := range row {
-		c[j] = F64ToFP16(v)
-	}
+	return c.F16
 }
 
 // dotFP16 returns the inner product of the float64 query q with the
@@ -203,24 +193,26 @@ func (f16Codec) prepare(pq *query, q []float64) { pq.q = q }
 func (f16Codec) final() bool                    { return true }
 func (f16Codec) rowBytes(dim int) int           { return 2 * dim }
 
-func (f16Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
-	if prev == nil {
-		return Codes{F16: EncodeFP16Rows(rows)}
+func (f16Codec) alloc(n, dim int) Codes { return Codes{F16: make([]uint16, n*dim)} }
+
+func (f16Codec) encodeRow(c Codes, j int, row []float64) {
+	for x, v := range row {
+		c.F16[j*len(row)+x] = F64ToFP16(v)
 	}
-	c := Codes{F16: append([]uint16(nil), prev.F16...)}
-	dim := rows.Cols
-	for _, r := range dirty {
-		encodeFP16RowInto(rows.Row(r), c.F16[r*dim:(r+1)*dim])
-	}
-	return c
 }
 
 func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 	dim := len(pq.q)
-	for j := s.lo; j < s.hi; j++ {
-		score := dotFP16(pq.q, b.F16[j*dim:(j+1)*dim])
-		if id := s.id(j); top.Admits(id, score) {
-			keep(top, s.skip, id, score)
+	for j := s.lo; j < s.hi; {
+		pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
+		n := min(pg.reach(dim)-r, s.hi-j)
+		codes := pg.F16[r*dim : (r+n)*dim]
+		for x := range n {
+			score := dotFP16(pq.q, codes[x*dim:(x+1)*dim])
+			if id := s.id(j + x); top.Admits(id, score) {
+				keep(top, s.skip, id, score)
+			}
 		}
+		j += n
 	}
 }

@@ -205,7 +205,7 @@ func TestFP16SearchMatchesDecodedExact(t *testing.T) {
 		if skip(s.ID) {
 			t.Fatalf("skip filter leaked id %d", s.ID)
 		}
-		if want := dotFP16(q, ref.Codes().F16[s.ID*12:(s.ID+1)*12]); math.Float64bits(want) != math.Float64bits(s.Score) {
+		if want := dotFP16(q, ref.AppendCodes(Codes{}).F16[s.ID*12:(s.ID+1)*12]); math.Float64bits(want) != math.Float64bits(s.Score) {
 			t.Fatalf("id %d score %v, want kernel score %v", s.ID, s.Score, want)
 		}
 	}
@@ -267,11 +267,11 @@ func TestFP16RefreshBitForBit(t *testing.T) {
 			next.Row(r)[j] = rng.NormFloat64() * 3
 		}
 	}
-	refreshed := fp.Refresh(next, dirty, nil)
+	refreshed := fp.Refresh(mat.Page(next), dirty, nil)
 	fresh := NewFP16(next, 3)
-	for i, c := range refreshed.Codes().F16 {
-		if c != fresh.Codes().F16[i] {
-			t.Fatalf("refreshed code %d = %#04x, fresh %#04x", i, c, fresh.Codes().F16[i])
+	for i, c := range refreshed.AppendCodes(Codes{}).F16 {
+		if c != fresh.AppendCodes(Codes{}).F16[i] {
+			t.Fatalf("refreshed code %d = %#04x, fresh %#04x", i, c, fresh.AppendCodes(Codes{}).F16[i])
 		}
 	}
 	q := mixture(1, 10, 8, 58).Row(0)
@@ -285,7 +285,7 @@ func TestFP16RefreshBitForBit(t *testing.T) {
 				t.Fatal("shape-mismatched Refresh did not panic")
 			}
 		}()
-		fp.Refresh(mat.New(10, 10), nil, nil)
+		fp.Refresh(mat.Page(mat.New(10, 10)), nil, nil)
 	}()
 }
 
@@ -335,25 +335,25 @@ func TestIVFFP16RefreshBitForBit(t *testing.T) {
 			next.Row(r)[j] = rng.NormFloat64()
 		}
 	}
-	iv2 := iv.Refresh(next, dirty, nil)
-	got := h.Refresh(next, dirty, iv2)
+	iv2 := iv.Refresh(mat.Page(next), dirty, nil)
+	got := h.Refresh(mat.Page(next), dirty, iv2)
 	want := NewIVFFP16(iv2, next)
 	if len(got.blocks) != len(want.blocks) {
 		t.Fatalf("list count %d vs %d", len(got.blocks), len(want.blocks))
 	}
 	reused := 0
 	for l := range got.blocks {
-		if len(got.blocks[l].F16) != len(want.blocks[l].F16) {
-			t.Fatalf("list %d code count %d vs %d", l, len(got.blocks[l].F16), len(want.blocks[l].F16))
+		if len(got.blocks[l].whole().F16) != len(want.blocks[l].whole().F16) {
+			t.Fatalf("list %d code count %d vs %d", l, len(got.blocks[l].whole().F16), len(want.blocks[l].whole().F16))
 		}
-		for i := range got.blocks[l].F16 {
-			if got.blocks[l].F16[i] != want.blocks[l].F16[i] {
+		for i := range got.blocks[l].whole().F16 {
+			if got.blocks[l].whole().F16[i] != want.blocks[l].whole().F16[i] {
 				t.Fatalf("list %d code %d differs", l, i)
 			}
 		}
 		if l < len(iv.inverted().vecs) && iv2.inverted().vecs[l] == iv.inverted().vecs[l] {
 			reused++
-			if &got.blocks[l].F16[0] != &h.blocks[l].F16[0] {
+			if &got.blocks[l].codes[0].F16[0] != &h.blocks[l].codes[0].F16[0] {
 				t.Fatalf("untouched list %d was re-encoded instead of reused", l)
 			}
 		}

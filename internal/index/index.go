@@ -33,14 +33,18 @@
 // whole sets atomically, so a query never observes a half-built
 // structure. For dynamic updates Table.Refresh produces the next
 // immutable generation from the new candidate matrix and the set of rows
-// that actually changed, touching only O(Δ) state and sharing the rest
-// with its predecessor. What is re-done per cell:
+// that actually changed. Rows and codes live on mat.PageRows-row
+// copy-on-write pages (a fresh block is still one allocation its pages
+// alias, and a scan reads it as one array), so a generation copies O(Δ)
+// and shares the rest with its predecessor. What is re-done per cell:
 //
-//	flat, float64       nothing (the patched matrix is re-wrapped)
-//	flat, int8/binary16 the dirty rows are re-encoded
+//	flat, float64       nothing (the caller's WithRows matrix is adopted)
+//	flat, int8/binary16 the page slice and the dirty rows' pages are
+//	                    copied, the dirty rows re-encoded
 //	inverted, float64   the dirty rows move between lists against the
 //	                    frozen quantizer; touched lists are re-gathered
-//	inverted, int8/b16  the touched lists are re-encoded
+//	inverted, int8/b16  touched lists carry their survivors' codes over;
+//	                    the dirty rows are encoded
 //
 // All rankings use core.Better ordering (score descending, ties by
 // ascending id), which makes results bit-for-bit comparable across the

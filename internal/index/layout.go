@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"pane/internal/core"
 	"pane/internal/mat"
@@ -16,7 +17,7 @@ type layout interface {
 	nblocks() int
 	// block returns block b's float64 rows and the local candidate id of
 	// each (nil: row j is candidate j).
-	block(b int) (rows *mat.Dense, ids []int32)
+	block(b int) (rows *mat.Paged, ids []int32)
 	// probe returns the blocks a search for q visits, as TopK entries
 	// keyed by block number. nprobe <= 0 means the layout's default.
 	probe(q []float64, nprobe int) []core.Scored
@@ -24,24 +25,24 @@ type layout interface {
 	// (ascending local ids) changed; reseat when every row's values moved
 	// but memberships are to be kept; rebuild from scratch, keeping only
 	// what was trained.
-	refresh(data *mat.Dense, dirty []int) layout
-	reseat(data *mat.Dense) layout
-	rebuild(data *mat.Dense) layout
+	refresh(data *mat.Paged, dirty []int) layout
+	reseat(data *mat.Paged) layout
+	rebuild(data *mat.Paged) layout
 }
 
 // flat is the one-block layout: block row j is candidate j and every
 // search visits all of it. It derives nothing from the matrix, so each
 // refresh is a re-wrap.
-type flat struct{ data *mat.Dense }
+type flat struct{ data *mat.Paged }
 
 var wholeBlock = []core.Scored{{ID: 0}}
 
 func (f flat) nblocks() int                            { return 1 }
-func (f flat) block(int) (*mat.Dense, []int32)         { return f.data, nil }
+func (f flat) block(int) (*mat.Paged, []int32)         { return f.data, nil }
 func (f flat) probe([]float64, int) []core.Scored      { return wholeBlock }
-func (f flat) refresh(data *mat.Dense, _ []int) layout { return flat{data} }
-func (f flat) reseat(data *mat.Dense) layout           { return flat{data} }
-func (f flat) rebuild(data *mat.Dense) layout          { return flat{data} }
+func (f flat) refresh(data *mat.Paged, _ []int) layout { return flat{data} }
+func (f flat) reseat(data *mat.Paged) layout           { return flat{data} }
+func (f flat) rebuild(data *mat.Paged) layout          { return flat{data} }
 
 // IVFConfig tunes BuildIVF. Zero values pick defaults scaled to the
 // candidate count n.
@@ -78,17 +79,20 @@ type inverted struct {
 	threads  int
 	cents    *mat.Dense   // nlist x dim centroids
 	ids      [][]int32    // per-list candidate ids, ascending
-	vecs     []*mat.Dense // per-list contiguous candidate vectors (row j = ids[j])
-	assigned []int32      // per-row home list (assigned[i] = list of candidate i)
+	vecs     []*mat.Paged // per-list gathered candidate vectors (row j = ids[j]), one allocation each
+	assigned [][]int32    // per-row home list, on mat.PageRows-row pages like the rows
 }
+
+// home returns the list candidate i lives in.
+func (iv *inverted) home(i int) int32 { return iv.assigned[i/mat.PageRows][i%mat.PageRows] }
 
 func (iv *inverted) nblocks() int { return len(iv.vecs) }
 
-func (iv *inverted) block(b int) (*mat.Dense, []int32) { return iv.vecs[b], iv.ids[b] }
+func (iv *inverted) block(b int) (*mat.Paged, []int32) { return iv.vecs[b], iv.ids[b] }
 
 // trainInverted clusters data (one candidate per row) into an inverted
 // file.
-func trainInverted(data *mat.Dense, cfg IVFConfig) *inverted {
+func trainInverted(data *mat.Paged, cfg IVFConfig) *inverted {
 	n, dim := data.Rows, data.Cols
 	nlist := cfg.NList
 	if nlist <= 0 {
@@ -168,35 +172,34 @@ func trainInverted(data *mat.Dense, cfg IVFConfig) *inverted {
 // materializes the lists — per-list ascending ids plus contiguous vector
 // copies for cache-friendly scans — sharing only the centroids with iv.
 // The assignment is retained so refresh knows each row's previous home.
-func (iv *inverted) rebuild(data *mat.Dense) layout {
+func (iv *inverted) rebuild(data *mat.Paged) layout {
 	nlist := iv.cents.Rows
 	out := &inverted{
 		nprobe: iv.nprobe, threads: iv.threads, cents: iv.cents,
-		assigned: make([]int32, data.Rows),
-		ids:      make([][]int32, nlist),
-		vecs:     make([]*mat.Dense, nlist),
+		ids:  make([][]int32, nlist),
+		vecs: make([]*mat.Paged, nlist),
 	}
-	out.assign(data, nil, out.assigned)
-	counts := make([]int, nlist)
-	for _, c := range out.assigned {
-		counts[c]++
-	}
-	for c := 0; c < nlist; c++ {
-		out.ids[c] = make([]int32, 0, counts[c])
-		out.vecs[c] = mat.New(counts[c], data.Cols)
-	}
-	for i, c := range out.assigned {
-		copy(out.vecs[c].Row(len(out.ids[c])), data.Row(i))
+	assigned := make([]int32, data.Rows)
+	out.assign(data, nil, assigned)
+	for i, c := range assigned {
 		out.ids[c] = append(out.ids[c], int32(i))
+	}
+	for c := range out.ids {
+		out.vecs[c] = gather(data, out.ids[c], out.ids[c], nil, nil)
+	}
+	out.assigned = make([][]int32, (data.Rows+mat.PageRows-1)/mat.PageRows)
+	for k := range out.assigned {
+		out.assigned[k] = assigned[k*mat.PageRows : min((k+1)*mat.PageRows, data.Rows)]
 	}
 	return out
 }
 
 // refresh reassigns each dirty row to its nearest centroid and rebuilds
 // only the lists a dirty row left, joined, or stayed in — every untouched
-// list shares its id and vector storage with iv — at O(|dirty| · nlist +
-// affected-list rows) cost instead of rebuild's O(n · nlist).
-func (iv *inverted) refresh(data *mat.Dense, dirty []int) layout {
+// list shares its id and vector storage with iv, and the assignment every
+// page no dirty row is on — at O(|dirty| · nlist + affected-list rows)
+// cost instead of rebuild's O(n · nlist).
+func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 	if len(dirty) == 0 {
 		return iv
 	}
@@ -208,90 +211,81 @@ func (iv *inverted) refresh(data *mat.Dense, dirty []int) layout {
 	newAssign := make([]int32, len(dirty))
 	iv.assign(data, dirty, newAssign)
 
-	nlist := iv.cents.Rows
-	changed := make([]bool, nlist)
-	assigned := append([]int32(nil), iv.assigned...)
-	dirtySet := make(map[int32]bool, len(dirty))
-	added := make(map[int32][]int32) // per new list, dirty members, ascending
+	out := *iv
+	out.ids, out.vecs, out.assigned = slices.Clone(iv.ids), slices.Clone(iv.vecs), slices.Clone(iv.assigned)
+	added := make(map[int32][]int32) // per changed list, the dirty members it gains, ascending
 	for j, r := range dirty {
-		changed[iv.assigned[r]] = true
-		changed[newAssign[j]] = true
-		assigned[r] = newAssign[j]
-		dirtySet[int32(r)] = true
+		k := r / mat.PageRows
+		if &out.assigned[k][0] == &iv.assigned[k][0] {
+			out.assigned[k] = slices.Clone(iv.assigned[k])
+		}
+		out.assigned[k][r%mat.PageRows] = newAssign[j]
+		if old := iv.home(r); added[old] == nil {
+			added[old] = nil // a list a dirty row leaves changes too
+		}
 		added[newAssign[j]] = append(added[newAssign[j]], int32(r))
 	}
-
-	out := &inverted{
-		nprobe: iv.nprobe, threads: iv.threads, cents: iv.cents, assigned: assigned,
-		ids:  make([][]int32, nlist),
-		vecs: make([]*mat.Dense, nlist),
-	}
-	for l := 0; l < nlist; l++ {
-		if !changed[l] {
-			out.ids[l] = iv.ids[l]
-			out.vecs[l] = iv.vecs[l]
-			continue
-		}
-		// Survivors (clean old members, already ascending) merged with the
-		// dirty rows now assigned here; vectors copied fresh from data so a
-		// dirty row that stayed in its list still gets its new values.
-		keep := make([]int32, 0, len(iv.ids[l])+len(added[int32(l)]))
+	for l, gained := range added {
+		// Survivors (clean old members) merged in id order with the dirty
+		// rows now assigned here, which take their vectors from data — so
+		// one that stayed in its list still gets its new values.
+		ids := make([]int32, 0, len(iv.ids[l])+len(gained))
+		g, d := 0, 0
 		for _, id := range iv.ids[l] {
-			if !dirtySet[id] {
-				keep = append(keep, id)
+			for ; g < len(gained) && gained[g] < id; g++ {
+				ids = append(ids, gained[g])
+			}
+			for d < len(dirty) && dirty[d] < int(id) {
+				d++
+			}
+			if d == len(dirty) || dirty[d] != int(id) {
+				ids = append(ids, id)
 			}
 		}
-		out.ids[l] = mergeAscending(keep, added[int32(l)])
-		out.vecs[l] = gather(data, out.ids[l])
-	}
-	return out
-}
-
-// reseat keeps the coarse quantizer, the per-list id slices and the
-// per-row assignment, and rebuilds only the per-list vector copies.
-func (iv *inverted) reseat(data *mat.Dense) layout {
-	out := *iv
-	out.vecs = make([]*mat.Dense, len(iv.vecs))
-	for l, ids := range iv.ids {
-		out.vecs[l] = gather(data, ids)
+		out.ids[l] = append(ids, gained[g:]...)
+		out.vecs[l] = gather(data, out.ids[l], gained, iv.ids[l], iv.vecs[l])
 	}
 	return &out
 }
 
-// gather copies the listed rows of data into one contiguous block.
-func gather(data *mat.Dense, ids []int32) *mat.Dense {
-	vecs := mat.New(len(ids), data.Cols)
-	for j, id := range ids {
-		copy(vecs.Row(j), data.Row(int(id)))
+// reseat keeps the coarse quantizer, the per-list id slices and the
+// per-row assignment, and rebuilds only the per-list vector copies.
+func (iv *inverted) reseat(data *mat.Paged) layout {
+	out := *iv
+	out.vecs = make([]*mat.Paged, len(iv.vecs))
+	for l, ids := range iv.ids {
+		out.vecs[l] = gather(data, ids, ids, nil, nil)
 	}
-	return vecs
+	return &out
 }
 
-// mergeAscending merges two ascending, disjoint int32 slices.
-func mergeAscending(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// gather returns the rows of the list with members ids as one contiguous
+// block, paged without a second copy. The members in fresh (ascending)
+// take their rows from data; every other member was in the list before,
+// among oldIDs, and its row is carried over from old — a sequential walk
+// of one block instead of a cache miss per row of data.
+func gather(data *mat.Paged, ids, fresh, oldIDs []int32, old *mat.Paged) *mat.Paged {
+	vecs := mat.New(len(ids), data.Cols)
+	i, f := 0, 0
+	for j, id := range ids {
+		if f < len(fresh) && fresh[f] == id {
+			copy(vecs.Row(j), data.Row(int(id)))
+			f++
+			continue
 		}
+		for oldIDs[i] != id {
+			i++
+		}
+		copy(vecs.Row(j), old.Row(i))
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return mat.Page(vecs)
 }
 
 // assign writes the nearest centroid (squared L2, ties to the lowest
 // centroid index) of each listed row into out. rows == nil means all rows
 // of data, with out[i] for row i; otherwise out[j] corresponds to
 // rows[j]. Runs in parallel blocks over the rows.
-func (iv *inverted) assign(data *mat.Dense, rows []int, out []int32) {
+func (iv *inverted) assign(data *mat.Paged, rows []int, out []int32) {
 	nlist := iv.cents.Rows
 	// Precompute |c|²; argmin over c of |x−c|² = argmin (|c|² − 2·x·c).
 	cn := make([]float64, nlist)
@@ -299,7 +293,7 @@ func (iv *inverted) assign(data *mat.Dense, rows []int, out []int32) {
 		r := iv.cents.Row(c)
 		cn[c] = mat.Dot(r, r)
 	}
-	mat.ParallelRanges(len(out), iv.threads, func(lo, hi int) {
+	mat.ParallelRanges(len(out), mat.RowWorkers(len(out), iv.threads), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := j
 			if rows != nil {

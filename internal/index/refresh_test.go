@@ -60,7 +60,7 @@ func TestExactRefreshMatchesFullBuild(t *testing.T) {
 	data := randMatrix(300, 8, 1)
 	old := NewExact(data, 2)
 	newData, _ := refreshDelta(data, 17, 2)
-	ref := old.Refresh(newData, nil, nil)
+	ref := old.Refresh(mat.Page(newData), nil, nil)
 	full := NewExact(newData, 2)
 	for _, q := range queries(8, 10, 3) {
 		sameResults(t, "exact", full.Search(q, 9, Options{}), ref.Search(q, 9, Options{}))
@@ -75,18 +75,18 @@ func TestSQ8RefreshBitForBit(t *testing.T) {
 	old := NewSQ8(data, 3, 2)
 	for _, nDirty := range []int{1, 13, 100, 257} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*7)
-		ref := old.Refresh(newData, dirty, nil)
+		ref := old.Refresh(mat.Page(newData), dirty, nil)
 		full := NewSQ8(newData, 3, 2)
-		if len(ref.Codes().I8) != len(full.Codes().I8) {
+		if len(ref.AppendCodes(Codes{}).I8) != len(full.AppendCodes(Codes{}).I8) {
 			t.Fatalf("nDirty=%d: code lengths differ", nDirty)
 		}
-		for i := range full.Codes().I8 {
-			if ref.Codes().I8[i] != full.Codes().I8[i] {
+		for i := range full.AppendCodes(Codes{}).I8 {
+			if ref.AppendCodes(Codes{}).I8[i] != full.AppendCodes(Codes{}).I8[i] {
 				t.Fatalf("nDirty=%d: code %d differs after refresh", nDirty, i)
 			}
 		}
-		for i := range full.Codes().Scale {
-			if ref.Codes().Scale[i] != full.Codes().Scale[i] || ref.Codes().Base[i] != full.Codes().Base[i] {
+		for i := range full.AppendCodes(Codes{}).Scale {
+			if ref.AppendCodes(Codes{}).Scale[i] != full.AppendCodes(Codes{}).Scale[i] || ref.AppendCodes(Codes{}).Base[i] != full.AppendCodes(Codes{}).Base[i] {
 				t.Fatalf("nDirty=%d: row %d parameters differ after refresh", nDirty, i)
 			}
 		}
@@ -106,8 +106,8 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 	old := BuildIVF(data, IVFConfig{NList: 8, Seed: 11, Threads: 2})
 	for _, nDirty := range []int{1, 25, 150} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*13)
-		ref := old.Refresh(newData, dirty, nil)
-		full := old.Rebuild(newData)
+		ref := old.Refresh(mat.Page(newData), dirty, nil)
+		full := old.Rebuild(mat.Page(newData))
 		if ref.NList() != full.NList() {
 			t.Fatalf("nDirty=%d: nlist differs", nDirty)
 		}
@@ -122,7 +122,7 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 						nDirty, l, j, ref.inverted().ids[l][j], full.inverted().ids[l][j])
 				}
 			}
-			if ref.inverted().vecs[l].MaxAbsDiff(full.inverted().vecs[l]) != 0 {
+			if ref.inverted().vecs[l].Dense().MaxAbsDiff(full.inverted().vecs[l].Dense()) != 0 {
 				t.Fatalf("nDirty=%d list %d: vectors differ", nDirty, l)
 			}
 			if ref.inverted().vecs[l] == old.inverted().vecs[l] {
@@ -135,8 +135,8 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 		if nDirty == 1 && shared < ref.NList()-2 {
 			t.Fatalf("nDirty=1: only %d of %d lists shared storage", shared, ref.NList())
 		}
-		for i := range full.inverted().assigned {
-			if ref.inverted().assigned[i] != full.inverted().assigned[i] {
+		for i := range data.Rows {
+			if ref.inverted().home(i) != full.inverted().home(i) {
 				t.Fatalf("nDirty=%d: stored assignment differs at row %d", nDirty, i)
 			}
 		}
@@ -154,13 +154,13 @@ func TestIVFRefreshChains(t *testing.T) {
 	cur := BuildIVF(data, IVFConfig{NList: 6, Seed: 3})
 	for step := 0; step < 4; step++ {
 		newData, dirty := refreshDelta(data, 10+step*20, int64(step)*31+1)
-		cur = cur.Refresh(newData, dirty, nil)
-		full := cur.Rebuild(newData) // same frozen centroids
+		cur = cur.Refresh(mat.Page(newData), dirty, nil)
+		full := cur.Rebuild(mat.Page(newData)) // same frozen centroids
 		for l := 0; l < cur.NList(); l++ {
 			if len(cur.inverted().ids[l]) != len(full.inverted().ids[l]) {
 				t.Fatalf("step %d list %d: membership diverged", step, l)
 			}
-			if cur.inverted().vecs[l].MaxAbsDiff(full.inverted().vecs[l]) != 0 {
+			if cur.inverted().vecs[l].Dense().MaxAbsDiff(full.inverted().vecs[l].Dense()) != 0 {
 				t.Fatalf("step %d list %d: vectors diverged", step, l)
 			}
 		}
@@ -181,8 +181,8 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	for i := range newData.Data {
 		newData.Data[i] += 0.01 * rng.NormFloat64()
 	}
-	res := old.Reseat(newData, nil)
-	if res.inverted().cents != old.inverted().cents || &res.inverted().assigned[0] != &old.inverted().assigned[0] {
+	res := old.Reseat(mat.Page(newData), nil)
+	if res.inverted().cents != old.inverted().cents || &res.inverted().assigned[0][0] != &old.inverted().assigned[0][0] {
 		t.Fatal("Reseat must share the quantizer and the stored assignment")
 	}
 	for l := 0; l < res.NList(); l++ {
@@ -209,7 +209,7 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	// assert the cheaper invariant that chains still serve exactly under
 	// full probe.
 	chained, dirty := refreshDelta(newData, 9, 47)
-	cur := res.Refresh(chained, dirty, nil)
+	cur := res.Refresh(mat.Page(chained), dirty, nil)
 	fullChained := NewExact(chained, 1)
 	for _, q := range queries(6, 8, 49) {
 		sameResults(t, "reseat+refresh full-probe",
@@ -226,7 +226,7 @@ func TestIVFReseatShapePanics(t *testing.T) {
 			t.Fatal("mismatched shape should panic")
 		}
 	}()
-	iv.Reseat(randMatrix(49, 4, 3), nil)
+	iv.Reseat(mat.Page(randMatrix(49, 4, 3)), nil)
 }
 
 // TestIVFSQRefreshBitForBit: the quantized inverted file refreshed
@@ -239,25 +239,25 @@ func TestIVFSQRefreshBitForBit(t *testing.T) {
 	// Two dirty rows touch at most four of the ten lists, so code reuse
 	// is guaranteed for the rest.
 	newData, dirty := refreshDelta(data, 2, 17)
-	newIV := iv.Refresh(newData, dirty, nil)
-	ref := old.Refresh(newData, dirty, newIV)
+	newIV := iv.Refresh(mat.Page(newData), dirty, nil)
+	ref := old.Refresh(mat.Page(newData), dirty, newIV)
 	full := NewIVFSQ(newIV, newData, 2)
 	shared := 0
 	for l := range full.blocks {
-		if len(ref.blocks[l].I8) != len(full.blocks[l].I8) {
+		if len(ref.blocks[l].whole().I8) != len(full.blocks[l].whole().I8) {
 			t.Fatalf("list %d: code lengths differ", l)
 		}
-		for j := range full.blocks[l].I8 {
-			if ref.blocks[l].I8[j] != full.blocks[l].I8[j] {
+		for j := range full.blocks[l].whole().I8 {
+			if ref.blocks[l].whole().I8[j] != full.blocks[l].whole().I8[j] {
 				t.Fatalf("list %d: code %d differs", l, j)
 			}
 		}
-		for j := range full.blocks[l].Scale {
-			if ref.blocks[l].Scale[j] != full.blocks[l].Scale[j] || ref.blocks[l].Base[j] != full.blocks[l].Base[j] {
+		for j := range full.blocks[l].whole().Scale {
+			if ref.blocks[l].whole().Scale[j] != full.blocks[l].whole().Scale[j] || ref.blocks[l].whole().Base[j] != full.blocks[l].whole().Base[j] {
 				t.Fatalf("list %d row %d: parameters differ", l, j)
 			}
 		}
-		if newIV.inverted().vecs[l] == iv.inverted().vecs[l] && &ref.blocks[l].I8[0] == &old.blocks[l].I8[0] {
+		if newIV.inverted().vecs[l] == iv.inverted().vecs[l] && &ref.blocks[l].codes[0].I8[0] == &old.blocks[l].codes[0].I8[0] {
 			shared++
 		}
 	}
@@ -316,9 +316,9 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 				copy(block.Row(l), newData.Row(r[0]+l))
 			}
 		}
-		exSubs[i] = Shift(old[i].ex.Refresh(block, local, nil), r[0])
-		sqSubs[i] = Shift(old[i].sq.Refresh(block, local, nil), r[0])
-		ivSubs[i] = Shift(old[i].iv.Refresh(block, local, nil), r[0])
+		exSubs[i] = Shift(old[i].ex.Refresh(mat.Page(block), local, nil), r[0])
+		sqSubs[i] = Shift(old[i].sq.Refresh(mat.Page(block), local, nil), r[0])
+		ivSubs[i] = Shift(old[i].iv.Refresh(mat.Page(block), local, nil), r[0])
 	}
 
 	fullExact := NewExact(newData, 1)
@@ -332,4 +332,15 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 		sameResults(t, "sharded ivf refresh full-probe", want,
 			SearchSharded(ivSubs, q, 11, Options{NProbe: 1 << 20}))
 	}
+}
+
+// whole returns the block's encoding as one contiguous run, for
+// comparisons.
+func (b *block) whole() Codes {
+	var c Codes
+	for _, pg := range b.codes {
+		c.I8, c.Scale, c.Base = append(c.I8, pg.I8...), append(c.Scale, pg.Scale...), append(c.Base, pg.Base...)
+		c.F16 = append(c.F16, pg.F16...)
+	}
+	return c
 }

@@ -43,14 +43,11 @@ const DefaultRerank = 4
 // alone — no seeds, no global statistics — so any row slice of data
 // quantizes to the corresponding slice of (codes, scale, base).
 func QuantizeRows(data *mat.Dense) (codes []int8, scale, base []float32) {
-	n, dim := data.Rows, data.Cols
-	codes = make([]int8, n*dim)
-	scale = make([]float32, n)
-	base = make([]float32, n)
-	for i := 0; i < n; i++ {
-		scale[i], base[i] = quantizeRowInto(data.Row(i), codes[i*dim:(i+1)*dim])
+	c := i8Codec{}.alloc(data.Rows, data.Cols)
+	for i := range data.Rows {
+		i8Codec{}.encodeRow(c, i, data.Row(i))
 	}
-	return codes, scale, base
+	return c.I8, c.Scale, c.Base
 }
 
 // quantizeRowInto encodes one candidate row into c (which must have
@@ -189,21 +186,12 @@ func (i8Codec) final() bool { return false }
 // rowBytes counts the codes and the row's (scale, base) pair.
 func (i8Codec) rowBytes(dim int) int { return dim + 8 }
 
-func (i8Codec) encode(rows *mat.Dense, prev *Codes, dirty []int) Codes {
-	if prev == nil {
-		codes, scale, base := QuantizeRows(rows)
-		return Codes{I8: codes, Scale: scale, Base: base}
-	}
-	c := Codes{
-		I8:    append([]int8(nil), prev.I8...),
-		Scale: append([]float32(nil), prev.Scale...),
-		Base:  append([]float32(nil), prev.Base...),
-	}
-	dim := rows.Cols
-	for _, r := range dirty {
-		c.Scale[r], c.Base[r] = quantizeRowInto(rows.Row(r), c.I8[r*dim:(r+1)*dim])
-	}
-	return c
+func (i8Codec) alloc(n, dim int) Codes {
+	return Codes{I8: make([]int8, n*dim), Scale: make([]float32, n), Base: make([]float32, n)}
+}
+
+func (i8Codec) encodeRow(c Codes, j int, row []float64) {
+	c.Scale[j], c.Base[j] = quantizeRowInto(row, c.I8[j*len(row):(j+1)*len(row)])
 }
 
 func (i8Codec) prepare(pq *query, q []float64) {
@@ -217,11 +205,17 @@ func (i8Codec) prepare(pq *query, q []float64) {
 
 func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 	dim := len(pq.i8)
-	for j := s.lo; j < s.hi; j++ {
-		d := float64(dotI8(pq.i8, b.I8[j*dim:(j+1)*dim]))
-		score := float64(b.Base[j])*pq.sum + float64(b.Scale[j])*pq.step*d
-		if id := s.id(j); top.Admits(id, score) {
-			keep(top, s.skip, id, score)
+	for j := s.lo; j < s.hi; {
+		pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
+		n := min(pg.reach(dim)-r, s.hi-j)
+		codes, scale, base := pg.I8[r*dim:(r+n)*dim], pg.Scale[r:r+n], pg.Base[r:r+n]
+		for x := range n {
+			d := float64(dotI8(pq.i8, codes[x*dim:(x+1)*dim]))
+			score := float64(base[x])*pq.sum + float64(scale[x])*pq.step*d
+			if id := s.id(j + x); top.Admits(id, score) {
+				keep(top, s.skip, id, score)
+			}
 		}
+		j += n
 	}
 }

@@ -13,13 +13,22 @@ import (
 // construction and safe for concurrent searches; Refresh, Reseat and
 // Rebuild return the next generation and leave the receiver intact.
 type Table struct {
-	data    *mat.Dense // candidates by local id, shared with the caller
+	data    *mat.Paged // candidates by local id, shared with the caller
 	lay     layout
 	codec   Codec
 	blocks  []block // one per layout block, encoded by codec
 	base    int     // global id of local candidate 0 (see Shift)
 	rerank  int     // survivor multiplier of a codec whose scores are approximate, else 0
 	threads int
+	work    Work
+}
+
+// Work is what producing a table cost: rows passed through the codec, and
+// bytes written into storage it does not share with its parent (a float64
+// cell's re-gathered lists, a compressed cell's codes and page slices; a
+// flat cell's rows are the caller's). Functions of the input alone.
+type Work struct {
+	RowsEncoded, BytesCopied int64
 }
 
 var kinds = [2][NumCodecs]string{
@@ -29,7 +38,7 @@ var kinds = [2][NumCodecs]string{
 
 // newCell builds the (lay, c) cell over data. blocks, when non-nil, is an
 // existing encoding to adopt instead of encoding the layout's blocks.
-func newCell(data *mat.Dense, lay layout, c Codec, rerank, threads int, blocks []block) *Table {
+func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int, blocks []block) *Table {
 	if codecs[c].final() {
 		rerank = 0
 	} else if rerank <= 0 {
@@ -45,30 +54,33 @@ func newCell(data *mat.Dense, lay layout, c Codec, rerank, threads int, blocks [
 	return t
 }
 
+// newFlat is the flat cell of codec c over data, paged without copying.
+func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
+	pd := mat.Page(data)
+	return newCell(pd, flat{pd}, c, rerank, threads, nil)
+}
+
 // NewExact is the flat float64 cell: data (one candidate per row) is
 // wrapped without copying, so the caller must not mutate it afterwards.
 // threads is the search fan-out; values <= 1 scan serially.
-func NewExact(data *mat.Dense, threads int) *Table {
-	return newCell(data, flat{data}, F64, 0, threads, nil)
-}
+func NewExact(data *mat.Dense, threads int) *Table { return newFlat(data, F64, 0, threads) }
 
 // NewSQ8 is the flat int8 cell: data is shared for the exact re-rank and
 // its rows are quantized once. rerank <= 0 means DefaultRerank.
 func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
-	return newCell(data, flat{data}, I8, rerank, threads, nil)
+	return newFlat(data, I8, rerank, threads)
 }
 
 // NewFP16 is the flat binary16 cell.
-func NewFP16(data *mat.Dense, threads int) *Table {
-	return newCell(data, flat{data}, F16, 0, threads, nil)
-}
+func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0, threads) }
 
 // BuildIVF is the inverted float64 cell: data is clustered into an
 // inverted file (see IVFConfig) and copied list by list, so the caller
 // may keep using it; builds with the same data and config are bit-for-bit
 // reproducible.
 func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
-	return newCell(data, trainInverted(data, cfg), F64, 0, cfg.Threads, nil)
+	pd := mat.Page(data)
+	return newCell(pd, trainInverted(pd, cfg), F64, 0, cfg.Threads, nil)
 }
 
 // NewIVFSQ is the inverted int8 cell over iv's inverted file, which it
@@ -76,14 +88,14 @@ func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
 // second k-means or a second copy of the lists. data must be the matrix
 // iv was built from. rerank <= 0 means DefaultRerank.
 func NewIVFSQ(iv *Table, data *mat.Dense, rerank int) *Table {
-	iv.checkShape(data)
+	iv.checkShape(data.Rows, data.Cols)
 	return iv.Encode(I8, rerank)
 }
 
 // NewIVFFP16 is the inverted binary16 cell over iv's inverted file; see
 // NewIVFSQ.
 func NewIVFFP16(iv *Table, data *mat.Dense) *Table {
-	iv.checkShape(data)
+	iv.checkShape(data.Rows, data.Cols)
 	return iv.Encode(F16, 0)
 }
 
@@ -95,9 +107,10 @@ func (t *Table) Encode(c Codec, rerank int) *Table {
 
 // FromCodes is the flat cell of codec c over data that adopts an existing
 // encoding (one restored from a bundle, or a row slice of a larger
-// matrix's) instead of encoding. The slices are shared, not copied. It
-// panics on a shape mismatch — a corrupt persisted payload must fail
-// loudly at build time, not skew scores at query time.
+// matrix's) instead of encoding. The slices are shared, not copied: the
+// block's pages alias them. It panics on a shape mismatch — a corrupt
+// persisted payload must fail loudly at build time, not skew scores at
+// query time.
 func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Table {
 	n, dim := data.Rows, data.Cols
 	ok := false
@@ -110,7 +123,8 @@ func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Tabl
 	if !ok {
 		panic(fmt.Sprintf("index: %s payload shape mismatch for %dx%d candidates", kinds[0][c], n, dim))
 	}
-	return newCell(data, flat{data}, c, rerank, threads, []block{{rows: data, Codes: codes}})
+	pd := mat.Page(data)
+	return newCell(pd, flat{pd}, c, rerank, threads, []block{{rows: pd, codes: pageCodes(codes, n, dim)}})
 }
 
 // Shift returns idx with its candidate ids [0, Len()) re-based to global
@@ -170,8 +184,20 @@ func (t *Table) DefaultNProbe() int {
 // scores are final.
 func (t *Table) Rerank() int { return t.rerank }
 
-// Codes exposes a flat table's encoding for persistence.
-func (t *Table) Codes() Codes { return t.blocks[0].Codes }
+// AppendCodes appends a flat table's encoding, page by page, to dst — the
+// contiguous shape a bundle persists.
+func (t *Table) AppendCodes(dst Codes) Codes {
+	for _, pg := range t.blocks[0].codes {
+		dst.I8 = append(dst.I8, pg.I8...)
+		dst.Scale = append(dst.Scale, pg.Scale...)
+		dst.Base = append(dst.Base, pg.Base...)
+		dst.F16 = append(dst.F16, pg.F16...)
+	}
+	return dst
+}
+
+// Work reports what producing t encoded and copied.
+func (t *Table) Work() Work { return t.work }
 
 // String summarizes the structure for logs.
 func (t *Table) String() string {
@@ -184,28 +210,30 @@ func (t *Table) inverted() *inverted {
 	return iv
 }
 
-func (t *Table) checkShape(data *mat.Dense) {
-	if data.Rows != t.data.Rows || data.Cols != t.data.Cols {
+func (t *Table) checkShape(rows, cols int) {
+	if rows != t.data.Rows || cols != t.data.Cols {
 		panic(fmt.Sprintf("index: %s data %dx%d does not match index n=%d dim=%d",
-			t.Kind(), data.Rows, data.Cols, t.data.Rows, t.data.Cols))
+			t.Kind(), rows, cols, t.data.Rows, t.data.Cols))
 	}
 }
 
 // Refresh returns the next generation of t over data, in which only the
 // listed dirty rows (local ids; ascending for an inverted file) differ
 // from the rows t holds; the caller contracts that every other row is
-// value-identical. Only O(Δ) state is touched and the rest is shared with
-// t: a flat block re-encodes its dirty rows, an inverted file moves them
-// between lists against its frozen coarse quantizer and re-encodes the
-// lists that changed. The result is bit-identical to a fresh build over
-// data (for an inverted file, to Rebuild).
+// value-identical (data is typically t's matrix WithRows). Only O(Δ)
+// state is touched and the rest is shared with t: a flat block copies its
+// page slice and the pages a dirty row is on, an inverted file moves the
+// dirty rows between lists against its frozen coarse quantizer, and a list
+// that changed carries its survivors' codes over; only dirty rows are
+// encoded. The result is bit-identical to a fresh build over data (for an
+// inverted file, to Rebuild).
 //
 // lead, when non-nil, is the already refreshed float64 cell of t's layout
 // over the same data: t adopts its layout instead of refreshing a copy,
 // so every codec over one BuildIVF moves each dirty row once and keeps
 // sharing one set of list blocks.
-func (t *Table) Refresh(data *mat.Dense, dirty []int, lead *Table) *Table {
-	t.checkShape(data)
+func (t *Table) Refresh(data *mat.Paged, dirty []int, lead *Table) *Table {
+	t.checkShape(data.Rows, data.Cols)
 	if lead != nil {
 		return t.over(data, lead.lay, dirty, true)
 	}
@@ -220,8 +248,8 @@ func (t *Table) Refresh(data *mat.Dense, dirty []int, lead *Table) *Table {
 // nlist) for home lists that almost never change. A row whose nearest
 // centroid did drift stays in its old list until the next full build.
 // lead is as in Refresh.
-func (t *Table) Reseat(data *mat.Dense, lead *Table) *Table {
-	t.checkShape(data)
+func (t *Table) Reseat(data *mat.Paged, lead *Table) *Table {
+	t.checkShape(data.Rows, data.Cols)
 	if lead != nil {
 		return t.over(data, lead.lay, nil, false)
 	}
@@ -232,7 +260,7 @@ func (t *Table) Reseat(data *mat.Dense, lead *Table) *Table {
 // against t's coarse quantizer: every row is reassigned and every block
 // encoded. It is the frozen-quantizer full build Refresh must reproduce
 // bit for bit; retraining the quantizer is BuildIVF's decision.
-func (t *Table) Rebuild(data *mat.Dense) *Table {
+func (t *Table) Rebuild(data *mat.Paged) *Table {
 	if data.Cols != t.data.Cols {
 		panic(fmt.Sprintf("index: %s rebuild dim %d does not match index dim %d", t.Kind(), data.Cols, t.data.Cols))
 	}
@@ -241,26 +269,34 @@ func (t *Table) Rebuild(data *mat.Dense) *Table {
 
 // over returns t's codec and settings over (data, lay). With reuse, lay
 // descends from t's layout and t's encoding is kept where it still holds:
-// a block whose rows lay shares with t is shared, and a flat block (same
-// membership by construction) re-encodes only the dirty rows.
-func (t *Table) over(data *mat.Dense, lay layout, dirty []int, reuse bool) *Table {
+// a block whose rows lay shares with t is shared, a flat block (same
+// membership by construction) is patched, and a list that changed is
+// encoded against the list it was.
+func (t *Table) over(data *mat.Paged, lay layout, dirty []int, reuse bool) *Table {
 	out := *t
-	out.data, out.lay = data, lay
+	out.data, out.lay, out.work = data, lay, Work{}
 	out.blocks = make([]block, lay.nblocks())
 	enc := codecs[t.codec]
 	for b := range out.blocks {
 		rows, ids := lay.block(b)
-		var prev *Codes
-		if reuse && b < len(t.blocks) {
+		var prev []Codes
+		var prevIDs []int32
+		if reuse {
 			if rows == t.blocks[b].rows {
 				out.blocks[b] = t.blocks[b]
 				continue
 			}
+			prev = t.blocks[b].codes
+			_, prevIDs = t.lay.block(b)
 			if ids == nil {
-				prev = &t.blocks[b].Codes
+				out.blocks[b] = block{rows: rows, codes: patchBlock(enc, rows, prev, dirty, &out.work)}
+				continue
 			}
 		}
-		out.blocks[b] = block{rows: rows, Codes: enc.encode(rows, prev, dirty)}
+		if t.codec == F64 && ids != nil { // the float64 cell's storage is the list itself
+			out.work.BytesCopied += int64(rows.Rows) * int64(8*rows.Cols+4)
+		}
+		out.blocks[b] = block{rows: rows, codes: encodeBlock(enc, rows, ids, prev, prevIDs, dirty, &out.work)}
 	}
 	return &out
 }

@@ -278,6 +278,13 @@ func ParallelRanges(n, nb int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// RowWorkers is the worker count for a loop over a delta's rows: nb, cut
+// so that every worker owns at least 32 rows — an update's dozen loops
+// over 16–80 rows run inline instead of forking goroutines for
+// microseconds of work. Only where each row is owned by one worker, so
+// the worker count cannot show in the result.
+func RowWorkers(rows, nb int) int { return min(nb, rows/32) }
+
 // SplitRanges returns the chunk boundaries ParallelRanges would use: a
 // slice of [lo,hi) pairs covering [0,n) in at most nb pieces. Exposed so
 // algorithms that need stable block identities (e.g. SMGreedyInit's

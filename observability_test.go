@@ -121,6 +121,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`pane_update_stage_duration_seconds_count{stage="scorer"}`,
 		`pane_index_build_cycles_total{kind="full"}`,
 		`pane_index_build_cycles_total{kind="incremental"}`,
+		// The refresh's books: rows through a codec, bytes a generation
+		// does not share with its parent, and how long reads scanned.
+		`pane_index_refresh_rows_encoded_total{backend="sq8"}`,
+		`pane_index_refresh_bytes_copied_total`,
+		`pane_index_publish_lag_seconds_count`,
 		"pane_model_version",
 	}
 	for _, series := range core {
