@@ -75,7 +75,7 @@ func main() {
 		exp       = flag.String("exp", "all", "experiment id (table2..fig8 or all)")
 		datasets  = flag.String("datasets", "", "comma-separated dataset names (default: experiment-appropriate)")
 		k         = flag.Int("k", 128, "space budget")
-		threads   = flag.Int("threads", 10, "worker threads")
+		threads   = flag.Int("threads", 10, "worker threads (stays 10, not GOMAXPROCS: every committed BENCH_*.json was taken at 10)")
 		quick     = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 		seed      = flag.Int64("seed", 1, "random seed")
 		topkN     = flag.Int("topk-n", 100000, "graph size for -exp topk")

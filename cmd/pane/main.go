@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pane -edges g.edges -attrs g.attrs [-labels g.labels] \
-//	     [-k 128] [-alpha 0.5] [-eps 0.015] [-threads 10] [-seed 1] \
+//	     [-k 128] [-alpha 0.5] [-eps 0.015] [-threads N] [-seed 1] \
 //	     [-out model.pane] [-text embeddings]
 //
 // -text additionally dumps the matrices as whitespace-separated text for
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"pane/internal/core"
@@ -41,7 +42,7 @@ func main() {
 		k          = flag.Int("k", 128, "space budget (even)")
 		alpha      = flag.Float64("alpha", 0.5, "random walk stopping probability")
 		eps        = flag.Float64("eps", 0.015, "error threshold")
-		threads    = flag.Int("threads", 10, "worker threads (1 = single-thread algorithm)")
+		threads    = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads (1 = single-thread algorithm); defaults to GOMAXPROCS")
 		seed       = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()

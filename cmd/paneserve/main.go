@@ -64,6 +64,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -89,7 +90,7 @@ func main() {
 		k         = flag.Int("k", 128, "space budget")
 		alpha     = flag.Float64("alpha", 0.5, "stopping probability")
 		eps       = flag.Float64("eps", 0.015, "error threshold")
-		threads   = flag.Int("threads", 10, "worker threads")
+		threads   = flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads; defaults to GOMAXPROCS")
 		seed      = flag.Int64("seed", 1, "random seed")
 		sweeps    = flag.Int("sweeps", engine.DefaultUpdateSweeps, "CCD sweeps per dynamic update")
 		indexMode = flag.String("index", "auto", "serving index: off, exact, ivf (exact+IVF), or auto (bundle setting when present, ivf+sq8 otherwise)")

@@ -65,15 +65,14 @@ func main() {
 
 	// Top-k queries stay live throughout: each model version gets its own
 	// serving index (exact + IVF + the SQ8/IVFSQ quantized tiers), split
-	// into 4 row shards that rebuild independently and concurrently
-	// after an update lands. A query that
-	// arrives mid-rebuild — before ALL shards have republished — is
-	// answered by brute force at the current version; the response says
-	// which backend ran, and the index status shows each shard's
-	// generation catching up.
+	// into 4 row shards that one refresh cycle rebuilds in parallel after
+	// an update lands. A query that arrives mid-refresh — before the cut
+	// at its version is stored — is answered by brute force at the
+	// current version; the response says which backend ran, and the index
+	// status shows the version the index has caught up to.
 	eng.WaitForIndex()
 	st := eng.IndexStatus()
-	fmt.Printf("serving index: %d shards, per-shard generations %v\n", st.Shards, st.ShardVersions)
+	fmt.Printf("serving index: %d shards at version %d (model at %d)\n", st.Shards, st.Version, eng.Version())
 	// Small edge batches ride the delta pipeline: only the touched rows
 	// were re-swept, and each shard refreshed (or republished) its index
 	// incrementally instead of rebuilding — the counters prove it.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -516,10 +517,10 @@ func TestIndexConfigValidation(t *testing.T) {
 // TestDeltaOverlapLifecycleRace floods the engine with concurrent small
 // updates whose deltas are alternately disjoint and overlapping while
 // queriers and a white-box invariant checker run under -race. The
-// assertion is the consistent-cut invariant of the delta pipeline: no
-// query may ever observe a mixed-version or partially-refreshed shard
-// set, and after quiescing the incrementally-refreshed index serves the
-// final version.
+// assertions are the cut invariants of the delta pipeline — the stored
+// cut's version only rises and never outruns the model — and, after
+// quiescing, that the coalesced deltas were all refreshed incrementally
+// and the index serves the final version exactly like a fresh build.
 func TestDeltaOverlapLifecycleRace(t *testing.T) {
 	eng, g := deltaTestEngine(t, 4, 1.0)
 	var wg sync.WaitGroup
@@ -553,33 +554,17 @@ func TestDeltaOverlapLifecycleRace(t *testing.T) {
 		}(int64(i))
 	}
 
-	// White-box invariant checker: any accepted cut is uniform at the
-	// resolved model's exact version.
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			m := eng.Model()
-			if shards := eng.freshShards(m); shards != nil {
-				for s, si := range shards.shards {
-					if si.version != m.Version {
-						t.Errorf("mixed-version cut: shard %d at %d, model at %d", s, si.version, m.Version)
-						return
-					}
-				}
-			}
-		}
-	}()
+	go checkCuts(t, eng, stop, &wg)
+
+	// Hold the build lock until a few updates have landed, so their marks
+	// must coalesce into one pending delta behind the blocked worker.
+	eng.shards.buildMu.Lock()
 
 	// Two writers: disjoint-delta updates on separate node ranges and
 	// overlapping-delta updates hammering one small hot set. ApplyEdges
 	// serializes internally; the races of interest are between the
-	// resulting marks, the per-shard workers, and the queriers.
+	// resulting marks, the refresh worker, and the queriers.
 	const updatesPerWriter = 8
 	var writers sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -607,20 +592,30 @@ func TestDeltaOverlapLifecycleRace(t *testing.T) {
 			}
 		}(w)
 	}
+	for eng.Version() < 5 && !t.Failed() {
+		runtime.Gosched()
+	}
+	eng.shards.buildMu.Unlock()
 	writers.Wait()
 	close(stop)
 	wg.Wait()
 
-	if eng.Version() != 1+2*updatesPerWriter {
-		t.Fatalf("final version %d, want %d", eng.Version(), 1+2*updatesPerWriter)
+	const updates = 2 * updatesPerWriter
+	if eng.Version() != 1+updates {
+		t.Fatalf("final version %d, want %d", eng.Version(), 1+updates)
 	}
 	eng.WaitForIndex()
 	st := eng.IndexStatus()
 	if st.Version != eng.Version() {
 		t.Fatalf("index status %+v after quiesce, model at %d", st, eng.Version())
 	}
-	if st.IncrementalRefreshes == 0 {
-		t.Fatalf("race run never refreshed incrementally: %+v", st)
+	// Every shard of every cycle refreshed incrementally: no coalesced
+	// delta was lost and forced a full rebuild. Fewer cycles than updates
+	// ran: the held marks coalesced.
+	if st.FullRebuilds != uint64(st.Shards) || st.IncrementalRefreshes == 0 ||
+		st.IncrementalRefreshes >= updates*uint64(st.Shards) {
+		t.Fatalf("index status %+v after %d updates: want %d initial full builds and fewer than %d incremental refreshes",
+			st, updates, st.Shards, updates*st.Shards)
 	}
 	// The quiesced incremental index still answers exactly like a fresh
 	// build around the final model.
@@ -636,6 +631,94 @@ func TestDeltaOverlapLifecycleRace(t *testing.T) {
 		sameAnswers(t, "post-race sq8",
 			mustTop(t, fresh, true, u, 8, ModeSQ8, 0), mustTop(t, eng, true, u, 8, ModeSQ8, 0))
 	}
+}
+
+// TestRefreshCycleTargetsMarkedModel: a cycle builds the cut for the model
+// its pending delta names, never for whatever model is current when it
+// runs, so a model superseded before its cycle still gets a correct cut
+// and the next cycle reaches the newest — both incrementally, with no
+// version re-check and no full rebuild.
+func TestRefreshCycleTargetsMarkedModel(t *testing.T) {
+	all := IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true, FP16: true}
+	setup := func(t *testing.T) (*Engine, func() *Model) {
+		eng, g := deltaTestEngine(t, 2, 1.0, WithIndex(all), WithManualIndexRebuild())
+		rng := rand.New(rand.NewSource(5))
+		// Every update moves node 7's rows, so a cycle that read a later
+		// model than its delta's would put that model's row in its cut.
+		return eng, func() *Model {
+			m, err := eng.ApplyEdges([]graph.Edge{{Src: 7, Dst: rng.Intn(g.N)}, {Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+	}
+	// matchesFresh: c is at m's version, holds the Z blocks a fresh build
+	// around m computes, and answers like it in all six modes, the
+	// inverted ones at full probe (a fresh build retrains the quantizer a
+	// refresh keeps frozen).
+	matchesFresh := func(t *testing.T, label string, m *Model, c *cut) {
+		t.Helper()
+		if c == nil || c.version != m.Version {
+			t.Fatalf("%s: no cut at version %d", label, m.Version)
+		}
+		fresh, err := New(m.Graph, m.Emb, m.Cfg, WithIndex(all))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, sh := range fresh.shards.cut.Load().shards {
+			if !reflect.DeepEqual(c.shards[s].z.Dense().Data, sh.z.Dense().Data) {
+				t.Fatalf("%s: shard %d's block of Z differs from a fresh build's", label, s)
+			}
+		}
+		for u := 0; u < m.Nodes(); u += 23 {
+			for _, mode := range allModes {
+				nprobe := 0
+				if modeCell[mode].layout == inverted {
+					nprobe = 1 << 20
+				}
+				links, lb, err1 := m.topLinks(c, nil, u, 10, mode, nprobe)
+				attrs, ab, err2 := m.topAttrs(c, nil, u, 6, mode, nprobe)
+				if err1 != nil || err2 != nil || lb != mode || ab != mode {
+					t.Fatalf("%s u=%d mode=%s: backends %q %q, errs %v %v", label, u, mode, lb, ab, err1, err2)
+				}
+				sameAnswers(t, label+" links "+mode, mustTop(t, fresh, true, u, 10, mode, nprobe), TopKAnswer{Results: links})
+				sameAnswers(t, label+" attrs "+mode, mustTop(t, fresh, false, u, 6, mode, nprobe), TopKAnswer{Results: attrs})
+			}
+		}
+	}
+
+	t.Run("manual", func(t *testing.T) {
+		eng, update := setup(t)
+		before := eng.IndexStatus()
+		update()
+		m3 := update()
+		eng.RebuildIndex()
+		st := eng.IndexStatus()
+		if st.Version != m3.Version || st.FullRebuilds != before.FullRebuilds ||
+			st.IncrementalRefreshes != before.IncrementalRefreshes+uint64(st.Shards) {
+			t.Fatalf("status %+v -> %+v: want one incremental cycle to version %d", before, st, m3.Version)
+		}
+		matchesFresh(t, "coalesced", m3, eng.freshShards(m3))
+	})
+
+	t.Run("superseded", func(t *testing.T) {
+		eng, update := setup(t)
+		before := eng.IndexStatus()
+		m2 := update()
+		d := eng.shards.take(false)
+		m3 := update()
+		eng.build(d)
+		matchesFresh(t, "superseded", m2, eng.shards.cut.Load())
+		if eng.freshShards(m3) != nil {
+			t.Fatal("the cycle marked for v2 served v3")
+		}
+		eng.RebuildIndex()
+		matchesFresh(t, "next cycle", m3, eng.freshShards(m3))
+		if st := eng.IndexStatus(); st.FullRebuilds != before.FullRebuilds {
+			t.Fatalf("status %+v -> %+v: a cycle rebuilt in full", before, st)
+		}
+	})
 }
 
 // allModes lists the six cells' query modes.
@@ -728,8 +811,11 @@ func TestRefreshChainSharesPages(t *testing.T) {
 		cur := retain()
 		dirtyPage := map[[2]int]bool{}
 		for _, r := range touchedDelta(edges, nil).Nodes {
-			s := eng.shards.shardOf(linkSpace, r)
-			dirtyPage[[2]int{s, (r - eng.shards.ranges[linkSpace][s][0]) / mat.PageRows}] = true
+			for s, rg := range eng.shards.ranges[linkSpace] {
+				if r >= rg[0] && r < rg[1] {
+					dirtyPage[[2]int{s, (r - rg[0]) / mat.PageRows}] = true
+				}
+			}
 		}
 		for s, sh := range cur.c.shards {
 			for k := range sh.z.Pages() {

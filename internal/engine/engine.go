@@ -16,6 +16,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -89,10 +90,10 @@ type Engine struct {
 	reg *obs.Registry
 	met *engineMetrics
 
-	// Sharded serving-index state (see index.go). Each shard's index is
-	// published separately from cur: queries accept the shard set only
-	// when every shard's version matches the model they resolved, so a
-	// mid-rebuild (or mixed-generation) set is never consulted.
+	// Sharded serving-index state (see index.go). The index's cut is
+	// stored separately from cur: queries accept it only when its version
+	// matches the model they resolved, so a mid-refresh index is never
+	// consulted.
 	idxCfg    *IndexConfig
 	idxManual bool
 	shards    *shardSet
@@ -100,8 +101,8 @@ type Engine struct {
 	// restored holds a bundle's int8 and binary16 payloads for the
 	// initial index builds (they are valid for exactly the restored model
 	// version; see restoredCodes). The first applied update clears it —
-	// no later version can ever match — via an atomic pointer, since
-	// shard rebuild workers read it concurrently.
+	// no later version can ever match — via an atomic pointer, since the
+	// refresh worker reads it concurrently.
 	restored atomic.Pointer[restoredPayloads]
 
 	// wal, when attached, receives every applied update's delta before
@@ -303,12 +304,22 @@ func newEngine(g *graph.Graph, emb *core.Embedding, cfg core.Config, version uin
 		Emb:     emb,
 		Scorer:  core.NewLinkScorer(emb),
 	})
+	// Training leaves its garbage behind with a heap goal set by whatever
+	// was live at its last collection, which depends on how its worker
+	// goroutines happened to interleave: on a 30000-node, k=128 model the
+	// goal it hands over ranged from 331 to 468 MB across identical runs,
+	// and the first requests grew the heap to it. Collecting once here sets
+	// the goal from the model's live set instead, so peak memory no longer
+	// depends on the trainer's GC timing. It costs about 1 ms on that model
+	// (2-core Xeon): the matrices hold no pointers to mark.
+	runtime.GC()
 	// Lay out the shard set (the node and attribute universes are fixed,
-	// so the row ranges never change) and build the initial per-shard
-	// indexes synchronously — concurrently across shards — so a fresh
-	// engine serves indexed queries from its first request.
+	// so the row ranges never change) and run the first cycle — no cut
+	// yet, so it builds every shard — synchronously, so a fresh engine
+	// serves indexed queries from its first request.
 	if e.idxCfg != nil {
 		e.shards = newShardSet(g.N, g.D, e.idxCfg.Shards)
+		e.shards.pending = &idxDelta{model: e.Model()}
 		e.RebuildIndex()
 	}
 	return e, nil
@@ -543,26 +554,25 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	e.restored.Store(nil)
 	// The model is live immediately; the index catches up asynchronously
 	// and queries fall back to the scan path until it publishes. The delta
-	// tells the per-shard workers which rows to refresh: a full-sweep
-	// update dirties everything, a restricted one only its touched rows —
-	// except that any moved Y row shifts the Gram matrix G = YᵀY and with
-	// it every link candidate row, so the link space goes full then.
-	d := idxDelta{target: next.Version, at: time.Now()}
+	// tells the refresh cycle which rows to refresh: a full-sweep update
+	// dirties everything, a restricted one only its touched rows — except
+	// that any moved Y row shifts the Gram matrix G = YᵀY and with it every
+	// link candidate row, so the link space goes full then.
+	d, rows := &idxDelta{model: next, at: time.Now()}, g.N+g.D
 	if incremental {
-		d.dirty[linkSpace] = touched.Nodes
-		d.dirty[attrSpace] = touched.Attrs
-		d.rows = touched.Rows()
+		d.dirty = [nSpaces][]int{touched.Nodes, touched.Attrs}
+		rows = touched.Rows()
 		if len(touched.Attrs) > 0 {
 			// An attribute delta moves Y rows and with them G = YᵀY — every
 			// link candidate row shifts. When the affinity path is on and
 			// the delta is low-rank relative to the space (2·|Δattrs| <
 			// k/2), ship the correction Z += Xb·ΔG instead of poisoning the
-			// link space into per-shard full rebuilds: the restricted
-			// refinement moved exactly touched.Attrs' Y rows, so the
-			// correction plus exact recomputation of the dirty node rows
-			// reproduces the new candidate matrix up to float round-off.
+			// link space into full rebuilds: the restricted refinement moved
+			// exactly touched.Attrs' Y rows, so the correction plus exact
+			// recomputation of the dirty node rows reproduces the new
+			// candidate matrix up to float round-off.
 			if gd := e.gramFor(prev.Emb, emb, touched.Attrs); gd != nil {
-				d.gram = gd
+				d.grams = []*core.GramDelta{gd}
 				stats.GramCorrection = true
 				e.met.gram.Inc()
 			} else {
@@ -571,9 +581,8 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		}
 	} else {
 		d.full = [nSpaces]bool{true, true}
-		d.rows = g.N + g.D
 	}
-	e.scheduleIndexRebuild(d)
+	e.scheduleIndexRebuild(d, rows)
 	if e.obs != nil {
 		e.obs(stats)
 	}

@@ -220,34 +220,27 @@ func TestFP16SnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFP16IncrementalRefreshMatchesFullRebuild: after an identical update
-// stream, an engine whose fp16 tier caught up through incremental refresh
-// must answer fp16/ivffp16 queries bit-identically to one rebuilt from
-// scratch — the engine-level check that FP16.Refresh and IVFFP16.Refresh
-// reproduce a full re-encode exactly.
+// TestFP16IncrementalRefreshMatchesFullRebuild: an engine whose fp16 tier
+// caught up through incremental refresh must answer fp16/ivffp16 queries
+// bit-identically to a fresh build around the same model — the
+// engine-level check that FP16.Refresh and IVFFP16.Refresh reproduce a
+// full re-encode exactly.
 func TestFP16IncrementalRefreshMatchesFullRebuild(t *testing.T) {
 	g, emb, cfg := shardTestModel(t)
-	mk := func(opts ...Option) *Engine {
-		all := append([]Option{WithIndex(IndexConfig{
-			IVF: true, NList: 3, NProbe: 3, FP16: true, Shards: 2,
-		})}, opts...)
-		eng, err := New(g, emb, cfg, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	incr := mk()
-	full := mk(WithManualIndexRebuild())
-	edges := g.Edges()[:2]
-	if _, err := incr.ApplyEdges(edges); err != nil {
+	idx := WithIndex(IndexConfig{IVF: true, NList: 3, NProbe: 3, FP16: true, Shards: 2})
+	incr, err := New(g, emb, cfg, idx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := full.ApplyEdges(edges); err != nil {
+	if _, err := incr.ApplyEdges(g.Edges()[:2]); err != nil {
 		t.Fatal(err)
 	}
 	incr.WaitForIndex()
-	full.RebuildIndex()
+	m := incr.Model()
+	full, err := New(m.Graph, m.Emb, m.Cfg, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range []string{ModeFP16, ModeIVFFP16} {
 		for u := 0; u < g.N; u += 7 {
 			want, err := full.TopLinks(u, 8, mode, 1000)
@@ -258,15 +251,10 @@ func TestFP16IncrementalRefreshMatchesFullRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Backend != want.Backend || got.Version != want.Version {
-				t.Fatalf("mode %q u=%d: backend %q v%d vs %q v%d",
-					mode, u, got.Backend, got.Version, want.Backend, want.Version)
+			if got.Backend != want.Backend || got.Backend != mode {
+				t.Fatalf("mode %q u=%d: backend %q vs %q", mode, u, got.Backend, want.Backend)
 			}
-			for i := range want.Results {
-				if got.Results[i] != want.Results[i] {
-					t.Fatalf("mode %q u=%d rank=%d: %v != %v", mode, u, i, got.Results[i], want.Results[i])
-				}
-			}
+			sameAnswers(t, mode, want, got)
 		}
 	}
 }

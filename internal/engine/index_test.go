@@ -99,6 +99,9 @@ func TestManualRebuildLifecycle(t *testing.T) {
 	if _, err := eng.ApplyEdges([]graph.Edge{{Src: 0, Dst: 5}}); err != nil {
 		t.Fatal(err)
 	}
+	// The update's delta is pending, but no worker runs it: WaitForIndex
+	// returns at once and leaves the index where it was.
+	eng.WaitForIndex()
 	for _, mode := range []string{ModeExact, ModeIVF} {
 		ans, err := eng.TopLinks(0, 3, mode, 0)
 		if err != nil {

@@ -35,7 +35,7 @@ type engineMetrics struct {
 	deposed *obs.Gauge   // 1 while a newer epoch has been observed
 	fenced  *obs.Counter // writes refused with ErrFenced
 
-	// Index build cycles (per-shard workers + manual rebuilds).
+	// Index builds, one per shard per refresh cycle.
 	buildIncr    *obs.Counter
 	buildFull    *obs.Counter
 	buildDurIncr *obs.Histogram

@@ -112,22 +112,17 @@ func TestShardedExactBitForBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedStatusTracksPerShardGenerations pins the per-shard
-// observable state through a manual rebuild cycle: all shards at v1,
-// then all stale (scan fallback at v2, status still showing v1
-// generations), then caught up.
+// TestShardedStatusTracksPerShardGenerations pins the sharded observable
+// state through a manual rebuild cycle: every shard's generation at v1,
+// then all stale (scan fallback at v2, status still showing v1), then
+// caught up — every shard's generation is the one cut's version.
 func TestShardedStatusTracksPerShardGenerations(t *testing.T) {
 	eng := trainTestEngine(t,
 		WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}),
 		WithManualIndexRebuild())
 	st := eng.IndexStatus()
-	if !st.Enabled || st.Version != 1 || st.Shards != 3 || len(st.ShardVersions) != 3 {
+	if !st.Enabled || st.Version != 1 || st.Shards != 3 {
 		t.Fatalf("fresh status %+v", st)
-	}
-	for s, v := range st.ShardVersions {
-		if v != 1 {
-			t.Fatalf("shard %d at generation %d, want 1", s, v)
-		}
 	}
 
 	if _, err := eng.ApplyEdges([]graph.Edge{{Src: 0, Dst: 5}}); err != nil {
@@ -144,13 +139,8 @@ func TestShardedStatusTracksPerShardGenerations(t *testing.T) {
 
 	eng.RebuildIndex()
 	st = eng.IndexStatus()
-	if st.Version != 2 {
+	if st.Version != 2 || st.Shards != 3 {
 		t.Fatalf("post-rebuild status %+v", st)
-	}
-	for s, v := range st.ShardVersions {
-		if v != 2 {
-			t.Fatalf("shard %d at generation %d after rebuild", s, v)
-		}
 	}
 	ans, err = eng.TopLinks(0, 3, ModeIVF, 0)
 	if err != nil || ans.Backend != BackendIVF || ans.Version != 2 {
@@ -158,12 +148,11 @@ func TestShardedStatusTracksPerShardGenerations(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycleRace interleaves edge updates, automatic per-shard
-// rebuild workers, manual concurrent rebuilds, and sharded top-k queries
-// under -race. Its core assertion is the consistent-cut invariant: a
-// query either gets NO index (scan fallback at the current version) or a
-// shard set in which every shard serves exactly the resolved model
-// version — never a mix of generations.
+// TestShardedLifecycleRace interleaves edge updates, the automatic refresh
+// worker, manual concurrent rebuilds, and sharded top-k queries under
+// -race. Its core assertions are the cut invariants: a batch is either
+// wholly scanned or wholly indexed, and the stored cut's version only
+// rises and never outruns the model.
 func TestShardedLifecycleRace(t *testing.T) {
 	g, emb, cfg := shardTestModel(t)
 	eng, err := New(g, emb, cfg, WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 4}))
@@ -251,30 +240,10 @@ func TestShardedLifecycleRace(t *testing.T) {
 		}(int64(i))
 	}
 
-	// Invariant checker: white-box read of the published shard cut. A
-	// non-nil cut must be uniform at the resolved model's exact version.
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			m := eng.Model()
-			if shards := eng.freshShards(m); shards != nil {
-				for s, si := range shards.shards {
-					if si.version != m.Version {
-						t.Errorf("mixed-version shard set: shard %d at %d, model at %d", s, si.version, m.Version)
-						return
-					}
-				}
-			}
-		}
-	}()
+	go checkCuts(t, eng, stop, &wg)
 
-	// Manual rebuilder racing the automatic per-shard workers.
+	// Manual rebuilder racing the automatic refresh worker.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -283,7 +252,7 @@ func TestShardedLifecycleRace(t *testing.T) {
 		}
 	}()
 
-	// Writer: the update stream driving per-shard rebuild scheduling.
+	// Writer: the update stream driving the refresh loop.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < updates; i++ {
 		if _, err := eng.ApplyEdges([]graph.Edge{{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}}); err != nil {
@@ -296,20 +265,37 @@ func TestShardedLifecycleRace(t *testing.T) {
 	if eng.Version() != 1+updates {
 		t.Fatalf("final version %d, want %d", eng.Version(), 1+updates)
 	}
-	// Once every shard's rebuild queue drains, the full set serves the
-	// final version: no shard lost a rebuild, none outran the model.
+	// Once the pending delta drains, the cut serves the final version: no
+	// mark was lost.
 	eng.WaitForIndex()
 	st := eng.IndexStatus()
 	if st.Version != eng.Version() {
 		t.Fatalf("index status %+v after quiesce, model version %d", st, eng.Version())
 	}
-	for s, v := range st.ShardVersions {
-		if v != eng.Version() {
-			t.Fatalf("shard %d at generation %d after quiesce, model at %d", s, v, eng.Version())
-		}
-	}
 	if ans, err := eng.TopLinks(0, 3, ModeIVF, 0); err != nil || ans.Backend != BackendIVF {
 		t.Fatalf("post-quiesce ivf query: backend %q err %v", ans.Backend, err)
+	}
+}
+
+// checkCuts reads the stored cut until stop closes, reporting one that
+// holds the wrong number of shards, falls below a version it already
+// showed, or runs ahead of the model.
+func checkCuts(t *testing.T, eng *Engine, stop <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	var last uint64
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		c := eng.shards.cut.Load() // before the model: a cut is stored after its model publishes
+		m := eng.Model()
+		if len(c.shards) != len(eng.shards.ranges[linkSpace]) || c.version < last || c.version > m.Version {
+			t.Errorf("cut at version %d with %d shards, after one at %d, model at %d", c.version, len(c.shards), last, m.Version)
+			return
+		}
+		last = c.version
 	}
 }
 

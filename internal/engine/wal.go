@@ -168,6 +168,6 @@ func (e *Engine) LoadBundle(b *store.Bundle) error {
 	e.restored.Store(restoredFrom(b))
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))
-	e.scheduleIndexRebuild(idxDelta{target: next.Version, full: [nSpaces]bool{true, true}, rows: g.N + g.D, at: time.Now()})
+	e.scheduleIndexRebuild(&idxDelta{model: next, at: time.Now(), full: [nSpaces]bool{true, true}}, g.N+g.D)
 	return nil
 }

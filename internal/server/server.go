@@ -19,10 +19,10 @@
 // building; a mode whose backend was not built degrades toward "exact"). k must be a positive integer; values above the
 // candidate count are clamped. With a sharded serving index, top-k
 // queries fan out across the shards in parallel and /healthz reports the
-// per-shard index generations ("shard_versions") next to the model
-// version; a batch's top-k queries are scanned together (one pass over
-// each shard's rows for the whole batch), each answered exactly as if
-// issued alone.
+// shard count and the index version every shard's generation shares next
+// to the model version; a batch's top-k queries are scanned together
+// (one pass over each shard's rows for the whole batch), each answered
+// exactly as if issued alone.
 //
 // /healthz additionally exposes the delta-update pipeline's state under
 // "index": "incremental_refreshes" and "full_rebuilds" count shard build

@@ -570,30 +570,29 @@ func TestVersionDuringIndexRebuild(t *testing.T) {
 }
 
 // TestHealthzReportsShardGenerations drives a sharded engine over HTTP:
-// /healthz exposes per-shard index generations, queries fan out across
-// the shards (reported through the usual backend field), and the
-// mid-rebuild state shows every shard pinned at the previous generation
-// while queries scan at the new model version.
+// /healthz reports the shard count and the index version every shard's
+// generation shares, queries fan out across the shards (reported through
+// the usual backend field), and the mid-rebuild state shows the index
+// pinned at the previous version while queries scan at the new model
+// version.
 func TestHealthzReportsShardGenerations(t *testing.T) {
 	eng := testEngine(t,
 		engine.WithIndex(engine.IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}),
 		engine.WithManualIndexRebuild())
 	s := New(eng)
 
-	_, health := get(t, s, "/healthz")
-	idx := health["index"].(map[string]interface{})
-	if idx["shards"].(float64) != 3 {
-		t.Fatalf("healthz shards: %v", idx)
-	}
-	gens := idx["shard_versions"].([]interface{})
-	if len(gens) != 3 {
-		t.Fatalf("healthz shard_versions: %v", gens)
-	}
-	for s, g := range gens {
-		if g.(float64) != 1 {
-			t.Fatalf("shard %d generation %v, want 1", s, g)
+	indexVersion := func(label string, want float64) {
+		t.Helper()
+		_, health := get(t, s, "/healthz")
+		idx := health["index"].(map[string]interface{})
+		if idx["shards"].(float64) != 3 || idx["version"].(float64) != want {
+			t.Fatalf("%s healthz index: %v, want 3 shards at version %v", label, idx, want)
+		}
+		if _, ok := idx["shard_versions"]; ok {
+			t.Fatalf("%s healthz index still reports shard_versions: %v", label, idx)
 		}
 	}
+	indexVersion("fresh", 1)
 	_, body := get(t, s, "/top-links?src=0&k=3")
 	if body["backend"] != "exact" || body["version"].(float64) != 1 {
 		t.Fatalf("sharded query: %v", body)
@@ -606,25 +605,10 @@ func TestHealthzReportsShardGenerations(t *testing.T) {
 	if body["backend"] != "scan" || body["version"].(float64) != 2 {
 		t.Fatalf("mid-rebuild sharded query: %v", body)
 	}
-	_, health = get(t, s, "/healthz")
-	idx = health["index"].(map[string]interface{})
-	for s, g := range idx["shard_versions"].([]interface{}) {
-		if g.(float64) != 1 {
-			t.Fatalf("mid-rebuild shard %d generation %v, want 1", s, g)
-		}
-	}
+	indexVersion("mid-rebuild", 1)
 
 	eng.RebuildIndex()
-	_, health = get(t, s, "/healthz")
-	idx = health["index"].(map[string]interface{})
-	if idx["version"].(float64) != 2 {
-		t.Fatalf("post-rebuild healthz index: %v", idx)
-	}
-	for s, g := range idx["shard_versions"].([]interface{}) {
-		if g.(float64) != 2 {
-			t.Fatalf("post-rebuild shard %d generation %v, want 2", s, g)
-		}
-	}
+	indexVersion("post-rebuild", 2)
 	_, body = get(t, s, "/top-links?src=0&k=3&mode=ivf")
 	if body["backend"] != "ivf" || body["version"].(float64) != 2 {
 		t.Fatalf("post-rebuild sharded query: %v", body)
