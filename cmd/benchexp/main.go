@@ -33,8 +33,8 @@
 // the attribute batch), and -baseline/-tolerance gate the model, index,
 // and total speedups the same way the top-k gate does.
 //
-// `-exp kernel` microbenchmarks the five scan kernels (float64 dot and dot4,
-// blocked GEMM, int8 dot, fp16 decode-and-accumulate) portable vs
+// `-exp kernel` microbenchmarks the five scan kernels (float64 dot, blocked
+// GEMM, int8 dot and its four-query form, fp16 decode-and-accumulate) portable vs
 // dispatched at several dims, records what each op dispatched to
 // (generic/avx2/neon), times the training stages built on them at the
 // benchmark fixture's shape (QR, the same-flop GEMM, one CCD node and one

@@ -116,7 +116,8 @@ func BenchmarkRefreshEdges(b *testing.B) {
 // the lists its dirty rows left or joined, and one pointer per page —
 // never a copy of a candidate block or of a cell's codes (24.8 MB when it
 // cloned them). It also pins the refresh's books: every dirty row is
-// encoded once per compressed cell, and nothing else is.
+// encoded once per encoding a layout holds — the int8 one its float64 and
+// int8 cells share, and binary16 — and nothing else is.
 func TestRefreshEdgesAllocationBound(t *testing.T) {
 	eng, next := applyFixture(t, benchIndex)
 	const updates = 20
@@ -150,6 +151,6 @@ func TestRefreshEdgesAllocationBound(t *testing.T) {
 		t.Fatalf("update + refresh allocates %d bytes per 8-edge update, over the 8 MiB bound", per)
 	}
 	if got, want := encoded()-rows0, uint64(dirty*2*2); got != want {
-		t.Fatalf("refresh encoded %d rows for %d dirty rows, want %d (2 compressed codecs x 2 layouts)", got, dirty, want)
+		t.Fatalf("refresh encoded %d rows for %d dirty rows, want %d (2 encodings x 2 layouts)", got, dirty, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pane/internal/core"
 	"pane/internal/datagen"
+	"pane/internal/index"
 	"pane/internal/mat"
 )
 
@@ -143,10 +144,13 @@ func checkMember(t *testing.T, label string, eng *Engine, q Query, got Result) {
 	sameAnswers(t, label, want, TopKAnswer{Results: got.Top})
 }
 
-// TestIndexWorkCounters pins pane_index_rows_scored_total and
-// pane_index_bytes_streamed_total: they are functions of the input alone,
-// and a batch scores as many (query, row) pairs as its members issued
-// singly while walking the candidate bytes once instead of once each.
+// TestIndexWorkCounters pins pane_index_rows_scored_total,
+// pane_index_rows_reranked_total and pane_index_bytes_streamed_total: they
+// are functions of the input alone, and a batch scores and re-scores as
+// many (query, row) pairs as its members issued singly while walking the
+// candidates' encoding once instead of once each. Every pair scored from
+// the float64 row reads its 8·dim bytes on top: an exact query's rows its
+// int8 bound could not rule out, an sq8 query's survivors.
 func TestIndexWorkCounters(t *testing.T) {
 	eng := batchTestModel(t)(1, 1)
 	n, dim := eng.Model().Nodes(), eng.Model().Emb.Xf.Cols
@@ -157,45 +161,53 @@ func TestIndexWorkCounters(t *testing.T) {
 		}
 		return v
 	}
-	work := func(backend string, run func()) (rows, bytes uint64) {
-		r0, b0 := counter("pane_index_rows_scored_total", backend), counter("pane_index_bytes_streamed_total", backend)
+	names := [3]string{"pane_index_rows_scored_total", "pane_index_rows_reranked_total", "pane_index_bytes_streamed_total"}
+	work := func(backend string, run func()) (w [3]uint64) {
+		for i, name := range names {
+			w[i] = counter(name, backend)
+		}
 		run()
-		return counter("pane_index_rows_scored_total", backend) - r0, counter("pane_index_bytes_streamed_total", backend) - b0
+		for i, name := range names {
+			w[i] = counter(name, backend) - w[i]
+		}
+		return w
 	}
-	const members = 32
+	const members, k = 32, 10
 	batch := make([]Query, members)
 	for i := range batch {
-		batch[i] = Query{Op: OpTopLinks, Src: i * 17, K: kp(10)}
+		batch[i] = Query{Op: OpTopLinks, Src: i * 17, K: kp(k)}
 	}
 	for _, tier := range []struct {
-		mode, backend string
-		rowBytes      int
+		mode, backend        string
+		rowBytes             int
+		minRerank, maxRerank int // per member
 	}{
-		{ModeExact, BackendExact, 8 * dim},
-		{ModeFP16, BackendFP16, 2 * dim},
-		{ModeSQ8, BackendSQ8, dim + 8},
+		{ModeExact, BackendExact, dim + 8, k, n / 10},
+		{ModeFP16, BackendFP16, 2 * dim, 0, 0},
+		{ModeSQ8, BackendSQ8, dim + 8, index.DefaultRerank * k, index.DefaultRerank * k},
 	} {
 		for i := range batch {
 			batch[i].Mode = tier.mode
 		}
 		for rep := 0; rep < 2; rep++ { // the counts repeat exactly
-			rows, bytes := work(tier.backend, func() { eng.Execute(batch) })
-			if rows != uint64(members*n) || bytes != uint64(n*tier.rowBytes) {
-				t.Fatalf("%s batch: %d rows scored over %d bytes, want %d over %d", tier.mode, rows, bytes, members*n, n*tier.rowBytes)
+			together := work(tier.backend, func() { eng.Execute(batch) })
+			if rr := together[1]; together[0] != uint64(members*n) || rr < uint64(members*tier.minRerank) || rr > uint64(members*tier.maxRerank) ||
+				together[2] != uint64(n*tier.rowBytes)+8*uint64(dim)*rr {
+				t.Fatalf("%s batch: %d rows scored, %d re-scored, over %d bytes", tier.mode, together[0], rr, together[2])
 			}
-			rows, bytes = work(tier.backend, func() {
+			alone := work(tier.backend, func() {
 				for _, q := range batch {
-					mustTop(t, eng, true, q.Src, 10, tier.mode, 0)
+					mustTop(t, eng, true, q.Src, k, tier.mode, 0)
 				}
 			})
-			if rows != uint64(members*n) || bytes != uint64(members*n*tier.rowBytes) {
-				t.Fatalf("%s singles: %d rows scored over %d bytes, want %d over %d", tier.mode, rows, bytes, members*n, members*n*tier.rowBytes)
+			if alone[0] != uint64(members*n) || alone[1] != together[1] || alone[2] != uint64(members*n*tier.rowBytes)+8*uint64(dim)*alone[1] {
+				t.Fatalf("%s singles: %v, batch %v", tier.mode, alone, together)
 			}
 		}
 	}
 	// An inverted probe touches only the lists it visits.
-	rows, bytes := work(BackendIVF, func() { mustTop(t, eng, true, 3, 10, ModeIVF, 0) })
-	if rows == 0 || rows >= uint64(n) || bytes != rows*uint64(8*dim) {
-		t.Fatalf("ivf single: %d rows over %d bytes of %d candidates", rows, bytes, n)
+	w := work(BackendIVF, func() { mustTop(t, eng, true, 3, k, ModeIVF, 0) })
+	if w[0] == 0 || w[0] >= uint64(n) || w[1] < k || w[2] != w[0]*uint64(dim+8)+8*uint64(dim)*w[1] {
+		t.Fatalf("ivf single: %v of %d candidates", w, n)
 	}
 }

@@ -47,7 +47,10 @@ const (
 
 // Backend labels reported with every top-k answer.
 const (
-	BackendExact   = "exact"   // precomputed candidate matrix, parallel blocked scan
+	// BackendExact answers exactly from the precomputed candidate matrix:
+	// its int8 codes bound every row's score, and only the rows the bound
+	// cannot rule out are scored in float64.
+	BackendExact   = "exact"
 	BackendIVF     = "ivf"     // inverted-file approximate search
 	BackendSQ8     = "sq8"     // int8 quantized scan, exact re-rank
 	BackendIVFSQ   = "ivfsq"   // quantized inverted-file scan, exact re-rank
@@ -62,11 +65,12 @@ const (
 type IndexConfig struct {
 	// IVF additionally builds the approximate backend.
 	IVF bool
-	// Quantize additionally builds the SQ8 quantized tier: an int8 copy
-	// of each shard's candidate rows scanned at ~1/8 the memory traffic,
+	// Quantize additionally serves the SQ8 quantized tier: the int8 codes
+	// each shard's exact cell already holds to bound its scores, scanned
+	// under an approximate score at ~1/8 the float64 memory traffic and
 	// re-ranked exactly. With IVF also set, the per-list IVFSQ variant is
-	// built alongside (sharing the IVF's k-means, so it costs one extra
-	// quantization pass, not a second clustering).
+	// served from the IVF's lists and codes. Neither encodes or stores a
+	// second copy of anything.
 	Quantize bool
 	// Rerank is the quantized survivor multiplier: an SQ8/IVFSQ query
 	// re-ranks the Rerank*k best quantized scores exactly. 0 means
@@ -400,7 +404,9 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 // shard's candidate rows: its freshly computed block of Z, or its block
 // of Y (a view of the model's matrix, not a copy). One BuildIVF serves
 // every inverted cell, so three codecs cost one k-means and one copy of
-// the lists.
+// the lists. Each layout's float64 cell holds the int8 encoding its scan
+// bounds scores with and its int8 cell shares it (index.Table.Encode); a
+// payload restored at this model version is adopted instead of encoding.
 func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp buildParams) {
 	var rows *mat.Dense
 	if sp == linkSpace {
@@ -409,7 +415,16 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 	} else {
 		rows = m.Emb.Y.RowSlice(lo, hi)
 	}
-	ex := index.NewExact(rows, bp.threads)
+	restored := func(c index.Codec) *index.Table {
+		if codes, ok := e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols); ok {
+			return index.FromCodes(rows, c, codes, bp.cfg.Rerank, bp.threads)
+		}
+		return nil
+	}
+	ex := restored(index.F64)
+	if ex == nil {
+		ex = index.NewExact(rows, bp.threads)
+	}
 	var iv *index.Table
 	if bp.cfg.IVF {
 		iv = index.BuildIVF(rows, bp.ivfCfg)
@@ -419,15 +434,23 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 			continue
 		}
 		c := index.Codec(c)
-		var cell *index.Table
-		if codes, ok := e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols); ok {
-			cell = index.FromCodes(rows, c, codes, bp.cfg.Rerank, bp.threads)
-		} else {
+		var cell, list *index.Table
+		switch c {
+		case index.F64:
+			cell, list = ex, iv
+		case index.I8:
 			cell = ex.Encode(c, bp.cfg.Rerank)
+		case index.F16:
+			if cell = restored(c); cell == nil {
+				cell = ex.Encode(c, bp.cfg.Rerank)
+			}
 		}
 		si.spaces[sp][flat][c] = cell.Shift(lo)
 		if iv != nil {
-			si.spaces[sp][inverted][c] = iv.Encode(c, bp.cfg.Rerank).Shift(lo)
+			if list == nil {
+				list = iv.Encode(c, bp.cfg.Rerank)
+			}
+			si.spaces[sp][inverted][c] = list.Shift(lo)
 		}
 	}
 	e.met.recordBuildWork(&si.spaces[sp], 0)
@@ -539,19 +562,21 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, d *idxDelta, s int, base *sh
 }
 
 // restoredCodes returns the bundle-restored encoding of rows [lo, hi) of
-// space sp under codec c, when one exists that matches this model version
-// and shape. The encodings are per row (per element for binary16), so the
-// row slice of the whole matrix's payload is bit-identical to encoding the
-// shard's rows fresh: restored and self-computed cells are
-// interchangeable, and on any mismatch (newer model version, different
-// shape) the payload is ignored and the rows are encoded fresh.
+// space sp that a cell of codec c holds — the int8 payload for the float64
+// and int8 cells, binary16 for binary16 — when one exists that matches
+// this model version and shape. The encodings are per row (per element for
+// binary16), so the row slice of the whole matrix's payload is
+// bit-identical to encoding the shard's rows fresh: restored and
+// self-computed cells are interchangeable, and on any mismatch (newer
+// model version, different shape) the payload is ignored and the rows are
+// encoded fresh.
 func (e *Engine) restoredCodes(sp int, c index.Codec, version uint64, lo, hi, dim int) (index.Codes, bool) {
 	r := e.restored.Load()
 	if r == nil || r.version != version {
 		return index.Codes{}, false
 	}
 	switch {
-	case c == index.I8 && r.quant != nil:
+	case c != index.F16 && r.quant != nil:
 		qm := [nSpaces]*store.QuantizedMatrix{&r.quant.Links, &r.quant.Attrs}[sp]
 		if qm.Dim == dim && hi <= qm.Rows {
 			return index.Codes{I8: qm.Codes, Scale: qm.Scale, Base: qm.Base}.Rows(lo, hi, dim), true

@@ -14,6 +14,7 @@ import (
 func KernelDispatch() map[string]string {
 	m := mat.KernelISAs()
 	m["sq8dot"] = index.DotI8ISA()
+	m["sq8dot4"] = index.DotI8ISA() // its own AVX2 kernel, four sq8dot calls elsewhere
 	m["fp16dot"] = index.FP16ISA()
 	return m
 }

@@ -58,9 +58,11 @@ type engineMetrics struct {
 	stageBatchScan *obs.Histogram
 	batchQueries   *obs.Histogram
 
-	// Index work by answering backend: (query, row) pairs scored and
-	// encoded bytes walked — a batch walks a row once for all its members.
+	// Index work by answering backend: (query, row) pairs scored, those of
+	// them scored from the float64 row, and bytes walked — a batch walks a
+	// row's encoding once for all its members.
 	rowsScored    [nLayouts][index.NumCodecs]*obs.Counter
+	rowsReranked  [nLayouts][index.NumCodecs]*obs.Counter
 	bytesStreamed [nLayouts][index.NumCodecs]*obs.Counter
 }
 
@@ -94,7 +96,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		buildDur  = "Per-shard index build wall time, by kind."
 		stageHelp = "Top-k query stage wall time (shard fan-out, partial merge, brute-force scan fallback; batch_scan is per batch, the others per query)."
 		rowsHelp  = "Query-row pairs scored by the index, by answering backend."
-		bytesHelp = "Encoded candidate bytes the index walked, by answering backend; a batch walks each row once for all its members."
+		rrHelp    = "Query-row pairs the index scored from the float64 row, by answering backend: rows an exact cell's int8 bound could not rule out, an int8 cell's re-ranked survivors."
+		bytesHelp = "Candidate bytes the index walked, by answering backend: encoded rows once per batch however many members scored them, plus 8 bytes per dimension for each float64 re-score."
 	)
 	// Info gauge: one always-1 series per kernel, labeled with the
 	// instruction set it dispatches to, so dashboards can tell at a
@@ -154,6 +157,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	for l := range backends {
 		for c, backend := range backends[l] {
 			m.rowsScored[l][c] = reg.Counter("pane_index_rows_scored_total", rowsHelp, obs.L("backend", backend))
+			m.rowsReranked[l][c] = reg.Counter("pane_index_rows_reranked_total", rrHelp, obs.L("backend", backend))
 			m.bytesStreamed[l][c] = reg.Counter("pane_index_bytes_streamed_total", bytesHelp, obs.L("backend", backend))
 			m.rowsEncoded[l][c] = reg.Counter("pane_index_refresh_rows_encoded_total",
 				"Rows encoded producing shard generations, by cell; a refresh encodes its dirty rows.", obs.L("backend", backend))
@@ -190,6 +194,7 @@ func (m *engineMetrics) recordWork(c cell, st index.Stats) {
 		return
 	}
 	m.rowsScored[c.layout][c.codec].Add(uint64(st.RowsScored))
+	m.rowsReranked[c.layout][c.codec].Add(uint64(st.Reranked))
 	m.bytesStreamed[c.layout][c.codec].Add(uint64(st.BytesStreamed))
 }
 

@@ -50,8 +50,8 @@ type KernelCell struct {
 // plus the generic-vs-dispatched timing grid.
 type KernelBench struct {
 	// ISAs records what every kernel dispatched to on the measuring
-	// build and host (engine.KernelDispatch: dot/dot4/axpy/gemm/sq8dot/fp16dot
-	// → generic|avx2|neon).
+	// build and host (engine.KernelDispatch: dot/axpy/gemm/sq8dot/sq8dot4/
+	// fp16dot → generic|avx2|neon).
 	ISAs  map[string]string `json:"isas"`
 	Cells []KernelCell      `json:"cells"`
 	// Train times the factorization half of training on the same kernels;
@@ -134,8 +134,8 @@ func runKernelTrain(seed int64) (*KernelTrain, error) {
 // cannot hoist or eliminate the kernel calls.
 var kernelSink float64
 
-// RunKernel times the five scan kernels (float64 dot, its four-query
-// form, blocked GEMM, int8 dot, fp16 decode-and-accumulate) at each dim, portable vs
+// RunKernel times the five scan kernels (float64 dot, blocked GEMM, int8
+// dot, its four-query form, fp16 decode-and-accumulate) at each dim, portable vs
 // dispatched, on deterministic pseudo-random inputs, and the training
 // stages built on them at one fixed shape (KernelTrain). It fails (rather
 // than reporting a meaningless grid) when a dispatched kernel disagrees
@@ -197,12 +197,12 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			ai[i] = int8(rng.Intn(255) - 127)
 			bi[i] = int8(rng.Intn(255) - 127)
 		}
-		// Four more vectors for dot4: one row (bv) against four queries.
-		var qv [4][]float64
-		for q := range qv {
-			qv[q] = make([]float64, d)
-			for i := range qv[q] {
-				qv[q][i] = rng.NormFloat64()
+		// Four int8 queries for sq8dot4: one row (bi) against four.
+		var qi [4][]int8
+		for q := range qi {
+			qi[q] = make([]int8, d)
+			for i := range qi[q] {
+				qi[q][i] = int8(rng.Intn(255) - 127)
 			}
 		}
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))
@@ -220,15 +220,14 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		if g, s := mat.DotGeneric(av, bv), mat.Dot(av, bv); g != s {
 			return nil, fmt.Errorf("experiments: dot dispatch diverges from generic at dim %d: %v != %v", d, s, g)
 		}
-		var s4 [4]float64
-		s4[0], s4[1], s4[2], s4[3] = mat.Dot4(qv[0], qv[1], qv[2], qv[3], bv)
-		for q := range qv {
-			if g := mat.DotGeneric(qv[q], bv); g != s4[q] {
-				return nil, fmt.Errorf("experiments: dot4 dispatch diverges from generic at dim %d product %d: %v != %v", d, q, s4[q], g)
-			}
-		}
 		if g, s := index.DotI8Generic(ai, bi), index.DotI8(ai, bi); g != s {
 			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %d != %d", d, s, g)
+		}
+		s4 := index.DotI8x4(qi[0], qi[1], qi[2], qi[3], bi)
+		for q := range qi {
+			if g := index.DotI8Generic(qi[q], bi); g != s4[q] {
+				return nil, fmt.Errorf("experiments: sq8dot4 dispatch diverges from generic at dim %d product %d: %d != %d", d, q, s4[q], g)
+			}
 		}
 		if g, s := index.DotFP16Generic(av, ch), index.DotFP16(av, ch); g != s {
 			return nil, fmt.Errorf("experiments: fp16dot dispatch diverges from generic at dim %d: %v != %v", d, s, g)
@@ -256,21 +255,22 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		cell("dot", 16*d,
 			func() { kernelSink += mat.DotGeneric(av, bv) },
 			func() { kernelSink += mat.Dot(av, bv) })
-		// One call is four products: compare ns/op with four times dot's.
-		cell("dot4", 40*d,
-			func() {
-				kernelSink += mat.DotGeneric(qv[0], bv) + mat.DotGeneric(qv[1], bv) + mat.DotGeneric(qv[2], bv) + mat.DotGeneric(qv[3], bv)
-			},
-			func() {
-				a, b, c, e := mat.Dot4(qv[0], qv[1], qv[2], qv[3], bv)
-				kernelSink += a + b + c + e
-			})
 		cell("gemm", 3*8*d*d,
 			func() { mat.MulIntoGeneric(dst, am, bm); kernelSink += dst.Data[0] },
 			func() { mat.MulInto(dst, am, bm); kernelSink += dst.Data[0] })
 		cell("sq8dot", 2*d,
 			func() { kernelSink += float64(index.DotI8Generic(ai, bi)) },
 			func() { kernelSink += float64(index.DotI8(ai, bi)) })
+		// One call is four products: compare ns/op with four times sq8dot's.
+		cell("sq8dot4", 5*d,
+			func() {
+				kernelSink += float64(index.DotI8Generic(qi[0], bi) + index.DotI8Generic(qi[1], bi) +
+					index.DotI8Generic(qi[2], bi) + index.DotI8Generic(qi[3], bi))
+			},
+			func() {
+				s := index.DotI8x4(qi[0], qi[1], qi[2], qi[3], bi)
+				kernelSink += float64(s[0] + s[1] + s[2] + s[3])
+			})
 		cell("fp16dot", 10*d,
 			func() { kernelSink += index.DotFP16Generic(av, ch) },
 			func() { kernelSink += index.DotFP16(av, ch) })

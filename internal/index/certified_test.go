@@ -1,0 +1,334 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"pane/internal/core"
+	"pane/internal/mat"
+)
+
+// boundRows returns rows of dimension dim of every shape the float64
+// codec's bound must hold on, reps of each.
+func boundRows(rng *rand.Rand, dim, reps int) [][]float64 {
+	var rows [][]float64
+	add := func(f func(j int) float64) {
+		r := make([]float64, dim)
+		for j := range r {
+			r[j] = f(j)
+		}
+		rows = append(rows, r)
+	}
+	for range reps {
+		scale := math.Pow(10, 6*rng.Float64()-3)
+		v, w := scale*rng.NormFloat64(), scale*rng.NormFloat64()
+		add(func(int) float64 { return scale * rng.NormFloat64() })
+		// Constant (scale 0, base float32(v)), then two-valued (every code
+		// -128 or 127).
+		add(func(int) float64 { return v })
+		add(func(int) float64 {
+			if rng.Intn(2) == 0 {
+				return v
+			}
+			return w
+		})
+		// A range near 255·2⁻¹²⁶ puts the scale at float32's smallest
+		// normal, half the time below it; a range under 255·2⁻¹⁵⁰ makes it
+		// 0 although the row is not constant.
+		off := []float64{0, 0x1p-120, -0x1p-118, 1e-30, 1}[rng.Intn(5)]
+		r := 255 * 0x1p-126 * (0.25 + 2*rng.Float64())
+		add(func(int) float64 { return off + r*rng.Float64() })
+		tiny := 255 * 0x1p-150 * rng.Float64()
+		add(func(int) float64 { return off + tiny*rng.Float64() })
+		big := 1e30 * rng.Float64()
+		add(func(int) float64 { return big * rng.NormFloat64() })
+		add(func(int) float64 { return big + scale*rng.NormFloat64() })
+		hot := rng.Intn(dim)
+		// One-hot: every other code sits at one level.
+		add(func(j int) float64 {
+			if j == hot {
+				return v
+			}
+			return 0
+		})
+		// Values midway between two levels, so rounding to a level is a
+		// tie in real arithmetic.
+		step := scale / 255
+		add(func(j int) float64 { return v + (float64(rng.Intn(255))+0.5)*step })
+	}
+	return rows
+}
+
+// boundQueries returns queries of dimension dim, reps of each shape.
+func boundQueries(rng *rand.Rand, dim, reps int) [][]float64 {
+	var qs [][]float64
+	add := func(f func(j int) float64) {
+		q := make([]float64, dim)
+		for j := range q {
+			q[j] = f(j)
+		}
+		qs = append(qs, q)
+	}
+	add(func(int) float64 { return 0 })
+	for range reps {
+		scale := math.Pow(10, 6*rng.Float64()-3)
+		add(func(int) float64 { return scale * rng.NormFloat64() })
+		hot := rng.Intn(dim)
+		add(func(j int) float64 {
+			if j == hot {
+				return scale
+			}
+			return 0
+		})
+		// One large coordinate and the rest under half a quantization step:
+		// those quantize to 0 and all their weight is in φ, the query's
+		// quantization error, which only the s·f term of the bound covers.
+		add(func(j int) float64 {
+			if j == hot {
+				return scale
+			}
+			return scale / 254 * (2*rng.Float64() - 1)
+		})
+	}
+	return qs
+}
+
+// TestCertifiedBoundHolds: for every row and query shape above, at several
+// dimensions up to the longest the slack covers, the float64 codec's bound
+// is finite and no less than the score mat.Dot returns. Each query also
+// meets rows aligned with its sign pattern, the rows that put φ·c at its
+// worst. A longer query certifies nothing.
+func TestCertifiedBoundHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pairs := 0
+	for _, dc := range []struct{ dim, reps int }{
+		{1, 130}, {2, 130}, {7, 130}, {16, 130}, {64, 80}, {100, 60}, {130, 50}, {maxBoundDim, 3},
+	} {
+		dim := dc.dim
+		rows := boundRows(rng, dim, dc.reps)
+		qs := boundQueries(rng, dim, dc.reps)
+		enc := f64Codec{}
+		codes := enc.alloc(len(rows)+1, dim)
+		for i, r := range rows {
+			enc.encodeRow(codes, i, r)
+		}
+		aligned := make([]float64, dim)
+		for _, q := range qs {
+			var pq query
+			enc.prepare(&pq, q)
+			for j, v := range q {
+				aligned[j] = math.Copysign(0.5+rng.Float64(), v)
+			}
+			enc.encodeRow(codes, len(rows), aligned)
+			for i, x := range append(rows, aligned) {
+				d := dotI8(pq.i8, codes.I8[i*dim:(i+1)*dim])
+				ub, score := pq.bound(d, codes.Scale[i], codes.Base[i]), mat.Dot(q, x)
+				if math.IsInf(ub, 0) || math.IsNaN(ub) || ub < score {
+					t.Fatalf("dim %d: bound %v under score %v (scale %v, base %v, row %v, query %v)",
+						dim, ub, score, codes.Scale[i], codes.Base[i], x, q)
+				}
+				pairs++
+			}
+		}
+	}
+	if pairs < 2_000_000 {
+		t.Fatalf("only %d pairs checked", pairs)
+	}
+	var pq query
+	long := make([]float64, maxBoundDim+1)
+	long[0] = 1
+	f64Codec{}.prepare(&pq, long)
+	if ub := pq.bound(0, 1, 0); !math.IsInf(ub, 1) {
+		t.Fatalf("a query longer than %d got the finite bound %v", maxBoundDim, ub)
+	}
+}
+
+// fullScan is the float64 cell's answer as a full scan gives it: every row
+// of every block the layout visits, scored with mat.Dot. It is the oracle
+// the certified scan must equal, ids and score bits.
+func fullScan(tables []*Table, q []float64, k int, opt Options) []core.Scored {
+	top := core.NewTopK(k)
+	for _, t := range tables {
+		for _, v := range t.lay.probe(q, opt.NProbe) {
+			rows, ids := t.lay.block(v.ID)
+			for j := range rows.Rows {
+				id := t.base + j
+				if ids != nil {
+					id = t.base + int(ids[j])
+				}
+				if opt.Skip == nil || !opt.Skip(id) {
+					top.Offer(id, mat.Dot(q, rows.Row(j)))
+				}
+			}
+		}
+	}
+	return top.Take()
+}
+
+// sameBits reports whether two answers hold the same ids with the same
+// score bits.
+func sameBits(a, b []core.Scored) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCertifiedScanEqualsFullScan holds both float64 cells — flat and
+// inverted, unsharded and in two shards — to the full float64 scan along a
+// 200-step refresh chain, singly and in batches that take the four-query
+// kernel, at a dimension the vector kernels take and one they do not. The
+// matrix carries duplicate rows, zero rows and constant rows, so scores tie
+// exactly and the tie order is on trial too.
+func TestCertifiedScanEqualsFullScan(t *testing.T) {
+	for _, dim := range []int{16, 13} {
+		const rows, cut, steps = 600, 333, 200
+		rng := rand.New(rand.NewSource(int64(dim)))
+		data := mixture(rows, dim, 6, int64(dim)+1)
+		plant := func(r int) { // a duplicate, a zero row or a constant row
+			switch src := rng.Intn(rows); rng.Intn(3) {
+			case 0:
+				copy(data.Row(r), data.Row(src))
+			case 1:
+				clear(data.Row(r))
+			default:
+				v := data.At(src, 0)
+				for j := range data.Row(r) {
+					data.Set(r, j, v)
+				}
+			}
+		}
+		for r := 0; r < rows; r += 5 {
+			plant(r)
+		}
+		ivCfg := IVFConfig{NList: 7, NProbe: 3, Seed: 4}
+		build := func(lo, hi int) [2]*Table {
+			block := data.RowSlice(lo, hi).Clone()
+			return [2]*Table{NewExact(block, 1).Shift(lo), BuildIVF(block, ivCfg).Shift(lo)}
+		}
+		sets := [][][2]*Table{{build(0, rows)}, {build(0, cut), build(cut, rows)}}
+		zs := [][]*mat.Paged{{sets[0][0][0].data}, {sets[1][0][0].data, sets[1][1][0].data}}
+		bounds := [][]int{{0, rows}, {0, cut, rows}}
+
+		var scored, reranked int64
+		for step := 0; step <= steps; step++ {
+			if step > 0 {
+				dirty := map[int]bool{}
+				for n := 1 + rng.Intn(6); len(dirty) < n; {
+					r := rng.Intn(rows)
+					dirty[r] = true
+					for j := range data.Row(r) {
+						data.Set(r, j, rng.NormFloat64())
+					}
+					if rng.Intn(3) == 0 {
+						plant(r)
+					}
+				}
+				for si, set := range sets {
+					for s := range set {
+						lo, hi := bounds[si][s], bounds[si][s+1]
+						var local []int
+						for r := lo; r < hi; r++ {
+							if dirty[r] {
+								local = append(local, r-lo)
+							}
+						}
+						if local == nil {
+							continue
+						}
+						patch := mat.New(len(local), dim)
+						for j, r := range local {
+							copy(patch.Row(j), data.Row(lo+r))
+						}
+						zs[si][s] = zs[si][s].WithRows(local, patch)
+						set[s] = [2]*Table{set[s][0].Refresh(zs[si][s], local, nil), set[s][1].Refresh(zs[si][s], local, nil)}
+					}
+				}
+			}
+			if step%10 != 0 && step != 1 {
+				continue
+			}
+			qs := queries(dim, 5, int64(step))
+			qs[0] = data.Row(rng.Intn(rows)) // a query that is a row, duplicated or not
+			if step%20 == 0 {
+				clear(qs[1]) // the zero query: every score ties at 0
+			}
+			batch := make([]BatchQuery, len(qs))
+			for i, q := range qs {
+				self := rng.Intn(rows)
+				batch[i] = BatchQuery{Q: q, K: []int{1, 5, 40}[i%3], Opt: Options{NProbe: i % 3}}
+				if i%2 == 1 {
+					batch[i].Opt.Skip = func(id int) bool { return id == self }
+				}
+			}
+			for _, set := range sets {
+				for l := range 2 {
+					tables := make([]*Table, len(set))
+					for s := range set {
+						tables[s] = set[s][l]
+					}
+					label := fmt.Sprintf("dim %d step %d shards %d %s", dim, step, len(set), tables[0].Kind())
+					together := make([][]core.Scored, len(batch))
+					st := SearchBatch(tables, batch, together)
+					scored, reranked = scored+st.RowsScored, reranked+st.Reranked
+					for i, bq := range batch {
+						want := fullScan(tables, bq.Q, bq.K, bq.Opt)
+						var alone [1][]core.Scored
+						SearchBatch(tables, batch[i:i+1], alone[:])
+						if !sameBits(alone[0], want) || !sameBits(together[i], want) {
+							t.Fatalf("%s query %d:\nalone     %v\nin batch  %v\nfull scan %v", label, i, alone[0], together[i], want)
+						}
+					}
+				}
+			}
+		}
+		// The bound must actually rule rows out, or the test proves nothing
+		// about the pruning path.
+		if reranked*4 > scored {
+			t.Fatalf("dim %d: %d of %d scanned pairs re-scored", dim, reranked, scored)
+		}
+		t.Logf("dim %d: %d of %d scanned pairs re-scored", dim, reranked, scored)
+	}
+}
+
+// TestDotI8x4MatchesDotI8 drives the four-query int8 kernel against four
+// portable dots over every length 0..130 (multiples of 16 take the vector
+// kernel, the rest four dotI8 calls) at shifting offsets of all five
+// operands, with the extreme codes planted at the ends: every sum must be
+// the one dotI8Generic returns.
+func TestDotI8x4MatchesDotI8(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	const maxN, maxOff = 130, 4
+	back := make([][]int8, 5)
+	for i := range back {
+		back[i] = make([]int8, maxN+maxOff)
+	}
+	for n := 0; n <= maxN; n++ {
+		for off := 0; off < maxOff; off++ {
+			var v [5][]int8
+			for i := range back {
+				for j := range back[i] {
+					back[i][j] = int8(rng.Intn(256) - 128)
+				}
+				o := (off + i) % maxOff
+				v[i] = back[i][o : o+n]
+				if n > 0 {
+					v[i][0], v[i][n-1] = -128, int8(127-255*(i%2))
+				}
+			}
+			got := dotI8x4(v[0], v[1], v[2], v[3], v[4])
+			for q := range got {
+				if want := dotI8Generic(v[q], v[4]); got[q] != want {
+					t.Fatalf("dotI8x4(n=%d, off=%d) product %d = %d, generic %d", n, off, q, got[q], want)
+				}
+			}
+		}
+	}
+}

@@ -30,12 +30,14 @@ type codec interface {
 	encodeRow(c Codes, j int, row []float64)
 	// prepare readies pq to score rows against q.
 	prepare(pq *query, q []float64)
-	// scan offers the rows of b that s spans to top.
-	scan(top *core.TopK, b *block, pq *query, s span)
+	// scan offers the rows of b that s spans to top, and returns how many
+	// of them it scored from their float64 rows (see f64Codec).
+	scan(top *core.TopK, b *block, pq *query, s span) int
 	// final reports whether scan's scores are the answer's scores; if not
 	// the table re-ranks the survivors exactly.
 	final() bool
-	// rowBytes is what scanning one row of dimension dim reads of b.
+	// rowBytes is what scanning one row of dimension dim reads of b's
+	// encoding; a row scored from its float64 row reads 8·dim more.
 	rowBytes(dim int) int
 }
 
@@ -43,15 +45,20 @@ type codec interface {
 // scan for four queries at once, reading each row once for the four.
 // Every score is bit for bit the one scan produces.
 type quadCodec interface {
-	scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span)
+	scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) int
 }
 
 var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 
+// encodedAs is the codec whose encoding a cell of each codec holds. The
+// float64 codec scans the int8 codec's encoding (see f64Codec), so a
+// layout's float64 and int8 cells hold one encoding between them.
+var encodedAs = [NumCodecs]Codec{F64: I8, I8: I8, F16: F16}
+
 // Codes is one codec's encoding of a contiguous run of candidate rows, in
-// the shape a bundle persists. The int8 codec fills I8 (row-major codes),
-// Scale and Base (per row; see QuantizeRows), the binary16 codec F16
-// (row-major; see EncodeFP16Rows), and float64 nothing.
+// the shape a bundle persists. The int8 and float64 codecs fill I8
+// (row-major codes), Scale and Base (per row; see QuantizeRows), the
+// binary16 codec F16 (row-major; see EncodeFP16Rows).
 type Codes struct {
 	I8          []int8
 	Scale, Base []float32
@@ -125,15 +132,20 @@ type block struct {
 	codes []Codes
 }
 
+// i8Run returns the int8 encoding of rows [j, j+n) of b as one stretch of
+// memory, for the largest n <= hi-j its pages reach.
+func (b *block) i8Run(j, hi, dim int) (codes []int8, scale, base []float32, n int) {
+	pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
+	n = min(pg.reach(dim)-r, hi-j)
+	return pg.I8[r*dim : (r+n)*dim], pg.Scale[r : r+n], pg.Base[r : r+n], n
+}
+
 // encodeBlock returns the paged encoding of a block's rows, candidates ids
 // (nil: row j is candidate j). A row that is not dirty and that prev — the
 // previous generation's block, candidates prevIDs — also holds keeps its
 // encoding; all three id lists ascend, so one merge walk finds them.
 func encodeBlock(enc codec, rows *mat.Paged, ids []int32, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
 	c := enc.alloc(rows.Rows, rows.Cols)
-	if c.Scale == nil && c.F16 == nil {
-		return nil
-	}
 	i, d := 0, 0
 	for j := range rows.Rows {
 		id := j
@@ -162,9 +174,6 @@ func encodeBlock(enc codec, rows *mat.Paged, ids []int32, prev []Codes, prevIDs 
 // dirty row are copied, every other page is shared. A copied page is
 // memory of its own, so the pages before it stop reaching across it.
 func patchBlock(enc codec, rows *mat.Paged, prev []Codes, dirty []int, w *Work) []Codes {
-	if prev == nil {
-		return nil
-	}
 	out := slices.Clone(prev)
 	w.BytesCopied += int64(96 * len(out)) // four slice headers a page
 	for _, r := range dirty {
@@ -194,9 +203,10 @@ func (c Codes) shares(d Codes) bool {
 // query is a search's query as a codec scores against it. Pooled with the
 // search's scratch, so the int8 buffer adds no steady-state allocation.
 type query struct {
-	q         []float64
-	i8        []int8 // int8 codec: q quantized symmetrically
-	step, sum float64
+	q          []float64
+	i8         []int8 // int8 and float64 codecs: q quantized symmetrically
+	step, sum  float64
+	ks, kb, k0 float64 // float64 codec: the bound's factors of s, |b| and 1
 }
 
 // span is a contiguous row range [lo, hi) of one block together with what
@@ -230,44 +240,119 @@ func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
 	}
 }
 
-// f64Codec scores the float64 rows directly with mat.Dot.
+// f64Codec answers with the exact scores mat.Dot gives the float64 rows,
+// but reads a row only where it must. It holds the int8 codec's encoding
+// of its block, and for every row turns the codes' int32 dot d into an
+// upper bound ub on the score mat.Dot would return. The float64 row is
+// read and scored only when top.Admits(id, ub), against a threshold that
+// is the running k-th best EXACT score. A row whose bound top rejects has
+// a score top rejects too, so the scan offers exactly the rows a full
+// float64 scan offers, in the same order: the answer is the full scan's,
+// ids and score bits alike. This is the VA-file design (Weber, Schek and
+// Blott, VLDB 1998) with the top-k heap as the refinement filter.
+//
+// The bound uses the stored (scale s, base b) alone. For a row x of finite
+// values, dimension n and codes c, quantizeRowInto guarantees per element
+//
+//	|x_j − (b + s·c_j)| ≤ e = s/2·(1+2⁻²⁰) + (|b| + 130·s)·2⁻²² + 2⁻¹¹⁷
+//
+// s/2 is the distance to the nearest level, and 2⁻²⁰ of it covers
+// computing the level in float64. (|b| + 130·s)·2⁻²² covers rounding s and
+// b to float32, including the clamp at level 255 that a rounded-down s can
+// force. 2⁻¹¹⁷ covers a row whose range/255 underflows float32 (s zero or
+// subnormal). prepare writes the query as q = step·qi8 + φ with
+// |φ_j| ≤ f, and |c_j| ≤ 128, so
+//
+//	q·x = b·Σq + s·step·(qi8·c) + s·(φ·c) + q·(x − b − s·c)
+//	    ≤ a + s·f·128·n + e·‖q‖₁,   a = b·qsum + s·step·d,
+//
+// where a is the score the int8 codec's scan computes. The slack
+// 2⁻⁴⁰·(|a| + ‖q‖₁·(|b| + 130·s)) covers, for n ≤ 2¹², the float64
+// rounding of qsum, of a, of the bound's own terms, and of mat.Dot, whose
+// Σ|q_j·x_j| is at most ‖q‖₁·(|b| + 130·s); it assumes the products stay
+// clear of float64's subnormal range. A longer query gets f = +Inf. A
+// non-finite ub — from a row or query holding Inf or NaN, or an (s, b)
+// that overflowed float32 — certifies nothing, and the row is scored.
 type f64Codec struct{}
 
-func (f64Codec) alloc(int, int) Codes            { return Codes{} }
-func (f64Codec) encodeRow(Codes, int, []float64) {}
-func (f64Codec) prepare(pq *query, q []float64)  { pq.q = q }
-func (f64Codec) final() bool                     { return true }
-func (f64Codec) rowBytes(dim int) int            { return 8 * dim }
+// maxBoundDim is the longest query the bound's slack covers.
+const maxBoundDim = 1 << 12
 
-func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) {
-	dim := b.rows.Cols
-	for j := s.lo; j < s.hi; {
-		rows, n := b.rows.Run(j, s.hi)
-		for x := range n {
-			score := mat.Dot(pq.q, rows[x*dim:(x+1)*dim])
-			if id := s.id(j + x); top.Admits(id, score) {
-				keep(top, s.skip, id, score)
-			}
-		}
-		j += n
+func (f64Codec) alloc(n, dim int) Codes                  { return i8Codec{}.alloc(n, dim) }
+func (f64Codec) encodeRow(c Codes, j int, row []float64) { i8Codec{}.encodeRow(c, j, row) }
+func (f64Codec) final() bool                             { return true }
+func (f64Codec) rowBytes(dim int) int                    { return i8Codec{}.rowBytes(dim) }
+
+// prepare quantizes q as the int8 codec does and gathers the bound's
+// per-query factors: expanding e and the slack,
+//
+//	ub = a + 2⁻⁴⁰·|a| + s·ks + |b|·kb + k0,
+//	ks = ‖q‖₁·(1/2 + 2⁻²¹ + 130·2⁻²² + 130·2⁻⁴⁰) + f·128·n,
+//	kb = ‖q‖₁·(2⁻²² + 2⁻⁴⁰),   k0 = ‖q‖₁·2⁻¹¹⁷,
+//
+// which leaves a row a handful of flops beyond its int8 dot. Evaluated
+// this way round, the float64 rounding of the factors moves ub by a few
+// units of 2⁻⁵³ of its terms, far inside e's own margin.
+func (f64Codec) prepare(pq *query, q []float64) {
+	i8Codec{}.prepare(pq, q)
+	var l1, f float64
+	for j, v := range q {
+		l1 += math.Abs(v)
+		f = max(f, math.Abs(v-pq.step*float64(pq.i8[j])))
 	}
+	fn := f * 128 * float64(len(q))
+	if len(q) > maxBoundDim {
+		fn = math.Inf(1)
+	}
+	pq.ks = l1*(0.5+0x1p-21+130*0x1p-22+130*0x1p-40) + fn
+	pq.kb = l1 * (0x1p-22 + 0x1p-40)
+	pq.k0 = l1 * 0x1p-117
 }
 
-func (f64Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) {
-	q0, q1, q2, q3 := pqs[0].q, pqs[1].q, pqs[2].q, pqs[3].q
-	dim := b.rows.Cols
+// bound is the certified upper bound above on mat.Dot(pq.q, x), for a row
+// x whose codes' int32 dot with pq.i8 is d and whose parameters are
+// (scale, base).
+func (pq *query) bound(d int32, scale, base float32) float64 {
+	a := pq.approx(d, scale, base)
+	return a + 0x1p-40*math.Abs(a) + float64(scale)*pq.ks + math.Abs(float64(base))*pq.kb + pq.k0
+}
+
+func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) (scored int) {
+	dim := len(pq.q)
 	for j := s.lo; j < s.hi; {
-		rows, n := b.rows.Run(j, s.hi)
+		codes, scale, base, n := b.i8Run(j, s.hi, dim)
 		for x := range n {
-			var scores [4]float64
-			scores[0], scores[1], scores[2], scores[3] = mat.Dot4(q0, q1, q2, q3, rows[x*dim:(x+1)*dim])
-			id := s.id(j + x)
-			for i, top := range tops {
-				if top.Admits(id, scores[i]) {
-					keep(top, skips[i], id, scores[i])
+			ub := pq.bound(dotI8(pq.i8, codes[x*dim:(x+1)*dim]), scale[x], base[x])
+			if id := s.id(j + x); ub-ub != 0 || top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
+				scored++
+				if score := mat.Dot(pq.q, b.rows.Row(j+x)); top.Admits(id, score) {
+					keep(top, s.skip, id, score)
 				}
 			}
 		}
 		j += n
 	}
+	return scored
+}
+
+func (f64Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) (scored int) {
+	q0, q1, q2, q3 := pqs[0].i8, pqs[1].i8, pqs[2].i8, pqs[3].i8
+	dim := len(q0)
+	for j := s.lo; j < s.hi; {
+		codes, scale, base, n := b.i8Run(j, s.hi, dim)
+		for x := range n {
+			ds := dotI8x4(q0, q1, q2, q3, codes[x*dim:(x+1)*dim])
+			id := s.id(j + x)
+			for i, top := range tops {
+				if ub := pqs[i].bound(ds[i], scale[x], base[x]); ub-ub != 0 || top.Admits(id, ub) {
+					scored++
+					if score := mat.Dot(pqs[i].q, b.rows.Row(j+x)); top.Admits(id, score) {
+						keep(top, skips[i], id, score)
+					}
+				}
+			}
+		}
+		j += n
+	}
+	return scored
 }

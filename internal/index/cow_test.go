@@ -202,7 +202,7 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 			if whole.z.SamePage(prev.z, k) == dirtyPage[k] {
 				t.Fatalf("step %d: Z page %d shared=%v, dirty=%v", step, k, !dirtyPage[k], dirtyPage[k])
 			}
-			for _, i := range []int{1, 2} {
+			for _, i := range []int{0, 1, 2} {
 				if whole.cells[i].blocks[0].codes[k].shares(prev.cells[i].blocks[0].codes[k]) == dirtyPage[k] {
 					t.Fatalf("step %d: cell %d code page %d shared=%v, dirty=%v", step, i, k, !dirtyPage[k], dirtyPage[k])
 				}

@@ -201,7 +201,7 @@ func (f16Codec) encodeRow(c Codes, j int, row []float64) {
 	}
 }
 
-func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) {
+func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
 	dim := len(pq.q)
 	for j := s.lo; j < s.hi; {
 		pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
@@ -215,4 +215,5 @@ func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) {
 		}
 		j += n
 	}
+	return 0
 }

@@ -8,11 +8,13 @@
 // There is one index type, Table, and every backend is a cell of a
 // layout × codec grid:
 //
-//	layout \ codec   float64     int8 + re-rank   binary16
-//	flat             exact       sq8              fp16
-//	inverted         ivf         ivfsq            ivffp16
-//	bytes/dimension  8           1 (+8/row)       2
-//	exact re-rank    no          yes              no
+//	layout \ codec   float64           int8 + re-rank   binary16
+//	flat             exact             sq8              fp16
+//	inverted         ivf               ivfsq            ivffp16
+//	bytes scanned    1/dim + 8/row,    1/dim + 8/row    2/dim
+//	                 8/dim re-scored
+//	answer           exact             exact re-rank    final
+//	                                   of a cut
 //
 // The layout says which rows a query visits. Flat is one block scanned
 // whole and is always correct. Inverted adds a k-means coarse quantizer
@@ -22,11 +24,17 @@
 // number of probed lists.
 //
 // The codec says how a block stores and scores its rows. The scaling wall
-// on large candidate sets is memory bandwidth, not compute, so the two
-// compressed codecs scan fewer bytes per row: int8 keeps a per-row scalar
-// quantization and restores exact scores by re-ranking the rerank*k best
-// survivors in float64 (fully exact when that window covers every
-// candidate); binary16's scores are accurate enough to be final.
+// on large candidate sets is memory bandwidth, not compute, so every
+// codec scans fewer bytes per row than the float64 rows hold. The float64
+// codec scans a per-row scalar quantization (int8) of its rows, bounds
+// each row's exact score from it, and reads a float64 row only when that
+// bound reaches the running top-k: about one row in a hundred, with
+// answers bit-identical to a full float64 scan. The int8 codec scans the
+// same quantization under an approximate score and restores exact scores
+// by re-ranking the rerank*k best survivors in float64 (fully exact when
+// that window covers every candidate); binary16's scores are accurate
+// enough to be final. A layout's float64 and int8 cells share one
+// quantization, never two copies.
 //
 // Tables are immutable after construction and safe for concurrent
 // searches. internal/engine builds one set per model version and swaps
@@ -38,13 +46,16 @@
 // alias, and a scan reads it as one array), so a generation copies O(Δ)
 // and shares the rest with its predecessor. What is re-done per cell:
 //
-//	flat, float64       nothing (the caller's WithRows matrix is adopted)
-//	flat, int8/binary16 the page slice and the dirty rows' pages are
-//	                    copied, the dirty rows re-encoded
+//	flat                the caller's WithRows matrix is adopted; the page
+//	                    slice and the dirty rows' code pages are copied,
+//	                    the dirty rows re-encoded
 //	inverted, float64   the dirty rows move between lists against the
 //	                    frozen quantizer; touched lists are re-gathered
-//	inverted, int8/b16  touched lists carry their survivors' codes over;
+//	                    and carry their survivors' codes over, the dirty
+//	                    rows are encoded
+//	inverted, binary16  touched lists carry their survivors' codes over;
 //	                    the dirty rows are encoded
+//	int8 behind float64 nothing: it adopts the float64 cell's blocks
 //
 // All rankings use core.Better ordering (score descending, ties by
 // ascending id), which makes results bit-for-bit comparable across the

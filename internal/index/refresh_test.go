@@ -54,14 +54,17 @@ func queries(dim, n int, seed int64) [][]float64 {
 	return out
 }
 
-// TestExactRefreshMatchesFullBuild: the refreshed flat backend equals a
-// fresh build over the same data (trivially, but it pins the contract).
+// TestExactRefreshMatchesFullBuild: the refreshed flat float64 cell
+// equals a fresh build over the same data. Its codes are derived state —
+// they bound the scores its scan trusts — so the refresh needs the dirty
+// list like every compressed cell's does.
 func TestExactRefreshMatchesFullBuild(t *testing.T) {
 	data := randMatrix(300, 8, 1)
 	old := NewExact(data, 2)
-	newData, _ := refreshDelta(data, 17, 2)
-	ref := old.Refresh(mat.Page(newData), nil, nil)
+	newData, dirty := refreshDelta(data, 17, 2)
+	ref := old.Refresh(mat.Page(newData), dirty, nil)
 	full := NewExact(newData, 2)
+	sameEncoding(t, "exact", ref, full)
 	for _, q := range queries(8, 10, 3) {
 		sameResults(t, "exact", full.Search(q, 9, Options{}), ref.Search(q, 9, Options{}))
 	}

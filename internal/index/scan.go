@@ -15,23 +15,27 @@ import (
 // never by query: each table's visited rows split into at most `threads`
 // units, every unit walks its rows once in cache-sized tiles, and every
 // query of the batch is scored against a tile while it is resident. So a
-// batch of Q queries reads each candidate row from memory once, not Q
-// times, and the Q·n dot products run out of L1.
+// batch of Q queries reads each candidate row's encoding from memory once,
+// not Q times, and the Q·n code dots run out of L1.
 //
 // What stays per query is everything that makes an answer: its prepared
 // form under the codec, its skip, its probe, and one accumulator per unit
 // — the per-unit contributions meet in mergePartials, which applies the
 // int8 codec's survivor cut globally. Each (query, row) score is still
-// the codec's dot kernel on the same two vectors in the same summation
-// order (the float64 codec scores four members per row read through
-// mat.Dot4, whose every product is bit-identical to mat.Dot's), and top-k
+// the codec's kernel on the same two vectors in the same summation order
+// (four members share each row read through dotI8x4, whose every sum is
+// dotI8's; the float64 codec re-scores a row its int8 bound cannot rule
+// out with mat.Dot, against that member's own running top-k), and top-k
 // under core.Better is independent of how rows are grouped, so a batch
 // member's answer is bit-for-bit the answer it gets alone.
 //
-// That is also why the batch is not a GEMM, although Q·Zᵀ is what it
-// computes: mat.MulInto accumulates each output in ascending-p order
-// while mat.Dot folds sixteen lanes, so their scores differ in the last
-// bits and a GEMM-scored batch would not equal its single queries.
+// That is also why the batch is not a GEMM, although Q·Zᵀ is what the
+// float64 cells compute: mat.MulInto accumulates each output in
+// ascending-p order while mat.Dot folds sixteen lanes, so their scores
+// differ in the last bits and a GEMM-scored batch would not equal its
+// single queries. Nor would a GEMM save the traffic the certified scan
+// saves: it reads every float64 row, and the scan reads about one in a
+// hundred.
 
 const (
 	// tileBytes is how much of a block a unit scores against every query
@@ -62,12 +66,15 @@ type BatchQuery struct {
 // Stats is what one search did: the wall time of its two stages (the
 // parallel row scans, probes and query preparation included; the merge
 // of their contributions) and the work the scans touched. RowsScored
-// counts (query, row) pairs handed to a codec; BytesStreamed the encoded
+// counts (query, row) pairs handed to a codec; Reranked the pairs scored
+// from the float64 row with mat.Dot — the rows a float64 cell's bound
+// could not rule out, an int8 cell's survivors; BytesStreamed the encoded
 // bytes of the rows walked, once per tile however many queries scored
-// it. Both are functions of the input alone.
+// it, plus 8·dim for each reranked pair. All are functions of the input
+// and the row-range cut alone.
 type Stats struct {
-	Fanout, Merge             time.Duration
-	RowsScored, BytesStreamed int64
+	Fanout, Merge                       time.Duration
+	RowsScored, Reranked, BytesStreamed int64
 }
 
 // member is one query of a block as the units see it.
@@ -83,12 +90,13 @@ type member struct {
 // visited blocks whole (segs nil) or a group of block segments — and,
 // when members probe different blocks, who visits which.
 type unit struct {
-	t     *Table
-	visit []core.Scored
-	segs  []probeSeg
-	who   [][]int32 // per block, the members visiting it; nil: all of them
-	rows  int64     // (member, row) pairs scored
-	bytes int64     // encoded bytes walked
+	t        *Table
+	visit    []core.Scored
+	segs     []probeSeg
+	who      [][]int32 // per block, the members visiting it; nil: all of them
+	rows     int64     // (member, row) pairs scored
+	reranked int64     // of which scored from the float64 row
+	bytes    int64     // encoded bytes walked
 }
 
 // scratch is the working set of one search, pooled whole so a single
@@ -195,7 +203,8 @@ func SearchBatch(tables []*Table, qs []BatchQuery, out [][]core.Scored) Stats {
 		clear(s.parts[:n*nu])
 		for u := range s.units {
 			st.RowsScored += s.units[u].rows
-			st.BytesStreamed += s.units[u].bytes
+			st.Reranked += s.units[u].reranked
+			st.BytesStreamed += s.units[u].bytes + s.units[u].reranked*int64(8*first.data.Cols)
 			s.units[u] = unit{}
 		}
 		st.Fanout += t1.Sub(t0)
@@ -237,6 +246,7 @@ func (s *scratch) run(u int) {
 			s.parts[i*nu+u] = partial{plain: res}
 		} else {
 			s.parts[i*nu+u] = partial{quant: t.exact(s.ms[i].q, res)}
+			unit.reranked += int64(len(res))
 		}
 	}
 }
@@ -312,12 +322,12 @@ func (u *unit) walk(ms []member, tops []*core.TopK, b, lo, hi int) {
 				for x, i := range rest[:4] {
 					qtops[x], pqs[x], skips[x] = tops[i], &ms[i].query, ms[i].skip
 				}
-				quad.scan4(qtops, &t.blocks[b], pqs, skips, s)
+				u.reranked += int64(quad.scan4(qtops, &t.blocks[b], pqs, skips, s))
 			}
 		}
 		for _, i := range rest {
 			s.skip = ms[i].skip
-			enc.scan(tops[i], &t.blocks[b], &ms[i].query, s)
+			u.reranked += int64(enc.scan(tops[i], &t.blocks[b], &ms[i].query, s))
 		}
 	}
 	u.rows += int64(hi-lo) * int64(len(who))

@@ -119,27 +119,47 @@ func TestSearchBatchUnitsAndBlocks(t *testing.T) {
 }
 
 // TestSearchBatchStats pins the work counters: a batch scores every
-// (member, row) pair its members would score alone, and walks the
-// encoded bytes once.
+// (member, row) pair its members would score alone, re-scores from the
+// float64 rows exactly the pairs they would re-score alone, and walks the
+// encoded bytes once. The float64 cell re-scores a few rows per member —
+// at least its k, far fewer than it scans — and the int8 cell its
+// rerank·k survivors; binary16 none.
 func TestSearchBatchStats(t *testing.T) {
-	const n, dim, members = 1000, 16, 7
+	const n, dim, members, k = 1000, 16, 7, 4
 	data := mixture(n, dim, 4, 91)
 	queries := mixture(members, dim, 4, 92)
 	qs := make([]BatchQuery, members)
 	for i := range qs {
-		qs[i] = BatchQuery{Q: queries.Row(i), K: 4}
+		qs[i] = BatchQuery{Q: queries.Row(i), K: k}
 	}
 	out := make([][]core.Scored, members)
 	for c := Codec(0); c < NumCodecs; c++ {
 		tab := NewExact(data, 1).Encode(c, 0)
 		rowBytes := int64(codecs[c].rowBytes(dim))
-		st := SearchBatch([]*Table{tab}, qs, out)
-		if st.RowsScored != members*n || st.BytesStreamed != n*rowBytes {
-			t.Fatalf("%s batch: %d rows over %d bytes", tab.Kind(), st.RowsScored, st.BytesStreamed)
+		batch := SearchBatch([]*Table{tab}, qs, out)
+		var alone Stats
+		for i := range qs {
+			st := SearchBatch([]*Table{tab}, qs[i:i+1], out)
+			alone.RowsScored += st.RowsScored
+			alone.Reranked += st.Reranked
+			alone.BytesStreamed += st.BytesStreamed
+			if st.BytesStreamed != n*rowBytes+st.Reranked*8*dim {
+				t.Fatalf("%s member %d alone: %d bytes for %d reranked", tab.Kind(), i, st.BytesStreamed, st.Reranked)
+			}
 		}
-		st = SearchBatch([]*Table{tab}, qs[:1], out)
-		if st.RowsScored != n || st.BytesStreamed != n*rowBytes {
-			t.Fatalf("%s single: %d rows over %d bytes", tab.Kind(), st.RowsScored, st.BytesStreamed)
+		if batch.RowsScored != members*n || alone.RowsScored != members*n ||
+			batch.Reranked != alone.Reranked || batch.BytesStreamed != n*rowBytes+batch.Reranked*8*dim {
+			t.Fatalf("%s: batch %+v, members alone %+v", tab.Kind(), batch, alone)
+		}
+		var lo, hi int64
+		switch c {
+		case F64:
+			lo, hi = members*k, members*n/10
+		case I8:
+			lo, hi = members*DefaultRerank*k, members*DefaultRerank*k
+		}
+		if batch.Reranked < lo || batch.Reranked > hi {
+			t.Fatalf("%s: %d pairs reranked, want %d..%d", tab.Kind(), batch.Reranked, lo, hi)
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 // a constant number of float rows per query, which restores exact scores
 // — and exact orderings whenever the true top-k survives the quantized
 // cut. This file is the int8 codec: the encoding, the kernel dispatch and
-// the scan; which rows a query visits is the layout's business.
+// the scan; which rows a query visits is the layout's business. The
+// float64 codec holds the same encoding and scans it to bound exact
+// scores (f64Codec).
 //
 // Quantization is PER ROW: each candidate row stores its own (scale,
 // base) pair and codes c ∈ [-128, 127] reconstructing x̂[j] = base +
@@ -38,7 +40,8 @@ const DefaultRerank = 4
 // QuantizeRows computes the per-row SQ8 encoding of data: codes holds
 // data.Rows*data.Cols int8 codes row-major, and row i reconstructs as
 // x̂[j] = base[i] + scale[i]·codes[i*dim+j], with |x − x̂| ≤ scale[i]/2
-// per element (up to float32 rounding of the stored parameters). Constant
+// per element up to float32 rounding of the stored parameters (f64Codec
+// states the bound with that rounding included). Constant
 // rows get scale 0 and exact base. The encoding is deterministic in data
 // alone — no seeds, no global statistics — so any row slice of data
 // quantizes to the corresponding slice of (codes, scale, base).
@@ -120,6 +123,27 @@ func DotI8(a, b []int8) int32 { return dotI8(a, b) }
 
 // DotI8Generic exposes the portable kernel the same way.
 func DotI8Generic(a, b []int8) int32 { return dotI8Generic(a, b) }
+
+// dotI8x4 returns dotI8(a0, b), …, dotI8(a3, b), reading b once for the
+// four — the kernel under a batch scan of the int8 codes, where one row
+// meets a block of queries. All five vectors must have the same length.
+// Lengths the vector kernel does not take (not a multiple of 16), and
+// builds without it, make the four dotI8 calls; integer sums are exact,
+// so every path returns the same four values.
+func dotI8x4(a0, a1, a2, a3, b []int8) (out [4]int32) {
+	n := len(b)
+	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
+		panic("index: dotI8x4 length mismatch")
+	}
+	if useDotI8x4SIMD && n >= 16 && n%16 == 0 {
+		dotI8x4SIMD(&a0[0], &a1[0], &a2[0], &a3[0], &b[0], n, &out)
+		return out
+	}
+	return [4]int32{dotI8(a0, b), dotI8(a1, b), dotI8(a2, b), dotI8(a3, b)}
+}
+
+// DotI8x4 exposes dotI8x4 for the kernel microbenchmark.
+func DotI8x4(a0, a1, a2, a3, b []int8) [4]int32 { return dotI8x4(a0, a1, a2, a3, b) }
 
 // dotI8Generic is the portable kernel, and the reference the SIMD path
 // is tested against.
@@ -203,19 +227,42 @@ func (i8Codec) prepare(pq *query, q []float64) {
 	pq.step, pq.sum = quantizeQuery(q, pq.i8)
 }
 
-func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) {
+// approx is the quantized score above of a row with parameters (scale,
+// base) whose codes' int32 dot with pq.i8 is d.
+func (pq *query) approx(d int32, scale, base float32) float64 {
+	return float64(base)*pq.sum + float64(scale)*pq.step*float64(d)
+}
+
+func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
 	dim := len(pq.i8)
 	for j := s.lo; j < s.hi; {
-		pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
-		n := min(pg.reach(dim)-r, s.hi-j)
-		codes, scale, base := pg.I8[r*dim:(r+n)*dim], pg.Scale[r:r+n], pg.Base[r:r+n]
+		codes, scale, base, n := b.i8Run(j, s.hi, dim)
 		for x := range n {
-			d := float64(dotI8(pq.i8, codes[x*dim:(x+1)*dim]))
-			score := float64(base[x])*pq.sum + float64(scale[x])*pq.step*d
+			score := pq.approx(dotI8(pq.i8, codes[x*dim:(x+1)*dim]), scale[x], base[x])
 			if id := s.id(j + x); top.Admits(id, score) {
 				keep(top, s.skip, id, score)
 			}
 		}
 		j += n
 	}
+	return 0
+}
+
+func (i8Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) int {
+	q0, q1, q2, q3 := pqs[0].i8, pqs[1].i8, pqs[2].i8, pqs[3].i8
+	dim := len(q0)
+	for j := s.lo; j < s.hi; {
+		codes, scale, base, n := b.i8Run(j, s.hi, dim)
+		for x := range n {
+			ds := dotI8x4(q0, q1, q2, q3, codes[x*dim:(x+1)*dim])
+			id := s.id(j + x)
+			for i, top := range tops {
+				if score := pqs[i].approx(ds[i], scale[x], base[x]); top.Admits(id, score) {
+					keep(top, skips[i], id, score)
+				}
+			}
+		}
+		j += n
+	}
+	return 0
 }

@@ -22,6 +22,17 @@ func cpuHasAVX2() bool
 //go:noescape
 func dotI8SIMD(a, b *int8, n int) int32
 
+// useDotI8x4SIMD gates the four-query kernel; it needs what dotI8SIMD
+// needs.
+var useDotI8x4SIMD = useDotI8SIMD
+
+// dotI8x4SIMD writes out[q] = aq · b over n int8 values (n a positive
+// multiple of 16), loading b once for the four; every out[q] is
+// bit-identical to dotI8Generic(aq, b). Implemented in sq8dot_amd64.s.
+//
+//go:noescape
+func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32)
+
 // DotI8ISA reports the instruction set the quantized int8 dot kernel
 // dispatches to on this build and host.
 func DotI8ISA() string {

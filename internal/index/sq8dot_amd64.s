@@ -106,3 +106,53 @@ tloop:
 done:
 	MOVL R8, ret+24(FP)
 	RET
+
+// func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32)
+//
+// Four int8 inner products against one row: out[q] = aq · b over n
+// elements (n a positive multiple of 16). Each 16-element step loads the
+// row once (VPMOVSXBW into Y4) and pair-multiplies it against the four
+// queries' sign-extended codes into one int32 accumulator each (Y0-Y3).
+// The three VPHADDDs then fold the four accumulators' lanes into one
+// register of per-query partials per 128-bit half, and the halves add.
+// Integer addition is exact, so out[q] is bit-identical to dotI8(aq, b).
+TEXT ·dotI8x4SIMD(SB), NOSPLIT, $0-56
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DI
+	MOVQ a2+16(FP), R8
+	MOVQ a3+24(FP), R9
+	MOVQ b+32(FP), BX
+	MOVQ n+40(FP), CX
+	MOVQ out+48(FP), DX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  AX, AX
+
+x4loop:
+	VPMOVSXBW (BX)(AX*1), Y4
+	VPMOVSXBW (SI)(AX*1), Y5
+	VPMADDWD  Y5, Y4, Y5
+	VPADDD    Y5, Y0, Y0
+	VPMOVSXBW (DI)(AX*1), Y6
+	VPMADDWD  Y6, Y4, Y6
+	VPADDD    Y6, Y1, Y1
+	VPMOVSXBW (R8)(AX*1), Y7
+	VPMADDWD  Y7, Y4, Y7
+	VPADDD    Y7, Y2, Y2
+	VPMOVSXBW (R9)(AX*1), Y8
+	VPMADDWD  Y8, Y4, Y8
+	VPADDD    Y8, Y3, Y3
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  x4loop
+
+	VPHADDD Y1, Y0, Y0 // per half: pair sums of Y0, then of Y1
+	VPHADDD Y3, Y2, Y2 // per half: pair sums of Y2, then of Y3
+	VPHADDD Y2, Y0, Y0 // per half: one partial per query, in order
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD  X1, X0, X0
+	VMOVDQU X0, (DX)
+	VZEROUPPER
+	RET

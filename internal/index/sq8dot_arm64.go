@@ -22,6 +22,13 @@ const useDotI8SIMD = true
 //go:noescape
 func dotI8SIMD(a, b *int8, n int) int32
 
+// There is no four-query NEON kernel: dotI8x4 makes four dotI8SIMD calls.
+const useDotI8x4SIMD = false
+
+func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32) {
+	panic("index: dotI8x4SIMD called on arm64")
+}
+
 // DotI8ISA reports the instruction set the quantized int8 dot kernel
 // dispatches to on this build and host.
 func DotI8ISA() string {

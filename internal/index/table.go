@@ -25,8 +25,9 @@ type Table struct {
 
 // Work is what producing a table cost: rows passed through the codec, and
 // bytes written into storage it does not share with its parent (a float64
-// cell's re-gathered lists, a compressed cell's codes and page slices; a
-// flat cell's rows are the caller's). Functions of the input alone.
+// cell's re-gathered lists, a cell's codes and page slices; a flat cell's
+// rows are the caller's, and a cell that adopts another's encoding writes
+// nothing). Functions of the input alone.
 type Work struct {
 	RowsEncoded, BytesCopied int64
 }
@@ -61,12 +62,14 @@ func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
 }
 
 // NewExact is the flat float64 cell: data (one candidate per row) is
-// wrapped without copying, so the caller must not mutate it afterwards.
-// threads is the search fan-out; values <= 1 scan serially.
+// wrapped without copying, so the caller must not mutate it afterwards,
+// and its rows are quantized once for the scan's score bound (see
+// f64Codec). threads is the search fan-out; values <= 1 scan serially.
 func NewExact(data *mat.Dense, threads int) *Table { return newFlat(data, F64, 0, threads) }
 
 // NewSQ8 is the flat int8 cell: data is shared for the exact re-rank and
-// its rows are quantized once. rerank <= 0 means DefaultRerank.
+// its rows are quantized once (NewExact(data).Encode(I8, rerank) shares
+// the exact cell's quantization instead). rerank <= 0 means DefaultRerank.
 func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
 	return newFlat(data, I8, rerank, threads)
 }
@@ -84,37 +87,46 @@ func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
 }
 
 // NewIVFSQ is the inverted int8 cell over iv's inverted file, which it
-// shares: a second codec over one BuildIVF costs one encoding pass, not a
-// second k-means or a second copy of the lists. data must be the matrix
-// iv was built from. rerank <= 0 means DefaultRerank.
+// shares with its lists' encoding: it costs no k-means, no copy of the
+// lists and no encoding pass. data must be the matrix iv was built from.
+// rerank <= 0 means DefaultRerank.
 func NewIVFSQ(iv *Table, data *mat.Dense, rerank int) *Table {
 	iv.checkShape(data.Rows, data.Cols)
 	return iv.Encode(I8, rerank)
 }
 
-// NewIVFFP16 is the inverted binary16 cell over iv's inverted file; see
-// NewIVFSQ.
+// NewIVFFP16 is the inverted binary16 cell over iv's inverted file, which
+// it shares: a second codec over one BuildIVF costs one encoding pass, not
+// a second k-means or a second copy of the lists.
 func NewIVFFP16(iv *Table, data *mat.Dense) *Table {
 	iv.checkShape(data.Rows, data.Cols)
 	return iv.Encode(F16, 0)
 }
 
 // Encode returns the cell of t's layout and candidates under codec c,
-// sharing both with t. rerank <= 0 means DefaultRerank where c re-ranks.
+// sharing both with t, and sharing t's blocks too when c holds the
+// encoding t holds (see encodedAs): a layout's int8 cell is its float64
+// cell's encoding, never a second copy of it. rerank <= 0 means
+// DefaultRerank where c re-ranks.
 func (t *Table) Encode(c Codec, rerank int) *Table {
-	return newCell(t.data, t.lay, c, rerank, t.threads, nil).Shift(t.base)
+	var blocks []block
+	if encodedAs[c] == encodedAs[t.codec] {
+		blocks = t.blocks
+	}
+	return newCell(t.data, t.lay, c, rerank, t.threads, blocks).Shift(t.base)
 }
 
 // FromCodes is the flat cell of codec c over data that adopts an existing
 // encoding (one restored from a bundle, or a row slice of a larger
-// matrix's) instead of encoding. The slices are shared, not copied: the
-// block's pages alias them. It panics on a shape mismatch — a corrupt
+// matrix's) instead of encoding: the int8 encoding for the float64 and
+// int8 codecs, binary16 for binary16. The slices are shared, not copied:
+// the block's pages alias them. It panics on a shape mismatch — a corrupt
 // persisted payload must fail loudly at build time, not skew scores at
 // query time.
 func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Table {
 	n, dim := data.Rows, data.Cols
 	ok := false
-	switch c {
+	switch encodedAs[c] {
 	case I8:
 		ok = len(codes.I8) == n*dim && len(codes.Scale) == n && len(codes.Base) == n
 	case F16:
@@ -231,10 +243,14 @@ func (t *Table) checkShape(rows, cols int) {
 // lead, when non-nil, is the already refreshed float64 cell of t's layout
 // over the same data: t adopts its layout instead of refreshing a copy,
 // so every codec over one BuildIVF moves each dirty row once and keeps
-// sharing one set of list blocks.
+// sharing one set of list blocks, and an int8 cell adopts lead's blocks
+// whole, their encoding included (see Encode).
 func (t *Table) Refresh(data *mat.Paged, dirty []int, lead *Table) *Table {
 	t.checkShape(data.Rows, data.Cols)
 	if lead != nil {
+		if encodedAs[t.codec] == encodedAs[lead.codec] {
+			return t.adopt(lead)
+		}
 		return t.over(data, lead.lay, dirty, true)
 	}
 	return t.over(data, t.lay.refresh(data, dirty), dirty, true)
@@ -251,6 +267,9 @@ func (t *Table) Refresh(data *mat.Paged, dirty []int, lead *Table) *Table {
 func (t *Table) Reseat(data *mat.Paged, lead *Table) *Table {
 	t.checkShape(data.Rows, data.Cols)
 	if lead != nil {
+		if encodedAs[t.codec] == encodedAs[lead.codec] {
+			return t.adopt(lead)
+		}
 		return t.over(data, lead.lay, nil, false)
 	}
 	return t.over(data, t.lay.reseat(data), nil, false)
@@ -265,6 +284,14 @@ func (t *Table) Rebuild(data *mat.Paged) *Table {
 		panic(fmt.Sprintf("index: %s rebuild dim %d does not match index dim %d", t.Kind(), data.Cols, t.data.Cols))
 	}
 	return t.over(data, t.lay.rebuild(data), nil, false)
+}
+
+// adopt returns t's codec and settings over lead's candidates, layout and
+// blocks, which hold t's encoding: producing it encodes and copies nothing.
+func (t *Table) adopt(lead *Table) *Table {
+	out := *t
+	out.data, out.lay, out.blocks, out.work = lead.data, lead.lay, lead.blocks, Work{}
+	return &out
 }
 
 // over returns t's codec and settings over (data, lay). With reuse, lay

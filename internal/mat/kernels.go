@@ -11,14 +11,13 @@ const (
 )
 
 // KernelISAs reports, per float64 kernel op, which instruction set this
-// build dispatches to on this host. All four ops share one dispatch
+// build dispatches to on this host. All three ops share one dispatch
 // decision (the AVX2 feature check), but they are reported separately so
 // the observability surface does not bake that implementation detail in.
 func KernelISAs() map[string]string {
 	isa := kernelISA()
 	return map[string]string{
 		"dot":  isa,
-		"dot4": isa,
 		"axpy": isa,
 		"gemm": isa,
 	}

@@ -19,13 +19,6 @@ func cpuHasAVX2F64() bool
 //go:noescape
 func dotAVX2(a, b *float64, n int) float64
 
-// dot4AVX2 writes out[q] = aq · b over the first n elements, each product
-// bit-identical to dotAVX2(aq, b, n), reading b once for the four. n must
-// be a positive multiple of 16.
-//
-//go:noescape
-func dot4AVX2(a0, a1, a2, a3, b *float64, n int, out *[4]float64)
-
 // axpyAVX2 performs y[i] += a*x[i] for i in [0,n). n must be a multiple
 // of 4; the caller handles the tail.
 //

@@ -204,124 +204,3 @@ gloop4:
 gdone:
 	VZEROUPPER
 	RET
-
-// func dot4AVX2(a0, a1, a2, a3, b *float64, n int, out *[4]float64)
-//
-// Four float64 dot products against one vector: out[q] = aq · b over n
-// elements (n a positive multiple of 16), each in the canonical summation
-// order fixed by DotGeneric, so out[q] is bit-identical to dotAVX2(aq, b,
-// n). Every 4-lane accumulator of that order is an independent chain, so
-// the kernel need not hold a dot's four accumulators at once: the first
-// loop runs lanes s0..s3 and s4..s7 of all four products (Y0-Y3, Y4-Y7)
-// and folds them into the u lanes, the second runs s8..s11 and s12..s15
-// (Y4-Y7, Y8-Y11) and folds them into the v lanes. Each vector of b is
-// loaded once and multiplied against the four a's from memory — five
-// loads per four products where four dotAVX2 calls make eight.
-// VMULPD+VADDPD only, as in dotAVX2.
-TEXT ·dot4AVX2(SB), NOSPLIT, $0-56
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ a2+16(FP), R8
-	MOVQ a3+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ n+40(FP), CX
-	MOVQ out+48(FP), DX
-	SHLQ $3, CX // bytes
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	XORQ AX, AX
-
-d4lo: // lanes s0..s3 into Y0-Y3, s4..s7 into Y4-Y7
-	VMOVUPD (BX)(AX*1), Y12
-	VMOVUPD 32(BX)(AX*1), Y13
-	VMULPD  (SI)(AX*1), Y12, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  32(SI)(AX*1), Y13, Y15
-	VADDPD  Y15, Y4, Y4
-	VMULPD  (DI)(AX*1), Y12, Y14
-	VADDPD  Y14, Y1, Y1
-	VMULPD  32(DI)(AX*1), Y13, Y15
-	VADDPD  Y15, Y5, Y5
-	VMULPD  (R8)(AX*1), Y12, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  32(R8)(AX*1), Y13, Y15
-	VADDPD  Y15, Y6, Y6
-	VMULPD  (R9)(AX*1), Y12, Y14
-	VADDPD  Y14, Y3, Y3
-	VMULPD  32(R9)(AX*1), Y13, Y15
-	VADDPD  Y15, Y7, Y7
-	ADDQ $128, AX
-	CMPQ AX, CX
-	JLT  d4lo
-
-	VADDPD Y4, Y0, Y0 // u lanes = s_j + s_{j+4}
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	XORQ AX, AX
-
-d4hi: // lanes s8..s11 into Y4-Y7, s12..s15 into Y8-Y11
-	VMOVUPD 64(BX)(AX*1), Y12
-	VMOVUPD 96(BX)(AX*1), Y13
-	VMULPD  64(SI)(AX*1), Y12, Y14
-	VADDPD  Y14, Y4, Y4
-	VMULPD  96(SI)(AX*1), Y13, Y15
-	VADDPD  Y15, Y8, Y8
-	VMULPD  64(DI)(AX*1), Y12, Y14
-	VADDPD  Y14, Y5, Y5
-	VMULPD  96(DI)(AX*1), Y13, Y15
-	VADDPD  Y15, Y9, Y9
-	VMULPD  64(R8)(AX*1), Y12, Y14
-	VADDPD  Y14, Y6, Y6
-	VMULPD  96(R8)(AX*1), Y13, Y15
-	VADDPD  Y15, Y10, Y10
-	VMULPD  64(R9)(AX*1), Y12, Y14
-	VADDPD  Y14, Y7, Y7
-	VMULPD  96(R9)(AX*1), Y13, Y15
-	VADDPD  Y15, Y11, Y11
-	ADDQ $128, AX
-	CMPQ AX, CX
-	JLT  d4hi
-
-	VADDPD Y8, Y4, Y4 // v lanes = s_{j+8} + s_{j+12}
-	VADDPD Y9, Y5, Y5
-	VADDPD Y10, Y6, Y6
-	VADDPD Y11, Y7, Y7
-	VADDPD Y4, Y0, Y0 // l lanes = u_j + v_j
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-
-	// (l0+l1) + (l2+l3) per product, as in dotAVX2.
-	VHADDPD Y0, Y0, Y0
-	VEXTRACTF128 $1, Y0, X4
-	VADDSD X4, X0, X0
-	VHADDPD Y1, Y1, Y1
-	VEXTRACTF128 $1, Y1, X5
-	VADDSD X5, X1, X1
-	VHADDPD Y2, Y2, Y2
-	VEXTRACTF128 $1, Y2, X6
-	VADDSD X6, X2, X2
-	VHADDPD Y3, Y3, Y3
-	VEXTRACTF128 $1, Y3, X7
-	VADDSD X7, X3, X3
-	VZEROUPPER
-	MOVSD X0, (DX)
-	MOVSD X1, 8(DX)
-	MOVSD X2, 16(DX)
-	MOVSD X3, 24(DX)
-	RET

@@ -16,10 +16,6 @@ func dotAVX2(a, b *float64, n int) float64 {
 	panic("mat: dotAVX2 called on a noasm build")
 }
 
-func dot4AVX2(a0, a1, a2, a3, b *float64, n int, out *[4]float64) {
-	panic("mat: dot4AVX2 called on a noasm build")
-}
-
 func axpyAVX2(a float64, x, y *float64, n int) {
 	panic("mat: axpyAVX2 called on a noasm build")
 }

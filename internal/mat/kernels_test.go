@@ -63,37 +63,6 @@ func TestDotMatchesGenericExhaustive(t *testing.T) {
 	}
 }
 
-// TestDot4MatchesDotExhaustive drives Dot4 against four DotGeneric calls
-// over every length 0..130 (multiples of 16 take the vector kernel, the
-// rest the four-call path) at shifting offsets of all five operands, and
-// demands bitwise equality product by product: a batch member's score
-// must be the score the same query gets alone.
-func TestDot4MatchesDotExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const maxN, maxOff = 130, 4
-	back := make([][]float64, 5)
-	for i := range back {
-		back[i] = make([]float64, maxN+maxOff)
-	}
-	for n := 0; n <= maxN; n++ {
-		for off := 0; off < maxOff; off++ {
-			var v [5][]float64
-			for i := range back {
-				fillKernelVec(rng, back[i])
-				o := (off + i) % maxOff
-				v[i] = back[i][o : o+n]
-			}
-			var got [4]float64
-			got[0], got[1], got[2], got[3] = Dot4(v[0], v[1], v[2], v[3], v[4])
-			for q := range got {
-				if want := DotGeneric(v[q], v[4]); math.Float64bits(got[q]) != math.Float64bits(want) {
-					t.Fatalf("Dot4(n=%d, off=%d) product %d = %x, generic %x", n, off, q, math.Float64bits(got[q]), math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // TestDotGoldenVector pins the canonical summation order itself: one
 // fixed input whose dot product differs in the last bits under any other
 // association (ascending, pairwise, fused), with the bits every kernel on
@@ -107,8 +76,6 @@ func TestDotGoldenVector(t *testing.T) {
 	}
 	const want = 0xbfe58ab98f68638a
 	got := []float64{Dot(a, b), DotGeneric(a, b)}
-	s0, s1, s2, s3 := Dot4(a, a, a, a, b)
-	got = append(got, s0, s1, s2, s3)
 	for i, g := range got {
 		if math.Float64bits(g) != want {
 			t.Fatalf("kernel %d: %x, want %x", i, math.Float64bits(g), uint64(want))
@@ -213,7 +180,7 @@ func TestDotPanicMessages(t *testing.T) {
 // reported, and the value is one of the known ISA names.
 func TestKernelISAs(t *testing.T) {
 	isas := KernelISAs()
-	for _, op := range []string{"dot", "dot4", "axpy", "gemm"} {
+	for _, op := range []string{"dot", "axpy", "gemm"} {
 		isa, ok := isas[op]
 		if !ok {
 			t.Fatalf("KernelISAs missing op %q", op)

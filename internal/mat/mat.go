@@ -353,25 +353,6 @@ func Dot(a, b []float64) float64 {
 	return DotGeneric(a, b)
 }
 
-// Dot4 returns Dot(a0, b), Dot(a1, b), Dot(a2, b) and Dot(a3, b), each
-// bit for bit, reading b once for the four — the kernel under a batch
-// scan, where one candidate row meets a block of queries. All five
-// vectors must have the same length. Lengths the vector kernel does not
-// take (not a multiple of 16), and builds without it, make the four Dot
-// calls.
-func Dot4(a0, a1, a2, a3, b []float64) (s0, s1, s2, s3 float64) {
-	n := len(b)
-	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
-		panic(fmt.Sprintf("mat: Dot4 length mismatch %d %d %d %d vs %d", len(a0), len(a1), len(a2), len(a3), n))
-	}
-	if useAVX2 && n >= 16 && n%16 == 0 {
-		var out [4]float64
-		dot4AVX2(&a0[0], &a1[0], &a2[0], &a3[0], &b[0], n, &out)
-		return out[0], out[1], out[2], out[3]
-	}
-	return Dot(a0, b), Dot(a1, b), Dot(a2, b), Dot(a3, b)
-}
-
 // DotGeneric is the portable dot kernel and the reference the SIMD path
 // is tested against. It fixes the canonical summation order shared by
 // every Dot implementation in the repository: sixteen independent

@@ -123,7 +123,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`pane_index_build_cycles_total{kind="incremental"}`,
 		// The refresh's books: rows through a codec, bytes a generation
 		// does not share with its parent, and how long reads scanned.
-		`pane_index_refresh_rows_encoded_total{backend="sq8"}`,
+		`pane_index_refresh_rows_encoded_total{backend="exact"}`,
 		`pane_index_refresh_bytes_copied_total`,
 		`pane_index_publish_lag_seconds_count`,
 		"pane_model_version",
@@ -161,6 +161,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	for _, series := range []string{
 		`pane_index_rows_scored_total{backend="exact"}`,
+		`pane_index_rows_reranked_total{backend="exact"}`,
 		`pane_index_bytes_streamed_total{backend="exact"}`,
 	} {
 		if first[series] <= 0 || batched[series] <= first[series] {
