@@ -103,8 +103,7 @@ func main() {
 		refresh   = flag.Float64("refresh-threshold", engine.DefaultRefreshThreshold,
 			"dirty-row fraction at or below which updates refresh the serving index incrementally instead of rebuilding (0 = always rebuild)")
 		affinity = flag.Float64("affinity-threshold", engine.DefaultAffinityThreshold,
-			"frontier fraction at or below which updates patch the retained affinity recurrence instead of recomputing it (0 = always recompute)")
-		fullAff     = flag.Bool("full-affinity", false, "escape hatch: recompute the affinity recurrence from scratch on every update (same as -affinity-threshold 0)")
+			"frontier fraction in (0,1] at or below which updates patch the retained affinity recurrence instead of rebuilding it")
 		debug       = flag.Bool("debug", false, "log per-update delta sizes and update-path choices")
 		metricsAddr = flag.String("metrics-addr", "",
 			"admin listener address for /metrics + /debug/pprof + /debug/vars (empty = disabled; /metrics is always on the main listener)")
@@ -192,14 +191,10 @@ func main() {
 	// Options shared by both construction paths: sweep count, the
 	// incremental-refresh threshold, and (with -debug) an observer that
 	// logs each update's delta size and which path served it.
-	affThreshold := *affinity
-	if *fullAff {
-		affThreshold = 0
-	}
 	commonOpts := []engine.Option{
 		engine.WithUpdateSweeps(*sweeps),
 		engine.WithRefreshThreshold(*refresh),
-		engine.WithAffinityThreshold(affThreshold),
+		engine.WithAffinityThreshold(*affinity),
 	}
 	if *debug {
 		commonOpts = append(commonOpts, engine.WithUpdateObserver(func(s engine.UpdateStats) {

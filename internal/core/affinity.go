@@ -26,23 +26,24 @@ import (
 // iterations restricted to a superset of that frontier — reading
 // out-of-frontier neighbor rows from the cached previous levels — therefore
 // reproduces every frontier row bit-for-bit, and rows outside the frontier
-// are untouched by construction. The only approximation in the whole
-// scheme is the forward column sums, which are adjusted incrementally
-// (old sum + the patched rows' deltas) rather than re-accumulated over all
-// n rows; the resulting float rounding drift is tracked in Drift and
-// bounded empirically by TestAffinityStateDriftBounded.
+// are untouched by construction. The normalization sums follow suit: row
+// sums are row-local, and the forward column sums live in a fixed-shape
+// tree over 16-row blocks whose touched leaves and their ancestors are
+// re-summed in the order a fresh build sums them. A patched state is thus
+// a pure function of its graph: bit-identical to NewAffinityState on the
+// same graph, for any chain of updates and any worker count
+// (TestUpdateAffinityChainEqualsFresh).
 
-// machEps is the double-precision unit roundoff used by the drift
-// estimate.
-const machEps = 2.220446049250313e-16
+// colBlockRows is the number of rows of the last forward level one leaf of
+// the column-sum tree covers.
+const colBlockRows = 16
 
 // AffinityState caches the pre-normalization APMI recurrence:
 // P(1..t)_f and P(1..t)_b, plus the column sums of P(t)_f and the row sums
 // of P(t)_b that the final normalization needs. Memory is 2·t·n·d float64s
 // — for the default server configuration (eps 0.015 → t = 6) that is
 // ~100 MB per million node-attribute cells, which is the price of O(Δ)
-// model updates; engines that cannot afford it run with full affinity
-// recomputation instead (WithAffinityThreshold(0) / -full-affinity).
+// model updates.
 type AffinityState struct {
 	n, d  int
 	alpha float64
@@ -50,16 +51,20 @@ type AffinityState struct {
 
 	lf, lb []*mat.Dense // pre-normalization levels 1..t, both directions
 
-	colSums []float64 // column sums of lf[t-1], adjusted incrementally
-	rowSums []float64 // row sums of lb[t-1], always exact
-
-	drift float64 // accumulated relative rounding-noise estimate on colSums
+	// colTree holds the column sums of lf[t-1] as a binary tree of
+	// d-vectors whose shape depends on n only: leaf b (the sums of rows
+	// [16b, 16b+16), added in row order) is node leaves+b, inner node k is
+	// node 2k + node 2k+1, and the root, node 1, is the column-sum vector.
+	colTree []float64
+	leaves  int
+	rowSums []float64 // row sums of lb[t-1]
 }
 
 // NewAffinityState runs the full APMI recurrence on g, retaining every
-// pre-normalization level. The levels (and the sums) are bit-identical to
-// the internal state of APMI/PAPMI for any nb, so Affinity() reproduces
-// APMI's output exactly.
+// pre-normalization level. The levels and the row sums are bit-identical
+// to the internal state of APMI/PAPMI for any nb; the column sums are
+// accumulated through the block tree, so Affinity() matches APMI's output
+// up to float round-off in the column normalization.
 func NewAffinityState(g *graph.Graph, alpha float64, t, nb int) *AffinityState {
 	p, pt := g.Walk()
 	rr, rc := g.NormalizedAttrs()
@@ -81,7 +86,16 @@ func NewAffinityState(g *graph.Graph, alpha float64, t, nb int) *AffinityState {
 		s.lb = append(s.lb, nbm)
 		prevF, prevB = nf, nbm
 	}
-	s.colSums = prevF.ColSums()
+	s.leaves = max(1, (n+colBlockRows-1)/colBlockRows)
+	s.colTree = make([]float64, 2*s.leaves*d)
+	mat.ParallelRanges(s.leaves, nb, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			s.sumLeaf(b)
+		}
+	})
+	for k := s.leaves - 1; k >= 1; k-- {
+		s.sumNode(k)
+	}
 	s.rowSums = prevB.RowSums()
 	return s
 }
@@ -89,15 +103,63 @@ func NewAffinityState(g *graph.Graph, alpha float64, t, nb int) *AffinityState {
 // Iterations returns the retained recurrence depth t.
 func (s *AffinityState) Iterations() int { return s.t }
 
-// Drift returns the accumulated relative rounding-noise estimate on the
-// incrementally-maintained forward column sums. It grows by roughly one
-// machine epsilon per unit of relative mass an update moves; a full
-// rebuild (NewAffinityState) resets it to zero.
-func (s *AffinityState) Drift() float64 { return s.drift }
-
 // finalF and finalB are the level-t pre-normalization matrices.
 func (s *AffinityState) finalF() *mat.Dense { return s.lf[s.t-1] }
 func (s *AffinityState) finalB() *mat.Dense { return s.lb[s.t-1] }
+
+// node returns node k of the column-sum tree.
+func (s *AffinityState) node(k int) []float64 { return s.colTree[k*s.d : (k+1)*s.d] }
+
+// colSums returns the column sums of the last forward level: the tree root.
+func (s *AffinityState) colSums() []float64 { return s.node(1) }
+
+// sumLeaf re-sums leaf b from its block of rows of the last forward level.
+func (s *AffinityState) sumLeaf(b int) {
+	leaf := s.node(s.leaves + b)
+	clear(leaf)
+	f := s.finalF()
+	for i := b * colBlockRows; i < min((b+1)*colBlockRows, s.n); i++ {
+		for j, v := range f.Row(i) {
+			leaf[j] += v
+		}
+	}
+}
+
+// sumNode re-sums inner node k from its two children.
+func (s *AffinityState) sumNode(k int) {
+	dst, l, r := s.node(k), s.node(2*k), s.node(2*k+1)
+	for j := range dst {
+		dst[j] = l[j] + r[j]
+	}
+}
+
+// resumColumns re-sums the leaves holding a frontier row, then their
+// ancestors, children before parents (a child's index exceeds its
+// parent's), leaving the tree exactly as a fresh build would.
+func (s *AffinityState) resumColumns(frontier []int, nb int) {
+	var blocks []int
+	for _, i := range frontier {
+		if b := i / colBlockRows; len(blocks) == 0 || blocks[len(blocks)-1] != b {
+			blocks = append(blocks, b)
+		}
+	}
+	mat.ParallelRanges(len(blocks), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
+		for _, b := range blocks[lo:hi] {
+			s.sumLeaf(b)
+		}
+	})
+	dirty := make([]bool, s.leaves)
+	for _, b := range blocks {
+		for k := (s.leaves + b) / 2; k >= 1 && !dirty[k]; k /= 2 {
+			dirty[k] = true
+		}
+	}
+	for k := s.leaves - 1; k >= 1; k-- {
+		if dirty[k] {
+			s.sumNode(k)
+		}
+	}
+}
 
 // FinalRowsEqual reports whether row i of the pre-normalization state
 // matches other's bit-for-bit — the frontier property tests use it to
@@ -122,7 +184,7 @@ func (s *AffinityState) FinalRowsEqual(other *AffinityState, i int) bool {
 // scale by 1 (stay zero).
 func (s *AffinityState) invColSums() []float64 {
 	inv := make([]float64, s.d)
-	for j, v := range s.colSums {
+	for j, v := range s.colSums() {
 		if v != 0 {
 			inv[j] = 1 / v
 		} else {
@@ -204,19 +266,15 @@ type AffinityUpdate struct {
 	// fraction budget and nothing was patched — the caller should fall
 	// back to a full NewAffinityState rebuild.
 	Incremental bool
-	// MassShift is the L1 mass the update moved in the final forward
-	// level, relative to the total column mass — a measure of how much
-	// the normalization denominators moved.
-	MassShift float64
 }
 
 // UpdateAffinity folds a graph delta into the cached state: it computes
 // the t-hop dependency frontier of the delta, re-runs the recurrence over
-// frontier rows only (against the cached levels), and adjusts the global
-// column sums incrementally. g must be the post-delta graph whose edge and
-// attribute deltas are given. When either frontier exceeds maxFrac·n the
-// state is left untouched and Incremental=false is returned; maxFrac <= 0
-// means no limit.
+// frontier rows only (against the cached levels), and re-sums the
+// normalization sums those rows feed. g must be the post-delta graph whose
+// edge and attribute deltas are given. When either frontier exceeds
+// maxFrac·n the state is left untouched and Incremental=false is returned;
+// maxFrac <= 0 means no limit.
 //
 // Frontier construction: an added edge (u,v) rescales row u of P — and
 // thereby column u of Pᵀ, i.e. every Pᵀ row of u's out-neighbors. An
@@ -300,15 +358,22 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs 
 		if l > 0 {
 			srcF, srcB = s.lf[l-1], s.lb[l-1]
 		}
-		last := l == s.t-1
-		if !last {
-			s.patchLevel(s.lf[l], p, srcF, rr, frontierF, nb)
-			s.patchLevel(s.lb[l], pt, srcB, rc, frontierB, nb)
-			continue
-		}
-		up.MassShift = s.patchFinalF(p, srcF, rr, frontierF, nb)
-		s.patchFinalB(pt, srcB, rc, frontierB, nb)
+		s.patchLevel(s.lf[l], p, srcF, rr, frontierF, nb)
+		s.patchLevel(s.lb[l], pt, srcB, rc, frontierB, nb)
 	}
+	s.resumColumns(frontierF, nb)
+	// Row sums are row-local: re-sum the patched rows left to right, as
+	// RowSums does.
+	final := s.finalB()
+	mat.ParallelRanges(len(frontierB), mat.RowWorkers(len(frontierB), nb), func(lo, hi int) {
+		for _, i := range frontierB[lo:hi] {
+			var sum float64
+			for _, v := range final.Row(i) {
+				sum += v
+			}
+			s.rowSums[i] = sum
+		}
+	})
 	return up, nil
 }
 
@@ -323,80 +388,6 @@ func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src, seed *mat
 		for k := lo; k < hi; k++ {
 			i := frontier[k]
 			m.AxpyRowInto(dst.Row(i), i, a, src, s.alpha, seed.Row(i))
-		}
-	})
-}
-
-// patchFinalF patches the last forward level while folding each row's
-// change into the maintained column sums. Per-worker partial deltas are
-// reduced in block order, so results are deterministic for a given nb.
-// Returns the relative L1 mass the frontier moved.
-func (s *AffinityState) patchFinalF(m *sparse.CSR, src, seed *mat.Dense, frontier []int, nb int) float64 {
-	a := 1 - s.alpha
-	blocks := mat.SplitRanges(len(frontier), nb)
-	deltas := make([][]float64, len(blocks))
-	moved := make([]float64, len(blocks))
-	noise := make([]float64, len(blocks))
-	dst := s.finalF()
-	mat.ParallelRanges(len(blocks), len(blocks), func(blo, bhi int) {
-		for w := blo; w < bhi; w++ {
-			part := make([]float64, s.d)
-			buf := make([]float64, s.d)
-			var mv, nz float64
-			for k := blocks[w][0]; k < blocks[w][1]; k++ {
-				i := frontier[k]
-				m.AxpyRowInto(buf, i, a, src, s.alpha, seed.Row(i))
-				old := dst.Row(i)
-				for j, v := range buf {
-					diff := v - old[j]
-					part[j] += diff
-					mv += math.Abs(diff)
-					nz += math.Abs(v) + math.Abs(old[j])
-				}
-				copy(old, buf)
-			}
-			deltas[w], moved[w], noise[w] = part, mv, nz
-		}
-	})
-	var totalMoved, totalNoise float64
-	for w := range deltas {
-		for j, v := range deltas[w] {
-			s.colSums[j] += v
-		}
-		totalMoved += moved[w]
-		totalNoise += noise[w]
-	}
-	var totalSum float64
-	for _, v := range s.colSums {
-		totalSum += v
-	}
-	if totalSum <= 0 {
-		return 0
-	}
-	// Each patched row adds one round-off-prone +=delta per column; the
-	// noise estimate charges one epsilon per unit of magnitude that flowed
-	// through the sums. Advisory only — the drift test measures the real
-	// deviation against freshly-accumulated sums.
-	s.drift += machEps * (totalNoise + totalMoved) / totalSum
-	return totalMoved / totalSum
-}
-
-// patchFinalB patches the last backward level; row sums are row-local, so
-// they are recomputed exactly (left-to-right, matching RowSums) and the
-// backward direction carries no drift at all.
-func (s *AffinityState) patchFinalB(m *sparse.CSR, src, seed *mat.Dense, frontier []int, nb int) {
-	a := 1 - s.alpha
-	dst := s.finalB()
-	mat.ParallelRanges(len(frontier), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := frontier[k]
-			row := dst.Row(i)
-			m.AxpyRowInto(row, i, a, src, s.alpha, seed.Row(i))
-			var sum float64
-			for _, v := range row {
-				sum += v
-			}
-			s.rowSums[i] = sum
 		}
 	})
 }

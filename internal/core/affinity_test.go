@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pane/internal/graph"
+	"pane/internal/mat"
 )
 
 // freshGraphFrom rebuilds g2 from its entry lists so its derived-product
@@ -33,27 +36,40 @@ func randomDelta(rng *rand.Rand, g *graph.Graph, nEdges, nAttrs int) ([]graph.Ed
 	return edges, attrs
 }
 
-// TestAffinityStateMatchesAPMI: a fresh state's materialized affinity must
-// be bit-identical to APMI's output, for t = 1 and deeper recurrences and
-// regardless of worker count.
+// TestAffinityStateMatchesAPMI: a fresh state's levels and row sums are
+// bit-identical to APMI's recurrence, and its materialized affinity — whose
+// column sums come from the block tree rather than one pass down each
+// column — equals APMI's output within PAPMI's tolerance, for t = 1 and
+// deeper recurrences and regardless of worker count.
 func TestAffinityStateMatchesAPMI(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ t, nb int }{{1, 1}, {1, 4}, {3, 1}, {3, 4}} {
 		g := testGraph(rng, 40, 7)
 		p, pt := g.Walk()
 		rr, rc := g.NormalizedAttrs()
-		wantF, wantB := APMI(p, pt, rr, rc, 0.5, tc.t)
 		s := NewAffinityState(g, 0.5, tc.t, tc.nb)
-		gotF, gotB := s.Affinity(tc.nb)
-		for i, v := range wantF.Data {
-			if gotF.Data[i] != v {
-				t.Fatalf("t=%d nb=%d: F differs at %d: %v vs %v", tc.t, tc.nb, i, gotF.Data[i], v)
+		levF, levB := rr, rc
+		for l := 0; l < tc.t; l++ {
+			nf, nbm := mat.New(g.N, g.D), mat.New(g.N, g.D)
+			p.AxpyInto(nf, 0.5, levF, 0.5, rr, 1)
+			pt.AxpyInto(nbm, 0.5, levB, 0.5, rc, 1)
+			levF, levB = nf, nbm
+			if !slices.Equal(s.lf[l].Data, nf.Data) || !slices.Equal(s.lb[l].Data, nbm.Data) {
+				t.Fatalf("t=%d nb=%d: level %d differs from APMI's recurrence", tc.t, tc.nb, l+1)
 			}
 		}
-		for i, v := range wantB.Data {
-			if gotB.Data[i] != v {
-				t.Fatalf("t=%d nb=%d: B differs at %d: %v vs %v", tc.t, tc.nb, i, gotB.Data[i], v)
+		if !slices.Equal(s.rowSums, levB.RowSums()) {
+			t.Fatalf("t=%d nb=%d: row sums differ", tc.t, tc.nb)
+		}
+		wantF, wantB := APMI(p, pt, rr, rc, 0.5, tc.t)
+		gotF, gotB := s.Affinity(tc.nb)
+		for i, v := range wantF.Data {
+			if d := math.Abs(gotF.Data[i] - v); d > 1e-12 {
+				t.Fatalf("t=%d nb=%d: F differs at %d by %v", tc.t, tc.nb, i, d)
 			}
+		}
+		if !slices.Equal(gotB.Data, wantB.Data) {
+			t.Fatalf("t=%d nb=%d: B differs", tc.t, tc.nb)
 		}
 	}
 }
@@ -80,8 +96,9 @@ func TestAffinityRowsMatchFull(t *testing.T) {
 // incremental update, (a) every row outside the reported frontier is
 // bit-identical to the state before the update (the frontier covers the
 // dense diff), and (b) the patched pre-normalization levels and row sums
-// are bit-identical to a state rebuilt from scratch on the updated graph —
-// i.e. the restricted recurrence loses nothing.
+// and the column-sum tree are bit-identical to a state rebuilt from
+// scratch on the updated graph — i.e. the restricted recurrence loses
+// nothing.
 func TestUpdateAffinityFrontierExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
@@ -133,12 +150,8 @@ func TestUpdateAffinityFrontierExact(t *testing.T) {
 			t.Fatalf("trial %d: %d rows changed but frontier reported only %d+%d",
 				trial, frontierRows, up.FrontierF, up.FrontierB)
 		}
-		// Column sums are maintained incrementally: equal to the fresh
-		// accumulation up to float round-off.
-		for j := range s.colSums {
-			if d := math.Abs(s.colSums[j] - full.colSums[j]); d > 1e-12*(1+math.Abs(full.colSums[j])) {
-				t.Fatalf("trial %d: col sum %d drifted %v", trial, j, d)
-			}
+		if !slices.Equal(s.colTree, full.colTree) {
+			t.Fatalf("trial %d: column-sum tree differs from full rebuild", trial)
 		}
 	}
 }
@@ -187,68 +200,51 @@ func TestUpdateAffinityEmptyDelta(t *testing.T) {
 	}
 }
 
-// TestAffinityStateDriftBounded chains 100 random deltas through one
-// state and checks that the incrementally-maintained column sums stay
-// within tolerance of a fresh accumulation, that the reported drift
-// estimate stays sane, and that the materialized affinity stays within
-// tolerance of a cold APMI run on the final graph.
-func TestAffinityStateDriftBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	g := testGraph(rng, 60, 6)
-	s := NewAffinityState(g, 0.5, 2, 2)
-	const chain = 100
-	incr := 0
-	for step := 0; step < chain; step++ {
-		edges, attrs := randomDelta(rng, g, 1+rng.Intn(3), rng.Intn(2))
-		g2, err := g.WithUpdates(edges, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		up, err := UpdateAffinity(s, g2, edges, attrs, 0.9, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !up.Incremental {
-			// Frontier exceeded 90% of n — rebuild, as the engine would.
-			s = NewAffinityState(g2, 0.5, 2, 2)
-		} else {
-			incr++
-		}
-		g = g2
-	}
-	if incr == 0 {
-		t.Fatal("no incremental updates exercised")
-	}
-	const tol = 1e-9
-	fresh := s.finalF().ColSums()
-	for j := range fresh {
-		if d := math.Abs(s.colSums[j] - fresh[j]); d > tol*(1+math.Abs(fresh[j])) {
-			t.Fatalf("col sum %d drifted %v after %d chained deltas", j, d, chain)
-		}
-	}
-	if s.Drift() < 0 || s.Drift() > tol {
-		t.Fatalf("drift estimate %v outside [0, %v]", s.Drift(), tol)
-	}
-	p, pt := g.Walk()
-	rr, rc := g.NormalizedAttrs()
-	wantF, wantB := APMI(p, pt, rr, rc, 0.5, 2)
-	gotF, gotB := s.Affinity(2)
-	for i := range wantF.Data {
-		if d := math.Abs(gotF.Data[i] - wantF.Data[i]); d > tol {
-			t.Fatalf("F[%d] drifted %v from cold APMI", i, d)
-		}
-	}
-	for i := range wantB.Data {
-		if d := math.Abs(gotB.Data[i] - wantB.Data[i]); d > tol {
-			t.Fatalf("B[%d] drifted %v from cold APMI", i, d)
+// TestUpdateAffinityChainEqualsFresh is the property that makes the
+// retained state a function of its graph: along a chain of random edge and
+// attribute deltas, every patched state — levels, column-sum tree and row
+// sums — is bit-identical to NewAffinityState on that step's graph, at any
+// recurrence depth and worker count. 300 nodes make 19 leaves: a tree that
+// is not a power of two, with a partial last block.
+func TestUpdateAffinityChainEqualsFresh(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		for _, nb := range []int{1, 2, 4} {
+			rng := rand.New(rand.NewSource(int64(26 + 10*depth + nb)))
+			g := testGraph(rng, 300, 6)
+			s := NewAffinityState(g, 0.5, depth, nb)
+			const chain = 100
+			for step := 0; step < chain; step++ {
+				edges, attrs := randomDelta(rng, g, 1+rng.Intn(3), rng.Intn(2))
+				g2, err := g.WithUpdates(edges, attrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := UpdateAffinity(s, g2, edges, attrs, 0, nb); err != nil {
+					t.Fatal(err)
+				}
+				g = g2
+				want := NewAffinityState(freshGraphFrom(g), 0.5, depth, 1)
+				label := fmt.Sprintf("t=%d nb=%d step %d", depth, nb, step)
+				for l := range want.lf {
+					if !slices.Equal(s.lf[l].Data, want.lf[l].Data) || !slices.Equal(s.lb[l].Data, want.lb[l].Data) {
+						t.Fatalf("%s: level %d differs from a fresh state", label, l+1)
+					}
+				}
+				if !slices.Equal(s.colTree, want.colTree) {
+					t.Fatalf("%s: column-sum tree differs from a fresh state", label)
+				}
+				if !slices.Equal(s.rowSums, want.rowSums) {
+					t.Fatalf("%s: row sums differ from a fresh state", label)
+				}
+			}
 		}
 	}
 }
 
-// TestRefineRowsFromStateMatchesRefineRowsFrom: with a fresh state (whose
-// materialization equals APMI bit-for-bit), the state-served refinement
-// must equal the matrix-served one exactly, for both the node-only
-// gathered path and the attribute path.
+// TestRefineRowsFromStateMatchesRefineRowsFrom: fed the state's own
+// materialized affinity, the matrix-served refinement must equal the
+// state-served one exactly, for both the node-only gathered path and the
+// attribute path.
 func TestRefineRowsFromStateMatchesRefineRowsFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	g := testGraph(rng, 40, 6)
@@ -258,7 +254,7 @@ func TestRefineRowsFromStateMatchesRefineRowsFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewAffinityState(g, cfg.Alpha, cfg.Iterations(), 2)
-	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), 1)
+	f, b := s.Affinity(1)
 	for _, delta := range []UpdateDelta{
 		{Nodes: []int{2, 5, 17}},
 		{Nodes: []int{4}, Attrs: []int{1, 3}},

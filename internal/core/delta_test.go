@@ -162,20 +162,28 @@ func TestRefineRowsFromLowersObjective(t *testing.T) {
 	}
 }
 
-func TestUpdateEmbeddingRowsValidates(t *testing.T) {
+// TestRefineRowsFromStateRejectsMalformedDelta: the state-served entry
+// point the engine calls fails loudly on duplicate or out-of-range delta
+// rows, like RefineRowsFrom, and accepts a well-formed delta.
+func TestRefineRowsFromStateRejectsMalformedDelta(t *testing.T) {
 	prev, _, _, cfg, g2 := deltaFixture(t, 80)
-	if _, err := UpdateEmbeddingRows(g2, prev, cfg, 1, UpdateDelta{Nodes: []int{g2.N}}); err == nil {
-		t.Fatal("out-of-range node row accepted")
+	s := NewAffinityState(g2, cfg.Alpha, cfg.Iterations(), 2)
+	for name, delta := range map[string]UpdateDelta{
+		"duplicate nodes":   {Nodes: []int{3, 3}},
+		"out-of-range node": {Nodes: []int{g2.N}},
+		"descending attrs":  {Attrs: []int{5, 1}},
+		"out-of-range attr": {Attrs: []int{g2.D}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			RefineRowsFromState(s, prev, cfg, 1, 2, delta)
+		}()
 	}
-	if _, err := UpdateEmbeddingRows(g2, prev, cfg, 1, UpdateDelta{Nodes: []int{3, 3}}); err == nil {
-		t.Fatal("duplicate node row accepted")
-	}
-	if _, err := UpdateEmbeddingRows(g2, prev, cfg, 1, UpdateDelta{Attrs: []int{5, 1}}); err == nil {
-		t.Fatal("descending attribute rows accepted")
-	}
-	if _, err := UpdateEmbeddingRows(g2, prev, cfg, 1, UpdateDelta{Nodes: []int{0, 1}}); err != nil {
-		t.Fatalf("valid delta rejected: %v", err)
-	}
+	RefineRowsFromState(s, prev, cfg, 1, 2, UpdateDelta{Nodes: []int{0, 1}})
 }
 
 // TestTransformedCandidatesRowsMatchesFull: the row-restricted transform

@@ -3,20 +3,19 @@ package core
 import (
 	"fmt"
 
-	"pane/internal/graph"
 	"pane/internal/mat"
 )
 
 // This file implements the paper's future-work direction of §7 ("adapt
 // PANE to time-varying graphs where attributes and node connections
 // change over time") in its natural factorization-solver form: when the
-// graph changes, the affinity matrices are recomputed (APMI is the cheap,
-// O(m·d·t) phase and has no state to reuse), but the expensive solver is
-// *warm-started* from the previous embeddings instead of re-running
-// GreedyInit, since a small graph delta moves the optimum of Equation (4)
-// only slightly. The same greedy-seeding logic that makes cold-start fast
-// (§3.2) makes the previous solution an even better seed after a small
-// change.
+// graph changes, the affinity targets are brought up to date (patched
+// over the delta's frontier in an AffinityState, see affinity.go), and
+// the expensive solver is *warm-started* from the previous embeddings
+// instead of re-running GreedyInit, since a small graph delta moves the
+// optimum of Equation (4) only slightly. The same greedy-seeding logic
+// that makes cold-start fast (§3.2) makes the previous solution an even
+// better seed after a small change.
 
 // RefineFrom continues CCD refinement from an existing embedding against
 // (possibly updated) affinity targets f and b. prev is not mutated. The
@@ -211,61 +210,4 @@ func RefineRowsFromState(st *AffinityState, prev *Embedding, cfg Config, sweeps,
 	stt := warmState(prev, f, b, nb)
 	refineRows(stt, sweeps, nb, delta.Nodes, delta.Attrs)
 	return stt.embedding()
-}
-
-// UpdateEmbeddingRows is the delta-restricted form of UpdateEmbedding: it
-// recomputes the affinity targets for the updated graph but warm-start
-// refines only delta's rows, leaving every other embedding row
-// bit-identical to prev. The same delta doubles as the report consumers
-// need: an index over the previous version can reach this version by
-// refreshing exactly delta's rows (and, when delta touches any attribute
-// row, whatever it derives from Y globally).
-func UpdateEmbeddingRows(g *graph.Graph, prev *Embedding, cfg Config, sweeps int, delta UpdateDelta) (*Embedding, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	if prev.Xf.Rows != g.N || prev.Y.Rows != g.D || prev.K() != cfg.K {
-		return nil, fmt.Errorf("core: UpdateEmbeddingRows shape mismatch: graph %dx%d k=%d vs previous embedding %dx%d k=%d",
-			g.N, g.D, cfg.K, prev.Xf.Rows, prev.Y.Rows, prev.K())
-	}
-	if err := checkRowList(delta.Nodes, g.N, "node"); err != nil {
-		return nil, err
-	}
-	if err := checkRowList(delta.Attrs, g.D, "attribute"); err != nil {
-		return nil, err
-	}
-	nb := cfg.Threads
-	if nb < 1 {
-		nb = 1
-	}
-	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), nb)
-	return RefineRowsFrom(prev, f, b, cfg, sweeps, nb, delta), nil
-}
-
-// UpdateEmbedding re-embeds an updated graph by warm-starting from prev.
-// It recomputes the affinity matrices for the new graph and runs `sweeps`
-// CCD sweeps from the previous solution — typically 1-2 sweeps suffice
-// for small deltas, vs cfg.Iterations() for a cold start. prev must have
-// been trained with the same K and on a graph with the same node and
-// attribute counts (embeddings are positional).
-func UpdateEmbedding(g *graph.Graph, prev *Embedding, cfg Config, sweeps int) (*Embedding, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkGraph(g); err != nil {
-		return nil, err
-	}
-	if prev.Xf.Rows != g.N || prev.Y.Rows != g.D || prev.K() != cfg.K {
-		return nil, fmt.Errorf("core: UpdateEmbedding shape mismatch: graph %dx%d k=%d vs previous embedding %dx%d k=%d",
-			g.N, g.D, cfg.K, prev.Xf.Rows, prev.Y.Rows, prev.K())
-	}
-	nb := cfg.Threads
-	if nb < 1 {
-		nb = 1
-	}
-	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), nb)
-	return RefineFrom(prev, f, b, cfg, sweeps, nb), nil
 }

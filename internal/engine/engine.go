@@ -63,17 +63,15 @@ type Engine struct {
 
 	// affinityThreshold is the frontier fraction at or below which the
 	// model side of an update patches the retained affinity recurrence
-	// state instead of re-running the full APMI recurrence; 0 disables the
-	// retained state entirely (every update recomputes affinity from
-	// scratch, the pre-PR behavior). See WithAffinityThreshold.
+	// state instead of rebuilding it. See WithAffinityThreshold.
 	affinityThreshold float64
 
-	// affState is the retained pre-normalization recurrence state the
-	// incremental model updates patch, valid for exactly affVersion. Both
-	// are guarded by writeMu (apply is the only reader and writer); nil
-	// until the first update lands with the affinity path enabled.
-	affState   *core.AffinityState
-	affVersion uint64
+	// affState is the retained pre-normalization recurrence state of the
+	// current model's graph: patched by every delta-path update, rebuilt
+	// from the graph otherwise, bit-identical either way. Guarded by
+	// writeMu (apply is the only reader and writer); nil until the first
+	// update.
+	affState *core.AffinityState
 
 	// obs, when set, receives one UpdateStats per applied update.
 	obs func(UpdateStats)
@@ -161,13 +159,6 @@ const DefaultRefreshThreshold = 0.2
 // the restricted pass stops paying.
 const DefaultAffinityThreshold = 0.2
 
-// affinityDriftRebuild bounds the retained state's advisory drift
-// estimate (incrementally-maintained column sums accumulate float error
-// across chained deltas). Past it, the next update rebuilds the state
-// from scratch — measured drift over hundreds of chained deltas stays
-// below 1e-9, so this trips only on pathological update streams.
-const affinityDriftRebuild = 1e-6
-
 // Option configures an Engine.
 type Option func(*Engine)
 
@@ -207,18 +198,15 @@ func WithRefreshThreshold(t float64) Option {
 // WithAffinityThreshold sets the frontier fraction (of the node count) at
 // or below which the model side of an incremental update patches the
 // retained affinity recurrence state over the delta's t-hop frontier —
-// O(Δ) instead of the full O(n·d·t) recurrence — and enables the low-rank
-// Gram correction that keeps small attribute deltas off the full
-// link-space rebuild. 0 disables both (every update recomputes affinity
-// from scratch and attribute deltas poison the link space), trading the
-// state's 2·t·n·d float memory retention for the old behavior — the
-// serving escape hatch behind paneserve's -full-affinity. Values outside
-// [0, 1] are a construction error. The affinity path only runs for
-// updates the refresh threshold already routed to the delta path.
+// O(Δ) instead of the full O(n·d·t) recurrence. A larger frontier rebuilds
+// the state from the new graph instead; the bits are the same either way,
+// so the threshold trades time only. Only updates the refresh threshold
+// routed to the delta path patch. Values outside (0, 1] are a
+// construction error.
 func WithAffinityThreshold(t float64) Option {
 	return func(e *Engine) {
-		if t < 0 || t > 1 {
-			e.fail(fmt.Errorf("engine: affinity threshold must be in [0,1], got %v", t))
+		if t <= 0 || t > 1 {
+			e.fail(fmt.Errorf("engine: affinity threshold must be in (0,1], got %v", t))
 			return
 		}
 		e.affinityThreshold = t
@@ -236,15 +224,13 @@ type UpdateStats struct {
 
 	// The ack path by stage, the same observations
 	// pane_update_stage_duration_seconds records (benchexp -exp update
-	// reads them from here): graph merge, affinity, CCD refinement,
-	// scorer, WAL append. AffinitySeconds and CCDSeconds are zero when the
-	// affinity path is disabled — the legacy paths don't separate the two
-	// phases; WALSeconds is zero without a log.
+	// reads them from here): graph merge, WAL append, affinity, CCD
+	// refinement, scorer. WALSeconds is zero without a log.
 	GraphSeconds    float64
+	WALSeconds      float64
 	AffinitySeconds float64
 	CCDSeconds      float64
 	ScorerSeconds   float64
-	WALSeconds      float64
 	// AffinityIncremental reports whether the recurrence was patched over
 	// the delta's frontier (vs re-run in full); AffinityFrontier is the
 	// total frontier size (forward + backward rows re-run).
@@ -450,7 +436,19 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	if err != nil {
 		return nil, err
 	}
-	graphSeconds := e.met.observeStage(stageGraph, t0)
+	stats := UpdateStats{Version: prev.Version + 1, GraphSeconds: e.met.observeStage(stageGraph, t0)}
+	// Write-ahead, as soon as the delta is known to apply: it must be
+	// durable under the log's sync policy before the version it produces
+	// exists anywhere. A refused or torn append returns here with nothing
+	// touched, the retained affinity state included; nothing after it can
+	// fail.
+	if w := e.wal.Load(); w != nil {
+		t0 = time.Now()
+		if err := w.Append(wal.Record{Version: stats.Version, Epoch: ep, Edges: edges, Attrs: attrs}); err != nil {
+			return nil, err
+		}
+		stats.WALSeconds = e.met.observeStage(stageWAL, t0)
+	}
 	// The update's row delta: exactly the node and attribute rows whose
 	// embedding rows a restricted warm start would move. Small deltas take
 	// the delta path — restricted sweeps leave every untouched row
@@ -461,87 +459,55 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	incremental := thr > 0 &&
 		float64(len(touched.Nodes)) <= thr*float64(g.N) &&
 		float64(len(touched.Attrs)) <= thr*float64(g.D)
-	var (
-		emb   *core.Embedding
-		affUp core.AffinityUpdate
-		stats = UpdateStats{
-			Version: prev.Version + 1, Incremental: incremental,
-			DirtyNodes: len(touched.Nodes), DirtyAttrs: len(touched.Attrs),
-			GraphSeconds: graphSeconds,
-		}
-	)
-	if e.affinityThreshold > 0 && thr > 0 {
-		// Affinity path: serve the recurrence from the retained state,
-		// patching it over the delta's frontier when the state is current
-		// and the frontier fits the budget, rebuilding it otherwise. The
-		// state is graph-derived only, so a rebuilt state is valid for any
-		// later delta regardless of how this update refines the embedding.
-		t0 = time.Now()
-		st := e.affState
-		stale := st == nil || e.affVersion != prev.Version ||
-			st.Drift() > affinityDriftRebuild || !incremental
-		if !stale {
-			affUp, err = core.UpdateAffinity(st, g, edges, attrs, e.affinityThreshold, threads(prev.Cfg))
-			if err != nil {
-				return nil, err
-			}
-			stale = !affUp.Incremental
-		}
-		if stale {
-			st = core.NewAffinityState(g, prev.Cfg.Alpha, prev.Cfg.Iterations(), threads(prev.Cfg))
-			e.met.affPassFull.Inc()
-		} else {
-			e.met.affPassIncr.Inc()
-		}
-		e.affState, e.affVersion = st, prev.Version+1
-		e.met.affFrontier.Set(float64(affUp.FrontierF + affUp.FrontierB))
-		e.met.affDrift.Set(st.Drift())
-		stats.AffinitySeconds = e.met.observeStage(stageAffinity, t0)
-		if stale {
-			e.met.affDurFull.ObserveSeconds(stats.AffinitySeconds)
-		} else {
-			e.met.affDurIncr.ObserveSeconds(stats.AffinitySeconds)
-		}
-		stats.AffinityIncremental = !stale
-		stats.AffinityFrontier = affUp.FrontierF + affUp.FrontierB
-		t0 = time.Now()
-		if incremental {
-			emb = core.RefineRowsFromState(st, prev.Emb, prev.Cfg, e.sweeps, threads(prev.Cfg), touched)
-		} else {
-			f, b := st.Affinity(threads(prev.Cfg))
-			emb = core.RefineFrom(prev.Emb, f, b, prev.Cfg, e.sweeps, threads(prev.Cfg))
-		}
-		stats.CCDSeconds = e.met.observeStage(stageCCD, t0)
-		e.met.ccdDur.ObserveSeconds(stats.CCDSeconds)
-	} else if incremental {
-		emb, err = core.UpdateEmbeddingRows(g, prev.Emb, prev.Cfg, e.sweeps, touched)
-	} else {
-		emb, err = core.UpdateEmbedding(g, prev.Emb, prev.Cfg, e.sweeps)
+	stats.Incremental = incremental
+	stats.DirtyNodes, stats.DirtyAttrs = len(touched.Nodes), len(touched.Attrs)
+	// Affinity: patch the retained state over the delta's frontier, or
+	// rebuild it from g when there is none yet, the frontier is over
+	// budget, or the update takes the full path. The state is a function
+	// of g alone, so both arms leave the same bits.
+	nb := threads(prev.Cfg)
+	t0 = time.Now()
+	st := e.affState
+	var affUp core.AffinityUpdate
+	if st != nil && incremental {
+		// An error (the range checks WithUpdates has already passed)
+		// leaves the state untouched and Incremental false: rebuild.
+		affUp, _ = core.UpdateAffinity(st, g, edges, attrs, e.affinityThreshold, nb)
 	}
-	if err != nil {
-		return nil, err
+	if !affUp.Incremental {
+		st = core.NewAffinityState(g, prev.Cfg.Alpha, prev.Cfg.Iterations(), nb)
+		e.affState = st
+	}
+	stats.AffinitySeconds = e.met.observeStage(stageAffinity, t0)
+	stats.AffinityIncremental = affUp.Incremental
+	stats.AffinityFrontier = affUp.FrontierF + affUp.FrontierB
+	e.met.affFrontier.Set(float64(stats.AffinityFrontier))
+	if affUp.Incremental {
+		e.met.affPassIncr.Inc()
+		e.met.affDurIncr.ObserveSeconds(stats.AffinitySeconds)
+	} else {
+		e.met.affPassFull.Inc()
+		e.met.affDurFull.ObserveSeconds(stats.AffinitySeconds)
 	}
 	t0 = time.Now()
+	var emb *core.Embedding
+	if incremental {
+		emb = core.RefineRowsFromState(st, prev.Emb, prev.Cfg, e.sweeps, nb, touched)
+	} else {
+		f, b := st.Affinity(nb)
+		emb = core.RefineFrom(prev.Emb, f, b, prev.Cfg, e.sweeps, nb)
+	}
+	stats.CCDSeconds = e.met.observeStage(stageCCD, t0)
+	e.met.ccdDur.ObserveSeconds(stats.CCDSeconds)
+	t0 = time.Now()
 	next := &Model{
-		Version: prev.Version + 1,
+		Version: stats.Version,
 		Cfg:     prev.Cfg,
 		Graph:   g,
 		Emb:     emb,
 		Scorer:  prev.Scorer.For(emb),
 	}
 	stats.ScorerSeconds = e.met.observeStage(stageScorer, t0)
-	// Write-ahead: the update's delta must be durable under the log's
-	// sync policy before the version it produced becomes visible. On
-	// append failure nothing publishes — the caller sees the error and
-	// the model stays at prev (the retained affinity state self-heals:
-	// its version no longer matches, so the next update rebuilds it).
-	if w := e.wal.Load(); w != nil {
-		t0 = time.Now()
-		if err := w.Append(wal.Record{Version: next.Version, Epoch: ep, Edges: edges, Attrs: attrs}); err != nil {
-			return nil, err
-		}
-		stats.WALSeconds = e.met.observeStage(stageWAL, t0)
-	}
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))
 	if incremental {
@@ -564,14 +530,14 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		rows = touched.Rows()
 		if len(touched.Attrs) > 0 {
 			// An attribute delta moves Y rows and with them G = YᵀY — every
-			// link candidate row shifts. When the affinity path is on and
-			// the delta is low-rank relative to the space (2·|Δattrs| <
-			// k/2), ship the correction Z += Xb·ΔG instead of poisoning the
-			// link space into full rebuilds: the restricted refinement moved
-			// exactly touched.Attrs' Y rows, so the correction plus exact
+			// link candidate row shifts. When the delta is low-rank relative
+			// to the space (2·|Δattrs| < k/2), ship the correction
+			// Z += Xb·ΔG instead of poisoning the link space into full
+			// rebuilds: the restricted refinement moved exactly
+			// touched.Attrs' Y rows, so the correction plus exact
 			// recomputation of the dirty node rows reproduces the new
 			// candidate matrix up to float round-off.
-			if gd := e.gramFor(prev.Emb, emb, touched.Attrs); gd != nil {
+			if gd := gramFor(prev.Emb, emb, touched.Attrs); gd != nil {
 				d.grams = []*core.GramDelta{gd}
 				stats.GramCorrection = true
 				e.met.gram.Inc()
@@ -598,12 +564,11 @@ func threads(cfg core.Config) int {
 }
 
 // gramFor builds the low-rank link-space correction for an attribute
-// delta, or nil when the correction doesn't apply: the affinity path is
-// off, or the delta's rank bound 2·|Δattrs| reaches the factor width k/2
-// (at which point correcting every row costs as much as the full
+// delta, or nil when the delta's rank bound 2·|Δattrs| reaches the factor
+// width k/2 (at which point correcting every row costs as much as the full
 // transform it replaces).
-func (e *Engine) gramFor(prevEmb, emb *core.Embedding, attrs []int) *core.GramDelta {
-	if e.affinityThreshold <= 0 || 2*len(attrs) >= emb.Y.Cols {
+func gramFor(prevEmb, emb *core.Embedding, attrs []int) *core.GramDelta {
+	if 2*len(attrs) >= emb.Y.Cols {
 		return nil
 	}
 	gd, err := core.NewGramDelta(prevEmb.Y, emb.Y, attrs)
@@ -616,9 +581,6 @@ func (e *Engine) gramFor(prevEmb, emb *core.Embedding, attrs []int) *core.GramDe
 // AffinityStatus reports the model-side incremental-update state for
 // monitoring (served under healthz next to the index status).
 type AffinityStatus struct {
-	// Enabled reports whether updates retain and patch the affinity
-	// recurrence state (affinity and refresh thresholds both non-zero).
-	Enabled bool `json:"enabled"`
 	// Threshold is the frontier fraction budget in effect.
 	Threshold float64 `json:"threshold"`
 	// Incremental / Full count updates whose recurrence was patched over
@@ -628,9 +590,6 @@ type AffinityStatus struct {
 	// FrontierRows is the most recent update's total frontier size (the
 	// forward plus backward rows whose recurrence was re-run).
 	FrontierRows uint64 `json:"affinity_frontier_rows"`
-	// Drift is the retained state's advisory column-sum drift estimate;
-	// past the internal rebuild bound the next update rebuilds the state.
-	Drift float64 `json:"drift"`
 	// GramCorrections counts attribute updates served through the
 	// low-rank link-space correction instead of full rebuilds.
 	GramCorrections uint64 `json:"gram_corrections"`
@@ -640,12 +599,10 @@ type AffinityStatus struct {
 // from the same obs handles GET /metrics exposes.
 func (e *Engine) AffinityStatus() AffinityStatus {
 	return AffinityStatus{
-		Enabled:         e.affinityThreshold > 0 && e.refreshThreshold > 0,
 		Threshold:       e.affinityThreshold,
 		Incremental:     e.met.affPassIncr.Value(),
 		Full:            e.met.affPassFull.Value(),
 		FrontierRows:    uint64(e.met.affFrontier.Value()),
-		Drift:           e.met.affDrift.Value(),
 		GramCorrections: e.met.gram.Value(),
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 func TestFenceRefusesWritesKeepsReads(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := Open(trainBase(t, dir), WithAffinityThreshold(0))
+	eng, err := Open(trainBase(t, dir), patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFenceRefusesWritesKeepsReads(t *testing.T) {
 
 func TestPromoteAdvancesEpochAndStampsWAL(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := Open(trainBase(t, dir), WithAffinityThreshold(0))
+	eng, err := Open(trainBase(t, dir), patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestApplyRecordEpochSemantics(t *testing.T) {
 
 	// A leader across a promotion produces the record stream a follower
 	// replays: epochs [0, 0, 2, 2].
-	leader, err := Open(base, WithAffinityThreshold(0))
+	leader, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestApplyRecordEpochSemantics(t *testing.T) {
 
 	// A follower replaying the stream adopts the new epoch mid-stream and
 	// converges bit-identically.
-	follower, err := Open(base, WithAffinityThreshold(0))
+	follower, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}

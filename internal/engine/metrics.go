@@ -26,7 +26,6 @@ type engineMetrics struct {
 	ccdDur       *obs.Histogram
 	updStage     [nUpdateStages]*obs.Histogram // the ack path, stage by stage
 	affFrontier  *obs.Gauge
-	affDrift     *obs.Gauge
 	gram         *obs.Counter
 	modelVersion *obs.Gauge
 
@@ -69,14 +68,14 @@ type engineMetrics struct {
 // The stages of one update's ack path, in order; see observeStage.
 const (
 	stageGraph = iota
+	stageWAL
 	stageAffinity
 	stageCCD
 	stageScorer
-	stageWAL
 	nUpdateStages
 )
 
-var updateStageNames = [nUpdateStages]string{"graph", "affinity", "ccd", "scorer", "wal"}
+var updateStageNames = [nUpdateStages]string{"graph", "wal", "affinity", "ccd", "scorer"}
 
 // observeStage records the time since start as one observation of an
 // update stage and returns it in seconds, for UpdateStats — one stopwatch
@@ -121,8 +120,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"CCD refinement wall time per update."),
 		affFrontier: reg.Gauge("pane_update_affinity_frontier_rows",
 			"Total frontier rows (forward + backward) of the most recent affinity patch."),
-		affDrift: reg.Gauge("pane_update_affinity_drift",
-			"Advisory drift estimate of the retained affinity state."),
 		gram: reg.Counter("pane_update_gram_corrections_total",
 			"Attribute updates served through the low-rank Gram correction instead of a full link-space rebuild."),
 		modelVersion: reg.Gauge("pane_model_version",
@@ -151,7 +148,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	}
 	for st, name := range updateStageNames {
 		m.updStage[st] = reg.Histogram("pane_update_stage_duration_seconds",
-			"Wall time of one update's ack path by stage: graph merge, affinity, CCD refinement, scorer, WAL append.",
+			"Wall time of one update's ack path by stage: graph merge, WAL append, affinity, CCD refinement, scorer.",
 			obs.L("stage", name))
 	}
 	for l := range backends {

@@ -15,15 +15,14 @@ import (
 // replication surfaces built on it. The contract, both directions:
 //
 //   - Leader: every applied update appends its delta (tagged with the
-//     version it produced) to the log *before* the version publishes
-//     (see applyLocked). A snapshot compacts the log up to the version
-//     the written bundle recorded.
+//     version it produced) to the log as soon as the graph accepts it,
+//     before the model side moves (see applyLocked). A snapshot compacts
+//     the log up to the version the written bundle recorded.
 //   - Recovery / followers: a model at version V advanced by replaying
 //     records V+1, V+2, ... through ApplyRecord reproduces the exact
-//     update stream — with the retained-affinity path disabled
-//     (WithAffinityThreshold(0)) the result is bit-identical to the
-//     uncrashed writer; with it enabled, identical up to the documented
-//     ~1e-12 column-sum rounding drift of the patched recurrence state.
+//     update stream, bit for bit: the retained affinity state is a
+//     function of the graph alone, so the one a restart or a follower
+//     rebuilds equals the one the uncrashed writer patched.
 
 // AttachWAL replays any log records past the engine's current version
 // (so a restarted writer resumes exactly where the crashed one durably
@@ -164,7 +163,7 @@ func (e *Engine) LoadBundle(b *store.Bundle) error {
 	}
 	// The retained affinity state described the replaced graph; drop it
 	// so the next update rebuilds from the new one.
-	e.affState, e.affVersion = nil, 0
+	e.affState = nil
 	e.restored.Store(restoredFrom(b))
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))

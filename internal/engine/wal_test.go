@@ -7,9 +7,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"pane/internal/core"
+	"pane/internal/datagen"
 	"pane/internal/graph"
 	"pane/internal/store"
 	"pane/internal/wal"
@@ -64,13 +67,18 @@ func snapshotBytes(t *testing.T, eng *Engine) []byte {
 	return data
 }
 
-// trainBase trains the deterministic-path engine (the retained-affinity
-// state is exact only to rounding drift, so bit-identity tests disable
-// it) and snapshots its version-1 bundle to a file both the golden and
-// crashed runs restore from.
+// patching returns extra plus the thresholds that put running-example
+// updates on the patched update path: a one-edge delta is 2 of its 6 rows,
+// past both defaults.
+func patching(extra ...Option) []Option {
+	return append([]Option{WithRefreshThreshold(1), WithAffinityThreshold(1)}, extra...)
+}
+
+// trainBase trains the running example and snapshots its version-1 bundle
+// to a file both the golden and crashed runs restore from.
 func trainBase(t *testing.T, dir string) string {
 	t.Helper()
-	eng, err := Train(graph.RunningExample(), testConfig(), WithAffinityThreshold(0))
+	eng, err := Train(graph.RunningExample(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestWALCrashRecovery(t *testing.T) {
 
 	// Golden run: no crash, snapshot bytes captured at every version.
 	golden := map[uint64][]byte{}
-	gold, err := Open(base, WithAffinityThreshold(0))
+	gold, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := Open(base, WithAffinityThreshold(0))
+	leader, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +128,9 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(snapshotBytes(t, leader), golden[leader.Version()]) {
 		t.Fatal("logged and unlogged writers diverge before any crash")
+	}
+	if as := leader.AffinityStatus(); as.Incremental == 0 {
+		t.Fatalf("the writer never patched its affinity state: %+v", as)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -170,7 +181,7 @@ func TestWALCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		eng, err := Open(base, WithAffinityThreshold(0))
+		eng, err := Open(base, patching()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +241,7 @@ func TestSnapshotCompactionRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := Open(base, WithAffinityThreshold(0))
+	leader, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestSnapshotCompactionRace(t *testing.T) {
 	if err := store.SaveBundleFile(snap, b); err != nil {
 		t.Fatal(err)
 	}
-	check, err := Open(snap, WithAffinityThreshold(0))
+	check, err := Open(snap, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +321,7 @@ func TestSnapshotCompactionRace(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	final, err := Open(lastSnap, WithAffinityThreshold(0))
+	final, err := Open(lastSnap, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +349,7 @@ func TestAttachWALEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer behind.Close()
-	leader, err := Open(base, WithAffinityThreshold(0))
+	leader, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +374,7 @@ func TestAttachWALEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restarted, err := Open(snap, WithAffinityThreshold(0)) // version 5
+	restarted, err := Open(snap, patching()...) // version 5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +398,7 @@ func TestAttachWALEdgeCases(t *testing.T) {
 	if err := gapped.Append(wal.Record{Version: 9, Edges: []graph.Edge{{Src: 0, Dst: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Open(base, WithAffinityThreshold(0))
+	fresh, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +419,7 @@ func TestWALAppendFailureDoesNotPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Open(base, WithAffinityThreshold(0))
+	eng, err := Open(base, patching()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +444,7 @@ func TestLoadBundle(t *testing.T) {
 	// Identical index configs on both sides: the bit-identity claim is
 	// between matching serving paths.
 	idx := WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2})
-	leader, err := Open(base, WithAffinityThreshold(0), idx)
+	leader, err := Open(base, patching(idx)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +452,7 @@ func TestLoadBundle(t *testing.T) {
 		applyWALUpdate(t, leader, i)
 	}
 
-	follower, err := Open(base, WithAffinityThreshold(0), idx)
+	follower, err := Open(base, patching(idx)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +529,7 @@ func TestUpdateStagesOneSetOfBooks(t *testing.T) {
 	}
 	var sums [nUpdateStages]float64
 	for _, s := range got {
-		for st, sec := range [nUpdateStages]float64{s.GraphSeconds, s.AffinitySeconds, s.CCDSeconds, s.ScorerSeconds, s.WALSeconds} {
+		for st, sec := range [nUpdateStages]float64{s.GraphSeconds, s.WALSeconds, s.AffinitySeconds, s.CCDSeconds, s.ScorerSeconds} {
 			// Reusing G takes tens of nanoseconds; a coarse clock may read 0.
 			if sec < 0 || (sec == 0 && st != stageScorer) {
 				t.Fatalf("update v%d: stage %q not timed: %+v", s.Version, updateStageNames[st], s)
@@ -532,5 +543,85 @@ func TestUpdateStagesOneSetOfBooks(t *testing.T) {
 			t.Fatalf("stage %q: histogram holds %d observations summing to %.9fs, observers saw %d summing to %.9fs",
 				updateStageNames[st], h.Count(), h.Sum(), len(got), sums[st])
 		}
+	}
+}
+
+// TestRestartEqualsNeverCrashed holds the spine on the production update
+// path: a writer restarted from a mid-stream bundle and its log ends bit
+// for bit where the writer that never crashed does. The restarted engine
+// replays the records onto an affinity state rebuilt from the bundle's
+// graph; the live one patched its state over every update since training.
+func TestRestartEqualsNeverCrashed(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{
+		Name: "restart", N: 2000, AvgOutDeg: 6, D: 40, AttrsPer: 4, Communities: 20, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	log, err := wal.Open(walDir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Train(g, core.Config{K: 16, Alpha: 0.5, Eps: 0.25, Threads: 2, Seed: 3}, patching()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	const updates, snapAt = 60, 20
+	snap := filepath.Join(dir, "mid.pane")
+	rng := rand.New(rand.NewSource(5))
+	for i := 1; i <= updates; i++ {
+		if i%4 == 0 {
+			_, err = live.ApplyAttrs([]graph.AttrEntry{{Node: rng.Intn(g.N), Attr: rng.Intn(g.D), Weight: 0.5}})
+		} else {
+			_, err = live.ApplyEdges([]graph.Edge{
+				{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}, {Src: rng.Intn(g.N), Dst: rng.Intn(g.N)},
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == snapAt {
+			if _, err := live.Snapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if as := live.AffinityStatus(); as.Full != 1 || as.Incremental != updates-1 {
+		t.Fatalf("live writer affinity passes %+v, want 1 full and %d patched", as, updates-1)
+	}
+
+	restarted, err := Open(snap, patching()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relog, err := wal.Open(walDir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relog.Close()
+	if err := restarted.AttachWAL(relog); err != nil {
+		t.Fatal(err)
+	}
+	if restarted.Version() != live.Version() {
+		t.Fatalf("restarted at v%d, live writer at v%d", restarted.Version(), live.Version())
+	}
+	want, got := live.Model().Emb, restarted.Model().Emb
+	differ := 0
+	for v := 0; v < g.N; v++ {
+		if !slices.Equal(want.Xf.Row(v), got.Xf.Row(v)) || !slices.Equal(want.Xb.Row(v), got.Xb.Row(v)) {
+			differ++
+		}
+	}
+	if differ > 0 || !slices.Equal(want.Y.Data, got.Y.Data) {
+		t.Fatalf("restart diverges from the never-crashed writer: %d of %d node rows differ, Y equal = %v",
+			differ, g.N, slices.Equal(want.Y.Data, got.Y.Data))
 	}
 }

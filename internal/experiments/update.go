@@ -215,7 +215,6 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 		opts := append([]engine.Option{
 			engine.WithIndex(idxCfg),
 			engine.WithRefreshThreshold(threshold),
-			engine.WithAffinityThreshold(threshold),
 		}, extra...)
 		eng, err := engine.New(g, emb, cfg, opts...)
 		return eng, time.Since(t0).Seconds(), err
@@ -224,7 +223,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	engIncr, _, err := build(1, engine.WithUpdateObserver(func(s engine.UpdateStats) {
+	engIncr, _, err := build(1, engine.WithAffinityThreshold(1), engine.WithUpdateObserver(func(s engine.UpdateStats) {
 		lastStats = s
 	}))
 	if err != nil {
@@ -374,7 +373,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := sameScored(mode, u, want.Results, got.Results); err != nil {
+			if err := sameScored("refreshed "+mode, u, want.Results, got.Results); err != nil {
 				return nil, err
 			}
 		}
@@ -386,7 +385,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sameScored("ivf full-probe", u, exact.Results, probeAll.Results); err != nil {
+		if err := sameScored("refreshed ivf full-probe", u, exact.Results, probeAll.Results); err != nil {
 			return nil, err
 		}
 	}
@@ -504,12 +503,12 @@ func deltaSizes(points []UpdatePoint) []int {
 
 func sameScored(label string, u int, want, got []core.Scored) error {
 	if len(want) != len(got) {
-		return fmt.Errorf("experiments: refreshed index diverges (%s, u=%d): %d results vs %d",
+		return fmt.Errorf("experiments: %s top-k of u=%d diverges: %d results vs %d",
 			label, u, len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			return fmt.Errorf("experiments: refreshed index diverges (%s, u=%d, rank %d): %v != %v",
+			return fmt.Errorf("experiments: %s top-k of u=%d diverges at rank %d: %v != %v",
 				label, u, i, got[i], want[i])
 		}
 	}

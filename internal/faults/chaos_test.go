@@ -30,7 +30,10 @@ import (
 
 func chaosEngineOpts() []engine.Option {
 	return []engine.Option{
-		engine.WithAffinityThreshold(0), // bit-identity needs the deterministic path
+		// A one-edge delta is 2 of the running example's 6 rows: these
+		// put every update on the patched path.
+		engine.WithRefreshThreshold(1),
+		engine.WithAffinityThreshold(1),
 		engine.WithIndex(engine.IndexConfig{IVF: true, NList: 2, NProbe: 2}),
 	}
 }
@@ -239,6 +242,9 @@ func TestChaosLeaderKillPromotion(t *testing.T) {
 	if r1.Engine().Epoch() != 1 {
 		t.Fatalf("survivor epoch = %d, want 1", r1.Engine().Epoch())
 	}
+	if as := r1.Engine().AffinityStatus(); as.Incremental == 0 {
+		t.Fatalf("survivor never patched its affinity state: %+v", as)
+	}
 	cancel()
 	assertConverged(t, r0.Engine(), r1.Engine())
 
@@ -334,6 +340,12 @@ func TestChaosFaultyDiskLeader(t *testing.T) {
 	want := leader.Version()
 	if want != 9 {
 		t.Fatalf("leader at v%d, want 9 (8 applied updates)", want)
+	}
+	// The torn write and the refused fsync failed before the affinity
+	// stage: only the first update rebuilt the state, every later one
+	// patched it.
+	if as := leader.AffinityStatus(); as.Full != 1 || as.Incremental != 7 {
+		t.Fatalf("leader affinity passes %+v, want 1 full and 7 patched", as)
 	}
 
 	// A follower replays the whole stream to bit-identity.

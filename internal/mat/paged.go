@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // PageRows is the number of rows per copy-on-write page, for Paged here
 // and for sparse.CSR. It is a constant, not a setting: an update copies
@@ -19,9 +16,6 @@ const PageRows = 16
 // remainder. A new version (WithRows) copies the page slice and the pages
 // it writes, and shares every other page with its parent, which stays bit
 // for bit what it was for the readers still holding it.
-// A page's capacity reaches over the pages after it while they are the
-// same memory (up to the first one a WithRows replaced), so Run can hand
-// a scan a stretch of many pages as one slice.
 type Paged struct {
 	Rows, Cols int
 	pages      [][]float64
@@ -33,7 +27,7 @@ func Page(m *Dense) *Paged {
 	p := &Paged{Rows: m.Rows, Cols: m.Cols, pages: make([][]float64, (m.Rows+PageRows-1)/PageRows)}
 	for k := range p.pages {
 		lo, hi := k*PageRows, min((k+1)*PageRows, m.Rows)
-		p.pages[k] = m.Data[lo*m.Cols : hi*m.Cols : m.Rows*m.Cols]
+		p.pages[k] = m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]
 	}
 	return p
 }
@@ -42,17 +36,6 @@ func Page(m *Dense) *Paged {
 func (p *Paged) Row(i int) []float64 {
 	r := i % PageRows
 	return p.pages[i/PageRows][r*p.Cols : (r+1)*p.Cols]
-}
-
-// Run returns rows [i, i+n) as one slice, for the largest n <= hi-i that
-// lies in one piece of memory.
-func (p *Paged) Run(i, hi int) (rows []float64, n int) {
-	pg, off := p.pages[i/PageRows], i%PageRows*p.Cols
-	n = hi - i
-	if p.Cols > 0 {
-		n = min(n, (cap(pg)-off)/p.Cols)
-	}
-	return pg[off : off+n*p.Cols], n
 }
 
 // Pages returns the row pages in order, shared; concatenated they are the
@@ -83,11 +66,7 @@ func (p *Paged) WithRows(ids []int, rows *Dense) *Paged {
 	for j, i := range ids {
 		k := i / PageRows
 		if out.SamePage(p, k) {
-			out.pages[k] = slices.Clip(append([]float64(nil), p.pages[k]...))
-			// The pages before it no longer run on into this one.
-			for q := k - 1; q >= 0 && cap(out.pages[q]) > (k-q)*PageRows*p.Cols; q-- {
-				out.pages[q] = out.pages[q][: len(out.pages[q]) : (k-q)*PageRows*p.Cols]
-			}
+			out.pages[k] = append([]float64(nil), p.pages[k]...)
 		}
 		r := i % PageRows
 		copy(out.pages[k][r*p.Cols:(r+1)*p.Cols], rows.Row(j))

@@ -15,16 +15,6 @@ func pagedEqual(p *Paged, d *Dense) bool {
 		if !slices.Equal(p.Row(i), d.Row(i)) {
 			return false
 		}
-		// A run from row i is the matrix's rows from i on, however many
-		// pages it crosses — never a replaced page's old memory — and
-		// stops short of hi only where the memory does.
-		run, n := p.Run(i, d.Rows)
-		if n < 1 || !slices.Equal(run, d.Data[i*d.Cols:(i+n)*d.Cols]) {
-			return false
-		}
-		if i+n < d.Rows && (i+n)%PageRows != 0 {
-			return false
-		}
 	}
 	return slices.Equal(p.Dense().Data, d.Data)
 }
@@ -44,9 +34,6 @@ func TestPagedCopyOnWriteChain(t *testing.T) {
 		want *Dense
 	}
 	versions := []version{{cur, model.Clone()}}
-	if _, reach := cur.Run(3, n); reach != n-3 {
-		t.Fatalf("a freshly wrapped matrix runs %d rows from row 3, want all %d", reach, n-3)
-	}
 	for step := 0; step < 200; step++ {
 		ids := rng.Perm(n)[:1+rng.Intn(6)]
 		rows := randomDense(rng, len(ids), cols)

@@ -96,8 +96,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 that can go up and down (in-flight requests, drift
-// estimates, the current model version). Lock-free via atomic bit
+// Gauge is a float64 that can go up and down (in-flight requests,
+// frontier sizes, the current model version). Lock-free via atomic bit
 // storage; Add is a CAS loop.
 type Gauge struct{ bits atomic.Uint64 }
 

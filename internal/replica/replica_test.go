@@ -15,13 +15,14 @@ import (
 	"pane/internal/wal"
 )
 
-// leaderOpts is the engine configuration both sides run: the
-// deterministic apply path (no retained-affinity rounding drift) plus a
-// small sharded IVF index, so convergence is checked all the way down
-// to the serving backends.
+// leaderOpts is the engine configuration both sides run: the patched
+// update path (a one-edge delta is 2 of the running example's 6 rows, past
+// both default thresholds) plus a small IVF index, so convergence is
+// checked all the way down to the serving backends.
 func leaderOpts() []engine.Option {
 	return []engine.Option{
-		engine.WithAffinityThreshold(0),
+		engine.WithRefreshThreshold(1),
+		engine.WithAffinityThreshold(1),
 		engine.WithIndex(engine.IndexConfig{IVF: true, NList: 2, NProbe: 2}),
 	}
 }

@@ -15,11 +15,11 @@ import (
 )
 
 // walServer builds a WAL-attached leader server over the running
-// example. The affinity path is off so replication tests exercise the
-// deterministic apply path end to end.
+// example, every update on the patched path (a one-edge delta is 2 of its
+// 6 rows, past both default thresholds).
 func walServer(t *testing.T, walOpts wal.Options, srvOpts ...Option) (*Server, *engine.Engine, *wal.Log) {
 	t.Helper()
-	eng := testEngine(t, engine.WithAffinityThreshold(0))
+	eng := testEngine(t, engine.WithRefreshThreshold(1), engine.WithAffinityThreshold(1))
 	log, err := wal.Open(t.TempDir(), walOpts)
 	if err != nil {
 		t.Fatal(err)

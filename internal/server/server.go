@@ -32,8 +32,7 @@
 // model-side counterpart lives under "affinity": "affinity_incremental"
 // and "affinity_full" count recurrence passes by kind,
 // "affinity_frontier_rows" is the frontier size of the most recent
-// incremental pass, "drift" the running column-sum drift estimate of the
-// retained recurrence state, and "gram_corrections" how many attribute
+// incremental pass, and "gram_corrections" how many attribute
 // deltas were absorbed by the low-rank link-space correction instead of
 // a full shard rebuild. "kernels" reports the instruction set each
 // compute kernel dispatches to on this build and host ("generic",

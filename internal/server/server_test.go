@@ -71,7 +71,7 @@ func TestHealthz(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz missing affinity section: %v", body)
 	}
-	if aff["enabled"] != true || aff["affinity_incremental"].(float64) != 0 ||
+	if aff["threshold"].(float64) != engine.DefaultAffinityThreshold || aff["affinity_incremental"].(float64) != 0 ||
 		aff["affinity_full"].(float64) != 0 || aff["affinity_frontier_rows"].(float64) != 0 {
 		t.Fatalf("fresh affinity status: %v", aff)
 	}
