@@ -34,7 +34,7 @@
 // and total speedups the same way the top-k gate does.
 //
 // `-exp kernel` microbenchmarks the five scan kernels (float64 dot, blocked
-// GEMM, int8 dot and its four-query form, fp16 decode-and-accumulate) portable vs
+// GEMM, int8 dot and its row-block form, fp16 decode-and-accumulate) portable vs
 // dispatched at several dims, records what each op dispatched to
 // (generic/avx2/neon), times the training stages built on them at the
 // benchmark fixture's shape (QR, the same-flop GEMM, one CCD node and one

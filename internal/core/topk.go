@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"pane/internal/mat"
@@ -115,6 +116,21 @@ func (t *TopK) Admits(id int, score float64) bool {
 		return true
 	}
 	return t.k > 0 && Better(Scored{ID: id, Score: score}, t.h[0])
+}
+
+// Floor returns the score below which Admits is false: −Inf until k
+// candidates are kept, +Inf for k = 0, the weakest kept score after that.
+// A scan can hold it in a local, test each score against it and reload it
+// after each Offer; a score equal to it still needs Admits, which breaks
+// the tie by id.
+func (t *TopK) Floor() float64 {
+	switch {
+	case len(t.h) < t.k:
+		return math.Inf(-1)
+	case t.k == 0:
+		return math.Inf(1)
+	}
+	return t.h[0].Score
 }
 
 // Len returns the number of candidates currently retained.

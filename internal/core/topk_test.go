@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -126,9 +127,13 @@ func TestTopKAccumulatorMatchesSort(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(rng.Intn(8))
 		}
-		// Offer in a random order: the result must not depend on it.
+		// Offer in a random order: the result must not depend on it. The
+		// floor agrees with Admits on every score off it.
 		acc := NewTopK(k)
 		for _, i := range rng.Perm(n) {
+			if f, s := acc.Floor(), scores[i]; s != f && acc.Admits(i, s) != (s > f) {
+				t.Fatalf("trial %d: floor %v, Admits(%d, %v) = %v", trial, f, i, s, !(s > f))
+			}
 			acc.Offer(i, scores[i])
 		}
 		got := acc.Take()
@@ -220,7 +225,7 @@ func TestTopKTieBreakAscendingID(t *testing.T) {
 func TestTopKZeroAndNegativeK(t *testing.T) {
 	acc := NewTopK(0)
 	acc.Offer(1, 5)
-	if acc.Len() != 0 || len(acc.Take()) != 0 {
+	if acc.Len() != 0 || len(acc.Take()) != 0 || !math.IsInf(acc.Floor(), 1) {
 		t.Fatal("k=0 kept candidates")
 	}
 	acc = NewTopK(-3)

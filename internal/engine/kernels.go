@@ -14,7 +14,7 @@ import (
 func KernelDispatch() map[string]string {
 	m := mat.KernelISAs()
 	m["sq8dot"] = index.DotI8ISA()
-	m["sq8dot4"] = index.DotI8ISA() // its own AVX2 kernel, four sq8dot calls elsewhere
+	m["sq8rows"] = index.DotI8ISA() // its own AVX2 kernel, one sq8dot call a row elsewhere
 	m["fp16dot"] = index.FP16ISA()
 	return m
 }

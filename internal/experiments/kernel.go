@@ -33,7 +33,8 @@ type KernelCell struct {
 	Dim int    `json:"dim"`
 	// Nominal bytes touched per call (inputs + outputs at their storage
 	// width), the numerator of the GB/s columns. For gemm this is the
-	// algorithmic 3·8·d² footprint, not actual cache traffic.
+	// algorithmic 3·8·d² footprint, not actual cache traffic; sq8rows is
+	// timed per row, and counts a row's codes and its int32 sum.
 	Bytes        int     `json:"bytes"`
 	GenericNsOp  float64 `json:"generic_ns_op"`
 	DispatchNsOp float64 `json:"dispatch_ns_op"`
@@ -50,7 +51,7 @@ type KernelCell struct {
 // plus the generic-vs-dispatched timing grid.
 type KernelBench struct {
 	// ISAs records what every kernel dispatched to on the measuring
-	// build and host (engine.KernelDispatch: dot/axpy/gemm/sq8dot/sq8dot4/
+	// build and host (engine.KernelDispatch: dot/axpy/gemm/sq8dot/sq8rows/
 	// fp16dot → generic|avx2|neon).
 	ISAs  map[string]string `json:"isas"`
 	Cells []KernelCell      `json:"cells"`
@@ -134,13 +135,18 @@ func runKernelTrain(seed int64) (*KernelTrain, error) {
 // cannot hoist or eliminate the kernel calls.
 var kernelSink float64
 
+// kernelRunRows is how many rows one sq8rows call scores: the most an int8
+// scan hands the kernel at once.
+const kernelRunRows = 128
+
 // RunKernel times the five scan kernels (float64 dot, blocked GEMM, int8
-// dot, its four-query form, fp16 decode-and-accumulate) at each dim, portable vs
-// dispatched, on deterministic pseudo-random inputs, and the training
-// stages built on them at one fixed shape (KernelTrain). It fails (rather
-// than reporting a meaningless grid) when a dispatched kernel disagrees
-// with its portable twin — the bit-identity contract the index tiers are
-// built on, checked here one more time on the bench's own inputs.
+// dot, its row-block form, fp16 decode-and-accumulate) at each dim,
+// portable vs dispatched, on deterministic pseudo-random inputs, and the
+// training stages built on them at one fixed shape (KernelTrain). It
+// fails (rather than reporting a meaningless grid) when a dispatched
+// kernel disagrees with its portable twin — the bit-identity contract the
+// index tiers are built on, checked here one more time on the bench's own
+// inputs.
 func RunKernel(opt KernelOptions) (*KernelBench, error) {
 	if opt.Dims == nil {
 		opt.Dims = []int{32, 64, 128, 256}
@@ -197,14 +203,12 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			ai[i] = int8(rng.Intn(255) - 127)
 			bi[i] = int8(rng.Intn(255) - 127)
 		}
-		// Four int8 queries for sq8dot4: one row (bi) against four.
-		var qi [4][]int8
-		for q := range qi {
-			qi[q] = make([]int8, d)
-			for i := range qi[q] {
-				qi[q][i] = int8(rng.Intn(255) - 127)
-			}
+		// A run of int8 rows for sq8rows: one query (ai) against them.
+		ri := make([]int8, kernelRunRows*d)
+		for i := range ri {
+			ri[i] = int8(rng.Intn(255) - 127)
 		}
+		ro := make([]int32, kernelRunRows)
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))
 		am := mat.New(d, d)
 		bm := mat.New(d, d)
@@ -223,10 +227,10 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		if g, s := index.DotI8Generic(ai, bi), index.DotI8(ai, bi); g != s {
 			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %d != %d", d, s, g)
 		}
-		s4 := index.DotI8x4(qi[0], qi[1], qi[2], qi[3], bi)
-		for q := range qi {
-			if g := index.DotI8Generic(qi[q], bi); g != s4[q] {
-				return nil, fmt.Errorf("experiments: sq8dot4 dispatch diverges from generic at dim %d product %d: %d != %d", d, q, s4[q], g)
+		index.DotI8Rows(ai, ri, ro)
+		for r, s := range ro {
+			if g := index.DotI8Generic(ai, ri[r*d:(r+1)*d]); g != s {
+				return nil, fmt.Errorf("experiments: sq8rows dispatch diverges from generic at dim %d row %d: %d != %d", d, r, s, g)
 			}
 		}
 		if g, s := index.DotFP16Generic(av, ch), index.DotFP16(av, ch); g != s {
@@ -241,9 +245,10 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			}
 		}
 
-		cell := func(op string, bytes int, generic, dispatch func()) {
-			gNs := measure(generic)
-			sNs := measure(dispatch)
+		// cell times a call of each and reports it per product, per a call.
+		cell := func(op string, bytes, per int, generic, dispatch func()) {
+			gNs := measure(generic) / float64(per)
+			sNs := measure(dispatch) / float64(per)
 			b.Cells = append(b.Cells, KernelCell{
 				Op: op, Dim: d, Bytes: bytes,
 				GenericNsOp: gNs, DispatchNsOp: sNs,
@@ -252,26 +257,26 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 				Speedup:     gNs / sNs,
 			})
 		}
-		cell("dot", 16*d,
+		cell("dot", 16*d, 1,
 			func() { kernelSink += mat.DotGeneric(av, bv) },
 			func() { kernelSink += mat.Dot(av, bv) })
-		cell("gemm", 3*8*d*d,
+		cell("gemm", 3*8*d*d, 1,
 			func() { mat.MulIntoGeneric(dst, am, bm); kernelSink += dst.Data[0] },
 			func() { mat.MulInto(dst, am, bm); kernelSink += dst.Data[0] })
-		cell("sq8dot", 2*d,
+		cell("sq8dot", 2*d, 1,
 			func() { kernelSink += float64(index.DotI8Generic(ai, bi)) },
 			func() { kernelSink += float64(index.DotI8(ai, bi)) })
-		// One call is four products: compare ns/op with four times sq8dot's.
-		cell("sq8dot4", 5*d,
+		// One call scores a run of rows, timed and counted per row: its ns
+		// compare with sq8dot's.
+		cell("sq8rows", d+4, kernelRunRows,
 			func() {
-				kernelSink += float64(index.DotI8Generic(qi[0], bi) + index.DotI8Generic(qi[1], bi) +
-					index.DotI8Generic(qi[2], bi) + index.DotI8Generic(qi[3], bi))
+				for r := range ro {
+					ro[r] = index.DotI8Generic(ai, ri[r*d:(r+1)*d])
+				}
+				kernelSink += float64(ro[0])
 			},
-			func() {
-				s := index.DotI8x4(qi[0], qi[1], qi[2], qi[3], bi)
-				kernelSink += float64(s[0] + s[1] + s[2] + s[3])
-			})
-		cell("fp16dot", 10*d,
+			func() { index.DotI8Rows(ai, ri, ro); kernelSink += float64(ro[0]) })
+		cell("fp16dot", 10*d, 1,
 			func() { kernelSink += index.DotFP16Generic(av, ch) },
 			func() { kernelSink += index.DotFP16(av, ch) })
 	}

@@ -13,8 +13,8 @@ func TestRunKernelSmallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 ops × 2 dims (32 takes sq8dot4's vector kernel, 37 its four-call
-	// path), every cell timed and self-consistent.
+	// 5 ops × 2 dims (32 takes sq8rows' whole steps only, 37 its masked
+	// tail step too), every cell timed and self-consistent.
 	if len(b.Cells) != 10 {
 		t.Fatalf("got %d cells, want 10", len(b.Cells))
 	}
@@ -26,7 +26,7 @@ func TestRunKernelSmallEndToEnd(t *testing.T) {
 			t.Fatalf("cell %s/%d speedup %v inconsistent with timings (want %v)", c.Op, c.Dim, c.Speedup, want)
 		}
 	}
-	for _, op := range []string{"dot", "axpy", "gemm", "sq8dot", "sq8dot4", "fp16dot"} {
+	for _, op := range []string{"dot", "axpy", "gemm", "sq8dot", "sq8rows", "fp16dot"} {
 		if b.ISAs[op] == "" {
 			t.Fatalf("ISAs missing %q: %v", op, b.ISAs)
 		}

@@ -183,12 +183,13 @@ func sameBits(a, b []core.Scored) bool {
 
 // TestCertifiedScanEqualsFullScan holds both float64 cells — flat and
 // inverted, unsharded and in two shards — to the full float64 scan along a
-// 200-step refresh chain, singly and in batches that take the four-query
-// kernel, at a dimension the vector kernels take and one they do not. The
+// 200-step refresh chain, singly and in batches, at dimensions the vector
+// kernels take (16, and 64, the serving width) and one they do not. The
 // matrix carries duplicate rows, zero rows and constant rows, so scores tie
-// exactly and the tie order is on trial too.
+// exactly and the tie order — a bound or score equal to the top-k floor,
+// within and across the kernel's four-row groups — is on trial too.
 func TestCertifiedScanEqualsFullScan(t *testing.T) {
-	for _, dim := range []int{16, 13} {
+	for _, dim := range []int{16, 13, 64} {
 		const rows, cut, steps = 600, 333, 200
 		rng := rand.New(rand.NewSource(int64(dim)))
 		data := mixture(rows, dim, 6, int64(dim)+1)
@@ -298,35 +299,43 @@ func TestCertifiedScanEqualsFullScan(t *testing.T) {
 	}
 }
 
-// TestDotI8x4MatchesDotI8 drives the four-query int8 kernel against four
-// portable dots over every length 0..130 (multiples of 16 take the vector
-// kernel, the rest four dotI8 calls) at shifting offsets of all five
-// operands, with the extreme codes planted at the ends: every sum must be
-// the one dotI8Generic returns.
-func TestDotI8x4MatchesDotI8(t *testing.T) {
+// TestDotI8RowsMatchesDotI8 drives the row-block int8 kernel over every
+// dimension 1..80 and 128 and 130 (16 and up take the vector kernel, a
+// dimension off a multiple of 16 its masked tail step), row counts 0..9
+// and 129 (a count off a multiple of 4 leaves rows to the one-row path,
+// the one a lone dotI8 call takes), and shifting
+// offsets of the query, the rows and the output, with the extreme codes
+// planted at both ends of every vector: every sum must be the one
+// dotI8Generic returns.
+func TestDotI8RowsMatchesDotI8(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	const maxN, maxOff = 130, 4
-	back := make([][]int8, 5)
-	for i := range back {
-		back[i] = make([]int8, maxN+maxOff)
+	const maxOff = 4
+	dims := []int{128, 130}
+	for d := 1; d <= 80; d++ {
+		dims = append(dims, d)
 	}
-	for n := 0; n <= maxN; n++ {
-		for off := 0; off < maxOff; off++ {
-			var v [5][]int8
-			for i := range back {
-				for j := range back[i] {
-					back[i][j] = int8(rng.Intn(256) - 128)
-				}
-				o := (off + i) % maxOff
-				v[i] = back[i][o : o+n]
-				if n > 0 {
-					v[i][0], v[i][n-1] = -128, int8(127-255*(i%2))
+	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 129}
+	for _, dim := range dims {
+		for _, n := range counts {
+			off := rng.Intn(maxOff)
+			qback := make([]int8, dim+maxOff)
+			back := make([]int8, n*dim+maxOff)
+			for _, v := range [][]int8{qback, back} {
+				for j := range v {
+					v[j] = int8(rng.Intn(256) - 128)
 				}
 			}
-			got := dotI8x4(v[0], v[1], v[2], v[3], v[4])
-			for q := range got {
-				if want := dotI8Generic(v[q], v[4]); got[q] != want {
-					t.Fatalf("dotI8x4(n=%d, off=%d) product %d = %d, generic %d", n, off, q, got[q], want)
+			q := qback[off : off+dim]
+			rows := back[(off+1)%maxOff:][:n*dim]
+			q[0], q[dim-1] = -128, 127
+			for r := range n {
+				rows[r*dim], rows[(r+1)*dim-1] = int8(127-255*(r%2)), -128
+			}
+			out := make([]int32, n+maxOff)[(off+2)%maxOff:][:n]
+			dotI8Rows(q, rows, out)
+			for r, got := range out {
+				if want := dotI8Generic(q, rows[r*dim:(r+1)*dim]); got != want {
+					t.Fatalf("dotI8Rows(dim=%d, n=%d, off=%d) row %d = %d, generic %d", dim, n, off, r, got, want)
 				}
 			}
 		}

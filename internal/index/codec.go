@@ -41,13 +41,6 @@ type codec interface {
 	rowBytes(dim int) int
 }
 
-// quadCodec is a codec whose dot kernel has a four-query form: scan4 is
-// scan for four queries at once, reading each row once for the four.
-// Every score is bit for bit the one scan produces.
-type quadCodec interface {
-	scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) int
-}
-
 var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 
 // encodedAs is the codec whose encoding a cell of each codec holds. The
@@ -228,6 +221,16 @@ func (s *span) id(j int) int {
 	return s.base + j
 }
 
+// runRows is how many rows an int8 scan scores per dotI8Rows call, into a
+// buffer on its stack, before it filters them. Each scan holds top's
+// Floor in a local, reloaded after each keep: a row scoring below it is
+// one top would not admit, and skipping it there takes the Admits call
+// off almost every row. A score equal to the floor still goes to Admits,
+// which breaks the tie by id; a NaN fails the test and goes on too. No
+// bound is −Inf (an a of −Inf makes 2⁻⁴⁰·|a| +Inf and the bound NaN), so
+// every non-finite bound still reaches the float64 codec's test.
+const runRows = 128
+
 // keep offers a row that top.Admits to top, unless skip excludes it. Scan loops
 // test the score first (inline) and call keep only for the few rows that
 // pass: skip is a call through a closure and almost no row of a long scan
@@ -319,36 +322,21 @@ func (pq *query) bound(d int32, scale, base float32) float64 {
 
 func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) (scored int) {
 	dim := len(pq.q)
+	var ds [runRows]int32
+	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, s.hi, dim)
-		for x := range n {
-			ub := pq.bound(dotI8(pq.i8, codes[x*dim:(x+1)*dim]), scale[x], base[x])
+		codes, scale, base, n := b.i8Run(j, min(s.hi, j+runRows), dim)
+		dotI8Rows(pq.i8, codes, ds[:n])
+		for x, d := range ds[:n] {
+			ub := pq.bound(d, scale[x], base[x])
+			if ub < floor {
+				continue
+			}
 			if id := s.id(j + x); ub-ub != 0 || top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
 				scored++
 				if score := mat.Dot(pq.q, b.rows.Row(j+x)); top.Admits(id, score) {
 					keep(top, s.skip, id, score)
-				}
-			}
-		}
-		j += n
-	}
-	return scored
-}
-
-func (f64Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) (scored int) {
-	q0, q1, q2, q3 := pqs[0].i8, pqs[1].i8, pqs[2].i8, pqs[3].i8
-	dim := len(q0)
-	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, s.hi, dim)
-		for x := range n {
-			ds := dotI8x4(q0, q1, q2, q3, codes[x*dim:(x+1)*dim])
-			id := s.id(j + x)
-			for i, top := range tops {
-				if ub := pqs[i].bound(ds[i], scale[x], base[x]); ub-ub != 0 || top.Admits(id, ub) {
-					scored++
-					if score := mat.Dot(pqs[i].q, b.rows.Row(j+x)); top.Admits(id, score) {
-						keep(top, skips[i], id, score)
-					}
+					floor = top.Floor()
 				}
 			}
 		}

@@ -21,13 +21,13 @@ import (
 // What stays per query is everything that makes an answer: its prepared
 // form under the codec, its skip, its probe, and one accumulator per unit
 // — the per-unit contributions meet in mergePartials, which applies the
-// int8 codec's survivor cut globally. Each (query, row) score is still
-// the codec's kernel on the same two vectors in the same summation order
-// (four members share each row read through dotI8x4, whose every sum is
-// dotI8's; the float64 codec re-scores a row its int8 bound cannot rule
-// out with mat.Dot, against that member's own running top-k), and top-k
-// under core.Better is independent of how rows are grouped, so a batch
-// member's answer is bit-for-bit the answer it gets alone.
+// int8 codec's survivor cut globally. Each member scans a tile through the
+// same codec scan a single query runs, so each (query, row) score is the
+// same kernel on the same two vectors in the same summation order (the
+// float64 codec re-scores a row its int8 bound cannot rule out with
+// mat.Dot, against that member's own running top-k), and top-k under
+// core.Better is independent of how rows are grouped, so a batch member's
+// answer is bit-for-bit the answer it gets alone.
 //
 // That is also why the batch is not a GEMM, although Q·Zᵀ is what the
 // float64 cells compute: mat.MulInto accumulates each output in
@@ -305,7 +305,6 @@ func (u *unit) walk(ms []member, tops []*core.TopK, b, lo, hi int) {
 	if len(who) > 1 {
 		tile = max(1, tileBytes/rowBytes)
 	}
-	quad, _ := enc.(quadCodec)
 	_, ids := t.lay.block(b)
 	s := span{ids: ids, base: t.base}
 	for s.lo = lo; s.lo < hi; s.lo = s.hi {
@@ -313,19 +312,7 @@ func (u *unit) walk(ms []member, tops []*core.TopK, b, lo, hi int) {
 		if hi-s.lo > tile {
 			s.hi = s.lo + tile
 		}
-		rest := who
-		if quad != nil {
-			for ; len(rest) >= 4; rest = rest[4:] {
-				var qtops [4]*core.TopK
-				var pqs [4]*query
-				var skips [4]func(int) bool
-				for x, i := range rest[:4] {
-					qtops[x], pqs[x], skips[x] = tops[i], &ms[i].query, ms[i].skip
-				}
-				u.reranked += int64(quad.scan4(qtops, &t.blocks[b], pqs, skips, s))
-			}
-		}
-		for _, i := range rest {
+		for _, i := range who {
 			s.skip = ms[i].skip
 			u.reranked += int64(enc.scan(tops[i], &t.blocks[b], &ms[i].query, s))
 		}

@@ -162,4 +162,24 @@ func TestSearchBatchStats(t *testing.T) {
 			t.Fatalf("%s: %d pairs reranked, want %d..%d", tab.Kind(), batch.Reranked, lo, hi)
 		}
 	}
+
+	// The exact cell's books on a fixed-seed matrix, pinned: however the
+	// scan groups its kernel calls, it re-scores the same rows.
+	data = mixture(3000, 64, 8, 93)
+	queries = mixture(32, 64, 8, 94)
+	tab := NewExact(data, 1)
+	qs = make([]BatchQuery, queries.Rows)
+	for i := range qs {
+		qs[i] = BatchQuery{Q: queries.Row(i), K: 10}
+	}
+	out = make([][]core.Scored, len(qs))
+	for _, c := range []struct {
+		members          int
+		scored, reranked int64
+	}{{1, 3000, 265}, {32, 32 * 3000, 8753}} {
+		st := SearchBatch([]*Table{tab}, qs[:c.members], out)
+		if st.RowsScored != c.scored || st.Reranked != c.reranked {
+			t.Fatalf("%d members: %d rows scored, %d reranked; want %d, %d", c.members, st.RowsScored, st.Reranked, c.scored, c.reranked)
+		}
+	}
 }

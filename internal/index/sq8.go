@@ -94,13 +94,14 @@ func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
 }
 
 // dotI8 returns the int32 inner product of two equal-length int8 code
-// vectors — the quantized scan kernel. On amd64 with AVX2 it dispatches
-// to a vectorized implementation (sign-extend to int16 lanes, VPMADDWD
-// pair-accumulate into int32 lanes — 16 multiply-adds per step); the
-// portable path below is 4-way unrolled like mat.Dot. Integer
-// accumulation is exact, so every path returns the identical value —
-// quantized rankings do not depend on the host's instruction set. dim ≤
-// 2¹⁷ cannot overflow int32 (each term is bounded by 2¹⁴).
+// vectors — the quantized kernel, which scans reach through dotI8Rows. On
+// amd64 with AVX2 it dispatches to a vectorized implementation
+// (sign-extend to int16 lanes, VPMADDWD pair-accumulate into int32 lanes —
+// 16 multiply-adds per step); the portable path below is 4-way unrolled
+// like mat.Dot. Integer accumulation is exact, so every path returns the
+// identical value — quantized rankings do not depend on the host's
+// instruction set. dim ≤ 2¹⁷ cannot overflow int32 (each term is bounded
+// by 2¹⁴).
 //
 // The SIMD kernel is what makes SQ8 pay off even when the float matrix
 // is cache-resident: a scalar int8 multiply-add chain is no faster per
@@ -124,26 +125,28 @@ func DotI8(a, b []int8) int32 { return dotI8(a, b) }
 // DotI8Generic exposes the portable kernel the same way.
 func DotI8Generic(a, b []int8) int32 { return dotI8Generic(a, b) }
 
-// dotI8x4 returns dotI8(a0, b), …, dotI8(a3, b), reading b once for the
-// four — the kernel under a batch scan of the int8 codes, where one row
-// meets a block of queries. All five vectors must have the same length.
-// Lengths the vector kernel does not take (not a multiple of 16), and
-// builds without it, make the four dotI8 calls; integer sums are exact,
-// so every path returns the same four values.
-func dotI8x4(a0, a1, a2, a3, b []int8) (out [4]int32) {
-	n := len(b)
-	if len(a0) != n || len(a1) != n || len(a2) != n || len(a3) != n {
-		panic("index: dotI8x4 length mismatch")
+// dotI8Rows writes out[r] = dotI8(q, rows[r·dim:(r+1)·dim]) for every r,
+// dim = len(q): the kernel under every int8 scan, which scores a run of
+// rows per call. With AVX2 it loads the query once for four rows, and
+// pays the call, the horizontal sums and the VZEROUPPER once per call, not
+// once per row. Integer sums are exact, so every path writes the values
+// dotI8 returns.
+func dotI8Rows(q, rows []int8, out []int32) {
+	dim := len(q)
+	if len(rows) != len(out)*dim {
+		panic("index: dotI8Rows length mismatch")
 	}
-	if useDotI8x4SIMD && n >= 16 && n%16 == 0 {
-		dotI8x4SIMD(&a0[0], &a1[0], &a2[0], &a3[0], &b[0], n, &out)
-		return out
+	if useDotI8RowsSIMD && dim >= 16 && len(out) > 0 {
+		dotI8RowsSIMD(&q[0], &rows[0], dim, len(out), &out[0])
+		return
 	}
-	return [4]int32{dotI8(a0, b), dotI8(a1, b), dotI8(a2, b), dotI8(a3, b)}
+	for r := range out {
+		out[r] = dotI8(q, rows[r*dim:(r+1)*dim])
+	}
 }
 
-// DotI8x4 exposes dotI8x4 for the kernel microbenchmark.
-func DotI8x4(a0, a1, a2, a3, b []int8) [4]int32 { return dotI8x4(a0, a1, a2, a3, b) }
+// DotI8Rows exposes dotI8Rows for the kernel microbenchmark.
+func DotI8Rows(q, rows []int8, out []int32) { dotI8Rows(q, rows, out) }
 
 // dotI8Generic is the portable kernel, and the reference the SIMD path
 // is tested against.
@@ -235,31 +238,19 @@ func (pq *query) approx(d int32, scale, base float32) float64 {
 
 func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
 	dim := len(pq.i8)
+	var ds [runRows]int32
+	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, s.hi, dim)
-		for x := range n {
-			score := pq.approx(dotI8(pq.i8, codes[x*dim:(x+1)*dim]), scale[x], base[x])
+		codes, scale, base, n := b.i8Run(j, min(s.hi, j+runRows), dim)
+		dotI8Rows(pq.i8, codes, ds[:n])
+		for x, d := range ds[:n] {
+			score := pq.approx(d, scale[x], base[x])
+			if score < floor {
+				continue
+			}
 			if id := s.id(j + x); top.Admits(id, score) {
 				keep(top, s.skip, id, score)
-			}
-		}
-		j += n
-	}
-	return 0
-}
-
-func (i8Codec) scan4(tops [4]*core.TopK, b *block, pqs [4]*query, skips [4]func(int) bool, s span) int {
-	q0, q1, q2, q3 := pqs[0].i8, pqs[1].i8, pqs[2].i8, pqs[3].i8
-	dim := len(q0)
-	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, s.hi, dim)
-		for x := range n {
-			ds := dotI8x4(q0, q1, q2, q3, codes[x*dim:(x+1)*dim])
-			id := s.id(j + x)
-			for i, top := range tops {
-				if score := pqs[i].approx(ds[i], scale[x], base[x]); top.Admits(id, score) {
-					keep(top, skips[i], id, score)
-				}
+				floor = top.Floor()
 			}
 		}
 		j += n

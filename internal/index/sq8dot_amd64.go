@@ -14,24 +14,23 @@ var useDotI8SIMD = cpuHasAVX2()
 // cpuHasAVX2 is implemented in sq8dot_amd64.s.
 func cpuHasAVX2() bool
 
-// dotI8SIMD computes the int32 inner product of the n int8 values at a
-// and b using AVX2 (16-wide sign-extended multiply-add), with a scalar
-// tail inside the assembly. n must be >= 1; the result is bit-identical
-// to dotI8Generic. Implemented in sq8dot_amd64.s.
-//
-//go:noescape
-func dotI8SIMD(a, b *int8, n int) int32
-
-// useDotI8x4SIMD gates the four-query kernel; it needs what dotI8SIMD
+// useDotI8RowsSIMD gates the row-block kernel; it needs what dotI8SIMD
 // needs.
-var useDotI8x4SIMD = useDotI8SIMD
+var useDotI8RowsSIMD = useDotI8SIMD
 
-// dotI8x4SIMD writes out[q] = aq · b over n int8 values (n a positive
-// multiple of 16), loading b once for the four; every out[q] is
-// bit-identical to dotI8Generic(aq, b). Implemented in sq8dot_amd64.s.
+// dotI8RowsSIMD writes out[r] = q · row r for the n >= 1 rows of dim >= 16
+// int8 values at rows, using AVX2; every out[r] is bit-identical to
+// dotI8Generic. Implemented in sq8dot_amd64.s.
 //
 //go:noescape
-func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32)
+func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32)
+
+// dotI8SIMD computes the int32 inner product of the n >= 16 int8 values
+// at a and b: the row-block kernel on one row.
+func dotI8SIMD(a, b *int8, n int) (d int32) {
+	dotI8RowsSIMD(a, b, n, 1, &d)
+	return d
+}
 
 // DotI8ISA reports the instruction set the quantized int8 dot kernel
 // dispatches to on this build and host.

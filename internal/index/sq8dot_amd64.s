@@ -31,128 +31,141 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func dotI8SIMD(a, b *int8, n int) int32
+// tailMask holds 16 zero int16 lanes, then 16 of all ones. The 16 lanes
+// from lane t on keep the last t of 16 and zero the rest.
+DATA tailMask<>+0(SB)/8, $0
+DATA tailMask<>+8(SB)/8, $0
+DATA tailMask<>+16(SB)/8, $0
+DATA tailMask<>+24(SB)/8, $0
+DATA tailMask<>+32(SB)/8, $-1
+DATA tailMask<>+40(SB)/8, $-1
+DATA tailMask<>+48(SB)/8, $-1
+DATA tailMask<>+56(SB)/8, $-1
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32)
 //
-// Int8 inner product: 16 elements per step are sign-extended to int16
-// lanes (VPMOVSXBW) and pair-multiplied-and-summed into int32 lanes
-// (VPMADDWD), accumulating in Y0; the main loop takes two such steps.
-// Remaining elements run through a scalar loop. Integer addition is
-// exact, so the result is bit-identical to the portable kernel for any
-// lane/accumulation order. Products are bounded by 2^14, so an int32
-// lane holds at least 2^17 accumulated terms — far beyond any embedding
-// width here.
-TEXT ·dotI8SIMD(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	XORL R8, R8           // running sum (int32)
-	CMPQ CX, $16
-	JLT  tail
-	VPXOR Y0, Y0, Y0
+// n int8 inner products of one query with consecutive rows: out[r] =
+// q · rows[r·dim:(r+1)·dim] (n >= 1, dim >= 16). Each 16-element step
+// sign-extends the codes to int16 lanes (VPMOVSXBW) and pair-multiplies
+// and sums them into int32 lanes (VPMADDWD). Rows go four at a time: a
+// step loads the query once (Y4) against the four rows, into one
+// accumulator each (Y0-Y3), and three VPHADDDs fold the four
+// accumulators' lanes into one register of per-row partials per 128-bit
+// half; the halves add and one 16-byte store writes the four sums. The
+// last n mod 4 rows go one at a time, folded by shuffles. The last dim mod
+// 16 elements take one more step over each row's last 16 codes, against
+// the query's last 16 with the lanes already counted zeroed (Y6, masked
+// once for all rows). Integer addition is exact, so every sum is
+// bit-identical to dotI8Generic's, and products are bounded by 2^14, so an
+// int32 lane holds at least 2^17 of them.
+TEXT ·dotI8RowsSIMD(SB), NOSPLIT, $0-40
+	MOVQ q+0(FP), SI
+	MOVQ rows+8(FP), DI
+	MOVQ dim+16(FP), CX
+	MOVQ n+24(FP), BX
+	MOVQ out+32(FP), DX
+	MOVQ CX, R8
+	ANDQ $-16, R8         // elements in whole steps
+	MOVQ CX, R9
+	ANDQ $15, R9          // tail elements
+	LEAQ tailMask<>(SB), R10
+	VMOVDQU (R10)(R9*2), Y7
+	VPMOVSXBW -16(SI)(CX*1), Y6
+	VPAND     Y7, Y6, Y6  // the query's tail, other lanes zero
+	CMPQ BX, $4
+	JLT  one
 
-blk32:
-	CMPQ CX, $32
-	JLT  blk16
-	VPMOVSXBW (SI), Y1
-	VPMOVSXBW (DI), Y2
-	VPMADDWD  Y2, Y1, Y3
-	VPADDD    Y3, Y0, Y0
-	VPMOVSXBW 16(SI), Y1
-	VPMOVSXBW 16(DI), Y2
-	VPMADDWD  Y2, Y1, Y3
-	VPADDD    Y3, Y0, Y0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $32, CX
-	JMP  blk32
-
-blk16:
-	CMPQ CX, $16
-	JLT  hsum
-	VPMOVSXBW (SI), Y1
-	VPMOVSXBW (DI), Y2
-	VPMADDWD  Y2, Y1, Y3
-	VPADDD    Y3, Y0, Y0
-	ADDQ $16, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-
-hsum:
-	// Reduce the 8 int32 lanes of Y0 into R8.
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD  X1, X0, X0
-	VPSHUFD $0x4E, X0, X1 // swap 64-bit halves
-	VPADDD  X1, X0, X0
-	VPSHUFD $0xB1, X0, X1 // swap 32-bit pairs
-	VPADDD  X1, X0, X0
-	VZEROUPPER
-	MOVQ X0, AX
-	ADDL AX, R8
-
-tail:
-	TESTQ CX, CX
-	JZ    done
-
-tloop:
-	MOVBLSX (SI), R9
-	MOVBLSX (DI), R10
-	IMULL   R10, R9
-	ADDL    R9, R8
-	INCQ    SI
-	INCQ    DI
-	DECQ    CX
-	JNZ     tloop
-
-done:
-	MOVL R8, ret+24(FP)
-	RET
-
-// func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32)
-//
-// Four int8 inner products against one row: out[q] = aq · b over n
-// elements (n a positive multiple of 16). Each 16-element step loads the
-// row once (VPMOVSXBW into Y4) and pair-multiplies it against the four
-// queries' sign-extended codes into one int32 accumulator each (Y0-Y3).
-// The three VPHADDDs then fold the four accumulators' lanes into one
-// register of per-query partials per 128-bit half, and the halves add.
-// Integer addition is exact, so out[q] is bit-identical to dotI8(aq, b).
-TEXT ·dotI8x4SIMD(SB), NOSPLIT, $0-56
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), DI
-	MOVQ a2+16(FP), R8
-	MOVQ a3+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ n+40(FP), CX
-	MOVQ out+48(FP), DX
+group:
+	LEAQ (DI)(CX*1), R11  // rows 1, 2 and 3 of the group
+	LEAQ (R11)(CX*1), R12
+	LEAQ (R12)(CX*1), R13
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
 	XORQ  AX, AX
 
-x4loop:
-	VPMOVSXBW (BX)(AX*1), Y4
-	VPMOVSXBW (SI)(AX*1), Y5
+step:
+	VPMOVSXBW (SI)(AX*1), Y4
+	VPMOVSXBW (DI)(AX*1), Y5
 	VPMADDWD  Y5, Y4, Y5
 	VPADDD    Y5, Y0, Y0
-	VPMOVSXBW (DI)(AX*1), Y6
-	VPMADDWD  Y6, Y4, Y6
-	VPADDD    Y6, Y1, Y1
-	VPMOVSXBW (R8)(AX*1), Y7
-	VPMADDWD  Y7, Y4, Y7
-	VPADDD    Y7, Y2, Y2
-	VPMOVSXBW (R9)(AX*1), Y8
-	VPMADDWD  Y8, Y4, Y8
-	VPADDD    Y8, Y3, Y3
+	VPMOVSXBW (R11)(AX*1), Y5
+	VPMADDWD  Y5, Y4, Y5
+	VPADDD    Y5, Y1, Y1
+	VPMOVSXBW (R12)(AX*1), Y5
+	VPMADDWD  Y5, Y4, Y5
+	VPADDD    Y5, Y2, Y2
+	VPMOVSXBW (R13)(AX*1), Y5
+	VPMADDWD  Y5, Y4, Y5
+	VPADDD    Y5, Y3, Y3
 	ADDQ $16, AX
-	CMPQ AX, CX
-	JLT  x4loop
+	CMPQ AX, R8
+	JLT  step
 
+	TESTQ R9, R9
+	JZ    fold
+	VPMOVSXBW -16(DI)(CX*1), Y5
+	VPMADDWD  Y5, Y6, Y5
+	VPADDD    Y5, Y0, Y0
+	VPMOVSXBW -16(R11)(CX*1), Y5
+	VPMADDWD  Y5, Y6, Y5
+	VPADDD    Y5, Y1, Y1
+	VPMOVSXBW -16(R12)(CX*1), Y5
+	VPMADDWD  Y5, Y6, Y5
+	VPADDD    Y5, Y2, Y2
+	VPMOVSXBW -16(R13)(CX*1), Y5
+	VPMADDWD  Y5, Y6, Y5
+	VPADDD    Y5, Y3, Y3
+
+fold:
 	VPHADDD Y1, Y0, Y0 // per half: pair sums of Y0, then of Y1
 	VPHADDD Y3, Y2, Y2 // per half: pair sums of Y2, then of Y3
-	VPHADDD Y2, Y0, Y0 // per half: one partial per query, in order
+	VPHADDD Y2, Y0, Y0 // per half: one partial per row, in order
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD  X1, X0, X0
 	VMOVDQU X0, (DX)
+	ADDQ $16, DX
+	LEAQ (R13)(CX*1), DI  // the next group's first row
+	SUBQ $4, BX
+	CMPQ BX, $4
+	JGE  group
+
+one:
+	TESTQ BX, BX
+	JZ    done
+	VPXOR Y0, Y0, Y0
+	XORQ  AX, AX
+
+onestep:
+	VPMOVSXBW (SI)(AX*1), Y4
+	VPMOVSXBW (DI)(AX*1), Y5
+	VPMADDWD  Y5, Y4, Y5
+	VPADDD    Y5, Y0, Y0
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  onestep
+
+	TESTQ R9, R9
+	JZ    onefold
+	VPMOVSXBW -16(DI)(CX*1), Y5
+	VPMADDWD  Y5, Y6, Y5
+	VPADDD    Y5, Y0, Y0
+
+onefold:
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD  X1, X0, X0
+	VPSHUFD $0x4E, X0, X1 // swap 64-bit halves
+	VPADDD  X1, X0, X0
+	VPSHUFD $0xB1, X0, X1 // swap 32-bit pairs
+	VPADDD  X1, X0, X0
+	VMOVD   X0, (DX)
+	ADDQ $4, DX
+	ADDQ CX, DI
+	DECQ BX
+	JMP  one
+
+done:
 	VZEROUPPER
 	RET

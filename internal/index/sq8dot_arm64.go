@@ -22,11 +22,12 @@ const useDotI8SIMD = true
 //go:noescape
 func dotI8SIMD(a, b *int8, n int) int32
 
-// There is no four-query NEON kernel: dotI8x4 makes four dotI8SIMD calls.
-const useDotI8x4SIMD = false
+// There is no row-block NEON kernel: dotI8Rows makes one dotI8SIMD call
+// a row.
+const useDotI8RowsSIMD = false
 
-func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32) {
-	panic("index: dotI8x4SIMD called on arm64")
+func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32) {
+	panic("index: dotI8RowsSIMD called on arm64")
 }
 
 // DotI8ISA reports the instruction set the quantized int8 dot kernel

@@ -7,18 +7,18 @@ import "pane/internal/mat"
 // Builds without a vector kernel (other architectures, or any platform
 // under the noasm tag) always take the portable int8 kernel.
 const (
-	useDotI8SIMD   = false
-	useDotI8x4SIMD = false
+	useDotI8SIMD     = false
+	useDotI8RowsSIMD = false
 )
 
-// dotI8SIMD and dotI8x4SIMD are never called when their gates are false;
+// dotI8SIMD and dotI8RowsSIMD are never called when their gates are false;
 // these stubs keep the portable build compiling.
 func dotI8SIMD(a, b *int8, n int) int32 {
 	panic("index: dotI8SIMD called on a build without SIMD support")
 }
 
-func dotI8x4SIMD(a0, a1, a2, a3, b *int8, n int, out *[4]int32) {
-	panic("index: dotI8x4SIMD called on a build without SIMD support")
+func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32) {
+	panic("index: dotI8RowsSIMD called on a build without SIMD support")
 }
 
 // DotI8ISA reports the instruction set the quantized int8 dot kernel

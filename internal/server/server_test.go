@@ -497,7 +497,7 @@ func TestFP16ModesOverHTTP(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz kernels section missing: %v", health["kernels"])
 	}
-	for _, op := range []string{"dot", "axpy", "gemm", "sq8dot", "sq8dot4", "fp16dot"} {
+	for _, op := range []string{"dot", "axpy", "gemm", "sq8dot", "sq8rows", "fp16dot"} {
 		isa, ok := kernels[op].(string)
 		if !ok || (isa != "generic" && isa != "avx2" && isa != "neon") {
 			t.Fatalf("kernels[%q] = %v", op, kernels[op])
