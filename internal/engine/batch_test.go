@@ -148,9 +148,10 @@ func checkMember(t *testing.T, label string, eng *Engine, q Query, got Result) {
 // pane_index_rows_reranked_total and pane_index_bytes_streamed_total: they
 // are functions of the input alone, and a batch scores and re-scores as
 // many (query, row) pairs as its members issued singly while walking the
-// candidates' encoding once instead of once each. Every pair scored from
-// the float64 row reads its 8·dim bytes on top: an exact query's rows its
-// int8 bound could not rule out, an sq8 query's survivors.
+// candidates' encoding once instead of once each. Every re-scored pair
+// reads its row on top: an exact query's rows its int8 bound could not
+// rule out (8·dim bytes each), an fp16 query's (2·dim), an sq8 query's
+// survivors (8·dim).
 func TestIndexWorkCounters(t *testing.T) {
 	eng := batchTestModel(t)(1, 1)
 	n, dim := eng.Model().Nodes(), eng.Model().Emb.Xf.Cols
@@ -178,13 +179,13 @@ func TestIndexWorkCounters(t *testing.T) {
 		batch[i] = Query{Op: OpTopLinks, Src: i * 17, K: kp(k)}
 	}
 	for _, tier := range []struct {
-		mode, backend        string
-		rowBytes             int
-		minRerank, maxRerank int // per member
+		mode, backend          string
+		rowBytes, rescoreBytes int
+		minRerank, maxRerank   int // per member
 	}{
-		{ModeExact, BackendExact, dim + 8, k, n / 10},
-		{ModeFP16, BackendFP16, 2 * dim, 0, 0},
-		{ModeSQ8, BackendSQ8, dim + 8, index.DefaultRerank * k, index.DefaultRerank * k},
+		{ModeExact, BackendExact, dim + 8, 8 * dim, k, n / 10},
+		{ModeFP16, BackendFP16, dim + 8, 2 * dim, k, n / 10},
+		{ModeSQ8, BackendSQ8, dim + 8, 8 * dim, index.DefaultRerank * k, index.DefaultRerank * k},
 	} {
 		for i := range batch {
 			batch[i].Mode = tier.mode
@@ -192,7 +193,7 @@ func TestIndexWorkCounters(t *testing.T) {
 		for rep := 0; rep < 2; rep++ { // the counts repeat exactly
 			together := work(tier.backend, func() { eng.Execute(batch) })
 			if rr := together[1]; together[0] != uint64(members*n) || rr < uint64(members*tier.minRerank) || rr > uint64(members*tier.maxRerank) ||
-				together[2] != uint64(n*tier.rowBytes)+8*uint64(dim)*rr {
+				together[2] != uint64(n*tier.rowBytes)+uint64(tier.rescoreBytes)*rr {
 				t.Fatalf("%s batch: %d rows scored, %d re-scored, over %d bytes", tier.mode, together[0], rr, together[2])
 			}
 			alone := work(tier.backend, func() {
@@ -200,7 +201,7 @@ func TestIndexWorkCounters(t *testing.T) {
 					mustTop(t, eng, true, q.Src, k, tier.mode, 0)
 				}
 			})
-			if alone[0] != uint64(members*n) || alone[1] != together[1] || alone[2] != uint64(members*n*tier.rowBytes)+8*uint64(dim)*alone[1] {
+			if alone[0] != uint64(members*n) || alone[1] != together[1] || alone[2] != uint64(members*n*tier.rowBytes)+uint64(tier.rescoreBytes)*alone[1] {
 				t.Fatalf("%s singles: %v, batch %v", tier.mode, alone, together)
 			}
 		}

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"pane/internal/graph"
 	"pane/internal/store"
 )
 
@@ -257,4 +261,46 @@ func TestFP16IncrementalRefreshMatchesFullRebuild(t *testing.T) {
 			sameAnswers(t, mode, want, got)
 		}
 	}
+}
+
+// TestCertifiedFP16BundleUnchanged pins the bundle bytes of a fixed-seed
+// model with every tier built — two shards, the int8 and binary16
+// payloads included — as built, after an edge update refreshed the index,
+// and re-snapshotted from a restored engine. The binary16 cells scan the
+// float64 cells' int8 pages but persist their halves alone, so the bytes
+// are the ones the format had before they did (amd64 and -tags noasm
+// alike).
+func TestCertifiedFP16BundleUnchanged(t *testing.T) {
+	const built, refreshed = "07b78da9ad6167d75830c82b54f7edc0ea90d45f2f8a1f8ddbe43c4992e9dd96",
+		"0934b839084fc24523f4216649a23a56a9e1699cf23374b066b9f81261453942"
+	g, emb, cfg := shardTestModel(t)
+	eng, err := New(g, emb, cfg, WithIndex(IndexConfig{IVF: true, NList: 3, NProbe: 3, Quantize: true, FP16: true, Shards: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(e *Engine, want string) string {
+		t.Helper()
+		e.WaitForIndex()
+		path := filepath.Join(t.TempDir(), "model.pane")
+		if _, err := e.Snapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Fatalf("bundle sha256 %s, want %s", got, want)
+		}
+		return path
+	}
+	restored, err := Open(snapshot(eng, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot(restored, built)
+	if _, err := eng.ApplyEdges([]graph.Edge{{Src: 2, Dst: 3}, {Src: 5, Dst: 90}}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot(eng, refreshed)
 }

@@ -405,8 +405,10 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 // of Y (a view of the model's matrix, not a copy). One BuildIVF serves
 // every inverted cell, so three codecs cost one k-means and one copy of
 // the lists. Each layout's float64 cell holds the int8 encoding its scan
-// bounds scores with and its int8 cell shares it (index.Table.Encode); a
-// payload restored at this model version is adopted instead of encoding.
+// bounds scores with, and its int8 and binary16 cells scan that encoding
+// too (index.Table.Encode); a payload restored at this model version is
+// adopted instead of encoding, the binary16 one over the float64 cell's
+// int8 pages (index.Table.Restore).
 func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp buildParams) {
 	var rows *mat.Dense
 	if sp == linkSpace {
@@ -415,14 +417,13 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 	} else {
 		rows = m.Emb.Y.RowSlice(lo, hi)
 	}
-	restored := func(c index.Codec) *index.Table {
-		if codes, ok := e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols); ok {
-			return index.FromCodes(rows, c, codes, bp.cfg.Rerank, bp.threads)
-		}
-		return nil
+	restored := func(c index.Codec) (index.Codes, bool) {
+		return e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols)
 	}
-	ex := restored(index.F64)
-	if ex == nil {
+	var ex *index.Table
+	if codes, ok := restored(index.F64); ok {
+		ex = index.FromCodes(rows, index.F64, codes, bp.cfg.Rerank, bp.threads)
+	} else {
 		ex = index.NewExact(rows, bp.threads)
 	}
 	var iv *index.Table
@@ -441,7 +442,9 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 		case index.I8:
 			cell = ex.Encode(c, bp.cfg.Rerank)
 		case index.F16:
-			if cell = restored(c); cell == nil {
+			if codes, ok := restored(c); ok {
+				cell = ex.Restore(c, codes, bp.cfg.Rerank)
+			} else {
 				cell = ex.Encode(c, bp.cfg.Rerank)
 			}
 		}

@@ -14,7 +14,7 @@ type Codec int
 const (
 	F64 Codec = iota // the float64 rows themselves; exact scores
 	I8               // int8 codes + per-row scale/base; approximate scores, exact re-rank
-	F16              // binary16 codes; scores final, no re-rank
+	F16              // binary16 codes, bounded by the float64 cell's int8 codes; scores final, no re-rank
 	NumCodecs
 )
 
@@ -31,21 +31,26 @@ type codec interface {
 	// prepare readies pq to score rows against q.
 	prepare(pq *query, q []float64)
 	// scan offers the rows of b that s spans to top, and returns how many
-	// of them it scored from their float64 rows (see f64Codec).
+	// of them its bound could not rule out and it re-scored (see
+	// certifiedScan).
 	scan(top *core.TopK, b *block, pq *query, s span) int
 	// final reports whether scan's scores are the answer's scores; if not
 	// the table re-ranks the survivors exactly.
 	final() bool
 	// rowBytes is what scanning one row of dimension dim reads of b's
-	// encoding; a row scored from its float64 row reads 8·dim more.
+	// encodings; rescoreBytes what re-scoring one reads more: its float64
+	// row, or its halves.
 	rowBytes(dim int) int
+	rescoreBytes(dim int) int
 }
 
 var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 
 // encodedAs is the codec whose encoding a cell of each codec holds. The
 // float64 codec scans the int8 codec's encoding (see f64Codec), so a
-// layout's float64 and int8 cells hold one encoding between them.
+// layout's float64 and int8 cells hold one encoding between them; a
+// binary16 cell holds its halves and scans that same int8 encoding beside
+// them (see f16Codec).
 var encodedAs = [NumCodecs]Codec{F64: I8, I8: I8, F16: F16}
 
 // Codes is one codec's encoding of a contiguous run of candidate rows, in
@@ -119,16 +124,23 @@ func pageCodes(c Codes, n, dim int) []Codes {
 // caller's matrix under the flat layout, one inverted list's gathered
 // copy otherwise — shared with the layout, never copied per codec) and
 // the table's codec's encoding of them, on pages with the same
-// boundaries: codes[k] encodes page k of rows.
+// boundaries: codes[k] encodes page k of rows. A binary16 block also
+// holds keys, the int8 pages its scan bounds scores with: the pages of
+// the float64 cell's block at the same position, shared, not copied, so
+// the page helpers below never see them and a refresh leaves them to
+// their owner. open counts its rows whose halves may overflow (see
+// overflows); while there is one, its scan certifies nothing.
 type block struct {
 	rows  *mat.Paged
 	codes []Codes
+	keys  []Codes
+	open  int
 }
 
-// i8Run returns the int8 encoding of rows [j, j+n) of b as one stretch of
-// memory, for the largest n <= hi-j its pages reach.
-func (b *block) i8Run(j, hi, dim int) (codes []int8, scale, base []float32, n int) {
-	pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
+// i8Run returns the int8 encoding of rows [j, j+n) from pages as one
+// stretch of memory, for the largest n <= hi-j they reach.
+func i8Run(pages []Codes, j, hi, dim int) (codes []int8, scale, base []float32, n int) {
+	pg, r := &pages[j/mat.PageRows], j%mat.PageRows
 	n = min(pg.reach(dim)-r, hi-j)
 	return pg.I8[r*dim : (r+n)*dim], pg.Scale[r : r+n], pg.Base[r : r+n], n
 }
@@ -197,9 +209,9 @@ func (c Codes) shares(d Codes) bool {
 // search's scratch, so the int8 buffer adds no steady-state allocation.
 type query struct {
 	q          []float64
-	i8         []int8 // int8 and float64 codecs: q quantized symmetrically
+	i8         []int8 // q quantized symmetrically, for the int8 kernel
 	step, sum  float64
-	ks, kb, k0 float64 // float64 codec: the bound's factors of s, |b| and 1
+	ks, kb, k0 float64 // certified codecs: the bound's factors of s, |b| and 1
 }
 
 // span is a contiguous row range [lo, hi) of one block together with what
@@ -228,7 +240,7 @@ func (s *span) id(j int) int {
 // off almost every row. A score equal to the floor still goes to Admits,
 // which breaks the tie by id; a NaN fails the test and goes on too. No
 // bound is −Inf (an a of −Inf makes 2⁻⁴⁰·|a| +Inf and the bound NaN), so
-// every non-finite bound still reaches the float64 codec's test.
+// every non-finite bound still reaches certifiedScan's test.
 const runRows = 128
 
 // keep offers a row that top.Admits to top, unless skip excludes it. Scan loops
@@ -257,22 +269,23 @@ func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
 // The bound uses the stored (scale s, base b) alone. For a row x of finite
 // values, dimension n and codes c, quantizeRowInto guarantees per element
 //
-//	|x_j − (b + s·c_j)| ≤ e = s/2·(1+2⁻²⁰) + (|b| + 130·s)·2⁻²² + 2⁻¹¹⁷
+//	|x_j − (b + s·c_j)| ≤ e = s/2·(1+2⁻²⁰) + w·2⁻²² + 2⁻¹¹⁷,   w = |b| + 130·s
 //
 // s/2 is the distance to the nearest level, and 2⁻²⁰ of it covers
-// computing the level in float64. (|b| + 130·s)·2⁻²² covers rounding s and
-// b to float32, including the clamp at level 255 that a rounded-down s can
+// computing the level in float64. w·2⁻²² covers rounding s and b to
+// float32, including the clamp at level 255 that a rounded-down s can
 // force. 2⁻¹¹⁷ covers a row whose range/255 underflows float32 (s zero or
-// subnormal). prepare writes the query as q = step·qi8 + φ with
-// |φ_j| ≤ f, and |c_j| ≤ 128, so
+// subnormal). So |x_j| ≤ w·(1+2⁻²²) + 2⁻¹¹⁷. prepare writes the query as
+// q = step·qi8 + φ with |φ_j| ≤ f, and |c_j| ≤ 128, so
 //
 //	q·x = b·Σq + s·step·(qi8·c) + s·(φ·c) + q·(x − b − s·c)
 //	    ≤ a + s·f·128·n + e·‖q‖₁,   a = b·qsum + s·step·d,
 //
 // where a is the score the int8 codec's scan computes. The slack
-// 2⁻⁴⁰·(|a| + ‖q‖₁·(|b| + 130·s)) covers, for n ≤ 2¹², the float64
-// rounding of qsum, of a, of the bound's own terms, and of mat.Dot, whose
-// Σ|q_j·x_j| is at most ‖q‖₁·(|b| + 130·s); it assumes the products stay
+// 2⁻⁴⁰·(|a| + ‖q‖₁·w) covers, for n ≤ 2¹², the float64 rounding of qsum,
+// of a, of the bound's own terms, and of mat.Dot: its sixteen lanes put
+// each product through at most n/16 + 10 roundings, under 2⁻⁴⁴·Σ|q_j·x_j|
+// in all, and Σ|q_j·x_j| ≤ ‖q‖₁·max|x_j|. It assumes the products stay
 // clear of float64's subnormal range. A longer query gets f = +Inf. A
 // non-finite ub — from a row or query holding Inf or NaN, or an (s, b)
 // that overflowed float32 — certifies nothing, and the row is scored.
@@ -285,8 +298,17 @@ func (f64Codec) alloc(n, dim int) Codes                  { return i8Codec{}.allo
 func (f64Codec) encodeRow(c Codes, j int, row []float64) { i8Codec{}.encodeRow(c, j, row) }
 func (f64Codec) final() bool                             { return true }
 func (f64Codec) rowBytes(dim int) int                    { return i8Codec{}.rowBytes(dim) }
+func (f64Codec) rescoreBytes(dim int) int                { return 8 * dim }
+func (f64Codec) prepare(pq *query, q []float64)          { pq.prepareBound(q, false) }
 
-// prepare quantizes q as the int8 codec does and gathers the bound's
+func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
+	return certifiedScan(top, b, b.codes, pq, s, scoreF64)
+}
+
+// scoreF64 is the float64 codec's re-score of block row j: mat.Dot.
+func scoreF64(q []float64, b *block, j int) float64 { return mat.Dot(q, b.rows.Row(j)) }
+
+// prepareBound quantizes q as the int8 codec does and gathers the bound's
 // per-query factors: expanding e and the slack,
 //
 //	ub = a + 2⁻⁴⁰·|a| + s·ks + |b|·kb + k0,
@@ -295,8 +317,10 @@ func (f64Codec) rowBytes(dim int) int                    { return i8Codec{}.rowB
 //
 // which leaves a row a handful of flops beyond its int8 dot. Evaluated
 // this way round, the float64 rounding of the factors moves ub by a few
-// units of 2⁻⁵³ of its terms, far inside e's own margin.
-func (f64Codec) prepare(pq *query, q []float64) {
+// units of 2⁻⁵³ of its terms, far inside e's own margin. half widens the
+// bound by ‖q‖₁·(2⁻¹¹·(1+2⁻¹⁰)·w + 2⁻²⁵) to cover the binary16 rounding of
+// the row (see f16Codec): 130 times the w factor joins ks, once kb.
+func (pq *query) prepareBound(q []float64, half bool) {
 	i8Codec{}.prepare(pq, q)
 	var l1, f float64
 	for j, v := range q {
@@ -310,22 +334,73 @@ func (f64Codec) prepare(pq *query, q []float64) {
 	pq.ks = l1*(0.5+0x1p-21+130*0x1p-22+130*0x1p-40) + fn
 	pq.kb = l1 * (0x1p-22 + 0x1p-40)
 	pq.k0 = l1 * 0x1p-117
+	if half {
+		kw := l1 * 0x1p-11 * (1 + 0x1p-10)
+		pq.ks += 130 * kw
+		pq.kb += kw
+		pq.k0 += l1 * 0x1p-25
+	}
 }
 
-// bound is the certified upper bound above on mat.Dot(pq.q, x), for a row
-// x whose codes' int32 dot with pq.i8 is d and whose parameters are
-// (scale, base).
+// bound is the certified upper bound above on the score of a row whose
+// codes' int32 dot with pq.i8 is d and whose parameters are (scale, base);
+// for the binary16 codec, of a row overflows does not flag.
 func (pq *query) bound(d int32, scale, base float32) float64 {
 	a := pq.approx(d, scale, base)
 	return a + 0x1p-40*math.Abs(a) + float64(scale)*pq.ks + math.Abs(float64(base))*pq.kb + pq.k0
 }
 
-func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) (scored int) {
+// overflows reports whether, for a row with parameters (scale, base),
+// w = |b| + 130·s reaches maxHalf or is NaN: then a value of the row may
+// round to a ±Inf half, and the binary16 bound does not hold.
+func overflows(scale, base float32) bool {
+	return !(math.Abs(float64(base))+130*float64(scale) < maxHalf)
+}
+
+// overflowing counts the rows of a block with int8 pages keys that
+// overflows flags: the listed rows, or all n when rows is nil.
+func overflowing(keys []Codes, rows []int, n int) (c int) {
+	at := func(r int) {
+		if pg, x := &keys[r/mat.PageRows], r%mat.PageRows; overflows(pg.Scale[x], pg.Base[x]) {
+			c++
+		}
+	}
+	if rows == nil {
+		for r := range n {
+			at(r)
+		}
+	}
+	for _, r := range rows {
+		at(r)
+	}
+	return c
+}
+
+// certifiedScan is the scan of the codecs whose final scores the int8
+// encoding bounds: the float64 and binary16 codecs, which differ only in
+// score, the kernel that re-scores block row j from its full encoding, and
+// in the bound's widening (see prepareBound). keys are b's int8 pages.
+// Each run of rows is scored with the int8 kernel, and a row is re-scored
+// only when top.Admits(id, ub) — or ub is not finite, or NaN — against
+// the running k-th best final score. A row whose bound top rejects has a
+// score top rejects too, so the scan offers exactly the rows a full scan
+// with score offers, in the same order. A binary16 block whose halves may
+// overflow is re-scored whole, as a full scan scores it. It returns how
+// many rows it re-scored.
+func certifiedScan(top *core.TopK, b *block, keys []Codes, pq *query, s span, score func(q []float64, b *block, j int) float64) (scored int) {
+	if b.open > 0 {
+		for j := s.lo; j < s.hi; j++ {
+			if id, sc := s.id(j), score(pq.q, b, j); top.Admits(id, sc) {
+				keep(top, s.skip, id, sc)
+			}
+		}
+		return s.hi - s.lo
+	}
 	dim := len(pq.q)
 	var ds [runRows]int32
 	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, min(s.hi, j+runRows), dim)
+		codes, scale, base, n := i8Run(keys, j, min(s.hi, j+runRows), dim)
 		dotI8Rows(pq.i8, codes, ds[:n])
 		for x, d := range ds[:n] {
 			ub := pq.bound(d, scale[x], base[x])
@@ -334,8 +409,8 @@ func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) (scored int) {
 			}
 			if id := s.id(j + x); ub-ub != 0 || top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
 				scored++
-				if score := mat.Dot(pq.q, b.rows.Row(j+x)); top.Admits(id, score) {
-					keep(top, s.skip, id, score)
+				if sc := score(pq.q, b, j+x); top.Admits(id, sc) {
+					keep(top, s.skip, id, sc)
 					floor = top.Floor()
 				}
 			}

@@ -292,3 +292,103 @@ func TestFromCodesPagesAliasPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestCertifiedFP16KeysAliasLead: a binary16 cell built, restored or
+// refreshed over a float64 cell holds no int8 encoding of its own — every
+// int8 page it scans is the float64 cell's page at the same position —
+// and along a refresh chain it encodes and copies exactly what its halves
+// cost: the dirty rows, the page slice, and the halves pages a dirty row
+// is on (flat) or the changed lists' halves (inverted).
+func TestCertifiedFP16KeysAliasLead(t *testing.T) {
+	const rows, dim, steps = 300, 9, 60
+	rng := rand.New(rand.NewSource(33))
+	data := randMatrix(rows, dim, 34)
+	z := mat.Page(data)
+	i8, scale, base := QuantizeRows(data)
+	halves := EncodeFP16Rows(data)
+	ex := FromCodes(data, F64, Codes{I8: i8, Scale: scale, Base: base}, 0, 1)
+	fresh := NewExact(data, 1)
+	iv := BuildIVF(data, IVFConfig{NList: 5, Seed: 6})
+	cells := [][2]*Table{
+		{ex, ex.Encode(F16, 0)},
+		{ex, ex.Restore(F16, Codes{F16: halves}, 0)},
+		{fresh, fresh.Encode(F16, 0)},
+		{iv, iv.Encode(F16, 0)},
+	}
+	for k, pg := range cells[1][1].blocks[0].codes {
+		if &pg.F16[0] != &halves[k*mat.PageRows*dim] {
+			t.Fatalf("restored halves page %d is not on the payload", k)
+		}
+	}
+	aliased := func(label string, lead, fp *Table) {
+		t.Helper()
+		for b := range fp.blocks {
+			keys, own := fp.blocks[b].keys, lead.blocks[b].codes
+			if len(keys) != len(own) {
+				t.Fatalf("%s block %d: %d int8 pages, lead has %d", label, b, len(keys), len(own))
+			}
+			for k := range keys {
+				if len(own[k].Scale) > 0 && (&keys[k].I8[0] != &own[k].I8[0] || &keys[k].Scale[0] != &own[k].Scale[0] || &keys[k].Base[0] != &own[k].Base[0]) {
+					t.Fatalf("%s block %d page %d: int8 slices are not the lead's", label, b, k)
+				}
+			}
+			for _, pg := range fp.blocks[b].codes {
+				if pg.I8 != nil || pg.Scale != nil || pg.Base != nil {
+					t.Fatalf("%s block %d: a halves page holds int8 slices", label, b)
+				}
+			}
+		}
+	}
+	for i, c := range cells {
+		aliased(fmt.Sprintf("cell %d built", i), c[0], c[1])
+	}
+	for step := 1; step <= steps; step++ {
+		set := map[int]bool{}
+		for n := 1 + rng.Intn(5); len(set) < n; {
+			set[rng.Intn(rows)] = true
+		}
+		var dirty []int
+		for r := range rows {
+			if set[r] {
+				dirty = append(dirty, r)
+			}
+		}
+		patch := mat.New(len(dirty), dim)
+		for j := range patch.Data {
+			patch.Data[j] = rng.NormFloat64()
+		}
+		z = z.WithRows(dirty, patch)
+		for i, c := range cells {
+			lead := c[0].Refresh(z, dirty, nil)
+			fp := c[1].Refresh(z, dirty, lead)
+			label := fmt.Sprintf("cell %d step %d", i, step)
+			aliased(label, lead, fp)
+			var want Work
+			for b, nb := range fp.blocks {
+				ob := c[1].blocks[b]
+				if nb.rows == ob.rows {
+					continue
+				}
+				_, ids := fp.lay.block(b)
+				if ids == nil { // patched: the page slice and the pages a dirty row is on
+					want.RowsEncoded += int64(len(dirty))
+					want.BytesCopied += int64(96 * len(nb.codes))
+					for k, pg := range nb.codes {
+						if !pg.shares(ob.codes[k]) {
+							want.BytesCopied += int64(2 * len(pg.F16))
+						}
+					}
+					continue
+				}
+				want.BytesCopied += int64(2 * nb.rows.Rows * dim)
+			}
+			if fp.inverted() != nil { // the changed lists' re-encoded rows, as the lead's
+				want.RowsEncoded = lead.Work().RowsEncoded
+			}
+			if fp.Work() != want {
+				t.Fatalf("%s: work %+v, want %+v", label, fp.Work(), want)
+			}
+			cells[i] = [2]*Table{lead, fp}
+		}
+	}
+}

@@ -9,24 +9,27 @@ import (
 )
 
 // Half-precision candidate storage: an IEEE 754 binary16 copy of the
-// candidate matrix scanned with a decode-and-accumulate float64 kernel.
+// candidate matrix scored with a decode-and-accumulate float64 kernel.
 // It is the storage point between SQ8 and float64 — 2 bytes per
-// dimension, a 4x traffic cut on the bandwidth-bound scan — but unlike
-// SQ8 it needs NO exact re-rank: a half holds ~3.3 decimal digits, and
-// at the dynamic ranges embedding coordinates live in, the score
-// perturbation almost never reorders a top-k (the committed bench holds
-// recall@10 at ≈ 0.999 with re-rank = none, gated on the missed-slot
-// count with a binomial sampling allowance — the residual misses are
-// rank-boundary ties below the 2^-11 half resolution). This file is the
-// binary16 codec: the conversions, the encoding, the kernel dispatch and
-// the scan.
+// dimension — but unlike SQ8 it needs NO exact re-rank: a half holds ~3.3
+// decimal digits, and at the dynamic ranges embedding coordinates live
+// in, the score perturbation almost never reorders a top-k (the committed
+// bench holds recall@10 at ≈ 0.999 with re-rank = none, gated on the
+// missed-slot count with a binomial sampling allowance — the residual
+// misses are rank-boundary ties below the 2^-11 half resolution). The
+// scan does not decode every row: like the float64 codec it scans the
+// int8 codes its layout's float64 cell holds, under a bound widened by
+// the binary16 rounding, and decodes only the rows that bound cannot rule
+// out (about 1 % of them at k = 10 over a 30,000-node embedding). This
+// file is the binary16 codec: the conversions, the encoding, the kernel
+// dispatch, and the widened bound.
 //
 // Encoding is PER ELEMENT (round-to-nearest-even, no shared statistics),
 // so any row slice of a matrix encodes to exactly the row slice of the
 // whole matrix's encoding — the property that keeps sharded serving
 // bit-for-bit equal to unsharded, and lets the engine's copy-on-write
 // refresh re-encode only dirty rows. Decoding a half is EXACT in
-// float64, and the scan accumulates in the one canonical order fixed by
+// float64, and the kernel accumulates in the one canonical order fixed by
 // DotFP16Generic, so fp16 scores (and therefore rankings) are
 // bit-identical across instruction sets and build tags. Unlike the int8
 // codec's, fp16 scores are final: a sharded fan-out merges them like the
@@ -185,13 +188,39 @@ func DotFP16Generic(q []float64, c []uint16) float64 {
 	return s
 }
 
-// f16Codec is the half-precision codec: binary16 codes scanned with the
-// decode-and-accumulate kernel, scores final.
+// maxHalf is the largest finite binary16 value.
+const maxHalf = 65504
+
+// f16Codec is the half-precision codec: scores are dotFP16 over the
+// halves h of a row, final. It scans the certified way (certifiedScan)
+// over keys, the int8 encoding of the same rows the layout's float64 cell
+// holds, with the float64 codec's bound widened to cover rounding x to h.
+//
+// For |x_j| < 65520 round-to-nearest-even gives |h_j − x_j| ≤ 2⁻¹¹·|x_j|
+// + 2⁻²⁵ − 2⁻³⁶: it is at most 2⁻¹¹·|x_j|/(1+2⁻¹¹) in the normal range and
+// min(|x_j|, 2⁻²⁵) below it. With |x_j| ≤ w·(1+2⁻²²) + 2⁻¹¹⁷ (see
+// f64Codec) the exact dots differ by
+//
+//	|q·h − q·x| ≤ ‖q‖₁·(2⁻¹¹·(1+2⁻²²)·w + 2⁻²⁵ − 2⁻³⁷),
+//
+// so the widening ‖q‖₁·(2⁻¹¹·(1+2⁻¹⁰)·w + 2⁻²⁵) covers it with
+// ‖q‖₁·(2⁻²²·w + 2⁻³⁷) to spare. Where the float64 codec's slack covered
+// mat.Dot's rounding it now covers dotFP16's: eight lanes folded pairwise,
+// a 4-block, the horizontal sum and a tail of at most three put each
+// product through at most n/8 + 8 roundings, under 2⁻⁴³·Σ|q_j·h_j| for
+// n ≤ 2¹², and Σ|q_j·h_j| ≤ ‖q‖₁·((1+2⁻¹¹)·max|x_j| + 2⁻²⁵). That is
+// inside 2⁻⁴⁰·‖q‖₁·w but for ‖q‖₁·2⁻⁶⁷, which the spare absorbs along with
+// the rounding of the widening's own factors. A value of 65520 or more
+// rounds to ±Inf and puts w past maxHalf (see overflows): a block holding
+// such a row certifies nothing and re-scores every row. A NaN off a row's
+// first element leaves (s, b) finite, but the row's score is NaN, which a
+// full top-k never admits, and a top-k not yet full admits every bound.
 type f16Codec struct{}
 
-func (f16Codec) prepare(pq *query, q []float64) { pq.q = q }
+func (f16Codec) prepare(pq *query, q []float64) { pq.prepareBound(q, true) }
 func (f16Codec) final() bool                    { return true }
-func (f16Codec) rowBytes(dim int) int           { return 2 * dim }
+func (f16Codec) rowBytes(dim int) int           { return i8Codec{}.rowBytes(dim) }
+func (f16Codec) rescoreBytes(dim int) int       { return 2 * dim }
 
 func (f16Codec) alloc(n, dim int) Codes { return Codes{F16: make([]uint16, n*dim)} }
 
@@ -202,18 +231,12 @@ func (f16Codec) encodeRow(c Codes, j int, row []float64) {
 }
 
 func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
-	dim := len(pq.q)
-	for j := s.lo; j < s.hi; {
-		pg, r := &b.codes[j/mat.PageRows], j%mat.PageRows
-		n := min(pg.reach(dim)-r, s.hi-j)
-		codes := pg.F16[r*dim : (r+n)*dim]
-		for x := range n {
-			score := dotFP16(pq.q, codes[x*dim:(x+1)*dim])
-			if id := s.id(j + x); top.Admits(id, score) {
-				keep(top, s.skip, id, score)
-			}
-		}
-		j += n
-	}
-	return 0
+	return certifiedScan(top, b, b.keys, pq, s, scoreF16)
+}
+
+// scoreF16 is the binary16 codec's re-score of block row j: dotFP16 over
+// its halves.
+func scoreF16(q []float64, b *block, j int) float64 {
+	dim, r := len(q), j%mat.PageRows
+	return dotFP16(q, b.codes[j/mat.PageRows].F16[r*dim:(r+1)*dim])
 }

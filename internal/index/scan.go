@@ -24,8 +24,8 @@ import (
 // int8 codec's survivor cut globally. Each member scans a tile through the
 // same codec scan a single query runs, so each (query, row) score is the
 // same kernel on the same two vectors in the same summation order (the
-// float64 codec re-scores a row its int8 bound cannot rule out with
-// mat.Dot, against that member's own running top-k), and top-k under
+// float64 and binary16 codecs re-score a row their int8 bound cannot rule
+// out, against that member's own running top-k), and top-k under
 // core.Better is independent of how rows are grouped, so a batch member's
 // answer is bit-for-bit the answer it gets alone.
 //
@@ -67,11 +67,13 @@ type BatchQuery struct {
 // parallel row scans, probes and query preparation included; the merge
 // of their contributions) and the work the scans touched. RowsScored
 // counts (query, row) pairs handed to a codec; Reranked the pairs scored
-// from the float64 row with mat.Dot — the rows a float64 cell's bound
-// could not rule out, an int8 cell's survivors; BytesStreamed the encoded
-// bytes of the rows walked, once per tile however many queries scored
-// it, plus 8·dim for each reranked pair. All are functions of the input
-// and the row-range cut alone.
+// again from a row's full encoding — the rows a float64 or binary16
+// cell's int8 bound could not rule out (mat.Dot over the float64 row,
+// dotFP16 over the halves), an int8 cell's survivors (mat.Dot);
+// BytesStreamed the encoded bytes of the rows walked, once per tile
+// however many queries scored it, plus for each reranked pair what it
+// read: 8·dim, 2·dim for binary16. All are functions of the input and the
+// row-range cut alone.
 type Stats struct {
 	Fanout, Merge                       time.Duration
 	RowsScored, Reranked, BytesStreamed int64
@@ -204,7 +206,7 @@ func SearchBatch(tables []*Table, qs []BatchQuery, out [][]core.Scored) Stats {
 		for u := range s.units {
 			st.RowsScored += s.units[u].rows
 			st.Reranked += s.units[u].reranked
-			st.BytesStreamed += s.units[u].bytes + s.units[u].reranked*int64(8*first.data.Cols)
+			st.BytesStreamed += s.units[u].bytes + s.units[u].reranked*int64(enc.rescoreBytes(first.data.Cols))
 			s.units[u] = unit{}
 		}
 		st.Fanout += t1.Sub(t0)

@@ -119,11 +119,11 @@ func TestSearchBatchUnitsAndBlocks(t *testing.T) {
 }
 
 // TestSearchBatchStats pins the work counters: a batch scores every
-// (member, row) pair its members would score alone, re-scores from the
-// float64 rows exactly the pairs they would re-score alone, and walks the
-// encoded bytes once. The float64 cell re-scores a few rows per member —
-// at least its k, far fewer than it scans — and the int8 cell its
-// rerank·k survivors; binary16 none.
+// (member, row) pair its members would score alone, re-scores exactly the
+// pairs they would re-score alone, and walks the encoded bytes once. The
+// float64 and binary16 cells re-score a few rows per member — at least
+// its k, far fewer than they scan — and the int8 cell its rerank·k
+// survivors.
 func TestSearchBatchStats(t *testing.T) {
 	const n, dim, members, k = 1000, 16, 7, 4
 	data := mixture(n, dim, 4, 91)
@@ -135,7 +135,7 @@ func TestSearchBatchStats(t *testing.T) {
 	out := make([][]core.Scored, members)
 	for c := Codec(0); c < NumCodecs; c++ {
 		tab := NewExact(data, 1).Encode(c, 0)
-		rowBytes := int64(codecs[c].rowBytes(dim))
+		rowBytes, rescoreBytes := int64(codecs[c].rowBytes(dim)), int64(codecs[c].rescoreBytes(dim))
 		batch := SearchBatch([]*Table{tab}, qs, out)
 		var alone Stats
 		for i := range qs {
@@ -143,17 +143,17 @@ func TestSearchBatchStats(t *testing.T) {
 			alone.RowsScored += st.RowsScored
 			alone.Reranked += st.Reranked
 			alone.BytesStreamed += st.BytesStreamed
-			if st.BytesStreamed != n*rowBytes+st.Reranked*8*dim {
+			if st.BytesStreamed != n*rowBytes+st.Reranked*rescoreBytes {
 				t.Fatalf("%s member %d alone: %d bytes for %d reranked", tab.Kind(), i, st.BytesStreamed, st.Reranked)
 			}
 		}
 		if batch.RowsScored != members*n || alone.RowsScored != members*n ||
-			batch.Reranked != alone.Reranked || batch.BytesStreamed != n*rowBytes+batch.Reranked*8*dim {
+			batch.Reranked != alone.Reranked || batch.BytesStreamed != n*rowBytes+batch.Reranked*rescoreBytes {
 			t.Fatalf("%s: batch %+v, members alone %+v", tab.Kind(), batch, alone)
 		}
 		var lo, hi int64
 		switch c {
-		case F64:
+		case F64, F16:
 			lo, hi = members*k, members*n/10
 		case I8:
 			lo, hi = members*DefaultRerank*k, members*DefaultRerank*k
@@ -163,23 +163,27 @@ func TestSearchBatchStats(t *testing.T) {
 		}
 	}
 
-	// The exact cell's books on a fixed-seed matrix, pinned: however the
-	// scan groups its kernel calls, it re-scores the same rows.
+	// The exact and binary16 cells' books on a fixed-seed matrix, pinned:
+	// however the scan groups its kernel calls, it re-scores the same rows.
 	data = mixture(3000, 64, 8, 93)
 	queries = mixture(32, 64, 8, 94)
-	tab := NewExact(data, 1)
+	ex := NewExact(data, 1)
 	qs = make([]BatchQuery, queries.Rows)
 	for i := range qs {
 		qs[i] = BatchQuery{Q: queries.Row(i), K: 10}
 	}
 	out = make([][]core.Scored, len(qs))
 	for _, c := range []struct {
+		tab              *Table
 		members          int
 		scored, reranked int64
-	}{{1, 3000, 265}, {32, 32 * 3000, 8753}} {
-		st := SearchBatch([]*Table{tab}, qs[:c.members], out)
+	}{
+		{ex, 1, 3000, 265}, {ex, 32, 32 * 3000, 8753},
+		{ex.Encode(F16, 0), 1, 3000, 272}, {ex.Encode(F16, 0), 32, 32 * 3000, 9092},
+	} {
+		st := SearchBatch([]*Table{c.tab}, qs[:c.members], out)
 		if st.RowsScored != c.scored || st.Reranked != c.reranked {
-			t.Fatalf("%d members: %d rows scored, %d reranked; want %d, %d", c.members, st.RowsScored, st.Reranked, c.scored, c.reranked)
+			t.Fatalf("%s, %d members: %d rows scored, %d reranked; want %d, %d", c.tab.Kind(), c.members, st.RowsScored, st.Reranked, c.scored, c.reranked)
 		}
 	}
 }

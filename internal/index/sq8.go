@@ -210,8 +210,10 @@ type i8Codec struct{}
 
 func (i8Codec) final() bool { return false }
 
-// rowBytes counts the codes and the row's (scale, base) pair.
-func (i8Codec) rowBytes(dim int) int { return dim + 8 }
+// rowBytes counts the codes and the row's (scale, base) pair; a survivor
+// is re-ranked from its float64 row.
+func (i8Codec) rowBytes(dim int) int     { return dim + 8 }
+func (i8Codec) rescoreBytes(dim int) int { return 8 * dim }
 
 func (i8Codec) alloc(n, dim int) Codes {
 	return Codes{I8: make([]int8, n*dim), Scale: make([]float32, n), Base: make([]float32, n)}
@@ -241,7 +243,7 @@ func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
 	var ds [runRows]int32
 	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := b.i8Run(j, min(s.hi, j+runRows), dim)
+		codes, scale, base, n := i8Run(b.codes, j, min(s.hi, j+runRows), dim)
 		dotI8Rows(pq.i8, codes, ds[:n])
 		for x, d := range ds[:n] {
 			score := pq.approx(d, scale[x], base[x])

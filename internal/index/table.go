@@ -37,9 +37,9 @@ var kinds = [2][NumCodecs]string{
 	{KindIVF, KindIVFSQ, KindIVFFP16},
 }
 
-// newCell builds the (lay, c) cell over data. blocks, when non-nil, is an
-// existing encoding to adopt instead of encoding the layout's blocks.
-func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int, blocks []block) *Table {
+// newCell is the (lay, c) cell over data with its settings and no blocks
+// yet: over encodes them, or the caller adopts an existing encoding.
+func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int) *Table {
 	if codecs[c].final() {
 		rerank = 0
 	} else if rerank <= 0 {
@@ -48,17 +48,13 @@ func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int, blocks [
 	if threads < 1 {
 		threads = 1
 	}
-	t := &Table{data: data, lay: lay, codec: c, blocks: blocks, rerank: rerank, threads: threads}
-	if blocks == nil {
-		t = t.over(data, lay, nil, false)
-	}
-	return t
+	return &Table{data: data, lay: lay, codec: c, rerank: rerank, threads: threads}
 }
 
 // newFlat is the flat cell of codec c over data, paged without copying.
 func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
 	pd := mat.Page(data)
-	return newCell(pd, flat{pd}, c, rerank, threads, nil)
+	return newCell(pd, flat{pd}, c, rerank, threads).over(pd, flat{pd}, nil, nil, false)
 }
 
 // NewExact is the flat float64 cell: data (one candidate per row) is
@@ -74,7 +70,9 @@ func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
 	return newFlat(data, I8, rerank, threads)
 }
 
-// NewFP16 is the flat binary16 cell.
+// NewFP16 is the flat binary16 cell. Standing alone it quantizes its rows
+// too, for the int8 codes its scan bounds scores with;
+// NewExact(data).Encode(F16, 0) shares the exact cell's instead.
 func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0, threads) }
 
 // BuildIVF is the inverted float64 cell: data is clustered into an
@@ -83,7 +81,8 @@ func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0,
 // reproducible.
 func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
 	pd := mat.Page(data)
-	return newCell(pd, trainInverted(pd, cfg), F64, 0, cfg.Threads, nil)
+	lay := trainInverted(pd, cfg)
+	return newCell(pd, lay, F64, 0, cfg.Threads).over(pd, lay, nil, nil, false)
 }
 
 // NewIVFSQ is the inverted int8 cell over iv's inverted file, which it
@@ -96,8 +95,9 @@ func NewIVFSQ(iv *Table, data *mat.Dense, rerank int) *Table {
 }
 
 // NewIVFFP16 is the inverted binary16 cell over iv's inverted file, which
-// it shares: a second codec over one BuildIVF costs one encoding pass, not
-// a second k-means or a second copy of the lists.
+// it shares with its lists' int8 encoding: a second codec over one
+// BuildIVF costs one encoding pass, not a second k-means, a second copy of
+// the lists or a second int8 encoding.
 func NewIVFFP16(iv *Table, data *mat.Dense) *Table {
 	iv.checkShape(data.Rows, data.Cols)
 	return iv.Encode(F16, 0)
@@ -106,37 +106,67 @@ func NewIVFFP16(iv *Table, data *mat.Dense) *Table {
 // Encode returns the cell of t's layout and candidates under codec c,
 // sharing both with t, and sharing t's blocks too when c holds the
 // encoding t holds (see encodedAs): a layout's int8 cell is its float64
-// cell's encoding, never a second copy of it. rerank <= 0 means
+// cell's encoding, never a second copy of it, and its binary16 cell
+// encodes its halves only and scans t's int8 pages. rerank <= 0 means
 // DefaultRerank where c re-ranks.
 func (t *Table) Encode(c Codec, rerank int) *Table {
-	var blocks []block
+	cell := newCell(t.data, t.lay, c, rerank, t.threads)
 	if encodedAs[c] == encodedAs[t.codec] {
-		blocks = t.blocks
+		cell.blocks = t.blocks
+	} else {
+		cell = cell.over(t.data, t.lay, t, nil, false)
 	}
-	return newCell(t.data, t.lay, c, rerank, t.threads, blocks).Shift(t.base)
+	return cell.Shift(t.base)
 }
 
 // FromCodes is the flat cell of codec c over data that adopts an existing
 // encoding (one restored from a bundle, or a row slice of a larger
 // matrix's) instead of encoding: the int8 encoding for the float64 and
 // int8 codecs, binary16 for binary16. The slices are shared, not copied:
-// the block's pages alias them. It panics on a shape mismatch — a corrupt
-// persisted payload must fail loudly at build time, not skew scores at
-// query time.
+// the block's pages alias them. A binary16 cell also needs the int8 codes
+// its scan bounds scores with: FromCodes quantizes data for them, and
+// Restore over the float64 cell shares that cell's instead. It panics on a
+// shape mismatch — a corrupt persisted payload must fail loudly at build
+// time, not skew scores at query time.
 func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Table {
-	n, dim := data.Rows, data.Cols
+	var lead *Table
+	if c == F16 {
+		lead = NewExact(data, threads)
+	}
+	pd := mat.Page(data)
+	return newCell(pd, flat{pd}, c, rerank, threads).adoptCodes(codes, lead)
+}
+
+// Restore is FromCodes over flat t's candidates: the cell of codec c that
+// adopts codes, their encoding under c, and — binary16 — scans t's int8
+// pages, which t (a float64 or int8 cell) holds.
+func (t *Table) Restore(c Codec, codes Codes, rerank int) *Table {
+	if t.inverted() != nil {
+		panic("index: Restore over an inverted cell")
+	}
+	return newCell(t.data, t.lay, c, rerank, t.threads).adoptCodes(codes, t).Shift(t.base)
+}
+
+// adoptCodes gives flat t the one block whose pages alias codes, and the
+// int8 pages of lead's when t is binary16.
+func (t *Table) adoptCodes(codes Codes, lead *Table) *Table {
+	n, dim := t.data.Rows, t.data.Cols
 	ok := false
-	switch encodedAs[c] {
+	switch encodedAs[t.codec] {
 	case I8:
 		ok = len(codes.I8) == n*dim && len(codes.Scale) == n && len(codes.Base) == n
 	case F16:
 		ok = len(codes.F16) == n*dim
 	}
 	if !ok {
-		panic(fmt.Sprintf("index: %s payload shape mismatch for %dx%d candidates", kinds[0][c], n, dim))
+		panic(fmt.Sprintf("index: %s payload shape mismatch for %dx%d candidates", t.Kind(), n, dim))
 	}
-	pd := mat.Page(data)
-	return newCell(pd, flat{pd}, c, rerank, threads, []block{{rows: pd, codes: pageCodes(codes, n, dim)}})
+	t.blocks = []block{{rows: t.data, codes: pageCodes(codes, n, dim)}}
+	if t.codec == F16 {
+		t.blocks[0].keys = lead.keys(0)
+		t.blocks[0].open = overflowing(t.blocks[0].keys, nil, n)
+	}
+	return t
 }
 
 // Shift returns idx with its candidate ids [0, Len()) re-based to global
@@ -243,17 +273,19 @@ func (t *Table) checkShape(rows, cols int) {
 // lead, when non-nil, is the already refreshed float64 cell of t's layout
 // over the same data: t adopts its layout instead of refreshing a copy,
 // so every codec over one BuildIVF moves each dirty row once and keeps
-// sharing one set of list blocks, and an int8 cell adopts lead's blocks
-// whole, their encoding included (see Encode).
+// sharing one set of list blocks, an int8 cell adopts lead's blocks
+// whole, their encoding included, and a binary16 cell re-encodes its
+// halves only and scans lead's int8 pages (see Encode). Without a lead a
+// binary16 cell refreshes int8 pages of its own.
 func (t *Table) Refresh(data *mat.Paged, dirty []int, lead *Table) *Table {
 	t.checkShape(data.Rows, data.Cols)
 	if lead != nil {
 		if encodedAs[t.codec] == encodedAs[lead.codec] {
 			return t.adopt(lead)
 		}
-		return t.over(data, lead.lay, dirty, true)
+		return t.over(data, lead.lay, lead, dirty, true)
 	}
-	return t.over(data, t.lay.refresh(data, dirty), dirty, true)
+	return t.over(data, t.lay.refresh(data, dirty), nil, dirty, true)
 }
 
 // Reseat returns the next generation of t over data when every row's
@@ -270,9 +302,9 @@ func (t *Table) Reseat(data *mat.Paged, lead *Table) *Table {
 		if encodedAs[t.codec] == encodedAs[lead.codec] {
 			return t.adopt(lead)
 		}
-		return t.over(data, lead.lay, nil, false)
+		return t.over(data, lead.lay, lead, nil, false)
 	}
-	return t.over(data, t.lay.reseat(data), nil, false)
+	return t.over(data, t.lay.reseat(data), nil, nil, false)
 }
 
 // Rebuild re-indexes data (t's dimension, any row count) from scratch
@@ -283,7 +315,7 @@ func (t *Table) Rebuild(data *mat.Paged) *Table {
 	if data.Cols != t.data.Cols {
 		panic(fmt.Sprintf("index: %s rebuild dim %d does not match index dim %d", t.Kind(), data.Cols, t.data.Cols))
 	}
-	return t.over(data, t.lay.rebuild(data), nil, false)
+	return t.over(data, t.lay.rebuild(data), nil, nil, false)
 }
 
 // adopt returns t's codec and settings over lead's candidates, layout and
@@ -298,34 +330,69 @@ func (t *Table) adopt(lead *Table) *Table {
 // descends from t's layout and t's encoding is kept where it still holds:
 // a block whose rows lay shares with t is shared, a flat block (same
 // membership by construction) is patched, and a list that changed is
-// encoded against the list it was.
-func (t *Table) over(data *mat.Paged, lay layout, dirty []int, reuse bool) *Table {
+// encoded against the list it was. A binary16 cell takes its int8 pages
+// from lead, a float64 or int8 cell over lay, or else keeps its own the
+// same way, and counts its open rows again only where a row changed.
+func (t *Table) over(data *mat.Paged, lay layout, lead *Table, dirty []int, reuse bool) *Table {
 	out := *t
 	out.data, out.lay, out.work = data, lay, Work{}
 	out.blocks = make([]block, lay.nblocks())
-	enc := codecs[t.codec]
 	for b := range out.blocks {
 		rows, ids := lay.block(b)
-		var prev []Codes
-		var prevIDs []int32
+		var prev block
 		if reuse {
-			if rows == t.blocks[b].rows {
-				out.blocks[b] = t.blocks[b]
-				continue
-			}
-			prev = t.blocks[b].codes
-			_, prevIDs = t.lay.block(b)
-			if ids == nil {
-				out.blocks[b] = block{rows: rows, codes: patchBlock(enc, rows, prev, dirty, &out.work)}
-				continue
+			prev = t.blocks[b]
+		}
+		nb := &out.blocks[b]
+		if rows == prev.rows {
+			*nb = prev
+		} else {
+			*nb = block{rows: rows, codes: t.encode(codecs[t.codec], b, rows, ids, prev.codes, dirty, &out.work)}
+			if t.codec == F64 && ids != nil { // the float64 cell's storage is the list itself
+				out.work.BytesCopied += int64(rows.Rows) * int64(8*rows.Cols+4)
 			}
 		}
-		if t.codec == F64 && ids != nil { // the float64 cell's storage is the list itself
-			out.work.BytesCopied += int64(rows.Rows) * int64(8*rows.Cols+4)
+		if t.codec != F16 {
+			continue
 		}
-		out.blocks[b] = block{rows: rows, codes: encodeBlock(enc, rows, ids, prev, prevIDs, dirty, &out.work)}
+		switch {
+		case lead != nil:
+			nb.keys = lead.keys(b)
+		case rows != prev.rows:
+			nb.keys = t.encode(codecs[I8], b, rows, ids, prev.keys, dirty, &out.work)
+		}
+		switch {
+		case rows == prev.rows:
+		case prev.rows != nil && ids == nil: // patched: only the dirty rows changed
+			nb.open = prev.open - overflowing(prev.keys, dirty, 0) + overflowing(nb.keys, dirty, 0)
+		default:
+			nb.open = overflowing(nb.keys, nil, rows.Rows)
+		}
 	}
 	return &out
+}
+
+// encode returns enc's paged encoding of block b of a layout (rows,
+// members ids), carrying over what still holds of prev, t's encoding of
+// its block b under enc (nil: encode every row).
+func (t *Table) encode(enc codec, b int, rows *mat.Paged, ids []int32, prev []Codes, dirty []int, w *Work) []Codes {
+	if prev == nil {
+		return encodeBlock(enc, rows, ids, nil, nil, nil, w)
+	}
+	if ids == nil {
+		return patchBlock(enc, rows, prev, dirty, w)
+	}
+	_, prevIDs := t.lay.block(b)
+	return encodeBlock(enc, rows, ids, prev, prevIDs, dirty, w)
+}
+
+// keys returns the int8 pages of t's block b: a binary16 cell's keys, any
+// other cell's own encoding.
+func (t *Table) keys(b int) []Codes {
+	if t.codec == F16 {
+		return t.blocks[b].keys
+	}
+	return t.blocks[b].codes
 }
 
 // Search is SearchBatch over this one table and this one query: clamp k,
