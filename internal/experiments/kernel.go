@@ -33,8 +33,10 @@ type KernelCell struct {
 	Dim int    `json:"dim"`
 	// Nominal bytes touched per call (inputs + outputs at their storage
 	// width), the numerator of the GB/s columns. For gemm this is the
-	// algorithmic 3·8·d² footprint, not actual cache traffic; sq8rows is
-	// timed per row, and counts a row's codes and its int32 sum.
+	// algorithmic 3·8·d² footprint, not actual cache traffic; sq8dot
+	// counts the 16-bit query, the row's codes, its (scale, base) and its
+	// float64 bound, and sq8rows is timed per row and counts the row's
+	// share alone.
 	Bytes        int     `json:"bytes"`
 	GenericNsOp  float64 `json:"generic_ns_op"`
 	DispatchNsOp float64 `json:"dispatch_ns_op"`
@@ -139,8 +141,9 @@ var kernelSink float64
 // scan hands the kernel at once.
 const kernelRunRows = 128
 
-// RunKernel times the five scan kernels (float64 dot, blocked GEMM, int8
-// dot, its row-block form, fp16 decode-and-accumulate) at each dim,
+// RunKernel times the five scan kernels (float64 dot, blocked GEMM, the
+// int8 row kernel on one row and on a run of rows, fp16
+// decode-and-accumulate) at each dim,
 // portable vs dispatched, on deterministic pseudo-random inputs, and the
 // training stages built on them at one fixed shape (KernelTrain). It
 // fails (rather than reporting a meaningless grid) when a dispatched
@@ -195,20 +198,19 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		}
 		av := make([]float64, d)
 		bv := make([]float64, d)
-		ai := make([]int8, d)
-		bi := make([]int8, d)
 		for i := 0; i < d; i++ {
 			av[i] = rng.NormFloat64()
 			bv[i] = rng.NormFloat64()
-			ai[i] = int8(rng.Intn(255) - 127)
-			bi[i] = int8(rng.Intn(255) - 127)
 		}
-		// A run of int8 rows for sq8rows: one query (ai) against them.
-		ri := make([]int8, kernelRunRows*d)
-		for i := range ri {
-			ri[i] = int8(rng.Intn(255) - 127)
+		// A run of encoded rows for sq8rows, its first for sq8dot, and the
+		// query av prepared as the exact scan prepares it.
+		rm := mat.New(kernelRunRows, d)
+		for i := range rm.Data {
+			rm.Data[i] = rng.NormFloat64()
 		}
-		ro := make([]int32, kernelRunRows)
+		ri, rs, rb := index.QuantizeRows(rm)
+		iq := index.PrepareI8Query(av)
+		ro, rg := make([]float64, kernelRunRows), make([]float64, kernelRunRows)
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))
 		am := mat.New(d, d)
 		bm := mat.New(d, d)
@@ -224,13 +226,16 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		if g, s := mat.DotGeneric(av, bv), mat.Dot(av, bv); g != s {
 			return nil, fmt.Errorf("experiments: dot dispatch diverges from generic at dim %d: %v != %v", d, s, g)
 		}
-		if g, s := index.DotI8Generic(ai, bi), index.DotI8(ai, bi); g != s {
-			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %d != %d", d, s, g)
+		index.DotI8Rows(iq, ri[:d], rs[:1], rb[:1], ro[:1])
+		index.DotI8RowsGeneric(iq, ri[:d], rs[:1], rb[:1], rg[:1])
+		if math.Float64bits(ro[0]) != math.Float64bits(rg[0]) {
+			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %v != %v", d, ro[0], rg[0])
 		}
-		index.DotI8Rows(ai, ri, ro)
+		index.DotI8Rows(iq, ri, rs, rb, ro)
+		index.DotI8RowsGeneric(iq, ri, rs, rb, rg)
 		for r, s := range ro {
-			if g := index.DotI8Generic(ai, ri[r*d:(r+1)*d]); g != s {
-				return nil, fmt.Errorf("experiments: sq8rows dispatch diverges from generic at dim %d row %d: %d != %d", d, r, s, g)
+			if g := rg[r]; math.Float64bits(g) != math.Float64bits(s) {
+				return nil, fmt.Errorf("experiments: sq8rows dispatch diverges from generic at dim %d row %d: %v != %v", d, r, s, g)
 			}
 		}
 		if g, s := index.DotFP16Generic(av, ch), index.DotFP16(av, ch); g != s {
@@ -263,19 +268,16 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		cell("gemm", 3*8*d*d, 1,
 			func() { mat.MulIntoGeneric(dst, am, bm); kernelSink += dst.Data[0] },
 			func() { mat.MulInto(dst, am, bm); kernelSink += dst.Data[0] })
-		cell("sq8dot", 2*d, 1,
-			func() { kernelSink += float64(index.DotI8Generic(ai, bi)) },
-			func() { kernelSink += float64(index.DotI8(ai, bi)) })
+		// The int8 row kernel: a 16-bit query's dot with a row's codes,
+		// turned into the row's certified bound.
+		cell("sq8dot", 3*d+16, 1,
+			func() { index.DotI8RowsGeneric(iq, ri[:d], rs[:1], rb[:1], rg[:1]); kernelSink += rg[0] },
+			func() { index.DotI8Rows(iq, ri[:d], rs[:1], rb[:1], ro[:1]); kernelSink += ro[0] })
 		// One call scores a run of rows, timed and counted per row: its ns
 		// compare with sq8dot's.
-		cell("sq8rows", d+4, kernelRunRows,
-			func() {
-				for r := range ro {
-					ro[r] = index.DotI8Generic(ai, ri[r*d:(r+1)*d])
-				}
-				kernelSink += float64(ro[0])
-			},
-			func() { index.DotI8Rows(ai, ri, ro); kernelSink += float64(ro[0]) })
+		cell("sq8rows", d+16, kernelRunRows,
+			func() { index.DotI8RowsGeneric(iq, ri, rs, rb, rg); kernelSink += rg[0] },
+			func() { index.DotI8Rows(iq, ri, rs, rb, ro); kernelSink += ro[0] })
 		cell("fp16dot", 10*d, 1,
 			func() { kernelSink += index.DotFP16Generic(av, ch) },
 			func() { kernelSink += index.DotFP16(av, ch) })

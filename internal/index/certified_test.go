@@ -133,14 +133,41 @@ func boundQueries(rng *rand.Rand, dim, reps int) [][]float64 {
 		// One large coordinate and the rest under half a quantization step:
 		// those quantize to 0 and all their weight is in φ, the query's
 		// quantization error, which only the s·f term of the bound covers.
+		half := scale / float64(2*queryLevels(dim))
 		add(func(j int) float64 {
 			if j == hot {
 				return scale
 			}
-			return scale / 254 * (2*rng.Float64() - 1)
+			return half * (2*rng.Float64() - 1)
 		})
+		// Every coordinate at ±scale: each quantizes to ±L, so against a
+		// row aligned with it the codes' dot is as large as it gets.
+		add(func(int) float64 { return math.Copysign(scale, rng.NormFloat64()) })
 	}
 	return qs
+}
+
+// tightPair returns a query and a row of dimension dim ≥ 3 that leave
+// the bound almost no room. The row's range is [0, 255], so s = 1 and
+// b = 128; its first value lies just under a midpoint between two levels,
+// where the query has its largest coordinate, 1, so the row's rounding
+// costs s/2 there. Every other coordinate sits just under half a query
+// step, quantizes to 0, and meets a row value of 0 or 255 (code −128 or
+// 127) of its own sign, so φ·c costs s·f·128·(n−1) less a little. The
+// score then exceeds a + e·‖q‖₁ by about s·64·n/L: dropping either the
+// s/2 or the f·128·n term of the bound lets it pass.
+func tightPair(dim int) (q, x []float64) {
+	q, x = make([]float64, dim), make([]float64, dim)
+	q[0], x[0] = 1, 100.5-0x1p-20
+	phi := 0.4999 / float64(queryLevels(dim))
+	for j := 1; j < dim; j++ {
+		if j%2 == 1 {
+			q[j], x[j] = phi, 255
+		} else {
+			q[j], x[j] = -phi, 0
+		}
+	}
+	return q, x
 }
 
 // TestCertifiedBoundHolds: for every row and query shape above, at several
@@ -158,32 +185,35 @@ func TestCertifiedBoundHolds(t *testing.T) {
 		rng := rand.New(rand.NewSource(29))
 		pairs, hostile := 0, 0
 		for _, dc := range []struct{ dim, reps int }{
-			{1, 130}, {2, 130}, {7, 130}, {13, 130}, {16, 130}, {64, 80}, {100, 60}, {130, 50}, {maxBoundDim, 3},
+			{1, 130}, {2, 130}, {7, 130}, {13, 130}, {16, 130}, {64, 80}, {100, 60}, {130, 50}, {600, 4}, {maxBoundDim, 3},
 		} {
 			dim := dc.dim
 			rows := boundRows(rng, dim, dc.reps)
 			bad := hostileRows(rng, dim)
 			qs := boundQueries(rng, dim, dc.reps)
 			enc := i8Codec{}
-			codes := enc.alloc(len(rows)+len(bad)+1, dim)
+			codes := enc.alloc(len(rows)+len(bad)+2, dim)
 			for i, r := range append(rows, bad...) {
 				enc.encodeRow(codes, i, r)
 			}
-			aligned := make([]float64, dim)
+			aligned, sign := make([]float64, dim), make([]float64, dim)
 			for _, q := range qs {
 				var pq query
 				codecs[c].prepare(&pq, q)
 				for j, v := range q {
 					aligned[j] = math.Copysign(0.5+rng.Float64(), v)
+					sign[j] = math.Copysign(1, v)
 				}
-				all := append(append(rows[:len(rows):len(rows)], bad...), aligned)
-				enc.encodeRow(codes, len(all)-1, aligned)
+				all := append(append(rows[:len(rows):len(rows)], bad...), aligned, sign)
+				enc.encodeRow(codes, len(all)-2, aligned)
+				enc.encodeRow(codes, len(all)-1, sign)
 				for i, x := range all {
 					scale, base := codes.Scale[i], codes.Base[i]
-					ub := pq.bound(dotI8(pq.i8, codes.I8[i*dim:(i+1)*dim]), scale, base)
-					score := certScore(c, q, x)
+					var ubs [1]float64
+					dotI8Rows(&pq, codes.I8[i*dim:(i+1)*dim], codes.Scale[i:i+1], codes.Base[i:i+1], ubs[:], true)
+					ub, score := ubs[0], certScore(c, q, x)
 					flagged := c == F16 && overflows(scale, base)
-					if i >= len(rows) && i < len(all)-1 {
+					if i >= len(rows) && i < len(all)-2 {
 						hostile++
 						if c == F16 && overflowsHalf(x) && !flagged {
 							t.Fatalf("%s dim %d: row %v may round to an Inf half but is certified (scale %v, base %v)", kinds[0][c], dim, x, scale, base)
@@ -201,6 +231,19 @@ func TestCertifiedBoundHolds(t *testing.T) {
 					}
 					pairs++
 				}
+			}
+			if dim < 3 {
+				continue
+			}
+			q, x := tightPair(dim)
+			var pq query
+			codecs[c].prepare(&pq, q)
+			one := enc.alloc(1, dim)
+			enc.encodeRow(one, 0, x)
+			var ub [1]float64
+			dotI8Rows(&pq, one.I8, one.Scale, one.Base, ub[:], true)
+			if score := certScore(c, q, x); !(ub[0] >= score) {
+				t.Fatalf("%s dim %d: bound %v under the tight pair's score %v", kinds[0][c], dim, ub[0], score)
 			}
 		}
 		if pairs < 2_000_000 || hostile == 0 {
@@ -443,45 +486,121 @@ func TestCertifiedScanEqualsFullScan(t *testing.T) {
 	}
 }
 
-// TestDotI8RowsMatchesDotI8 drives the row-block int8 kernel over every
-// dimension 1..80 and 128 and 130 (16 and up take the vector kernel, a
+// TestDotI8RowsMatchesDotI8 drives the int8 row kernel over every
+// dimension 1..80, 128, 130 and 600 (16 and up take the vector kernel, a
 // dimension off a multiple of 16 its masked tail step), row counts 0..9
-// and 129 (a count off a multiple of 4 leaves rows to the one-row path,
-// the one a lone dotI8 call takes), and shifting
-// offsets of the query, the rows and the output, with the extreme codes
-// planted at both ends of every vector: every sum must be the one
-// dotI8Generic returns.
+// and 129 (a count off a multiple of 4 leaves a last group of one to
+// three rows), and shifting offsets of the query, the rows and the
+// output, with ±L and the extreme codes planted at both ends of every
+// vector. With factors sum 0 and step 1, and each row's scale 1 and base
+// 0, the approximate score 0·0 + (1·1)·d is the row's dot itself, exact
+// below 2⁵³, which must be dotI8's and the exact integer sum. At dim 600
+// an odd row count has every code at −128 and the query at +L or −L
+// throughout, so the dot is 128·L·600 in magnitude, 2,047 short of 2³¹:
+// one more level would overflow int32.
 func TestDotI8RowsMatchesDotI8(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	const maxOff = 4
-	dims := []int{128, 130}
+	dims := []int{128, 130, 600}
 	for d := 1; d <= 80; d++ {
 		dims = append(dims, d)
 	}
 	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 129}
 	for _, dim := range dims {
+		levels := queryLevels(dim)
 		for _, n := range counts {
 			off := rng.Intn(maxOff)
-			qback := make([]int8, dim+maxOff)
+			qback := make([]int16, dim+maxOff)
 			back := make([]int8, n*dim+maxOff)
-			for _, v := range [][]int8{qback, back} {
-				for j := range v {
-					v[j] = int8(rng.Intn(256) - 128)
-				}
+			for j := range qback {
+				qback[j] = int16(rng.Intn(2*levels+1) - levels)
+			}
+			for j := range back {
+				back[j] = int8(rng.Intn(256) - 128)
 			}
 			q := qback[off : off+dim]
 			rows := back[(off+1)%maxOff:][:n*dim]
-			q[0], q[dim-1] = -128, 127
+			q[0], q[dim-1] = int16(-levels), int16(levels)
 			for r := range n {
 				rows[r*dim], rows[(r+1)*dim-1] = int8(127-255*(r%2)), -128
 			}
-			out := make([]int32, n+maxOff)[(off+2)%maxOff:][:n]
-			dotI8Rows(q, rows, out)
+			if dim == 600 && n%2 == 1 {
+				for j := range q {
+					q[j] = int16(levels * (1 - 2*(n/2%2)))
+				}
+				for j := range rows {
+					rows[j] = -128
+				}
+			}
+			out := make([]float64, n+maxOff)[(off+2)%maxOff:][:n]
+			scale, base := make([]float32, n), make([]float32, n)
+			for r := range scale {
+				scale[r] = 1
+			}
+			dotI8Rows(&query{i16: q, factors: factors{step: 1}}, rows, scale, base, out, false)
 			for r, got := range out {
-				if want := dotI8Generic(q, rows[r*dim:(r+1)*dim]); got != want {
-					t.Fatalf("dotI8Rows(dim=%d, n=%d, off=%d) row %d = %d, generic %d", dim, n, off, r, got, want)
+				row := rows[r*dim : (r+1)*dim]
+				var exact int64
+				for j, c := range row {
+					exact += int64(q[j]) * int64(c)
+				}
+				if want := dotI8(q, row); got != float64(want) || got != float64(exact) {
+					t.Fatalf("dotI8Rows(dim=%d, n=%d, off=%d) row %d = %v, dotI8 %d, exact %d", dim, n, off, r, got, want, exact)
 				}
 			}
 		}
+	}
+}
+
+// TestBoundGoldenBits pins, to the bit, the factors a fixed query
+// prepares under the float64 and binary16 codecs and the approximate
+// scores and bounds they give five fixed rows (d, s, b), one with d near
+// 2³¹, as amd64 computes them. Every build must compute the same: the
+// arm64 compiler fuses a product into a following add (FMADD) unless an
+// explicit float64 conversion rounds the product first, and a fused
+// build fails here. The fused evaluations are checked to differ from the
+// pins, so the test can tell.
+func TestBoundGoldenBits(t *testing.T) {
+	q := make([]float64, 20)
+	for j := range q {
+		q[j] = float64((j*7)%13-6) / 7
+	}
+	rows := []struct {
+		d    int32
+		s, b float32
+	}{{-2992081, 2. / 1024, -4. / 3}, {-2936648, 3. / 1024, -1}, {-2619888, 15. / 1024, -1. / 3}, {-2279371, 7. / 1024, -2. / 3}, {2000000000, 1.7e-5, -3.3}}
+	golden := []struct {
+		factors [5]uint64    // sum, step, ks, kb, k0
+		scores  [5][2]uint64 // approx, bound
+	}{
+		{[5]uint64{0xbffb6db6db6db6db, 0x3efb6dedb749256d, 0x4012fe04e9251b40, 0x3ec2db6db6db6db7, 0x38d2db6db6db6db7},
+			[5][2]uint64{{0x40011011226b571f, 0x40012310b99da195}, {0x3ff7d3e30333bd42, 0x3ff80cdf6d5ce36f}, {0xbfdbad9d9216b676, 0xbfd73a1146dfb95c},
+				{0x3fe7874300cf019e, 0x3fe8912a6a2153d3}, {0x401a2fa8031a3346, 0x401a2fbf1dc3d1c5}}},
+		{[5]uint64{0xbffb6db6db6db6db, 0x3efb6dedb749256d, 0x401563798db76464, 0x3f72e28000000000, 0x3e92db6db6db6db7},
+			[5][2]uint64{{0x40011011226b571f, 0x4001320bc1b63571}, {0x3ff7d3e30333bd42, 0x3ff826f03b4a9a4a}, {0xbfdbad9d9216b676, 0xbfd6911de71c4880},
+				{0x3fe7874300cf019e, 0x3fe8cbe23d770dd3}, {0x401a2fa8031a3346, 0x401a3f5460a31532}}},
+	}
+	fusedApprox, fusedBound := false, false
+	for i, c := range []Codec{F64, F16} {
+		var pq query
+		codecs[c].prepare(&pq, q)
+		g := golden[i]
+		for x, v := range []float64{pq.sum, pq.step, pq.ks, pq.kb, pq.k0} {
+			if math.Float64bits(v) != g.factors[x] {
+				t.Errorf("%s factor %d = %#x, golden %#x", kinds[0][c], x, math.Float64bits(v), g.factors[x])
+			}
+		}
+		for r, row := range rows {
+			a, ub := pq.approx(row.d, row.s, row.b), pq.bound(row.d, row.s, row.b)
+			if math.Float64bits(a) != g.scores[r][0] || math.Float64bits(ub) != g.scores[r][1] {
+				t.Errorf("%s row %d: approx %#x, bound %#x; golden %#x, %#x", kinds[0][c], r, math.Float64bits(a), math.Float64bits(ub), g.scores[r][0], g.scores[r][1])
+			}
+			s, b, d := float64(row.s), float64(row.b), float64(row.d)
+			fusedApprox = fusedApprox || math.FMA(b, pq.sum, float64(s*pq.step)*d) != a || math.FMA(float64(s*pq.step), d, float64(b*pq.sum)) != a
+			fusedBound = fusedBound || math.FMA(s, pq.ks, a)+float64(math.Abs(b)*pq.kb)+pq.k0 != ub
+		}
+	}
+	if !fusedApprox || !fusedBound {
+		t.Fatalf("no golden row tells a fused evaluation apart (approx %v, bound %v)", fusedApprox, fusedBound)
 	}
 }

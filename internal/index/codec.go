@@ -206,12 +206,11 @@ func (c Codes) shares(d Codes) bool {
 }
 
 // query is a search's query as a codec scores against it. Pooled with the
-// search's scratch, so the int8 buffer adds no steady-state allocation.
+// search's scratch, so the 16-bit buffer adds no steady-state allocation.
 type query struct {
-	q          []float64
-	i8         []int8 // q quantized symmetrically, for the int8 kernel
-	step, sum  float64
-	ks, kb, k0 float64 // certified codecs: the bound's factors of s, |b| and 1
+	q   []float64
+	i16 []int16 // q quantized symmetrically (quantizeQuery), for the int8 row kernel
+	factors
 }
 
 // span is a contiguous row range [lo, hi) of one block together with what
@@ -234,13 +233,15 @@ func (s *span) id(j int) int {
 }
 
 // runRows is how many rows an int8 scan scores per dotI8Rows call, into a
-// buffer on its stack, before it filters them. Each scan holds top's
-// Floor in a local, reloaded after each keep: a row scoring below it is
-// one top would not admit, and skipping it there takes the Admits call
-// off almost every row. A score equal to the floor still goes to Admits,
-// which breaks the tie by id; a NaN fails the test and goes on too. No
-// bound is −Inf (an a of −Inf makes 2⁻⁴⁰·|a| +Inf and the bound NaN), so
-// every non-finite bound still reaches certifiedScan's test.
+// buffer on its stack, before it filters them. The kernel writes what the
+// scan tests — a certified codec's bound, the int8 codec's approximate
+// score — so the scan's own per-row work is one comparison. Each scan
+// holds top's Floor in a local, reloaded after each keep: a row scoring
+// below it is one top would not admit, and skipping it there takes the
+// Admits call off almost every row. A score equal to the floor still goes
+// to Admits, which breaks the tie by id; a NaN fails the test and goes on
+// too, and so does every other non-finite bound, since none is −Inf (see
+// f64Codec).
 const runRows = 128
 
 // keep offers a row that top.Admits to top, unless skip excludes it. Scan loops
@@ -257,11 +258,11 @@ func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
 
 // f64Codec answers with the exact scores mat.Dot gives the float64 rows,
 // but reads a row only where it must. It holds the int8 codec's encoding
-// of its block, and for every row turns the codes' int32 dot d into an
-// upper bound ub on the score mat.Dot would return. The float64 row is
-// read and scored only when top.Admits(id, ub), against a threshold that
-// is the running k-th best EXACT score. A row whose bound top rejects has
-// a score top rejects too, so the scan offers exactly the rows a full
+// of its block, and the row kernel turns every row's codes into an upper
+// bound ub on the score mat.Dot would return. The float64 row is read and
+// scored only when top.Admits(id, ub), against a threshold that is the
+// running k-th best EXACT score. A row whose bound top rejects has a
+// score top rejects too, so the scan offers exactly the rows a full
 // float64 scan offers, in the same order: the answer is the full scan's,
 // ids and score bits alike. This is the VA-file design (Weber, Schek and
 // Blott, VLDB 1998) with the top-k heap as the refinement filter.
@@ -271,27 +272,40 @@ func keep(top *core.TopK, skip func(int) bool, id int, score float64) {
 //
 //	|x_j − (b + s·c_j)| ≤ e = s/2·(1+2⁻²⁰) + w·2⁻²² + 2⁻¹¹⁷,   w = |b| + 130·s
 //
-// s/2 is the distance to the nearest level, and 2⁻²⁰ of it covers
-// computing the level in float64. w·2⁻²² covers rounding s and b to
-// float32, including the clamp at level 255 that a rounded-down s can
-// force. 2⁻¹¹⁷ covers a row whose range/255 underflows float32 (s zero or
-// subnormal). So |x_j| ≤ w·(1+2⁻²²) + 2⁻¹¹⁷. prepare writes the query as
-// q = step·qi8 + φ with |φ_j| ≤ f, and |c_j| ≤ 128, so
+// What it needs is less: s/2·(1+2⁻⁴²) for the distance to the nearest
+// level computed in float64 (the clamp at level 255 that a rounded-down s
+// can force costs under 2⁻¹⁶·s), 2⁻²⁴·|b|·(1+2⁻²⁸) for rounding b to
+// float32, and 2⁻¹⁴¹ for a row whose range/255 underflows float32 (s zero
+// or subnormal). So e holds a spare of at least 2⁻²³·w + 2⁻¹¹⁸ per
+// element, and |x_j| ≤ w·(1+2⁻²²) + 2⁻¹¹⁷. prepare writes the query as
+// q = step·qi + φ with step = max|q_j|/L, |qi_j| ≤ L = queryLevels(n) and
+// |φ_j| ≤ f, and |c_j| ≤ 128, so the codes' dot d = qi·c is exact
+// (|d| ≤ 128·L·n < 2³¹) and
 //
-//	q·x = b·Σq + s·step·(qi8·c) + s·(φ·c) + q·(x − b − s·c)
+//	q·x = b·Σq + s·step·d + s·(φ·c) + q·(x − b − s·c)
 //	    ≤ a + s·f·128·n + e·‖q‖₁,   a = b·qsum + s·step·d,
 //
-// where a is the score the int8 codec's scan computes. The slack
-// 2⁻⁴⁰·(|a| + ‖q‖₁·w) covers, for n ≤ 2¹², the float64 rounding of qsum,
-// of a, of the bound's own terms, and of mat.Dot: its sixteen lanes put
-// each product through at most n/16 + 10 roundings, under 2⁻⁴⁴·Σ|q_j·x_j|
-// in all, and Σ|q_j·x_j| ≤ ‖q‖₁·max|x_j|. It assumes the products stay
-// clear of float64's subnormal range. A longer query gets f = +Inf. A
-// non-finite ub — from a row or query holding Inf or NaN, or an (s, b)
-// that overflowed float32 — certifies nothing, and the row is scored.
+// where a is the score the int8 codec's scan computes. Nothing else is
+// added for the float64 rounding of qsum, of ‖q‖₁ and f, of a, of the
+// bound's own terms, and of mat.Dot: e's spare covers them. For n ≤ 2¹²,
+// L ≥ 4095, so f ≤ step·(1/2 + 2⁻⁴⁰) gives n·f ≤ 0.52·max|q_j| and
+// step·|d| ≤ 128·(‖q‖₁ + n·f) ≤ 195·‖q‖₁, hence |a| ≤ 1.5·‖q‖₁·w, and
+// every term of ub is a few ‖q‖₁·w. mat.Dot's sixteen lanes put each
+// product through at most n/16 + 10 roundings, under 2⁻⁴⁴·Σ|q_j·x_j| in
+// all, with Σ|q_j·x_j| ≤ ‖q‖₁·max|x_j|. The largest piece is f itself,
+// computed as |q_j − step·qi_j| in float64: it may fall short of the
+// true φ by 2⁻⁵²·max|q_j|, which costs s·128·n of that, 2⁻³³·s·‖q‖₁.
+// Together they stay under 2⁻³¹·‖q‖₁·w + 2⁻¹⁵⁸·‖q‖₁, 2⁸ times inside the
+// spare's ‖q‖₁·(2⁻²³·w + 2⁻¹¹⁸). This assumes the products stay clear of
+// float64's subnormal range. A query longer than 2¹², or with ‖q‖₁ of
+// 2⁸⁰⁰ or more (or not finite), gets f·128·n = +Inf and certifies
+// nothing; under 2⁸⁰⁰ no term of a finite (s, b)'s bound can overflow, so
+// no bound is −Inf. A non-finite ub — from a row holding Inf or NaN, or an
+// (s, b) that overflowed float32 — certifies nothing, and the row is
+// scored.
 type f64Codec struct{}
 
-// maxBoundDim is the longest query the bound's slack covers.
+// maxBoundDim is the longest query the bound covers.
 const maxBoundDim = 1 << 12
 
 func (f64Codec) alloc(n, dim int) Codes                  { return i8Codec{}.alloc(n, dim) }
@@ -309,52 +323,45 @@ func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
 func scoreF64(q []float64, b *block, j int) float64 { return mat.Dot(q, b.rows.Row(j)) }
 
 // prepareBound quantizes q as the int8 codec does and gathers the bound's
-// per-query factors: expanding e and the slack,
+// per-query factors: expanding e,
 //
-//	ub = a + 2⁻⁴⁰·|a| + s·ks + |b|·kb + k0,
-//	ks = ‖q‖₁·(1/2 + 2⁻²¹ + 130·2⁻²² + 130·2⁻⁴⁰) + f·128·n,
-//	kb = ‖q‖₁·(2⁻²² + 2⁻⁴⁰),   k0 = ‖q‖₁·2⁻¹¹⁷,
+//	ub = a + s·ks + |b|·kb + k0,
+//	ks = ‖q‖₁·(1/2 + 2⁻²¹ + 130·2⁻²²) + f·128·n,
+//	kb = ‖q‖₁·2⁻²²,   k0 = ‖q‖₁·2⁻¹¹⁷,
 //
-// which leaves a row a handful of flops beyond its int8 dot. Evaluated
-// this way round, the float64 rounding of the factors moves ub by a few
-// units of 2⁻⁵³ of its terms, far inside e's own margin. half widens the
-// bound by ‖q‖₁·(2⁻¹¹·(1+2⁻¹⁰)·w + 2⁻²⁵) to cover the binary16 rounding of
-// the row (see f16Codec): 130 times the w factor joins ks, once kb.
+// which leaves a row three products and three adds beyond a, all of them
+// in the row kernel. half widens the bound by
+// ‖q‖₁·(2⁻¹¹·(1+2⁻¹⁰)·w + 2⁻²⁵) to cover the binary16 rounding of the row
+// (see f16Codec): 130 times the w factor joins ks, once kb. Each product
+// is rounded on its own, as in factors.bound, so every build derives the
+// same factors.
 func (pq *query) prepareBound(q []float64, half bool) {
 	i8Codec{}.prepare(pq, q)
 	var l1, f float64
 	for j, v := range q {
 		l1 += math.Abs(v)
-		f = max(f, math.Abs(v-pq.step*float64(pq.i8[j])))
+		f = max(f, math.Abs(v-float64(pq.step*float64(pq.i16[j]))))
 	}
-	fn := f * 128 * float64(len(q))
-	if len(q) > maxBoundDim {
+	fn := float64(f * 128 * float64(len(q)))
+	if len(q) > maxBoundDim || !(l1 < 0x1p800) {
 		fn = math.Inf(1)
 	}
-	pq.ks = l1*(0.5+0x1p-21+130*0x1p-22+130*0x1p-40) + fn
-	pq.kb = l1 * (0x1p-22 + 0x1p-40)
-	pq.k0 = l1 * 0x1p-117
+	pq.ks = float64(l1*(0.5+0x1p-21+130*0x1p-22)) + fn
+	pq.kb = float64(l1 * 0x1p-22)
+	pq.k0 = float64(l1 * 0x1p-117)
 	if half {
-		kw := l1 * 0x1p-11 * (1 + 0x1p-10)
-		pq.ks += 130 * kw
+		kw := float64(l1 * 0x1p-11 * (1 + 0x1p-10))
+		pq.ks += float64(130 * kw)
 		pq.kb += kw
-		pq.k0 += l1 * 0x1p-25
+		pq.k0 += float64(l1 * 0x1p-25)
 	}
-}
-
-// bound is the certified upper bound above on the score of a row whose
-// codes' int32 dot with pq.i8 is d and whose parameters are (scale, base);
-// for the binary16 codec, of a row overflows does not flag.
-func (pq *query) bound(d int32, scale, base float32) float64 {
-	a := pq.approx(d, scale, base)
-	return a + 0x1p-40*math.Abs(a) + float64(scale)*pq.ks + math.Abs(float64(base))*pq.kb + pq.k0
 }
 
 // overflows reports whether, for a row with parameters (scale, base),
 // w = |b| + 130·s reaches maxHalf or is NaN: then a value of the row may
 // round to a ±Inf half, and the binary16 bound does not hold.
 func overflows(scale, base float32) bool {
-	return !(math.Abs(float64(base))+130*float64(scale) < maxHalf)
+	return !(math.Abs(float64(base))+float64(130*float64(scale)) < maxHalf)
 }
 
 // overflowing counts the rows of a block with int8 pages keys that
@@ -397,13 +404,12 @@ func certifiedScan(top *core.TopK, b *block, keys []Codes, pq *query, s span, sc
 		return s.hi - s.lo
 	}
 	dim := len(pq.q)
-	var ds [runRows]int32
+	var ubs [runRows]float64
 	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
 		codes, scale, base, n := i8Run(keys, j, min(s.hi, j+runRows), dim)
-		dotI8Rows(pq.i8, codes, ds[:n])
-		for x, d := range ds[:n] {
-			ub := pq.bound(d, scale[x], base[x])
+		dotI8Rows(pq, codes, scale, base, ubs[:n], true)
+		for x, ub := range ubs[:n] {
 			if ub < floor {
 				continue
 			}

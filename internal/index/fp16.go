@@ -20,7 +20,7 @@ import (
 // scan does not decode every row: like the float64 codec it scans the
 // int8 codes its layout's float64 cell holds, under a bound widened by
 // the binary16 rounding, and decodes only the rows that bound cannot rule
-// out (about 1 % of them at k = 10 over a 30,000-node embedding). This
+// out (about 0.6 % of them at k = 10 over a 30,000-node embedding). This
 // file is the binary16 codec: the conversions, the encoding, the kernel
 // dispatch, and the widened bound.
 //
@@ -204,13 +204,14 @@ const maxHalf = 65504
 //	|q·h − q·x| ≤ ‖q‖₁·(2⁻¹¹·(1+2⁻²²)·w + 2⁻²⁵ − 2⁻³⁷),
 //
 // so the widening ‖q‖₁·(2⁻¹¹·(1+2⁻¹⁰)·w + 2⁻²⁵) covers it with
-// ‖q‖₁·(2⁻²²·w + 2⁻³⁷) to spare. Where the float64 codec's slack covered
-// mat.Dot's rounding it now covers dotFP16's: eight lanes folded pairwise,
-// a 4-block, the horizontal sum and a tail of at most three put each
-// product through at most n/8 + 8 roundings, under 2⁻⁴³·Σ|q_j·h_j| for
-// n ≤ 2¹², and Σ|q_j·h_j| ≤ ‖q‖₁·((1+2⁻¹¹)·max|x_j| + 2⁻²⁵). That is
-// inside 2⁻⁴⁰·‖q‖₁·w but for ‖q‖₁·2⁻⁶⁷, which the spare absorbs along with
-// the rounding of the widening's own factors. A value of 65520 or more
+// ‖q‖₁·(2⁻²²·w + 2⁻³⁷) to spare. Where e's spare covered mat.Dot's
+// rounding (see f64Codec), the spares now cover dotFP16's: eight lanes
+// folded pairwise, a 4-block, the horizontal sum and a tail of at most
+// three put each product through at most n/8 + 8 roundings, under
+// 2⁻⁴³·Σ|q_j·h_j| for n ≤ 2¹², and Σ|q_j·h_j| ≤ ‖q‖₁·((1+2⁻¹¹)·max|x_j| +
+// 2⁻²⁵). That is under ‖q‖₁·(2⁻⁴²·w + 2⁻⁶⁷), which the widening's spare
+// absorbs along with the rounding of the widening's own factors; the
+// float64 bound's other roundings stay inside e's. A value of 65520 or more
 // rounds to ±Inf and puts w past maxHalf (see overflows): a block holding
 // such a row certifies nothing and re-scores every row. A NaN off a row's
 // first element leaves (s, b) finite, but the row's score is NaN, which a

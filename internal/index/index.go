@@ -28,7 +28,7 @@
 // codec scans fewer bytes per row than the float64 rows hold. The float64
 // codec scans a per-row scalar quantization (int8) of its rows, bounds
 // each row's exact score from it, and reads a float64 row only when that
-// bound reaches the running top-k: about one row in a hundred, with
+// bound reaches the running top-k: under one row in a hundred, with
 // answers bit-identical to a full float64 scan. The int8 codec scans the
 // same quantization under an approximate score and restores exact scores
 // by re-ranking the rerank*k best survivors in float64 (fully exact when

@@ -16,7 +16,12 @@ import (
 // units, every unit walks its rows once in cache-sized tiles, and every
 // query of the batch is scored against a tile while it is resident. So a
 // batch of Q queries reads each candidate row's encoding from memory once,
-// not Q times, and the Q·n code dots run out of L1.
+// not Q times, and the Q·n code dots run out of L1. Every int8, float64
+// and binary16 scan scores its rows with one kernel, dotI8Rows: the
+// query quantized to 16 bits against a run of rows' int8 codes, each
+// row's sum turned inside the kernel into what the scan tests (a certified
+// bound, or the int8 codec's approximate score), so a scan's own per-row
+// work is one comparison against its top-k floor.
 //
 // What stays per query is everything that makes an answer: its prepared
 // form under the codec, its skip, its probe, and one accumulator per unit
@@ -34,7 +39,7 @@ import (
 // ascending-p order while mat.Dot folds sixteen lanes, so their scores
 // differ in the last bits and a GEMM-scored batch would not equal its
 // single queries. Nor would a GEMM save the traffic the certified scan
-// saves: it reads every float64 row, and the scan reads about one in a
+// saves: it reads every float64 row, and the scan reads under one in a
 // hundred.
 
 const (
@@ -102,7 +107,7 @@ type unit struct {
 }
 
 // scratch is the working set of one search, pooled whole so a single
-// query allocates none of it and a member's int8 buffer is reused.
+// query allocates none of it and a member's 16-bit query buffer is reused.
 type scratch struct {
 	ms    []member
 	units []unit

@@ -178,8 +178,8 @@ func TestSearchBatchStats(t *testing.T) {
 		members          int
 		scored, reranked int64
 	}{
-		{ex, 1, 3000, 265}, {ex, 32, 32 * 3000, 8753},
-		{ex.Encode(F16, 0), 1, 3000, 272}, {ex.Encode(F16, 0), 32, 32 * 3000, 9092},
+		{ex, 1, 3000, 94}, {ex, 32, 32 * 3000, 3095},
+		{ex.Encode(F16, 0), 1, 3000, 96}, {ex.Encode(F16, 0), 32, 32 * 3000, 3290},
 	} {
 		st := SearchBatch([]*Table{c.tab}, qs[:c.members], out)
 		if st.RowsScored != c.scored || st.Reranked != c.reranked {

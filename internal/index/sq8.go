@@ -78,7 +78,7 @@ func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
 		}
 		return 0, float32(mn)
 	}
-	base = float32(mn + 128*float64(s))
+	base = float32(mn + float64(128*float64(s)))
 	inv := 1 / float64(s)
 	for j, v := range row {
 		q := math.Round((v - mn) * inv) // nearest of 256 levels
@@ -93,89 +93,28 @@ func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
 	return s, base
 }
 
-// dotI8 returns the int32 inner product of two equal-length int8 code
-// vectors — the quantized kernel, which scans reach through dotI8Rows. On
-// amd64 with AVX2 it dispatches to a vectorized implementation
-// (sign-extend to int16 lanes, VPMADDWD pair-accumulate into int32 lanes —
-// 16 multiply-adds per step); the portable path below is 4-way unrolled
-// like mat.Dot. Integer accumulation is exact, so every path returns the
-// identical value — quantized rankings do not depend on the host's
-// instruction set. dim ≤ 2¹⁷ cannot overflow int32 (each term is bounded
-// by 2¹⁴).
-//
-// The SIMD kernel is what makes SQ8 pay off even when the float matrix
-// is cache-resident: a scalar int8 multiply-add chain is no faster per
-// element than the unrolled float64 one, so without it the 8x storage
-// saving only shows up once the exact scan spills to memory.
-func dotI8(a, b []int8) int32 {
-	if useDotI8SIMD && len(a) >= 16 {
-		if len(a) != len(b) {
-			panic("index: dotI8 length mismatch")
-		}
-		return dotI8SIMD(&a[0], &b[0], len(a))
-	}
-	return dotI8Generic(a, b)
+// queryLevels is how many levels a query of dimension dim is quantized to
+// on each side of zero: as many as 16 bits hold, and few enough that the
+// kernel's int32 sums cannot overflow in any order, since every partial
+// sum is at most levels·128·dim < 2³¹ in magnitude. That is 32,767 up to
+// dim 512, then ⌊(2³¹−1)/(128·dim)⌋ (27,962 at dim 600); a query of
+// dimension 2²⁴ or more would get none and is not supported.
+func queryLevels(dim int) int {
+	return min(32767, (1<<31-1)/(128*max(dim, 1)))
 }
 
-// DotI8 exposes the dispatched quantized dot kernel for the kernel
-// microbenchmark (`benchexp -exp kernel`); serving paths call dotI8
-// through the int8 codec.
-func DotI8(a, b []int8) int32 { return dotI8(a, b) }
-
-// DotI8Generic exposes the portable kernel the same way.
-func DotI8Generic(a, b []int8) int32 { return dotI8Generic(a, b) }
-
-// dotI8Rows writes out[r] = dotI8(q, rows[r·dim:(r+1)·dim]) for every r,
-// dim = len(q): the kernel under every int8 scan, which scores a run of
-// rows per call. With AVX2 it loads the query once for four rows, and
-// pays the call, the horizontal sums and the VZEROUPPER once per call, not
-// once per row. Integer sums are exact, so every path writes the values
-// dotI8 returns.
-func dotI8Rows(q, rows []int8, out []int32) {
-	dim := len(q)
-	if len(rows) != len(out)*dim {
-		panic("index: dotI8Rows length mismatch")
-	}
-	if useDotI8RowsSIMD && dim >= 16 && len(out) > 0 {
-		dotI8RowsSIMD(&q[0], &rows[0], dim, len(out), &out[0])
-		return
-	}
-	for r := range out {
-		out[r] = dotI8(q, rows[r*dim:(r+1)*dim])
-	}
-}
-
-// DotI8Rows exposes dotI8Rows for the kernel microbenchmark.
-func DotI8Rows(q, rows []int8, out []int32) { dotI8Rows(q, rows, out) }
-
-// dotI8Generic is the portable kernel, and the reference the SIMD path
-// is tested against.
-func dotI8Generic(a, b []int8) int32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += int32(a[i]) * int32(b[i])
-		s1 += int32(a[i+1]) * int32(b[i+1])
-		s2 += int32(a[i+2]) * int32(b[i+2])
-		s3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	var s int32
-	for ; i < len(a); i++ {
-		s += int32(a[i]) * int32(b[i])
-	}
-	return s0 + s1 + s2 + s3 + s
-}
-
-// quantizeQuery encodes q symmetrically into dst (int8, step·dst[j] ≈
-// q[j]) and returns the step together with Σ q[j], the two per-query
-// constants of the quantized score
+// quantizeQuery encodes q symmetrically into dst (step·dst[j] ≈ q[j],
+// |dst[j]| ≤ queryLevels(len(q))) and returns the step together with
+// Σ q[j], the two per-query constants of the quantized score
 //
 //	score(i) ≈ base[i]·qsum + scale[i]·step·Σ_j dst[j]·codes[i][j],
 //
-// whose inner sum is the pure int32 kernel above. A zero query gets step
-// 0 and all-zero codes.
-func quantizeQuery(q []float64, dst []int8) (step, qsum float64) {
+// whose inner sum is the int32 kernel below. The query is quantized to 16
+// bits, not 8: the kernel widens both operands to 16 bits anyway, so the
+// finer query costs it nothing, and the query's rounding — which the
+// certified bound charges as f·128·dim (see f64Codec) — shrinks 258-fold
+// at the serving width. A zero query gets step 0 and all-zero codes.
+func quantizeQuery(q []float64, dst []int16) (step, qsum float64) {
 	var mx float64
 	for _, v := range q {
 		qsum += v
@@ -184,27 +123,135 @@ func quantizeQuery(q []float64, dst []int8) (step, qsum float64) {
 		}
 	}
 	if mx == 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
+		clear(dst)
 		return 0, qsum
 	}
-	step = mx / 127
+	levels := float64(queryLevels(len(q)))
+	step = mx / levels
 	inv := 1 / step
 	for j, v := range q {
 		c := math.Round(v * inv)
-		if c > 127 {
-			c = 127
+		if c > levels {
+			c = levels
 		}
-		if c < -127 {
-			c = -127
+		if c < -levels {
+			c = -levels
 		}
-		dst[j] = int8(c)
+		dst[j] = int16(c)
 	}
 	return step, qsum
 }
 
-// i8Codec is the quantized codec: int8 codes scanned with the int32 kernel
+// factors are a prepared query's per-query constants, in the order the
+// row kernel's assembly reads them: the approximate score's (see approx)
+// and, for the certified codecs, the bound's (see prepareBound).
+type factors struct {
+	sum, step  float64
+	ks, kb, k0 float64
+}
+
+// approx is the quantized score above of a row with parameters (scale,
+// base) whose codes' int32 dot with the query's is d. Each product is
+// rounded on its own (the explicit conversions forbid fusing it into an
+// add), so every build computes the same bits, and so does the kernel.
+func (f *factors) approx(d int32, scale, base float32) float64 {
+	return float64(float64(base)*f.sum) + float64(float64(float64(scale)*f.step)*float64(d))
+}
+
+// bound is the certified upper bound of f64Codec on the score of a row
+// with parameters (scale, base) whose codes' int32 dot with the query's is
+// d; for the binary16 codec, of a row overflows does not flag. Summed left
+// to right, each product rounded on its own, as the kernel sums it.
+func (f *factors) bound(d int32, scale, base float32) float64 {
+	return f.approx(d, scale, base) + float64(float64(scale)*f.ks) + float64(math.Abs(float64(base))*f.kb) + f.k0
+}
+
+// score is what a scan tests of such a row: its bound, or its approximate
+// score.
+func (f *factors) score(d int32, scale, base float32, bound bool) float64 {
+	if bound {
+		return f.bound(d, scale, base)
+	}
+	return f.approx(d, scale, base)
+}
+
+// dotI8 returns the int32 inner product of a query's 16-bit codes with a
+// row's int8 codes: the portable kernel, 4-way unrolled like mat.Dot, and
+// the reference every vector kernel is tested against. Integer sums are
+// exact and queryLevels keeps them inside int32, so every path returns the
+// same value in any order.
+func dotI8(q []int16, c []int8) int32 {
+	c = c[:len(q)]
+	var s0, s1, s2, s3 int32
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		s0 += int32(q[i]) * int32(c[i])
+		s1 += int32(q[i+1]) * int32(c[i+1])
+		s2 += int32(q[i+2]) * int32(c[i+2])
+		s3 += int32(q[i+3]) * int32(c[i+3])
+	}
+	var s int32
+	for ; i < len(q); i++ {
+		s += int32(q[i]) * int32(c[i])
+	}
+	return s0 + s1 + s2 + s3 + s
+}
+
+// dotI8Rows writes to out[r], for each row r of codes (dimension
+// len(pq.i16); parameters scale[r], base[r]), what a scan tests of it:
+// the bound when bound is set, else the approximate score. It is the
+// kernel under every int8, float64 and binary16 scan, which scores a run
+// of rows per call. With AVX2 it loads the query once for four rows, pays
+// the call, the horizontal sums and the VZEROUPPER once per call, and
+// turns four rows' sums into their scores per instruction; on arm64 a
+// NEON dot per row feeds the Go arithmetic. Every path writes the bits
+// score computes over dotI8's sum.
+//
+// The vector kernel is what makes the int8 encoding pay off even when the
+// float64 matrix is cache-resident: a scalar multiply-add chain is no
+// faster per element than the unrolled float64 one, so without it the
+// 8x storage saving would only show once the scan spilled to memory.
+func dotI8Rows(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) {
+	dim := len(pq.i16)
+	if len(codes) != len(out)*dim || len(scale) != len(out) || len(base) != len(out) {
+		panic("index: dotI8Rows length mismatch")
+	}
+	if dotI8RowsSIMD(pq, codes, scale, base, out, bound) {
+		return
+	}
+	for r := range out {
+		out[r] = pq.score(dotI8(pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r], bound)
+	}
+}
+
+// I8Query is a query as the exact scan prepares it for the int8 row
+// kernel, exported with DotI8Rows for the kernel microbenchmark
+// (`benchexp -exp kernel`).
+type I8Query struct{ pq query }
+
+// PrepareI8Query prepares q as the float64 codec does.
+func PrepareI8Query(q []float64) *I8Query {
+	var iq I8Query
+	f64Codec{}.prepare(&iq.pq, q)
+	return &iq
+}
+
+// DotI8Rows writes the certified bound of each row of an encoding
+// (QuantizeRows) to out through the dispatched kernel, as the exact scan
+// computes it.
+func DotI8Rows(q *I8Query, codes []int8, scale, base []float32, out []float64) {
+	dotI8Rows(&q.pq, codes, scale, base, out, true)
+}
+
+// DotI8RowsGeneric is DotI8Rows through the portable kernel.
+func DotI8RowsGeneric(q *I8Query, codes []int8, scale, base []float32, out []float64) {
+	dim := len(q.pq.i16)
+	for r := range out {
+		out[r] = q.pq.bound(dotI8(q.pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r])
+	}
+}
+
+// i8Codec is the quantized codec: int8 codes scanned with the row kernel
 // under the approximate score above, then re-ranked exactly by the table.
 type i8Codec struct{}
 
@@ -225,28 +272,21 @@ func (i8Codec) encodeRow(c Codes, j int, row []float64) {
 
 func (i8Codec) prepare(pq *query, q []float64) {
 	pq.q = q
-	if cap(pq.i8) < len(q) {
-		pq.i8 = make([]int8, len(q))
+	if cap(pq.i16) < len(q) {
+		pq.i16 = make([]int16, len(q))
 	}
-	pq.i8 = pq.i8[:len(q)]
-	pq.step, pq.sum = quantizeQuery(q, pq.i8)
-}
-
-// approx is the quantized score above of a row with parameters (scale,
-// base) whose codes' int32 dot with pq.i8 is d.
-func (pq *query) approx(d int32, scale, base float32) float64 {
-	return float64(base)*pq.sum + float64(scale)*pq.step*float64(d)
+	pq.i16 = pq.i16[:len(q)]
+	pq.step, pq.sum = quantizeQuery(q, pq.i16)
 }
 
 func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
-	dim := len(pq.i8)
-	var ds [runRows]int32
+	dim := len(pq.q)
+	var scores [runRows]float64
 	floor := top.Floor()
 	for j := s.lo; j < s.hi; {
 		codes, scale, base, n := i8Run(b.codes, j, min(s.hi, j+runRows), dim)
-		dotI8Rows(pq.i8, codes, ds[:n])
-		for x, d := range ds[:n] {
-			score := pq.approx(d, scale[x], base[x])
+		dotI8Rows(pq, codes, scale, base, scores[:n], false)
+		for x, score := range scores[:n] {
 			if score < floor {
 				continue
 			}

@@ -252,11 +252,11 @@ func TestQuantizedInterfaceCompliance(t *testing.T) {
 	}
 	// dotI8 covers every unroll tail exactly.
 	for n := 0; n <= 9; n++ {
-		a := make([]int8, n)
+		a := make([]int16, n)
 		b := make([]int8, n)
 		var want int32
 		for i := range a {
-			a[i] = int8(i - 4)
+			a[i] = int16(9000*i - 40000)
 			b[i] = int8(3*i - 7)
 			want += int32(a[i]) * int32(b[i])
 		}
@@ -266,41 +266,100 @@ func TestQuantizedInterfaceCompliance(t *testing.T) {
 	}
 }
 
-// TestDotI8SIMDMatchesGeneric pins the SIMD dispatch against the
-// portable kernel across every length class the assembly handles (32-
-// and 16-element blocks plus scalar tails) and the extreme code values,
-// including -128 whose square stresses the int16 product lanes. On
-// hosts without AVX2 the dispatch degenerates to the generic kernel and
-// the test still passes.
+// TestDotI8SIMDMatchesGeneric holds the dispatched row kernel's float64
+// outputs — a certified bound, binary16-widened or not, and an
+// approximate score — to factors.score over dotI8's sum, bit for bit.
+// First one row at every length class the assembly handles (whole
+// 16-element steps, the masked tail step, and lengths under 16 that stay
+// portable), with ±L and −128 at the row's edges, whose product stresses
+// the int32 pair sums: the kernel benchmark's sq8dot. Then runs of 1 to 7
+// and 129 rows (every last group of one to three), dots near ±2³¹, and
+// row parameters at 0, −0, subnormal, ±MaxFloat32, ±Inf and NaN, under
+// queries of ordinary, tiny and huge magnitude (one past 2⁸⁰⁰, whose
+// bound is +Inf or NaN). A NaN output need only be NaN: the scans ask
+// nothing more of one, and the payload a NaN carries depends on the
+// order the hardware takes its operands in. On hosts without AVX2 the
+// dispatch degenerates to the portable kernel and the test still passes.
 func TestDotI8SIMDMatchesGeneric(t *testing.T) {
-	t.Logf("useDotI8SIMD = %v", useDotI8SIMD)
+	t.Logf("kernel: %s", DotI8ISA())
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
 	rng := rand.New(rand.NewSource(77))
 	for n := 0; n <= 130; n++ {
-		a := make([]int8, n)
-		b := make([]int8, n)
-		for i := range a {
-			a[i] = int8(rng.Intn(256) - 128)
-			b[i] = int8(rng.Intn(256) - 128)
+		q := make([]float64, n)
+		row := make([]float64, n)
+		for i := range q {
+			q[i] = rng.NormFloat64()
+			row[i] = rng.NormFloat64()
 		}
+		enc := i8Codec{}.alloc(1, n)
+		i8Codec{}.encodeRow(enc, 0, row)
+		var pq query
+		f64Codec{}.prepare(&pq, q)
 		if n > 0 { // plant extremes at the block edges
-			a[0], b[0] = -128, -128
-			a[n-1], b[n-1] = 127, -128
+			levels := int16(queryLevels(n))
+			pq.i16[0], enc.I8[0] = -levels, -128
+			pq.i16[n-1], enc.I8[n-1] = levels, -128
 		}
-		want := dotI8Generic(a, b)
-		if got := dotI8(a, b); got != want {
-			t.Fatalf("len %d: dotI8 %d != generic %d", n, got, want)
+		var got [1]float64
+		dotI8Rows(&pq, enc.I8, enc.Scale, enc.Base, got[:], true)
+		if want := pq.bound(dotI8(pq.i16, enc.I8), enc.Scale[0], enc.Base[0]); !same(got[0], want) {
+			t.Fatalf("len %d: kernel %v != Go %v", n, got[0], want)
 		}
 	}
-	// All-extreme vectors at a SIMD-heavy length: 128*128*96 stays well
-	// inside int32 but maximizes every intermediate lane.
-	a := make([]int8, 96)
-	b := make([]int8, 96)
-	for i := range a {
-		a[i], b[i] = -128, -128
+
+	params := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, 0x1p-130, -0x1p-127,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	param := func() float32 {
+		if rng.Intn(2) == 0 {
+			return params[rng.Intn(len(params))]
+		}
+		return float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
 	}
-	if got, want := dotI8(a, b), dotI8Generic(a, b); got != want {
-		t.Fatalf("extremes: %d != %d", got, want)
+	checked := 0
+	for _, dim := range []int{16, 37, 64, 600} {
+		for _, mag := range []float64{1, 1e-300, 1e300} {
+			q := make([]float64, dim)
+			for j := range q {
+				q[j] = mag * rng.NormFloat64()
+			}
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 129} {
+				codes := make([]int8, n*dim)
+				for j := range codes {
+					codes[j] = int8(rng.Intn(256) - 128)
+				}
+				if n%2 == 1 { // with the query at ±L, the largest dot there is: 2³¹ − 2,047 at dim 600
+					for j := range codes {
+						codes[j] = -128
+					}
+				}
+				scale, base := make([]float32, n), make([]float32, n)
+				for r := range scale {
+					scale[r], base[r] = param(), param()
+				}
+				for _, c := range []Codec{F64, I8, F16} {
+					var pq query
+					codecs[c].prepare(&pq, q)
+					if n%2 == 1 {
+						for j := range pq.i16 {
+							pq.i16[j] = int16(queryLevels(dim) * (n%4 - 2))
+						}
+					}
+					out := make([]float64, n)
+					dotI8Rows(&pq, codes, scale, base, out, c != I8)
+					for r, got := range out {
+						if want := pq.score(dotI8(pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r], c != I8); !same(got, want) {
+							t.Fatalf("%s dim %d n %d row %d (scale %v, base %v, query ×%v): kernel %v (%#x), Go %v (%#x)",
+								kinds[0][c], dim, n, r, scale[r], base[r], mag, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+						checked++
+					}
+				}
+			}
+		}
 	}
+	t.Logf("%d scores checked", checked)
 }
 
 // TestQuantizeRowsSliceInvariance pins the property everything else

@@ -4,8 +4,8 @@ package index
 
 import "pane/internal/mat"
 
-// useDotI8SIMD gates the AVX2 quantized-dot kernel. Detection runs once
-// at init: CPUID-reported AVX2 plus OS support for saving YMM state
+// useDotI8SIMD gates the AVX2 int8 row kernel. Detection runs once at
+// init: CPUID-reported AVX2 plus OS support for saving YMM state
 // (OSXSAVE + XGETBV), the standard pair of checks — AVX2 alone is not
 // enough on kernels that do not context-switch the upper register
 // halves.
@@ -14,26 +14,27 @@ var useDotI8SIMD = cpuHasAVX2()
 // cpuHasAVX2 is implemented in sq8dot_amd64.s.
 func cpuHasAVX2() bool
 
-// useDotI8RowsSIMD gates the row-block kernel; it needs what dotI8SIMD
-// needs.
-var useDotI8RowsSIMD = useDotI8SIMD
-
-// dotI8RowsSIMD writes out[r] = q · row r for the n >= 1 rows of dim >= 16
-// int8 values at rows, using AVX2; every out[r] is bit-identical to
-// dotI8Generic. Implemented in sq8dot_amd64.s.
+// dotI8RowsAVX2 writes to out[r], for the n >= 1 rows of dim >= 16 int8
+// codes at rows (parameters scale[r], base[r]), f.bound of the row's dot
+// with the 16-bit query q when bound is set, else f.approx: the bits
+// factors.score computes over dotI8's sum. Implemented in sq8dot_amd64.s.
 //
 //go:noescape
-func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32)
+func dotI8RowsAVX2(q *int16, rows *int8, dim, n int, scale, base *float32, f *factors, out *float64, bound bool)
 
-// dotI8SIMD computes the int32 inner product of the n >= 16 int8 values
-// at a and b: the row-block kernel on one row.
-func dotI8SIMD(a, b *int8, n int) (d int32) {
-	dotI8RowsSIMD(a, b, n, 1, &d)
-	return d
+// dotI8RowsSIMD runs dotI8Rows on the AVX2 kernel, if the host and the
+// shape allow, and reports whether it did.
+func dotI8RowsSIMD(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) bool {
+	dim := len(pq.i16)
+	if !useDotI8SIMD || dim < 16 || len(out) == 0 {
+		return false
+	}
+	dotI8RowsAVX2(&pq.i16[0], &codes[0], dim, len(out), &scale[0], &base[0], &pq.factors, &out[0], bound)
+	return true
 }
 
-// DotI8ISA reports the instruction set the quantized int8 dot kernel
-// dispatches to on this build and host.
+// DotI8ISA reports the instruction set the int8 row kernel dispatches to
+// on this build and host.
 func DotI8ISA() string {
 	if useDotI8SIMD {
 		return mat.ISAAVX2

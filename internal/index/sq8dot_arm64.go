@@ -7,31 +7,35 @@ import "pane/internal/mat"
 // Advanced SIMD (NEON) is part of the baseline ARMv8-A profile and Go's
 // arm64 port already assumes it, so unlike amd64 there is no feature
 // check: the vector kernel is always usable. The kernel deliberately
-// sticks to baseline SMULL/SADALP rather than SDOT — the DotProd
-// extension is optional pre-ARMv8.4 and detecting it portably needs OS
-// hwcaps, while the widening multiply path runs everywhere at roughly
-// the same cost for these vector widths.
-const useDotI8SIMD = true
+// sticks to baseline SXTL/SMLAL rather than SDOT — the DotProd extension
+// is optional pre-ARMv8.4, takes int8 operands only, and detecting it
+// portably needs OS hwcaps.
 
-// dotI8SIMD computes the int32 inner product of the n int8 values at a
-// and b using NEON (16-wide widening multiply, pairwise-accumulate),
-// with a scalar tail inside the assembly. n must be >= 1; integer
-// addition is exact, so the result is bit-identical to dotI8Generic.
-// Implemented in sq8dot_arm64.s.
+// dotI8NEON computes the int32 inner product of the n >= 1 16-bit query
+// values at q with the n int8 codes at c using NEON (16 codes per step,
+// widened and multiply-accumulated into int32 lanes), with a scalar tail
+// inside the assembly. Integer addition is exact and queryLevels keeps
+// every partial sum inside int32, so the result is dotI8's. Implemented
+// in sq8dot_arm64.s.
 //
 //go:noescape
-func dotI8SIMD(a, b *int8, n int) int32
+func dotI8NEON(q *int16, c *int8, n int) int32
 
-// There is no row-block NEON kernel: dotI8Rows makes one dotI8SIMD call
-// a row.
-const useDotI8RowsSIMD = false
-
-func dotI8RowsSIMD(q, rows *int8, dim, n int, out *int32) {
-	panic("index: dotI8RowsSIMD called on arm64")
+// dotI8RowsSIMD runs dotI8Rows with a NEON dot per row under the Go
+// arithmetic of factors.score, and reports whether it did.
+func dotI8RowsSIMD(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) bool {
+	dim := len(pq.i16)
+	if dim == 0 {
+		return false
+	}
+	for r := range out {
+		out[r] = pq.score(dotI8NEON(&pq.i16[0], &codes[r*dim], dim), scale[r], base[r], bound)
+	}
+	return true
 }
 
-// DotI8ISA reports the instruction set the quantized int8 dot kernel
-// dispatches to on this build and host.
+// DotI8ISA reports the instruction set the int8 row kernel dispatches to
+// on this build and host.
 func DotI8ISA() string {
 	return mat.ISANEON
 }
