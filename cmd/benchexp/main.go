@@ -239,10 +239,10 @@ func main() {
 			if jsonPath == "" {
 				jsonPath = "BENCH_topk.json"
 			}
-			check(experiments.WriteTopKJSON(jsonPath, b))
+			check(experiments.WriteJSON(jsonPath, b))
 			fmt.Printf("wrote %s\n", jsonPath)
 			if *baseline != "" {
-				base, err := experiments.ReadTopKJSON(*baseline)
+				base, err := experiments.ReadJSON[experiments.TopKBench](*baseline)
 				check(err)
 				check(experiments.CheckTopKBaseline(b, base, *tolerance))
 				fmt.Printf("perf gate: within %.0f%% of %s (ivf %.1fx vs baseline %.1fx, recall %.3f vs %.3f)\n",
@@ -291,10 +291,10 @@ func main() {
 			if jsonPath == "" {
 				jsonPath = "BENCH_update.json"
 			}
-			check(experiments.WriteUpdateJSON(jsonPath, b))
+			check(experiments.WriteJSON(jsonPath, b))
 			fmt.Printf("wrote %s\n", jsonPath)
 			if *baseline != "" {
-				base, err := experiments.ReadUpdateJSON(*baseline)
+				base, err := experiments.ReadJSON[experiments.UpdateBench](*baseline)
 				check(err)
 				check(experiments.CheckUpdateBaseline(b, base, *tolerance))
 				fmt.Printf("update gate: within %.0f%% of %s\n", *tolerance*100, *baseline)
@@ -316,10 +316,10 @@ func main() {
 			if jsonPath == "" {
 				jsonPath = "BENCH_kernel.json"
 			}
-			check(experiments.WriteKernelJSON(jsonPath, b))
+			check(experiments.WriteJSON(jsonPath, b))
 			fmt.Printf("wrote %s\n", jsonPath)
 			if *baseline != "" {
-				base, err := experiments.ReadKernelJSON(*baseline)
+				base, err := experiments.ReadJSON[experiments.KernelBench](*baseline)
 				check(err)
 				check(experiments.CheckKernelBaseline(b, base, *tolerance))
 				fmt.Printf("kernel gate: within %.0f%% of %s (dispatch: %v)\n", *tolerance*100, *baseline, b.ISAs)
@@ -364,10 +364,10 @@ func main() {
 			if jsonPath == "" {
 				jsonPath = "BENCH_replicate.json"
 			}
-			check(experiments.WriteReplicateJSON(jsonPath, b))
+			check(experiments.WriteJSON(jsonPath, b))
 			fmt.Printf("wrote %s\n", jsonPath)
 			if *baseline != "" {
-				base, err := experiments.ReadReplicateJSON(*baseline)
+				base, err := experiments.ReadJSON[experiments.ReplicateBench](*baseline)
 				check(err)
 				check(experiments.CheckReplicateBaseline(b, base, *tolerance))
 				fmt.Printf("replicate gate: within %.0f%% of %s (sync-free %.1fx vs %.1fx, crossover %.0f vs %.0f)\n",

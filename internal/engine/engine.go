@@ -96,13 +96,6 @@ type Engine struct {
 	idxManual bool
 	shards    *shardSet
 
-	// restored holds a bundle's int8 and binary16 payloads for the
-	// initial index builds (they are valid for exactly the restored model
-	// version; see restoredCodes). The first applied update clears it —
-	// no later version can ever match — via an atomic pointer, since the
-	// refresh worker reads it concurrently.
-	restored atomic.Pointer[restoredPayloads]
-
 	// wal, when attached, receives every applied update's delta before
 	// the new version publishes (see AttachWAL in wal.go). Atomic because
 	// Snapshot compacts through it without holding writeMu.
@@ -124,22 +117,6 @@ type Engine struct {
 // was superseded — a deposed leader, or a record from a deposed lineage.
 // Callers detect it with errors.Is.
 var ErrFenced = errors.New("engine: fenced by a newer epoch")
-
-// restoredPayloads pairs a bundle's encoded payloads (either may be nil)
-// with the only model version they encode.
-type restoredPayloads struct {
-	version uint64
-	quant   *store.QuantPayload
-	half    *store.HalfPayload
-}
-
-// restoredFrom returns b's encoded payloads, nil when it carries none.
-func restoredFrom(b *store.Bundle) *restoredPayloads {
-	if b.Quant == nil && b.Half == nil {
-		return nil
-	}
-	return &restoredPayloads{version: b.ModelVersion, quant: b.Quant, half: b.Half}
-}
 
 // DefaultUpdateSweeps is the number of CCD refinement sweeps an update
 // runs from the previous solution. Small graph deltas move the optimum of
@@ -515,9 +492,6 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	} else {
 		e.met.updFull.Inc()
 	}
-	// A restored payload encodes exactly the restored version; once the
-	// model moves past it, free it.
-	e.restored.Store(nil)
 	// The model is live immediately; the index catches up asynchronously
 	// and queries fall back to the scan path until it publishes. The delta
 	// tells the refresh cycle which rows to refresh: a full-sweep update
@@ -682,13 +656,6 @@ func (e *Engine) bundleFor(m *Model) *store.Bundle {
 			IVF: c.IVF, NList: c.NList, NProbe: c.NProbe, Seed: c.Seed, Shards: c.Shards,
 			Quantize: c.Quantize, Rerank: c.Rerank, FP16: c.FP16,
 		}
-		if c.Quantize || c.FP16 {
-			// Optional: ship the encodings so the restored engine
-			// publishes its compressed tiers without re-encoding. Only a
-			// consistent shard cut at m's exact version is usable; mid-
-			// rebuild the payloads are simply omitted.
-			b.Quant, b.Half = e.assembleCodes(m)
-		}
 	}
 	return b
 }
@@ -722,9 +689,6 @@ func FromBundle(b *store.Bundle, opts ...Option) (*Engine, error) {
 			Quantize: im.Quantize, Rerank: im.Rerank, FP16: im.FP16,
 		})
 		opts = append([]Option{restore}, opts...)
-	}
-	if r := restoredFrom(b); r != nil {
-		opts = append([]Option{func(e *Engine) { e.restored.Store(r) }}, opts...)
 	}
 	return newEngine(g, emb, b.Cfg, b.ModelVersion, opts)
 }

@@ -32,7 +32,6 @@ import (
 	"pane/internal/index"
 	"pane/internal/mat"
 	"pane/internal/obs"
-	"pane/internal/store"
 )
 
 // Query modes accepted by the top-k paths.
@@ -406,9 +405,8 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 // every inverted cell, so three codecs cost one k-means and one copy of
 // the lists. Each layout's float64 cell holds the int8 encoding its scan
 // bounds scores with, and its int8 and binary16 cells scan that encoding
-// too (index.Table.Encode); a payload restored at this model version is
-// adopted instead of encoding, the binary16 one over the float64 cell's
-// int8 pages (index.Table.Restore).
+// too (index.Table.Encode). A restored engine builds the same way: a
+// bundle carries no encodings.
 func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp buildParams) {
 	var rows *mat.Dense
 	if sp == linkSpace {
@@ -417,15 +415,7 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 	} else {
 		rows = m.Emb.Y.RowSlice(lo, hi)
 	}
-	restored := func(c index.Codec) (index.Codes, bool) {
-		return e.restoredCodes(sp, c, m.Version, lo, hi, rows.Cols)
-	}
-	var ex *index.Table
-	if codes, ok := restored(index.F64); ok {
-		ex = index.FromCodes(rows, index.F64, codes, bp.cfg.Rerank, bp.threads)
-	} else {
-		ex = index.NewExact(rows, bp.threads)
-	}
+	ex := index.NewExact(rows, bp.threads)
 	var iv *index.Table
 	if bp.cfg.IVF {
 		iv = index.BuildIVF(rows, bp.ivfCfg)
@@ -435,24 +425,15 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 			continue
 		}
 		c := index.Codec(c)
-		var cell, list *index.Table
-		switch c {
-		case index.F64:
-			cell, list = ex, iv
-		case index.I8:
+		cell, list := ex, iv
+		if c != index.F64 {
 			cell = ex.Encode(c, bp.cfg.Rerank)
-		case index.F16:
-			if codes, ok := restored(c); ok {
-				cell = ex.Restore(c, codes, bp.cfg.Rerank)
-			} else {
-				cell = ex.Encode(c, bp.cfg.Rerank)
+			if iv != nil {
+				list = iv.Encode(c, bp.cfg.Rerank)
 			}
 		}
 		si.spaces[sp][flat][c] = cell.Shift(lo)
-		if iv != nil {
-			if list == nil {
-				list = iv.Encode(c, bp.cfg.Rerank)
-			}
+		if list != nil {
 			si.spaces[sp][inverted][c] = list.Shift(lo)
 		}
 	}
@@ -562,35 +543,6 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, d *idxDelta, s int, base *sh
 	}
 	e.met.recordBuildWork(&si.spaces[sp], copied)
 	return false
-}
-
-// restoredCodes returns the bundle-restored encoding of rows [lo, hi) of
-// space sp that a cell of codec c holds — the int8 payload for the float64
-// and int8 cells, binary16 for binary16 — when one exists that matches
-// this model version and shape. The encodings are per row (per element for
-// binary16), so the row slice of the whole matrix's payload is
-// bit-identical to encoding the shard's rows fresh: restored and
-// self-computed cells are interchangeable, and on any mismatch (newer
-// model version, different shape) the payload is ignored and the rows are
-// encoded fresh.
-func (e *Engine) restoredCodes(sp int, c index.Codec, version uint64, lo, hi, dim int) (index.Codes, bool) {
-	r := e.restored.Load()
-	if r == nil || r.version != version {
-		return index.Codes{}, false
-	}
-	switch {
-	case c != index.F16 && r.quant != nil:
-		qm := [nSpaces]*store.QuantizedMatrix{&r.quant.Links, &r.quant.Attrs}[sp]
-		if qm.Dim == dim && hi <= qm.Rows {
-			return index.Codes{I8: qm.Codes, Scale: qm.Scale, Base: qm.Base}.Rows(lo, hi, dim), true
-		}
-	case c == index.F16 && r.half != nil:
-		hm := [nSpaces]*store.HalfMatrix{&r.half.Links, &r.half.Attrs}[sp]
-		if hm.Dim == dim && hi <= hm.Rows {
-			return index.Codes{F16: hm.Codes}.Rows(lo, hi, dim), true
-		}
-	}
-	return index.Codes{}, false
 }
 
 // freshShards returns the stored cut when it is at m's version, and nil
@@ -774,54 +726,6 @@ func (e *Engine) IndexStatus() IndexStatus {
 		}
 	}
 	return st
-}
-
-// assembleCodes reassembles the full-matrix int8 and binary16 payloads
-// from the cut at m's version; either is nil when its tier is not built
-// or no cut at m's version is stored yet — the
-// payloads are optional bundle sections, and a loader just re-encodes
-// (bit-identically) without them. Because the encodings are per row,
-// concatenating the shards' flat blocks in shard order IS the whole
-// matrix's encoding.
-func (e *Engine) assembleCodes(m *Model) (*store.QuantPayload, *store.HalfPayload) {
-	fresh := e.freshShards(m)
-	if fresh == nil {
-		return nil, nil
-	}
-	dim := m.Emb.Xf.Cols
-	qp := &store.QuantPayload{
-		Links: store.QuantizedMatrix{Rows: m.Nodes(), Dim: dim},
-		Attrs: store.QuantizedMatrix{Rows: m.Attrs(), Dim: dim},
-	}
-	hp := &store.HalfPayload{
-		Links: store.HalfMatrix{Rows: m.Nodes(), Dim: dim},
-		Attrs: store.HalfMatrix{Rows: m.Attrs(), Dim: dim},
-	}
-	qms := [nSpaces]*store.QuantizedMatrix{&qp.Links, &qp.Attrs}
-	hms := [nSpaces]*store.HalfMatrix{&hp.Links, &hp.Attrs}
-	for sp := range fresh.tables {
-		var q, h index.Codes
-		for _, t := range fresh.tables[sp][flat][index.I8] {
-			if t != nil {
-				q = t.AppendCodes(q)
-			}
-		}
-		for _, t := range fresh.tables[sp][flat][index.F16] {
-			if t != nil {
-				h = t.AppendCodes(h)
-			}
-		}
-		qms[sp].Codes, qms[sp].Scale, qms[sp].Base, hms[sp].Codes = q.I8, q.Scale, q.Base, h.F16
-	}
-	// A partial assembly (tier not built, a shard lacking its cell) must
-	// not be persisted.
-	if !e.idxCfg.Quantize || len(qp.Links.Scale) != qp.Links.Rows || len(qp.Attrs.Scale) != qp.Attrs.Rows {
-		qp = nil
-	}
-	if !e.idxCfg.FP16 || len(hp.Links.Codes) != hp.Links.Rows*dim || len(hp.Attrs.Codes) != hp.Attrs.Rows*dim {
-		hp = nil
-	}
-	return qp, hp
 }
 
 // TopKAnswer is one served top-k result with its provenance: the model

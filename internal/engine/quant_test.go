@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"path/filepath"
 	"testing"
 
 	"pane/internal/index"
-	"pane/internal/store"
 )
 
 // quantEngine builds an engine with every backend tier enabled.
@@ -159,94 +157,5 @@ func TestShardedQuantizedBitForBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestQuantizedSnapshotRestoreRoundTrip: a quantized engine snapshots a
-// format-4 bundle carrying the SQ8 payload; the restored engine consumes
-// the payload (same version), serves identical sq8 answers, and a second
-// snapshot reproduces the payload byte-for-values — per-row quantization
-// makes restored and recomputed encodings interchangeable.
-func TestQuantizedSnapshotRestoreRoundTrip(t *testing.T) {
-	eng := quantEngine(t, 3)
-	path := filepath.Join(t.TempDir(), "quant.pane")
-	if _, err := eng.Snapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := store.LoadBundleFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Index == nil || !b.Index.Quantize {
-		t.Fatal("bundle did not record the quantize flag")
-	}
-	if b.Quant == nil {
-		t.Fatal("bundle did not carry the quantized payload")
-	}
-	m := eng.Model()
-	if b.Quant.Links.Rows != m.Nodes() || b.Quant.Attrs.Rows != m.Attrs() {
-		t.Fatalf("payload shape %dx? / %dx?", b.Quant.Links.Rows, b.Quant.Attrs.Rows)
-	}
-	restored, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.restored.Load() == nil {
-		t.Fatal("restored engine dropped the payload before building")
-	}
-	st := restored.IndexStatus()
-	if !st.Quantize || st.Shards != 3 {
-		t.Fatalf("restored status quantize=%v shards=%d", st.Quantize, st.Shards)
-	}
-	for u := 0; u < m.Nodes(); u += 11 {
-		want, err := eng.TopLinks(u, 5, ModeSQ8, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := restored.TopLinks(u, 5, ModeSQ8, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Backend != BackendSQ8 || len(got.Results) != len(want.Results) {
-			t.Fatalf("restored u=%d: backend %q, %d results", u, got.Backend, len(got.Results))
-		}
-		for i := range want.Results {
-			if got.Results[i] != want.Results[i] {
-				t.Fatalf("restored u=%d rank=%d: %v != %v", u, i, got.Results[i], want.Results[i])
-			}
-		}
-	}
-	// Re-snapshotting the restored engine reproduces the payload.
-	path2 := filepath.Join(t.TempDir(), "quant2.pane")
-	if _, err := restored.Snapshot(path2); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := store.LoadBundleFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.Quant == nil {
-		t.Fatal("re-snapshot dropped the payload")
-	}
-	for i, c := range b.Quant.Links.Codes {
-		if b2.Quant.Links.Codes[i] != c {
-			t.Fatalf("link code %d differs after round trip", i)
-		}
-	}
-	// An update invalidates the payload (the model moved past it) but
-	// the rebuilt quantized tier keeps serving at the new version.
-	if _, err := restored.ApplyEdges(eng.Model().Graph.Edges()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if restored.restored.Load() != nil {
-		t.Fatal("stale payload survived an update")
-	}
-	restored.WaitForIndex()
-	ans, err := restored.TopLinks(0, 3, ModeSQ8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Backend != BackendSQ8 || ans.Version != 2 {
-		t.Fatalf("post-update sq8: backend %q version %d", ans.Backend, ans.Version)
 	}
 }

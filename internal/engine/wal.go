@@ -164,7 +164,6 @@ func (e *Engine) LoadBundle(b *store.Bundle) error {
 	// The retained affinity state described the replaced graph; drop it
 	// so the next update rebuilds from the new one.
 	e.affState = nil
-	e.restored.Store(restoredFrom(b))
 	e.cur.Store(next)
 	e.met.modelVersion.Set(float64(next.Version))
 	e.scheduleIndexRebuild(&idxDelta{model: next, at: time.Now(), full: [nSpaces]bool{true, true}}, g.N+g.D)

@@ -6,9 +6,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
@@ -34,6 +36,29 @@ type Options struct {
 // Defaults mirror §5.1.
 func Defaults() Options {
 	return Options{K: 128, Alpha: 0.5, Eps: 0.015, Threads: 10, Seed: 1}
+}
+
+// WriteJSON writes v, a benchmark report, to path as indented JSON.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// ReadJSON loads a report of type T written by WriteJSON — typically the
+// committed baseline a CI run gates against.
+func ReadJSON[T any](path string) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
+		return nil, fmt.Errorf("experiments: parsing baseline %s: %w", path, err)
+	}
+	return v, nil
 }
 
 func (o Options) paneConfig() core.Config {

@@ -57,10 +57,10 @@ func TestRunKernelSmallEndToEnd(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "kernel.json")
-	if err := WriteKernelJSON(path, b); err != nil {
+	if err := WriteJSON(path, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadKernelJSON(path)
+	back, err := ReadJSON[KernelBench](path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -359,28 +358,6 @@ func PrintReplicate(w io.Writer, b *ReplicateBench) {
 	fmt.Fprintf(w, "catch-up: replay %.3fs (%.0f records/s) vs bundle %.3fs — crossover at %.0f records (recall %.4f)\n",
 		b.ReplaySeconds, b.ReplayRecordsPerSec, b.SnapshotSeconds, b.CrossoverRecords, b.RecallVsLeader)
 	printEnv(w, b.Env)
-}
-
-// WriteReplicateJSON writes the report to path as indented JSON.
-func WriteReplicateJSON(path string, b *ReplicateBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadReplicateJSON loads a report written by WriteReplicateJSON.
-func ReadReplicateJSON(path string) (*ReplicateBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b := &ReplicateBench{}
-	if err := json.Unmarshal(data, b); err != nil {
-		return nil, fmt.Errorf("experiments: parsing baseline %s: %w", path, err)
-	}
-	return b, nil
 }
 
 // CheckReplicateBaseline is the CI gate for the replication tier. Both

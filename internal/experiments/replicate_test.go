@@ -96,10 +96,10 @@ func TestRunReplicateSmoke(t *testing.T) {
 		t.Fatalf("print output:\n%s", buf.String())
 	}
 	path := filepath.Join(t.TempDir(), "r.json")
-	if err := WriteReplicateJSON(path, b); err != nil {
+	if err := WriteJSON(path, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReplicateJSON(path)
+	back, err := ReadJSON[ReplicateBench](path)
 	if err != nil {
 		t.Fatal(err)
 	}

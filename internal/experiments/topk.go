@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -622,29 +621,6 @@ func PrintTopK(w io.Writer, b *TopKBench) {
 				p.Shards, p.IndexBuildSeconds, p.ExactQPS, p.IVFQPS, p.SQ8QPS, p.FP16QPS, p.RecallAtK)
 		}
 	}
-}
-
-// WriteTopKJSON writes the comparison to path as indented JSON.
-func WriteTopKJSON(path string, b *TopKBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadTopKJSON loads a report written by WriteTopKJSON — typically the
-// committed baseline a CI run gates against.
-func ReadTopKJSON(path string) (*TopKBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b := &TopKBench{}
-	if err := json.Unmarshal(data, b); err != nil {
-		return nil, fmt.Errorf("experiments: parsing baseline %s: %w", path, err)
-	}
-	return b, nil
 }
 
 // CheckTopKBaseline is the CI perf-regression gate: it compares cur

@@ -157,10 +157,10 @@ func TestRunTopKSmallEndToEnd(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteTopKJSON(path, b); err != nil {
+	if err := WriteJSON(path, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadTopKJSON(path)
+	back, err := ReadJSON[TopKBench](path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -538,28 +536,6 @@ func PrintUpdate(w io.Writer, b *UpdateBench) {
 	fmt.Fprintf(w, "attr delta: %d entries over %d attrs, full %.3fs vs incr %.3fs (gram-corrected, recall %.4f)\n",
 		b.AttrEntries, b.AttrAttrs, b.AttrFullTotalSeconds, b.AttrIncrTotalSeconds, b.AttrRecall)
 	printEnv(w, b.Env)
-}
-
-// WriteUpdateJSON writes the report to path as indented JSON.
-func WriteUpdateJSON(path string, b *UpdateBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadUpdateJSON loads a report written by WriteUpdateJSON.
-func ReadUpdateJSON(path string) (*UpdateBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b := &UpdateBench{}
-	if err := json.Unmarshal(data, b); err != nil {
-		return nil, fmt.Errorf("experiments: parsing baseline %s: %w", path, err)
-	}
-	return b, nil
 }
 
 // CheckUpdateBaseline is the CI regression gate for the update path: it

@@ -119,10 +119,10 @@ func TestRunUpdateSmoke(t *testing.T) {
 		t.Fatalf("print output:\n%s", buf.String())
 	}
 	path := filepath.Join(t.TempDir(), "u.json")
-	if err := WriteUpdateJSON(path, b); err != nil {
+	if err := WriteJSON(path, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadUpdateJSON(path)
+	back, err := ReadJSON[UpdateBench](path)
 	if err != nil {
 		t.Fatal(err)
 	}

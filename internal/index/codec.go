@@ -53,21 +53,18 @@ var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 // them (see f16Codec).
 var encodedAs = [NumCodecs]Codec{F64: I8, I8: I8, F16: F16}
 
-// Codes is one codec's encoding of a contiguous run of candidate rows, in
-// the shape a bundle persists. The int8 and float64 codecs fill I8
-// (row-major codes), Scale and Base (per row; see QuantizeRows), the
-// binary16 codec F16 (row-major; see EncodeFP16Rows).
+// Codes is one codec's encoding of a contiguous run of candidate rows.
+// The int8 and float64 codecs fill I8 (row-major codes), Scale and Base
+// (per row; see QuantizeRows), the binary16 codec F16 (row-major; see
+// EncodeFP16Rows).
 type Codes struct {
 	I8          []int8
 	Scale, Base []float32
 	F16         []uint16
 }
 
-// Rows returns the encoding of rows [lo, hi) as a view of c, which holds
-// rows of dimension dim.
-func (c Codes) Rows(lo, hi, dim int) Codes { return c.rows(lo, hi, hi, dim) }
-
-// rows is Rows with the view's capacity reaching on to row max.
+// rows returns the encoding of rows [lo, hi) as a view of c, which holds
+// rows of dimension dim, with the view's capacity reaching on to row max.
 func (c Codes) rows(lo, hi, max, dim int) Codes {
 	var out Codes
 	if c.Scale != nil {
@@ -110,8 +107,8 @@ func (c Codes) bytes() int64 {
 }
 
 // pageCodes cuts c, the encoding of n rows, into mat.PageRows-row pages
-// that alias it: a freshly encoded (or restored) block stays one
-// allocation per array, and every page reaches to its end.
+// that alias it: a freshly encoded block stays one allocation per array,
+// and every page reaches to its end.
 func pageCodes(c Codes, n, dim int) []Codes {
 	pages := make([]Codes, (n+mat.PageRows-1)/mat.PageRows)
 	for k := range pages {

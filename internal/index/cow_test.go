@@ -68,7 +68,7 @@ func checkRuns(t *testing.T, label string, tb *Table) {
 		for j := 0; j < b.rows.Rows; j += mat.PageRows {
 			pg := b.codes[j/mat.PageRows]
 			n := min(pg.reach(dim), b.rows.Rows-j)
-			if !reflect.DeepEqual(pg.rows(0, n, n, dim), whole.Rows(j, j+n, dim)) {
+			if !reflect.DeepEqual(pg.rows(0, n, n, dim), whole.rows(j, j+n, j+n, dim)) {
 				t.Fatalf("%s block %d: code run of %d rows from %d is stale", label, l, n, j)
 			}
 		}
@@ -269,32 +269,8 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestFromCodesPagesAliasPayload: a restored payload is adopted, not
-// copied — every page of the block is a view of the payload's arrays —
-// and a refresh leaves every untouched page on the payload.
-func TestFromCodesPagesAliasPayload(t *testing.T) {
-	const rows, dim = 100, 5
-	data := randMatrix(rows, dim, 8)
-	i8, scale, base := QuantizeRows(data)
-	f16 := EncodeFP16Rows(data)
-	sq := FromCodes(data, I8, Codes{I8: i8, Scale: scale, Base: base}, 0, 1)
-	fp := FromCodes(data, F16, Codes{F16: f16}, 0, 1)
-	patch := randMatrix(1, dim, 9)
-	z := mat.Page(data).WithRows([]int{40}, patch)
-	for gen, pair := range [][2]*Table{{sq, fp}, {sq.Refresh(z, []int{40}, nil), fp.Refresh(z, []int{40}, nil)}} {
-		for k := 0; k*mat.PageRows < rows; k++ {
-			at := k * mat.PageRows
-			q, h := pair[0].blocks[0].codes[k], pair[1].blocks[0].codes[k]
-			onPayload := &q.I8[0] == &i8[at*dim] && &q.Scale[0] == &scale[at] && &q.Base[0] == &base[at] && &h.F16[0] == &f16[at*dim]
-			if want := gen == 0 || k != 40/mat.PageRows; onPayload != want {
-				t.Fatalf("generation %d page %d: on the payload = %v, want %v", gen, k, onPayload, want)
-			}
-		}
-	}
-}
-
-// TestCertifiedFP16KeysAliasLead: a binary16 cell built, restored or
-// refreshed over a float64 cell holds no int8 encoding of its own — every
+// TestCertifiedFP16KeysAliasLead: a binary16 cell built or refreshed
+// over a float64 cell holds no int8 encoding of its own — every
 // int8 page it scans is the float64 cell's page at the same position —
 // and along a refresh chain it encodes and copies exactly what its halves
 // cost: the dirty rows, the page slice, and the halves pages a dirty row
@@ -304,21 +280,11 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	data := randMatrix(rows, dim, 34)
 	z := mat.Page(data)
-	i8, scale, base := QuantizeRows(data)
-	halves := EncodeFP16Rows(data)
-	ex := FromCodes(data, F64, Codes{I8: i8, Scale: scale, Base: base}, 0, 1)
-	fresh := NewExact(data, 1)
+	ex := NewExact(data, 1)
 	iv := BuildIVF(data, IVFConfig{NList: 5, Seed: 6})
 	cells := [][2]*Table{
 		{ex, ex.Encode(F16, 0)},
-		{ex, ex.Restore(F16, Codes{F16: halves}, 0)},
-		{fresh, fresh.Encode(F16, 0)},
 		{iv, iv.Encode(F16, 0)},
-	}
-	for k, pg := range cells[1][1].blocks[0].codes {
-		if &pg.F16[0] != &halves[k*mat.PageRows*dim] {
-			t.Fatalf("restored halves page %d is not on the payload", k)
-		}
 	}
 	aliased := func(label string, lead, fp *Table) {
 		t.Helper()

@@ -205,7 +205,7 @@ func TestFP16SearchMatchesDecodedExact(t *testing.T) {
 		if skip(s.ID) {
 			t.Fatalf("skip filter leaked id %d", s.ID)
 		}
-		if want := dotFP16(q, ref.AppendCodes(Codes{}).F16[s.ID*12:(s.ID+1)*12]); math.Float64bits(want) != math.Float64bits(s.Score) {
+		if want := dotFP16(q, ref.blocks[0].whole().F16[s.ID*12:(s.ID+1)*12]); math.Float64bits(want) != math.Float64bits(s.Score) {
 			t.Fatalf("id %d score %v, want kernel score %v", s.ID, s.Score, want)
 		}
 	}
@@ -269,9 +269,9 @@ func TestFP16RefreshBitForBit(t *testing.T) {
 	}
 	refreshed := fp.Refresh(mat.Page(next), dirty, nil)
 	fresh := NewFP16(next, 3)
-	for i, c := range refreshed.AppendCodes(Codes{}).F16 {
-		if c != fresh.AppendCodes(Codes{}).F16[i] {
-			t.Fatalf("refreshed code %d = %#04x, fresh %#04x", i, c, fresh.AppendCodes(Codes{}).F16[i])
+	for i, c := range refreshed.blocks[0].whole().F16 {
+		if c != fresh.blocks[0].whole().F16[i] {
+			t.Fatalf("refreshed code %d = %#04x, fresh %#04x", i, c, fresh.blocks[0].whole().F16[i])
 		}
 	}
 	q := mixture(1, 10, 8, 58).Row(0)
@@ -385,13 +385,4 @@ func TestFP16DegenerateInputs(t *testing.T) {
 	if res := zdim.Search(nil, 2, Options{}); len(res) != 2 {
 		t.Fatalf("zero-dim search: %v", res)
 	}
-	// FromCodes shape mismatch panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("shape-mismatched FromCodes did not panic")
-			}
-		}()
-		FromCodes(mat.New(3, 3), F16, Codes{F16: make([]uint16, 5)}, 0, 1)
-	}()
 }

@@ -80,16 +80,16 @@ func TestSQ8RefreshBitForBit(t *testing.T) {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*7)
 		ref := old.Refresh(mat.Page(newData), dirty, nil)
 		full := NewSQ8(newData, 3, 2)
-		if len(ref.AppendCodes(Codes{}).I8) != len(full.AppendCodes(Codes{}).I8) {
+		if len(ref.blocks[0].whole().I8) != len(full.blocks[0].whole().I8) {
 			t.Fatalf("nDirty=%d: code lengths differ", nDirty)
 		}
-		for i := range full.AppendCodes(Codes{}).I8 {
-			if ref.AppendCodes(Codes{}).I8[i] != full.AppendCodes(Codes{}).I8[i] {
+		for i := range full.blocks[0].whole().I8 {
+			if ref.blocks[0].whole().I8[i] != full.blocks[0].whole().I8[i] {
 				t.Fatalf("nDirty=%d: code %d differs after refresh", nDirty, i)
 			}
 		}
-		for i := range full.AppendCodes(Codes{}).Scale {
-			if ref.AppendCodes(Codes{}).Scale[i] != full.AppendCodes(Codes{}).Scale[i] || ref.AppendCodes(Codes{}).Base[i] != full.AppendCodes(Codes{}).Base[i] {
+		for i := range full.blocks[0].whole().Scale {
+			if ref.blocks[0].whole().Scale[i] != full.blocks[0].whole().Scale[i] || ref.blocks[0].whole().Base[i] != full.blocks[0].whole().Base[i] {
 				t.Fatalf("nDirty=%d: row %d parameters differ after refresh", nDirty, i)
 			}
 		}

@@ -119,56 +119,6 @@ func (t *Table) Encode(c Codec, rerank int) *Table {
 	return cell.Shift(t.base)
 }
 
-// FromCodes is the flat cell of codec c over data that adopts an existing
-// encoding (one restored from a bundle, or a row slice of a larger
-// matrix's) instead of encoding: the int8 encoding for the float64 and
-// int8 codecs, binary16 for binary16. The slices are shared, not copied:
-// the block's pages alias them. A binary16 cell also needs the int8 codes
-// its scan bounds scores with: FromCodes quantizes data for them, and
-// Restore over the float64 cell shares that cell's instead. It panics on a
-// shape mismatch — a corrupt persisted payload must fail loudly at build
-// time, not skew scores at query time.
-func FromCodes(data *mat.Dense, c Codec, codes Codes, rerank, threads int) *Table {
-	var lead *Table
-	if c == F16 {
-		lead = NewExact(data, threads)
-	}
-	pd := mat.Page(data)
-	return newCell(pd, flat{pd}, c, rerank, threads).adoptCodes(codes, lead)
-}
-
-// Restore is FromCodes over flat t's candidates: the cell of codec c that
-// adopts codes, their encoding under c, and — binary16 — scans t's int8
-// pages, which t (a float64 or int8 cell) holds.
-func (t *Table) Restore(c Codec, codes Codes, rerank int) *Table {
-	if t.inverted() != nil {
-		panic("index: Restore over an inverted cell")
-	}
-	return newCell(t.data, t.lay, c, rerank, t.threads).adoptCodes(codes, t).Shift(t.base)
-}
-
-// adoptCodes gives flat t the one block whose pages alias codes, and the
-// int8 pages of lead's when t is binary16.
-func (t *Table) adoptCodes(codes Codes, lead *Table) *Table {
-	n, dim := t.data.Rows, t.data.Cols
-	ok := false
-	switch encodedAs[t.codec] {
-	case I8:
-		ok = len(codes.I8) == n*dim && len(codes.Scale) == n && len(codes.Base) == n
-	case F16:
-		ok = len(codes.F16) == n*dim
-	}
-	if !ok {
-		panic(fmt.Sprintf("index: %s payload shape mismatch for %dx%d candidates", t.Kind(), n, dim))
-	}
-	t.blocks = []block{{rows: t.data, codes: pageCodes(codes, n, dim)}}
-	if t.codec == F16 {
-		t.blocks[0].keys = lead.keys(0)
-		t.blocks[0].open = overflowing(t.blocks[0].keys, nil, n)
-	}
-	return t
-}
-
 // Shift returns idx with its candidate ids [0, Len()) re-based to global
 // ids [base, base+Len()): results carry global ids and Options.Skip
 // receives them. base 0 returns idx unchanged.
@@ -225,18 +175,6 @@ func (t *Table) DefaultNProbe() int {
 // Rerank returns the build-time survivor multiplier, 0 when the codec's
 // scores are final.
 func (t *Table) Rerank() int { return t.rerank }
-
-// AppendCodes appends a flat table's encoding, page by page, to dst — the
-// contiguous shape a bundle persists.
-func (t *Table) AppendCodes(dst Codes) Codes {
-	for _, pg := range t.blocks[0].codes {
-		dst.I8 = append(dst.I8, pg.I8...)
-		dst.Scale = append(dst.Scale, pg.Scale...)
-		dst.Base = append(dst.Base, pg.Base...)
-		dst.F16 = append(dst.F16, pg.F16...)
-	}
-	return dst
-}
 
 // Work reports what producing t encoded and copied.
 func (t *Table) Work() Work { return t.work }

@@ -29,15 +29,19 @@ import (
 //	optional serving-index configuration (format version 2; format
 //	version 3 appends the shard layout; format version 4 the quantize
 //	flag and re-rank multiplier; format version 5 the fp16 flag)
-//	optional SQ8 quantized payload: per-row codes + scale/base vectors
-//	of the candidate matrices (format version 4)
-//	optional fp16 payload: binary16 codes of the candidate matrices
-//	(format version 5)
+//	the int8 payload presence word (format version 4) and the binary16
+//	one (format version 5), both always written 0
+//
+// A bundle carries the model, not its encodings. Formats 4 and 5 had
+// room for the int8 and binary16 codes of the candidate matrices, and
+// older writers filled it; the reader bounds those payloads' shapes and
+// skips them, and a restored engine encodes its cells as a fresh one does.
 //
 // Serialization is deterministic: saving a loaded current-format bundle
 // reproduces the input byte for byte, which snapshot tests rely on. (A
-// loaded format-1 through format-4 bundle re-saves as format 5, so only
-// its payload — not its bytes — survives the round trip.)
+// loaded format-1 through format-4 bundle, or one carrying payloads,
+// re-saves as a format-5 bundle without them, so only its model — not
+// its bytes — survives the round trip.)
 type Bundle struct {
 	ModelVersion uint64
 	Cfg          core.Config
@@ -50,19 +54,6 @@ type Bundle struct {
 	// The index structures themselves are never persisted — they are
 	// derived state, cheaply rebuilt from the embeddings on load.
 	Index *IndexMeta
-	// Quant optionally carries the SQ8 encodings of the candidate
-	// matrices (format version 4). Like Index it is derived state — a
-	// loader that drops it just re-quantizes, bit-identically — but
-	// persisting it lets a restored server publish its quantized tier
-	// without the extra pass, and gives the format a place to verify the
-	// encoding survived the round trip.
-	Quant *QuantPayload
-	// Half optionally carries the binary16 encodings of the candidate
-	// matrices (format version 5), with the same derived-state contract
-	// as Quant: droppable (a loader just re-encodes, bit-identically),
-	// but persisting it lets a restored server publish its fp16 tier
-	// without the extra pass.
-	Half *HalfPayload
 }
 
 // IndexMeta mirrors engine.IndexConfig for persistence (raw configured
@@ -86,46 +77,12 @@ type IndexMeta struct {
 	FP16 bool
 }
 
-// QuantizedMatrix is one candidate matrix's per-row SQ8 encoding as
-// index.QuantizeRows produces it: Rows*Dim int8 codes row-major, and a
-// (scale, base) float32 pair per row. Because the encoding is per-row,
-// any contiguous row range of it equals the encoding of that shard's rows
-// — which is how a sharded engine consumes one flat payload.
-type QuantizedMatrix struct {
-	Rows, Dim   int
-	Codes       []int8
-	Scale, Base []float32
-}
-
-// QuantPayload carries the SQ8 encodings of both candidate spaces: the
-// link transform Z = Xb·G and the attribute matrix Y.
-type QuantPayload struct {
-	Links, Attrs QuantizedMatrix
-}
-
-// HalfMatrix is one candidate matrix's binary16 encoding as
-// index.EncodeFP16Rows produces it: Rows*Dim uint16 code words,
-// row-major. The encoding is per element, so any contiguous row range of
-// it equals the encoding of that shard's rows — the same slice property
-// the quantized payload has, and how a sharded engine consumes one flat
-// payload.
-type HalfMatrix struct {
-	Rows, Dim int
-	Codes     []uint16
-}
-
-// HalfPayload carries the binary16 encodings of both candidate spaces:
-// the link transform Z = Xb·G and the attribute matrix Y.
-type HalfPayload struct {
-	Links, Attrs HalfMatrix
-}
-
 const (
 	magicBundle = 0x504E4231 // "PNB1"
 	// bundleFormatV is the version written; versions 1 (no index
 	// section), 2 (index section without the shard word), 3 (no
-	// quantize/rerank words, no quantized payload), and 4 (no fp16 flag
-	// or payload) are still read.
+	// quantize/rerank words, no int8 payload word), and 4 (no fp16 flag,
+	// no binary16 payload word) are still read.
 	bundleFormatV = 5
 )
 
@@ -164,10 +121,9 @@ func WriteBundle(w io.Writer, b *Bundle) error {
 	if err := writeIndexMeta(bw, b.Index); err != nil {
 		return err
 	}
-	if err := writeQuant(bw, b.Quant); err != nil {
-		return err
-	}
-	if err := writeHalf(bw, b.Half); err != nil {
+	// The int8 and binary16 payload presence words of formats 4 and 5,
+	// always 0: the payloads are never written (see skipPayloads).
+	if err := binary.Write(bw, order, []uint64{0, 0}); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -257,119 +213,48 @@ func readIndexMeta(r io.Reader, version uint64) (*IndexMeta, error) {
 	return im, nil
 }
 
-// writeQuant encodes the optional quantized-payload section: a presence
-// flag, then each matrix's shape, per-row parameters, and codes.
-func writeQuant(w io.Writer, qp *QuantPayload) error {
-	if qp == nil {
-		return binary.Write(w, order, uint64(0))
+// skipPayloads reads past the two optional code payloads a format-4 or
+// format-5 bundle may carry — the int8 encodings (format 4 on) and the
+// binary16 encodings (format 5) of the candidate matrices Z = Xb·G and Y.
+// Those encodings are a function of the model, which a restored engine
+// re-encodes as every build does, so the reader only bounds each shape
+// and discards the bytes in bounded chunks: a corrupt shape claiming
+// gigabytes costs an error, never an allocation. The int8 payload holds
+// each row's float32 (scale, base) pair and one byte per element, the
+// binary16 one two bytes per element.
+func skipPayloads(r io.Reader, version uint64) error {
+	sections := []struct {
+		name                string
+		rowBytes, elemBytes uint64
+	}{{"quantized", 8, 1}, {"fp16", 0, 2}}
+	if version < 5 {
+		sections = sections[:1]
 	}
-	if err := binary.Write(w, order, uint64(1)); err != nil {
-		return err
-	}
-	for _, qm := range []*QuantizedMatrix{&qp.Links, &qp.Attrs} {
-		if len(qm.Codes) != qm.Rows*qm.Dim || len(qm.Scale) != qm.Rows || len(qm.Base) != qm.Rows {
-			return fmt.Errorf("store: quantized payload shape mismatch: %d codes, %d scales, %d bases for %dx%d",
-				len(qm.Codes), len(qm.Scale), len(qm.Base), qm.Rows, qm.Dim)
+	for _, sec := range sections {
+		var present uint64
+		if err := binary.Read(r, order, &present); err != nil {
+			return fmt.Errorf("store: reading %s payload flag: %w", sec.name, err)
 		}
-		if err := binary.Write(w, order, []uint64{uint64(qm.Rows), uint64(qm.Dim)}); err != nil {
-			return err
+		if present == 0 {
+			continue
 		}
-		for _, v := range [][]float32{qm.Scale, qm.Base} {
-			if err := binary.Write(w, order, v); err != nil {
-				return err
+		for range 2 { // the link matrix, then the attribute matrix
+			shape := make([]uint64, 2)
+			if err := binary.Read(r, order, shape); err != nil {
+				return fmt.Errorf("store: reading %s payload shape: %w", sec.name, err)
 			}
-		}
-		if err := binary.Write(w, order, qm.Codes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readQuant decodes the quantized-payload section written by writeQuant.
-func readQuant(r io.Reader) (*QuantPayload, error) {
-	var present uint64
-	if err := binary.Read(r, order, &present); err != nil {
-		return nil, fmt.Errorf("store: reading quantized payload flag: %w", err)
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	qp := &QuantPayload{}
-	for _, qm := range []*QuantizedMatrix{&qp.Links, &qp.Attrs} {
-		shape := make([]uint64, 2)
-		if err := binary.Read(r, order, shape); err != nil {
-			return nil, fmt.Errorf("store: reading quantized payload shape: %w", err)
-		}
-		const limit = 1 << 33 // same sanity bound as the dense sections
-		if shape[0] > limit || shape[1] > limit ||
-			(shape[1] != 0 && shape[0] > limit/shape[1]) { // product bound, overflow-safe
-			return nil, fmt.Errorf("store: implausible quantized payload %dx%d", shape[0], shape[1])
-		}
-		qm.Rows, qm.Dim = int(shape[0]), int(shape[1])
-		qm.Scale = make([]float32, qm.Rows)
-		qm.Base = make([]float32, qm.Rows)
-		qm.Codes = make([]int8, qm.Rows*qm.Dim)
-		for _, dst := range []interface{}{qm.Scale, qm.Base, qm.Codes} {
-			if err := binary.Read(r, order, dst); err != nil {
-				return nil, fmt.Errorf("store: reading quantized payload: %w", err)
+			const limit = 1 << 33 // same sanity bound as the dense sections
+			if shape[0] > limit || shape[1] > limit ||
+				(shape[1] != 0 && shape[0] > limit/shape[1]) { // product bound, overflow-safe
+				return fmt.Errorf("store: implausible %s payload %dx%d", sec.name, shape[0], shape[1])
+			}
+			n := int64(shape[0]*sec.rowBytes + shape[0]*shape[1]*sec.elemBytes)
+			if _, err := io.CopyN(io.Discard, r, n); err != nil {
+				return fmt.Errorf("store: reading %s payload: %w", sec.name, err)
 			}
 		}
 	}
-	return qp, nil
-}
-
-// writeHalf encodes the optional fp16-payload section: a presence flag,
-// then each matrix's shape and binary16 code words.
-func writeHalf(w io.Writer, hp *HalfPayload) error {
-	if hp == nil {
-		return binary.Write(w, order, uint64(0))
-	}
-	if err := binary.Write(w, order, uint64(1)); err != nil {
-		return err
-	}
-	for _, hm := range []*HalfMatrix{&hp.Links, &hp.Attrs} {
-		if len(hm.Codes) != hm.Rows*hm.Dim {
-			return fmt.Errorf("store: fp16 payload shape mismatch: %d codes for %dx%d",
-				len(hm.Codes), hm.Rows, hm.Dim)
-		}
-		if err := binary.Write(w, order, []uint64{uint64(hm.Rows), uint64(hm.Dim)}); err != nil {
-			return err
-		}
-		if err := binary.Write(w, order, hm.Codes); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// readHalf decodes the fp16-payload section written by writeHalf.
-func readHalf(r io.Reader) (*HalfPayload, error) {
-	var present uint64
-	if err := binary.Read(r, order, &present); err != nil {
-		return nil, fmt.Errorf("store: reading fp16 payload flag: %w", err)
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	hp := &HalfPayload{}
-	for _, hm := range []*HalfMatrix{&hp.Links, &hp.Attrs} {
-		shape := make([]uint64, 2)
-		if err := binary.Read(r, order, shape); err != nil {
-			return nil, fmt.Errorf("store: reading fp16 payload shape: %w", err)
-		}
-		const limit = 1 << 33 // same sanity bound as the dense sections
-		if shape[0] > limit || shape[1] > limit ||
-			(shape[1] != 0 && shape[0] > limit/shape[1]) { // product bound, overflow-safe
-			return nil, fmt.Errorf("store: implausible fp16 payload %dx%d", shape[0], shape[1])
-		}
-		hm.Rows, hm.Dim = int(shape[0]), int(shape[1])
-		hm.Codes = make([]uint16, hm.Rows*hm.Dim)
-		if err := binary.Read(r, order, hm.Codes); err != nil {
-			return nil, fmt.Errorf("store: reading fp16 payload: %w", err)
-		}
-	}
-	return hp, nil
 }
 
 // ReadBundle deserializes a bundle written by WriteBundle and validates
@@ -426,12 +311,7 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		}
 	}
 	if hdr[1] >= 4 {
-		if b.Quant, err = readQuant(br); err != nil {
-			return nil, err
-		}
-	}
-	if hdr[1] >= 5 {
-		if b.Half, err = readHalf(br); err != nil {
+		if err := skipPayloads(br, hdr[1]); err != nil {
 			return nil, err
 		}
 	}
@@ -454,30 +334,6 @@ func (b *Bundle) check() error {
 		return fmt.Errorf("store: bundle attribute matrix %dx%d != %dx%d", b.Attr.R, b.Attr.C, n, b.Y.Rows)
 	case b.Labels != nil && len(b.Labels) != n:
 		return fmt.Errorf("store: bundle labels length %d != n=%d", len(b.Labels), n)
-	}
-	if q := b.Quant; q != nil {
-		// The link encoding covers Z = Xb·G (n rows, k/2 wide), the
-		// attribute encoding Y itself.
-		switch {
-		case q.Links.Rows != n || q.Links.Dim != half:
-			return fmt.Errorf("store: quantized link payload %dx%d does not match Z %dx%d",
-				q.Links.Rows, q.Links.Dim, n, half)
-		case q.Attrs.Rows != b.Y.Rows || q.Attrs.Dim != half:
-			return fmt.Errorf("store: quantized attr payload %dx%d does not match Y %dx%d",
-				q.Attrs.Rows, q.Attrs.Dim, b.Y.Rows, half)
-		}
-	}
-	if h := b.Half; h != nil {
-		// Same candidate spaces as the quantized payload: Links covers
-		// Z = Xb·G, Attrs covers Y.
-		switch {
-		case h.Links.Rows != n || h.Links.Dim != half:
-			return fmt.Errorf("store: fp16 link payload %dx%d does not match Z %dx%d",
-				h.Links.Rows, h.Links.Dim, n, half)
-		case h.Attrs.Rows != b.Y.Rows || h.Attrs.Dim != half:
-			return fmt.Errorf("store: fp16 attr payload %dx%d does not match Y %dx%d",
-				h.Attrs.Rows, h.Attrs.Dim, b.Y.Rows, half)
-		}
 	}
 	return nil
 }

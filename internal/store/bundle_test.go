@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pane/internal/core"
@@ -129,8 +132,8 @@ func TestBundleReadsFormatV1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 bundle rejected: %v", err)
 	}
-	if got.Index != nil || got.Quant != nil {
-		t.Fatalf("v1 bundle grew sections: %+v %+v", got.Index, got.Quant)
+	if got.Index != nil {
+		t.Fatalf("v1 bundle grew an index section: %+v", got.Index)
 	}
 	if got.ModelVersion != b.ModelVersion || !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v1 payload mangled")
@@ -187,202 +190,149 @@ func TestBundleReadsFormatV3(t *testing.T) {
 	if got.Index == nil || *got.Index != want {
 		t.Fatalf("v3 index meta %+v, want %+v", got.Index, want)
 	}
-	if got.Quant != nil {
-		t.Fatalf("v3 bundle grew a quantized payload")
-	}
 	if !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
 		t.Fatal("v3 payload mangled")
 	}
 }
 
-func TestBundleQuantPayloadRoundTrip(t *testing.T) {
-	b := testBundle(false)
-	n, d, half := b.Xf.Rows, b.Y.Rows, b.Xf.Cols
-	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, Quantize: true, Rerank: 3}
-	mk := func(rows int) QuantizedMatrix {
-		qm := QuantizedMatrix{Rows: rows, Dim: half,
-			Codes: make([]int8, rows*half),
-			Scale: make([]float32, rows), Base: make([]float32, rows)}
-		for i := range qm.Codes {
-			qm.Codes[i] = int8(i*7 - 100)
-		}
-		for i := range qm.Scale {
-			qm.Scale[i] = float32(i) * 0.25
-			qm.Base[i] = float32(i) - 1.5
-		}
-		return qm
-	}
-	b.Quant = &QuantPayload{Links: mk(n), Attrs: mk(d)}
+// payloads encodes the code payload sections of formats 4 and 5 as the
+// writers that filled them laid them out, for b's link space (n rows) and
+// attribute space (d rows), k/2 wide: the int8 section (a presence word,
+// then per matrix its shape, float32 scales, float32 bases and int8
+// codes) and, when halves is set, the binary16 one (a presence word, then
+// per matrix its shape and uint16 codes). The values are arbitrary bit
+// patterns: a reader must not interpret them.
+func payloads(t *testing.T, b *Bundle, halves bool) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBundle(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Quant == nil {
-		t.Fatal("payload lost")
-	}
-	for name, pair := range map[string][2]QuantizedMatrix{
-		"links": {got.Quant.Links, b.Quant.Links}, "attrs": {got.Quant.Attrs, b.Quant.Attrs},
-	} {
-		g, w := pair[0], pair[1]
-		if g.Rows != w.Rows || g.Dim != w.Dim {
-			t.Fatalf("%s shape %dx%d", name, g.Rows, g.Dim)
+	put := func(v any) {
+		if err := binary.Write(&buf, order, v); err != nil {
+			t.Fatal(err)
 		}
-		for i := range w.Codes {
-			if g.Codes[i] != w.Codes[i] {
-				t.Fatalf("%s code %d differs", name, i)
+	}
+	half := b.Xf.Cols
+	shapes := [][]uint64{{uint64(b.Xf.Rows), uint64(half)}, {uint64(b.Y.Rows), uint64(half)}}
+	put(uint64(1))
+	for _, sh := range shapes {
+		rows := int(sh[0])
+		codes, scale, base := make([]int8, rows*half), make([]float32, rows), make([]float32, rows)
+		for i := range codes {
+			codes[i] = int8(i*7 - 100)
+		}
+		for i := range scale {
+			scale[i], base[i] = float32(i)*0.25, float32(i)-1.5
+		}
+		put(sh)
+		put(scale)
+		put(base)
+		put(codes)
+	}
+	if halves {
+		put(uint64(1))
+		for _, sh := range shapes {
+			codes := make([]uint16, int(sh[0])*half)
+			for i := range codes {
+				codes[i] = uint16(i*0x1234 + 0x3C00)
 			}
-		}
-		for i := range w.Scale {
-			if g.Scale[i] != w.Scale[i] || g.Base[i] != w.Base[i] {
-				t.Fatalf("%s params %d differ", name, i)
-			}
+			put(sh)
+			put(codes)
 		}
 	}
-	// Deterministic resave.
-	var buf2 bytes.Buffer
-	if err := WriteBundle(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("quantized payload serialization not deterministic")
-	}
-	// A payload whose shape disagrees with the model must be rejected.
-	b.Quant.Links.Rows = n + 1
-	b.Quant.Links.Codes = make([]int8, (n+1)*half)
-	b.Quant.Links.Scale = make([]float32, n+1)
-	b.Quant.Links.Base = make([]float32, n+1)
-	var bad bytes.Buffer
-	if err := WriteBundle(&bad, b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBundle(bytes.NewReader(bad.Bytes())); err == nil {
-		t.Fatal("mismatched quantized payload accepted")
-	}
+	return buf.Bytes()
 }
 
+// TestBundleReadsFormatV4 and TestBundleReadsFormatV5Payloads: bundles
+// that carry code payloads — format 4 its int8 payload and no fp16 flag,
+// format 5 both payloads — load with every model section equal to the
+// original's, and re-save as the current writer writes the model: without
+// payloads, byte for byte.
 func TestBundleReadsFormatV4(t *testing.T) {
-	// A v4 bundle carries the quantize/rerank words and the quantized
-	// payload but predates the fp16 flag and half payload. Build one from
-	// a current bundle by cutting the fp16 flag word out of the index
-	// section, dropping the trailing half-presence word, and rewriting the
-	// format word; the reader must accept it with FP16 false and no half
-	// payload.
-	b := testBundle(false)
-	n, d, half := b.Xf.Rows, b.Y.Rows, b.Xf.Cols
+	b := testBundle(true)
 	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, Quantize: true, Rerank: 3}
-	qm := func(rows int) QuantizedMatrix {
-		m := QuantizedMatrix{Rows: rows, Dim: half,
-			Codes: make([]int8, rows*half),
-			Scale: make([]float32, rows), Base: make([]float32, rows)}
-		for i := range m.Codes {
-			m.Codes[i] = int8(i*3 - 7)
-		}
-		for i := range m.Scale {
-			m.Scale[i] = float32(i) * 0.5
-			m.Base[i] = float32(i)
-		}
-		return m
-	}
-	b.Quant = &QuantPayload{Links: qm(n), Attrs: qm(d)}
 	var buf bytes.Buffer
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Current layout tail: [fp16 flag word][quant section][half word].
-	var qbuf bytes.Buffer
-	if err := writeQuant(&qbuf, b.Quant); err != nil {
-		t.Fatal(err)
-	}
-	cut := len(raw) - 8 - qbuf.Len() - 8 // start of the fp16 flag word
-	v4 := append([]byte(nil), raw[:cut]...)
-	v4 = append(v4, raw[cut+8:len(raw)-8]...) // keep quant, drop half word
-	order.PutUint64(v4[8:16], 4)              // format version field
-	got, err := ReadBundle(bytes.NewReader(v4))
-	if err != nil {
-		t.Fatalf("v4 bundle rejected: %v", err)
-	}
-	want := *b.Index
-	want.FP16 = false
-	if got.Index == nil || *got.Index != want {
-		t.Fatalf("v4 index meta %+v, want %+v", got.Index, want)
-	}
-	if got.Half != nil {
-		t.Fatal("v4 bundle grew an fp16 payload")
-	}
-	if got.Quant == nil || got.Quant.Links.Rows != n || got.Quant.Attrs.Rows != d {
-		t.Fatalf("v4 quantized payload mangled: %+v", got.Quant)
-	}
-	for i, c := range b.Quant.Links.Codes {
-		if got.Quant.Links.Codes[i] != c {
-			t.Fatalf("v4 quant code %d differs", i)
-		}
-	}
-	if !got.Xf.Dense().Equal(b.Xf.Dense(), 0) {
-		t.Fatal("v4 payload mangled")
-	}
+	// Current tail: [fp16 flag word][int8 payload word][binary16 payload
+	// word]. Format 4 ends its index section before the fp16 flag and the
+	// bundle with the int8 payload.
+	v4 := append(append([]byte(nil), raw[:len(raw)-24]...), payloads(t, b, false)...)
+	order.PutUint64(v4[8:16], 4) // format version field
+	sameModel(t, "v4", v4, raw)
 }
 
-func TestBundleHalfPayloadRoundTrip(t *testing.T) {
-	b := testBundle(false)
-	n, d, half := b.Xf.Rows, b.Y.Rows, b.Xf.Cols
-	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, FP16: true}
-	mk := func(rows int) HalfMatrix {
-		hm := HalfMatrix{Rows: rows, Dim: half, Codes: make([]uint16, rows*half)}
-		for i := range hm.Codes {
-			hm.Codes[i] = uint16(i*0x1234 + 0x3C00) // arbitrary bit patterns incl. high bits
-		}
-		return hm
-	}
-	b.Half = &HalfPayload{Links: mk(n), Attrs: mk(d)}
+func TestBundleReadsFormatV5Payloads(t *testing.T) {
+	b := testBundle(true)
+	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, Quantize: true, Rerank: 3, FP16: true}
 	var buf bytes.Buffer
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	raw := buf.Bytes()
+	v5 := append(append([]byte(nil), raw[:len(raw)-16]...), payloads(t, b, true)...)
+	sameModel(t, "v5", v5, raw)
+}
+
+// sameModel reads bundle bytes in and asserts that re-saving them gives
+// want, the current writer's bytes for the same model.
+func sameModel(t *testing.T, label string, in, want []byte) {
+	t.Helper()
+	got, err := ReadBundle(bytes.NewReader(in))
 	if err != nil {
+		t.Fatalf("%s bundle rejected: %v", label, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Half == nil {
-		t.Fatal("fp16 payload lost")
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("%s bundle's model sections differ from the original's", label)
 	}
-	if got.Index == nil || !got.Index.FP16 {
-		t.Fatalf("fp16 flag lost: %+v", got.Index)
+}
+
+// TestBundleSkipsPayloadsWithoutAllocating: the reader bounds a payload's
+// shape and discards its bytes in small chunks. A tiny model whose int8
+// payload header claims 2^30 codes and then ends is an error that
+// allocates well under 1 MiB (the read buffer is the caller's here, so
+// the count is the reader's own), and so is a payload cut short anywhere
+// or a shape past the sanity bound.
+func TestBundleSkipsPayloadsWithoutAllocating(t *testing.T) {
+	b := testBundle(false)
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, b); err != nil {
+		t.Fatal(err)
 	}
-	for name, pair := range map[string][2]HalfMatrix{
-		"links": {got.Half.Links, b.Half.Links}, "attrs": {got.Half.Attrs, b.Half.Attrs},
-	} {
-		g, w := pair[0], pair[1]
-		if g.Rows != w.Rows || g.Dim != w.Dim {
-			t.Fatalf("%s shape %dx%d", name, g.Rows, g.Dim)
+	head := buf.Bytes()[:buf.Len()-16] // drop the payload presence words
+	withTail := func(words ...uint64) []byte {
+		out := append([]byte(nil), head...)
+		for _, w := range words {
+			out = order.AppendUint64(out, w)
 		}
-		for i := range w.Codes {
-			if g.Codes[i] != w.Codes[i] {
-				t.Fatalf("%s code %d differs", name, i)
-			}
+		return out
+	}
+
+	huge := withTail(1, 1<<15, 1<<15)
+	br := bufio.NewReaderSize(bytes.NewReader(huge), 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBundle(br)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a payload claiming 1 GiB and then ending was accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("skipping a 1 GiB payload claim allocated %d bytes", d)
+	}
+
+	if _, err := ReadBundle(bytes.NewReader(withTail(1, 1<<34, 1))); err == nil {
+		t.Fatal("a payload shape past the sanity bound was accepted")
+	}
+	full := append(append([]byte(nil), head...), payloads(t, b, true)...)
+	for _, cut := range []int{len(head) + 4, len(head) + 8, len(head) + 30, len(full) - 100, len(full) - 1} {
+		if _, err := ReadBundle(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("a payload cut at %d of %d bytes was accepted", cut, len(full))
 		}
-	}
-	// Deterministic resave.
-	var buf2 bytes.Buffer
-	if err := WriteBundle(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("fp16 payload serialization not deterministic")
-	}
-	// A payload whose shape disagrees with the model must be rejected.
-	b.Half.Links.Rows = n + 1
-	b.Half.Links.Codes = make([]uint16, (n+1)*half)
-	var bad bytes.Buffer
-	if err := WriteBundle(&bad, b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBundle(bytes.NewReader(bad.Bytes())); err == nil {
-		t.Fatal("mismatched fp16 payload accepted")
 	}
 }
 

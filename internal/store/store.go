@@ -3,7 +3,9 @@
 // bundles — so pipelines can persist a 10⁸-edge graph or a 10⁷-row
 // embedding without the 3-4x size and parse cost of the text formats. The
 // format is little-endian, versioned, and self-describing enough to fail
-// loudly on corruption.
+// loudly on corruption. A model bundle persists the model alone: the int8
+// and binary16 code payloads that format-4 and format-5 bundles could
+// carry are read and skipped, never written (see Bundle).
 package store
 
 import (
@@ -186,7 +188,10 @@ func LoadCSRFile(path string) (*sparse.CSR, error) {
 // into place, so readers never observe a partially written artifact. The
 // temp name is unique per writer (os.CreateTemp), so concurrent saves to
 // the same path never interleave into one torn file — whichever rename
-// lands last wins with a complete artifact.
+// lands last wins with a complete artifact. The temp file is synced before
+// the rename and the directory after it, so once saveAtomic returns the
+// artifact survives a power cut — which lets a caller delete what the
+// artifact supersedes (engine.Snapshot compacts the write-ahead log).
 func saveAtomic(path string, write func(w io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -203,6 +208,11 @@ func saveAtomic(path string, write func(w io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
@@ -211,5 +221,15 @@ func saveAtomic(path string, write func(w io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs directory dir, making a rename or removal in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
