@@ -13,8 +13,11 @@ import (
 // to expose verbatim from health endpoints and metrics.
 func KernelDispatch() map[string]string {
 	m := mat.KernelISAs()
-	m["sq8dot"] = index.DotI8ISA()
-	m["sq8rows"] = index.DotI8ISA() // its own AVX2 kernel, one sq8dot call a row elsewhere
+	// One int8 row kernel, timed on one row, a run of rows and a run
+	// against four queries.
+	for _, op := range []string{"sq8dot", "sq8rows", "sq8rows4"} {
+		m[op] = index.DotI8ISA()
+	}
 	m["fp16dot"] = index.FP16ISA()
 	return m
 }

@@ -137,7 +137,26 @@ var kernelSink float64
 
 // kernelRunRows is how many rows one sq8rows call scores: the most an int8
 // scan hands the kernel at once.
-const kernelRunRows = 128
+const kernelRunRows = 64
+
+// sameI8Scan runs sc through the portable and the dispatched kernel and
+// reports the first bound that differs in a bit.
+func sameI8Scan(sc *index.I8Scan) error {
+	sc.RunGeneric()
+	want := make([][]float64, sc.Queries())
+	for x := range want {
+		want[x] = append([]float64(nil), sc.Bounds(x)...)
+	}
+	sc.Run()
+	for x, w := range want {
+		for r, g := range w {
+			if s := sc.Bounds(x)[r]; math.Float64bits(s) != math.Float64bits(g) {
+				return fmt.Errorf("query %d row %d: %v != %v", x, r, s, g)
+			}
+		}
+	}
+	return nil
+}
 
 // RunKernel times the five scan kernels (float64 dot, blocked GEMM, the
 // int8 row kernel on one row and on a run of rows, fp16
@@ -200,15 +219,22 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			av[i] = rng.NormFloat64()
 			bv[i] = rng.NormFloat64()
 		}
-		// A run of encoded rows for sq8rows, its first for sq8dot, and the
-		// query av prepared as the exact scan prepares it.
+		// A run of encoded rows for sq8rows and sq8rows4, its first for
+		// sq8dot, and av (with three more queries for sq8rows4) prepared
+		// as the exact scan prepares them.
 		rm := mat.New(kernelRunRows, d)
 		for i := range rm.Data {
 			rm.Data[i] = rng.NormFloat64()
 		}
-		ri, rs, rb := index.QuantizeRows(rm)
-		iq := index.PrepareI8Query(av)
-		ro, rg := make([]float64, kernelRunRows), make([]float64, kernelRunRows)
+		qs := [][]float64{av, make([]float64, d), make([]float64, d), make([]float64, d)}
+		for _, q := range qs[1:] {
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+		}
+		one := index.PrepareI8Scan(rm.RowSlice(0, 1), av)
+		run := index.PrepareI8Scan(rm, av)
+		run4 := index.PrepareI8Scan(rm, qs...)
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))
 		am := mat.New(d, d)
 		bm := mat.New(d, d)
@@ -224,16 +250,9 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		if g, s := mat.DotGeneric(av, bv), mat.Dot(av, bv); g != s {
 			return nil, fmt.Errorf("experiments: dot dispatch diverges from generic at dim %d: %v != %v", d, s, g)
 		}
-		index.DotI8Rows(iq, ri[:d], rs[:1], rb[:1], ro[:1])
-		index.DotI8RowsGeneric(iq, ri[:d], rs[:1], rb[:1], rg[:1])
-		if math.Float64bits(ro[0]) != math.Float64bits(rg[0]) {
-			return nil, fmt.Errorf("experiments: sq8dot dispatch diverges from generic at dim %d: %v != %v", d, ro[0], rg[0])
-		}
-		index.DotI8Rows(iq, ri, rs, rb, ro)
-		index.DotI8RowsGeneric(iq, ri, rs, rb, rg)
-		for r, s := range ro {
-			if g := rg[r]; math.Float64bits(g) != math.Float64bits(s) {
-				return nil, fmt.Errorf("experiments: sq8rows dispatch diverges from generic at dim %d row %d: %v != %v", d, r, s, g)
+		for op, sc := range map[string]*index.I8Scan{"sq8dot": one, "sq8rows": run, "sq8rows4": run4} {
+			if err := sameI8Scan(sc); err != nil {
+				return nil, fmt.Errorf("experiments: %s dispatch diverges from generic at dim %d: %v", op, d, err)
 			}
 		}
 		if g, s := index.DotFP16Generic(av, ch), index.DotFP16(av, ch); g != s {
@@ -267,15 +286,21 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 			func() { mat.MulIntoGeneric(dst, am, bm); kernelSink += dst.Data[0] },
 			func() { mat.MulInto(dst, am, bm); kernelSink += dst.Data[0] })
 		// The int8 row kernel: a 16-bit query's dot with a row's codes,
-		// turned into the row's certified bound.
+		// turned into the row's certified bound, one call for one row.
 		cell("sq8dot", 3*d+16, 1,
-			func() { index.DotI8RowsGeneric(iq, ri[:d], rs[:1], rb[:1], rg[:1]); kernelSink += rg[0] },
-			func() { index.DotI8Rows(iq, ri[:d], rs[:1], rb[:1], ro[:1]); kernelSink += ro[0] })
+			func() { one.RunGeneric(); kernelSink += one.Bounds(0)[0] },
+			func() { one.Run(); kernelSink += one.Bounds(0)[0] })
 		// One call scores a run of rows, timed and counted per row: its ns
 		// compare with sq8dot's.
 		cell("sq8rows", d+16, kernelRunRows,
-			func() { index.DotI8RowsGeneric(iq, ri, rs, rb, rg); kernelSink += rg[0] },
-			func() { index.DotI8Rows(iq, ri, rs, rb, ro); kernelSink += ro[0] })
+			func() { run.RunGeneric(); kernelSink += run.Bounds(0)[0] },
+			func() { run.Run(); kernelSink += run.Bounds(0)[0] })
+		// One call scores the run against four queries, as a batch scan
+		// does, timed and counted per (row, query) pair: a row's codes and
+		// parameters are read once for four queries.
+		cell("sq8rows4", (d+8)/4+2*d+8, 4*kernelRunRows,
+			func() { run4.RunGeneric(); kernelSink += run4.Bounds(3)[0] },
+			func() { run4.Run(); kernelSink += run4.Bounds(3)[0] })
 		cell("fp16dot", 10*d, 1,
 			func() { kernelSink += index.DotFP16Generic(av, ch) },
 			func() { kernelSink += index.DotFP16(av, ch) })

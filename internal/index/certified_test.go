@@ -207,11 +207,10 @@ func TestCertifiedBoundHolds(t *testing.T) {
 				all := append(append(rows[:len(rows):len(rows)], bad...), aligned, sign)
 				enc.encodeRow(codes, len(all)-2, aligned)
 				enc.encodeRow(codes, len(all)-1, sign)
+				ubs := kernelScores([]*query{&pq}, codes, len(all), dim, true)[0]
 				for i, x := range all {
 					scale, base := codes.Scale[i], codes.Base[i]
-					var ubs [1]float64
-					dotI8Rows(&pq, codes.I8[i*dim:(i+1)*dim], codes.Scale[i:i+1], codes.Base[i:i+1], ubs[:], true)
-					ub, score := ubs[0], certScore(c, q, x)
+					ub, score := ubs[i], certScore(c, q, x)
 					flagged := c == F16 && overflows(scale, base)
 					if i >= len(rows) && i < len(all)-2 {
 						hostile++
@@ -240,8 +239,7 @@ func TestCertifiedBoundHolds(t *testing.T) {
 			codecs[c].prepare(&pq, q)
 			one := enc.alloc(1, dim)
 			enc.encodeRow(one, 0, x)
-			var ub [1]float64
-			dotI8Rows(&pq, one.I8, one.Scale, one.Base, ub[:], true)
+			ub := kernelScores([]*query{&pq}, one, 1, dim, true)[0]
 			if score := certScore(c, q, x); !(ub[0] >= score) {
 				t.Fatalf("%s dim %d: bound %v under the tight pair's score %v", kinds[0][c], dim, ub[0], score)
 			}
@@ -487,15 +485,15 @@ func TestCertifiedScanEqualsFullScan(t *testing.T) {
 }
 
 // TestDotI8RowsMatchesDotI8 drives the int8 row kernel over every
-// dimension 1..80, 128, 130 and 600 (16 and up take the vector kernel, a
-// dimension off a multiple of 16 its masked tail step), row counts 0..9
-// and 129 (a count off a multiple of 4 leaves a last group of one to
-// three rows), and shifting offsets of the query, the rows and the
-// output, with ±L and the extreme codes planted at both ends of every
+// dimension 1..80, 128, 130 and 600 (an odd one ends on a padded pair),
+// runs of 1..9, 15..17, 63 and 64 rows (a count off a multiple of 8
+// leaves a partial last group; 64 is the most one call scores) against
+// one to four queries a call, and shifting offsets of the codes in
+// memory, with ±L and the extreme codes planted at both ends of every
 // vector. With factors sum 0 and step 1, and each row's scale 1 and base
 // 0, the approximate score 0·0 + (1·1)·d is the row's dot itself, exact
 // below 2⁵³, which must be dotI8's and the exact integer sum. At dim 600
-// an odd row count has every code at −128 and the query at +L or −L
+// an odd row count has every code at −128 and the queries at +L or −L
 // throughout, so the dot is 128·L·600 in magnitude, 2,047 short of 2³¹:
 // one more level would overflow int32.
 func TestDotI8RowsMatchesDotI8(t *testing.T) {
@@ -505,47 +503,61 @@ func TestDotI8RowsMatchesDotI8(t *testing.T) {
 	for d := 1; d <= 80; d++ {
 		dims = append(dims, d)
 	}
-	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 129}
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64}
 	for _, dim := range dims {
 		levels := queryLevels(dim)
-		for _, n := range counts {
-			off := rng.Intn(maxOff)
-			qback := make([]int16, dim+maxOff)
-			back := make([]int8, n*dim+maxOff)
-			for j := range qback {
-				qback[j] = int16(rng.Intn(2*levels+1) - levels)
+		for i, n := range counts {
+			nq := 1 + (i+dim)%4
+			rows := make([]int8, n*dim)
+			for j := range rows {
+				rows[j] = int8(rng.Intn(256) - 128)
 			}
-			for j := range back {
-				back[j] = int8(rng.Intn(256) - 128)
-			}
-			q := qback[off : off+dim]
-			rows := back[(off+1)%maxOff:][:n*dim]
-			q[0], q[dim-1] = int16(-levels), int16(levels)
 			for r := range n {
 				rows[r*dim], rows[(r+1)*dim-1] = int8(127-255*(r%2)), -128
 			}
-			if dim == 600 && n%2 == 1 {
+			qs := make([][]int16, nq)
+			for x := range qs {
+				qs[x] = make([]int16, i8Width(dim))
+				q := qs[x][:dim]
 				for j := range q {
-					q[j] = int16(levels * (1 - 2*(n/2%2)))
+					q[j] = int16(rng.Intn(2*levels+1) - levels)
 				}
+				q[0], q[dim-1] = int16(-levels), int16(levels)
+				if dim == 600 && n%2 == 1 {
+					for j := range q {
+						q[j] = int16(levels * (1 - 2*((n/2+x)%2)))
+					}
+				}
+			}
+			if dim == 600 && n%2 == 1 {
 				for j := range rows {
 					rows[j] = -128
 				}
 			}
-			out := make([]float64, n+maxOff)[(off+2)%maxOff:][:n]
 			scale, base := make([]float32, n), make([]float32, n)
 			for r := range scale {
 				scale[r] = 1
 			}
-			dotI8Rows(&query{i16: q, factors: factors{step: 1}}, rows, scale, base, out, false)
-			for r, got := range out {
-				row := rows[r*dim : (r+1)*dim]
-				var exact int64
-				for j, c := range row {
-					exact += int64(q[j]) * int64(c)
-				}
-				if want := dotI8(q, row); got != float64(want) || got != float64(exact) {
-					t.Fatalf("dotI8Rows(dim=%d, n=%d, off=%d) row %d = %v, dotI8 %d, exact %d", dim, n, off, r, got, want, exact)
+			enc := encoding(rows, scale, base, n, dim)
+			off := rng.Intn(maxOff)
+			back := make([]int8, len(enc.I8)+maxOff)
+			codes := back[off : off+len(enc.I8)]
+			copy(codes, enc.I8)
+			var l lanes
+			for x, q := range qs {
+				l.q[x], l.f[x] = q, factors{step: 1}
+			}
+			dotI8Rows(&l, nq, codes, enc.Scale, enc.Base, false)
+			for x, q := range qs {
+				for r := range n {
+					row := rows[r*dim : (r+1)*dim]
+					var exact int64
+					for j, c := range row {
+						exact += int64(q[j]) * int64(c)
+					}
+					if got, want := l.score[x][r], dotI8(q, row); got != float64(want) || got != float64(exact) {
+						t.Fatalf("dotI8Rows(dim=%d, n=%d, off=%d) query %d/%d row %d = %v, dotI8 %d, exact %d", dim, n, off, x, nq, r, got, want, exact)
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"pane/internal/core"
@@ -30,10 +31,11 @@ type codec interface {
 	encodeRow(c Codes, j int, row []float64)
 	// prepare readies pq to score rows against q.
 	prepare(pq *query, q []float64)
-	// scan offers the rows of b that s spans to top, and returns how many
-	// of them its bound could not rule out and it re-scored (see
-	// certifiedScan).
-	scan(top *core.TopK, b *block, pq *query, s span) int
+	// scan offers the rows of b that s spans to the top-k of each of ts,
+	// one to four queries scored together by each row kernel call through
+	// l, and returns how many (query, row) pairs its bound could not rule
+	// out and it re-scored (see certifiedScan).
+	scan(b *block, s span, ts []taker, l *lanes) int
 	// final reports whether scan's scores are the answer's scores; if not
 	// the table re-ranks the survivors exactly.
 	final() bool
@@ -54,8 +56,10 @@ var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 var encodedAs = [NumCodecs]Codec{F64: I8, I8: I8, F16: F16}
 
 // Codes is one codec's encoding of a contiguous run of candidate rows.
-// The int8 and float64 codecs fill I8 (row-major codes), Scale and Base
-// (per row; see QuantizeRows), the binary16 codec F16 (row-major; see
+// The int8 and float64 codecs fill I8, Scale and Base (per row; see
+// QuantizeRows): the codes in 8-row groups interleaved by dimension pair
+// (see groupRows), the run starting on a group and padded to a whole one,
+// as Scale and Base are. The binary16 codec fills F16 (row-major; see
 // EncodeFP16Rows).
 type Codes struct {
 	I8          []int8
@@ -65,10 +69,12 @@ type Codes struct {
 
 // rows returns the encoding of rows [lo, hi) as a view of c, which holds
 // rows of dimension dim, with the view's capacity reaching on to row max.
+// lo starts a group; int8 codes are cut at whole groups.
 func (c Codes) rows(lo, hi, max, dim int) Codes {
 	var out Codes
 	if c.Scale != nil {
-		out.I8, out.Scale, out.Base = c.I8[lo*dim:hi*dim:max*dim], c.Scale[lo:hi:max], c.Base[lo:hi:max]
+		w, hi, max := i8Width(dim), padRows(hi), padRows(max)
+		out.I8, out.Scale, out.Base = c.I8[lo*w:hi*w:max*w], c.Scale[lo:hi:max], c.Base[lo:hi:max]
 	}
 	if c.F16 != nil {
 		out.F16 = c.F16[lo*dim : hi*dim : max*dim]
@@ -93,7 +99,11 @@ func (c Codes) reach(dim int) int {
 // copyRow copies the encoding at position i of src to position j of c.
 func (c *Codes) copyRow(j int, src *Codes, i, dim int) {
 	if c.Scale != nil {
-		copy(c.I8[j*dim:(j+1)*dim], src.I8[i*dim:(i+1)*dim])
+		to, from := c.I8[i8At(j, dim):], src.I8[i8At(i, dim):]
+		for x := 0; x < dim; x += 2 {
+			p := x * groupRows
+			to[p], to[p+1] = from[p], from[p+1]
+		}
 		c.Scale[j], c.Base[j] = src.Scale[i], src.Base[i]
 	}
 	if c.F16 != nil {
@@ -134,12 +144,14 @@ type block struct {
 	open  int
 }
 
-// i8Run returns the int8 encoding of rows [j, j+n) from pages as one
-// stretch of memory, for the largest n <= hi-j they reach.
-func i8Run(pages []Codes, j, hi, dim int) (codes []int8, scale, base []float32, n int) {
+// i8Run returns the int8 encoding of the whole groups from row j, which
+// starts one, that cover rows [j, hi) from pages, whose rows' codes are w
+// wide (i8Width), as one stretch of memory: at most runGroups of them, and
+// as many as the pages reach.
+func i8Run(pages []Codes, j, hi, w int) (codes []int8, scale, base []float32) {
 	pg, r := &pages[j/mat.PageRows], j%mat.PageRows
-	n = min(pg.reach(dim)-r, hi-j)
-	return pg.I8[r*dim : (r+n)*dim], pg.Scale[r : r+n], pg.Base[r : r+n], n
+	n := min(pg.reach(w)-r, padRows(hi-j), runRows)
+	return pg.I8[r*w : (r+n)*w], pg.Scale[r : r+n], pg.Base[r : r+n]
 }
 
 // encodeBlock returns the paged encoding of a block's rows, candidates ids
@@ -205,20 +217,28 @@ func (c Codes) shares(d Codes) bool {
 // query is a search's query as a codec scores against it. Pooled with the
 // search's scratch, so the 16-bit buffer adds no steady-state allocation.
 type query struct {
-	q   []float64
-	i16 []int16 // q quantized symmetrically (quantizeQuery), for the int8 row kernel
+	q []float64
+	// i16 is q quantized symmetrically (quantizeQuery) for the int8 row
+	// kernel, whole pairs long: an odd dimension's last level is 0.
+	i16 []int16
 	factors
 }
 
+// taker is one query of a scan: its prepared form, the top-k its rows are
+// offered to, and its skip, which when non-nil excludes global ids.
+type taker struct {
+	pq   *query
+	top  *core.TopK
+	skip func(int) bool
+}
+
 // span is a contiguous row range [lo, hi) of one block together with what
-// turns a row into an offer: ids maps block rows to local candidate ids
-// (nil: row j is candidate j), base lifts those to global ids, and skip,
-// when non-nil, excludes global ids.
+// turns a row into an id: ids maps block rows to local candidate ids
+// (nil: row j is candidate j), and base lifts those to global ids.
 type span struct {
 	lo, hi int
 	ids    []int32
 	base   int
-	skip   func(int) bool
 }
 
 // id returns the global id of block row j.
@@ -229,17 +249,38 @@ func (s *span) id(j int) int {
 	return s.base + j
 }
 
-// runRows is how many rows an int8 scan scores per dotI8Rows call, into a
-// buffer on its stack, before it filters them. The kernel writes what the
-// scan tests — a certified codec's bound, the int8 codec's approximate
-// score — so the scan's own per-row work is one comparison. Each scan
-// holds top's Floor in a local, reloaded after each keep: a row scoring
-// below it is one top would not admit, and skipping it there takes the
-// Admits call off almost every row. A score equal to the floor still goes
-// to Admits, which breaks the tie by id; a NaN fails the test and goes on
-// too, and so does every other non-finite bound, since none is −Inf (see
-// f64Codec).
-const runRows = 128
+// run scores the next run of s's rows, from row j (which starts a group)
+// on, against the queries of ts, loaded into l, each under its top-k's
+// current floor, and returns how many rows from j the run covers. The
+// kernel writes what the scan tests — a certified codec's bound, the int8 codec's approximate
+// score — and masks the rows under each floor out, so a scan visits only
+// the mask's rows, and only those of [s.lo, s.hi): run clears the bits of
+// the rows before s.lo that the run's first group holds and of those from
+// s.hi on, pad rows among them. A scan then tests each visited row
+// against its query's floor again, in row order, from a local reloaded
+// after each keep: the floor rises as the scan keeps rows, and a row
+// scoring below it is one top would not admit, so the Admits call stays
+// off almost every row. A score equal to the floor still goes to Admits,
+// which breaks the tie by id; a NaN fails the test and goes on too, and so
+// does every other non-finite bound, since none is −Inf (see f64Codec).
+func (l *lanes) run(keys []Codes, s *span, j int, ts []taker, bound bool) int {
+	codes, scale, base := i8Run(keys, j, s.hi, len(l.q[0]))
+	for x := range ts {
+		l.floor[x] = ts[x].top.Floor()
+	}
+	dotI8Rows(l, len(ts), codes, scale, base, bound)
+	n, keep := len(scale), ^uint64(0)
+	if j < s.lo {
+		keep <<= s.lo - j
+	}
+	if s.hi-j < n {
+		keep &= 1<<(s.hi-j) - 1
+	}
+	for x := range ts {
+		l.mask[x] &= keep
+	}
+	return n
+}
 
 // keep offers a row that top.Admits to top, unless skip excludes it. Scan loops
 // test the score first (inline) and call keep only for the few rows that
@@ -312,8 +353,8 @@ func (f64Codec) rowBytes(dim int) int                    { return i8Codec{}.rowB
 func (f64Codec) rescoreBytes(dim int) int                { return 8 * dim }
 func (f64Codec) prepare(pq *query, q []float64)          { pq.prepareBound(q, false) }
 
-func (f64Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
-	return certifiedScan(top, b, b.codes, pq, s, scoreF64)
+func (f64Codec) scan(b *block, s span, ts []taker, l *lanes) int {
+	return certifiedScan(b, b.codes, s, ts, l, scoreF64)
 }
 
 // scoreF64 is the float64 codec's re-score of block row j: mat.Dot.
@@ -390,31 +431,35 @@ func overflowing(keys []Codes, rows []int, n int) (c int) {
 // score top rejects too, so the scan offers exactly the rows a full scan
 // with score offers, in the same order. A binary16 block whose halves may
 // overflow is re-scored whole, as a full scan scores it. It returns how
-// many rows it re-scored.
-func certifiedScan(top *core.TopK, b *block, keys []Codes, pq *query, s span, score func(q []float64, b *block, j int) float64) (scored int) {
+// many (query, row) pairs it re-scored.
+func certifiedScan(b *block, keys []Codes, s span, ts []taker, l *lanes, score func(q []float64, b *block, j int) float64) (scored int) {
 	if b.open > 0 {
-		for j := s.lo; j < s.hi; j++ {
-			if id, sc := s.id(j), score(pq.q, b, j); top.Admits(id, sc) {
-				keep(top, s.skip, id, sc)
+		for _, t := range ts {
+			for j := s.lo; j < s.hi; j++ {
+				if id, sc := s.id(j), score(t.pq.q, b, j); t.top.Admits(id, sc) {
+					keep(t.top, t.skip, id, sc)
+				}
 			}
 		}
-		return s.hi - s.lo
+		return (s.hi - s.lo) * len(ts)
 	}
-	dim := len(pq.q)
-	var ubs [runRows]float64
-	floor := top.Floor()
-	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := i8Run(keys, j, min(s.hi, j+runRows), dim)
-		dotI8Rows(pq, codes, scale, base, ubs[:n], true)
-		for x, ub := range ubs[:n] {
-			if ub < floor {
-				continue
-			}
-			if id := s.id(j + x); ub-ub != 0 || top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
-				scored++
-				if sc := score(pq.q, b, j+x); top.Admits(id, sc) {
-					keep(top, s.skip, id, sc)
-					floor = top.Floor()
+	l.load(ts)
+	for j := s.lo &^ (groupRows - 1); j < s.hi; {
+		n := l.run(keys, &s, j, ts, true)
+		for x := range ts {
+			t, floor := &ts[x], l.floor[x]
+			for m := l.mask[x]; m != 0; m &= m - 1 {
+				r := bits.TrailingZeros64(m)
+				ub := l.score[x][r]
+				if ub < floor {
+					continue
+				}
+				if id := s.id(j + r); ub-ub != 0 || t.top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
+					scored++
+					if sc := score(t.pq.q, b, j+r); t.top.Admits(id, sc) {
+						keep(t.top, t.skip, id, sc)
+						floor = t.top.Floor()
+					}
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"pane/internal/core"
 	"pane/internal/mat"
 )
 
@@ -231,8 +230,8 @@ func (f16Codec) encodeRow(c Codes, j int, row []float64) {
 	}
 }
 
-func (f16Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
-	return certifiedScan(top, b, b.keys, pq, s, scoreF16)
+func (f16Codec) scan(b *block, s span, ts []taker, l *lanes) int {
+	return certifiedScan(b, b.keys, s, ts, l, scoreF16)
 }
 
 // scoreF16 is the binary16 codec's re-score of block row j: dotFP16 over

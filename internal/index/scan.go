@@ -17,34 +17,39 @@ import (
 // query of the batch is scored against a tile while it is resident. So a
 // batch of Q queries reads each candidate row's encoding from memory once,
 // not Q times, and the Q·n code dots run out of L1. Every int8, float64
-// and binary16 scan scores its rows with one kernel, dotI8Rows: the
-// query quantized to 16 bits against a run of rows' int8 codes, each
-// row's sum turned inside the kernel into what the scan tests (a certified
-// bound, or the int8 codec's approximate score), so a scan's own per-row
-// work is one comparison against its top-k floor.
+// and binary16 scan scores its rows with one kernel, dotI8Rows: up to
+// four queries quantized to 16 bits against a run of rows' int8 codes,
+// each (row, query) sum turned inside the kernel into what the scan tests
+// (a certified bound, or the int8 codec's approximate score) and tested
+// against that query's top-k floor, so a scan visits only the rows the
+// floor admits.
 //
 // What stays per query is everything that makes an answer: its prepared
 // form under the codec, its skip, its probe, and one accumulator per unit
 // — the per-unit contributions meet in mergePartials, which applies the
-// int8 codec's survivor cut globally. Each member scans a tile through the
-// same codec scan a single query runs, so each (query, row) score is the
-// same kernel on the same two vectors in the same summation order (the
-// float64 and binary16 codecs re-score a row their int8 bound cannot rule
-// out, against that member's own running top-k), and top-k under
-// core.Better is independent of how rows are grouped, so a batch member's
-// answer is bit-for-bit the answer it gets alone.
+// int8 codec's survivor cut globally. The members visiting a tile go
+// through the same codec scan a single query runs, four to a kernel call,
+// so each (query, row) score is the same integer dot turned into a score
+// by the same operations, and each member offers its rows in row order to
+// its own top-k (the float64 and binary16 codecs re-score a row their
+// int8 bound cannot rule out, against that member's own running top-k).
+// Top-k under core.Better is independent of how rows are grouped, so a
+// batch member's answer is bit-for-bit the answer it gets alone.
 //
-// That is also why the batch is not a GEMM, although Q·Zᵀ is what the
-// float64 cells compute: mat.MulInto accumulates each output in
+// So the batch's int8 pass is a GEMM: a block of queries against a block
+// of rows' codes, each code widened once for four queries, every product
+// an exact integer. Its float64 re-score is not one, although Q·Zᵀ is
+// what the float64 cells compute: mat.MulInto accumulates each output in
 // ascending-p order while mat.Dot folds sixteen lanes, so their scores
 // differ in the last bits and a GEMM-scored batch would not equal its
 // single queries. Nor would a GEMM save the traffic the certified scan
-// saves: it reads every float64 row, and the scan reads under one in a
-// hundred.
+// saves: it reads every float64 row, and the scan re-scores under one in
+// a hundred.
 
 const (
 	// tileBytes is how much of a block a unit scores against every query
-	// before moving on. 16 KiB of rows beside the block of queries (64
+	// before moving on, rounded down to whole groups (tileRows: 224 rows at
+	// dimension 64). 16 KiB of rows beside the block of queries (64
 	// float64 queries of dimension 64 are 32 KiB; the benchmark's 32 are
 	// 16 KiB) sits inside a 48 KiB L1d, and well inside L2 everywhere;
 	// smaller tiles only add loop overhead, larger ones evict the queries.
@@ -111,6 +116,7 @@ type unit struct {
 type scratch struct {
 	ms    []member
 	units []unit
+	lanes []lanes      // [unit]
 	tops  []*core.TopK // [unit][member]
 	parts []partial    // [member][unit]
 	mult  int          // survivor multiplier of an approximate codec, else 1
@@ -181,6 +187,7 @@ func SearchBatch(tables []*Table, qs []BatchQuery, out [][]core.Scored) Stats {
 				s.units = t.plan(s.units, s.ms)
 			}
 		}
+		s.lanes = slices.Grow(s.lanes[:0], len(s.units))[:len(s.units)]
 
 		// One goroutine per unit; a single unit — one unsharded
 		// single-threaded table — runs inline. The caller does not take a
@@ -236,13 +243,14 @@ func (s *scratch) run(u int) {
 		}
 		tops[i] = core.GetTopK(m)
 	}
+	l := &s.lanes[u]
 	if unit.segs == nil {
 		for _, v := range unit.visit {
-			unit.walk(s.ms, tops, v.ID, 0, t.blocks[v.ID].rows.Rows)
+			unit.walk(s.ms, tops, l, v.ID, 0, t.blocks[v.ID].rows.Rows)
 		}
 	} else {
 		for _, seg := range unit.segs {
-			unit.walk(s.ms, tops, seg.list, seg.lo, seg.hi)
+			unit.walk(s.ms, tops, l, seg.list, seg.lo, seg.hi)
 		}
 	}
 	for i := range s.ms {
@@ -298,9 +306,10 @@ func (t *Table) plan(units []unit, ms []member) []unit {
 
 // walk offers rows [lo, hi) of block b to the members that visit it, a
 // tile at a time: the one place a search crosses into the codec, once per
-// (tile, member). A lone member has nothing to share a tile with and
-// takes the range whole.
-func (u *unit) walk(ms []member, tops []*core.TopK, b, lo, hi int) {
+// tile and four members, whose queries each kernel call scores together
+// (l holds the calls). Tiles end on whole groups. A lone member has
+// nothing to share a tile with and takes the range whole.
+func (u *unit) walk(ms []member, tops []*core.TopK, l *lanes, b, lo, hi int) {
 	t := u.t
 	enc := codecs[t.codec]
 	who := everyone[:len(ms)]
@@ -310,23 +319,33 @@ func (u *unit) walk(ms []member, tops []*core.TopK, b, lo, hi int) {
 	rowBytes := enc.rowBytes(t.data.Cols)
 	tile := math.MaxInt
 	if len(who) > 1 {
-		tile = max(1, tileBytes/rowBytes)
+		tile = tileRows(rowBytes)
 	}
 	_, ids := t.lay.block(b)
 	s := span{ids: ids, base: t.base}
+	ts := l.ts[:]
 	for s.lo = lo; s.lo < hi; s.lo = s.hi {
 		s.hi = hi
-		if hi-s.lo > tile {
-			s.hi = s.lo + tile
+		if start := s.lo &^ (groupRows - 1); hi-start > tile {
+			s.hi = start + tile
 		}
-		for _, i := range who {
-			s.skip = ms[i].skip
-			u.reranked += int64(enc.scan(tops[i], &t.blocks[b], &ms[i].query, s))
+		for x := 0; x < len(who); x += len(ts) {
+			n := 0
+			for _, i := range who[x:min(x+len(ts), len(who))] {
+				ts[n] = taker{pq: &ms[i].query, top: tops[i], skip: ms[i].skip}
+				n++
+			}
+			u.reranked += int64(enc.scan(&t.blocks[b], s, ts[:n], l))
 		}
 	}
+	clear(ts) // the pool must not pin a caller's skip
 	u.rows += int64(hi-lo) * int64(len(who))
 	u.bytes += int64(hi-lo) * int64(rowBytes)
 }
+
+// tileRows is how many rows of rowBytes each a tile holds: whole groups,
+// at least one.
+func tileRows(rowBytes int) int { return max(groupRows, tileBytes/rowBytes&^(groupRows-1)) }
 
 // exact attaches to each survivor of an approximate scan its exact score
 // — the same mat.Dot the float64 codec scans with, so a re-ranked score

@@ -32,7 +32,7 @@ func TestSearchBatchTileBoundaries(t *testing.T) {
 	const dim, members = 8, 5
 	queries := mixture(members, dim, 4, 71)
 	for c := Codec(0); c < NumCodecs; c++ {
-		tile := tileBytes / codecs[c].rowBytes(dim)
+		tile := tileRows(codecs[c].rowBytes(dim))
 		for _, n := range []int{1, tile - 1, tile, tile + 1, 2*tile + 1} {
 			data := mixture(n, dim, 4, int64(72+n))
 			// The rows on either side of the first tile edge are planted as
@@ -118,48 +118,79 @@ func TestSearchBatchUnitsAndBlocks(t *testing.T) {
 	}
 }
 
-// TestSearchBatchStats pins the work counters: a batch scores every
-// (member, row) pair its members would score alone, re-scores exactly the
-// pairs they would re-score alone, and walks the encoded bytes once. The
-// float64 and binary16 cells re-score a few rows per member — at least
-// its k, far fewer than they scan — and the int8 cell its rerank·k
-// survivors.
+// TestSearchBatchStats pins the work counters. On every cell, at batch
+// sizes 1 to 9 (every count of four-query kernel calls and of queries
+// left over) and 65 (a second pass over the rows), a batch answers each
+// member as it is answered alone, ids and score bits; it scores every
+// (member, row) pair its members would score alone, and walks the
+// encoded bytes of the rows its members visit once a pass. The candidate
+// count is off a multiple of 8, so the last group holds pad rows, and
+// none is counted. A flat cell's batch also re-scores exactly the pairs
+// its members would re-score alone: the float64 and binary16 cells a few
+// rows per member — at least its k, far fewer than they scan — and the
+// int8 cell its rerank·k survivors. An inverted cell's need not: a batch
+// walks the lists its members probe in list order, a query alone in
+// probe order, and the floor a member's scan re-scores under rises with
+// the lists it has seen.
 func TestSearchBatchStats(t *testing.T) {
-	const n, dim, members, k = 1000, 16, 7, 4
+	const n, dim, k = 1003, 16, 4
 	data := mixture(n, dim, 4, 91)
-	queries := mixture(members, dim, 4, 92)
-	qs := make([]BatchQuery, members)
-	for i := range qs {
-		qs[i] = BatchQuery{Q: queries.Row(i), K: k}
-	}
-	out := make([][]core.Scored, members)
-	for c := Codec(0); c < NumCodecs; c++ {
-		tab := NewExact(data, 1).Encode(c, 0)
-		rowBytes, rescoreBytes := int64(codecs[c].rowBytes(dim)), int64(codecs[c].rescoreBytes(dim))
-		batch := SearchBatch([]*Table{tab}, qs, out)
-		var alone Stats
+	queries := mixture(65, dim, 4, 92)
+	ex, iv := NewExact(data, 1), BuildIVF(data, IVFConfig{NList: 9, NProbe: 3, Seed: 5})
+	for _, members := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 65} {
+		qs := make([]BatchQuery, members)
 		for i := range qs {
-			st := SearchBatch([]*Table{tab}, qs[i:i+1], out)
-			alone.RowsScored += st.RowsScored
-			alone.Reranked += st.Reranked
-			alone.BytesStreamed += st.BytesStreamed
-			if st.BytesStreamed != n*rowBytes+st.Reranked*rescoreBytes {
-				t.Fatalf("%s member %d alone: %d bytes for %d reranked", tab.Kind(), i, st.BytesStreamed, st.Reranked)
+			qs[i] = BatchQuery{Q: queries.Row(i), K: k}
+		}
+		out := make([][]core.Scored, members)
+		for c := Codec(0); c < NumCodecs; c++ {
+			for _, tab := range []*Table{ex.Encode(c, 0), iv.Encode(c, 0)} {
+				label := fmt.Sprintf("%s, %d members", tab.Kind(), members)
+				rowBytes, rescoreBytes := int64(codecs[c].rowBytes(dim)), int64(codecs[c].rescoreBytes(dim))
+				batch := SearchBatch([]*Table{tab}, qs, out)
+				var alone Stats
+				var walked int64 // rows the members visit, once a pass
+				for lo := 0; lo < members; lo += queryBlock {
+					visited := map[int]bool{}
+					for i := lo; i < min(lo+queryBlock, members); i++ {
+						var one [1][]core.Scored
+						st := SearchBatch([]*Table{tab}, qs[i:i+1], one[:])
+						if !sameBits(out[i], one[0]) {
+							t.Fatalf("%s member %d:\nin the batch %v\nalone        %v", label, i, out[i], one[0])
+						}
+						if st.BytesStreamed != st.RowsScored*rowBytes+st.Reranked*rescoreBytes {
+							t.Fatalf("%s member %d alone: %d bytes for %d rows, %d reranked", label, i, st.BytesStreamed, st.RowsScored, st.Reranked)
+						}
+						alone.RowsScored += st.RowsScored
+						alone.Reranked += st.Reranked
+						for _, v := range tab.lay.probe(qs[i].Q, 0) {
+							visited[v.ID] = true
+						}
+					}
+					for b := range visited {
+						walked += int64(tab.blocks[b].rows.Rows)
+					}
+				}
+				if batch.RowsScored != alone.RowsScored || batch.BytesStreamed != walked*rowBytes+batch.Reranked*rescoreBytes {
+					t.Fatalf("%s: batch %+v, members alone %+v, %d rows walked", label, batch, alone, walked)
+				}
+				if tab.inverted() != nil {
+					continue
+				}
+				if batch.Reranked != alone.Reranked {
+					t.Fatalf("%s: %d pairs reranked, %d by the members alone", label, batch.Reranked, alone.Reranked)
+				}
+				var lo, hi int64
+				switch c {
+				case F64, F16:
+					lo, hi = int64(members*k), int64(members*n/10)
+				case I8:
+					lo, hi = int64(members*DefaultRerank*k), int64(members*DefaultRerank*k)
+				}
+				if batch.RowsScored != int64(members*n) || batch.Reranked < lo || batch.Reranked > hi {
+					t.Fatalf("%s: %d pairs scored, %d reranked; want %d, %d..%d", label, batch.RowsScored, batch.Reranked, members*n, lo, hi)
+				}
 			}
-		}
-		if batch.RowsScored != members*n || alone.RowsScored != members*n ||
-			batch.Reranked != alone.Reranked || batch.BytesStreamed != n*rowBytes+batch.Reranked*rescoreBytes {
-			t.Fatalf("%s: batch %+v, members alone %+v", tab.Kind(), batch, alone)
-		}
-		var lo, hi int64
-		switch c {
-		case F64, F16:
-			lo, hi = members*k, members*n/10
-		case I8:
-			lo, hi = members*DefaultRerank*k, members*DefaultRerank*k
-		}
-		if batch.Reranked < lo || batch.Reranked > hi {
-			t.Fatalf("%s: %d pairs reranked, want %d..%d", tab.Kind(), batch.Reranked, lo, hi)
 		}
 	}
 
@@ -167,12 +198,12 @@ func TestSearchBatchStats(t *testing.T) {
 	// however the scan groups its kernel calls, it re-scores the same rows.
 	data = mixture(3000, 64, 8, 93)
 	queries = mixture(32, 64, 8, 94)
-	ex := NewExact(data, 1)
-	qs = make([]BatchQuery, queries.Rows)
+	ex = NewExact(data, 1)
+	qs := make([]BatchQuery, queries.Rows)
 	for i := range qs {
 		qs[i] = BatchQuery{Q: queries.Row(i), K: 10}
 	}
-	out = make([][]core.Scored, len(qs))
+	out := make([][]core.Scored, len(qs))
 	for _, c := range []struct {
 		tab              *Table
 		members          int

@@ -2,8 +2,8 @@ package index
 
 import (
 	"math"
+	"math/bits"
 
-	"pane/internal/core"
 	"pane/internal/mat"
 )
 
@@ -44,21 +44,25 @@ const DefaultRerank = 4
 // states the bound with that rounding included). Constant
 // rows get scale 0 and exact base. The encoding is deterministic in data
 // alone — no seeds, no global statistics — so any row slice of data
-// quantizes to the corresponding slice of (codes, scale, base).
+// quantizes to the corresponding slice of (codes, scale, base). A table
+// holds the same codes interleaved in groups (see groupRows).
 func QuantizeRows(data *mat.Dense) (codes []int8, scale, base []float32) {
-	c := i8Codec{}.alloc(data.Rows, data.Cols)
-	for i := range data.Rows {
-		i8Codec{}.encodeRow(c, i, data.Row(i))
+	n, dim := data.Rows, data.Cols
+	codes, scale, base = make([]int8, n*dim), make([]float32, n), make([]float32, n)
+	for i := range n {
+		scale[i], base[i] = quantizeRowInto(data.Row(i), codes[i*dim:(i+1)*dim], 2)
 	}
-	return c.I8, c.Scale, c.Base
+	return codes, scale, base
 }
 
-// quantizeRowInto encodes one candidate row into c (which must have
-// length len(row)) and returns its (scale, base) pair — the per-row unit
-// QuantizeRows and the incremental Refresh share, so a refreshed row's
-// encoding is bit-identical to a full re-quantization's. c may hold stale
-// codes from a previous version; every element is overwritten.
-func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
+// quantizeRowInto encodes one candidate row into c, the code of element x
+// at c[x/2·pair + x%2] — pair 2 lays the codes out row-major, pair 16 in
+// a group's chunks (see groupRows) — and returns its (scale, base) pair:
+// the per-row unit QuantizeRows and every table encoding share, so a
+// refreshed row's encoding is bit-identical to a full re-quantization's.
+// c may hold stale codes from a previous version; every element's code is
+// overwritten.
+func quantizeRowInto(row []float64, c []int8, pair int) (scale, base float32) {
 	if len(row) == 0 {
 		return 0, 0
 	}
@@ -73,14 +77,14 @@ func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
 	}
 	s := float32((mx - mn) / 255)
 	if s == 0 {
-		for j := range c {
-			c[j] = 0 // x̂ = base for every element
+		for x := range row {
+			c[x/2*pair+x%2] = 0 // x̂ = base for every element
 		}
 		return 0, float32(mn)
 	}
 	base = float32(mn + float64(128*float64(s)))
 	inv := 1 / float64(s)
-	for j, v := range row {
+	for x, v := range row {
 		q := math.Round((v - mn) * inv) // nearest of 256 levels
 		if q < 0 {
 			q = 0
@@ -88,9 +92,37 @@ func quantizeRowInto(row []float64, c []int8) (scale, base float32) {
 		if q > 255 {
 			q = 255
 		}
-		c[j] = int8(int(q) - 128)
+		c[x/2*pair+x%2] = int8(int(q) - 128)
 	}
 	return s, base
+}
+
+// groupRows is how many rows a table's int8 encoding interleaves: a
+// group holds its rows' codes by dimension pair, each 16-byte chunk the
+// two codes of each of its 8 rows (row r's at bytes 2r and 2r+1), so the
+// row kernel widens a chunk once and multiplies it by one broadcast pair
+// of each query's codes, and lane r ends as row r's dot with no
+// horizontal fold. A page (mat.PageRows) holds two groups; the encoding
+// of a block ends on a whole group, its pad rows' codes, scale and base
+// zero. An odd dimension is padded with a zero code, and the query with a
+// zero level (see query.i16).
+const groupRows = 8
+
+// i8Width is the bytes of a group's chunks that hold one row's codes:
+// dim rounded up to a whole pair.
+func i8Width(dim int) int { return dim + dim&1 }
+
+// padRows rounds a row count up to whole groups.
+func padRows(n int) int { return (n + groupRows - 1) &^ (groupRows - 1) }
+
+// i8At is where, in an int8 encoding, row j's code for element 0 lies;
+// its code for element x lies x/2·16 + x%2 bytes on. Rows of dimension 0
+// hold none.
+func i8At(j, dim int) int {
+	if dim == 0 {
+		return 0
+	}
+	return j/groupRows*groupRows*i8Width(dim) + j%groupRows*2
 }
 
 // queryLevels is how many levels a query of dimension dim is quantized to
@@ -142,9 +174,9 @@ func quantizeQuery(q []float64, dst []int16) (step, qsum float64) {
 	return step, qsum
 }
 
-// factors are a prepared query's per-query constants, in the order the
-// row kernel's assembly reads them: the approximate score's (see approx)
-// and, for the certified codecs, the bound's (see prepareBound).
+// factors are a prepared query's per-query constants: the approximate
+// score's (see approx) and, for the certified codecs, the bound's (see
+// prepareBound).
 type factors struct {
 	sum, step  float64
 	ks, kb, k0 float64
@@ -175,81 +207,149 @@ func (f *factors) score(d int32, scale, base float32, bound bool) float64 {
 	return f.approx(d, scale, base)
 }
 
-// dotI8 returns the int32 inner product of a query's 16-bit codes with a
-// row's int8 codes: the portable kernel, 4-way unrolled like mat.Dot, and
-// the reference every vector kernel is tested against. Integer sums are
-// exact and queryLevels keeps them inside int32, so every path returns the
-// same value in any order.
-func dotI8(q []int16, c []int8) int32 {
-	c = c[:len(q)]
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(q); i += 4 {
-		s0 += int32(q[i]) * int32(c[i])
-		s1 += int32(q[i+1]) * int32(c[i+1])
-		s2 += int32(q[i+2]) * int32(c[i+2])
-		s3 += int32(q[i+3]) * int32(c[i+3])
-	}
-	var s int32
-	for ; i < len(q); i++ {
-		s += int32(q[i]) * int32(c[i])
-	}
-	return s0 + s1 + s2 + s3 + s
+// runGroups is how many groups one row kernel call scores at most: runRows
+// rows, one mask word per query.
+const (
+	runGroups = 8
+	runRows   = runGroups * groupRows
+)
+
+// lanes is one call of the row kernel: the one to four queries it scores
+// a run of groups against, the floor each is tested against, and what it
+// returns. A unit's lanes live in the search's pooled scratch, not on the
+// unit goroutine's stack, which a fresh goroutine would have to grow for
+// them on every search. The assembly reads it by the offsets go_asm.h
+// gives.
+type lanes struct {
+	q     [4][]int16          // each query's codes, whole pairs (query.i16)
+	f     [4]factors          // each query's constants
+	floor [4]float64          // each query's top-k floor when the call starts
+	mask  [4]uint64           // bit r: !(score[x][r] < floor[x])
+	score [4][runRows]float64 // row r's bound, or its approximate score
+	dots  [4][runRows]int32   // row r's dot, where Go scores it (finish)
+	ts    [4]taker            // the queries of the scan the calls serve
 }
 
-// dotI8Rows writes to out[r], for each row r of codes (dimension
-// len(pq.i16); parameters scale[r], base[r]), what a scan tests of it:
-// the bound when bound is set, else the approximate score. It is the
-// kernel under every int8, float64 and binary16 scan, which scores a run
-// of rows per call. With AVX2 it loads the query once for four rows, pays
-// the call, the horizontal sums and the VZEROUPPER once per call, and
-// turns four rows' sums into their scores per instruction; on arm64 a
-// NEON dot per row feeds the Go arithmetic. Every path writes the bits
-// score computes over dotI8's sum.
+// load readies l for calls against the queries of ts.
+func (l *lanes) load(ts []taker) {
+	for x := range ts {
+		l.q[x], l.f[x] = ts[x].pq.i16, ts[x].pq.factors
+	}
+}
+
+// dotI8Rows is the row kernel under every int8, float64 and binary16
+// scan. For each of the first nq queries of l and each row r of a run of
+// whole groups of an int8 encoding (codes; parameters scale[r], base[r]),
+// it writes to l.score[x][r] what a scan tests of the row — the bound
+// when bound is set, else the approximate score: the bits factors.score
+// computes over the row's int32 dot with the query's codes — and sets bit
+// r of l.mask[x] when !(score < l.floor[x]). A scan visits only the mask's
+// rows: a row scoring under the floor its query had when the call started
+// scores under every later one. With AVX2 a chunk of codes is widened once
+// for every query and each query's scores and mask are made eight rows an
+// instruction; on arm64 NEON makes the dots and Go the rest (finish). The
+// integer sums are exact and queryLevels keeps them inside int32, so
+// every path writes the same bits.
 //
 // The vector kernel is what makes the int8 encoding pay off even when the
 // float64 matrix is cache-resident: a scalar multiply-add chain is no
 // faster per element than the unrolled float64 one, so without it the
 // 8x storage saving would only show once the scan spilled to memory.
-func dotI8Rows(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) {
-	dim := len(pq.i16)
-	if len(codes) != len(out)*dim || len(scale) != len(out) || len(base) != len(out) {
-		panic("index: dotI8Rows length mismatch")
+func dotI8Rows(l *lanes, nq int, codes []int8, scale, base []float32, bound bool) {
+	w, ng := len(l.q[0]), len(scale)/groupRows
+	if nq < 1 || nq > 4 || ng < 1 || ng > runGroups || w&1 != 0 ||
+		len(scale) != ng*groupRows || len(base) != len(scale) || len(codes) != ng*groupRows*w {
+		panic("index: dotI8Rows shape mismatch")
 	}
-	if dotI8RowsSIMD(pq, codes, scale, base, out, bound) {
-		return
+	for x := range nq {
+		if len(l.q[x]) != w {
+			panic("index: dotI8Rows query length mismatch")
+		}
 	}
-	for r := range out {
-		out[r] = pq.score(dotI8(pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r], bound)
+	if !dotI8RowsSIMD(l, nq, codes, scale, base, bound) {
+		l.dotsGeneric(nq, codes, ng)
+		l.finish(nq, scale, base, bound)
 	}
 }
 
-// I8Query is a query as the exact scan prepares it for the int8 row
-// kernel, exported with DotI8Rows for the kernel microbenchmark
-// (`benchexp -exp kernel`).
-type I8Query struct{ pq query }
-
-// PrepareI8Query prepares q as the float64 codec does.
-func PrepareI8Query(q []float64) *I8Query {
-	var iq I8Query
-	f64Codec{}.prepare(&iq.pq, q)
-	return &iq
-}
-
-// DotI8Rows writes the certified bound of each row of an encoding
-// (QuantizeRows) to out through the dispatched kernel, as the exact scan
-// computes it.
-func DotI8Rows(q *I8Query, codes []int8, scale, base []float32, out []float64) {
-	dotI8Rows(&q.pq, codes, scale, base, out, true)
-}
-
-// DotI8RowsGeneric is DotI8Rows through the portable kernel.
-func DotI8RowsGeneric(q *I8Query, codes []int8, scale, base []float32, out []float64) {
-	dim := len(q.pq.i16)
-	for r := range out {
-		out[r] = q.pq.bound(dotI8(q.pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r])
+// dotsGeneric is the portable kernel's integer half: it leaves each row's
+// dot with each query's codes in l.dots.
+func (l *lanes) dotsGeneric(nq int, codes []int8, ng int) {
+	w := len(l.q[0])
+	for x := range nq {
+		q := l.q[x]
+		for g := range ng {
+			grp := codes[g*groupRows*w:][:groupRows*w]
+			var d [groupRows]int32
+			for p := 0; p < w; p += 2 {
+				c, q0, q1 := grp[p*groupRows:][:2*groupRows], int32(q[p]), int32(q[p+1])
+				for r := range d {
+					d[r] += int32(c[2*r])*q0 + int32(c[2*r+1])*q1
+				}
+			}
+			copy(l.dots[x][g*groupRows:], d[:])
+		}
 	}
 }
+
+// finish turns l.dots into scores and masks, as dotI8Rows states.
+func (l *lanes) finish(nq int, scale, base []float32, bound bool) {
+	for x := range nq {
+		f, floor, dots, out := &l.f[x], l.floor[x], &l.dots[x], &l.score[x]
+		var m uint64
+		for r := range scale {
+			s := f.score(dots[r], scale[r], base[r], bound)
+			out[r] = s
+			if !(s < floor) {
+				m |= 1 << r
+			}
+		}
+		l.mask[x] = m
+	}
+}
+
+// I8Scan is one row kernel call as the exact scan makes it — one to four
+// queries against a run of up to 64 encoded rows, scoring their certified
+// bounds — exported for the kernel microbenchmark (`benchexp -exp
+// kernel`).
+type I8Scan struct {
+	l     lanes
+	pqs   [4]query
+	nq, n int
+	c     Codes
+}
+
+// PrepareI8Scan encodes rows (at most 64) as a table holds them and
+// prepares each of qs (one to four) as the float64 codec does.
+func PrepareI8Scan(rows *mat.Dense, qs ...[]float64) *I8Scan {
+	if rows.Rows < 1 || rows.Rows > runRows || len(qs) < 1 || len(qs) > 4 {
+		panic("index: PrepareI8Scan shape")
+	}
+	s := &I8Scan{nq: len(qs), n: rows.Rows, c: i8Codec{}.alloc(rows.Rows, rows.Cols)}
+	for j := range rows.Rows {
+		i8Codec{}.encodeRow(s.c, j, rows.Row(j))
+	}
+	for x, q := range qs {
+		f64Codec{}.prepare(&s.pqs[x], q)
+		s.l.q[x], s.l.f[x], s.l.floor[x] = s.pqs[x].i16, s.pqs[x].factors, math.Inf(-1)
+	}
+	return s
+}
+
+// Run scores the rows through the dispatched kernel.
+func (s *I8Scan) Run() { dotI8Rows(&s.l, s.nq, s.c.I8, s.c.Scale, s.c.Base, true) }
+
+// RunGeneric scores the rows through the portable kernel.
+func (s *I8Scan) RunGeneric() {
+	s.l.dotsGeneric(s.nq, s.c.I8, len(s.c.Scale)/groupRows)
+	s.l.finish(s.nq, s.c.Scale, s.c.Base, true)
+}
+
+// Queries returns how many queries s scores.
+func (s *I8Scan) Queries() int { return s.nq }
+
+// Bounds returns query x's bound on each row, as the last run left them.
+func (s *I8Scan) Bounds(x int) []float64 { return s.l.score[x][:s.n] }
 
 // i8Codec is the quantized codec: int8 codes scanned with the row kernel
 // under the approximate score above, then re-ranked exactly by the table.
@@ -262,37 +362,46 @@ func (i8Codec) final() bool { return false }
 func (i8Codec) rowBytes(dim int) int     { return dim + 8 }
 func (i8Codec) rescoreBytes(dim int) int { return 8 * dim }
 
+// alloc rounds n up to whole groups: the kernel reads a group whole.
 func (i8Codec) alloc(n, dim int) Codes {
-	return Codes{I8: make([]int8, n*dim), Scale: make([]float32, n), Base: make([]float32, n)}
+	n = padRows(n)
+	return Codes{I8: make([]int8, n*i8Width(dim)), Scale: make([]float32, n), Base: make([]float32, n)}
 }
 
 func (i8Codec) encodeRow(c Codes, j int, row []float64) {
-	c.Scale[j], c.Base[j] = quantizeRowInto(row, c.I8[j*len(row):(j+1)*len(row)])
+	c.Scale[j], c.Base[j] = quantizeRowInto(row, c.I8[i8At(j, len(row)):], 2*groupRows)
 }
 
+// prepare leaves pq.i16 whole pairs long, an odd dimension's last level 0.
 func (i8Codec) prepare(pq *query, q []float64) {
 	pq.q = q
-	if cap(pq.i16) < len(q) {
-		pq.i16 = make([]int16, len(q))
+	w := i8Width(len(q))
+	if cap(pq.i16) < w {
+		pq.i16 = make([]int16, w)
 	}
-	pq.i16 = pq.i16[:len(q)]
-	pq.step, pq.sum = quantizeQuery(q, pq.i16)
+	pq.i16 = pq.i16[:w]
+	if w > len(q) {
+		pq.i16[len(q)] = 0
+	}
+	pq.step, pq.sum = quantizeQuery(q, pq.i16[:len(q)])
 }
 
-func (i8Codec) scan(top *core.TopK, b *block, pq *query, s span) int {
-	dim := len(pq.q)
-	var scores [runRows]float64
-	floor := top.Floor()
-	for j := s.lo; j < s.hi; {
-		codes, scale, base, n := i8Run(b.codes, j, min(s.hi, j+runRows), dim)
-		dotI8Rows(pq, codes, scale, base, scores[:n], false)
-		for x, score := range scores[:n] {
-			if score < floor {
-				continue
-			}
-			if id := s.id(j + x); top.Admits(id, score) {
-				keep(top, s.skip, id, score)
-				floor = top.Floor()
+func (i8Codec) scan(b *block, s span, ts []taker, l *lanes) int {
+	l.load(ts)
+	for j := s.lo &^ (groupRows - 1); j < s.hi; {
+		n := l.run(b.codes, &s, j, ts, false)
+		for x := range ts {
+			t, floor := &ts[x], l.floor[x]
+			for m := l.mask[x]; m != 0; m &= m - 1 {
+				r := bits.TrailingZeros64(m)
+				score := l.score[x][r]
+				if score < floor {
+					continue
+				}
+				if id := s.id(j + r); t.top.Admits(id, score) {
+					keep(t.top, t.skip, id, score)
+					floor = t.top.Floor()
+				}
 			}
 		}
 		j += n

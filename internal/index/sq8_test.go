@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pane/internal/core"
@@ -170,7 +172,7 @@ func TestShardedSQ8SurvivorCutIsGlobal(t *testing.T) {
 	k := 10
 	ms := []member{{k: k}}
 	codecs[I8].prepare(&ms[0].query, q)
-	s := &scratch{ms: ms, mult: mult, tops: make([]*core.TopK, len(subs)), parts: make([]partial, len(subs))}
+	s := &scratch{ms: ms, mult: mult, lanes: make([]lanes, len(subs)), tops: make([]*core.TopK, len(subs)), parts: make([]partial, len(subs))}
 	for _, sub := range subs {
 		s.units = sub.plan(s.units, ms)
 	}
@@ -250,62 +252,109 @@ func TestQuantizedInterfaceCompliance(t *testing.T) {
 	if reranks(Shift(NewExact(mat.New(5, 3), 1), 3)) {
 		t.Fatal("shifted exact claims the quantized contract")
 	}
-	// dotI8 covers every unroll tail exactly.
-	for n := 0; n <= 9; n++ {
-		a := make([]int16, n)
-		b := make([]int8, n)
-		var want int32
-		for i := range a {
-			a[i] = int16(9000*i - 40000)
-			b[i] = int8(3*i - 7)
-			want += int32(a[i]) * int32(b[i])
-		}
-		if got := dotI8(a, b); got != want {
-			t.Fatalf("dotI8 len %d = %d, want %d", n, got, want)
+}
+
+// dotI8 is the reference the row kernel is held to: the int32 dot of a
+// query's 16-bit codes with a row's int8 codes, row-major. Integer sums
+// are exact and queryLevels keeps them inside int32, so any order gives
+// the same value.
+func dotI8(q []int16, c []int8) int32 {
+	var s int32
+	for j, v := range c {
+		s += int32(q[j]) * int32(v)
+	}
+	return s
+}
+
+// encoding lays n rows of row-major int8 codes and their parameters out
+// as a table holds them (see groupRows): whole groups, pad rows zero.
+func encoding(codes []int8, scale, base []float32, n, dim int) Codes {
+	c := i8Codec{}.alloc(n, dim)
+	for j := range n {
+		at := c.I8[i8At(j, dim):]
+		for x, v := range codes[j*dim : (j+1)*dim] {
+			at[x/2*2*groupRows+x%2] = v
 		}
 	}
+	copy(c.Scale, scale)
+	copy(c.Base, base)
+	return c
+}
+
+// i8Row reads row j's codes back from an encoding as a table holds it.
+func (c Codes) i8Row(j, dim int) []int8 {
+	out, at := make([]int8, dim), c.I8[i8At(j, dim):]
+	for x := range out {
+		out[x] = at[x/2*2*groupRows+x%2]
+	}
+	return out
+}
+
+// kernelScores scores the n rows of one contiguous encoding c against pqs
+// (one to four queries) through dotI8Rows, a run of up to runRows rows a
+// call, under floors of −Inf, and returns each query's scores.
+func kernelScores(pqs []*query, c Codes, n, dim int, bound bool) [][]float64 {
+	var l lanes
+	for x, pq := range pqs {
+		l.q[x], l.f[x], l.floor[x] = pq.i16, pq.factors, math.Inf(-1)
+	}
+	out := make([][]float64, len(pqs))
+	w := i8Width(dim)
+	for j := 0; j < n; j += runRows {
+		hi := padRows(min(n, j+runRows))
+		dotI8Rows(&l, len(pqs), c.I8[j*w:hi*w], c.Scale[j:hi], c.Base[j:hi], bound)
+		for x := range out {
+			out[x] = append(out[x], l.score[x][:min(n-j, runRows)]...)
+		}
+	}
+	return out
 }
 
 // TestDotI8SIMDMatchesGeneric holds the dispatched row kernel's float64
 // outputs — a certified bound, binary16-widened or not, and an
-// approximate score — to factors.score over dotI8's sum, bit for bit.
-// First one row at every length class the assembly handles (whole
-// 16-element steps, the masked tail step, and lengths under 16 that stay
-// portable), with ±L and −128 at the row's edges, whose product stresses
-// the int32 pair sums: the kernel benchmark's sq8dot. Then runs of 1 to 7
-// and 129 rows (every last group of one to three), dots near ±2³¹, and
-// row parameters at 0, −0, subnormal, ±MaxFloat32, ±Inf and NaN, under
-// queries of ordinary, tiny and huge magnitude (one past 2⁸⁰⁰, whose
-// bound is +Inf or NaN). A NaN output need only be NaN: the scans ask
-// nothing more of one, and the payload a NaN carries depends on the
-// order the hardware takes its operands in. On hosts without AVX2 the
-// dispatch degenerates to the portable kernel and the test still passes.
+// approximate score — to factors.score over dotI8's sum, bit for bit, and
+// each mask bit to !(score < floor), against one to four queries a call.
+// First one row at every dimension 1 to 130 (odd ones end on a padded
+// pair), with ±L and −128 at the row's edges, whose product stresses the
+// int32 pair sums: the kernel benchmark's sq8dot. Then runs of 1 to 64
+// rows (every partial last group, and one to eight groups), dots near
+// ±2³¹, and row parameters at 0, −0, subnormal, ±MaxFloat32, ±Inf and
+// NaN, under queries of ordinary, tiny and huge magnitude (one past 2⁸⁰⁰,
+// whose bound is +Inf or NaN), each query under a floor of −Inf, +Inf,
+// NaN or one of its own scores. A NaN output need only be NaN: the scans
+// ask nothing more of one, and the payload a NaN carries depends on the
+// order the hardware takes its operands in. The mask bytes of groups past
+// the run are zero. On hosts without AVX2 the dispatch degenerates to the
+// portable kernel and the test still passes.
 func TestDotI8SIMDMatchesGeneric(t *testing.T) {
 	t.Logf("kernel: %s", DotI8ISA())
 	same := func(got, want float64) bool {
 		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 	}
 	rng := rand.New(rand.NewSource(77))
-	for n := 0; n <= 130; n++ {
-		q := make([]float64, n)
+	for n := 1; n <= 130; n++ {
 		row := make([]float64, n)
-		for i := range q {
-			q[i] = rng.NormFloat64()
+		for i := range row {
 			row[i] = rng.NormFloat64()
 		}
-		enc := i8Codec{}.alloc(1, n)
-		i8Codec{}.encodeRow(enc, 0, row)
-		var pq query
-		f64Codec{}.prepare(&pq, q)
-		if n > 0 { // plant extremes at the block edges
+		codes, scale, base := QuantizeRows(mat.FromRows([][]float64{row}))
+		codes[0], codes[n-1] = -128, -128 // plant extremes at the row's edges
+		enc := encoding(codes, scale, base, 1, n)
+		pqs := make([]*query, 1+n%4)
+		for x := range pqs {
+			q := make([]float64, n)
+			for i := range q {
+				q[i] = rng.NormFloat64()
+			}
+			pqs[x] = new(query)
+			f64Codec{}.prepare(pqs[x], q)
 			levels := int16(queryLevels(n))
-			pq.i16[0], enc.I8[0] = -levels, -128
-			pq.i16[n-1], enc.I8[n-1] = levels, -128
+			pqs[x].i16[0], pqs[x].i16[n-1] = -levels, levels
 		}
-		var got [1]float64
-		dotI8Rows(&pq, enc.I8, enc.Scale, enc.Base, got[:], true)
-		if want := pq.bound(dotI8(pq.i16, enc.I8), enc.Scale[0], enc.Base[0]); !same(got[0], want) {
-			t.Fatalf("len %d: kernel %v != Go %v", n, got[0], want)
+		for x, got := range kernelScores(pqs, enc, 1, n, true) {
+			if want := pqs[x].bound(dotI8(pqs[x].i16, codes), scale[0], base[0]); !same(got[0], want) {
+				t.Fatalf("dim %d query %d: kernel %v != Go %v", n, x, got[0], want)
+			}
 		}
 	}
 
@@ -317,14 +366,10 @@ func TestDotI8SIMDMatchesGeneric(t *testing.T) {
 		}
 		return float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
 	}
-	checked := 0
-	for _, dim := range []int{16, 37, 64, 600} {
+	checked, call := 0, 0
+	for _, dim := range []int{16, 17, 37, 64, 65, 129, 130, 600} {
 		for _, mag := range []float64{1, 1e-300, 1e300} {
-			q := make([]float64, dim)
-			for j := range q {
-				q[j] = mag * rng.NormFloat64()
-			}
-			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 129} {
+			for _, n := range []int{1, 2, 3, 7, 8, 9, 15, 17, 40, 63, 64} {
 				codes := make([]int8, n*dim)
 				for j := range codes {
 					codes[j] = int8(rng.Intn(256) - 128)
@@ -338,22 +383,49 @@ func TestDotI8SIMDMatchesGeneric(t *testing.T) {
 				for r := range scale {
 					scale[r], base[r] = param(), param()
 				}
-				for _, c := range []Codec{F64, I8, F16} {
-					var pq query
-					codecs[c].prepare(&pq, q)
-					if n%2 == 1 {
-						for j := range pq.i16 {
-							pq.i16[j] = int16(queryLevels(dim) * (n%4 - 2))
+				enc := encoding(codes, scale, base, n, dim)
+				for nq := 1; nq <= 4; nq++ {
+					for _, c := range []Codec{F64, I8, F16} {
+						call++
+						var l lanes
+						want := make([][]float64, nq)
+						for x := range nq {
+							q := make([]float64, dim)
+							for j := range q {
+								q[j] = mag * rng.NormFloat64()
+							}
+							var pq query
+							codecs[c].prepare(&pq, q)
+							if n%2 == 1 {
+								for j := range dim {
+									pq.i16[j] = int16(queryLevels(dim) * (n%4 - 2))
+								}
+							}
+							want[x] = make([]float64, n)
+							for r := range n {
+								want[x][r] = pq.score(dotI8(pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r], c != I8)
+							}
+							floor := [...]float64{math.Inf(-1), math.Inf(1), math.NaN(), want[x][rng.Intn(n)]}[(call+x)%4]
+							l.q[x], l.f[x], l.floor[x] = pq.i16, pq.factors, floor
+							l.mask[x] = ^uint64(0) // stale bits the kernel must clear
 						}
-					}
-					out := make([]float64, n)
-					dotI8Rows(&pq, codes, scale, base, out, c != I8)
-					for r, got := range out {
-						if want := pq.score(dotI8(pq.i16, codes[r*dim:(r+1)*dim]), scale[r], base[r], c != I8); !same(got, want) {
-							t.Fatalf("%s dim %d n %d row %d (scale %v, base %v, query ×%v): kernel %v (%#x), Go %v (%#x)",
-								kinds[0][c], dim, n, r, scale[r], base[r], mag, got, math.Float64bits(got), want, math.Float64bits(want))
+						dotI8Rows(&l, nq, enc.I8, enc.Scale, enc.Base, c != I8)
+						for x := range nq {
+							if l.mask[x]>>padRows(n) != 0 {
+								t.Fatalf("%s dim %d n %d query %d: mask %#x has bits past the run", kinds[0][c], dim, n, x, l.mask[x])
+							}
+							for r, w := range want[x] {
+								if got := l.score[x][r]; !same(got, w) {
+									t.Fatalf("%s dim %d n %d query %d/%d row %d (scale %v, base %v, query ×%v): kernel %v (%#x), Go %v (%#x)",
+										kinds[0][c], dim, n, x, nq, r, scale[r], base[r], mag, got, math.Float64bits(got), w, math.Float64bits(w))
+								}
+								if bit := l.mask[x]>>r&1 == 1; bit != !(w < l.floor[x]) {
+									t.Fatalf("%s dim %d n %d query %d/%d row %d: mask bit %v for score %v under floor %v",
+										kinds[0][c], dim, n, x, nq, r, bit, w, l.floor[x])
+								}
+								checked++
+							}
 						}
-						checked++
 					}
 				}
 			}
@@ -381,6 +453,139 @@ func TestQuantizeRowsSliceInvariance(t *testing.T) {
 		for j := range sc {
 			if sc[j] != codes[lo*data.Cols+j] {
 				t.Fatalf("slice [%d,%d) code %d differs", lo, hi, j)
+			}
+		}
+	}
+}
+
+// TestI8GroupLayout reads every row's codes back from the groups a table
+// holds them in and holds them to QuantizeRows' row-major codes and
+// (scale, base), every pad row and every padded pair's second code zero
+// and every block's encoding ending on a whole group: for fresh flat and
+// inverted builds at an odd and an even dimension, along flat refreshes
+// that patch pages copy-on-write, and along inverted refreshes that move
+// rows between lists, whose lengths end mid-group.
+func TestI8GroupLayout(t *testing.T) {
+	for _, dim := range []int{5, 8} {
+		rng := rand.New(rand.NewSource(112))
+		data := mixture(203, dim, 6, 111)
+		cur := data.Clone()
+		z := mat.Page(data)
+		flatT, ivT := NewExact(data, 1), BuildIVF(data, IVFConfig{NList: 7, Seed: 3})
+		midGroup := 0
+		check := func(label string, tab *Table) {
+			t.Helper()
+			codes, scale, base := QuantizeRows(cur)
+			for b := range tab.blocks {
+				rows, ids := tab.lay.block(b)
+				pages := tab.blocks[b].codes
+				if rows.Rows%groupRows != 0 {
+					midGroup++
+				}
+				if last := pages[len(pages)-1]; len(last.Scale)%groupRows != 0 || len(last.I8) != len(last.Scale)*i8Width(dim) {
+					t.Fatalf("%s block %d: last page holds %d rows' parameters and %d codes", label, b, len(last.Scale), len(last.I8))
+				}
+				for j := range padRows(rows.Rows) {
+					pg, r := &pages[j/mat.PageRows], j%mat.PageRows
+					got := pg.i8Row(r, dim)
+					if dim%2 == 1 && pg.I8[i8At(r, dim)+dim/2*2*groupRows+1] != 0 {
+						t.Fatalf("%s block %d row %d: the padded pair's second code is not zero", label, b, j)
+					}
+					if j >= rows.Rows {
+						if pg.Scale[r] != 0 || pg.Base[r] != 0 || slices.ContainsFunc(got, func(c int8) bool { return c != 0 }) {
+							t.Fatalf("%s block %d: pad row %d holds %v (%v, %v)", label, b, j, got, pg.Scale[r], pg.Base[r])
+						}
+						continue
+					}
+					id := j
+					if ids != nil {
+						id = int(ids[j])
+					}
+					if !slices.Equal(got, codes[id*dim:(id+1)*dim]) || pg.Scale[r] != scale[id] || pg.Base[r] != base[id] {
+						t.Fatalf("%s block %d row %d (candidate %d): %v (%v, %v), QuantizeRows %v (%v, %v)",
+							label, b, j, id, got, pg.Scale[r], pg.Base[r], codes[id*dim:(id+1)*dim], scale[id], base[id])
+					}
+				}
+			}
+		}
+		check(fmt.Sprintf("dim %d flat built", dim), flatT)
+		check(fmt.Sprintf("dim %d inverted built", dim), ivT)
+		for step := 1; step <= 30; step++ {
+			set := map[int]bool{}
+			for n := 1 + rng.Intn(5); len(set) < n; {
+				set[rng.Intn(data.Rows)] = true
+			}
+			var dirty []int
+			for r := range data.Rows {
+				if set[r] {
+					dirty = append(dirty, r)
+				}
+			}
+			patch := mat.New(len(dirty), dim)
+			for i, r := range dirty {
+				for j := range dim {
+					patch.Row(i)[j] = 3 * rng.NormFloat64()
+				}
+				copy(cur.Row(r), patch.Row(i))
+			}
+			z = z.WithRows(dirty, patch)
+			flatT, ivT = flatT.Refresh(z, dirty, nil), ivT.Refresh(z, dirty, nil)
+			check(fmt.Sprintf("dim %d flat step %d", dim, step), flatT)
+			check(fmt.Sprintf("dim %d inverted step %d", dim, step), ivT)
+		}
+		if midGroup == 0 {
+			t.Fatalf("dim %d: no list ended mid-group", dim)
+		}
+	}
+}
+
+// TestScanSpansInsideGroups scans spans that start and end inside a
+// group, and spans ending on the block's last, padded group, through
+// every codec and both layouts, one to four queries a call, into top-ks
+// that admit every row: each query is offered exactly the span's rows,
+// never a pad row or a row outside the span.
+func TestScanSpansInsideGroups(t *testing.T) {
+	const n, dim, base = 45, 6, 1000
+	data := mixture(n, dim, 3, 121)
+	queries := mixture(4, dim, 3, 122)
+	ex, iv := NewExact(data, 1), BuildIVF(data, IVFConfig{NList: 3, Seed: 1})
+	for c := Codec(0); c < NumCodecs; c++ {
+		for _, tab := range []*Table{ex.Encode(c, 0), iv.Encode(c, 0)} {
+			for b := range tab.blocks {
+				rows, ids := tab.lay.block(b)
+				for _, lo := range []int{0, 1, 3, 7, 8, 9, 15} {
+					for _, hi := range []int{lo + 1, lo + 6, 15, 16, 17, 40, rows.Rows - 1, rows.Rows} {
+						if lo >= hi || hi > rows.Rows {
+							continue
+						}
+						s := span{lo: lo, hi: hi, ids: ids, base: base}
+						want := make([]int, 0, hi-lo)
+						for j := lo; j < hi; j++ {
+							want = append(want, s.id(j))
+						}
+						slices.Sort(want)
+						for nq := 1; nq <= 4; nq++ {
+							ts := make([]taker, nq)
+							for x := range ts {
+								ts[x] = taker{pq: new(query), top: core.NewTopK(n)}
+								codecs[c].prepare(ts[x].pq, queries.Row(x))
+							}
+							var l lanes
+							codecs[c].scan(&tab.blocks[b], s, ts, &l)
+							for x := range ts {
+								var got []int
+								for _, sc := range ts[x].top.Take() {
+									got = append(got, sc.ID)
+								}
+								slices.Sort(got)
+								if !slices.Equal(got, want) {
+									t.Fatalf("%s block %d span [%d,%d) of %d, query %d/%d: offered %v, want %v",
+										tab.Kind(), b, lo, hi, rows.Rows, x, nq, got, want)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

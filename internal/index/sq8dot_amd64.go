@@ -14,22 +14,20 @@ var useDotI8SIMD = cpuHasAVX2()
 // cpuHasAVX2 is implemented in sq8dot_amd64.s.
 func cpuHasAVX2() bool
 
-// dotI8RowsAVX2 writes to out[r], for the n >= 1 rows of dim >= 16 int8
-// codes at rows (parameters scale[r], base[r]), f.bound of the row's dot
-// with the 16-bit query q when bound is set, else f.approx: the bits
-// factors.score computes over dotI8's sum. Implemented in sq8dot_amd64.s.
+// dotI8RowsAVX2 is dotI8Rows over ng >= 1 groups of codes with pairs >= 1
+// dimension pairs, against the first nq (1 to 4) queries of l.
+// Implemented in sq8dot_amd64.s.
 //
 //go:noescape
-func dotI8RowsAVX2(q *int16, rows *int8, dim, n int, scale, base *float32, f *factors, out *float64, bound bool)
+func dotI8RowsAVX2(l *lanes, nq, pairs int, codes *int8, scale, base *float32, ng int, bound bool)
 
 // dotI8RowsSIMD runs dotI8Rows on the AVX2 kernel, if the host and the
 // shape allow, and reports whether it did.
-func dotI8RowsSIMD(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) bool {
-	dim := len(pq.i16)
-	if !useDotI8SIMD || dim < 16 || len(out) == 0 {
+func dotI8RowsSIMD(l *lanes, nq int, codes []int8, scale, base []float32, bound bool) bool {
+	if !useDotI8SIMD || len(l.q[0]) == 0 {
 		return false
 	}
-	dotI8RowsAVX2(&pq.i16[0], &codes[0], dim, len(out), &scale[0], &base[0], &pq.factors, &out[0], bound)
+	dotI8RowsAVX2(l, nq, len(l.q[0])/2, &codes[0], &scale[0], &base[0], len(scale)/groupRows, bound)
 	return true
 }
 

@@ -1,6 +1,7 @@
 //go:build amd64 && !noasm
 
 #include "textflag.h"
+#include "go_asm.h"
 
 // func cpuHasAVX2() bool
 //
@@ -31,185 +32,297 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// tailMask holds 16 zero int16 lanes, then 16 of all ones. The 16 lanes
-// from lane t on keep the last t of 16 and zero the rest.
-DATA tailMask<>+0(SB)/8, $0
-DATA tailMask<>+8(SB)/8, $0
-DATA tailMask<>+16(SB)/8, $0
-DATA tailMask<>+24(SB)/8, $0
-DATA tailMask<>+32(SB)/8, $-1
-DATA tailMask<>+40(SB)/8, $-1
-DATA tailMask<>+48(SB)/8, $-1
-DATA tailMask<>+56(SB)/8, $-1
-GLOBL tailMask<>(SB), RODATA|NOPTR, $64
-
-// absMask clears a float64's sign bit.
+// absMask clears a float64's sign bit, four lanes wide.
 DATA absMask<>+0(SB)/8, $0x7fffffffffffffff
-GLOBL absMask<>(SB), RODATA|NOPTR, $8
+DATA absMask<>+8(SB)/8, $0x7fffffffffffffff
+DATA absMask<>+16(SB)/8, $0x7fffffffffffffff
+DATA absMask<>+24(SB)/8, $0x7fffffffffffffff
+GLOBL absMask<>(SB), RODATA|NOPTR, $32
 
-// func dotI8RowsAVX2(q *int16, rows *int8, dim, n int, scale, base *float32, f *factors, out *float64, bound bool)
+// Query x's slice of codes, constants, floor, mask and scores in the
+// lanes at DX (a slice header is 24 bytes).
+#define QCODES(x) (lanes_q+(x)*24)(DX)
+#define FACTOR(x, f) (lanes_f+(x)*factors__size+(f))(DX)
+
+// MADD adds to each of acc's eight int32 lanes (one a row) the products
+// of the row's two codes in w with the query pair at off(qreg)(AX*1),
+// through t.
+#define MADD(off, qreg, w, t, acc) \
+	VPBROADCASTD off(qreg)(AX*1), t; \
+	VPMADDWD     t, w, t; \
+	VPADDD       t, acc, acc
+
+// APPROX turns query x's eight row dots (in xacc/yacc) into their
+// approximate scores a = b·sum + (s·step)·d, rows 0-3 in Y4 and 4-7 in
+// Y5, from the group's s in Y8/Y9 and b in Y10/Y11.
+#define APPROX(x, xacc, yacc) \
+	VCVTDQ2PD    xacc, Y6; \
+	VEXTRACTI128 $1, yacc, X7; \
+	VCVTDQ2PD    X7, Y7; \
+	VBROADCASTSD FACTOR(x, factors_sum), Y14; \
+	VMULPD       Y14, Y10, Y4; \
+	VMULPD       Y14, Y11, Y5; \
+	VBROADCASTSD FACTOR(x, factors_step), Y14; \
+	VMULPD       Y14, Y8, Y15; \
+	VMULPD       Y6, Y15, Y15; \
+	VADDPD       Y15, Y4, Y4; \
+	VMULPD       Y14, Y9, Y15; \
+	VMULPD       Y7, Y15, Y15; \
+	VADDPD       Y15, Y5, Y5
+
+// BOUND widens query x's approximate scores in Y4/Y5 to their bounds
+// ((a + s·ks) + |b|·kb) + k0, with |b| in Y12/Y13.
+#define BOUND(x) \
+	VBROADCASTSD FACTOR(x, factors_ks), Y14; \
+	VMULPD       Y14, Y8, Y15; \
+	VADDPD       Y15, Y4, Y4; \
+	VMULPD       Y14, Y9, Y15; \
+	VADDPD       Y15, Y5, Y5; \
+	VBROADCASTSD FACTOR(x, factors_kb), Y14; \
+	VMULPD       Y14, Y12, Y15; \
+	VADDPD       Y15, Y4, Y4; \
+	VMULPD       Y14, Y13, Y15; \
+	VADDPD       Y15, Y5, Y5; \
+	VBROADCASTSD FACTOR(x, factors_k0), Y14; \
+	VADDPD       Y14, Y4, Y4; \
+	VADDPD       Y14, Y5, Y5
+
+// STORE writes query x's eight scores in Y4/Y5 to the group's place in
+// its scores (R13) and their byte of its mask, bit r set when
+// !(score < floor): VCMPPD predicate 0x15, not-less-than, true when
+// unordered.
+#define STORE(x) \
+	VMOVUPD      Y4, (lanes_score+(x)*const_runRows*8)(R13); \
+	VMOVUPD      Y5, (lanes_score+(x)*const_runRows*8+32)(R13); \
+	VBROADCASTSD (lanes_floor+(x)*8)(DX), Y14; \
+	VCMPPD       $0x15, Y14, Y4, Y4; \
+	VCMPPD       $0x15, Y14, Y5, Y5; \
+	VMOVMSKPD    Y4, AX; \
+	VMOVMSKPD    Y5, SI; \
+	SHLQ         $4, SI; \
+	ORQ          SI, AX; \
+	MOVB         AX, (lanes_mask+(x)*8)(DX)(BX*1)
+
+// func dotI8RowsAVX2(l *lanes, nq, pairs int, codes *int8, scale, base *float32, ng int, bound bool)
 //
-// What a scan tests of each of n consecutive rows of int8 codes (n >= 1,
-// dim >= 16): the row's dot d with the 16-bit query q turned into f.bound
-// (bound set) or f.approx with the row's (scale, base). Each 16-element
-// step loads 16 query values (VMOVDQU), sign-extends 16 codes to int16
-// lanes (VPMOVSXBW), and pair-multiplies and sums them into int32 lanes
-// (VPMADDWD). Rows go four at a time: a step loads the query once (Y4)
-// against the four rows, into one accumulator each (Y0-Y3), and three
-// VPHADDDs and one VPADDD fold them into the four rows' sums. The last dim
-// mod 16 elements take one more step over each row's last 16 codes,
-// against the query's last 16 with the lanes already counted zeroed (Y6,
-// masked once for all rows). A last group of n mod 4 rows re-reads the
-// group's first row in place of the missing ones, loads only its own
-// parameters and stores only its own results. Integer addition is exact
-// and every partial sum is under 2^31 (queryLevels), so each d is
-// dotI8's. The four sums then become four scores per instruction
-// (VCVTDQ2PD, VCVTPS2PD: exact), in factors.score's operation order and
-// roundings, with no FMA:
+// dotI8Rows over ng >= 1 groups of 8 rows whose codes (pairs >= 1
+// chunks a group) start at codes, and their 8·ng (scale, base) pairs,
+// against the first nq (1 to 4) queries of l. Each chunk holds two codes
+// of each of the group's rows; it is sign-extended to 16 int16 lanes once
+// (VPMOVSXBW) and, for each query, multiplied by that query's two levels
+// for those dimensions, broadcast to every row (VPBROADCASTD), pair-summed
+// into int32 lanes (VPMADDWD) and added to the query's accumulator
+// (VPADDD, one of Y0-Y3): lane r ends as row r's dot, with no horizontal
+// fold. Integer addition is exact and every partial sum is under 2^31
+// (queryLevels), so each dot is exact. The dots then become scores eight
+// rows at a time (VCVTDQ2PD, VCVTPS2PD: exact), in factors.score's
+// operation order and roundings, with no FMA:
 //
 //	a  = b·sum + (s·step)·d
 //	ub = ((a + s·ks) + |b|·kb) + k0
-TEXT ·dotI8RowsAVX2(SB), NOSPLIT, $0-65
-	MOVQ q+0(FP), SI
-	MOVQ rows+8(FP), DI
-	MOVQ dim+16(FP), CX
-	MOVQ n+24(FP), BX
-	MOVQ scale+32(FP), R9
-	MOVQ base+40(FP), R10
-	MOVQ f+48(FP), AX
-	MOVQ out+56(FP), DX
-	VBROADCASTSD 0(AX), Y8   // sum
-	VBROADCASTSD 8(AX), Y9   // step
-	VBROADCASTSD 16(AX), Y10 // ks
-	VBROADCASTSD 24(AX), Y11 // kb
-	VBROADCASTSD 32(AX), Y12 // k0
-	VBROADCASTSD absMask<>(SB), Y13
-	MOVQ CX, R8
-	ANDQ $-16, R8            // elements in whole steps
-	MOVQ CX, AX
-	ANDQ $15, AX             // tail elements
-	LEAQ tailMask<>(SB), R11
-	VMOVDQU (R11)(AX*2), Y7
-	VMOVDQU -32(SI)(CX*2), Y6
-	VPAND   Y7, Y6, Y6       // the query's tail, other lanes zero
+//
+// and each score is compared with its query's floor for the mask. Byte g
+// of mask x is group g's; the bytes of groups past ng are zeroed.
+TEXT ·dotI8RowsAVX2(SB), NOSPLIT, $0-57
+	MOVQ l+0(FP), DX
+	MOVQ pairs+16(FP), R8
+	SHLQ $2, R8               // a group's query bytes: 4 a pair
+	MOVQ codes+24(FP), DI
+	MOVQ QCODES(0), R9
+	MOVQ QCODES(1), R10
+	MOVQ QCODES(2), R11
+	MOVQ QCODES(3), R12
+	MOVQ $0, (lanes_mask+0)(DX)
+	MOVQ $0, (lanes_mask+8)(DX)
+	MOVQ $0, (lanes_mask+16)(DX)
+	MOVQ $0, (lanes_mask+24)(DX)
+	XORQ BX, BX               // group
+	MOVQ DX, R13              // the group's scores, less lanes_score
 
 group:
-	LEAQ (DI)(CX*1), R11     // rows 1, 2 and 3 of the group
-	LEAQ (R11)(CX*1), R12
-	LEAQ (R12)(CX*1), R13
-	CMPQ BX, $4
-	JGE  rows4
-	MOVQ    DI, R13          // fewer than four left: re-read row 0
-	CMPQ    BX, $3
-	CMOVQLT DI, R12
-	CMPQ    BX, $2
-	CMOVQLT DI, R11
-
-rows4:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
-	XORQ  AX, AX
+	MOVQ  DI, SI              // the chunk
+	XORQ  AX, AX              // its query pair's offset: 4 a chunk
+	MOVQ  nq+8(FP), CX
+	CMPQ  CX, $2
+	JLT   one
+	LEAQ  -4(R8), CX          // a two-chunk step starts below it
+	JEQ   two
+	CMPQ  nq+8(FP), $3
+	JEQ   three
 
-step:
-	VMOVDQU   (SI)(AX*2), Y4
-	VPMOVSXBW (DI)(AX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y0, Y0
-	VPMOVSXBW (R11)(AX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y1, Y1
-	VPMOVSXBW (R12)(AX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y2, Y2
-	VPMOVSXBW (R13)(AX*1), Y5
-	VPMADDWD  Y5, Y4, Y5
-	VPADDD    Y5, Y3, Y3
-	ADDQ $16, AX
+	// Four queries, two chunks a step, then the odd chunk.
+four:
+	CMPQ AX, CX
+	JGE  four1
+
+four2:
+	VPMOVSXBW (SI), Y4
+	VPMOVSXBW 16(SI), Y15
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	MADD(0, R11, Y4, Y7, Y2)
+	MADD(0, R12, Y4, Y8, Y3)
+	MADD(4, R9, Y15, Y5, Y0)
+	MADD(4, R10, Y15, Y6, Y1)
+	MADD(4, R11, Y15, Y7, Y2)
+	MADD(4, R12, Y15, Y8, Y3)
+	ADDQ $32, SI
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  four2
+
+four1:
 	CMPQ AX, R8
-	JLT  step
-
-	CMPQ R8, CX
-	JEQ  fold
-	VPMOVSXBW -16(DI)(CX*1), Y5
-	VPMADDWD  Y5, Y6, Y5
-	VPADDD    Y5, Y0, Y0
-	VPMOVSXBW -16(R11)(CX*1), Y5
-	VPMADDWD  Y5, Y6, Y5
-	VPADDD    Y5, Y1, Y1
-	VPMOVSXBW -16(R12)(CX*1), Y5
-	VPMADDWD  Y5, Y6, Y5
-	VPADDD    Y5, Y2, Y2
-	VPMOVSXBW -16(R13)(CX*1), Y5
-	VPMADDWD  Y5, Y6, Y5
-	VPADDD    Y5, Y3, Y3
-
-fold:
-	VPHADDD Y1, Y0, Y0 // per half: pair sums of Y0, then of Y1
-	VPHADDD Y3, Y2, Y2 // per half: pair sums of Y2, then of Y3
-	VPHADDD Y2, Y0, Y0 // per half: one partial per row, in order
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD    X1, X0, X0
-	VCVTDQ2PD X0, Y0   // d
-	CMPQ BX, $4
-	JLT  params3
-	VCVTPS2PD (R9), Y1  // s
-	VCVTPS2PD (R10), Y2 // b
+	JEQ  scores
+	VPMOVSXBW (SI), Y4
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	MADD(0, R11, Y4, Y7, Y2)
+	MADD(0, R12, Y4, Y8, Y3)
 	JMP  scores
 
-params3:
-	VMOVSS (R9), X1
-	VMOVSS (R10), X2
-	CMPQ   BX, $2
-	JLT    widen
-	VINSERTPS $0x10, 4(R9), X1, X1
-	VINSERTPS $0x10, 4(R10), X2, X2
-	CMPQ   BX, $3
-	JLT    widen
-	VINSERTPS $0x20, 8(R9), X1, X1
-	VINSERTPS $0x20, 8(R10), X2, X2
+three:
+	CMPQ AX, CX
+	JGE  three1
 
-widen:
-	VCVTPS2PD X1, Y1
-	VCVTPS2PD X2, Y2
+three2:
+	VPMOVSXBW (SI), Y4
+	VPMOVSXBW 16(SI), Y15
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	MADD(0, R11, Y4, Y7, Y2)
+	MADD(4, R9, Y15, Y5, Y0)
+	MADD(4, R10, Y15, Y6, Y1)
+	MADD(4, R11, Y15, Y7, Y2)
+	ADDQ $32, SI
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  three2
+
+three1:
+	CMPQ AX, R8
+	JEQ  scores
+	VPMOVSXBW (SI), Y4
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	MADD(0, R11, Y4, Y7, Y2)
+	JMP  scores
+
+two:
+	CMPQ AX, CX
+	JGE  two1
+
+two2:
+	VPMOVSXBW (SI), Y4
+	VPMOVSXBW 16(SI), Y15
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	MADD(4, R9, Y15, Y5, Y0)
+	MADD(4, R10, Y15, Y6, Y1)
+	ADDQ $32, SI
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  two2
+
+two1:
+	CMPQ AX, R8
+	JEQ  scores
+	VPMOVSXBW (SI), Y4
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(0, R10, Y4, Y6, Y1)
+	JMP  scores
+
+	// One query, four chunks a step into two accumulators, then the
+	// last chunks one at a time.
+one:
+	LEAQ -12(R8), CX          // a four-chunk step starts below it
+	CMPQ AX, CX
+	JGE  one1
+
+one4:
+	VPMOVSXBW (SI), Y4
+	VPMOVSXBW 16(SI), Y6
+	VPMOVSXBW 32(SI), Y8
+	VPMOVSXBW 48(SI), Y10
+	MADD(0, R9, Y4, Y5, Y0)
+	MADD(4, R9, Y6, Y7, Y1)
+	MADD(8, R9, Y8, Y9, Y0)
+	MADD(12, R9, Y10, Y11, Y1)
+	ADDQ $64, SI
+	ADDQ $16, AX
+	CMPQ AX, CX
+	JLT  one4
+
+one1:
+	CMPQ AX, R8
+	JEQ  one2
+	VPMOVSXBW (SI), Y4
+	MADD(0, R9, Y4, Y5, Y0)
+	ADDQ $16, SI
+	ADDQ $4, AX
+	JMP  one1
+
+one2:
+	VPADDD Y1, Y0, Y0
 
 scores:
-	VMULPD Y8, Y2, Y3  // b·sum
-	VMULPD Y9, Y1, Y4  // s·step
-	VMULPD Y0, Y4, Y4  // (s·step)·d
-	VADDPD Y4, Y3, Y0  // a
-	CMPB   bound+64(FP), $0
-	JEQ    store
-	VMULPD Y10, Y1, Y3 // s·ks
-	VADDPD Y3, Y0, Y0
-	VANDPD Y13, Y2, Y3 // |b|
-	VMULPD Y11, Y3, Y3 // |b|·kb
-	VADDPD Y3, Y0, Y0
-	VADDPD Y12, Y0, Y0 // + k0
+	MOVQ BX, AX
+	SHLQ $5, AX               // the group's (scale, base): 32 bytes each
+	MOVQ scale+32(FP), SI
+	VCVTPS2PD (SI)(AX*1), Y8  // s
+	VCVTPS2PD 16(SI)(AX*1), Y9
+	MOVQ base+40(FP), SI
+	VCVTPS2PD (SI)(AX*1), Y10 // b
+	VCVTPS2PD 16(SI)(AX*1), Y11
+	CMPB bound+56(FP), $0
+	JNE  bounds
+	APPROX(0, X0, Y0)
+	STORE(0)
+	CMPQ nq+8(FP), $1
+	JEQ  next
+	APPROX(1, X1, Y1)
+	STORE(1)
+	CMPQ nq+8(FP), $2
+	JEQ  next
+	APPROX(2, X2, Y2)
+	STORE(2)
+	CMPQ nq+8(FP), $3
+	JEQ  next
+	APPROX(3, X3, Y3)
+	STORE(3)
+	JMP  next
 
-store:
-	CMPQ BX, $4
-	JLT  store3
-	VMOVUPD Y0, (DX)
-	ADDQ $32, DX
-	ADDQ $16, R9
-	ADDQ $16, R10
-	LEAQ (R13)(CX*1), DI // the next group's first row
-	SUBQ $4, BX
-	JNZ  group
-	JMP  done
+bounds:
+	VANDPD absMask<>(SB), Y10, Y12 // |b|
+	VANDPD absMask<>(SB), Y11, Y13
+	APPROX(0, X0, Y0)
+	BOUND(0)
+	STORE(0)
+	CMPQ nq+8(FP), $1
+	JEQ  next
+	APPROX(1, X1, Y1)
+	BOUND(1)
+	STORE(1)
+	CMPQ nq+8(FP), $2
+	JEQ  next
+	APPROX(2, X2, Y2)
+	BOUND(2)
+	STORE(2)
+	CMPQ nq+8(FP), $3
+	JEQ  next
+	APPROX(3, X3, Y3)
+	BOUND(3)
+	STORE(3)
 
-store3:
-	VMOVSD X0, (DX)
-	CMPQ   BX, $2
-	JLT    done
-	VMOVHPD X0, 8(DX)
-	CMPQ   BX, $3
-	JLT    done
-	VEXTRACTF128 $1, Y0, X0
-	VMOVSD X0, 16(DX)
-
-done:
+next:
+	LEAQ (DI)(R8*4), DI       // the next group's codes
+	ADDQ $64, R13
+	INCQ BX
+	CMPQ BX, ng+48(FP)
+	JLT  group
 	VZEROUPPER
 	RET

@@ -11,26 +11,22 @@ import "pane/internal/mat"
 // is optional pre-ARMv8.4, takes int8 operands only, and detecting it
 // portably needs OS hwcaps.
 
-// dotI8NEON computes the int32 inner product of the n >= 1 16-bit query
-// values at q with the n int8 codes at c using NEON (16 codes per step,
-// widened and multiply-accumulated into int32 lanes), with a scalar tail
-// inside the assembly. Integer addition is exact and queryLevels keeps
-// every partial sum inside int32, so the result is dotI8's. Implemented
-// in sq8dot_arm64.s.
+// dotsNEON is dotI8Rows's integer half over ng >= 1 groups of codes with
+// pairs >= 1 dimension pairs, against the first nq (1 to 4) queries of l:
+// it leaves each row's dot in l.dots, as dotsGeneric does. Implemented in
+// sq8dot_arm64.s.
 //
 //go:noescape
-func dotI8NEON(q *int16, c *int8, n int) int32
+func dotsNEON(l *lanes, nq, pairs int, codes *int8, ng int)
 
-// dotI8RowsSIMD runs dotI8Rows with a NEON dot per row under the Go
-// arithmetic of factors.score, and reports whether it did.
-func dotI8RowsSIMD(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) bool {
-	dim := len(pq.i16)
-	if dim == 0 {
+// dotI8RowsSIMD runs dotI8Rows with NEON dots under the Go arithmetic of
+// finish, and reports whether it did.
+func dotI8RowsSIMD(l *lanes, nq int, codes []int8, scale, base []float32, bound bool) bool {
+	if len(l.q[0]) == 0 {
 		return false
 	}
-	for r := range out {
-		out[r] = pq.score(dotI8NEON(&pq.i16[0], &codes[r*dim], dim), scale[r], base[r], bound)
-	}
+	dotsNEON(l, nq, len(l.q[0])/2, &codes[0], len(scale)/groupRows)
+	l.finish(nq, scale, base, bound)
 	return true
 }
 

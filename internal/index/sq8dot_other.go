@@ -6,7 +6,7 @@ import "pane/internal/mat"
 
 // Builds without a vector kernel (other architectures, or any platform
 // under the noasm tag) always take the portable int8 kernel.
-func dotI8RowsSIMD(pq *query, codes []int8, scale, base []float32, out []float64, bound bool) bool {
+func dotI8RowsSIMD(l *lanes, nq int, codes []int8, scale, base []float32, bound bool) bool {
 	return false
 }
 

@@ -1,10 +1,12 @@
-// Package rwalk simulates the forward and backward random walks with
-// restart that define node-attribute affinity in §2.2 of the paper. PANE
+// Package rwalk is tests only: a simulator of the forward and backward
+// random walks with restart that define node-attribute affinity in §2.2
+// of the paper, and the tests that hold APMI (package core) to it. PANE
 // itself never samples walks (APMI computes the same quantities in closed
-// form); this package exists to (a) validate APMI against a ground-truth
-// Monte-Carlo estimate, (b) regenerate the Table 2 running example the way
-// the paper did ("using simulated random walks on the extended graph"),
-// and (c) serve as an executable specification of the affinity model.
+// form); the simulator exists to (a) validate APMI against a ground-truth
+// Monte-Carlo estimate and the exact series, (b) regenerate the Table 2
+// running example the way the paper did ("using simulated random walks on
+// the extended graph"), and (c) serve as an executable specification of
+// the affinity model.
 package rwalk
 
 import (
