@@ -33,8 +33,9 @@ type KernelCell struct {
 	// width), the numerator of the GB/s columns. For gemm this is the
 	// algorithmic 3·8·d² footprint, not actual cache traffic; sq8dot
 	// counts the 16-bit query, the row's codes, its (scale, base) and its
-	// float64 bound, and sq8rows is timed per row and counts the row's
-	// share alone.
+	// float64 bound, sq8rows is timed per row and counts the row's share
+	// alone, and sq8rows4 is timed per (row, query) pair and counts a
+	// quarter of the row's codes and (scale, base) and the pair's bound.
 	Bytes        int     `json:"bytes"`
 	GenericNsOp  float64 `json:"generic_ns_op"`
 	DispatchNsOp float64 `json:"dispatch_ns_op"`
@@ -52,7 +53,7 @@ type KernelCell struct {
 type KernelBench struct {
 	// ISAs records what every kernel dispatched to on the measuring
 	// build and host (engine.KernelDispatch: dot/axpy/gemm/sq8dot/sq8rows/
-	// fp16dot → generic|avx2|neon).
+	// sq8rows4/fp16dot → generic|avx2|neon).
 	ISAs  map[string]string `json:"isas"`
 	Cells []KernelCell      `json:"cells"`
 	// Train times the factorization half of training on the same kernels;
@@ -158,9 +159,9 @@ func sameI8Scan(sc *index.I8Scan) error {
 	return nil
 }
 
-// RunKernel times the five scan kernels (float64 dot, blocked GEMM, the
-// int8 row kernel on one row and on a run of rows, fp16
-// decode-and-accumulate) at each dim,
+// RunKernel times the scan kernels (float64 dot, blocked GEMM, the int8
+// row kernel on one row, on a run of rows, and on a run against four
+// queries, fp16 decode-and-accumulate) at each dim,
 // portable vs dispatched, on deterministic pseudo-random inputs, and the
 // training stages built on them at one fixed shape (KernelTrain). It
 // fails (rather than reporting a meaningless grid) when a dispatched
@@ -298,7 +299,7 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 		// One call scores the run against four queries, as a batch scan
 		// does, timed and counted per (row, query) pair: a row's codes and
 		// parameters are read once for four queries.
-		cell("sq8rows4", (d+8)/4+2*d+8, 4*kernelRunRows,
+		cell("sq8rows4", (d+8)/4+8, 4*kernelRunRows,
 			func() { run4.RunGeneric(); kernelSink += run4.Bounds(3)[0] },
 			func() { run4.Run(); kernelSink += run4.Bounds(3)[0] })
 		cell("fp16dot", 10*d, 1,

@@ -314,7 +314,6 @@ func (l *lanes) finish(nq int, scale, base []float32, bound bool) {
 // kernel`).
 type I8Scan struct {
 	l     lanes
-	pqs   [4]query
 	nq, n int
 	c     Codes
 }
@@ -330,8 +329,9 @@ func PrepareI8Scan(rows *mat.Dense, qs ...[]float64) *I8Scan {
 		i8Codec{}.encodeRow(s.c, j, rows.Row(j))
 	}
 	for x, q := range qs {
-		f64Codec{}.prepare(&s.pqs[x], q)
-		s.l.q[x], s.l.f[x], s.l.floor[x] = s.pqs[x].i16, s.pqs[x].factors, math.Inf(-1)
+		var pq query
+		f64Codec{}.prepare(&pq, q)
+		s.l.q[x], s.l.f[x], s.l.floor[x] = pq.i16, pq.factors, math.Inf(-1)
 	}
 	return s
 }
