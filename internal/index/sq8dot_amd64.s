@@ -39,8 +39,8 @@ DATA absMask<>+16(SB)/8, $0x7fffffffffffffff
 DATA absMask<>+24(SB)/8, $0x7fffffffffffffff
 GLOBL absMask<>(SB), RODATA|NOPTR, $32
 
-// Query x's slice of codes, constants, floor, mask and scores in the
-// lanes at DX (a slice header is 24 bytes).
+// Query x's codes (the slice's data pointer; a slice header is 24
+// bytes) and its factor f, in the lanes at DX.
 #define QCODES(x) (lanes_q+(x)*24)(DX)
 #define FACTOR(x, f) (lanes_f+(x)*factors__size+(f))(DX)
 
