@@ -206,12 +206,8 @@ func main() {
 			if s.AffinityIncremental {
 				aff = "incremental"
 			}
-			gram := ""
-			if s.GramCorrection {
-				gram = ", gram-corrected links"
-			}
-			log.Printf("debug: update v%d: delta %d node rows + %d attr rows (%s path; %s affinity, frontier %d%s)",
-				s.Version, s.DirtyNodes, s.DirtyAttrs, path, aff, s.AffinityFrontier, gram)
+			log.Printf("debug: update v%d: delta %d node rows + %d attr rows (%s path; %s affinity, frontier %d)",
+				s.Version, s.DirtyNodes, s.DirtyAttrs, path, aff, s.AffinityFrontier)
 		}))
 	}
 

@@ -205,25 +205,12 @@ func (e *Embedding) TopKAttrs(v, k int, exclude map[int]bool) []Scored {
 // exclude (e.g. existing out-neighbors, for recommendation). Results are
 // sorted by descending score, ties by ascending id.
 //
-// Complexity: O(n·k²/4) per query via the precomputed Gram matrix —
-// compute q = Xf[u]·G once (O(k²)), then score each candidate with one
-// O(k/2) dot product. internal/index amortizes the per-query transform
-// across queries by materializing the whole candidate matrix per model
-// version.
+// Complexity: O(n·k/2) per query after forming q = Xf[u]·G once
+// (QueryInto, O(k²/4)): each candidate is one O(k/2) dot product against
+// its Xb row. internal/index scans the same rows with the same query, so
+// an exact index answer equals this one in ids and score bits.
 func (s *LinkScorer) TopKTargets(u, k int, exclude map[int]bool) []Scored {
-	half := s.e.Xf.Cols
-	// q = Xf[u] · G, a length-(k/2) vector.
-	q := make([]float64, half)
-	xu := s.e.Xf.Row(u)
-	for i := 0; i < half; i++ {
-		if xu[i] == 0 {
-			continue
-		}
-		gi := s.g.Row(i)
-		for j := 0; j < half; j++ {
-			q[j] += xu[i] * gi[j]
-		}
-	}
+	q := s.QueryInto(u, make([]float64, s.g.Cols))
 	t := NewTopK(k)
 	n := s.e.Xb.Rows
 	for v := 0; v < n; v++ {

@@ -75,21 +75,29 @@ func TestTopKAttrsKLargerThanD(t *testing.T) {
 	}
 }
 
+// TestTopKTargetsMatchesBruteForce: the top-k scan and the pair score
+// are one formula, q(u)·Xb[v]ᵀ with q(u) from QueryInto, so the scan's
+// answer is the pair scores' ranking in ids and score bits.
 func TestTopKTargetsMatchesBruteForce(t *testing.T) {
 	g, e := topkEmbedding(t)
 	s := NewLinkScorer(e)
 	u := 5
 	got := s.TopKTargets(u, 6, nil)
+	q := s.QueryInto(u, make([]float64, e.Xf.Cols))
 	var all []Scored
 	for v := 0; v < g.N; v++ {
 		if v == u {
 			continue
 		}
-		all = append(all, Scored{ID: v, Score: s.Directed(u, v)})
+		p := s.Directed(u, v)
+		if want := mat.Dot(q, e.Xb.Row(v)); p != want {
+			t.Fatalf("Directed(%d,%d) = %v, q(u)·Xb[v] = %v", u, v, p, want)
+		}
+		all = append(all, Scored{ID: v, Score: p})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Score > all[j].Score })
+	sort.Slice(all, func(i, j int) bool { return Better(all[i], all[j]) })
 	for i := range got {
-		if d := got[i].Score - all[i].Score; d > 1e-9 || d < -1e-9 {
+		if got[i] != all[i] {
 			t.Fatalf("rank %d: got %v want %v", i, got[i], all[i])
 		}
 	}

@@ -318,7 +318,9 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 	return b, b.check()
 }
 
-// check cross-validates the bundle's sections.
+// check cross-validates the bundle's sections and refuses a factor that
+// holds a NaN or an infinity: every score such a model gives is one, and
+// top-k answers over them would depend on the order rows were visited.
 func (b *Bundle) check() error {
 	n, half := b.Xf.Rows, b.Xf.Cols
 	switch {
@@ -334,6 +336,19 @@ func (b *Bundle) check() error {
 		return fmt.Errorf("store: bundle attribute matrix %dx%d != %dx%d", b.Attr.R, b.Attr.C, n, b.Y.Rows)
 	case b.Labels != nil && len(b.Labels) != n:
 		return fmt.Errorf("store: bundle labels length %d != n=%d", len(b.Labels), n)
+	}
+	for _, m := range []struct {
+		name string
+		rows int
+		row  func(int) []float64
+	}{{"Xf", n, b.Xf.Row}, {"Xb", n, b.Xb.Row}, {"Y", b.Y.Rows, b.Y.Row}} {
+		for i := 0; i < m.rows; i++ {
+			for _, v := range m.row(i) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("store: bundle %s row %d holds %v", m.name, i, v)
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pane/internal/core"
@@ -384,6 +387,36 @@ func TestBundleRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadBundle(bytes.NewReader(bad)); err == nil {
 		t.Fatal("zero K accepted")
+	}
+}
+
+// TestBundleRejectsNonFiniteFactors: a NaN or an infinity in Xb or Y
+// fails ReadBundle with an error naming the matrix and the row.
+func TestBundleRejectsNonFiniteFactors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  int
+		v    float64
+	}{{"Xb", 3, math.NaN()}, {"Xb", 0, math.Inf(1)}, {"Y", 2, math.NaN()}, {"Y", 1, math.Inf(1)}} {
+		b := testBundle(false)
+		if tc.name == "Xb" {
+			xb := b.Xb.Dense()
+			xb.Row(tc.row)[1] = tc.v
+			b.Xb = mat.Page(xb)
+		} else {
+			b.Y.Row(tc.row)[0] = tc.v
+		}
+		var buf bytes.Buffer
+		if err := WriteBundle(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBundle(&buf)
+		if err == nil {
+			t.Fatalf("%s row %d = %v accepted", tc.name, tc.row, tc.v)
+		}
+		if want := fmt.Sprintf("%s row %d", tc.name, tc.row); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s row %d = %v: error %q does not name %q", tc.name, tc.row, tc.v, err, want)
+		}
 	}
 }
 
