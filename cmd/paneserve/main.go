@@ -206,8 +206,12 @@ func main() {
 			if s.AffinityIncremental {
 				aff = "incremental"
 			}
-			log.Printf("debug: update v%d: delta %d node rows + %d attr rows (%s path; %s affinity, frontier %d)",
-				s.Version, s.DirtyNodes, s.DirtyAttrs, path, aff, s.AffinityFrontier)
+			gram := ""
+			if s.GramCorrection {
+				gram = ", gram-corrected links"
+			}
+			log.Printf("debug: update v%d: delta %d node rows + %d attr rows (%s path; %s affinity, frontier %d%s)",
+				s.Version, s.DirtyNodes, s.DirtyAttrs, path, aff, s.AffinityFrontier, gram)
 		}))
 	}
 

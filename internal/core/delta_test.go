@@ -186,6 +186,24 @@ func TestRefineRowsFromStateRejectsMalformedDelta(t *testing.T) {
 	RefineRowsFromState(s, prev, cfg, 1, 2, UpdateDelta{Nodes: []int{0, 1}})
 }
 
+// TestTransformedCandidatesRowsMatchesFull: the row-restricted transform
+// must be bit-identical to the corresponding rows of the full product at
+// any worker count.
+func TestTransformedCandidatesRowsMatchesFull(t *testing.T) {
+	prev, _, _, _, _ := deltaFixture(t, 90)
+	s := NewLinkScorer(prev)
+	full := s.TransformedCandidates(1)
+	rows := []int{0, 5, 13, 39}
+	for _, nb := range []int{1, 3} {
+		part := s.TransformedCandidatesRows(rows, nb)
+		for j, v := range rows {
+			if !rowsEqual(part.Row(j), full.Row(v)) {
+				t.Fatalf("nb=%d: recomputed Z row %d differs from full product", nb, v)
+			}
+		}
+	}
+}
+
 func rowsEqual(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {

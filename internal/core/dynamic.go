@@ -126,8 +126,8 @@ func RefineRowsFrom(prev *Embedding, f, b *mat.Dense, cfg Config, sweeps, nb int
 // rows built directly (O(|Δ|·d·k), not O(n·d·k)), swept with Y fixed,
 // and scattered into copies of the previous factors' pages that hold them
 // (every other page is shared with prev). Y is returned by reference,
-// unchanged — which is what lets the serving layer keep G = YᵀY, and the
-// index every untouched row, bit-for-bit.
+// unchanged — which is what lets the serving layer keep every
+// Gram-derived structure (G, Z rows of untouched nodes) bit-for-bit.
 func refineNodeRowsGathered(prev *Embedding, f, b *mat.Dense, sweeps, nb int, nodes []int) *Embedding {
 	fRows := mat.New(len(nodes), f.Cols)
 	bRows := mat.New(len(nodes), b.Cols)

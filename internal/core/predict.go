@@ -17,10 +17,11 @@ func (e *Embedding) AttrScore(v, r int) float64 {
 //
 //	p(u, v) = Σ_r (Xf[u]·Y[r]ᵀ)(Xb[v]·Y[r]ᵀ) = Xf[u]·G·Xb[v]ᵀ,
 //
-// costs O(k²) per queried pair instead of O(d·k). Every link score is
-// q(u)·Xb[v]ᵀ with q(u) = Xf[u]·G computed by QueryInto, so a pair score,
-// a brute-force top-k and an index over the rows of Xb all give one pair
-// the same bits.
+// costs O(k²) per queried pair instead of O(d·k). A pair score and a
+// brute-force top-k are both q(u)·Xb[v]ᵀ with q(u) = Xf[u]·G computed by
+// QueryInto, so they give one pair the same bits. The serving index scores
+// Xf[u]·Z[v]ᵀ over Z = Xb·G (TransformedCandidates), the same score in
+// another order of association.
 type LinkScorer struct {
 	e *Embedding
 	g *mat.Dense
@@ -42,9 +43,8 @@ func (s *LinkScorer) For(e *Embedding) *LinkScorer {
 }
 
 // QueryInto writes the link query of node u, q(u) = Xf[u]·G, into dst
-// (which must have length k/2) and returns it: q(u)·Xb[v]ᵀ is p(u, v), so
-// Xb itself is the candidate matrix for indexed link retrieval. It is the
-// one place a link score's query is formed.
+// (which must have length k/2) and returns it: q(u)·Xb[v]ᵀ is p(u, v).
+// It is the one place Directed and TopKTargets form a link query.
 func (s *LinkScorer) QueryInto(u int, dst []float64) []float64 {
 	mat.MulRowInto(dst, s.e.Xf.Row(u), s.g)
 	return dst
@@ -61,21 +61,40 @@ func (s *LinkScorer) Undirected(u, v int) float64 {
 	return s.Directed(u, v) + s.Directed(v, u)
 }
 
-// TransformedCandidates materializes Z = Xb·G (G = YᵀY is symmetric), an
-// n x k/2 candidate matrix with p(u, v) ≈ Xf[u]·Z[v]ᵀ up to the order of
-// association. Serving does not use it — an index holds Xb's own rows and
-// is queried with QueryInto — but it is a second way to lay out the same
-// scores. nb is the worker count for the multiply.
+// TransformedCandidates materializes Z = Xb·G (G = YᵀY is symmetric), the
+// n x k/2 candidate matrix of the link model: p(u, v) = Xf[u]·Z[v]ᵀ.
+// Computing Z once per model version moves the per-query O(k²) transform
+// of TopKTargets into an index build step (internal/index), leaving each
+// candidate at one O(k/2) dot product with no per-query setup. nb is the
+// worker count for the multiply.
 func (s *LinkScorer) TransformedCandidates(nb int) *mat.Dense {
 	return s.TransformedCandidatesRange(0, s.e.Xb.Rows, nb)
 }
 
-// TransformedCandidatesRange materializes rows [lo, hi) of Z = Xb·G. Each
-// output row is computed by the same row-owned kernel as the full
-// product, so blocks assembled range by range are bit-for-bit
-// TransformedCandidates.
+// TransformedCandidatesRange materializes rows [lo, hi) of Z = Xb·G — one
+// contiguous shard of the candidate matrix. Each output row is computed by
+// the same row-owned kernel as the full product, so shard-wise assembly is
+// bit-for-bit identical to TransformedCandidates: sharded serving can
+// build S independent blocks concurrently without changing any score.
 func (s *LinkScorer) TransformedCandidatesRange(lo, hi, nb int) *mat.Dense {
 	return s.e.Xb.MulRange(lo, hi, s.g, nb)
+}
+
+// TransformedCandidatesRows materializes only the listed rows of Z =
+// Xb·G: row j of the result is Z[rows[j]]. Each row is computed by the
+// same row-owned kernel as TransformedCandidates (mat.MulRowInto), so a
+// recomputed row is bit-for-bit the row a full rebuild would produce —
+// which is what lets an incremental index refresh patch Δ rows into a
+// previous version's candidate matrix instead of recomputing all n. nb is
+// the worker count over the listed rows.
+func (s *LinkScorer) TransformedCandidatesRows(rows []int, nb int) *mat.Dense {
+	out := mat.New(len(rows), s.g.Cols)
+	mat.ParallelRanges(len(rows), mat.RowWorkers(len(rows), nb), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			mat.MulRowInto(out.Row(j), s.e.Xb.Row(rows[j]), s.g)
+		}
+	})
+	return out
 }
 
 // AttrQueryInto writes the attribute-inference query vector of node v,

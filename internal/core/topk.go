@@ -207,8 +207,9 @@ func (e *Embedding) TopKAttrs(v, k int, exclude map[int]bool) []Scored {
 //
 // Complexity: O(n·k/2) per query after forming q = Xf[u]·G once
 // (QueryInto, O(k²/4)): each candidate is one O(k/2) dot product against
-// its Xb row. internal/index scans the same rows with the same query, so
-// an exact index answer equals this one in ids and score bits.
+// its Xb row, the pair score Directed gives it bit for bit. internal/index
+// amortizes the per-query transform across queries by materializing
+// Z = Xb·G per model version.
 func (s *LinkScorer) TopKTargets(u, k int, exclude map[int]bool) []Scored {
 	q := s.QueryInto(u, make([]float64, s.g.Cols))
 	t := NewTopK(k)

@@ -243,8 +243,7 @@ func (m *Model) run(q Query, shards *cut, met *engineMetrics, resIdx int, prep *
 				return fail("engine: src %d out of range [0,%d)", q.Src, m.Nodes())
 			}
 			u := q.Src
-			p.vec = getVec(m.Emb.Xf.Cols)
-			p.Q = m.Scorer.QueryInto(u, *p.vec)
+			p.Q = m.Emb.Xf.Row(u)
 			p.Opt.Skip = func(id int) bool { return id == u }
 			p.cell = pick(shards, linkSpace, mode)
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -12,7 +11,6 @@ import (
 	"pane/internal/core"
 	"pane/internal/datagen"
 	"pane/internal/graph"
-	"pane/internal/index"
 	"pane/internal/mat"
 )
 
@@ -75,9 +73,10 @@ func sameAnswers(t *testing.T, label string, want, got TopKAnswer) {
 // fresh engine built from scratch around the same model — exact and sq8
 // directly, ivf/ivfsq through the full-probe window (full-probe results
 // equal exact regardless of the coarse quantizer, which incremental
-// refresh deliberately freezes while a fresh build retrains it). The link
-// cells index Xb, whose clean rows an update leaves bit-identical;
-// attribute deltas are TestAttrUpdateGramCorrection's.
+// refresh deliberately freezes while a fresh build retrains it). Edge
+// deltas keep Y fixed, so every clean Z row is bit-identical across the
+// stream; attribute deltas ride the low-rank correction and are verified
+// by recall instead (TestAttrUpdateGramCorrection).
 func TestIncrementalRefreshMatchesFullBuild(t *testing.T) {
 	eng, g := deltaTestEngine(t, 3, 1.0)
 	rng := rand.New(rand.NewSource(7))
@@ -184,116 +183,80 @@ func TestHealthzCountersTrackIncrementalRefresh(t *testing.T) {
 	}
 }
 
+// recallAt measures |want ∩ got| / |want| over the result ids.
+func recallAt(want, got []core.Scored) float64 {
+	if len(want) == 0 {
+		return 1
+	}
+	ids := make(map[int]bool, len(got))
+	for _, s := range got {
+		ids[s.ID] = true
+	}
+	hit := 0
+	for _, s := range want {
+		if ids[s.ID] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(want))
+}
+
 // TestAttrUpdateGramCorrection: a small attribute update moves Y and with
-// it G = YᵀY. The link cells index Xb and leave G to the query, so the
-// update dirties only its node and attribute rows: every shard cycle stays
-// incremental, and every cell answers exactly like a fresh build around
-// the new model, links and attributes, the inverted modes probing every
-// list (which takes the fresh build's retrained quantizer out of the
-// comparison).
+// it G = YᵀY, but instead of poisoning the link space into full rebuilds
+// it now ships a low-rank Z-correction: every shard cycle stays
+// incremental, the counters record the correction, the corrected link
+// index answers with retrain-level recall against a fresh build, and the
+// attribute space (served from exactly-patched Y rows, no correction
+// involved) still matches bit for bit.
 func TestAttrUpdateGramCorrection(t *testing.T) {
 	var stats []UpdateStats
+	// Every cell of the grid, so the reseat arm re-derives all six; the
+	// inverted modes probe every list, which takes the fresh build's
+	// retrained quantizer out of the comparison.
 	full := IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true, FP16: true}
 	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold, WithIndex(full),
 		WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
-	before, y := eng.IndexStatus(), eng.Model().Emb.Y
+	before := eng.IndexStatus()
 	if _, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 10, Attr: 3, Weight: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.WaitForIndex()
 	after := eng.IndexStatus()
 	if after.FullRebuilds != before.FullRebuilds {
-		t.Fatalf("attr update fell back to full rebuilds: %+v -> %+v", before, after)
+		t.Fatalf("attr update fell back to full link rebuilds: %+v -> %+v", before, after)
 	}
 	if after.IncrementalRefreshes != before.IncrementalRefreshes+2 {
 		t.Fatalf("attr update not served incrementally: %+v -> %+v", before, after)
 	}
-	if len(stats) != 1 || !stats[0].Incremental {
-		t.Fatalf("observer saw %+v, want one incremental update", stats)
+	if len(stats) != 1 || !stats[0].GramCorrection || !stats[0].Incremental {
+		t.Fatalf("observer saw %+v, want a gram-corrected incremental update", stats)
+	}
+	if as := eng.AffinityStatus(); as.GramCorrections != 1 {
+		t.Fatalf("affinity status %+v, want 1 gram correction", as)
 	}
 	m := eng.Model()
-	if reflect.DeepEqual(m.Emb.Y.Row(3), y.Row(3)) {
-		t.Fatal("the attribute update left Y in place: nothing to test")
-	}
 	fresh, err := New(m.Graph, m.Emb, m.Cfg, WithIndex(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range allModes {
-		nprobe := 0
-		if modeCell[mode].layout == inverted {
-			nprobe = 1 << 20
-		}
+	// The corrected Z differs from a fresh Xb·G only by float round-off
+	// (~1e-15 relative), which can swap genuinely tied candidates but not
+	// lose a clear top-k member.
+	for _, mode := range []string{ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16} {
+		totalRecall, queries := 0.0, 0
 		for u := 0; u < m.Nodes(); u += 29 {
-			k := 8
-			if u == 0 {
-				k = m.Nodes() // the whole ranking: a stale row anywhere shows
-			}
-			got := mustTop(t, eng, true, u, k, mode, nprobe)
+			want := mustTop(t, fresh, true, u, 8, mode, 0)
+			got := mustTop(t, eng, true, u, 8, mode, 0)
 			if got.Backend != mode {
 				t.Fatalf("mode %s answered by %q", mode, got.Backend)
 			}
-			sameAnswers(t, "links "+mode+" after attr update", mustTop(t, fresh, true, u, k, mode, nprobe), got)
+			totalRecall += recallAt(want.Results, got.Results)
+			queries++
 			sameAnswers(t, "attrs "+mode+" after attr update",
-				mustTop(t, fresh, false, u, 5, mode, nprobe), mustTop(t, eng, false, u, 5, mode, nprobe))
+				mustTop(t, fresh, false, u, 5, mode, 0), mustTop(t, eng, false, u, 5, mode, 0))
 		}
-	}
-}
-
-// TestExactLinksEqualTopKTargets: the link cells scan Xb against the
-// query Scorer.QueryInto forms, and the scan fallback is TopKTargets
-// itself, so every exact link answer — a single query, a batch member, or
-// a scan while the index catches up — equals Scorer.TopKTargets in ids and
-// score bits: at 1, 2 and 3 shards, on a fresh build, along a chain of
-// edge updates and after an attribute update, all refreshed
-// incrementally.
-func TestExactLinksEqualTopKTargets(t *testing.T) {
-	for _, shards := range []int{1, 2, 3} {
-		eng, g := deltaTestEngine(t, shards, 1.0, WithManualIndexRebuild())
-		check := func(label, backend string) {
-			t.Helper()
-			label = fmt.Sprintf("shards=%d %s", shards, label)
-			m := eng.Model()
-			k := 10
-			var qs []Query
-			for u := 0; u < g.N; u += 11 {
-				want := TopKAnswer{Results: m.Scorer.TopKTargets(u, k, nil)}
-				got := mustTop(t, eng, true, u, k, ModeExact, 0)
-				if got.Backend != backend {
-					t.Fatalf("%s u=%d: answered by %q, want %q", label, u, got.Backend, backend)
-				}
-				sameAnswers(t, label+" single", want, got)
-				qs = append(qs, Query{Op: OpTopLinks, Src: u, K: &k})
-			}
-			res, _ := eng.Execute(qs)
-			for i, r := range res {
-				if r.Err != "" || r.Backend != backend {
-					t.Fatalf("%s batch member %d: backend %q, error %q", label, i, r.Backend, r.Err)
-				}
-				sameAnswers(t, label+" batch", TopKAnswer{Results: m.Scorer.TopKTargets(qs[i].Src, k, nil)}, TopKAnswer{Results: r.Top})
-			}
-		}
-		check("fresh build", BackendExact)
-		rng := rand.New(rand.NewSource(int64(shards)))
-		for i := 0; i < 6; i++ {
-			if _, err := eng.ApplyEdges([]graph.Edge{{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}, {Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}}); err != nil {
-				t.Fatal(err)
-			}
-			if i%2 == 0 {
-				check(fmt.Sprintf("edge update %d, scan", i), BackendScan)
-				continue // the next cycle coalesces this delta with the next one
-			}
-			eng.RebuildIndex()
-			check(fmt.Sprintf("edge update %d", i), BackendExact)
-		}
-		if _, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 10, Attr: 3, Weight: 2}, {Node: 200, Attr: 5, Weight: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		check("attr update, scan", BackendScan)
-		eng.RebuildIndex()
-		check("attr update", BackendExact)
-		if st := eng.IndexStatus(); st.FullRebuilds != uint64(st.Shards) || st.Shards != shards {
-			t.Fatalf("shards=%d: status %+v, want every cycle after the first incremental", shards, st)
+		if avg := totalRecall / float64(queries); avg < 0.99 {
+			t.Fatalf("gram-corrected link recall %.4f in mode %s vs fresh build, want >= 0.99", avg, mode)
 		}
 	}
 }
@@ -347,6 +310,9 @@ func TestUpdateObserverReportsDeltas(t *testing.T) {
 // observer's timing split, and the frontier size all reporting it.
 func TestAffinityCountersTrackIncrementalRecurrence(t *testing.T) {
 	var stats []UpdateStats
+	// Every cell of the grid, so the reseat arm re-derives all six; the
+	// inverted modes probe every list, which takes the fresh build's
+	// retrained quantizer out of the comparison.
 	full := IndexConfig{IVF: true, NList: 4, NProbe: 4, Shards: 2, Quantize: true, FP16: true}
 	eng, _ := deltaTestEngine(t, 2, DefaultRefreshThreshold, WithIndex(full),
 		WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
@@ -381,11 +347,11 @@ func TestAffinityCountersTrackIncrementalRecurrence(t *testing.T) {
 
 // TestChainedDeltaLifecycle chains dozens of mixed edge and attribute
 // deltas through one engine — the model-side state patched throughout,
-// every index cycle incremental — while queriers run concurrently (CI
-// repeats this test under -race) and the deltas coalesce as they land. At
-// the end the model side must have stayed incremental after its first
-// recurrence, and the served link index must answer exactly like a fresh
-// build around the final model.
+// attribute deltas riding the low-rank correction — while queriers run
+// concurrently (CI repeats this test under -race). At the end the model
+// side must have stayed incremental after its first recurrence, and the
+// served link index must match a fresh build around the final model at
+// retrain-level recall.
 func TestChainedDeltaLifecycle(t *testing.T) {
 	// Thresholds pinned to 1.0: on a 400-node graph a popular attribute's
 	// frontier easily exceeds the production 20% budget (the fallback is
@@ -428,6 +394,11 @@ func TestChainedDeltaLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Quiesce so each delta gets its own refresh cycle: at K=8 the
+		// factor width is 4, so even two coalesced rank-2 corrections
+		// legitimately fall back to a full rebuild. Production widths
+		// (k/2 = 64 at K=128) absorb long coalesced chains.
+		eng.WaitForIndex()
 	}
 	close(stop)
 	wg.Wait()
@@ -436,6 +407,9 @@ func TestChainedDeltaLifecycle(t *testing.T) {
 	as := eng.AffinityStatus()
 	if as.Full != 1 || as.Incremental != chain-1 {
 		t.Fatalf("affinity counters %+v after %d chained deltas, want 1 full + %d incremental", as, chain, chain-1)
+	}
+	if as.GramCorrections != chain/4 {
+		t.Fatalf("%d gram corrections, want %d", as.GramCorrections, chain/4)
 	}
 	st := eng.IndexStatus()
 	if st.Version != eng.Version() || st.FullRebuilds != uint64(st.Shards) {
@@ -447,11 +421,15 @@ func TestChainedDeltaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	totalRecall, queries := 0.0, 0
 	for u := 0; u < g.N; u += 17 {
-		for _, mode := range []string{ModeExact, ModeSQ8} {
-			sameAnswers(t, "post-chain links "+mode,
-				mustTop(t, fresh, true, u, 10, mode, 0), mustTop(t, eng, true, u, 10, mode, 0))
-		}
+		want := mustTop(t, fresh, true, u, 10, ModeExact, 0)
+		got := mustTop(t, eng, true, u, 10, ModeExact, 0)
+		totalRecall += recallAt(want.Results, got.Results)
+		queries++
+	}
+	if avg := totalRecall / float64(queries); avg < 0.99 {
+		t.Fatalf("post-chain link recall %.4f vs fresh build, want >= 0.99", avg)
 	}
 }
 
@@ -637,10 +615,10 @@ func TestRefreshCycleTargetsMarkedModel(t *testing.T) {
 			return m
 		}
 	}
-	// matchesFresh: c is at m's version, its link cells scan m's own Xb
-	// pages, and it answers like a fresh build around m in all six modes,
-	// the inverted ones at full probe (a fresh build retrains the quantizer
-	// a refresh keeps frozen).
+	// matchesFresh: c is at m's version, holds the Z blocks a fresh build
+	// around m computes, and answers like it in all six modes, the
+	// inverted ones at full probe (a fresh build retrains the quantizer a
+	// refresh keeps frozen).
 	matchesFresh := func(t *testing.T, label string, m *Model, c *cut) {
 		t.Helper()
 		if c == nil || c.version != m.Version {
@@ -650,7 +628,11 @@ func TestRefreshCycleTargetsMarkedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkXbViews(t, label, m, c, fresh.shards.ranges[linkSpace])
+		for s, sh := range fresh.shards.cut.Load().shards {
+			if !reflect.DeepEqual(c.shards[s].z.Dense().Data, sh.z.Dense().Data) {
+				t.Fatalf("%s: shard %d's block of Z differs from a fresh build's", label, s)
+			}
+		}
 		for u := 0; u < m.Nodes(); u += 23 {
 			for _, mode := range allModes {
 				nprobe := 0
@@ -723,37 +705,10 @@ func cutAnswers(t *testing.T, m *Model, c *cut) (out [][]core.Scored) {
 	return out
 }
 
-// checkXbViews fails unless every link cell of c holds model m's own Xb
-// pages, those of its shard's range (an inverted cell scans its lists'
-// copies and re-ranks from these).
-func checkXbViews(t *testing.T, label string, m *Model, c *cut, ranges [][2]int) {
-	t.Helper()
-	for s, sh := range c.shards {
-		lo, hi := ranges[s][0], ranges[s][1]
-		for l := range sh.spaces[linkSpace] {
-			for cd, cell := range sh.spaces[linkSpace][l] {
-				if cell == nil {
-					continue
-				}
-				data := cell.Data()
-				if data.Rows != hi-lo {
-					t.Fatalf("%s: shard %d holds %d link rows, want %d", label, s, data.Rows, hi-lo)
-				}
-				for k, pg := range data.Pages() {
-					if &pg[0] != &m.Emb.Xb.Pages()[lo/mat.PageRows+k][0] {
-						t.Fatalf("%s: shard %d cell (%d, %d) page %d is not the model's Xb page", label, s, l, cd, k)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRefreshChainSharesPages is the engine-level copy-on-write property:
 // 200 edge updates, each refreshed on its own, through all six cells in
-// two shards and — the same updates — in one. Every generation's link
-// cells scan its model's own Xb pages, which share with the parent every
-// page no dirty row is on; every retained cut,
+// two shards and — the same updates — in one. Every generation shares
+// with its parent every page of Z no dirty row is on; every retained cut,
 // read all the while by goroutines racing the refreshes, keeps answering
 // exactly as it did when it was published; sharded answers equal
 // unsharded ones; and the last generation equals a fresh build around the
@@ -824,12 +779,10 @@ func TestRefreshChainSharesPages(t *testing.T) {
 				}
 			}
 		}
-		checkXbViews(t, fmt.Sprintf("update %d", i), cur.m, cur.c, eng.shards.ranges[linkSpace])
 		for s, sh := range cur.c.shards {
-			x, was := sh.spaces[linkSpace][flat][index.F64].Data(), prev.shards[s].spaces[linkSpace][flat][index.F64].Data()
-			for k := range x.Pages() {
-				if x.SamePage(was, k) == dirtyPage[[2]int{s, k}] {
-					t.Fatalf("update %d shard %d: Xb page %d shared=%v, dirty=%v", i, s, k, !dirtyPage[[2]int{s, k}], dirtyPage[[2]int{s, k}])
+			for k := range sh.z.Pages() {
+				if sh.z.SamePage(prev.shards[s].z, k) == dirtyPage[[2]int{s, k}] {
+					t.Fatalf("update %d shard %d: Z page %d shared=%v, dirty=%v", i, s, k, !dirtyPage[[2]int{s, k}], dirtyPage[[2]int{s, k}])
 				}
 			}
 			if sh.spaces[attrSpace] != prev.shards[s].spaces[attrSpace] {

@@ -213,6 +213,10 @@ type UpdateStats struct {
 	// total frontier size (forward + backward rows re-run).
 	AffinityIncremental bool
 	AffinityFrontier    int
+	// GramCorrection reports whether an attribute delta shipped a
+	// low-rank Z-correction to the index instead of poisoning the link
+	// space into full rebuilds.
+	GramCorrection bool
 }
 
 // WithUpdateObserver registers fn to be called synchronously after every
@@ -491,13 +495,30 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	// The model is live immediately; the index catches up asynchronously
 	// and queries fall back to the scan path until it publishes. The delta
 	// tells the refresh cycle which rows to refresh: a full-sweep update
-	// dirties everything, a restricted one only its touched rows. A moved
-	// Y row changes G, which the link index never holds: its queries form
-	// Xf[u]·G from the new model, so only the touched Xb rows are dirty.
+	// dirties everything, a restricted one only its touched rows — except
+	// that any moved Y row shifts the Gram matrix G = YᵀY and with it every
+	// link candidate row, so the link space goes full then.
 	d, rows := &idxDelta{model: next, at: time.Now()}, g.N+g.D
 	if incremental {
 		d.dirty = [nSpaces][]int{touched.Nodes, touched.Attrs}
 		rows = touched.Rows()
+		if len(touched.Attrs) > 0 {
+			// An attribute delta moves Y rows and with them G = YᵀY — every
+			// link candidate row shifts. When the delta is low-rank relative
+			// to the space (2·|Δattrs| < k/2), ship the correction
+			// Z += Xb·ΔG instead of poisoning the link space into full
+			// rebuilds: the restricted refinement moved exactly
+			// touched.Attrs' Y rows, so the correction plus exact
+			// recomputation of the dirty node rows reproduces the new
+			// candidate matrix up to float round-off.
+			if gd := gramFor(prev.Emb, emb, touched.Attrs); gd != nil {
+				d.grams = []*core.GramDelta{gd}
+				stats.GramCorrection = true
+				e.met.gram.Inc()
+			} else {
+				d.full[linkSpace] = true
+			}
+		}
 	} else {
 		d.full = [nSpaces]bool{true, true}
 	}
@@ -516,6 +537,21 @@ func threads(cfg core.Config) int {
 	return cfg.Threads
 }
 
+// gramFor builds the low-rank link-space correction for an attribute
+// delta, or nil when the delta's rank bound 2·|Δattrs| reaches the factor
+// width k/2 (at which point correcting every row costs as much as the full
+// transform it replaces).
+func gramFor(prevEmb, emb *core.Embedding, attrs []int) *core.GramDelta {
+	if 2*len(attrs) >= emb.Y.Cols {
+		return nil
+	}
+	gd, err := core.NewGramDelta(prevEmb.Y, emb.Y, attrs)
+	if err != nil {
+		return nil
+	}
+	return gd
+}
+
 // AffinityStatus reports the model-side incremental-update state for
 // monitoring (served under healthz next to the index status).
 type AffinityStatus struct {
@@ -528,16 +564,20 @@ type AffinityStatus struct {
 	// FrontierRows is the most recent update's total frontier size (the
 	// forward plus backward rows whose recurrence was re-run).
 	FrontierRows uint64 `json:"affinity_frontier_rows"`
+	// GramCorrections counts attribute updates served through the
+	// low-rank link-space correction instead of full rebuilds.
+	GramCorrections uint64 `json:"gram_corrections"`
 }
 
 // AffinityStatus returns the current model-side update accounting, read
 // from the same obs handles GET /metrics exposes.
 func (e *Engine) AffinityStatus() AffinityStatus {
 	return AffinityStatus{
-		Threshold:    e.affinityThreshold,
-		Incremental:  e.met.affPassIncr.Value(),
-		Full:         e.met.affPassFull.Value(),
-		FrontierRows: uint64(e.met.affFrontier.Value()),
+		Threshold:       e.affinityThreshold,
+		Incremental:     e.met.affPassIncr.Value(),
+		Full:            e.met.affPassFull.Value(),
+		FrontierRows:    uint64(e.met.affFrontier.Value()),
+		GramCorrections: e.met.gram.Value(),
 	}
 }
 

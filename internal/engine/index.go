@@ -1,17 +1,16 @@
 package engine
 
 // Sharded per-version top-k index lifecycle. An Engine with indexing
-// enabled partitions the model's own candidate matrices — Xb for links (n
-// rows, queried with q = Xf[u]·G), Y for attributes (d rows) — into S
-// contiguous row shards. Each shard holds an exact cell (and optionally
-// the inverted and compressed cells) over its block only, and a link
-// block is a view of Xb's pages, not a copy. One refresh loop per engine
-// keeps them current: an update marks its dirty rows into one pending
-// delta that names the model it was marked for, and a cycle builds every
-// shard's next generation for that model — the S smaller builds in
-// parallel instead of one O(n) build — and stores them together as one
-// cut. Every enabled cell is built before the cut is stored, so the cells
-// can never serve mixed versions.
+// enabled partitions the candidate matrices — Z = Xb·G for links (n
+// rows), Y for attributes (d rows) — into S contiguous row shards. Each
+// shard holds an exact cell (and optionally the inverted and compressed
+// cells) over its block only. One refresh loop per engine keeps them
+// current: an update marks its dirty rows into one pending delta that
+// names the model it was marked for, and a cycle builds every shard's next
+// generation for that model — the S smaller builds in parallel instead of
+// one O(n) build — and stores them together as one cut. Every enabled
+// cell is built before the cut is stored, so the cells can never serve
+// mixed versions.
 //
 // A query resolves the model first, then accepts the cut only if it is at
 // that model's version exactly. Anything else (disabled, or a cycle still
@@ -47,7 +46,7 @@ const (
 
 // Backend labels reported with every top-k answer.
 const (
-	// BackendExact answers exactly from the model's candidate matrix:
+	// BackendExact answers exactly from the precomputed candidate matrix:
 	// its int8 codes bound every row's score, and only the rows the bound
 	// cannot rule out are scored in float64.
 	BackendExact   = "exact"
@@ -97,10 +96,8 @@ type IndexConfig struct {
 	Seed int64
 	// Shards is the number of contiguous row shards the candidate
 	// matrices are split into; values <= 1 mean one shard, and values
-	// above the row count fail validation. Link shards are cut on
-	// mat.PageRows boundaries, so a model of fewer pages than Shards gets
-	// one shard per page. A refresh cycle builds the shards in parallel
-	// and queries fan out across all of them.
+	// above the row count are clamped. A refresh cycle builds the shards in
+	// parallel and queries fan out across all of them.
 	Shards int
 }
 
@@ -190,7 +187,7 @@ func WithManualIndexRebuild() Option {
 
 // The candidate spaces a shard indexes.
 const (
-	linkSpace = iota // Xb, one row per node; queried with Xf[u]·G
+	linkSpace = iota // Z = Xb·G, one row per node; queried with Xf[u]
 	attrSpace        // Y, one row per attribute; queried with Xf[v]+Xb[v]
 	nSpaces
 )
@@ -209,12 +206,13 @@ const (
 type cells [nLayouts][index.NumCodecs]*index.Table
 
 // shardIdx is one shard's part of a cut: its immutable cells over its row
-// block. The flat link cells scan the model's Xb pages themselves. A
-// generation produced by incremental refresh shares with its predecessor
-// every 16-row page of each flat cell's codes that no dirty row is on,
-// and every inverted list no dirty row left or joined; a shard with no
-// dirty rows shares everything and carrying it into the next cut is O(1).
+// block. A generation produced by incremental refresh shares with its
+// predecessor every 16-row page of the candidate block and of each flat
+// cell's codes that no dirty row is on, and every inverted list no dirty
+// row left or joined; a shard with no dirty rows shares everything and
+// carrying it into the next cut is O(1).
 type shardIdx struct {
+	z      *mat.Paged // this shard's block of Z = Xb·G, on the pages the flat link cells hold
 	spaces [nSpaces]cells
 }
 
@@ -231,14 +229,22 @@ type cut struct {
 // idxDelta is what the index owes: the model the newest mark named and,
 // per space, the rows that changed between the stored cut and that model,
 // coalesced across every mark since a cycle last took the delta. full
-// poisons a space into a full rebuild (full-sweep model updates). A moved
-// Y row changes G = YᵀY, which only the link query holds, so it dirties
-// its attribute row and no link row.
+// poisons a space into a full rebuild (full-sweep model updates, a loaded
+// bundle; any Y movement for the link space, since G = YᵀY shifts every
+// candidate row).
 type idxDelta struct {
 	model *Model
 	at    time.Time // when model was published; zero for the initial build
 	full  [nSpaces]bool
 	dirty [nSpaces][]int // global row ids, ascending
+	// grams are the low-rank link-space corrections of the attribute
+	// deltas since the cut, oldest first. Each is additive on every row
+	// whose Xb row did not change, and rows that did change are in
+	// dirty[linkSpace] and get recomputed exactly — so applying them all
+	// against model's Xb is order-independent and reproduces the Z shift
+	// without a full transform. Ignored when the link space is poisoned
+	// (the rebuild recomputes Z anyway).
+	grams []*core.GramDelta
 }
 
 // shardSet is the sharded serving-index state of one Engine: the fixed
@@ -266,16 +272,16 @@ type shardSet struct {
 }
 
 // newShardSet lays out s shards over n candidate rows and d attribute
-// rows. A link shard is whole mat.PageRows-row pages of Xb, the last one
-// ending at n, so each shard's cells can scan a view of Xb's pages: s
-// above the page count collapses to one shard per page. The attribute
-// space may span fewer shards than the link space when d is smaller.
+// rows. SplitRanges clamps: more shards than rows collapses to one shard
+// per row, and the attribute space may span fewer shards than the link
+// space when d < n.
 func newShardSet(n, d, s int) *shardSet {
-	pages := (n + mat.PageRows - 1) / mat.PageRows
-	s = max(1, min(s, pages))
-	linkRanges := make([][2]int, s)
-	for i := range linkRanges { // n == 0 keeps one empty shard
-		linkRanges[i] = [2]int{i * pages / s * mat.PageRows, min((i+1)*pages/s*mat.PageRows, n)}
+	if s < 1 {
+		s = 1
+	}
+	linkRanges := mat.SplitRanges(n, s)
+	if len(linkRanges) == 0 { // n == 0: keep one empty shard
+		linkRanges = [][2]int{{0, 0}}
 	}
 	ss := &shardSet{}
 	ss.ranges[linkSpace] = linkRanges
@@ -297,6 +303,7 @@ func (ss *shardSet) markLocked(d *idxDelta) {
 		p.full[sp] = p.full[sp] || d.full[sp]
 		p.dirty[sp] = mergeRows(p.dirty[sp], d.dirty[sp])
 	}
+	p.grams = append(p.grams, d.grams...)
 }
 
 // mergeRows returns the ascending union of two ascending row sets.
@@ -367,8 +374,9 @@ func (e *Engine) shardBuildParams(m *Model) buildParams {
 
 // buildShard produces shard s's next generation for d's model from its
 // part of the base cut (nil: there is none yet, so every space builds),
-// recording the cycle by kind. Only the shard's own rows are encoded,
-// which is what makes S builds S-times smaller than one monolithic build.
+// recording the cycle by kind. Only the shard's own block of Z is
+// computed, which is what makes S builds S-times smaller than one
+// monolithic build.
 func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shardIdx {
 	var prev *shardIdx
 	if base != nil {
@@ -391,28 +399,26 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 	return si
 }
 
-// spaceRows returns shard rows [lo, hi) of space sp in m, sharing m's
-// memory: a view of Xb's pages, or of Y's rows.
-func spaceRows(m *Model, sp, lo, hi int) *mat.Paged {
-	if sp == linkSpace {
-		return m.Emb.Xb.View(lo, hi)
-	}
-	return mat.Page(m.Emb.Y.RowSlice(lo, hi))
-}
-
 // buildSpace fills si's cells of space sp with a full build over the
-// shard's candidate rows. One BuildIVFPaged serves every inverted cell,
-// so three codecs cost one k-means and one copy of the lists. Each
-// layout's float64 cell holds the int8 encoding its scan bounds scores
-// with, and its int8 and binary16 cells scan that encoding too
-// (index.Table.Encode). A restored engine builds the same way: a bundle
-// carries no encodings.
+// shard's candidate rows: its freshly computed block of Z, or its block
+// of Y (a view of the model's matrix, not a copy). One BuildIVF serves
+// every inverted cell, so three codecs cost one k-means and one copy of
+// the lists. Each layout's float64 cell holds the int8 encoding its scan
+// bounds scores with, and its int8 and binary16 cells scan that encoding
+// too (index.Table.Encode). A restored engine builds the same way: a
+// bundle carries no encodings.
 func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp buildParams) {
-	rows := spaceRows(m, sp, lo, hi)
-	ex := index.NewExactPaged(rows, bp.threads)
+	var rows *mat.Dense
+	if sp == linkSpace {
+		rows = m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
+		si.z = mat.Page(rows)
+	} else {
+		rows = m.Emb.Y.RowSlice(lo, hi)
+	}
+	ex := index.NewExact(rows, bp.threads)
 	var iv *index.Table
 	if bp.cfg.IVF {
-		iv = index.BuildIVFPaged(rows, bp.ivfCfg)
+		iv = index.BuildIVF(rows, bp.ivfCfg)
 	}
 	for c, on := range [index.NumCodecs]bool{index.F64: true, index.I8: bp.cfg.Quantize, index.F16: bp.cfg.FP16} {
 		if !on {
@@ -431,20 +437,22 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 			si.spaces[sp][inverted][c] = list.Shift(lo)
 		}
 	}
-	e.met.recordBuildWork(&si.spaces[sp])
+	e.met.recordBuildWork(&si.spaces[sp], 0)
 }
 
 // refreshSpace fills si's cells of space sp for d's model from base,
 // choosing between a full build (no base, poisoned space, or a delta past
-// the threshold), which it reports, sharing (nothing dirty), and
-// incremental refresh. No-op for a shard holding no rows of the space.
-// The rows are the new model's own (spaceRows): an update already copied
-// the pages its dirty rows are on and shares the rest, and the previous
-// generation's cells wrap the previous model's, which stays bit for bit
-// what it was. Every cell then takes index's copy-on-write Refresh, the
-// inverted ones behind their float64 cell so the layout is refreshed
-// once; the coarse quantizer stays frozen, exactly as a frozen-quantizer
-// full rebuild would assign every row.
+// the threshold), which it reports, sharing (nothing dirty), incremental
+// refresh, and reseating after a low-rank Gram correction. No-op for a
+// shard holding no rows of the space. Incremental link refresh recomputes
+// only the dirty Z rows (core's row-restricted transform is bit-identical
+// to the full product) and the new block is the previous one WithRows:
+// one pointer per page and the dirty pages are copied, the rest shared. A
+// correction rewrites every row, so that path copies the block whole; the
+// attribute block is a view of the new Y. Every cell then takes index's
+// copy-on-write Refresh, the inverted ones behind their float64 cell so
+// the layout is refreshed once; the coarse quantizer stays frozen, exactly
+// as a frozen-quantizer full rebuild would assign every row.
 func (e *Engine) refreshSpace(si *shardIdx, sp int, d *idxDelta, s int, base *shardIdx, bp buildParams) (full bool) {
 	ranges := e.shards.ranges[sp]
 	if s >= len(ranges) {
@@ -453,35 +461,87 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, d *idxDelta, s int, base *sh
 	m := d.model
 	lo, hi := ranges[s][0], ranges[s][1]
 	dirty := d.dirty[sp][sort.SearchInts(d.dirty[sp], lo):sort.SearchInts(d.dirty[sp], hi)]
+	var grams []*core.GramDelta
+	if sp == linkSpace {
+		grams = d.grams
+	}
+	gramRank := 0
+	for _, gd := range grams {
+		gramRank += gd.Rank()
+	}
 	switch {
-	case base == nil || d.full[sp] || float64(len(dirty)) > e.refreshThreshold*float64(hi-lo):
+	case base == nil || d.full[sp] || gramRank >= m.Emb.Y.Cols ||
+		float64(len(dirty)) > e.refreshThreshold*float64(hi-lo):
+		// No generation to refresh, a poisoned space, a coalesced
+		// correction whose rank bound reaches the factor width (correcting
+		// every row would cost as much as the full transform), or a dirty
+		// delta past the threshold.
 		e.buildSpace(si, sp, m, lo, hi, bp)
 		return true
-	case len(dirty) == 0:
-		// The rows are bit-identical in the new model, so sharing the
-		// cells, which wrap the previous model's rows, is exact.
+	case len(dirty) == 0 && len(grams) == 0:
+		// The rows are bit-identical in the new model (the previous
+		// generation's attribute cells wrap a view of the previous Y), so
+		// sharing them is exact.
 		si.spaces[sp] = base.spaces[sp]
+		if sp == linkSpace {
+			si.z = base.z
+		}
 		return false
 	}
 	local := make([]int, len(dirty))
 	for j, r := range dirty {
 		local[j] = r - lo
 	}
-	rows := spaceRows(m, sp, lo, hi)
+	var rows *mat.Paged
+	var copied int64
+	if sp == linkSpace {
+		rows = base.z
+		if len(grams) > 0 {
+			// Every candidate row shifts by Xb[i]·ΔG under a correction, so
+			// apply the accumulated ones to a copy of the whole block in
+			// O(n·rank·k); the dirty rows — whose Xb changed, for which the
+			// additive correction is wrong — are overwritten below.
+			z := rows.Dense()
+			for _, gd := range grams {
+				gd.Apply(z, m.Emb.Xb, lo, bp.threads)
+			}
+			rows, copied = mat.Page(z), int64(8*len(z.Data))
+		}
+		if len(dirty) > 0 {
+			was := rows
+			rows = was.WithRows(local, m.Scorer.TransformedCandidatesRows(dirty, bp.threads))
+			for k, pg := range rows.Pages() {
+				copied += 24 // the page slice
+				if !rows.SamePage(was, k) {
+					copied += int64(8 * len(pg))
+				}
+			}
+		}
+		si.z = rows
+	} else {
+		rows = mat.Page(m.Emb.Y.RowSlice(lo, hi))
+	}
 	for l := range base.spaces[sp] {
 		var lead *index.Table
 		for c, old := range base.spaces[sp][l] {
 			if old == nil {
 				continue
 			}
-			next := old.Refresh(rows, local, lead)
+			var next *index.Table
+			if len(grams) > 0 {
+				// A correction moved every row by a small nudge, not to
+				// new clusters: keep the assignments, re-encode everything.
+				next = old.Reseat(rows, lead)
+			} else {
+				next = old.Refresh(rows, local, lead)
+			}
 			if lead == nil {
 				lead = next // the float64 cell comes first and is always built
 			}
 			si.spaces[sp][l][c] = next
 		}
 	}
-	e.met.recordBuildWork(&si.spaces[sp])
+	e.met.recordBuildWork(&si.spaces[sp], copied)
 	return false
 }
 
@@ -797,9 +857,7 @@ func (m *Model) topLinks(shards *cut, met *engineMetrics, u, k int, mode string,
 	if shards != nil {
 		c := pick(shards, linkSpace, mode)
 		skip := func(id int) bool { return id == u }
-		vec := getVec(m.Emb.Xf.Cols)
-		res := c.search(shards, met, index.BatchQuery{Q: m.Scorer.QueryInto(u, *vec), K: k, Opt: index.Options{NProbe: nprobe, Skip: skip}})
-		putVec(vec)
+		res := c.search(shards, met, index.BatchQuery{Q: m.Emb.Xf.Row(u), K: k, Opt: index.Options{NProbe: nprobe, Skip: skip}})
 		return res, c.backend(), nil
 	}
 	sp := obs.StartSpan(met.scanHist())

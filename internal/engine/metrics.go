@@ -26,6 +26,7 @@ type engineMetrics struct {
 	ccdDur       *obs.Histogram
 	updStage     [nUpdateStages]*obs.Histogram // the ack path, stage by stage
 	affFrontier  *obs.Gauge
+	gram         *obs.Counter
 	modelVersion *obs.Gauge
 
 	// Failover / fencing.
@@ -119,6 +120,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"CCD refinement wall time per update."),
 		affFrontier: reg.Gauge("pane_update_affinity_frontier_rows",
 			"Total frontier rows (forward + backward) of the most recent affinity patch."),
+		gram: reg.Counter("pane_update_gram_corrections_total",
+			"Attribute updates served through the low-rank Gram correction instead of a full link-space rebuild."),
 		modelVersion: reg.Gauge("pane_model_version",
 			"Version of the currently served model."),
 		epoch: reg.Gauge("pane_model_epoch",
@@ -192,9 +195,9 @@ func (m *engineMetrics) recordWork(c cell, st index.Stats) {
 	m.bytesStreamed[c.layout][c.codec].Add(uint64(st.BytesStreamed))
 }
 
-// recordBuildWork adds the work of a space's freshly produced cells.
-func (m *engineMetrics) recordBuildWork(cs *cells) {
-	var copied int64
+// recordBuildWork adds the work of a space's freshly produced cells and
+// the bytes copied to make the rows they index.
+func (m *engineMetrics) recordBuildWork(cs *cells, copied int64) {
 	for l := range cs {
 		for c, t := range cs[l] {
 			if t != nil {

@@ -55,7 +55,7 @@ func TestBackendSelectionGrid(t *testing.T) {
 	scorer := core.NewLinkScorer(emb)
 	ivf := index.IVFConfig{NList: 4, NProbe: 2, Seed: cfg.Seed, Threads: 1}
 	direct := map[bool]map[string]index.Index{
-		true:  directCells(emb.Xb.Dense(), ivf),
+		true:  directCells(scorer.TransformedCandidates(1), ivf),
 		false: directCells(emb.Y, ivf),
 	}
 	modes := []string{ModeExact, ModeIVF, ModeSQ8, ModeIVFSQ, ModeFP16, ModeIVFFP16}
@@ -91,7 +91,7 @@ func TestBackendSelectionGrid(t *testing.T) {
 							t.Fatalf("%s: backend %q, want %q", label, got.Backend, want)
 						}
 						opt := index.Options{NProbe: nprobe}
-						q := scorer.QueryInto(node, make([]float64, emb.Xf.Cols))
+						q := emb.Xf.Row(node)
 						if links {
 							opt.Skip = func(id int) bool { return id == node }
 						} else {

@@ -138,7 +138,7 @@ func TestRestoreIgnoresCorruptPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spaces := []*mat.Dense{m.Emb.Xb.Dense(), m.Emb.Y}
+	spaces := []*mat.Dense{m.Scorer.TransformedCandidatesRange(0, m.Nodes(), 1), m.Emb.Y}
 	put(uint64(1))
 	for sp, rows := range spaces {
 		codes, scale, base := index.QuantizeRows(rows)
@@ -146,7 +146,7 @@ func TestRestoreIgnoresCorruptPayload(t *testing.T) {
 			for _, u := range probes {
 				top := mustTop(t, eng, true, u, 1, ModeExact, 0).Results[0].ID
 				sum := 0.0
-				for _, x := range m.Scorer.QueryInto(u, make([]float64, m.Emb.Xf.Cols)) {
+				for _, x := range m.Emb.Xf.Row(u) {
 					sum += x
 				}
 				scale[top], base[top] = 0, 1e6

@@ -115,16 +115,11 @@ func TestShardedExactBitForBitIdentical(t *testing.T) {
 // TestShardedStatusTracksPerShardGenerations pins the sharded observable
 // state through a manual rebuild cycle: every shard's generation at v1,
 // then all stale (scan fallback at v2, status still showing v1), then
-// caught up — every shard's generation is the one cut's version. The
-// model has eight pages of rows, room for three link shards.
+// caught up — every shard's generation is the one cut's version.
 func TestShardedStatusTracksPerShardGenerations(t *testing.T) {
-	g, emb, cfg := shardTestModel(t)
-	eng, err := New(g, emb, cfg,
+	eng := trainTestEngine(t,
 		WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}),
 		WithManualIndexRebuild())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := eng.IndexStatus()
 	if !st.Enabled || st.Version != 1 || st.Shards != 3 {
 		t.Fatalf("fresh status %+v", st)
@@ -307,11 +302,7 @@ func checkCuts(t *testing.T, eng *Engine, stop <-chan struct{}, wg *sync.WaitGro
 // TestShardConfigSurvivesSnapshot: bundle format v3 records the shard
 // layout, so a restored engine rebuilds the same sharded index.
 func TestShardConfigSurvivesSnapshot(t *testing.T) {
-	g, emb, cfg := shardTestModel(t)
-	eng, err := New(g, emb, cfg, WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := trainTestEngine(t, WithIndex(IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}))
 	path := t.TempDir() + "/m.pane"
 	if _, err := eng.Snapshot(path); err != nil {
 		t.Fatal(err)

@@ -191,7 +191,7 @@ type TopKBench struct {
 	IndexBuildSeconds float64 `json:"index_build_seconds"`
 
 	ScanQPS    float64 `json:"scan_qps"`           // PR-1 brute force (per-query transform + full scan)
-	ExactQPS   float64 `json:"exact_qps"`          // exact backend over the model's Xb
+	ExactQPS   float64 `json:"exact_qps"`          // exact backend over precomputed Z
 	IVFQPS     float64 `json:"ivf_qps"`            // IVF backend at NProbe
 	SQ8QPS     float64 `json:"sq8_qps"`            // quantized flat scan + exact re-rank
 	IVFSQQPS   float64 `json:"ivfsq_qps"`          // quantized IVF at the same NProbe

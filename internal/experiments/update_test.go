@@ -96,7 +96,7 @@ func TestRunUpdateSmoke(t *testing.T) {
 	if b.AffinityIncremental == 0 || b.AffinityFull == 0 {
 		t.Fatalf("affinity counters %+v", b)
 	}
-	if b.AttrEntries == 0 {
+	if b.AttrEntries == 0 || b.AttrRecall < 0.999 {
 		t.Fatalf("attr phase %+v", b)
 	}
 	for _, p := range b.Points {

@@ -1,9 +1,9 @@
 // Package index provides top-k maximum-inner-product retrieval over a
 // fixed set of candidate vectors — the serving-path complement to the
 // training code in internal/core. Both of the paper's serving queries are
-// this one operation over a factor of the model itself: link prediction
-// over Xb, queried with q = Xf[u]·G (core.LinkScorer.QueryInto, one
-// O(k²/4) product per query), attribute inference over Y.
+// this one operation: link prediction over the precomputed transform
+// Z = Xb·G (so a query is a single scan with no per-query O(k²) setup),
+// attribute inference over Y.
 //
 // There is one index type, Table, and every backend is a cell of a
 // layout × codec grid:

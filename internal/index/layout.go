@@ -11,8 +11,8 @@ import (
 )
 
 // layout places the candidate rows in blocks and says which blocks a
-// query visits. Layouts are immutable; refresh and rebuild return a new
-// one sharing whatever did not change.
+// query visits. Layouts are immutable; refresh, reseat and rebuild return
+// a new one sharing whatever did not change.
 type layout interface {
 	nblocks() int
 	// block returns block b's float64 rows and the local candidate id of
@@ -22,9 +22,11 @@ type layout interface {
 	// keyed by block number. nprobe <= 0 means the layout's default.
 	probe(q []float64, nprobe int) []core.Scored
 	// refresh returns the layout over data when only the dirty rows
-	// (ascending local ids) changed; rebuild from scratch, keeping only
+	// (ascending local ids) changed; reseat when every row's values moved
+	// but memberships are to be kept; rebuild from scratch, keeping only
 	// what was trained.
 	refresh(data *mat.Paged, dirty []int) layout
+	reseat(data *mat.Paged) layout
 	rebuild(data *mat.Paged) layout
 }
 
@@ -39,6 +41,7 @@ func (f flat) nblocks() int                            { return 1 }
 func (f flat) block(int) (*mat.Paged, []int32)         { return f.data, nil }
 func (f flat) probe([]float64, int) []core.Scored      { return wholeBlock }
 func (f flat) refresh(data *mat.Paged, _ []int) layout { return flat{data} }
+func (f flat) reseat(data *mat.Paged) layout           { return flat{data} }
 func (f flat) rebuild(data *mat.Paged) layout          { return flat{data} }
 
 // IVFConfig tunes BuildIVF. Zero values pick defaults scaled to the
@@ -241,6 +244,17 @@ func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 		}
 		out.ids[l] = append(ids, gained[g:]...)
 		out.vecs[l] = gather(data, out.ids[l], gained, iv.ids[l], iv.vecs[l])
+	}
+	return &out
+}
+
+// reseat keeps the coarse quantizer, the per-list id slices and the
+// per-row assignment, and rebuilds only the per-list vector copies.
+func (iv *inverted) reseat(data *mat.Paged) layout {
+	out := *iv
+	out.vecs = make([]*mat.Paged, len(iv.vecs))
+	for l, ids := range iv.ids {
+		out.vecs[l] = gather(data, ids, ids, nil, nil)
 	}
 	return &out
 }

@@ -38,13 +38,13 @@ import (
 //
 // So the batch's int8 pass is a GEMM: a block of queries against a block
 // of rows' codes, each code widened once for four queries, every product
-// an exact integer. Its float64 re-score is not one, although Q·Xᵀ (X
-// the block's rows) is what the float64 cells compute: mat.MulInto
-// accumulates each output in ascending-p order while mat.Dot folds
-// sixteen lanes, so their scores differ in the last bits and a
-// GEMM-scored batch would not equal its single queries. Nor would a GEMM
-// save the traffic the certified scan saves: it reads every float64 row,
-// and the scan re-scores under one in a hundred.
+// an exact integer. Its float64 re-score is not one, although Q·Zᵀ is
+// what the float64 cells compute: mat.MulInto accumulates each output in
+// ascending-p order while mat.Dot folds sixteen lanes, so their scores
+// differ in the last bits and a GEMM-scored batch would not equal its
+// single queries. Nor would a GEMM save the traffic the certified scan
+// saves: it reads every float64 row, and the scan re-scores under one in
+// a hundred.
 
 const (
 	// tileBytes is how much of a block a unit scores against every query

@@ -10,8 +10,8 @@ import (
 // Table is the one index type: a layout (which blocks of candidate rows a
 // query visits) times a codec (how a block stores and scores its rows).
 // Every Kind is a cell of that grid. A Table is immutable after
-// construction and safe for concurrent searches; Refresh and Rebuild
-// return the next generation and leave the receiver intact.
+// construction and safe for concurrent searches; Refresh, Reseat and
+// Rebuild return the next generation and leave the receiver intact.
 type Table struct {
 	data    *mat.Paged // candidates by local id, shared with the caller
 	lay     layout
@@ -51,44 +51,38 @@ func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int) *Table {
 	return &Table{data: data, lay: lay, codec: c, rerank: rerank, threads: threads}
 }
 
-// newFlat is the flat cell of codec c over data.
-func newFlat(data *mat.Paged, c Codec, rerank, threads int) *Table {
-	return newCell(data, flat{data}, c, rerank, threads).over(data, flat{data}, nil, nil, false)
+// newFlat is the flat cell of codec c over data, paged without copying.
+func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
+	pd := mat.Page(data)
+	return newCell(pd, flat{pd}, c, rerank, threads).over(pd, flat{pd}, nil, nil, false)
 }
 
 // NewExact is the flat float64 cell: data (one candidate per row) is
 // wrapped without copying, so the caller must not mutate it afterwards,
 // and its rows are quantized once for the scan's score bound (see
 // f64Codec). threads is the search fan-out; values <= 1 scan serially.
-func NewExact(data *mat.Dense, threads int) *Table { return NewExactPaged(mat.Page(data), threads) }
-
-// NewExactPaged is NewExact over a paged matrix, whose pages the cell
-// scans in place: a caller can index a matrix it keeps publishing new
-// versions of, each a new *mat.Paged sharing the pages it did not write.
-func NewExactPaged(data *mat.Paged, threads int) *Table { return newFlat(data, F64, 0, threads) }
+func NewExact(data *mat.Dense, threads int) *Table { return newFlat(data, F64, 0, threads) }
 
 // NewSQ8 is the flat int8 cell: data is shared for the exact re-rank and
 // its rows are quantized once (NewExact(data).Encode(I8, rerank) shares
 // the exact cell's quantization instead). rerank <= 0 means DefaultRerank.
 func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
-	return newFlat(mat.Page(data), I8, rerank, threads)
+	return newFlat(data, I8, rerank, threads)
 }
 
 // NewFP16 is the flat binary16 cell. Standing alone it quantizes its rows
 // too, for the int8 codes its scan bounds scores with;
 // NewExact(data).Encode(F16, 0) shares the exact cell's instead.
-func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(mat.Page(data), F16, 0, threads) }
+func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0, threads) }
 
 // BuildIVF is the inverted float64 cell: data is clustered into an
 // inverted file (see IVFConfig) and copied list by list, so the caller
 // may keep using it; builds with the same data and config are bit-for-bit
 // reproducible.
-func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table { return BuildIVFPaged(mat.Page(data), cfg) }
-
-// BuildIVFPaged is BuildIVF over a paged matrix.
-func BuildIVFPaged(data *mat.Paged, cfg IVFConfig) *Table {
-	lay := trainInverted(data, cfg)
-	return newCell(data, lay, F64, 0, cfg.Threads).over(data, lay, nil, nil, false)
+func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
+	pd := mat.Page(data)
+	lay := trainInverted(pd, cfg)
+	return newCell(pd, lay, F64, 0, cfg.Threads).over(pd, lay, nil, nil, false)
 }
 
 // NewIVFSQ is the inverted int8 cell over iv's inverted file, which it
@@ -148,9 +142,6 @@ func (t *Table) Shift(base int) *Table {
 
 // Len returns the candidate count.
 func (t *Table) Len() int { return t.data.Rows }
-
-// Data returns the candidate rows t scores, by local id, shared.
-func (t *Table) Data() *mat.Paged { return t.data }
 
 // Dim returns the vector dimension.
 func (t *Table) Dim() int { return t.data.Cols }
@@ -233,6 +224,25 @@ func (t *Table) Refresh(data *mat.Paged, dirty []int, lead *Table) *Table {
 		return t.over(data, lead.lay, lead, dirty, true)
 	}
 	return t.over(data, t.lay.refresh(data, dirty), nil, dirty, true)
+}
+
+// Reseat returns the next generation of t over data when every row's
+// values moved but no row should change lists: the coarse quantizer, the
+// list memberships and the per-row assignment are kept and every block is
+// re-encoded. It is the right refresh after a low-rank correction that
+// nudges all candidates at once — reassigning n rows would cost O(n ·
+// nlist) for home lists that almost never change. A row whose nearest
+// centroid did drift stays in its old list until the next full build.
+// lead is as in Refresh.
+func (t *Table) Reseat(data *mat.Paged, lead *Table) *Table {
+	t.checkShape(data.Rows, data.Cols)
+	if lead != nil {
+		if encodedAs[t.codec] == encodedAs[lead.codec] {
+			return t.adopt(lead)
+		}
+		return t.over(data, lead.lay, lead, nil, false)
+	}
+	return t.over(data, t.lay.reseat(data), nil, nil, false)
 }
 
 // Rebuild re-indexes data (t's dimension, any row count) from scratch

@@ -32,18 +32,6 @@ func Page(m *Dense) *Paged {
 	return p
 }
 
-// View returns rows [lo, hi) of p as a matrix of p's own pages, copying
-// nothing: lo must fall on a page boundary and hi on one or at p.Rows, so
-// every page of the view is a whole page of p and row i of the view is
-// row lo+i of p.
-func (p *Paged) View(lo, hi int) *Paged {
-	if lo < 0 || hi < lo || hi > p.Rows || lo%PageRows != 0 || (hi%PageRows != 0 && hi != p.Rows) {
-		panic(fmt.Sprintf("mat: View [%d,%d) of %d rows is not on page boundaries", lo, hi, p.Rows))
-	}
-	k, end := lo/PageRows, (hi+PageRows-1)/PageRows
-	return &Paged{Rows: hi - lo, Cols: p.Cols, pages: p.pages[k:end:end]}
-}
-
 // Row returns row i as a shared slice; it must not be written.
 func (p *Paged) Row(i int) []float64 {
 	r := i % PageRows

@@ -114,38 +114,3 @@ func TestPagedMulRangeMatchesParMul(t *testing.T) {
 		}
 	}
 }
-
-// TestPagedView: a view on page boundaries holds its rows, its pages are
-// the parent's memory, a later version of the parent leaves it as it was,
-// and a range that would split a page panics.
-func TestPagedView(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomDense(rng, 5*PageRows+3, 6) // a partial last page
-	p := Page(a.Clone())
-	for _, r := range [][2]int{{0, a.Rows}, {0, 0}, {PageRows, 3 * PageRows}, {4 * PageRows, a.Rows}, {5 * PageRows, a.Rows}} {
-		v := p.View(r[0], r[1])
-		if !pagedEqual(v, a.RowSlice(r[0], r[1])) {
-			t.Fatalf("View[%d,%d) does not hold the parent's rows", r[0], r[1])
-		}
-		for k, pg := range v.Pages() {
-			if &pg[0] != &p.Pages()[r[0]/PageRows+k][0] {
-				t.Fatalf("View[%d,%d) page %d is a copy", r[0], r[1], k)
-			}
-		}
-	}
-	v := p.View(2*PageRows, a.Rows)
-	next := p.WithRows([]int{2*PageRows + 1}, randomDense(rng, 1, 6))
-	if !pagedEqual(v, a.RowSlice(2*PageRows, a.Rows)) || pagedEqual(next.View(2*PageRows, a.Rows), a.RowSlice(2*PageRows, a.Rows)) {
-		t.Fatal("a view must keep its version's rows while the next version's view sees the write")
-	}
-	for _, r := range [][2]int{{1, PageRows}, {0, PageRows + 1}, {0, a.Rows + 1}, {PageRows, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("View[%d,%d) off page boundaries did not panic", r[0], r[1])
-				}
-			}()
-			p.View(r[0], r[1])
-		}()
-	}
-}

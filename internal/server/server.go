@@ -30,11 +30,14 @@
 // recent update, and "refresh_threshold" the dirty fraction at or below
 // which updates refresh incrementally instead of rebuilding. The
 // model-side counterpart lives under "affinity": "affinity_incremental"
-// and "affinity_full" count recurrence passes by kind, and
+// and "affinity_full" count recurrence passes by kind,
 // "affinity_frontier_rows" is the frontier size of the most recent
-// incremental pass. "kernels" reports the instruction set each compute
-// kernel dispatches to on this build and host ("generic", "avx2", or
-// "neon"), mirrored by the pane_kernel_dispatch info gauge on /metrics.
+// incremental pass, and "gram_corrections" how many attribute
+// deltas were absorbed by the low-rank link-space correction instead of
+// a full shard rebuild. "kernels" reports the instruction set each
+// compute kernel dispatches to on this build and host ("generic",
+// "avx2", or "neon"), mirrored by the pane_kernel_dispatch info gauge on
+// /metrics.
 //
 // Probe endpoints split liveness from readiness:
 //

@@ -11,10 +11,8 @@ import (
 	"testing"
 
 	"pane/internal/core"
-	"pane/internal/datagen"
 	"pane/internal/engine"
 	"pane/internal/graph"
-	"pane/internal/mat"
 )
 
 func testEngine(t *testing.T, opts ...engine.Option) *engine.Engine {
@@ -576,21 +574,11 @@ func TestVersionDuringIndexRebuild(t *testing.T) {
 // generation shares, queries fan out across the shards (reported through
 // the usual backend field), and the mid-rebuild state shows the index
 // pinned at the previous version while queries scan at the new model
-// version. A link shard holds whole pages of rows, so the graph has
-// three pages' worth of nodes.
+// version.
 func TestHealthzReportsShardGenerations(t *testing.T) {
-	g, err := datagen.Generate(datagen.Config{
-		Name: "shards", N: 3 * mat.PageRows, AvgOutDeg: 4, D: 6, AttrsPer: 2, Communities: 3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.Train(g, core.Config{K: 4, Alpha: 0.15, Eps: 0.05, Seed: 1},
+	eng := testEngine(t,
 		engine.WithIndex(engine.IndexConfig{IVF: true, NList: 2, NProbe: 2, Shards: 3}),
 		engine.WithManualIndexRebuild())
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(eng)
 
 	indexVersion := func(label string, want float64) {
