@@ -404,7 +404,8 @@ func BenchmarkPSVDCCD(b *testing.B) {
 func BenchmarkAblationSpMMThreads(b *testing.B) {
 	g := loadBench(b, "tweibo")
 	p, _ := g.Walk()
-	rr, _ := g.NormalizedAttrs()
+	rrView, _ := g.NormalizedAttrs()
+	rr := rrView.ToDense()
 	for _, nb := range []int{1, 2, 4, 8} {
 		b.Run(benchName("nb", nb), func(b *testing.B) {
 			dst := mat.New(rr.Rows, rr.Cols)

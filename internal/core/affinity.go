@@ -74,9 +74,10 @@ func NewAffinityState(g *graph.Graph, alpha float64, t, nb int) *AffinityState {
 	if nb < 1 {
 		nb = 1
 	}
-	n, d := rr.Rows, rr.Cols
+	n, d := rr.Dims()
 	s := &AffinityState{n: n, d: d, alpha: alpha, t: t}
-	prevF, prevB := rr, rc
+	// nil previous levels make the first iteration read the seeds' views.
+	var prevF, prevB *mat.Dense
 	for l := 0; l < t; l++ {
 		nf := mat.New(n, d)
 		nbm := mat.New(n, d)
@@ -327,9 +328,8 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs 
 	// Rc rows that changed: the supporters of every touched attribute.
 	rcSet := map[int]bool{}
 	if len(attrSet) > 0 {
-		at := g.AttrT()
 		for r := range attrSet {
-			nodes, _ := at.Row(r)
+			nodes, _ := g.AttrT.Row(r)
 			for _, v := range nodes {
 				rcSet[int(v)] = true
 			}
@@ -354,7 +354,7 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs 
 	p, pt := g.Walk()
 	rr, rc := g.NormalizedAttrs()
 	for l := 0; l < s.t; l++ {
-		srcF, srcB := rr, rc
+		var srcF, srcB *mat.Dense // nil: level 1 reads the seeds' views
 		if l > 0 {
 			srcF, srcB = s.lf[l-1], s.lb[l-1]
 		}
@@ -378,16 +378,17 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs 
 }
 
 // patchLevel re-runs one recurrence iteration for the frontier rows of
-// dst, reading the previous level from src (out-of-frontier rows keep
-// their cached values, which is exactly what iteration l needs). The
-// per-row kernel is AxpyRowInto — the same kernel AxpyInto runs — so a
-// patched row is bit-identical to a full pass over the same inputs.
-func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src, seed *mat.Dense, frontier []int, nb int) {
+// dst, reading the previous level from src, or from the seed when src is
+// nil (out-of-frontier rows keep their cached values, which is exactly
+// what iteration l needs). The per-row kernel is AxpyRowInto — the same
+// kernel AxpyInto runs — so a patched row is bit-identical to a full pass
+// over the same inputs.
+func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src *mat.Dense, seed sparse.Scaled, frontier []int, nb int) {
 	a := 1 - s.alpha
 	mat.ParallelRanges(len(frontier), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := frontier[k]
-			m.AxpyRowInto(dst.Row(i), i, a, src, s.alpha, seed.Row(i))
+			m.AxpyRowInto(dst.Row(i), i, a, src, s.alpha, seed)
 		}
 	})
 }

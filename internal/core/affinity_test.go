@@ -48,7 +48,7 @@ func TestAffinityStateMatchesAPMI(t *testing.T) {
 		p, pt := g.Walk()
 		rr, rc := g.NormalizedAttrs()
 		s := NewAffinityState(g, 0.5, tc.t, tc.nb)
-		levF, levB := rr, rc
+		var levF, levB *mat.Dense // nil: the first level reads the seeds
 		for l := 0; l < tc.t; l++ {
 			nf, nbm := mat.New(g.N, g.D), mat.New(g.N, g.D)
 			p.AxpyInto(nf, 0.5, levF, 0.5, rr, 1)

@@ -16,68 +16,55 @@ import (
 //	P(ℓ)_b = (1−α)·Pᵀ·P(ℓ−1)_b + α·P(0)_b,  P(0)_b = Rc
 //
 // followed by column-normalizing P(t)_f, row-normalizing P(t)_b, and the
-// SPMI transform F' = log(n·P̂_f + 1), B' = log(d·P̂_b + 1).
-func APMI(p, pt *sparse.CSR, rr, rc *mat.Dense, alpha float64, t int) (f, b *mat.Dense) {
-	return apmi(p, pt, rr, rc, alpha, t, 1)
+// SPMI transform F' = log(n·P̂_f + 1), B' = log(d·P̂_b + 1). The seeds are
+// the sparse views graph.NormalizedAttrs returns; the first iteration reads
+// their stored entries, so no dense copy of either is made. t < 1 runs one
+// iteration.
+func APMI(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t int) (f, b *mat.Dense) {
+	n, d := rr.Dims()
+	f, b = recurrence(p, pt, rr, rc, alpha, t, 1)
+	f.NormalizeColumns()
+	b.NormalizeRows()
+	f.Log1pScaled(float64(n))
+	b.Log1pScaled(float64(d))
+	return f, b
 }
 
-// apmi is the shared implementation; nb > 1 parallelizes the SpMM row
-// loops (used by the drivers when structural column partitioning is not
-// required — results are identical either way).
-func apmi(p, pt *sparse.CSR, rr, rc *mat.Dense, alpha float64, t, nb int) (f, b *mat.Dense) {
-	n, d := rr.Rows, rr.Cols
-	pf := rr.Clone()
-	pb := rc.Clone()
-	nextF := mat.New(n, d)
-	nextB := mat.New(n, d)
-	for l := 0; l < t; l++ {
+// recurrence runs Lines 3-5 with nb workers over row ranges and returns
+// the pre-normalization P(t)_f and P(t)_b.
+func recurrence(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t, nb int) (pf, pb *mat.Dense) {
+	n, d := rr.Dims()
+	pf, pb = mat.New(n, d), mat.New(n, d)
+	p.AxpyInto(pf, 1-alpha, nil, alpha, rr, nb)
+	pt.AxpyInto(pb, 1-alpha, nil, alpha, rc, nb)
+	if t <= 1 {
+		return pf, pb
+	}
+	nextF, nextB := mat.New(n, d), mat.New(n, d)
+	for l := 1; l < t; l++ {
 		p.AxpyInto(nextF, 1-alpha, pf, alpha, rr, nb)
 		pt.AxpyInto(nextB, 1-alpha, pb, alpha, rc, nb)
 		pf, nextF = nextF, pf
 		pb, nextB = nextB, pb
 	}
-	pf.NormalizeColumns()
-	pb.NormalizeRows()
-	pf.Log1pScaled(float64(n))
-	pb.Log1pScaled(float64(d))
 	return pf, pb
 }
 
 // PAPMI (Algorithm 6) computes the same F', B' as APMI using nb threads.
-// Following the paper, the attribute set R is partitioned into nb column
-// blocks; thread i owns block i and runs the full t-iteration recurrence
-// on it independently, after which the blocks are concatenated and the
-// final normalization is applied. Lemma 4.1 guarantees — and
-// TestPAPMIMatchesAPMI verifies — that the result equals APMI's exactly.
-func PAPMI(p, pt *sparse.CSR, rr, rc *mat.Dense, alpha float64, t, nb int) (f, b *mat.Dense) {
-	n, d := rr.Rows, rr.Cols
+// Lemma 4.1 makes every column of the recurrence independent of the
+// others, so any partition of the work reproduces APMI's iterates bit for
+// bit; with sparse seeds the natural unit is a range of rows (each worker
+// writes its rows of every level), rather than the paper's attribute
+// column blocks, which would need a filtered copy of the seeds per block.
+// Lines 9-13 — the final normalization and SPMI transform — are
+// node-partitioned as in the paper. TestPAPMIMatchesAPMI checks the result
+// against APMI's.
+func PAPMI(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t, nb int) (f, b *mat.Dense) {
+	n, d := rr.Dims()
 	if nb <= 1 || d == 0 {
 		return APMI(p, pt, rr, rc, alpha, t)
 	}
-	pf := mat.New(n, d)
-	pb := mat.New(n, d)
-	blocks := mat.SplitRanges(d, nb)
-	mat.ParallelRanges(len(blocks), len(blocks), func(blo, bhi int) {
-		for w := blo; w < bhi; w++ {
-			lo, hi := blocks[w][0], blocks[w][1]
-			// Thread-local seeds: the column slices of Rr and Rc.
-			seedF := rr.ColSlice(lo, hi)
-			seedB := rc.ColSlice(lo, hi)
-			bf := seedF.Clone()
-			bb := seedB.Clone()
-			nxtF := mat.New(n, hi-lo)
-			nxtB := mat.New(n, hi-lo)
-			for l := 0; l < t; l++ {
-				p.AxpyInto(nxtF, 1-alpha, bf, alpha, seedF, 1)
-				pt.AxpyInto(nxtB, 1-alpha, bb, alpha, seedB, 1)
-				bf, nxtF = nxtF, bf
-				bb, nxtB = nxtB, bb
-			}
-			pf.SetColSlice(lo, bf)
-			pb.SetColSlice(lo, bb)
-		}
-	})
-	// Lines 9-13: final normalization and SPMI transform, node-partitioned.
+	pf, pb := recurrence(p, pt, rr, rc, alpha, t, nb)
 	normalizeColumnsPar(pf, nb)
 	mat.ParallelRanges(n, nb, func(lo, hi int) {
 		v := pb.RowView(lo, hi)

@@ -43,12 +43,13 @@ func (g *Graph) AttrEntries() []AttrEntry {
 // weighted set ER. Node and attribute counts are unchanged, so entries
 // referencing ids outside [0,N) x [0,D) are rejected.
 //
-// The delta is folded into the parent's CSRs page by page: Adj, AdjT and
-// Attr share every row page the delta does not touch with g's, and the
-// parent's derived-matrix cache (Walk / NormalizedAttrs products), when it
-// has been materialized, is carried over with only the dirty rows and
-// columns recomputed — so an edge delta costs its own size plus one
-// pointer per page, not the graph's.
+// The delta is folded into the parent's CSRs page by page: Adj, AdjT,
+// Attr and AttrT share every row page the delta does not touch with g's,
+// and the parent's derived cache (Walk / NormalizedAttrs products), when
+// it has been materialized, is carried over with only the dirty rows and
+// attribute factors recomputed — so a delta costs its own size plus one
+// pointer per page (and a d-vector when it touches attributes), not the
+// graph's.
 func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 	edgeEntries := make([]sparse.Entry, 0, len(edges))
 	edgeEntriesT := make([]sparse.Entry, 0, len(edges))
@@ -62,7 +63,7 @@ func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 		srcSet[e.Src] = true
 	}
 	attrEntries := make([]sparse.Entry, 0, len(attrs))
-	nodeSet := map[int]bool{}
+	attrEntriesT := make([]sparse.Entry, 0, len(attrs))
 	attrSet := map[int]bool{}
 	for _, a := range attrs {
 		if a.Node < 0 || a.Node >= g.N || a.Attr < 0 || a.Attr >= g.D {
@@ -75,23 +76,27 @@ func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 			continue
 		}
 		attrEntries = append(attrEntries, sparse.Entry{Row: a.Node, Col: a.Attr, Val: a.Weight})
-		nodeSet[a.Node] = true
+		attrEntriesT = append(attrEntriesT, sparse.Entry{Row: a.Attr, Col: a.Node, Val: a.Weight})
 		attrSet[a.Attr] = true
 	}
 	// An inserted edge has weight 1 whether or not it was already stored,
-	// on both sides, so AdjT stays exactly Adj's transpose.
+	// on both sides, so AdjT stays exactly Adj's transpose. Weights on a
+	// repeated (node, attribute) pair are added in delta order on both
+	// sides, so AttrT stays exactly Attr's.
 	one := func(old, add float64) float64 { return 1 }
+	sum := func(old, add float64) float64 { return old + add }
 	ng := &Graph{
 		N: g.N, D: g.D, Labels: g.Labels,
-		Adj:  g.Adj.MergeEntries(edgeEntries, one),
-		AdjT: g.AdjT.MergeEntries(edgeEntriesT, one),
-		Attr: g.Attr.MergeEntries(attrEntries, func(old, add float64) float64 { return old + add }),
+		Adj:   g.Adj.MergeEntries(edgeEntries, one),
+		AdjT:  g.AdjT.MergeEntries(edgeEntriesT, one),
+		Attr:  g.Attr.MergeEntries(attrEntries, sum),
+		AttrT: g.AttrT.MergeEntries(attrEntriesT, sum),
 	}
 	g.prodMu.Lock()
 	old := g.prod
 	g.prodMu.Unlock()
 	if old != nil {
-		ng.prod = ng.patchDerived(old, sortedKeys(srcSet), sortedKeys(nodeSet), sortedKeys(attrSet))
+		ng.prod = ng.patchDerived(old, sortedKeys(srcSet), sortedKeys(attrSet))
 	}
 	return ng, nil
 }
@@ -120,12 +125,5 @@ func FromCSR(adj, attr *sparse.CSR, labels [][]int) (*Graph, error) {
 	if labels != nil && len(labels) != adj.R {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), adj.R)
 	}
-	return &Graph{
-		N:      adj.R,
-		D:      attr.C,
-		Adj:    adj,
-		AdjT:   adj.T(),
-		Attr:   attr,
-		Labels: labels,
-	}, nil
+	return newGraph(adj, attr, labels), nil
 }

@@ -1,14 +1,13 @@
 // Package graph defines the attributed network G = (V, EV, R, ER) of the
 // paper (§2.1) and derives from it the matrices PANE consumes: adjacency A
 // in CSR form, the random-walk matrix P = D⁻¹A, the attribute matrix R,
-// and its row/column normalizations Rr and Rc (Equation 1).
+// and its row/column normalizations Rr and Rc (Equation 1) as views of R.
 package graph
 
 import (
 	"fmt"
 	"sync"
 
-	"pane/internal/mat"
 	"pane/internal/sparse"
 )
 
@@ -34,9 +33,10 @@ type Graph struct {
 	Adj    *sparse.CSR // n x n adjacency, A[i,j] = 1 iff (i,j) ∈ EV
 	AdjT   *sparse.CSR // transpose of Adj (in-edges as CSR)
 	Attr   *sparse.CSR // n x d attribute matrix R
+	AttrT  *sparse.CSR // transpose of Attr (supporting nodes per attribute)
 	Labels [][]int     // optional per-node label sets (may be nil)
 
-	// Lazily-built cache of the derived matrices (P, Pᵀ, Rr, Rc, …).
+	// Lazily-built cache of the derived products (P, Pᵀ, Rc's factors).
 	// Logically the graph stays immutable: the cache only memoizes pure
 	// functions of Adj/Attr, and WithUpdates carries it across versions
 	// with the dirty parts patched.
@@ -83,15 +83,13 @@ func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, err
 	if labels != nil && len(labels) != n {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
-	adj := sparse.NewCSR(n, n, adjEntries)
-	return &Graph{
-		N:      n,
-		D:      d,
-		Adj:    adj,
-		AdjT:   adj.T(),
-		Attr:   sparse.NewCSR(n, d, attrEntries),
-		Labels: labels,
-	}, nil
+	return newGraph(sparse.NewCSR(n, n, adjEntries), sparse.NewCSR(n, d, attrEntries), labels), nil
+}
+
+// newGraph wraps built adjacency and attribute matrices with their
+// transposes.
+func newGraph(adj, attr *sparse.CSR, labels [][]int) *Graph {
+	return &Graph{N: adj.R, D: attr.C, Adj: adj, AdjT: adj.T(), Attr: attr, AttrT: attr.TByRow(), Labels: labels}
 }
 
 // M returns the number of directed edges.
@@ -123,51 +121,23 @@ func (g *Graph) Walk() (p, pt *sparse.CSR) {
 // (Rr[v,r] = R[v,r]/Σ_l R[v,l], node v's attribute pick distribution used
 // by the forward walk) and the column-normalized Rc
 // (Rc[v,r] = R[v,r]/Σ_l R[l,r], attribute r's node pick distribution used
-// by the backward walk) as dense n x d matrices — the seeds P(0)_f and
-// P(0)_b of Algorithm 2.
+// by the backward walk) — the seeds P(0)_f and P(0)_b of Algorithm 2 — as
+// scaled views of the attribute CSR, never as dense n x d matrices.
 //
 // NOTE: the arXiv transcription of Equation (1) swaps the two formulas
 // relative to their names; the walk semantics of §2.2/§3.1 ("Rr[vl,rj] is
 // the probability that node vl picks attribute rj"; "Rc[vl,rj] is the
 // probability that attribute rj picks node vl") are unambiguous, so we
 // follow the semantics: Rr row-stochastic, Rc column-stochastic. Zero
-// rows/columns stay zero.
-//
-// Like Walk, the matrices are cached on the graph and carried across
-// WithUpdates with only the dirty rows/columns re-normalized; they are
-// shared and must not be mutated.
-func (g *Graph) NormalizedAttrs() (rr, rc *mat.Dense) {
-	pr := g.products()
-	return pr.rr, pr.rc
-}
-
-// AttrColSums returns the attribute matrix's per-column weight sums (Rc's
-// normalization denominators), cached with the other derived products.
-// The slice is shared and must not be mutated.
-func (g *Graph) AttrColSums() []float64 {
-	return g.products().attrColSums
-}
-
-// ForwardPickProbs returns the distribution used at the end of a forward
-// walk: for node v, row v holds the probability of picking each attribute
-// (row-normalized attribute matrix Rr). Nodes without attributes have a
-// zero row; per footnote 1 of the paper the simulator restarts such walks
+// rows/columns stay zero. Nodes without attributes thus have a zero Rr
+// row; per footnote 1 of the paper the simulator restarts such walks
 // from the source.
-func (g *Graph) ForwardPickProbs() *mat.Dense {
-	r := g.Attr.ToDense()
-	r.NormalizeRows()
-	return r
-}
-
-// BackwardStartProbs returns, for each attribute column r, the
-// distribution over nodes from which a backward walk starts, i.e. the
-// column-normalized attribute matrix (Rc in the backward-walk prose of
-// §2.2, which picks node vl with probability proportional to the weight
-// of (vl, r)).
-func (g *Graph) BackwardStartProbs() *mat.Dense {
-	r := g.Attr.ToDense()
-	r.NormalizeColumns()
-	return r
+//
+// Rc's d column factors are cached on the graph and carried across
+// WithUpdates with only the touched attributes' re-summed; Rr's row
+// factors are summed from the row as it is read.
+func (g *Graph) NormalizedAttrs() (rr, rc sparse.Scaled) {
+	return g.Attr.RowNormalized(), g.Attr.ColScaled(g.products().colInv)
 }
 
 // NodeAttrs returns the attribute indices and weights of node v.

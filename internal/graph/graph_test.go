@@ -76,7 +76,8 @@ func TestWalkRowStochastic(t *testing.T) {
 
 func TestNormalizedAttrs(t *testing.T) {
 	g := mustNew(t, 3, 2, nil, []AttrEntry{{0, 0, 1}, {0, 1, 3}, {1, 0, 2}}, nil)
-	rr, rc := g.NormalizedAttrs()
+	rrv, rcv := g.NormalizedAttrs()
+	rr, rc := rrv.ToDense(), rcv.ToDense()
 	// Rr rows sum to 1 for nodes with attributes.
 	if math.Abs(rr.At(0, 0)-0.25) > 1e-12 || math.Abs(rr.At(0, 1)-0.75) > 1e-12 {
 		t.Fatalf("Rr row 0 = %v %v", rr.At(0, 0), rr.At(0, 1))
@@ -93,14 +94,22 @@ func TestNormalizedAttrs(t *testing.T) {
 	}
 }
 
+// TestPickProbConsistency: the seed views read bit for bit as the dense
+// attribute matrix normalized in place — the forward walk's attribute pick
+// distribution and the backward walk's node start distribution.
 func TestPickProbConsistency(t *testing.T) {
-	g := RunningExample()
-	rr, rc := g.NormalizedAttrs()
-	if fp := g.ForwardPickProbs(); fp.MaxAbsDiff(rr) > 0 {
-		t.Fatal("ForwardPickProbs != row-normalized attrs")
-	}
-	if bp := g.BackwardStartProbs(); bp.MaxAbsDiff(rc) > 0 {
-		t.Fatal("BackwardStartProbs != column-normalized attrs")
+	for _, g := range []*Graph{RunningExample(), randomGraph(rand.New(rand.NewSource(8)), 30, 7)} {
+		rr, rc := g.NormalizedAttrs()
+		fp := g.Attr.ToDense()
+		fp.NormalizeRows()
+		bp := g.Attr.ToDense()
+		bp.NormalizeColumns()
+		if !densesEqual(rr.ToDense(), fp) {
+			t.Fatal("Rr view != row-normalized attrs")
+		}
+		if !densesEqual(rc.ToDense(), bp) {
+			t.Fatal("Rc view != column-normalized attrs")
+		}
 	}
 }
 

@@ -93,6 +93,9 @@ func TestWithUpdatesMergeMatchesRebuild(t *testing.T) {
 		if !csrsEqual(got.AdjT, want.AdjT) {
 			t.Fatalf("trial %d: merged transpose differs from rebuild", trial)
 		}
+		if !csrsEqual(got.AttrT, want.AttrT) {
+			t.Fatalf("trial %d: merged attribute transpose differs from rebuild", trial)
+		}
 		for v := 0; v < g.N; v++ {
 			if got.OutDegree(v) != want.OutDegree(v) {
 				t.Fatalf("trial %d: out-degree of %d differs", trial, v)
@@ -110,8 +113,6 @@ func TestPatchedProductsMatchFresh(t *testing.T) {
 		g := randomGraph(rng, 8+rng.Intn(20), 3+rng.Intn(6))
 		// Materialize the parent's cache so WithUpdates patches it.
 		g.Walk()
-		g.NormalizedAttrs()
-		g.AttrT()
 		var edges []Edge
 		for k := 0; k < 1+rng.Intn(5); k++ {
 			edges = append(edges, Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)})
@@ -140,26 +141,23 @@ func TestPatchedProductsMatchFresh(t *testing.T) {
 		if !csrsEqual(p, fp) || !csrsEqual(pt, fpt) {
 			t.Fatalf("trial %d: patched walk matrices differ from fresh", trial)
 		}
-		if !densesEqual(rr, frr) {
+		if !densesEqual(rr.ToDense(), frr.ToDense()) {
 			t.Fatalf("trial %d: patched Rr differs from fresh", trial)
 		}
-		if !densesEqual(rc, frc) {
+		if !densesEqual(rc.ToDense(), frc.ToDense()) {
 			t.Fatalf("trial %d: patched Rc differs from fresh", trial)
 		}
-		fs := fresh.AttrColSums()
-		for j, s := range g2.AttrColSums() {
-			if s != fs[j] {
-				t.Fatalf("trial %d: patched attr col sum %d differs: %v vs %v", trial, j, s, fs[j])
-			}
+		if !slices.Equal(g2.prod.colInv, fresh.products().colInv) {
+			t.Fatalf("trial %d: patched Rc column factors differ from fresh", trial)
 		}
-		if !csrsEqual(g2.AttrT(), fresh.AttrT()) {
+		if !csrsEqual(g2.AttrT, fresh.AttrT) {
 			t.Fatalf("trial %d: patched AttrT differs from fresh", trial)
 		}
 	}
 }
 
-// TestProductsCachedAndShared checks that Walk/NormalizedAttrs return the
-// same objects on repeated calls (the memoization contract).
+// TestProductsCachedAndShared checks that Walk and NormalizedAttrs read the
+// same cached products on repeated calls (the memoization contract).
 func TestProductsCachedAndShared(t *testing.T) {
 	g := RunningExample()
 	p1, pt1 := g.Walk()
@@ -167,13 +165,11 @@ func TestProductsCachedAndShared(t *testing.T) {
 	if p1 != p2 || pt1 != pt2 {
 		t.Fatal("Walk results not cached")
 	}
-	rr1, rc1 := g.NormalizedAttrs()
-	rr2, rc2 := g.NormalizedAttrs()
-	if rr1 != rr2 || rc1 != rc2 {
-		t.Fatal("NormalizedAttrs results not cached")
-	}
-	if g.AttrT() != g.AttrT() {
-		t.Fatal("AttrT not cached")
+	g.NormalizedAttrs()
+	inv := g.prod.colInv
+	g.NormalizedAttrs()
+	if &g.prod.colInv[0] != &inv[0] {
+		t.Fatal("NormalizedAttrs rebuilt Rc's column factors")
 	}
 }
 
@@ -182,17 +178,15 @@ func TestProductsCachedAndShared(t *testing.T) {
 // hot path of high-rate edge ingest).
 func TestEdgeOnlyUpdateSharesAttrProducts(t *testing.T) {
 	g := RunningExample()
-	rr, rc := g.NormalizedAttrs()
-	at := g.AttrT()
+	g.NormalizedAttrs()
 	g2, err := g.WithUpdates([]Edge{{Src: 0, Dst: 3}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr2, rc2 := g2.NormalizedAttrs()
-	if rr2 != rr || rc2 != rc {
-		t.Fatal("edge-only update should share Rr/Rc")
+	if &g2.products().colInv[0] != &g.prod.colInv[0] {
+		t.Fatal("edge-only update should share Rc's column factors")
 	}
-	if g2.Attr != g.Attr || g2.AttrT() != at {
+	if g2.Attr != g.Attr || g2.AttrT != g.AttrT {
 		t.Fatal("edge-only update should share the attribute matrix and its transpose")
 	}
 }

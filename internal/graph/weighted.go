@@ -50,15 +50,7 @@ func NewWeighted(n, d int, edges []WeightedEdge, attrs []AttrEntry, labels [][]i
 	if labels != nil && len(labels) != n {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
-	adj := sparse.NewCSR(n, n, adjEntries)
-	return &Graph{
-		N:      n,
-		D:      d,
-		Adj:    adj,
-		AdjT:   adj.T(),
-		Attr:   sparse.NewCSR(n, d, attrEntries),
-		Labels: labels,
-	}, nil
+	return newGraph(sparse.NewCSR(n, n, adjEntries), sparse.NewCSR(n, d, attrEntries), labels), nil
 }
 
 // EdgeWeight returns the weight of edge (u, v), zero when absent.

@@ -88,15 +88,12 @@ func TestAPMIErrorBoundLemma31(t *testing.T) {
 		// Algorithm 2's recurrence keeps the tail at weight (1−α)^t, so
 		// the elementwise gap to the infinite series is ≤ (1−α)^t.
 		eps := math.Pow(1-alpha, float64(tIter))
-		pf := rr.Clone()
-		pb := rc.Clone()
-		nextF := mat.New(g.N, g.D)
-		nextB := mat.New(g.N, g.D)
+		var pf, pb *mat.Dense // nil: the first iteration reads the seeds
 		for l := 0; l < tIter; l++ {
+			nextF, nextB := mat.New(g.N, g.D), mat.New(g.N, g.D)
 			p.AxpyInto(nextF, 1-alpha, pf, alpha, rr, 1)
 			pt.AxpyInto(nextB, 1-alpha, pb, alpha, rc, 1)
-			pf, nextF = nextF, pf
-			pb, nextB = nextB, pb
+			pf, pb = nextF, nextB
 		}
 		// The recurrence of Algorithm 2 keeps the final term at weight
 		// (1−α)^t instead of α(1−α)^t, so P(t) ≥ exact series prefix; the
@@ -121,11 +118,11 @@ func TestAPMIPropertyMoreIterationsMonotoneError(t *testing.T) {
 		p, _ := g.Walk()
 		rr, _ := g.NormalizedAttrs()
 		prevErr := math.Inf(1)
-		pf := rr.Clone()
-		next := mat.New(g.N, g.D)
+		var pf *mat.Dense // nil: the first iteration reads the seed
 		for l := 0; l < 12; l++ {
+			next := mat.New(g.N, g.D)
 			p.AxpyInto(next, 1-alpha, pf, alpha, rr, 1)
-			pf, next = next, pf
+			pf = next
 			err := pf.MaxAbsDiff(exact)
 			if err > prevErr+1e-12 {
 				return false

@@ -230,14 +230,14 @@ func Affinities(pf, pb *mat.Dense) (f, b *mat.Dense) {
 func ExactForward(g *graph.Graph, alpha float64) *mat.Dense {
 	p, _ := g.Walk()
 	rr, _ := g.NormalizedAttrs()
-	return exactSeries(p, rr, alpha, g.N)
+	return exactSeries(p, rr.ToDense(), alpha, g.N)
 }
 
 // ExactBackward computes p_b exactly; see ExactForward.
 func ExactBackward(g *graph.Graph, alpha float64) *mat.Dense {
 	_, pt := g.Walk()
 	_, rc := g.NormalizedAttrs()
-	return exactSeries(pt, rc, alpha, g.N)
+	return exactSeries(pt, rc.ToDense(), alpha, g.N)
 }
 
 func exactSeries(p interface {

@@ -37,7 +37,15 @@ func BenchmarkSpMMSerial(b *testing.B) {
 func BenchmarkSpMMFusedAxpy(b *testing.B) {
 	m := syntheticCSR(20000, 10, 2)
 	x := mat.New(20000, 64)
-	y := mat.New(20000, 64)
+	// An attribute-shaped seed: 6 of 64 columns per row.
+	rng := rand.New(rand.NewSource(3))
+	entries := make([]Entry, 0, 20000*6)
+	for i := 0; i < 20000; i++ {
+		for e := 0; e < 6; e++ {
+			entries = append(entries, Entry{i, rng.Intn(64), 1})
+		}
+	}
+	y := NewCSR(20000, 64, entries).RowNormalized()
 	dst := mat.New(20000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

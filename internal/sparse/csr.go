@@ -15,15 +15,17 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"pane/internal/mat"
 )
 
 // CSR is an immutable sparse matrix in compressed sparse row format,
-// stored as row pages of mat.PageRows rows: row i's entries are a
-// contiguous run of (column, value) pairs, sorted by column, inside page
-// i/PageRows. A freshly built CSR is one allocation per array that every
+// stored as row pages of mat.PageRows rows (one row for a transpose
+// built by TByRow): row i's entries are a contiguous run of (column,
+// value) pairs, sorted by column, inside page i/PageRows. A freshly built
+// CSR is one allocation per array that every
 // page aliases (Flat returns it as is, and whole-matrix kernels stream it
 // with unit stride); MergeEntries copies the page slice and rebuilds only
 // the pages its entries fall in, sharing every other page with the
@@ -31,6 +33,7 @@ import (
 type CSR struct {
 	R, C  int
 	nnz   int
+	shift uint // a page holds 1<<shift rows
 	pages []*page
 
 	// The contiguous arrays the pages alias; nil once a merge has
@@ -40,7 +43,7 @@ type CSR struct {
 	vals   []float64
 }
 
-// page holds up to PageRows consecutive rows: local row r is
+// page holds up to 1<<shift consecutive rows: local row r is
 // cols[ptr[r]:ptr[r+1]] and the matching vals. The offsets are absolute
 // into the shared arrays of a freshly built CSR and start at 0 in a page
 // rebuilt by a merge.
@@ -52,13 +55,18 @@ type page struct {
 
 func (pg *page) nnz() int { return pg.ptr[len(pg.ptr)-1] - pg.ptr[0] }
 
-// fromArrays pages a CSR over its contiguous arrays without copying.
-func fromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) *CSR {
-	m := &CSR{R: r, C: c, nnz: len(cols), rowPtr: rowPtr, cols: cols, vals: vals}
-	ps := make([]page, (r+mat.PageRows-1)/mat.PageRows)
+// pageShift is log2 of mat.PageRows, the rows of a default page.
+var pageShift = uint(bits.TrailingZeros(mat.PageRows))
+
+// fromArrays pages a CSR over its contiguous arrays without copying, 1<<shift
+// rows a page.
+func fromArrays(r, c int, shift uint, rowPtr []int, cols []int32, vals []float64) *CSR {
+	m := &CSR{R: r, C: c, nnz: len(cols), shift: shift, rowPtr: rowPtr, cols: cols, vals: vals}
+	rows := 1 << shift
+	ps := make([]page, (r+rows-1)/rows)
 	m.pages = make([]*page, len(ps))
 	for k := range ps {
-		lo, hi := k*mat.PageRows, min((k+1)*mat.PageRows, r)
+		lo, hi := k*rows, min((k+1)*rows, r)
 		ps[k] = page{ptr: rowPtr[lo : hi+1], cols: cols, vals: vals}
 		m.pages[k] = &ps[k]
 	}
@@ -84,7 +92,7 @@ func FromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) (*CSR, err
 			return nil, fmt.Errorf("sparse: column %d out of range at entry %d", col, i)
 		}
 	}
-	return fromArrays(r, c, rowPtr, cols, vals), nil
+	return fromArrays(r, c, pageShift, rowPtr, cols, vals), nil
 }
 
 // Flat returns the matrix as contiguous CSR arrays, shared and read-only:
@@ -120,7 +128,7 @@ func (m *CSR) RowNNZ(i int) int {
 
 // Row returns the column indices and values of row i as shared slices.
 func (m *CSR) Row(i int) ([]int32, []float64) {
-	pg, r := m.pages[i/mat.PageRows], i%mat.PageRows
+	pg, r := m.pages[i>>m.shift], i&(1<<m.shift-1)
 	lo, hi := pg.ptr[r], pg.ptr[r+1]
 	return pg.cols[lo:hi], pg.vals[lo:hi]
 }
@@ -181,7 +189,7 @@ func NewCSR(r, c int, entries []Entry) *CSR {
 		next[e.Row]++
 	}
 	rowPtr, cols, vals = sortRowsAndMergeDuplicates(r, rowPtr, cols, vals)
-	return fromArrays(r, c, rowPtr, cols, vals)
+	return fromArrays(r, c, pageShift, rowPtr, cols, vals)
 }
 
 // sortRowsAndMergeDuplicates sorts each row by column and sums duplicates,
@@ -224,7 +232,14 @@ func (s rowSorter) Swap(i, j int) {
 
 // T returns the transpose as a new CSR, using a counting pass so the
 // result's rows come out already column-sorted.
-func (m *CSR) T() *CSR {
+func (m *CSR) T() *CSR { return m.transpose(pageShift) }
+
+// TByRow returns the transpose paged one row per page, for a matrix whose
+// transpose has few, long rows — an attribute matrix's supporter lists —
+// so that a merge into it copies only the rows it touches.
+func (m *CSR) TByRow() *CSR { return m.transpose(0) }
+
+func (m *CSR) transpose(shift uint) *CSR {
 	counts := make([]int, m.C+1)
 	for i := 0; i < m.R; i++ {
 		cs, _ := m.Row(i)
@@ -248,7 +263,7 @@ func (m *CSR) T() *CSR {
 			counts[c]++
 		}
 	}
-	return fromArrays(m.C, m.R, rowPtr, cols, vals)
+	return fromArrays(m.C, m.R, shift, rowPtr, cols, vals)
 }
 
 // ToDense materializes m as a dense matrix. Intended for tests and small
@@ -279,7 +294,7 @@ func (m *CSR) ScaleRows(s []float64) *CSR {
 			scaled[k] = vals[k] * s[i]
 		}
 	}
-	return fromArrays(m.R, m.C, rowPtr, cols, scaled)
+	return fromArrays(m.R, m.C, m.shift, rowPtr, cols, scaled)
 }
 
 // ColSums returns the per-column sum of stored values.

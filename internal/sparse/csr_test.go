@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,37 +116,87 @@ func TestParMulDenseMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestAxpyInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := randomCSR(rng, 11, 11, 0.3)
-	x := randomDense(rng, 11, 4)
-	y := randomDense(rng, 11, 4)
-	a, b := 0.85, 0.15
-	want := m.MulDense(x)
-	want.Scale(a)
-	want.AddScaled(b, y)
-	for _, nb := range []int{1, 3} {
-		dst := mat.New(11, 4)
-		m.AxpyInto(dst, a, x, b, y, nb)
-		if dst.MaxAbsDiff(want) > 1e-12 {
-			t.Fatalf("nb=%d: AxpyInto differs", nb)
+// randomAttrs builds a non-negative r x c CSR with some empty rows and
+// columns, the shape of an attribute matrix.
+func randomAttrs(rng *rand.Rand, r, c int) *CSR {
+	var entries []Entry
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			if i%5 != 4 && j%4 != 3 && rng.Float64() < 0.3 {
+				entries = append(entries, Entry{i, j, 0.2 + rng.Float64()})
+			}
 		}
+	}
+	return NewCSR(r, c, entries)
+}
+
+// colInv returns the column factors of m's column-normalized view.
+func colInv(m *CSR) []float64 {
+	inv := m.ColSums()
+	for j, s := range inv {
+		inv[j] = InvSum(s)
+	}
+	return inv
+}
+
+// TestScaledMatchesDenseNormalize: both views read bit for bit as the dense
+// matrix normalized in place, empty rows and columns included.
+func TestScaledMatchesDenseNormalize(t *testing.T) {
+	m := randomAttrs(rand.New(rand.NewSource(12)), 23, 9)
+	rows := m.ToDense()
+	rows.NormalizeRows()
+	cols := m.ToDense()
+	cols.NormalizeColumns()
+	if !slices.Equal(m.RowNormalized().ToDense().Data, rows.Data) {
+		t.Fatal("row-normalized view differs from NormalizeRows")
+	}
+	if !slices.Equal(m.ColScaled(colInv(m)).ToDense().Data, cols.Data) {
+		t.Fatal("column-scaled view differs from NormalizeColumns")
 	}
 }
 
-func TestAxpyIntoAliasedY(t *testing.T) {
-	// dst == y aliasing must be safe: this is how APMI would update in
-	// place if it chose to.
-	rng := rand.New(rand.NewSource(11))
-	m := randomCSR(rng, 9, 9, 0.4)
-	x := randomDense(rng, 9, 3)
-	y := randomDense(rng, 9, 3)
-	want := m.MulDense(x)
-	want.Scale(0.5)
-	want.AddScaled(0.5, y)
-	m.AxpyInto(y, 0.5, x, 0.5, y, 1)
-	if y.MaxAbsDiff(want) > 1e-12 {
-		t.Fatal("aliased AxpyInto differs")
+// TestAxpyInto: the view kernel equals the dense recurrence step
+// dst = b·y + Σ (a·m[i,c])·x[c] on the materialized seed bit for bit, at
+// the first level (x is the seed) and at a later one, for any worker count.
+func TestAxpyInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const n, d = 17, 6
+	m := randomAttrs(rng, n, n)
+	r := randomAttrs(rng, n, d)
+	later := mat.New(n, d)
+	for i := range later.Data {
+		later.Data[i] = rng.Float64()
+	}
+	a, b := 0.85, 0.15
+	for _, y := range []Scaled{r.RowNormalized(), r.ColScaled(colInv(r))} {
+		seed := y.ToDense()
+		for _, x := range []*mat.Dense{nil, later} {
+			dx := x
+			if x == nil {
+				dx = seed
+			}
+			want := mat.New(n, d)
+			for i := 0; i < n; i++ {
+				row := want.Row(i)
+				for p := range row {
+					row[p] = b * seed.At(i, p)
+				}
+				cols, vals := m.Row(i)
+				for k, c := range cols {
+					v := a * vals[k]
+					for p := range row {
+						row[p] += v * dx.At(int(c), p)
+					}
+				}
+			}
+			for _, nb := range []int{1, 3} {
+				dst := mat.New(n, d)
+				m.AxpyInto(dst, a, x, b, y, nb)
+				if !slices.Equal(dst.Data, want.Data) {
+					t.Fatalf("nb=%d, x nil=%v: AxpyInto differs from the dense step", nb, x == nil)
+				}
+			}
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-
-	"pane/internal/mat"
 )
 
 // This file holds the delta primitives the dynamic-update path builds on:
@@ -59,9 +57,9 @@ func Reach(m *CSR, seeds []int, steps int) []int {
 // each entry (r, c, v): when (r, c) is already stored with value old, the
 // stored value becomes combine(old, v); otherwise the entry is inserted
 // with value combine(0, v). Duplicates within entries apply combine
-// successively in (row, col)-sorted order. Only the pages holding an
+// successively in the order they are given. Only the pages holding an
 // entry's row are rebuilt (a sorted merge per row, no re-sort); every
-// other page is shared with m, so the merge costs O(R/PageRows + nnz of
+// other page is shared with m, so the merge costs O(pages + nnz of
 // the touched pages + |entries| log |entries|). With no entries, m itself
 // is returned (CSRs are immutable by convention). Out-of-range entries
 // cause a panic, matching NewCSR.
@@ -76,17 +74,17 @@ func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of range for %dx%d", e.Row, e.Col, m.R, m.C))
 		}
 	}
-	sort.Slice(add, func(i, j int) bool {
+	sort.SliceStable(add, func(i, j int) bool {
 		if add[i].Row != add[j].Row {
 			return add[i].Row < add[j].Row
 		}
 		return add[i].Col < add[j].Col
 	})
-	out := &CSR{R: m.R, C: m.C, nnz: m.nnz, pages: append([]*page(nil), m.pages...)}
+	out := &CSR{R: m.R, C: m.C, nnz: m.nnz, shift: m.shift, pages: append([]*page(nil), m.pages...)}
 	for len(add) > 0 {
-		k := add[0].Row / mat.PageRows
-		n := sort.Search(len(add), func(j int) bool { return add[j].Row/mat.PageRows > k })
-		out.pages[k] = m.pages[k].merge(k*mat.PageRows, add[:n], combine)
+		k := add[0].Row >> m.shift
+		n := sort.Search(len(add), func(j int) bool { return add[j].Row>>m.shift > k })
+		out.pages[k] = m.pages[k].merge(k<<m.shift, add[:n], combine)
 		out.nnz += out.pages[k].nnz() - m.pages[k].nnz()
 		add = add[n:]
 	}

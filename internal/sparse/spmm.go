@@ -78,20 +78,27 @@ func (m *CSR) ParMulDenseInto(dst, x *mat.Dense, nb int) {
 //
 //	P(ℓ) = (1−α)·P·P(ℓ−1) + α·P(0)
 //
-// dst must not alias x; dst may alias y only if they are the same matrix.
-func (m *CSR) AxpyInto(dst *mat.Dense, a float64, x *mat.Dense, b float64, y *mat.Dense, nb int) {
-	if m.C != x.Rows || y.Rows != m.R || y.Cols != x.Cols {
+// The seed P(0) is y, a sparse scaled view; x is the previous level, and
+// x == nil stands for the seed itself, so the first iteration reads the
+// seed's stored entries and never a dense copy of it. dst must not alias x.
+func (m *CSR) AxpyInto(dst *mat.Dense, a float64, x *mat.Dense, b float64, y Scaled, nb int) {
+	yr, k := y.Dims()
+	xr := yr
+	if x != nil {
+		xr = x.Rows
+		if x.Cols != k {
+			panic("sparse: AxpyInto shape mismatch")
+		}
+	}
+	if m.C != xr || yr != m.R {
 		panic("sparse: AxpyInto shape mismatch")
 	}
-	if dst.Rows != m.R || dst.Cols != x.Cols {
+	if dst.Rows != m.R || dst.Cols != k {
 		panic("sparse: AxpyInto dst shape mismatch")
 	}
-	k := x.Cols
 	work := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			di := dst.Data[i*k : (i+1)*k]
-			yi := y.Data[i*k : (i+1)*k]
-			m.AxpyRowInto(di, i, a, x, b, yi)
+			m.AxpyRowInto(dst.Data[i*k:(i+1)*k], i, a, x, b, y)
 		}
 	}
 	if nb <= 1 {
@@ -101,20 +108,32 @@ func (m *CSR) AxpyInto(dst *mat.Dense, a float64, x *mat.Dense, b float64, y *ma
 	mat.ParallelRanges(m.R, nb, work)
 }
 
-// AxpyRowInto computes one row of AxpyInto: dst = a*(m[i,:]·x) + b*y,
-// where y is row i of the additive term and dst a length-x.Cols slice.
-// dst may alias y. The incremental-APMI frontier patch re-runs single rows
-// of the recurrence through this exact kernel, which is what guarantees a
-// patched row is bit-identical to the same row of a full AxpyInto pass.
-func (m *CSR) AxpyRowInto(dst []float64, i int, a float64, x *mat.Dense, b float64, y []float64) {
-	// Accumulate the sparse product in a stack-friendly pass, combining
-	// with y first so dst==y aliasing stays safe.
-	for p := range dst {
-		dst[p] = b * y[p]
+// AxpyRowInto computes one row of AxpyInto: dst = a*(m[i,:]·x) + b*y[i,:],
+// with x == nil standing for y, and dst a length-k slice. The
+// incremental-APMI frontier patch re-runs single rows of the recurrence
+// through this exact kernel, which is what guarantees a patched row is
+// bit-identical to the same row of a full AxpyInto pass.
+//
+// Reading y's stored entries only is exact: every term of the recurrence
+// is a non-negative product, so a skipped v·0 term is +0 and never changes
+// a sum, and the terms that remain are added in the order a dense seed
+// would add them.
+func (m *CSR) AxpyRowInto(dst []float64, i int, a float64, x *mat.Dense, b float64, y Scaled) {
+	clear(dst)
+	ycols, yvals, f := y.row(i)
+	for t, c := range ycols {
+		dst[c] = b * y.at(yvals[t], c, f)
 	}
 	cols, vals := m.Row(i)
 	for t, c := range cols {
 		v := a * vals[t]
+		if x == nil {
+			xcols, xvals, xf := y.row(int(c))
+			for q, j := range xcols {
+				dst[j] += v * y.at(xvals[q], j, xf)
+			}
+			continue
+		}
 		xr := x.Data[int(c)*x.Cols : (int(c)+1)*x.Cols]
 		for p, xv := range xr {
 			dst[p] += v * xv
