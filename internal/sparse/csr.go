@@ -22,14 +22,13 @@ import (
 )
 
 // CSR is an immutable sparse matrix in compressed sparse row format,
-// stored as row pages of mat.PageRows rows (one row for a transpose
+// stored as row pages of mat.PageRows rows (of one row for a transpose
 // built by TByRow): row i's entries are a contiguous run of (column,
 // value) pairs, sorted by column, inside page i/PageRows. A freshly built
-// CSR is one allocation per array that every
-// page aliases (Flat returns it as is, and whole-matrix kernels stream it
-// with unit stride); MergeEntries copies the page slice and rebuilds only
-// the pages its entries fall in, sharing every other page with the
-// matrix it came from.
+// CSR is one allocation per array that every page aliases (Flat returns
+// it as is, and whole-matrix kernels stream it with unit stride);
+// MergeEntries copies the page slice and rebuilds only the pages its
+// entries fall in, sharing every other page with the matrix it came from.
 type CSR struct {
 	R, C  int
 	nnz   int

@@ -167,3 +167,26 @@ func TestMergeEntriesOutOfRangePanics(t *testing.T) {
 	m := NewCSR(2, 2, nil)
 	m.MergeEntries([]Entry{{2, 0, 1}}, func(o, a float64) float64 { return o + a })
 }
+
+// TestMergeEntriesTransposeStaysExact: repeated entries are combined in
+// the order given, so merging a delta into a matrix and its transpose into
+// the one-row-a-page transpose keeps the two each other's transpose bit
+// for bit, with weights whose sums depend on the addition order.
+func TestMergeEntriesTransposeStaysExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	sum := func(old, add float64) float64 { return old + add }
+	m := randomAttrs(rng, 40, 6)
+	mt := m.TByRow()
+	for trial := 0; trial < 20; trial++ {
+		var add, addT []Entry
+		for k := 0; k < 64; k++ {
+			e := Entry{rng.Intn(4), rng.Intn(3), rng.Float64()}
+			add = append(add, e)
+			addT = append(addT, Entry{e.Col, e.Row, e.Val})
+		}
+		m, mt = m.MergeEntries(add, sum), mt.MergeEntries(addT, sum)
+		if !csrEqual(m.T(), mt) {
+			t.Fatalf("trial %d: merged transpose differs from the merged matrix's transpose", trial)
+		}
+	}
+}

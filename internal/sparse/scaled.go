@@ -52,11 +52,7 @@ func (s Scaled) row(i int) ([]int32, []float64, float64) {
 	if s.colInv != nil {
 		return cols, vals, 1
 	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return cols, vals, InvSum(sum)
+	return cols, vals, InvSum(s.m.RowSum(i))
 }
 
 // at returns the view's value of stored value v in column c of a row whose

@@ -83,14 +83,11 @@ func (m *CSR) ParMulDenseInto(dst, x *mat.Dense, nb int) {
 // seed's stored entries and never a dense copy of it. dst must not alias x.
 func (m *CSR) AxpyInto(dst *mat.Dense, a float64, x *mat.Dense, b float64, y Scaled, nb int) {
 	yr, k := y.Dims()
-	xr := yr
+	xr, xc := yr, k
 	if x != nil {
-		xr = x.Rows
-		if x.Cols != k {
-			panic("sparse: AxpyInto shape mismatch")
-		}
+		xr, xc = x.Rows, x.Cols
 	}
-	if m.C != xr || yr != m.R {
+	if m.C != xr || yr != m.R || xc != k {
 		panic("sparse: AxpyInto shape mismatch")
 	}
 	if dst.Rows != m.R || dst.Cols != k {
@@ -142,9 +139,8 @@ func (m *CSR) AxpyRowInto(dst []float64, i int, a float64, x *mat.Dense, b float
 }
 
 // MulDenseCols multiplies m by the column block x[:, lo:hi) of a dense
-// matrix and returns the R x (hi-lo) result. This is the unit of work
-// PAPMI assigns to each thread (Algorithm 6 partitions by attribute
-// columns).
+// matrix and returns the R x (hi-lo) result: the unit of work of
+// Algorithm 6's attribute-column partition.
 func (m *CSR) MulDenseCols(x *mat.Dense, lo, hi int) *mat.Dense {
 	blk := x.ColSlice(lo, hi)
 	return m.MulDense(blk)
