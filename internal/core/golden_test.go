@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pane/internal/datagen"
+	"pane/internal/graph"
 	"pane/internal/mat"
 )
 
@@ -102,4 +103,80 @@ func TestAffinityGoldenBits(t *testing.T) {
 			t.Errorf("%s: sha256 %s, want %s", k, got[k], w)
 		}
 	}
+}
+
+// TestRefineGoldenBits pins the bits of the warm start an update runs, on
+// TestAffinityGoldenBits' datagen graph: Xf, Xb and Y after a chain of
+// three refinements from a trained model. The first delta is node-only
+// (the gathered O(Δ) path), the second lists nodes and attributes
+// (restricted sweeps over full residuals), and the third lists every row
+// (the full path). Each step patches the retained affinity state over its
+// graph delta first, as the engine does. The hashes are amd64's, and one
+// worker and three leave the same bits.
+func TestRefineGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes are amd64's; %s may fuse the recurrence's multiply-adds", runtime.GOARCH)
+	}
+	g0, err := datagen.Generate(datagen.Config{
+		Name: "golden", N: 3000, AvgOutDeg: 8, D: 100, AttrsPer: 6, Communities: 50, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 16, Alpha: 0.5, Eps: 0.015, Seed: 1}
+	iters := cfg.Iterations()
+	f, b := AffinityFromGraph(g0, cfg.Alpha, iters, 2)
+	emb0 := PSVDCCD(f, b, cfg, 2)
+
+	want := []string{
+		"703d2fa83562c0e547829b6616d71ccf497ee9ad505d47fe00a2218ff5d9c763", // node-only
+		"69e80a2108bdb921ee0b4a9b49d8cde60bd6c04bc2575c03baf55426d5870e3a", // node + attribute
+		"fffeeea30768d791b3131b478e1f6bfa010096356a864e8defc1a6fb5d618c51", // every row
+	}
+	for _, nb := range []int{1, 3} {
+		g, emb := g0, emb0
+		s := NewAffinityState(g, cfg.Alpha, iters, nb)
+		rng := rand.New(rand.NewSource(2))
+		for step, w := range want {
+			edges, attrs := randomDelta(rng, g, 4, 2*min(step, 1))
+			g2, err := g.WithUpdates(edges, attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := UpdateAffinity(s, g2, edges, attrs, 0, nb); err != nil {
+				t.Fatal(err)
+			}
+			g = g2
+			delta := deltaRows(edges, attrs)
+			if step == 2 {
+				f, b := s.Affinity(nb)
+				emb = RefineFrom(emb, f, b, cfg, 2, nb)
+			} else {
+				emb = RefineRowsFromState(s, emb, cfg, 2, nb, delta)
+			}
+			got := sha256Of(emb.Xf.Dense(), emb.Xb.Dense(), emb.Y)
+			t.Logf("nb=%d step %d %s", nb, step, got)
+			if got != w {
+				t.Errorf("nb=%d step %d (%v): sha256 %s, want %s", nb, step, delta, got, w)
+			}
+		}
+	}
+}
+
+// deltaRows is the row delta of a graph delta: the endpoints of every edge
+// and the node of every attribute entry, and the attributes those entries
+// name, each ascending and without repeats.
+func deltaRows(edges []graph.Edge, attrs []graph.AttrEntry) UpdateDelta {
+	var d UpdateDelta
+	for _, e := range edges {
+		d.Nodes = append(d.Nodes, e.Src, e.Dst)
+	}
+	for _, a := range attrs {
+		d.Nodes = append(d.Nodes, a.Node)
+		d.Attrs = append(d.Attrs, a.Attr)
+	}
+	slices.Sort(d.Nodes)
+	slices.Sort(d.Attrs)
+	d.Nodes, d.Attrs = slices.Compact(d.Nodes), slices.Compact(d.Attrs)
+	return d
 }
