@@ -241,44 +241,6 @@ func TestUpdateAffinityChainEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestRefineRowsFromStateMatchesRefineRowsFrom: fed the state's own
-// materialized affinity, the matrix-served refinement must equal the
-// state-served one exactly, for both the node-only gathered path and the
-// attribute path.
-func TestRefineRowsFromStateMatchesRefineRowsFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	g := testGraph(rng, 40, 6)
-	cfg := Config{K: 8, Alpha: 0.5, Eps: 0.25, Threads: 2, Seed: 1}
-	emb, err := PANE(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewAffinityState(g, cfg.Alpha, cfg.Iterations(), 2)
-	f, b := s.Affinity(1)
-	for _, delta := range []UpdateDelta{
-		{Nodes: []int{2, 5, 17}},
-		{Nodes: []int{4}, Attrs: []int{1, 3}},
-	} {
-		want := RefineRowsFrom(emb, f, b, cfg, 2, 2, delta)
-		got := RefineRowsFromState(s, emb, cfg, 2, 2, delta)
-		for i, v := range want.Xf.Dense().Data {
-			if got.Xf.Dense().Data[i] != v {
-				t.Fatalf("delta %+v: Xf differs at %d", delta, i)
-			}
-		}
-		for i, v := range want.Xb.Dense().Data {
-			if got.Xb.Dense().Data[i] != v {
-				t.Fatalf("delta %+v: Xb differs at %d", delta, i)
-			}
-		}
-		for i, v := range want.Y.Data {
-			if got.Y.Data[i] != v {
-				t.Fatalf("delta %+v: Y differs at %d", delta, i)
-			}
-		}
-	}
-}
-
 // TestAffinityUpdateMismatchedGraph: shape mismatches are rejected.
 func TestAffinityUpdateMismatchedGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))

@@ -9,28 +9,30 @@ import (
 )
 
 // deltaFixture trains a model, perturbs the graph, and returns the pieces
-// a delta-refinement test needs.
-func deltaFixture(t *testing.T, seed int64) (prev *Embedding, f2, b2 *mat.Dense, cfg Config, g2 *graph.Graph) {
+// a delta-refinement test needs: the previous embedding, the affinity state
+// of the perturbed graph g2 and the targets it materializes.
+func deltaFixture(t *testing.T, seed int64) (prev *Embedding, s *AffinityState, f2, b2 *mat.Dense, g2 *graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := testGraph(rng, 40, 9)
-	cfg = smallConfig()
+	cfg := smallConfig()
 	prev, err := PANE(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2 = perturb(g, 12, 8, seed+1)
-	f2, b2 = AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
-	return prev, f2, b2, cfg, g2
+	s = NewAffinityState(g2, cfg.Alpha, cfg.Iterations(), 2)
+	f2, b2 = s.Affinity(1)
+	return prev, s, f2, b2, g2
 }
 
-// TestRefineRowsFromTouchesExactlyDelta is the delta-report contract:
-// every row outside the delta is bit-identical to the previous embedding,
-// and (on this fixture) every listed row actually moved.
-func TestRefineRowsFromTouchesExactlyDelta(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 20)
+// TestRefineTouchesExactlyDelta is the delta-report contract: every row
+// outside the delta is bit-identical to the previous embedding, and (on
+// this fixture) every listed row actually moved.
+func TestRefineTouchesExactlyDelta(t *testing.T) {
+	prev, s, _, _, _ := deltaFixture(t, 20)
 	delta := UpdateDelta{Nodes: []int{1, 5, 17, 33}, Attrs: []int{2, 6}}
-	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
+	next := Refine(s, prev, 2, 1, delta)
 
 	inNodes := map[int]bool{}
 	for _, v := range delta.Nodes {
@@ -60,14 +62,14 @@ func TestRefineRowsFromTouchesExactlyDelta(t *testing.T) {
 	}
 }
 
-// TestRefineRowsFromNodeOnlySharesY: a node-only delta must leave Y not
-// just equal but the SAME matrix, and untouched Z rows of the link
-// candidate transform bit-identical — the property the incremental index
-// refresh is built on.
-func TestRefineRowsFromNodeOnlySharesY(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 30)
+// TestRefineNodeOnlySharesY: a node-only delta must leave Y not just equal
+// but the SAME matrix, and untouched Z rows of the link candidate
+// transform bit-identical — the property the incremental index refresh is
+// built on.
+func TestRefineNodeOnlySharesY(t *testing.T) {
+	prev, s, _, _, _ := deltaFixture(t, 30)
 	delta := UpdateDelta{Nodes: []int{0, 7, 21}}
-	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
+	next := Refine(s, prev, 2, 1, delta)
 	if next.Y != prev.Y {
 		t.Fatal("node-only delta did not share Y")
 	}
@@ -81,14 +83,14 @@ func TestRefineRowsFromNodeOnlySharesY(t *testing.T) {
 	}
 }
 
-// TestRefineRowsFromGatheredMatchesGeneral: the node-only gathered fast
-// path must produce bit-for-bit the rows the general (full-state) path
-// produces for the same node delta — the two are one algorithm with two
-// residual layouts.
-func TestRefineRowsFromGatheredMatchesGeneral(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 40)
+// TestRefineGatheredMatchesGeneral: the node-only gathered fast path must
+// produce bit-for-bit the rows the general (full-state) path produces for
+// the same node delta — the two are one algorithm with two residual
+// layouts.
+func TestRefineGatheredMatchesGeneral(t *testing.T) {
+	prev, s, f2, b2, _ := deltaFixture(t, 40)
 	nodes := []int{2, 3, 11, 29, 38}
-	fast := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, UpdateDelta{Nodes: nodes})
+	fast := Refine(s, prev, 2, 1, UpdateDelta{Nodes: nodes})
 
 	// Drive the general path by hand: full residual state, node rows only.
 	st := warmState(prev, f2, b2, 1)
@@ -99,15 +101,15 @@ func TestRefineRowsFromGatheredMatchesGeneral(t *testing.T) {
 	}
 }
 
-// TestRefineRowsFromSharesUntouchedPages: a node-only refinement returns
-// Y by pointer and copies only the Xf/Xb pages holding a delta row; every
-// other page is the previous embedding's memory, and prev itself is bit
-// for bit what it was.
-func TestRefineRowsFromSharesUntouchedPages(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 70)
+// TestRefineSharesUntouchedPages: a node-only refinement returns Y by
+// pointer and copies only the Xf/Xb pages holding a delta row; every other
+// page is the previous embedding's memory, and prev itself is bit for bit
+// what it was.
+func TestRefineSharesUntouchedPages(t *testing.T) {
+	prev, s, _, _, _ := deltaFixture(t, 70)
 	before := [2]*mat.Dense{prev.Xf.Dense(), prev.Xb.Dense()}
 	nodes := []int{2, 3, 2*mat.PageRows + 1} // the first and the last of the fixture's three pages
-	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 2, UpdateDelta{Nodes: nodes})
+	next := Refine(s, prev, 2, 2, UpdateDelta{Nodes: nodes})
 	if next.Y != prev.Y {
 		t.Fatal("node-only refinement did not return Y by pointer")
 	}
@@ -125,49 +127,44 @@ func TestRefineRowsFromSharesUntouchedPages(t *testing.T) {
 	}
 }
 
-// TestRefineRowsFromFullDeltaMatchesRefineFrom: listing every row must
-// reproduce RefineFrom exactly — restricted sweeps are a strict
-// generalization, not a different solver.
-func TestRefineRowsFromFullDeltaMatchesRefineFrom(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 50)
-	all := UpdateDelta{Nodes: upTo(prev.Xf.Rows), Attrs: upTo(prev.Y.Rows)}
-	want := RefineFrom(prev, f2, b2, cfg, 2, 1)
-	got := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, all)
-	if want.Xf.Dense().MaxAbsDiff(got.Xf.Dense()) != 0 || want.Xb.Dense().MaxAbsDiff(got.Xb.Dense()) != 0 || want.Y.MaxAbsDiff(got.Y) != 0 {
-		t.Fatal("full-delta restricted refinement diverges from RefineFrom")
+// TestRefineParallelMatchesSerial: restricted sweeps touch disjoint rows,
+// so the worker count must not change the result — for a restricted delta
+// and for the full one alike.
+func TestRefineParallelMatchesSerial(t *testing.T) {
+	prev, s, _, _, g2 := deltaFixture(t, 60)
+	for _, delta := range []UpdateDelta{
+		{Nodes: []int{1, 4, 9, 16, 25, 36}, Attrs: []int{0, 3, 8}},
+		AllRows(g2.N, g2.D),
+	} {
+		serial := Refine(s, prev, 2, 1, delta)
+		par := Refine(s, prev, 2, 4, delta)
+		if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
+			t.Fatalf("%d rows: parallel refinement deviates from serial", delta.Rows())
+		}
 	}
 }
 
-// TestRefineRowsFromParallelMatchesSerial: restricted sweeps touch
-// disjoint rows, so the worker count must not change the result.
-func TestRefineRowsFromParallelMatchesSerial(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 60)
-	delta := UpdateDelta{Nodes: []int{1, 4, 9, 16, 25, 36}, Attrs: []int{0, 3, 8}}
-	serial := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
-	par := RefineRowsFrom(prev, f2, b2, cfg, 2, 4, delta)
-	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
-		t.Fatal("parallel restricted refinement deviates from serial")
-	}
-}
-
-// TestRefineRowsFromLowersObjective: refining only the touched rows must
-// still improve the fit to the new targets.
-func TestRefineRowsFromLowersObjective(t *testing.T) {
-	prev, f2, b2, cfg, g2 := deltaFixture(t, 70)
-	delta := UpdateDelta{Nodes: upTo(g2.N)[:10], Attrs: []int{1, 2}}
+// TestRefineLowersObjective: refining only the touched rows must still
+// improve the fit to the new targets, and so must refining every row.
+func TestRefineLowersObjective(t *testing.T) {
+	prev, s, f2, b2, g2 := deltaFixture(t, 70)
 	before := Objective(prev, f2, b2)
-	next := RefineRowsFrom(prev, f2, b2, cfg, 2, 1, delta)
-	if after := Objective(next, f2, b2); after >= before {
-		t.Fatalf("restricted refinement did not lower the objective: %v -> %v", before, after)
+	for _, delta := range []UpdateDelta{
+		{Nodes: upTo(g2.N)[:10], Attrs: []int{1, 2}},
+		AllRows(g2.N, g2.D),
+	} {
+		next := Refine(s, prev, 2, 1, delta)
+		if after := Objective(next, f2, b2); after >= before {
+			t.Fatalf("%d rows: refinement did not lower the objective: %v -> %v", delta.Rows(), before, after)
+		}
 	}
 }
 
-// TestRefineRowsFromStateRejectsMalformedDelta: the state-served entry
-// point the engine calls fails loudly on duplicate or out-of-range delta
-// rows, like RefineRowsFrom, and accepts a well-formed delta.
-func TestRefineRowsFromStateRejectsMalformedDelta(t *testing.T) {
-	prev, _, _, cfg, g2 := deltaFixture(t, 80)
-	s := NewAffinityState(g2, cfg.Alpha, cfg.Iterations(), 2)
+// TestRefineRejectsMalformedDelta: Refine fails loudly on duplicate or
+// out-of-range delta rows rather than race two goroutines over one row,
+// and on a sweep count below one; it accepts a well-formed delta.
+func TestRefineRejectsMalformedDelta(t *testing.T) {
+	prev, s, _, _, g2 := deltaFixture(t, 80)
 	for name, delta := range map[string]UpdateDelta{
 		"duplicate nodes":   {Nodes: []int{3, 3}},
 		"out-of-range node": {Nodes: []int{g2.N}},
@@ -180,10 +177,18 @@ func TestRefineRowsFromStateRejectsMalformedDelta(t *testing.T) {
 					t.Errorf("%s: accepted", name)
 				}
 			}()
-			RefineRowsFromState(s, prev, cfg, 1, 2, delta)
+			Refine(s, prev, 1, 2, delta)
 		}()
 	}
-	RefineRowsFromState(s, prev, cfg, 1, 2, UpdateDelta{Nodes: []int{0, 1}})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("zero sweeps: accepted")
+			}
+		}()
+		Refine(s, prev, 0, 2, UpdateDelta{Nodes: []int{0, 1}})
+	}()
+	Refine(s, prev, 1, 2, UpdateDelta{Nodes: []int{0, 1}})
 }
 
 // TestTransformedCandidatesRowsMatchesFull: the row-restricted transform
@@ -211,26 +216,4 @@ func rowsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// TestRefineRowsFromRejectsMalformedDelta: the exported low-level entry
-// point must fail loudly on duplicate or out-of-range delta rows rather
-// than race two goroutines over one row.
-func TestRefineRowsFromRejectsMalformedDelta(t *testing.T) {
-	prev, f2, b2, cfg, _ := deltaFixture(t, 100)
-	for name, delta := range map[string]UpdateDelta{
-		"duplicate nodes":   {Nodes: []int{5, 5}},
-		"out-of-range node": {Nodes: []int{prev.Xf.Rows}},
-		"descending attrs":  {Attrs: []int{4, 1}},
-		"out-of-range attr": {Attrs: []int{prev.Y.Rows}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: accepted", name)
-				}
-			}()
-			RefineRowsFrom(prev, f2, b2, cfg, 1, 2, delta)
-		}()
-	}
 }

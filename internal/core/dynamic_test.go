@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pane/internal/graph"
+	"pane/internal/mat"
 )
 
 // perturb returns g with a handful of extra random edges and attribute
@@ -37,7 +38,9 @@ func perturb(g *graph.Graph, extraEdges, extraAttrs int, seed int64) *graph.Grap
 	return out
 }
 
-func TestRefineFromDoesNotMutatePrev(t *testing.T) {
+// TestRefineDoesNotMutatePrev: a full warm start works on copies of the
+// previous factors.
+func TestRefineDoesNotMutatePrev(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := testGraph(rng, 30, 8)
 	cfg := smallConfig()
@@ -45,32 +48,20 @@ func TestRefineFromDoesNotMutatePrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := prev.Xf.Dense()
-	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), 1)
-	RefineFrom(prev, f, b, cfg, 2, 1)
-	if prev.Xf.Dense().MaxAbsDiff(snapshot) != 0 {
-		t.Fatal("RefineFrom mutated the previous embedding")
+	snapshot := [3]*mat.Dense{prev.Xf.Dense(), prev.Xb.Dense(), prev.Y.Clone()}
+	s := NewAffinityState(g, cfg.Alpha, cfg.Iterations(), 1)
+	Refine(s, prev, 2, 1, AllRows(g.N, g.D))
+	if prev.Xf.Dense().MaxAbsDiff(snapshot[0]) != 0 || prev.Xb.Dense().MaxAbsDiff(snapshot[1]) != 0 || prev.Y.MaxAbsDiff(snapshot[2]) != 0 {
+		t.Fatal("Refine mutated the previous embedding")
 	}
 }
 
-func TestRefineFromLowersObjective(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := testGraph(rng, 40, 10)
-	cfg := smallConfig()
-	cfg.CCDIters = 1
-	prev, err := PANE(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New targets from a perturbed graph.
-	g2 := perturb(g, 15, 10, 3)
-	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
-	before := Objective(prev, f2, b2)
-	warm := RefineFrom(prev, f2, b2, cfg, 2, 1)
-	after := Objective(warm, f2, b2)
-	if after >= before {
-		t.Fatalf("warm refinement did not lower the objective: %v -> %v", before, after)
-	}
+// warmUpdate warm-starts prev over every row against g2's affinity, as the
+// engine's full path does, and returns the embedding with the targets.
+func warmUpdate(prev *Embedding, g2 *graph.Graph, cfg Config) (warm *Embedding, f2, b2 *mat.Dense) {
+	s := NewAffinityState(g2, cfg.Alpha, cfg.Iterations(), 1)
+	f2, b2 = s.Affinity(1)
+	return Refine(s, prev, 2, 1, AllRows(g2.N, g2.D)), f2, b2
 }
 
 func TestUpdateEmbeddingCloseToRetrain(t *testing.T) {
@@ -85,8 +76,7 @@ func TestUpdateEmbeddingCloseToRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := perturb(g, 10, 8, 5)
-	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
-	warm := RefineFrom(prev, f2, b2, cfg, 2, 1)
+	warm, f2, b2 := warmUpdate(prev, g2, cfg)
 	cold, err := PANE(g2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,25 +99,8 @@ func TestUpdateEmbeddingBeatsStalePredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := perturb(g, 20, 15, 7)
-	f2, b2 := AffinityFromGraph(g2, cfg.Alpha, cfg.Iterations(), 1)
-	warm := RefineFrom(prev, f2, b2, cfg, 2, 1)
+	warm, f2, b2 := warmUpdate(prev, g2, cfg)
 	if Objective(warm, f2, b2) >= Objective(prev, f2, b2) {
 		t.Fatal("update did not improve fit to the new graph")
-	}
-}
-
-func TestRefineFromParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	g := testGraph(rng, 30, 7)
-	cfg := smallConfig()
-	prev, err := PANE(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, b := AffinityFromGraph(g, cfg.Alpha, cfg.Iterations(), 1)
-	serial := RefineFrom(prev, f, b, cfg, 3, 1)
-	par := RefineFrom(prev, f, b, cfg, 3, 4)
-	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) > 1e-12 || serial.Y.MaxAbsDiff(par.Y) > 1e-12 {
-		t.Fatal("parallel warm refinement deviates from serial")
 	}
 }

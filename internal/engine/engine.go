@@ -466,14 +466,14 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		e.met.affPassFull.Inc()
 		e.met.affDurFull.ObserveSeconds(stats.AffinitySeconds)
 	}
+	// Warm start: the delta path sweeps the touched rows, the full path
+	// every row.
 	t0 = time.Now()
-	var emb *core.Embedding
-	if incremental {
-		emb = core.RefineRowsFromState(st, prev.Emb, prev.Cfg, e.sweeps, nb, touched)
-	} else {
-		f, b := st.Affinity(nb)
-		emb = core.RefineFrom(prev.Emb, f, b, prev.Cfg, e.sweeps, nb)
+	refined := touched
+	if !incremental {
+		refined = core.AllRows(g.N, g.D)
 	}
+	emb := core.Refine(st, prev.Emb, e.sweeps, nb, refined)
 	stats.CCDSeconds = e.met.observeStage(stageCCD, t0)
 	e.met.ccdDur.ObserveSeconds(stats.CCDSeconds)
 	t0 = time.Now()
