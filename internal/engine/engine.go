@@ -584,8 +584,10 @@ func (e *Engine) AffinityStatus() AffinityStatus {
 // touchedDelta collects the rows a graph update directly touches: both
 // endpoints of every inserted edge (an update refines a node's forward
 // and backward rows together) plus the node and attribute of every
-// attribute entry, each sorted and deduplicated. Out-of-range ids were
-// already rejected by Graph.WithUpdates.
+// attribute entry of non-zero weight, each sorted and deduplicated. A
+// zero-weight entry leaves the graph as it was (Graph.WithUpdates and
+// core.UpdateAffinity skip it too), so it touches no row. Out-of-range ids
+// were already rejected by Graph.WithUpdates.
 func touchedDelta(edges []graph.Edge, attrs []graph.AttrEntry) core.UpdateDelta {
 	nodeSet := make(map[int]struct{}, 2*len(edges)+len(attrs))
 	for _, ed := range edges {
@@ -594,6 +596,9 @@ func touchedDelta(edges []graph.Edge, attrs []graph.AttrEntry) core.UpdateDelta 
 	}
 	attrSet := make(map[int]struct{}, len(attrs))
 	for _, a := range attrs {
+		if a.Weight == 0 {
+			continue
+		}
 		nodeSet[a.Node] = struct{}{}
 		attrSet[a.Attr] = struct{}{}
 	}
