@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"pane/internal/core"
 	"pane/internal/graph"
+	"pane/internal/wal"
 )
 
 func testConfig() core.Config {
@@ -109,6 +111,62 @@ func TestApplyRejectsBadUpdates(t *testing.T) {
 	}
 	if eng.Version() != 1 {
 		t.Fatalf("failed updates bumped version to %d", eng.Version())
+	}
+}
+
+// TestZeroWeightAttrTouchesNoRows: an attribute entry of weight 0 leaves
+// the graph as it was, so the update it rides publishes the next version
+// with no dirty row, every Xf/Xb page the parent's memory and Y the
+// parent's matrix — moving Y would move G = YᵀY and the whole link space.
+func TestZeroWeightAttrTouchesNoRows(t *testing.T) {
+	var stats []UpdateStats
+	eng := trainTestEngine(t, WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
+	prev := eng.Model()
+	m, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 2, Attr: 1, Weight: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != prev.Version+1 {
+		t.Fatalf("version %d, want %d", m.Version, prev.Version+1)
+	}
+	if len(stats) != 1 || stats[0].DirtyNodes != 0 || stats[0].DirtyAttrs != 0 {
+		t.Fatalf("update stats %+v, want one update with no dirty rows", stats)
+	}
+	for k := range prev.Emb.Xf.Pages() {
+		if !m.Emb.Xf.SamePage(prev.Emb.Xf, k) || !m.Emb.Xb.SamePage(prev.Emb.Xb, k) {
+			t.Fatalf("page %d of Xf/Xb was copied", k)
+		}
+	}
+	if m.Emb.Y != prev.Emb.Y {
+		t.Fatal("Y is not the parent's matrix")
+	}
+}
+
+// TestNonFiniteAttrWeightRejected: a NaN or infinite attribute weight is
+// refused before it reaches the log or the model — the version and the
+// WAL's last version stay where they were.
+func TestNonFiniteAttrWeightRejected(t *testing.T) {
+	eng := trainTestEngine(t)
+	log, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := eng.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 2, Attr: 1, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	before, logged := eng.Version(), log.LastVersion()
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := eng.ApplyAttrs([]graph.AttrEntry{{Node: 2, Attr: 1, Weight: w}}); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
+	if eng.Version() != before || log.LastVersion() != logged {
+		t.Fatalf("version %d and WAL last version %d after refused updates, want %d and %d",
+			eng.Version(), log.LastVersion(), before, logged)
 	}
 }
 

@@ -66,11 +66,8 @@ func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 	attrEntriesT := make([]sparse.Entry, 0, len(attrs))
 	attrSet := map[int]bool{}
 	for _, a := range attrs {
-		if a.Node < 0 || a.Node >= g.N || a.Attr < 0 || a.Attr >= g.D {
-			return nil, fmt.Errorf("graph: attribute entry (%d,%d) out of range", a.Node, a.Attr)
-		}
-		if a.Weight < 0 {
-			return nil, fmt.Errorf("graph: negative attribute weight %v at (%d,%d)", a.Weight, a.Node, a.Attr)
+		if err := checkAttrEntry(a, g.N, g.D); err != nil {
+			return nil, err
 		}
 		if a.Weight == 0 {
 			continue

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"pane/internal/sparse"
@@ -69,11 +70,8 @@ func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, err
 	}
 	attrEntries := make([]sparse.Entry, 0, len(attrs))
 	for _, a := range attrs {
-		if a.Node < 0 || a.Node >= n || a.Attr < 0 || a.Attr >= d {
-			return nil, fmt.Errorf("graph: attribute entry (%d,%d) out of range", a.Node, a.Attr)
-		}
-		if a.Weight < 0 {
-			return nil, fmt.Errorf("graph: negative attribute weight %v at (%d,%d)", a.Weight, a.Node, a.Attr)
+		if err := checkAttrEntry(a, n, d); err != nil {
+			return nil, err
 		}
 		if a.Weight == 0 {
 			continue
@@ -84,6 +82,20 @@ func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, err
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
 	return newGraph(sparse.NewCSR(n, n, adjEntries), sparse.NewCSR(n, d, attrEntries), labels), nil
+}
+
+// checkAttrEntry rejects an attribute entry outside the n x d universe, or
+// one whose weight is negative, NaN or infinite: every graph constructor
+// and update shares it, since one such weight poisons every affinity and
+// embedding row it reaches.
+func checkAttrEntry(a AttrEntry, n, d int) error {
+	if a.Node < 0 || a.Node >= n || a.Attr < 0 || a.Attr >= d {
+		return fmt.Errorf("graph: attribute entry (%d,%d) out of range", a.Node, a.Attr)
+	}
+	if a.Weight < 0 || math.IsNaN(a.Weight) || math.IsInf(a.Weight, 0) {
+		return fmt.Errorf("graph: attribute weight %v at (%d,%d) is not a finite non-negative number", a.Weight, a.Node, a.Attr)
+	}
+	return nil
 }
 
 // newGraph wraps built adjacency and attribute matrices with their

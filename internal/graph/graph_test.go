@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,6 +53,35 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(2, 1, nil, nil, [][]int{{0}}); err == nil {
 		t.Fatal("want error for label length mismatch")
+	}
+}
+
+// TestNonFiniteAttrWeightRejected: NaN and ±Inf attribute weights are
+// refused when a graph is built, updated or loaded, and the error names the
+// entry — one such weight turns every embedding row it reaches into NaN.
+func TestNonFiniteAttrWeightRejected(t *testing.T) {
+	g := RunningExample()
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := []AttrEntry{{Node: 2, Attr: 1, Weight: w}}
+		_, errNew := New(g.N, g.D, g.Edges(), append(g.AttrEntries(), bad...), nil)
+		_, errWeighted := NewWeighted(g.N, g.D, nil, bad, nil)
+		_, errUpdate := g.WithUpdates(nil, bad)
+		for site, err := range map[string]error{"New": errNew, "NewWeighted": errWeighted, "WithUpdates": errUpdate} {
+			if err == nil || !strings.Contains(err.Error(), "(2,1)") {
+				t.Errorf("%s with weight %v: error %v, want one naming entry (2,1)", site, w, err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	edgePath, attrPath := filepath.Join(dir, "g.edges"), filepath.Join(dir, "g.attrs")
+	if err := os.WriteFile(edgePath, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(attrPath, []byte("0 0 1\n2 1 inf\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFiles(edgePath, attrPath, ""); err == nil || !strings.Contains(err.Error(), "(2,1)") {
+		t.Fatalf("LoadFiles with an inf weight: error %v, want one naming entry (2,1)", err)
 	}
 }
 

@@ -36,11 +36,8 @@ func NewWeighted(n, d int, edges []WeightedEdge, attrs []AttrEntry, labels [][]i
 	}
 	attrEntries := make([]sparse.Entry, 0, len(attrs))
 	for _, a := range attrs {
-		if a.Node < 0 || a.Node >= n || a.Attr < 0 || a.Attr >= d {
-			return nil, fmt.Errorf("graph: attribute entry (%d,%d) out of range", a.Node, a.Attr)
-		}
-		if a.Weight < 0 {
-			return nil, fmt.Errorf("graph: negative attribute weight %v at (%d,%d)", a.Weight, a.Node, a.Attr)
+		if err := checkAttrEntry(a, n, d); err != nil {
+			return nil, err
 		}
 		if a.Weight == 0 {
 			continue
