@@ -10,13 +10,12 @@ import (
 	"pane/internal/datagen"
 	"pane/internal/eval"
 	"pane/internal/graph"
-	"pane/internal/mat"
 	"pane/internal/store"
 )
 
 // TestPipelineFilesToPredictions exercises the full user journey:
 // generate a dataset → write it to text files → load it back → train
-// PANE → evaluate link prediction → persist embeddings in binary form →
+// PANE → evaluate link prediction → persist the model as a bundle →
 // reload → identical predictions.
 func TestPipelineFilesToPredictions(t *testing.T) {
 	dir := t.TempDir()
@@ -66,29 +65,19 @@ func TestPipelineFilesToPredictions(t *testing.T) {
 	if auc < 0.6 || ap < 0.55 {
 		t.Fatalf("pipeline AUC=%v AP=%v below sanity floor", auc, ap)
 	}
-	// Persist and reload the embedding; predictions must be identical.
-	if err := store.SaveDenseFile(filepath.Join(dir, "xf.bin"), emb.Xf.Dense()); err != nil {
+	// Persist and reload the model as a bundle; predictions must be
+	// identical.
+	path := filepath.Join(dir, "model.pane")
+	if err := store.SaveBundleFile(path, &store.Bundle{
+		ModelVersion: 1, Cfg: cfg, Xf: emb.Xf, Xb: emb.Xb, Y: emb.Y, Adj: sp.Train.Adj, Attr: sp.Train.Attr,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveDenseFile(filepath.Join(dir, "xb.bin"), emb.Xb.Dense()); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveDenseFile(filepath.Join(dir, "y.bin"), emb.Y); err != nil {
-		t.Fatal(err)
-	}
-	xf, err := store.LoadDenseFile(filepath.Join(dir, "xf.bin"))
+	b, err := store.LoadBundleFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xb, err := store.LoadDenseFile(filepath.Join(dir, "xb.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := store.LoadDenseFile(filepath.Join(dir, "y.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded := &core.Embedding{Xf: mat.Page(xf), Xb: mat.Page(xb), Y: y}
+	reloaded := &core.Embedding{Xf: b.Xf, Xb: b.Xb, Y: b.Y}
 	rs := core.NewLinkScorer(reloaded)
 	for i := 0; i < 50; i++ {
 		u, v := rng.Intn(g.N), rng.Intn(g.N)

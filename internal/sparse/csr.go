@@ -119,12 +119,6 @@ func (m *CSR) SamePage(o *CSR, k int) bool { return m.pages[k] == o.pages[k] }
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return m.nnz }
 
-// RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int {
-	cols, _ := m.Row(i)
-	return len(cols)
-}
-
 // Row returns the column indices and values of row i as shared slices.
 func (m *CSR) Row(i int) ([]int32, []float64) {
 	pg, r := m.pages[i>>m.shift], i&(1<<m.shift-1)

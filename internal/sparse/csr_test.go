@@ -218,18 +218,6 @@ func TestScaleRowsAndSums(t *testing.T) {
 	}
 }
 
-func TestMulDenseColsMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	m := randomCSR(rng, 10, 14, 0.25)
-	x := randomDense(rng, 14, 8)
-	full := m.MulDense(x)
-	blk := m.MulDenseCols(x, 2, 6)
-	want := full.ColSlice(2, 6)
-	if blk.MaxAbsDiff(want) > 1e-12 {
-		t.Fatal("MulDenseCols differs from sliced full product")
-	}
-}
-
 func TestPropertyTransposeMulAgree(t *testing.T) {
 	// Property: (Mᵀ x) computed via transpose CSR equals dense (Mᵀ)x.
 	f := func(seed int64) bool {

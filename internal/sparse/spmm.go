@@ -137,11 +137,3 @@ func (m *CSR) AxpyRowInto(dst []float64, i int, a float64, x *mat.Dense, b float
 		}
 	}
 }
-
-// MulDenseCols multiplies m by the column block x[:, lo:hi) of a dense
-// matrix and returns the R x (hi-lo) result: the unit of work of
-// Algorithm 6's attribute-column partition.
-func (m *CSR) MulDenseCols(x *mat.Dense, lo, hi int) *mat.Dense {
-	blk := x.ColSlice(lo, hi)
-	return m.MulDense(blk)
-}

@@ -1,15 +1,14 @@
-// Package store provides compact binary serialization for the repository's
-// large artifacts — CSR graphs, embedding matrices, and whole model
-// bundles — so pipelines can persist a 10⁸-edge graph or a 10⁷-row
-// embedding without the 3-4x size and parse cost of the text formats. The
-// format is little-endian, versioned, and self-describing enough to fail
-// loudly on corruption. A model bundle persists the model alone: the int8
+// Package store provides compact binary serialization for whole model
+// bundles — the CSR graph and the embedding matrices in one file — so a
+// server can persist a 10⁸-edge graph or a 10⁷-row embedding without the
+// 3-4x size and parse cost of the text formats. The format is
+// little-endian, versioned, and self-describing enough to fail loudly on
+// corruption. A model bundle persists the model alone: the int8
 // and binary16 code payloads that format-4 and format-5 bundles could
 // carry are read and skipped, never written (see Bundle).
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,17 +28,8 @@ const (
 
 var order = binary.LittleEndian
 
-// WriteCSR serializes m.
-func WriteCSR(w io.Writer, m *sparse.CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeCSR(bw, m); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeCSR writes the CSR section to w without buffering or flushing,
-// so sections can be composed on one stream (see bundle.go).
+// writeCSR writes a CSR section to w without buffering or flushing, so
+// sections can be composed on one stream (see bundle.go).
 func writeCSR(w io.Writer, m *sparse.CSR) error {
 	hdr := []uint64{magicCSR, uint64(m.R), uint64(m.C), uint64(m.NNZ())}
 	if err := binary.Write(w, order, hdr); err != nil {
@@ -59,11 +49,6 @@ func writeCSR(w io.Writer, m *sparse.CSR) error {
 		return err
 	}
 	return binary.Write(w, order, vals)
-}
-
-// ReadCSR deserializes a CSR written by WriteCSR.
-func ReadCSR(r io.Reader) (*sparse.CSR, error) {
-	return readCSR(bufio.NewReaderSize(r, 1<<20))
 }
 
 // readCSR reads exactly one CSR section from r. It performs only exact-
@@ -104,15 +89,6 @@ func readCSR(r io.Reader) (*sparse.CSR, error) {
 	return m, nil
 }
 
-// WriteDense serializes m.
-func WriteDense(w io.Writer, m *mat.Dense) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := writeDense(bw, m.Rows, m.Cols, m.Data); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // writeDense writes a rows x cols dense section to w without buffering or
 // flushing; pages are its row-major data in order, in any number of
 // pieces — one for a mat.Dense, the row pages of a mat.Paged.
@@ -127,11 +103,6 @@ func writeDense(w io.Writer, rows, cols int, pages ...[]float64) error {
 		}
 	}
 	return nil
-}
-
-// ReadDense deserializes a matrix written by WriteDense.
-func ReadDense(r io.Reader) (*mat.Dense, error) {
-	return readDense(bufio.NewReaderSize(r, 1<<20))
 }
 
 // readDense reads exactly one dense section from r with exact-length reads.
@@ -152,36 +123,6 @@ func readDense(r io.Reader) (*mat.Dense, error) {
 		return nil, fmt.Errorf("store: reading dense data: %w", err)
 	}
 	return m, nil
-}
-
-// SaveDenseFile writes m to path atomically (temp file + rename).
-func SaveDenseFile(path string, m *mat.Dense) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteDense(w, m) })
-}
-
-// LoadDenseFile reads a matrix from path.
-func LoadDenseFile(path string) (*mat.Dense, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDense(f)
-}
-
-// SaveCSRFile writes m to path atomically.
-func SaveCSRFile(path string, m *sparse.CSR) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteCSR(w, m) })
-}
-
-// LoadCSRFile reads a CSR from path.
-func LoadCSRFile(path string) (*sparse.CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSR(f)
 }
 
 // saveAtomic writes via a temp file in path's directory and renames it

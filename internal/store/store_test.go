@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -26,10 +28,10 @@ func TestCSRRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomCSR(rng, 37, 23, 0.2)
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, m); err != nil {
+	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSR(&buf)
+	got, err := readCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +46,10 @@ func TestCSRRoundTrip(t *testing.T) {
 func TestCSREmpty(t *testing.T) {
 	m := sparse.NewCSR(5, 3, nil)
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, m); err != nil {
+	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSR(&buf)
+	got, err := readCSR(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +61,10 @@ func TestCSREmpty(t *testing.T) {
 func TestCSRBadMagic(t *testing.T) {
 	var buf bytes.Buffer
 	m := mat.New(2, 2)
-	if err := WriteDense(&buf, m); err != nil {
+	if err := writeDense(&buf, m.Rows, m.Cols, m.Data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCSR(&buf); err == nil {
+	if _, err := readCSR(&buf); err == nil {
 		t.Fatal("dense payload accepted as CSR")
 	}
 }
@@ -71,11 +73,11 @@ func TestCSRTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomCSR(rng, 10, 10, 0.3)
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, m); err != nil {
+	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadCSR(bytes.NewReader(cut)); err == nil {
+	if _, err := readCSR(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated CSR accepted")
 	}
 }
@@ -87,10 +89,10 @@ func TestDenseRoundTrip(t *testing.T) {
 		m.Data[i] = rng.NormFloat64()
 	}
 	var buf bytes.Buffer
-	if err := WriteDense(&buf, m); err != nil {
+	if err := writeDense(&buf, m.Rows, m.Cols, m.Data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDense(&buf)
+	got, err := readDense(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +104,16 @@ func TestDenseRoundTrip(t *testing.T) {
 func TestDenseBadMagic(t *testing.T) {
 	var buf bytes.Buffer
 	m := sparse.NewCSR(1, 1, []sparse.Entry{{Row: 0, Col: 0, Val: 1}})
-	if err := WriteCSR(&buf, m); err != nil {
+	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadDense(&buf); err == nil {
+	if _, err := readDense(&buf); err == nil {
 		t.Fatal("CSR payload accepted as dense")
 	}
 }
 
+// TestFileHelpers: saveAtomic leaves a complete artifact at the path and
+// no temp file beside it, and reading a missing file fails.
 func TestFileHelpers(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(4))
@@ -118,29 +122,24 @@ func TestFileHelpers(t *testing.T) {
 		d.Data[i] = rng.Float64()
 	}
 	dp := filepath.Join(dir, "m.dense")
-	if err := SaveDenseFile(dp, d); err != nil {
+	if err := saveAtomic(dp, func(w io.Writer) error { return writeDense(w, d.Rows, d.Cols, d.Data) }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDenseFile(dp)
+	raw, err := os.ReadFile(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readDense(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(d, 0) {
 		t.Fatal("dense file round trip failed")
 	}
-	c := randomCSR(rng, 8, 8, 0.4)
-	cp := filepath.Join(dir, "m.csr")
-	if err := SaveCSRFile(cp, c); err != nil {
-		t.Fatal(err)
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(names) != 0 {
+		t.Fatalf("temp files left behind: %v", names)
 	}
-	gotC, err := LoadCSRFile(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotC.ToDense().Equal(c.ToDense(), 0) {
-		t.Fatal("CSR file round trip failed")
-	}
-	if _, err := LoadDenseFile(filepath.Join(dir, "missing")); err == nil {
+	if _, err := LoadBundleFile(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -149,7 +148,7 @@ func TestCSRColumnRangeValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomCSR(rng, 6, 6, 0.5)
 	var buf bytes.Buffer
-	if err := WriteCSR(&buf, m); err != nil {
+	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt a column index beyond the declared width.
@@ -160,7 +159,7 @@ func TestCSRColumnRangeValidation(t *testing.T) {
 	raw[colOff+1] = 0xFF
 	raw[colOff+2] = 0xFF
 	raw[colOff+3] = 0x7F
-	if _, err := ReadCSR(bytes.NewReader(raw)); err == nil {
+	if _, err := readCSR(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupt column index accepted")
 	}
 }
