@@ -466,8 +466,6 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		e.met.affPassFull.Inc()
 		e.met.affDurFull.ObserveSeconds(stats.AffinitySeconds)
 	}
-	// Warm start: the delta path sweeps the touched rows, the full path
-	// every row.
 	t0 = time.Now()
 	refined := touched
 	if !incremental {

@@ -28,8 +28,8 @@ const (
 
 var order = binary.LittleEndian
 
-// writeCSR writes a CSR section to w without buffering or flushing, so
-// sections can be composed on one stream (see bundle.go).
+// writeCSR writes the CSR section to w without buffering or flushing,
+// so sections can be composed on one stream (see bundle.go).
 func writeCSR(w io.Writer, m *sparse.CSR) error {
 	hdr := []uint64{magicCSR, uint64(m.R), uint64(m.C), uint64(m.NNZ())}
 	if err := binary.Write(w, order, hdr); err != nil {
