@@ -128,41 +128,43 @@ func TestRefineSharesUntouchedPages(t *testing.T) {
 }
 
 // TestRefineParallelMatchesSerial: restricted sweeps touch disjoint rows,
-// so the worker count must not change the result — for a restricted delta
-// and for the full one alike.
+// so the worker count must not change the result.
 func TestRefineParallelMatchesSerial(t *testing.T) {
-	prev, s, _, _, g2 := deltaFixture(t, 60)
-	for _, delta := range []UpdateDelta{
-		{Nodes: []int{1, 4, 9, 16, 25, 36}, Attrs: []int{0, 3, 8}},
-		AllRows(g2.N, g2.D),
-	} {
-		serial := Refine(s, prev, 2, 1, delta)
-		par := Refine(s, prev, 2, 4, delta)
-		if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
-			t.Fatalf("%d rows: parallel refinement deviates from serial", delta.Rows())
-		}
+	prev, s, _, _, _ := deltaFixture(t, 60)
+	delta := UpdateDelta{Nodes: []int{1, 4, 9, 16, 25, 36}, Attrs: []int{0, 3, 8}}
+	serial := Refine(s, prev, 2, 1, delta)
+	par := Refine(s, prev, 2, 4, delta)
+	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
+		t.Fatal("parallel restricted refinement deviates from serial")
 	}
 }
 
 // TestRefineLowersObjective: refining only the touched rows must still
-// improve the fit to the new targets, and so must refining every row.
+// improve the fit to the new targets.
 func TestRefineLowersObjective(t *testing.T) {
 	prev, s, f2, b2, g2 := deltaFixture(t, 70)
+	delta := UpdateDelta{Nodes: upTo(g2.N)[:10], Attrs: []int{1, 2}}
 	before := Objective(prev, f2, b2)
-	for _, delta := range []UpdateDelta{
-		{Nodes: upTo(g2.N)[:10], Attrs: []int{1, 2}},
-		AllRows(g2.N, g2.D),
-	} {
-		next := Refine(s, prev, 2, 1, delta)
-		if after := Objective(next, f2, b2); after >= before {
-			t.Fatalf("%d rows: refinement did not lower the objective: %v -> %v", delta.Rows(), before, after)
-		}
+	next := Refine(s, prev, 2, 1, delta)
+	if after := Objective(next, f2, b2); after >= before {
+		t.Fatalf("restricted refinement did not lower the objective: %v -> %v", before, after)
 	}
+}
+
+// mustPanic runs f and reports an error naming what if f returns normally.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}()
+	f()
 }
 
 // TestRefineRejectsMalformedDelta: Refine fails loudly on duplicate or
 // out-of-range delta rows rather than race two goroutines over one row,
-// and on a sweep count below one; it accepts a well-formed delta.
+// and accepts a well-formed delta.
 func TestRefineRejectsMalformedDelta(t *testing.T) {
 	prev, s, _, _, g2 := deltaFixture(t, 80)
 	for name, delta := range map[string]UpdateDelta{
@@ -171,24 +173,31 @@ func TestRefineRejectsMalformedDelta(t *testing.T) {
 		"descending attrs":  {Attrs: []int{5, 1}},
 		"out-of-range attr": {Attrs: []int{g2.D}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: accepted", name)
-				}
-			}()
-			Refine(s, prev, 1, 2, delta)
-		}()
+		mustPanic(t, name, func() { Refine(s, prev, 1, 2, delta) })
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero sweeps: accepted")
-			}
-		}()
-		Refine(s, prev, 0, 2, UpdateDelta{Nodes: []int{0, 1}})
-	}()
 	Refine(s, prev, 1, 2, UpdateDelta{Nodes: []int{0, 1}})
+}
+
+// TestRefineRejectsMalformedMixedDelta: a delta with both node and
+// attribute rows takes the attribute path, and a malformed list on either
+// side of it is refused just the same, bounded by prev's shape.
+func TestRefineRejectsMalformedMixedDelta(t *testing.T) {
+	prev, s, _, _, _ := deltaFixture(t, 100)
+	for name, delta := range map[string]UpdateDelta{
+		"duplicate nodes":   {Nodes: []int{5, 5}, Attrs: []int{0, 2}},
+		"out-of-range node": {Nodes: []int{prev.Xf.Rows}, Attrs: []int{0, 2}},
+		"descending attrs":  {Nodes: []int{0, 1}, Attrs: []int{4, 1}},
+		"out-of-range attr": {Nodes: []int{0, 1}, Attrs: []int{prev.Y.Rows}},
+	} {
+		mustPanic(t, name, func() { Refine(s, prev, 1, 2, delta) })
+	}
+	Refine(s, prev, 1, 2, UpdateDelta{Nodes: []int{0, 1}, Attrs: []int{0, 2}})
+}
+
+// TestRefineRejectsZeroSweeps: Refine needs at least one sweep.
+func TestRefineRejectsZeroSweeps(t *testing.T) {
+	prev, s, _, _, _ := deltaFixture(t, 80)
+	mustPanic(t, "zero sweeps", func() { Refine(s, prev, 0, 2, UpdateDelta{Nodes: []int{0, 1}}) })
 }
 
 // TestTransformedCandidatesRowsMatchesFull: the row-restricted transform

@@ -56,6 +56,46 @@ func TestRefineDoesNotMutatePrev(t *testing.T) {
 	}
 }
 
+// TestRefineAllRowsLowersObjective: a full warm start against a perturbed
+// graph's targets must improve the fit to them.
+func TestRefineAllRowsLowersObjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := testGraph(rng, 40, 10)
+	cfg := smallConfig()
+	cfg.CCDIters = 1
+	prev, err := PANE(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New targets from a perturbed graph.
+	g2 := perturb(g, 15, 10, 3)
+	s := NewAffinityState(g2, cfg.Alpha, cfg.Iterations(), 1)
+	f2, b2 := s.Affinity(1)
+	before := Objective(prev, f2, b2)
+	warm := Refine(s, prev, 2, 1, AllRows(g2.N, g2.D))
+	if after := Objective(warm, f2, b2); after >= before {
+		t.Fatalf("warm refinement did not lower the objective: %v -> %v", before, after)
+	}
+}
+
+// TestRefineAllRowsParallelMatchesSerial: the worker count must not change
+// a full warm start.
+func TestRefineAllRowsParallelMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g := testGraph(rng, 30, 7)
+	cfg := smallConfig()
+	prev, err := PANE(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewAffinityState(g, cfg.Alpha, cfg.Iterations(), 1)
+	serial := Refine(s, prev, 3, 1, AllRows(g.N, g.D))
+	par := Refine(s, prev, 3, 4, AllRows(g.N, g.D))
+	if serial.Xf.Dense().MaxAbsDiff(par.Xf.Dense()) != 0 || serial.Xb.Dense().MaxAbsDiff(par.Xb.Dense()) != 0 || serial.Y.MaxAbsDiff(par.Y) != 0 {
+		t.Fatal("parallel warm refinement deviates from serial")
+	}
+}
+
 // warmUpdate warm-starts prev over every row against g2's affinity, as the
 // engine's full path does, and returns the embedding with the targets.
 func warmUpdate(prev *Embedding, g2 *graph.Graph, cfg Config) (warm *Embedding, f2, b2 *mat.Dense) {
