@@ -63,26 +63,58 @@ func ccdNodeRow(st *state, yNormInv []float64, yColT *mat.Dense, v int) {
 //	Sf[:,r] −= μ_y(r,l)·Xf[:,l], Sb[:,r] −= μ_y·Xb[:,l]  (Eq. 20)
 //
 // xNormInv caches the combined column norms; xfColT/xbColT hold the
-// columns of Xf/Xb as rows. The residuals arrive TRANSPOSED (sfT, sbT are
-// d x n) so that each attribute's residual column is a contiguous row —
-// walking Sf[:,r] in row-major n x d layout would stride by d and miss
-// cache on every element. Distinct attributes touch disjoint rows of the
-// transposed residuals, so a sweep parallelizes without changing the
-// result.
-func ccdAttrRow(st *state, xNormInv []float64, xfColT, xbColT, sfT, sbT *mat.Dense, r int) {
+// columns of Xf/Xb as rows. The residual columns sfCol, sbCol arrive as
+// contiguous copies (see ccdAttrRows) — walking Sf[:,r] in row-major
+// n x d layout would stride by d and miss cache on every element.
+func ccdAttrRow(st *state, xNormInv []float64, xfColT, xbColT *mat.Dense, sfCol, sbCol []float64, r int) {
 	yRow := st.Y.Row(r)
-	sfRow := sfT.Row(r)
-	sbRow := sbT.Row(r)
 	for l, inv := range xNormInv {
 		if inv == 0 {
 			continue
 		}
 		xfCol := xfColT.Row(l)
 		xbCol := xbColT.Row(l)
-		mu := (mat.Dot(xfCol, sfRow) + mat.Dot(xbCol, sbRow)) * inv
+		mu := (mat.Dot(xfCol, sfCol) + mat.Dot(xbCol, sbCol)) * inv
 		yRow[l] -= mu
-		mat.AxpyVec(-mu, xfCol, sfRow)
-		mat.AxpyVec(-mu, xbCol, sbRow)
+		mat.AxpyVec(-mu, xfCol, sfCol)
+		mat.AxpyVec(-mu, xbCol, sbCol)
+	}
+}
+
+// attrBlock is how many attribute columns ccdAttrRows copies out of the
+// residuals at a time: 8 float64 are one 64-byte line of a residual row,
+// so a gather reads each row's line once, and the copies (16·n float64
+// per worker, 3.8 MB at n = 30,000) stay a fraction of a transpose of
+// both residuals (2·n·d, 48 MB at d = 100).
+const attrBlock = 8
+
+// ccdAttrRows runs ccdAttrRow for each listed attribute, attrBlock at a
+// time: their residual columns are gathered into buf (2·attrBlock x n),
+// swept, and scattered back. Distinct attributes read and write disjoint
+// residual columns, so workers with disjoint lists run side by side, and
+// each column sees the same mat.Dot/mat.AxpyVec sequence as it would in
+// place.
+func ccdAttrRows(st *state, xNormInv []float64, xfColT, xbColT, buf *mat.Dense, attrs []int) {
+	n, d := st.Sf.Rows, st.Sf.Cols
+	for a0 := 0; a0 < len(attrs); a0 += attrBlock {
+		cols := attrs[a0:min(a0+attrBlock, len(attrs))]
+		for i := 0; i < n; i++ {
+			sf, sb := st.Sf.Data[i*d:(i+1)*d], st.Sb.Data[i*d:(i+1)*d]
+			for c, r := range cols {
+				buf.Data[c*n+i] = sf[r]
+				buf.Data[(attrBlock+c)*n+i] = sb[r]
+			}
+		}
+		for c, r := range cols {
+			ccdAttrRow(st, xNormInv, xfColT, xbColT, buf.Row(c), buf.Row(attrBlock+c), r)
+		}
+		for i := 0; i < n; i++ {
+			sf, sb := st.Sf.Data[i*d:(i+1)*d], st.Sb.Data[i*d:(i+1)*d]
+			for c, r := range cols {
+				sf[r] = buf.Data[c*n+i]
+				sb[r] = buf.Data[(attrBlock+c)*n+i]
+			}
+		}
 	}
 }
 
@@ -111,19 +143,25 @@ func upTo(n int) []int {
 // starting state. It returns the wall clock spent inside the node and the
 // attribute half-sweeps.
 //
-// The column caches and the transposed residuals are allocated once and
-// refilled by each sweep, and the residuals are transposed back into the
-// storage they came from: four n x d and two n x k/2 transposes per
-// sweep, O(n·d) streamed bytes cut across the nb workers — next to the
-// O(n·d·k) updates they make cache-friendly.
+// The column caches and each attribute worker's residual buffer are
+// allocated once and refilled by each sweep: two n x k/2 transposes per
+// sweep, and each residual element gathered and scattered once by the
+// attribute phase (ccdAttrRows), O(n·d) streamed bytes cut across the nb
+// workers — next to the O(n·d·k) updates they make cache-friendly.
 func refineRows(st *state, sweeps, nb int, nodes, attrs []int) (node, attr time.Duration) {
 	n, d, half := st.Xf.Rows, st.Y.Rows, st.Xf.Cols
 	yColT := mat.New(half, d)
 	norms := make([]float64, half)
-	var xfColT, xbColT, sfT, sbT *mat.Dense
+	var xfColT, xbColT *mat.Dense
+	var parts [][2]int
+	var bufs []*mat.Dense
 	if len(attrs) > 0 {
 		xfColT, xbColT = mat.New(half, n), mat.New(half, n)
-		sfT, sbT = mat.New(d, n), mat.New(d, n)
+		parts = mat.SplitRanges(len(attrs), nb)
+		bufs = make([]*mat.Dense, len(parts))
+		for w := range bufs {
+			bufs[w] = mat.New(2*attrBlock, n)
+		}
 	}
 	for it := 0; it < sweeps; it++ {
 		if len(nodes) > 0 {
@@ -148,17 +186,13 @@ func refineRows(st *state, sweeps, nb int, nodes, attrs []int) (node, attr time.
 			for l := range norms {
 				norms[l] = inverse(mat.Dot(xfColT.Row(l), xfColT.Row(l)) + mat.Dot(xbColT.Row(l), xbColT.Row(l)))
 			}
-			transposeInto(sfT, st.Sf, nb)
-			transposeInto(sbT, st.Sb, nb)
 			start := time.Now()
-			mat.ParallelRanges(len(attrs), nb, func(lo, hi int) {
-				for _, r := range attrs[lo:hi] {
-					ccdAttrRow(st, norms, xfColT, xbColT, sfT, sbT, r)
+			mat.ParallelRanges(len(parts), len(parts), func(lo, hi int) {
+				for w := lo; w < hi; w++ {
+					ccdAttrRows(st, norms, xfColT, xbColT, bufs[w], attrs[parts[w][0]:parts[w][1]])
 				}
 			})
 			attr += time.Since(start)
-			transposeInto(st.Sf, sfT, nb)
-			transposeInto(st.Sb, sbT, nb)
 		}
 	}
 	return node, attr

@@ -30,7 +30,7 @@ func affinityPair(rng *rand.Rand, n, d, rank int) (f, b *mat.Dense) {
 func TestGreedyInitApproximatesForwardAffinity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f, b := affinityPair(rng, 40, 15, 4)
-	st := GreedyInit(f, b, 8, 4, rng, 1)
+	st := GreedyInit(f.Clone(), b.Clone(), 8, 4, rng, 1)
 	// Xf·Yᵀ should already be a decent approximation of F'.
 	approx := mat.MulBT(st.Xf, st.Y)
 	approx.Sub(f)
@@ -43,7 +43,7 @@ func TestGreedyInitApproximatesForwardAffinity(t *testing.T) {
 func TestGreedyInitResidualsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f, b := affinityPair(rng, 30, 12, 3)
-	st := GreedyInit(f, b, 6, 3, rng, 1)
+	st := GreedyInit(f.Clone(), b.Clone(), 6, 3, rng, 1)
 	wantSf := mat.MulBT(st.Xf, st.Y)
 	wantSf.Sub(f)
 	wantSb := mat.MulBT(st.Xb, st.Y)
@@ -59,7 +59,7 @@ func TestCCDResidualMaintenance(t *testing.T) {
 	// Equations (18)-(20).
 	rng := rand.New(rand.NewSource(3))
 	f, b := affinityPair(rng, 25, 10, 3)
-	st := GreedyInit(f, b, 6, 3, rng, 1)
+	st := GreedyInit(f.Clone(), b.Clone(), 6, 3, rng, 1)
 	for sweep := 1; sweep <= 3; sweep++ {
 		refine(st, 1, 1)
 		wantSf := mat.MulBT(st.Xf, st.Y)
@@ -80,7 +80,7 @@ func TestCCDMonotoneObjective(t *testing.T) {
 	// objective must be non-increasing across sweeps.
 	rng := rand.New(rand.NewSource(4))
 	f, b := affinityPair(rng, 35, 14, 5)
-	st := RandomInit(f, b, 8, rng, 1)
+	st := RandomInit(f.Clone(), b.Clone(), 8, rng, 1)
 	prev := Objective(st.embedding(), f, b)
 	for sweep := 0; sweep < 5; sweep++ {
 		refine(st, 1, 1)
@@ -99,7 +99,7 @@ func TestParallelCCDMatchesSerial(t *testing.T) {
 	f, b := affinityPair(rng, 30, 13, 4)
 	mkState := func() *state {
 		r := rand.New(rand.NewSource(99))
-		return GreedyInit(f, b, 6, 3, r, 1)
+		return GreedyInit(f.Clone(), b.Clone(), 6, 3, r, 1)
 	}
 	serial := mkState()
 	refine(serial, 3, 1)
@@ -124,8 +124,8 @@ func TestGreedyInitBeatsRandomInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f, b := affinityPair(rng, 50, 20, 6)
 	cfgIters := 2
-	g := GreedyInit(f, b, 8, 4, rand.New(rand.NewSource(7)), 1)
-	r := RandomInit(f, b, 8, rand.New(rand.NewSource(7)), 1)
+	g := GreedyInit(f.Clone(), b.Clone(), 8, 4, rand.New(rand.NewSource(7)), 1)
+	r := RandomInit(f.Clone(), b.Clone(), 8, rand.New(rand.NewSource(7)), 1)
 	refine(g, cfgIters, 1)
 	refine(r, cfgIters, 1)
 	og := Objective(g.embedding(), f, b)
@@ -140,8 +140,8 @@ func TestSMGreedyInitCloseToSerial(t *testing.T) {
 	// essentially as well as the serial greedy init.
 	rng := rand.New(rand.NewSource(8))
 	f, b := affinityPair(rng, 60, 18, 4)
-	serial := GreedyInit(f, b, 8, 5, rand.New(rand.NewSource(1)), 1)
-	sm := SMGreedyInit(f, b, 8, 5, rand.New(rand.NewSource(1)), 4)
+	serial := GreedyInit(f.Clone(), b.Clone(), 8, 5, rand.New(rand.NewSource(1)), 1)
+	sm := SMGreedyInit(f.Clone(), b.Clone(), 8, 5, rand.New(rand.NewSource(1)), 4)
 	objSerial := Objective(serial.embedding(), f, b)
 	objSM := Objective(sm.embedding(), f, b)
 	// Allow the parallel variant a modest slack — it performs extra
@@ -162,7 +162,7 @@ func TestSMGreedyInitFallbackTinyBlocks(t *testing.T) {
 	// back to the serial initializer rather than produce degenerate SVDs.
 	rng := rand.New(rand.NewSource(9))
 	f, b := affinityPair(rng, 10, 8, 2)
-	st := SMGreedyInit(f, b, 8, 3, rng, 8) // 10 rows / 8 blocks < 4
+	st := SMGreedyInit(f.Clone(), b.Clone(), 8, 3, rng, 8) // 10 rows / 8 blocks < 4
 	if st == nil || st.Xf.Rows != 10 {
 		t.Fatal("fallback failed")
 	}
@@ -185,9 +185,9 @@ func TestLemma42UnitaryYAndZeroResiduals(t *testing.T) {
 	for _, nb := range []int{1, 4} {
 		var st *state
 		if nb == 1 {
-			st = GreedyInit(f, b, 8, 6, rand.New(rand.NewSource(3)), 1)
+			st = GreedyInit(f.Clone(), b.Clone(), 8, 6, rand.New(rand.NewSource(3)), 1)
 		} else {
-			st = SMGreedyInit(f, b, 8, 6, rand.New(rand.NewSource(3)), nb)
+			st = SMGreedyInit(f.Clone(), b.Clone(), 8, 6, rand.New(rand.NewSource(3)), nb)
 		}
 		if d := st.Sf.FrobeniusNorm(); d > 1e-6 {
 			t.Fatalf("nb=%d: Sf norm %v, want ~0", nb, d)
@@ -263,8 +263,8 @@ func TestSVDCCDEmbeddingBitsAcrossBuilds(t *testing.T) {
 		b.Data[i] = float64(rng.Intn(1000)) / 128
 	}
 	cfg := Config{K: 16, Alpha: 0.5, Eps: 0.05, Seed: 4}
-	serial := embeddingHash(SVDCCD(f, b, cfg, 1))
-	parallel := embeddingHash(PSVDCCD(f, b, cfg, 3))
+	serial := embeddingHash(SVDCCD(f.Clone(), b.Clone(), cfg, 1))
+	parallel := embeddingHash(PSVDCCD(f.Clone(), b.Clone(), cfg, 3))
 	t.Logf("embedding hash: SVDCCD %#x, PSVDCCD(nb=3) %#x", serial, parallel)
 	const wantSerial, wantParallel = 0x642eba1e8215740f, 0xe6e30ca76ae88bda
 	if serial != wantSerial || parallel != wantParallel {
@@ -281,7 +281,7 @@ func TestSVDCCDEmbeddingBitsAcrossBuilds(t *testing.T) {
 func TestCCDSweepAtKernelWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f, b := affinityPair(rng, 301, 43, 6)
-	mk := func() *state { return RandomInit(f, b, 14, rand.New(rand.NewSource(5)), 1) }
+	mk := func() *state { return RandomInit(f.Clone(), b.Clone(), 14, rand.New(rand.NewSource(5)), 1) }
 	serial := mk()
 	prev := Objective(serial.embedding(), f, b)
 	for sweep := 0; sweep < 3; sweep++ {

@@ -106,13 +106,12 @@ func Refine(st *AffinityState, prev *Embedding, sweeps, nb int, delta UpdateDelt
 }
 
 // warmState seeds the solver with contiguous copies of prev's factors and
-// rebuilds both residuals against f and b in full, O(n·d·k).
+// rebuilds both residuals in full, O(n·d·k), in place over f and b, which
+// it takes ownership of.
 func warmState(prev *Embedding, f, b *mat.Dense, nb int) *state {
-	st := &state{Xf: prev.Xf.Dense(), Xb: prev.Xb.Dense(), Y: prev.Y.Clone()}
-	st.Sf = mat.ParMulBT(st.Xf, st.Y, nb)
-	st.Sf.Sub(f)
-	st.Sb = mat.ParMulBT(st.Xb, st.Y, nb)
-	st.Sb.Sub(b)
+	st := &state{Xf: prev.Xf.Dense(), Xb: prev.Xb.Dense(), Y: prev.Y.Clone(), Sf: f, Sb: b}
+	residualize(f, st.Xf, st.Y, nb)
+	residualize(b, st.Xb, st.Y, nb)
 	return st
 }
 
@@ -132,15 +131,11 @@ func refineNodeRows(prev *Embedding, fRows, bRows *mat.Dense, sweeps, nb int, no
 		copy(subXf.Row(j), prev.Xf.Row(v))
 		copy(subXb.Row(j), prev.Xb.Row(v))
 	}
-	st := &state{Xf: subXf, Xb: subXb, Y: prev.Y}
-	st.Sf = mat.ParMulBT(subXf, prev.Y, nb)
-	st.Sb = mat.ParMulBT(subXb, prev.Y, nb)
-	for j := range nodes {
-		// Row-wise Sub: same x + (-1)·y arithmetic as Dense.Sub, so the
-		// gathered residual rows match a full rebuild's rows bit for bit.
-		mat.AxpyVec(-1, fRows.Row(j), st.Sf.Row(j))
-		mat.AxpyVec(-1, bRows.Row(j), st.Sb.Row(j))
-	}
+	// The residual rows are made in place over the target rows, by the
+	// arithmetic a full rebuild uses, so they match its rows bit for bit.
+	st := &state{Xf: subXf, Xb: subXb, Y: prev.Y, Sf: fRows, Sb: bRows}
+	residualize(fRows, subXf, prev.Y, nb)
+	residualize(bRows, subXb, prev.Y, nb)
 	// Y is fixed for the whole restricted refinement, so its column cache
 	// and norms are loop-invariant.
 	yColT := prev.Y.T()

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -61,14 +62,13 @@ func TestAffinityGoldenBits(t *testing.T) {
 	got := map[string]string{}
 	for _, nb := range []int{1, 2} {
 		f, b := AffinityFromGraph(g, cfg.Alpha, iters, nb)
-		key := "nb=1"
-		if nb == 2 {
-			key = "nb=2"
+		key := fmt.Sprintf("nb=%d", nb)
+		got["F "+key] = sha256Of(f)
+		got["B "+key] = sha256Of(b)
+		if nb == 2 { // PSVDCCD takes ownership of f and b: hashed above
 			emb := PSVDCCD(f, b, cfg, nb)
 			got["embedding"] = sha256Of(emb.Xf.Dense(), emb.Xb.Dense(), emb.Y)
 		}
-		got["F "+key] = sha256Of(f)
-		got["B "+key] = sha256Of(b)
 	}
 
 	s := NewAffinityState(g, cfg.Alpha, iters, 2)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"pane/internal/mat"
@@ -40,23 +41,43 @@ func (st *state) embedding() *Embedding {
 // V then makes Xb = B'·Y a good seed for the backward factor. The
 // residuals are initialized in full once here and only patched
 // incrementally afterwards.
+//
+// Like every initializer here, it takes ownership of f and b: they become
+// the residuals Sf and Sb in place (see residualize), so the caller must
+// not read them afterwards.
 func GreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 	half := k / 2
 	res := svd.RandSVD(f, half, t, rng, nb)
-	y := res.V
-	xf := res.UScaled()
-	xf = padCols(xf, half)
-	y = padCols(y, half)
+	xf := padCols(res.UScaled(), half)
+	y := padCols(res.V, half)
 	xb := mat.ParMul(b, y, nb)
-	sf := mat.ParMulBT(xf, y, nb)
-	sf.Sub(f)
-	sb := mat.ParMulBT(xb, y, nb)
-	sb.Sub(b)
-	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb, svdTime: res.Time}
+	residualize(f, xf, y, nb)
+	residualize(b, xb, y, nb)
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: f, Sb: b, svdTime: res.Time}
+}
+
+// residualize overwrites each target row t[i] with its residual
+// x[i]·Yᵀ − t[i], nb workers each owning a range of rows: element j is
+// mat.Dot(x[i], y[j]) − t[i][j], the one subtraction Dense.Sub makes after
+// a mat.MulBT, so the residual's bits are those of the product-then-Sub
+// it replaces, without a second n x d matrix.
+func residualize(t, x, y *mat.Dense, nb int) {
+	if t.Rows != x.Rows || t.Cols != y.Rows || x.Cols != y.Cols {
+		panic(fmt.Sprintf("core: residualize %dx%d target, %dx%d x, %dx%d y", t.Rows, t.Cols, x.Rows, x.Cols, y.Rows, y.Cols))
+	}
+	mat.ParallelRanges(t.Rows, mat.RowWorkers(t.Rows, nb), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ti, xi := t.Row(i), x.Row(i)
+			for j := range ti {
+				ti[j] = mat.Dot(xi, y.Row(j)) - ti[j]
+			}
+		}
+	})
 }
 
 // RandomInit seeds the solver with small Gaussian embeddings instead of
-// the greedy SVD — the PANE-R ablation of §5.7 (Figures 7 and 8).
+// the greedy SVD — the PANE-R ablation of §5.7 (Figures 7 and 8). It takes
+// ownership of f and b, as GreedyInit does.
 func RandomInit(f, b *mat.Dense, k int, rng *rand.Rand, nb int) *state {
 	half := k / 2
 	n, d := f.Rows, f.Cols
@@ -68,11 +89,9 @@ func RandomInit(f, b *mat.Dense, k int, rng *rand.Rand, nb int) *state {
 		return m
 	}
 	xf, xb, y := gauss(n, half), gauss(n, half), gauss(d, half)
-	sf := mat.ParMulBT(xf, y, nb)
-	sf.Sub(f)
-	sb := mat.ParMulBT(xb, y, nb)
-	sb.Sub(b)
-	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb}
+	residualize(f, xf, y, nb)
+	residualize(b, xb, y, nb)
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: f, Sb: b}
 }
 
 // SMGreedyInit (Algorithm 7) is the split-merge parallel variant of
@@ -81,7 +100,8 @@ func RandomInit(f, b *mat.Dense, k int, rng *rand.Rand, nb int) *state {
 // SVD, and the left factors are stitched through the merge weights W. The
 // result is close to — but not identical to — GreedyInit's (Lemma 4.2
 // shows they coincide when every SVD is exact), which is the source of the
-// parallel algorithm's small utility loss discussed in §5.6.
+// parallel algorithm's small utility loss discussed in §5.6. It takes
+// ownership of f and b, as GreedyInit does.
 func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 	half := k / 2
 	n := f.Rows
@@ -136,28 +156,23 @@ func SMGreedyInit(f, b *mat.Dense, k, t int, rng *rand.Rand, nb int) *state {
 	y := padCols(merged.V, half)
 	w := padCols(merged.UScaled(), half) // (nb·half) x half
 	// Stitch: Xf[Vi] = Ui · W[i·half:(i+1)·half], Xb[Vi] = B'[Vi]·Y,
-	// and the residual blocks (Lines 7-11).
+	// each written straight into its rows, and the residual blocks (Lines
+	// 7-11) made in place over F'[Vi] and B'[Vi] — B'[Vi] after Xb[Vi] has
+	// read it.
 	xf := mat.New(n, half)
 	xb := mat.New(n, half)
-	sf := mat.New(n, f.Cols)
-	sb := mat.New(n, f.Cols)
 	mat.ParallelRanges(len(blocks), len(blocks), func(blo, bhi int) {
 		for iw := blo; iw < bhi; iw++ {
 			rg := blocks[iw]
-			wBlock := w.RowView(iw*half, (iw+1)*half)
-			xfBlock := mat.Mul(factors[iw].u, wBlock)
-			xf.RowView(rg[0], rg[1]).CopyFrom(xfBlock)
-			xbBlock := mat.Mul(b.RowView(rg[0], rg[1]), y)
-			xb.RowView(rg[0], rg[1]).CopyFrom(xbBlock)
-			sfBlock := mat.MulBT(xfBlock, y)
-			sfBlock.Sub(f.RowView(rg[0], rg[1]))
-			sf.RowView(rg[0], rg[1]).CopyFrom(sfBlock)
-			sbBlock := mat.MulBT(xbBlock, y)
-			sbBlock.Sub(b.RowView(rg[0], rg[1]))
-			sb.RowView(rg[0], rg[1]).CopyFrom(sbBlock)
+			xfBlock, xbBlock := xf.RowView(rg[0], rg[1]), xb.RowView(rg[0], rg[1])
+			mat.MulInto(xfBlock, factors[iw].u, w.RowView(iw*half, (iw+1)*half))
+			factors[iw].u = nil // read once: the collector may take it now
+			mat.MulInto(xbBlock, b.RowView(rg[0], rg[1]), y)
+			residualize(f.RowView(rg[0], rg[1]), xfBlock, y, 1)
+			residualize(b.RowView(rg[0], rg[1]), xbBlock, y, 1)
 		}
 	})
-	return &state{Xf: xf, Xb: xb, Y: y, Sf: sf, Sb: sb, svdTime: svdTime}
+	return &state{Xf: xf, Xb: xb, Y: y, Sf: f, Sb: b, svdTime: svdTime}
 }
 
 // padCols widens m with zero columns up to want columns, when a truncated

@@ -431,7 +431,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	// the delta path — restricted sweeps leave every untouched row
 	// bit-identical, which is what lets the index refresh O(Δ) rows
 	// instead of rebuilding O(n/S) per shard.
-	touched := touchedDelta(edges, attrs)
+	touched := touchedDelta(prev.Graph, edges, attrs)
 	thr := e.refreshThreshold
 	incremental := thr > 0 &&
 		float64(len(touched.Nodes)) <= thr*float64(g.N) &&
@@ -579,16 +579,20 @@ func (e *Engine) AffinityStatus() AffinityStatus {
 	}
 }
 
-// touchedDelta collects the rows a graph update directly touches: both
-// endpoints of every inserted edge (an update refines a node's forward
-// and backward rows together) plus the node and attribute of every
-// attribute entry of non-zero weight, each sorted and deduplicated. A
-// zero-weight entry leaves the graph as it was (Graph.WithUpdates and
-// core.UpdateAffinity skip it too), so it touches no row. Out-of-range ids
-// were already rejected by Graph.WithUpdates.
-func touchedDelta(edges []graph.Edge, attrs []graph.AttrEntry) core.UpdateDelta {
+// touchedDelta collects the rows an update of g directly touches: both
+// endpoints of every edge g does not hold yet (an update refines a node's
+// forward and backward rows together) plus the node and attribute of
+// every attribute entry of non-zero weight, each sorted and deduplicated.
+// A re-sent edge and a zero-weight entry leave the graph as it was (an
+// inserted edge has weight 1 either way; Graph.WithUpdates and
+// core.UpdateAffinity skip a zero weight), so they touch no row.
+// Out-of-range ids were already rejected by Graph.WithUpdates.
+func touchedDelta(g *graph.Graph, edges []graph.Edge, attrs []graph.AttrEntry) core.UpdateDelta {
 	nodeSet := make(map[int]struct{}, 2*len(edges)+len(attrs))
 	for _, ed := range edges {
+		if g.HasEdge(ed.Src, ed.Dst) {
+			continue
+		}
 		nodeSet[ed.Src] = struct{}{}
 		nodeSet[ed.Dst] = struct{}{}
 	}

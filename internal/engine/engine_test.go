@@ -142,6 +142,39 @@ func TestZeroWeightAttrTouchesNoRows(t *testing.T) {
 	}
 }
 
+// TestResentEdgeTouchesNoRows: an edge the graph already holds leaves it
+// as it was, so the second of two identical edge-only writes publishes the
+// next version with no dirty row, every Xf/Xb page the parent's memory and
+// Y the parent's matrix — where listing its endpoints refined an unchanged
+// graph, and on a graph this small took the full path.
+func TestResentEdgeTouchesNoRows(t *testing.T) {
+	var stats []UpdateStats
+	eng := trainTestEngine(t, WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
+	write := []graph.Edge{{Src: 1, Dst: 5}}
+	if _, err := eng.ApplyEdges(write); err != nil {
+		t.Fatal(err)
+	}
+	prev := eng.Model()
+	m, err := eng.ApplyEdges(write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != prev.Version+1 {
+		t.Fatalf("version %d, want %d", m.Version, prev.Version+1)
+	}
+	if len(stats) != 2 || stats[0].DirtyNodes != 2 || stats[1].DirtyNodes != 0 || stats[1].DirtyAttrs != 0 || !stats[1].Incremental {
+		t.Fatalf("update stats %+v, want the re-sent edge to dirty no row", stats)
+	}
+	for k := range prev.Emb.Xf.Pages() {
+		if !m.Emb.Xf.SamePage(prev.Emb.Xf, k) || !m.Emb.Xb.SamePage(prev.Emb.Xb, k) {
+			t.Fatalf("page %d of Xf/Xb was copied", k)
+		}
+	}
+	if m.Emb.Y != prev.Emb.Y {
+		t.Fatal("Y is not the parent's matrix")
+	}
+}
+
 // TestNonFiniteAttrWeightRejected: a NaN or infinite attribute weight is
 // refused before it reaches the log or the model — the version and the
 // WAL's last version stay where they were.

@@ -402,8 +402,8 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 // buildSpace fills si's cells of space sp with a full build over the
 // shard's candidate rows: its freshly computed block of Z, or its block
 // of Y (a view of the model's matrix, not a copy). One BuildIVF serves
-// every inverted cell, so three codecs cost one k-means and one copy of
-// the lists. Each layout's float64 cell holds the int8 encoding its scan
+// every inverted cell, so three codecs cost one k-means; its lists are
+// ids, and every cell reads their rows from the same block. Each layout's float64 cell holds the int8 encoding its scan
 // bounds scores with, and its int8 and binary16 cells scan that encoding
 // too (index.Table.Encode). A restored engine builds the same way: a
 // bundle carries no encodings.

@@ -135,7 +135,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		buildDurIncr: reg.Histogram("pane_index_build_duration_seconds", buildDur, obs.L("kind", "incremental")),
 		buildDurFull: reg.Histogram("pane_index_build_duration_seconds", buildDur, obs.L("kind", "full")),
 		bytesCopied: reg.Counter("pane_index_refresh_bytes_copied_total",
-			"Bytes of rows, ids, codes and page slices a shard generation wrote rather than shared with its parent."),
+			"Bytes of codes and page slices a shard generation wrote rather than shared with its parent."),
 		publishLag: reg.Histogram("pane_index_publish_lag_seconds",
 			"Time from a model version's publish to the consistent shard cut at that version; top-k reads scan meanwhile."),
 		stageFanout: reg.Histogram("pane_query_stage_duration_seconds", stageHelp, obs.L("stage", "fanout")),

@@ -74,14 +74,16 @@ func ReadEdges(r io.Reader) (edges []Edge, n int, err error) {
 		if skip {
 			continue
 		}
-		src, dst := fields[0], fields[1]
-		edges = append(edges, Edge{Src: int(src), Dst: int(dst)})
-		if int(src) >= n {
-			n = int(src) + 1
+		src, err := parseID(fields[0], line, 1)
+		if err != nil {
+			return nil, 0, err
 		}
-		if int(dst) >= n {
-			n = int(dst) + 1
+		dst, err := parseID(fields[1], line, 2)
+		if err != nil {
+			return nil, 0, err
 		}
+		edges = append(edges, Edge{Src: src, Dst: dst})
+		n = max(n, src+1, dst+1)
 	}
 	return edges, n, sc.Err()
 }
@@ -101,14 +103,22 @@ func ReadAttrs(r io.Reader) (attrs []AttrEntry, d int, err error) {
 		if skip {
 			continue
 		}
+		node, err := parseID(fields[0], line, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		attr, err := parseID(fields[1], line, 2)
+		if err != nil {
+			return nil, 0, err
+		}
 		w := 1.0
 		if len(fields) == 3 {
-			w = fields[2]
+			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
+				return nil, 0, fmt.Errorf("graph: line %d field 3: %v", line, err)
+			}
 		}
-		attrs = append(attrs, AttrEntry{Node: int(fields[0]), Attr: int(fields[1]), Weight: w})
-		if int(fields[1]) >= d {
-			d = int(fields[1]) + 1
-		}
+		attrs = append(attrs, AttrEntry{Node: node, Attr: attr, Weight: w})
+		d = max(d, attr+1)
 	}
 	return attrs, d, sc.Err()
 }
@@ -128,33 +138,48 @@ func ReadLabels(r io.Reader, n int) ([][]int, error) {
 		if skip {
 			continue
 		}
-		v := int(fields[0])
-		if v < 0 || v >= n {
+		v, err := parseID(fields[0], line, 1)
+		if err != nil {
+			return nil, err
+		}
+		if v >= n {
 			return nil, fmt.Errorf("graph: labels line %d: node %d out of range", line, v)
 		}
-		labels[v] = append(labels[v], int(fields[1]))
+		l, err := parseID(fields[1], line, 2)
+		if err != nil {
+			return nil, err
+		}
+		labels[v] = append(labels[v], l)
 	}
 	return labels, sc.Err()
 }
 
-func splitLine(s string, line, minF, maxF int) ([]float64, bool, error) {
+// splitLine returns the whitespace-separated fields of one line, or skip
+// for a blank or comment line.
+func splitLine(s string, line, minF, maxF int) (fields []string, skip bool, err error) {
 	s = strings.TrimSpace(s)
 	if s == "" || strings.HasPrefix(s, "#") {
 		return nil, true, nil
 	}
-	parts := strings.Fields(s)
-	if len(parts) < minF || len(parts) > maxF {
-		return nil, false, fmt.Errorf("graph: line %d: want %d-%d fields, got %d", line, minF, maxF, len(parts))
+	fields = strings.Fields(s)
+	if len(fields) < minF || len(fields) > maxF {
+		return nil, false, fmt.Errorf("graph: line %d: want %d-%d fields, got %d", line, minF, maxF, len(fields))
 	}
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, false, fmt.Errorf("graph: line %d field %d: %v", line, i+1, err)
-		}
-		out[i] = v
+	return fields, false, nil
+}
+
+// parseID parses field (1-based) of a line as a node, attribute or label
+// id: a non-negative decimal integer. "2.5", "1e12" and "0x3" are errors,
+// not ids 2, 10¹² or 3.
+func parseID(p string, line, field int) (int, error) {
+	v, err := strconv.Atoi(p)
+	if err != nil {
+		return 0, fmt.Errorf("graph: line %d field %d: id %q is not a decimal integer", line, field, p)
 	}
-	return out, false, nil
+	if v < 0 {
+		return 0, fmt.Errorf("graph: line %d field %d: negative id %d", line, field, v)
+	}
+	return v, nil
 }
 
 // LoadFiles builds a Graph from edge, attribute, and (optionally empty)

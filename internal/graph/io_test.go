@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -105,4 +106,38 @@ func collectAttrs(g *Graph) []AttrEntry {
 		}
 	}
 	return out
+}
+
+// TestReadRejectsNonIntegerIDs: an id must be a non-negative decimal
+// integer in every reader. A float id was once truncated ("2.5 1" loaded
+// as edge (2,1)) and an exponent sized n from a float.
+func TestReadRejectsNonIntegerIDs(t *testing.T) {
+	for _, bad := range []string{"2.5", "1e12", "-1", "0x3"} {
+		for _, tc := range []struct {
+			name string
+			read func(string) error
+			text string
+		}{
+			{"edges src", func(s string) error { _, _, err := ReadEdges(strings.NewReader(s)); return err }, "0 1\n" + bad + " 1\n"},
+			{"edges dst", func(s string) error { _, _, err := ReadEdges(strings.NewReader(s)); return err }, "0 1\n1 " + bad + "\n"},
+			{"attrs node", func(s string) error { _, _, err := ReadAttrs(strings.NewReader(s)); return err }, "0 1 1\n" + bad + " 1 0.5\n"},
+			{"attrs attr", func(s string) error { _, _, err := ReadAttrs(strings.NewReader(s)); return err }, "0 1 1\n1 " + bad + " 0.5\n"},
+			{"labels node", func(s string) error { _, err := ReadLabels(strings.NewReader(s), 4); return err }, "0 1\n" + bad + " 1\n"},
+			{"labels label", func(s string) error { _, err := ReadLabels(strings.NewReader(s), 4); return err }, "0 1\n1 " + bad + "\n"},
+		} {
+			err := tc.read(tc.text)
+			if err == nil {
+				t.Errorf("%s %q: accepted", tc.name, bad)
+				continue
+			}
+			if !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("%s %q: error %q does not name line 2", tc.name, bad, err)
+			}
+		}
+	}
+	// Weights stay floats.
+	attrs, d, err := ReadAttrs(strings.NewReader("3 4 2.5\n1 0 1e-3\n"))
+	if err != nil || d != 5 || len(attrs) != 2 || attrs[0].Weight != 2.5 || attrs[1].Weight != 1e-3 {
+		t.Fatalf("float weights: %v, d=%d, %v", attrs, d, err)
+	}
 }

@@ -266,14 +266,11 @@ func fullScan(tables []*Table, q []float64, k int, opt Options) []core.Scored {
 	top := core.NewTopK(k)
 	for _, t := range tables {
 		for _, v := range t.lay.probe(q, opt.NProbe) {
-			rows, ids := t.lay.block(v.ID)
-			for j := range rows.Rows {
-				id := t.base + j
-				if ids != nil {
-					id = t.base + int(ids[j])
-				}
-				if opt.Skip == nil || !opt.Skip(id) {
-					top.Offer(id, certScore(t.codec, q, rows.Row(j)))
+			n, ids := t.lay.block(v.ID)
+			s := span{ids: ids, base: t.base, data: t.data}
+			for j := range n {
+				if id := s.id(j); opt.Skip == nil || !opt.Skip(id) {
+					top.Offer(id, certScore(t.codec, q, s.row(j)))
 				}
 			}
 		}

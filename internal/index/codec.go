@@ -127,18 +127,21 @@ func pageCodes(c Codes, n, dim int) []Codes {
 	return pages
 }
 
-// block is one layout block as a table holds it: the float64 rows (the
-// caller's matrix under the flat layout, one inverted list's gathered
-// copy otherwise — shared with the layout, never copied per codec) and
-// the table's codec's encoding of them, on pages with the same
-// boundaries: codes[k] encodes page k of rows. A binary16 block also
-// holds keys, the int8 pages its scan bounds scores with: the pages of
-// the float64 cell's block at the same position, shared, not copied, so
-// the page helpers below never see them and a refresh leaves them to
-// their owner. open counts its rows whose halves may overflow (see
-// overflows); while there is one, its scan certifies nothing.
+// block is one layout block as a table holds it: its row count and the
+// table's codec's encoding of its rows, on mat.PageRows-row pages:
+// codes[k] encodes block rows [k·PageRows, (k+1)·PageRows). It holds no
+// float64 rows: block row j is the row of the table's candidate matrix
+// that the layout's ids name (row j itself under the flat layout), read
+// from the table, never through the block, so a block one generation
+// shares with the next keeps no page of the older matrix alive. A
+// binary16 block also holds keys, the int8 pages its scan bounds scores
+// with: the pages of the float64 cell's block at the same position,
+// shared, not copied, so the page helpers below never see them and a
+// refresh leaves them to their owner. open counts its rows whose halves
+// may overflow (see overflows); while there is one, its scan certifies
+// nothing.
 type block struct {
-	rows  *mat.Paged
+	n     int
 	codes []Codes
 	keys  []Codes
 	open  int
@@ -154,14 +157,15 @@ func i8Run(pages []Codes, j, hi, w int) (codes []int8, scale, base []float32) {
 	return pg.I8[r*w : (r+n)*w], pg.Scale[r : r+n], pg.Base[r : r+n]
 }
 
-// encodeBlock returns the paged encoding of a block's rows, candidates ids
-// (nil: row j is candidate j). A row that is not dirty and that prev — the
-// previous generation's block, candidates prevIDs — also holds keeps its
-// encoding; all three id lists ascend, so one merge walk finds them.
-func encodeBlock(enc codec, rows *mat.Paged, ids []int32, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
-	c := enc.alloc(rows.Rows, rows.Cols)
+// encodeBlock returns the paged encoding of a block of n rows of data,
+// candidates ids (nil: row j is candidate j). A row that is not dirty and
+// that prev — the previous generation's block, candidates prevIDs — also
+// holds keeps its encoding; all three id lists ascend, so one merge walk
+// finds them.
+func encodeBlock(enc codec, data *mat.Paged, n int, ids []int32, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
+	c := enc.alloc(n, data.Cols)
 	i, d := 0, 0
-	for j := range rows.Rows {
+	for j := range n {
 		id := j
 		if ids != nil {
 			id = int(ids[j])
@@ -173,20 +177,21 @@ func encodeBlock(enc codec, rows *mat.Paged, ids []int32, prev []Codes, prevIDs 
 			i++
 		}
 		if i < len(prevIDs) && int(prevIDs[i]) == id && (d == len(dirty) || dirty[d] != id) {
-			c.copyRow(j, &prev[i/mat.PageRows], i%mat.PageRows, rows.Cols)
+			c.copyRow(j, &prev[i/mat.PageRows], i%mat.PageRows, data.Cols)
 			continue
 		}
-		enc.encodeRow(c, j, rows.Row(j))
+		enc.encodeRow(c, j, data.Row(id))
 		w.RowsEncoded++
 	}
 	w.BytesCopied += c.bytes()
-	return pageCodes(c, rows.Rows, rows.Cols)
+	return pageCodes(c, n, data.Cols)
 }
 
-// patchBlock returns prev, the paged encoding of a flat block, with the
-// dirty rows re-encoded from rows: the page slice and the pages holding a
-// dirty row are copied, every other page is shared. A copied page is
-// memory of its own, so the pages before it stop reaching across it.
+// patchBlock returns prev, the paged encoding of a flat block over rows,
+// with the dirty rows re-encoded from rows: the page slice and the pages
+// holding a dirty row are copied, every other page is shared. A copied
+// page is memory of its own, so the pages before it stop reaching across
+// it.
 func patchBlock(enc codec, rows *mat.Paged, prev []Codes, dirty []int, w *Work) []Codes {
 	out := slices.Clone(prev)
 	w.BytesCopied += int64(96 * len(out)) // four slice headers a page
@@ -233,21 +238,29 @@ type taker struct {
 }
 
 // span is a contiguous row range [lo, hi) of one block together with what
-// turns a row into an id: ids maps block rows to local candidate ids
-// (nil: row j is candidate j), and base lifts those to global ids.
+// turns a row into an id and a float64 row: ids maps block rows to local
+// candidate ids (nil: row j is candidate j), base lifts those to global
+// ids, and data is the table's candidate matrix by local id.
 type span struct {
 	lo, hi int
 	ids    []int32
 	base   int
+	data   *mat.Paged
+}
+
+// local returns the local candidate id of block row j.
+func (s *span) local(j int) int {
+	if s.ids != nil {
+		return int(s.ids[j])
+	}
+	return j
 }
 
 // id returns the global id of block row j.
-func (s *span) id(j int) int {
-	if s.ids != nil {
-		return s.base + int(s.ids[j])
-	}
-	return s.base + j
-}
+func (s *span) id(j int) int { return s.base + s.local(j) }
+
+// row returns the float64 row of block row j.
+func (s *span) row(j int) []float64 { return s.data.Row(s.local(j)) }
 
 // run scores the next run of s's rows, from row j (which starts a group)
 // on, against the queries of ts, loaded into l, each under its top-k's
@@ -357,8 +370,9 @@ func (f64Codec) scan(b *block, s span, ts []taker, l *lanes) int {
 	return certifiedScan(b, b.codes, s, ts, l, scoreF64)
 }
 
-// scoreF64 is the float64 codec's re-score of block row j: mat.Dot.
-func scoreF64(q []float64, b *block, j int) float64 { return mat.Dot(q, b.rows.Row(j)) }
+// scoreF64 is the float64 codec's re-score of block row j: mat.Dot over
+// the candidate row s names.
+func scoreF64(q []float64, _ *block, s span, j int) float64 { return mat.Dot(q, s.row(j)) }
 
 // prepareBound quantizes q as the int8 codec does and gathers the bound's
 // per-query factors: expanding e,
@@ -432,11 +446,11 @@ func overflowing(keys []Codes, rows []int, n int) (c int) {
 // with score offers, in the same order. A binary16 block whose halves may
 // overflow is re-scored whole, as a full scan scores it. It returns how
 // many (query, row) pairs it re-scored.
-func certifiedScan(b *block, keys []Codes, s span, ts []taker, l *lanes, score func(q []float64, b *block, j int) float64) (scored int) {
+func certifiedScan(b *block, keys []Codes, s span, ts []taker, l *lanes, score func(q []float64, b *block, s span, j int) float64) (scored int) {
 	if b.open > 0 {
 		for _, t := range ts {
 			for j := s.lo; j < s.hi; j++ {
-				if id, sc := s.id(j), score(t.pq.q, b, j); t.top.Admits(id, sc) {
+				if id, sc := s.id(j), score(t.pq.q, b, s, j); t.top.Admits(id, sc) {
 					keep(t.top, t.skip, id, sc)
 				}
 			}
@@ -456,7 +470,7 @@ func certifiedScan(b *block, keys []Codes, s span, ts []taker, l *lanes, score f
 				}
 				if id := s.id(j + r); ub-ub != 0 || t.top.Admits(id, ub) { // ub-ub != 0: Inf or NaN
 					scored++
-					if sc := score(t.pq.q, b, j+r); t.top.Admits(id, sc) {
+					if sc := score(t.pq.q, b, s, j+r); t.top.Admits(id, sc) {
 						keep(t.top, t.skip, id, sc)
 						floor = t.top.Floor()
 					}

@@ -64,10 +64,10 @@ func checkRuns(t *testing.T, label string, tb *Table) {
 		if b.codes == nil {
 			continue
 		}
-		dim, whole := b.rows.Cols, b.whole()
-		for j := 0; j < b.rows.Rows; j += mat.PageRows {
+		dim, whole := tb.data.Cols, b.whole()
+		for j := 0; j < b.n; j += mat.PageRows {
 			pg := b.codes[j/mat.PageRows]
-			n := min(pg.reach(dim), b.rows.Rows-j)
+			n := min(pg.reach(dim), b.n-j)
 			if !reflect.DeepEqual(pg.rows(0, n, n, dim), whole.rows(j, j+n, j+n, dim)) {
 				t.Fatalf("%s block %d: code run of %d rows from %d is stale", label, l, n, j)
 			}
@@ -88,7 +88,7 @@ func sameEncoding(t *testing.T, label string, got, want *Table) {
 		if !reflect.DeepEqual(gi, wi) && (len(gi) > 0 || len(wi) > 0) {
 			t.Fatalf("%s block %d: members differ", label, l)
 		}
-		if got.blocks[l].rows.Dense().MaxAbsDiff(want.blocks[l].rows.Dense()) != 0 {
+		if got.blockRows(l).MaxAbsDiff(want.blockRows(l)) != 0 {
 			t.Fatalf("%s block %d: rows differ", label, l)
 		}
 		if g, w := got.blocks[l].whole(), want.blocks[l].whole(); !reflect.DeepEqual(g, w) {
@@ -202,22 +202,22 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 				}
 			}
 		}
-		iv, old := whole.cells[3].inverted(), prev.cells[3].inverted()
+		iv, old := whole.cells[3], prev.cells[3]
 		untouched := 0
-		for l := range iv.vecs {
-			if iv.vecs[l] != old.vecs[l] {
+		for l := range iv.blocks {
+			if !old.kept(iv.data, iv.lay, l) {
 				continue
 			}
 			untouched++
 			for i := 3; i < 6; i++ {
 				nb, ob := whole.cells[i].blocks[l], prev.cells[i].blocks[l]
-				if nb.rows != ob.rows || (len(nb.codes) > 0 && !nb.codes[0].shares(ob.codes[0])) {
+				if nb.n != ob.n || (len(nb.codes) > 0 && !nb.codes[0].shares(ob.codes[0])) {
 					t.Fatalf("step %d: cell %d does not share untouched list %d", step, i, l)
 				}
 			}
 		}
-		if untouched < len(iv.vecs)-2*len(dirty) {
-			t.Fatalf("step %d: %d dirty rows left only %d of %d lists untouched", step, len(dirty), untouched, len(iv.vecs))
+		if untouched < len(iv.blocks)-2*len(dirty) {
+			t.Fatalf("step %d: %d dirty rows left only %d of %d lists untouched", step, len(dirty), untouched, len(iv.blocks))
 		}
 		for i, c := range whole.cells {
 			checkRuns(t, fmt.Sprintf("step %d cell %d", step, i), c)
@@ -332,7 +332,7 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 			var want Work
 			for b, nb := range fp.blocks {
 				ob := c[1].blocks[b]
-				if nb.rows == ob.rows {
+				if c[1].kept(fp.data, fp.lay, b) {
 					continue
 				}
 				_, ids := fp.lay.block(b)
@@ -346,7 +346,7 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 					}
 					continue
 				}
-				want.BytesCopied += int64(2 * nb.rows.Rows * dim)
+				want.BytesCopied += int64(2 * nb.n * dim)
 			}
 			if fp.inverted() != nil { // the changed lists' re-encoded rows, as the lead's
 				want.RowsEncoded = lead.Work().RowsEncoded
@@ -356,5 +356,61 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 			}
 			cells[i] = [2]*Table{lead, fp}
 		}
+	}
+}
+
+// TestInvertedListsHoldNoRows: an inverted file's lists are ids and codes
+// only. Every row a built or refreshed inverted cell scores is the
+// candidate matrix's own memory, not a copy, and the books count the
+// codes a build or refresh writes and nothing for float64 lists — at
+// 8·dim + 4 bytes a row, copied lists were the larger part of an
+// inverted cell and of what a refresh copied.
+func TestInvertedListsHoldNoRows(t *testing.T) {
+	const n, dim = 700, 24
+	data := mixture(n, dim, 5, 131)
+	z := mat.Page(data)
+	iv := BuildIVF(data, IVFConfig{NList: 9, Seed: 3, Threads: 2})
+	aliasesRows := func(label string, tab *Table, z *mat.Paged) {
+		t.Helper()
+		for b := range tab.blocks {
+			n, ids := tab.lay.block(b)
+			s := span{ids: ids, data: tab.data}
+			for j := range n {
+				if &s.row(j)[0] != &z.Row(int(ids[j]))[0] {
+					t.Fatalf("%s list %d row %d: scored from a copy, not the candidate matrix", label, b, j)
+				}
+			}
+		}
+	}
+	codeBytes := func(tab, prev *Table) (c int64) {
+		for b, blk := range tab.blocks {
+			if prev != nil && prev.kept(tab.data, tab.lay, b) {
+				continue
+			}
+			for _, pg := range blk.codes {
+				c += pg.bytes()
+			}
+		}
+		return c
+	}
+	aliasesRows("build", iv, z)
+	if got, want := iv.Work().BytesCopied, codeBytes(iv, nil); got != want {
+		t.Fatalf("build copied %d bytes, its codes are %d", got, want)
+	}
+	rng := rand.New(rand.NewSource(132))
+	for step := range 4 {
+		dirty := []int{3 + step, 90 + 7*step, 400 + 11*step, n - 1 - step}
+		patch := mat.New(len(dirty), dim)
+		for j := range patch.Data {
+			patch.Data[j] = rng.NormFloat64()
+		}
+		z = z.WithRows(dirty, patch)
+		next := iv.Refresh(z, dirty, nil)
+		label := fmt.Sprintf("refresh %d", step)
+		aliasesRows(label, next, z)
+		if got, want := next.Work().BytesCopied, codeBytes(next, iv); got != want {
+			t.Fatalf("%s copied %d bytes, its re-encoded lists' codes are %d", label, got, want)
+		}
+		iv = next
 	}
 }

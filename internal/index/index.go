@@ -50,9 +50,10 @@
 //	                    slice and the dirty rows' code pages are copied,
 //	                    the dirty rows re-encoded
 //	inverted, float64   the dirty rows move between lists against the
-//	                    frozen quantizer; touched lists are re-gathered
-//	                    and carry their survivors' codes over, the dirty
-//	                    rows are encoded
+//	                    frozen quantizer; touched lists get new ids and
+//	                    carry their survivors' codes over, the dirty
+//	                    rows are encoded (a list holds ids and codes,
+//	                    never rows: it reads them from the matrix)
 //	inverted, binary16  touched lists carry their survivors' codes over;
 //	                    the dirty rows are encoded
 //	int8 behind float64 nothing: it adopts the float64 cell's blocks

@@ -15,9 +15,10 @@ import (
 // a new one sharing whatever did not change.
 type layout interface {
 	nblocks() int
-	// block returns block b's float64 rows and the local candidate id of
-	// each (nil: row j is candidate j).
-	block(b int) (rows *mat.Paged, ids []int32)
+	// block returns block b's row count and the local candidate id of
+	// each row (nil: row j is candidate j). A block holds no float64 rows
+	// of its own: row j is the candidate matrix's row of its id.
+	block(b int) (n int, ids []int32)
 	// probe returns the blocks a search for q visits, as TopK entries
 	// keyed by block number. nprobe <= 0 means the layout's default.
 	probe(q []float64, nprobe int) []core.Scored
@@ -30,19 +31,19 @@ type layout interface {
 	rebuild(data *mat.Paged) layout
 }
 
-// flat is the one-block layout: block row j is candidate j and every
-// search visits all of it. It derives nothing from the matrix, so each
-// refresh is a re-wrap.
-type flat struct{ data *mat.Paged }
+// flat is the one-block layout over n candidates: block row j is
+// candidate j and every search visits all of it. It derives nothing from
+// the matrix but its row count.
+type flat struct{ n int }
 
 var wholeBlock = []core.Scored{{ID: 0}}
 
 func (f flat) nblocks() int                            { return 1 }
-func (f flat) block(int) (*mat.Paged, []int32)         { return f.data, nil }
+func (f flat) block(int) (int, []int32)                { return f.n, nil }
 func (f flat) probe([]float64, int) []core.Scored      { return wholeBlock }
-func (f flat) refresh(data *mat.Paged, _ []int) layout { return flat{data} }
-func (f flat) reseat(data *mat.Paged) layout           { return flat{data} }
-func (f flat) rebuild(data *mat.Paged) layout          { return flat{data} }
+func (f flat) refresh(data *mat.Paged, _ []int) layout { return flat{data.Rows} }
+func (f flat) reseat(data *mat.Paged) layout           { return flat{data.Rows} }
+func (f flat) rebuild(data *mat.Paged) layout          { return flat{data.Rows} }
 
 // IVFConfig tunes BuildIVF. Zero values pick defaults scaled to the
 // candidate count n.
@@ -73,22 +74,22 @@ const (
 // inverted is the inverted-file layout: candidates are partitioned into
 // lists by a k-means coarse quantizer, and a search visits only the
 // nprobe lists whose centroids have the largest inner product with the
-// query. Probing all lists visits every candidate.
+// query. Probing all lists visits every candidate. A list is its ids
+// alone; its rows stay in the candidate matrix.
 type inverted struct {
 	nprobe   int
 	threads  int
-	cents    *mat.Dense   // nlist x dim centroids
-	ids      [][]int32    // per-list candidate ids, ascending
-	vecs     []*mat.Paged // per-list gathered candidate vectors (row j = ids[j]), one allocation each
-	assigned [][]int32    // per-row home list, on mat.PageRows-row pages like the rows
+	cents    *mat.Dense // nlist x dim centroids
+	ids      [][]int32  // per-list candidate ids, ascending
+	assigned [][]int32  // per-row home list, on mat.PageRows-row pages like the rows
 }
 
 // home returns the list candidate i lives in.
 func (iv *inverted) home(i int) int32 { return iv.assigned[i/mat.PageRows][i%mat.PageRows] }
 
-func (iv *inverted) nblocks() int { return len(iv.vecs) }
+func (iv *inverted) nblocks() int { return len(iv.ids) }
 
-func (iv *inverted) block(b int) (*mat.Paged, []int32) { return iv.vecs[b], iv.ids[b] }
+func (iv *inverted) block(b int) (int, []int32) { return len(iv.ids[b]), iv.ids[b] }
 
 // trainInverted clusters data (one candidate per row) into an inverted
 // file.
@@ -169,23 +170,19 @@ func trainInverted(data *mat.Paged, cfg IVFConfig) *inverted {
 }
 
 // rebuild assigns every row of data to its nearest centroid and
-// materializes the lists — per-list ascending ids plus contiguous vector
-// copies for cache-friendly scans — sharing only the centroids with iv.
-// The assignment is retained so refresh knows each row's previous home.
+// materializes the lists' ascending ids, sharing only the centroids with
+// iv. The assignment is retained so refresh knows each row's previous
+// home.
 func (iv *inverted) rebuild(data *mat.Paged) layout {
 	nlist := iv.cents.Rows
 	out := &inverted{
 		nprobe: iv.nprobe, threads: iv.threads, cents: iv.cents,
-		ids:  make([][]int32, nlist),
-		vecs: make([]*mat.Paged, nlist),
+		ids: make([][]int32, nlist),
 	}
 	assigned := make([]int32, data.Rows)
 	out.assign(data, nil, assigned)
 	for i, c := range assigned {
 		out.ids[c] = append(out.ids[c], int32(i))
-	}
-	for c := range out.ids {
-		out.vecs[c] = gather(data, out.ids[c], out.ids[c], nil, nil)
 	}
 	out.assigned = make([][]int32, (data.Rows+mat.PageRows-1)/mat.PageRows)
 	for k := range out.assigned {
@@ -194,11 +191,12 @@ func (iv *inverted) rebuild(data *mat.Paged) layout {
 	return out
 }
 
-// refresh reassigns each dirty row to its nearest centroid and rebuilds
-// only the lists a dirty row left, joined, or stayed in — every untouched
-// list shares its id and vector storage with iv, and the assignment every
-// page no dirty row is on — at O(|dirty| · nlist + affected-list rows)
-// cost instead of rebuild's O(n · nlist).
+// refresh reassigns each dirty row to its nearest centroid and gives new
+// ids to the lists a dirty row left, joined, or stayed in — every
+// untouched list shares its ids with iv, and the assignment every page no
+// dirty row is on — at O(|dirty| · nlist + affected-list ids) cost
+// instead of rebuild's O(n · nlist). A list with new ids is how a table
+// tells that its rows changed (see Table.kept).
 func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 	if len(dirty) == 0 {
 		return iv
@@ -212,7 +210,7 @@ func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 	iv.assign(data, dirty, newAssign)
 
 	out := *iv
-	out.ids, out.vecs, out.assigned = slices.Clone(iv.ids), slices.Clone(iv.vecs), slices.Clone(iv.assigned)
+	out.ids, out.assigned = slices.Clone(iv.ids), slices.Clone(iv.assigned)
 	added := make(map[int32][]int32) // per changed list, the dirty members it gains, ascending
 	for j, r := range dirty {
 		k := r / mat.PageRows
@@ -227,8 +225,7 @@ func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 	}
 	for l, gained := range added {
 		// Survivors (clean old members) merged in id order with the dirty
-		// rows now assigned here, which take their vectors from data — so
-		// one that stayed in its list still gets its new values.
+		// rows now assigned here.
 		ids := make([]int32, 0, len(iv.ids[l])+len(gained))
 		g, d := 0, 0
 		for _, id := range iv.ids[l] {
@@ -243,43 +240,13 @@ func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 			}
 		}
 		out.ids[l] = append(ids, gained[g:]...)
-		out.vecs[l] = gather(data, out.ids[l], gained, iv.ids[l], iv.vecs[l])
 	}
 	return &out
 }
 
-// reseat keeps the coarse quantizer, the per-list id slices and the
-// per-row assignment, and rebuilds only the per-list vector copies.
-func (iv *inverted) reseat(data *mat.Paged) layout {
-	out := *iv
-	out.vecs = make([]*mat.Paged, len(iv.vecs))
-	for l, ids := range iv.ids {
-		out.vecs[l] = gather(data, ids, ids, nil, nil)
-	}
-	return &out
-}
-
-// gather returns the rows of the list with members ids as one contiguous
-// block, paged without a second copy. The members in fresh (ascending)
-// take their rows from data; every other member was in the list before,
-// among oldIDs, and its row is carried over from old — a sequential walk
-// of one block instead of a cache miss per row of data.
-func gather(data *mat.Paged, ids, fresh, oldIDs []int32, old *mat.Paged) *mat.Paged {
-	vecs := mat.New(len(ids), data.Cols)
-	i, f := 0, 0
-	for j, id := range ids {
-		if f < len(fresh) && fresh[f] == id {
-			copy(vecs.Row(j), data.Row(int(id)))
-			f++
-			continue
-		}
-		for oldIDs[i] != id {
-			i++
-		}
-		copy(vecs.Row(j), old.Row(i))
-	}
-	return mat.Page(vecs)
-}
+// reseat keeps the coarse quantizer, the lists and the per-row
+// assignment: a list holds no rows, so there is nothing to redo.
+func (iv *inverted) reseat(*mat.Paged) layout { return iv }
 
 // assign writes the nearest centroid (squared L2, ties to the lowest
 // centroid index) of each listed row into out. rows == nil means all rows

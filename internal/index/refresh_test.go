@@ -125,10 +125,10 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 						nDirty, l, j, ref.inverted().ids[l][j], full.inverted().ids[l][j])
 				}
 			}
-			if ref.inverted().vecs[l].Dense().MaxAbsDiff(full.inverted().vecs[l].Dense()) != 0 {
+			if ref.blockRows(l).MaxAbsDiff(full.blockRows(l)) != 0 {
 				t.Fatalf("nDirty=%d list %d: vectors differ", nDirty, l)
 			}
-			if ref.inverted().vecs[l] == old.inverted().vecs[l] {
+			if old.kept(ref.data, ref.lay, l) {
 				shared++
 			}
 		}
@@ -163,7 +163,7 @@ func TestIVFRefreshChains(t *testing.T) {
 			if len(cur.inverted().ids[l]) != len(full.inverted().ids[l]) {
 				t.Fatalf("step %d list %d: membership diverged", step, l)
 			}
-			if cur.inverted().vecs[l].Dense().MaxAbsDiff(full.inverted().vecs[l].Dense()) != 0 {
+			if cur.blockRows(l).MaxAbsDiff(full.blockRows(l)) != 0 {
 				t.Fatalf("step %d list %d: vectors diverged", step, l)
 			}
 		}
@@ -192,8 +192,9 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 		if &res.inverted().ids[l][0] != &old.inverted().ids[l][0] {
 			t.Fatalf("list %d: Reseat must share id storage", l)
 		}
+		rows := res.blockRows(l)
 		for j, id := range res.inverted().ids[l] {
-			row := res.inverted().vecs[l].Row(j)
+			row := rows.Row(j)
 			for p, v := range newData.Row(int(id)) {
 				if row[p] != v {
 					t.Fatalf("list %d row %d: vector not refreshed", l, j)
@@ -260,7 +261,7 @@ func TestIVFSQRefreshBitForBit(t *testing.T) {
 				t.Fatalf("list %d row %d: parameters differ", l, j)
 			}
 		}
-		if newIV.inverted().vecs[l] == iv.inverted().vecs[l] && &ref.blocks[l].codes[0].I8[0] == &old.blocks[l].codes[0].I8[0] {
+		if iv.kept(newIV.data, newIV.lay, l) && &ref.blocks[l].codes[0].I8[0] == &old.blocks[l].codes[0].I8[0] {
 			shared++
 		}
 	}
@@ -346,4 +347,16 @@ func (b *block) whole() Codes {
 		c.F16 = append(c.F16, pg.F16...)
 	}
 	return c
+}
+
+// blockRows returns the float64 rows of t's block b as its scan reads
+// them: by id from t's candidate matrix.
+func (t *Table) blockRows(b int) *mat.Dense {
+	n, ids := t.lay.block(b)
+	s := span{ids: ids, data: t.data}
+	out := mat.New(n, t.data.Cols)
+	for j := range n {
+		copy(out.Row(j), s.row(j))
+	}
+	return out
 }

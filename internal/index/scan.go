@@ -246,7 +246,7 @@ func (s *scratch) run(u int) {
 	l := &s.lanes[u]
 	if unit.segs == nil {
 		for _, v := range unit.visit {
-			unit.walk(s.ms, tops, l, v.ID, 0, t.blocks[v.ID].rows.Rows)
+			unit.walk(s.ms, tops, l, v.ID, 0, t.blocks[v.ID].n)
 		}
 	} else {
 		for _, seg := range unit.segs {
@@ -289,7 +289,7 @@ func (t *Table) plan(units []unit, ms []member) []unit {
 			}
 		}
 	}
-	size := func(b int) int { return t.blocks[b].rows.Rows }
+	size := func(b int) int { return t.blocks[b].n }
 	rows := 0
 	for _, v := range visit {
 		rows += size(v.ID)
@@ -322,7 +322,7 @@ func (u *unit) walk(ms []member, tops []*core.TopK, l *lanes, b, lo, hi int) {
 		tile = tileRows(rowBytes)
 	}
 	_, ids := t.lay.block(b)
-	s := span{ids: ids, base: t.base}
+	s := span{ids: ids, base: t.base, data: t.data}
 	ts := l.ts[:]
 	for s.lo = lo; s.lo < hi; s.lo = s.hi {
 		s.hi = hi

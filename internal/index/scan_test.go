@@ -168,7 +168,7 @@ func TestSearchBatchStats(t *testing.T) {
 						}
 					}
 					for b := range visited {
-						walked += int64(tab.blocks[b].rows.Rows)
+						walked += int64(tab.blocks[b].n)
 					}
 				}
 				if batch.RowsScored != alone.RowsScored || batch.BytesStreamed != walked*rowBytes+batch.Reranked*rescoreBytes {
@@ -215,6 +215,29 @@ func TestSearchBatchStats(t *testing.T) {
 		st := SearchBatch([]*Table{c.tab}, qs[:c.members], out)
 		if st.RowsScored != c.scored || st.Reranked != c.reranked {
 			t.Fatalf("%s, %d members: %d rows scored, %d reranked; want %d, %d", c.tab.Kind(), c.members, st.RowsScored, st.Reranked, c.scored, c.reranked)
+		}
+	}
+}
+
+// TestSearchAllocationsIndependentOfBlocks: a search's allocations do not
+// grow with the blocks it visits. Every codec's scan runs once per
+// visited block, so anything it heap-allocates (a span escaping into the
+// re-score through a function value did) shows as one allocation per
+// probed list. The margin absorbs sync.Pool drops under -race.
+func TestSearchAllocationsIndependentOfBlocks(t *testing.T) {
+	const nlist = 64
+	data := mixture(4000, 16, 8, 141)
+	iv := BuildIVF(data, IVFConfig{NList: nlist, Seed: 5})
+	q := queries(16, 1, 142)[0]
+	for c := Codec(0); c < NumCodecs; c++ {
+		tab := iv.Encode(c, 0)
+		allocs := func(nprobe int) float64 {
+			return testing.AllocsPerRun(50, func() { tab.Search(q, 10, Options{NProbe: nprobe}) })
+		}
+		one, all := allocs(1), allocs(nlist)
+		t.Logf("%s: %.1f allocations probing 1 list, %.1f probing %d", tab.Kind(), one, all, nlist)
+		if all-one > nlist/4 {
+			t.Errorf("%s: %.1f allocations probing 1 list but %.1f probing %d", tab.Kind(), one, all, nlist)
 		}
 	}
 }

@@ -477,21 +477,21 @@ func TestI8GroupLayout(t *testing.T) {
 			t.Helper()
 			codes, scale, base := QuantizeRows(cur)
 			for b := range tab.blocks {
-				rows, ids := tab.lay.block(b)
+				n, ids := tab.lay.block(b)
 				pages := tab.blocks[b].codes
-				if rows.Rows%groupRows != 0 {
+				if n%groupRows != 0 {
 					midGroup++
 				}
 				if last := pages[len(pages)-1]; len(last.Scale)%groupRows != 0 || len(last.I8) != len(last.Scale)*i8Width(dim) {
 					t.Fatalf("%s block %d: last page holds %d rows' parameters and %d codes", label, b, len(last.Scale), len(last.I8))
 				}
-				for j := range padRows(rows.Rows) {
+				for j := range padRows(n) {
 					pg, r := &pages[j/mat.PageRows], j%mat.PageRows
 					got := pg.i8Row(r, dim)
 					if dim%2 == 1 && pg.I8[i8At(r, dim)+dim/2*2*groupRows+1] != 0 {
 						t.Fatalf("%s block %d row %d: the padded pair's second code is not zero", label, b, j)
 					}
-					if j >= rows.Rows {
+					if j >= n {
 						if pg.Scale[r] != 0 || pg.Base[r] != 0 || slices.ContainsFunc(got, func(c int8) bool { return c != 0 }) {
 							t.Fatalf("%s block %d: pad row %d holds %v (%v, %v)", label, b, j, got, pg.Scale[r], pg.Base[r])
 						}
@@ -552,13 +552,13 @@ func TestScanSpansInsideGroups(t *testing.T) {
 	for c := Codec(0); c < NumCodecs; c++ {
 		for _, tab := range []*Table{ex.Encode(c, 0), iv.Encode(c, 0)} {
 			for b := range tab.blocks {
-				rows, ids := tab.lay.block(b)
+				n, ids := tab.lay.block(b)
 				for _, lo := range []int{0, 1, 3, 7, 8, 9, 15} {
-					for _, hi := range []int{lo + 1, lo + 6, 15, 16, 17, 40, rows.Rows - 1, rows.Rows} {
-						if lo >= hi || hi > rows.Rows {
+					for _, hi := range []int{lo + 1, lo + 6, 15, 16, 17, 40, n - 1, n} {
+						if lo >= hi || hi > n {
 							continue
 						}
-						s := span{lo: lo, hi: hi, ids: ids, base: base}
+						s := span{lo: lo, hi: hi, ids: ids, base: base, data: tab.data}
 						want := make([]int, 0, hi-lo)
 						for j := lo; j < hi; j++ {
 							want = append(want, s.id(j))
@@ -580,7 +580,7 @@ func TestScanSpansInsideGroups(t *testing.T) {
 								slices.Sort(got)
 								if !slices.Equal(got, want) {
 									t.Fatalf("%s block %d span [%d,%d) of %d, query %d/%d: offered %v, want %v",
-										tab.Kind(), b, lo, hi, rows.Rows, x, nq, got, want)
+										tab.Kind(), b, lo, hi, n, x, nq, got, want)
 								}
 							}
 						}

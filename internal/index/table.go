@@ -24,10 +24,10 @@ type Table struct {
 }
 
 // Work is what producing a table cost: rows passed through the codec, and
-// bytes written into storage it does not share with its parent (a float64
-// cell's re-gathered lists, a cell's codes and page slices; a flat cell's
-// rows are the caller's, and a cell that adopts another's encoding writes
-// nothing). Functions of the input alone.
+// bytes written into storage it does not share with its parent (a cell's
+// codes and page slices; the float64 rows are the caller's under every
+// layout, and a cell that adopts another's encoding writes nothing).
+// Functions of the input alone.
 type Work struct {
 	RowsEncoded, BytesCopied int64
 }
@@ -54,7 +54,7 @@ func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int) *Table {
 // newFlat is the flat cell of codec c over data, paged without copying.
 func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
 	pd := mat.Page(data)
-	return newCell(pd, flat{pd}, c, rerank, threads).over(pd, flat{pd}, nil, nil, false)
+	return newCell(pd, flat{pd.Rows}, c, rerank, threads).over(pd, flat{pd.Rows}, nil, nil, false)
 }
 
 // NewExact is the flat float64 cell: data (one candidate per row) is
@@ -76,9 +76,10 @@ func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
 func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0, threads) }
 
 // BuildIVF is the inverted float64 cell: data is clustered into an
-// inverted file (see IVFConfig) and copied list by list, so the caller
-// may keep using it; builds with the same data and config are bit-for-bit
-// reproducible.
+// inverted file (see IVFConfig) whose lists hold candidate ids, not rows.
+// data is wrapped without copying, as NewExact does, so the caller must
+// not mutate it afterwards; builds with the same data and config are
+// bit-for-bit reproducible.
 func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
 	pd := mat.Page(data)
 	lay := trainInverted(pd, cfg)
@@ -266,29 +267,28 @@ func (t *Table) adopt(lead *Table) *Table {
 
 // over returns t's codec and settings over (data, lay). With reuse, lay
 // descends from t's layout and t's encoding is kept where it still holds:
-// a block whose rows lay shares with t is shared, a flat block (same
-// membership by construction) is patched, and a list that changed is
-// encoded against the list it was. A binary16 cell takes its int8 pages
-// from lead, a float64 or int8 cell over lay, or else keeps its own the
-// same way, and counts its open rows again only where a row changed.
+// a block that holds the rows t's holds is shared (see kept), a flat block
+// (same membership by construction) is patched, and a list that changed
+// is encoded against the list it was. A binary16 cell takes its int8
+// pages from lead, a float64 or int8 cell over lay, or else keeps its own
+// the same way, and counts its open rows again only where a row changed.
 func (t *Table) over(data *mat.Paged, lay layout, lead *Table, dirty []int, reuse bool) *Table {
 	out := *t
 	out.data, out.lay, out.work = data, lay, Work{}
 	out.blocks = make([]block, lay.nblocks())
+	patch := reuse && t.inverted() == nil
 	for b := range out.blocks {
-		rows, ids := lay.block(b)
+		n, _ := lay.block(b)
 		var prev block
+		same := reuse && t.kept(data, lay, b)
 		if reuse {
 			prev = t.blocks[b]
 		}
 		nb := &out.blocks[b]
-		if rows == prev.rows {
+		if same {
 			*nb = prev
 		} else {
-			*nb = block{rows: rows, codes: t.encode(codecs[t.codec], b, rows, ids, prev.codes, dirty, &out.work)}
-			if t.codec == F64 && ids != nil { // the float64 cell's storage is the list itself
-				out.work.BytesCopied += int64(rows.Rows) * int64(8*rows.Cols+4)
-			}
+			*nb = block{n: n, codes: t.encode(codecs[t.codec], data, lay, b, prev.codes, dirty, patch, &out.work)}
 		}
 		if t.codec != F16 {
 			continue
@@ -296,32 +296,48 @@ func (t *Table) over(data *mat.Paged, lay layout, lead *Table, dirty []int, reus
 		switch {
 		case lead != nil:
 			nb.keys = lead.keys(b)
-		case rows != prev.rows:
-			nb.keys = t.encode(codecs[I8], b, rows, ids, prev.keys, dirty, &out.work)
+		case !same:
+			nb.keys = t.encode(codecs[I8], data, lay, b, prev.keys, dirty, patch, &out.work)
 		}
 		switch {
-		case rows == prev.rows:
-		case prev.rows != nil && ids == nil: // patched: only the dirty rows changed
+		case same:
+		case patch: // only the dirty rows changed
 			nb.open = prev.open - overflowing(prev.keys, dirty, 0) + overflowing(nb.keys, dirty, 0)
 		default:
-			nb.open = overflowing(nb.keys, nil, rows.Rows)
+			nb.open = overflowing(nb.keys, nil, n)
 		}
 	}
 	return &out
 }
 
-// encode returns enc's paged encoding of block b of a layout (rows,
-// members ids), carrying over what still holds of prev, t's encoding of
-// its block b under enc (nil: encode every row).
-func (t *Table) encode(enc codec, b int, rows *mat.Paged, ids []int32, prev []Codes, dirty []int, w *Work) []Codes {
-	if prev == nil {
-		return encodeBlock(enc, rows, ids, nil, nil, nil, w)
+// kept reports whether block b of lay, which descends from t's layout by
+// a refresh over data, holds exactly the rows t's block b holds: under
+// the flat layout, when data is t's matrix; in an inverted file, when the
+// list has t's list's ids, which a refresh keeps only for a list that no
+// dirty row left, joined or stayed in.
+func (t *Table) kept(data *mat.Paged, lay layout, b int) bool {
+	if t.inverted() == nil {
+		return data == t.data
 	}
-	if ids == nil {
-		return patchBlock(enc, rows, prev, dirty, w)
+	_, ids := lay.block(b)
+	_, prev := t.lay.block(b)
+	return len(ids) == len(prev) && (len(ids) == 0 || &ids[0] == &prev[0])
+}
+
+// encode returns enc's paged encoding of block b of lay over data,
+// carrying over what still holds of prev, t's encoding of its block b
+// under enc (nil: encode every row): patched in place for a flat block,
+// merged against t's list for an inverted one.
+func (t *Table) encode(enc codec, data *mat.Paged, lay layout, b int, prev []Codes, dirty []int, patch bool, w *Work) []Codes {
+	n, ids := lay.block(b)
+	switch {
+	case prev == nil:
+		return encodeBlock(enc, data, n, ids, nil, nil, nil, w)
+	case patch:
+		return patchBlock(enc, data, prev, dirty, w)
 	}
 	_, prevIDs := t.lay.block(b)
-	return encodeBlock(enc, rows, ids, prev, prevIDs, dirty, w)
+	return encodeBlock(enc, data, n, ids, prev, prevIDs, dirty, w)
 }
 
 // keys returns the int8 pages of t's block b: a binary16 cell's keys, any

@@ -228,25 +228,6 @@ func MulBTInto(dst, a, b *Dense) {
 	}
 }
 
-// ParMulBT is MulBT parallelized over rows of a with nb workers.
-func ParMulBT(a, b *Dense, nb int) *Dense {
-	out := New(a.Rows, b.Rows)
-	if nb <= 1 || a.Rows < 2 {
-		MulBTInto(out, a, b)
-		return out
-	}
-	ParallelRanges(a.Rows, nb, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			di := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				di[j] = Dot(ai, b.Row(j))
-			}
-		}
-	})
-	return out
-}
-
 // ParallelRanges splits [0, n) into at most nb contiguous chunks and runs
 // fn(lo, hi) for each chunk on its own goroutine, waiting for all of them.
 // It is the scheduling primitive shared by every parallel kernel in the

@@ -136,11 +136,6 @@ func TestMulBTMatchesExplicitTranspose(t *testing.T) {
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("MulBT differs from explicit transpose multiply")
 	}
-	for _, nb := range []int{2, 5} {
-		if !ParMulBT(a, b, nb).Equal(want, 1e-12) {
-			t.Fatalf("ParMulBT nb=%d differs", nb)
-		}
-	}
 }
 
 func TestMulAssociativityProperty(t *testing.T) {
