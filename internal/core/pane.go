@@ -80,7 +80,9 @@ func (t Timing) String() string {
 // SVDCCD (Algorithm 4) jointly factorizes precomputed affinity matrices:
 // GreedyInit seeds the embeddings, then cfg.ccdIters() CCD sweeps refine
 // them. nb parallelizes the dense products inside the initializer but the
-// algorithm structure is the serial one.
+// algorithm structure is the serial one. It takes ownership of f and b:
+// they become the solver's residuals in place, so the caller must not
+// read them afterwards (clone them first to keep the targets).
 func SVDCCD(f, b *mat.Dense, cfg Config, nb int) *Embedding {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := GreedyInit(f, b, cfg.K, cfg.powerIters(), rng, nb)
@@ -90,7 +92,7 @@ func SVDCCD(f, b *mat.Dense, cfg Config, nb int) *Embedding {
 
 // PSVDCCD (Algorithm 8) is the parallel joint factorization: the
 // split-merge initializer SMGreedyInit followed by node/attribute
-// block-parallel CCD sweeps.
+// block-parallel CCD sweeps. Like SVDCCD, it takes ownership of f and b.
 func PSVDCCD(f, b *mat.Dense, cfg Config, nb int) *Embedding {
 	e, _ := psvdccd(f, b, cfg, nb)
 	return e
