@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pane/internal/graph"
 	"pane/internal/mat"
@@ -269,79 +268,38 @@ type AffinityUpdate struct {
 	Incremental bool
 }
 
-// UpdateAffinity folds a graph delta into the cached state: it computes
-// the t-hop dependency frontier of the delta, re-runs the recurrence over
-// frontier rows only (against the cached levels), and re-sums the
-// normalization sums those rows feed. g must be the post-delta graph whose
-// edge and attribute deltas are given. When either frontier exceeds
-// maxFrac·n the state is left untouched and Incremental=false is returned;
-// maxFrac <= 0 means no limit.
+// UpdateAffinity folds one write into the cached state: it computes the
+// t-hop dependency frontier of the write's effect, re-runs the recurrence
+// over frontier rows only (against the cached levels), and re-sums the
+// normalization sums those rows feed. g must be the post-write graph and
+// eff the Effect graph.Graph.Apply reported for the write; its rows are
+// trusted as given. When either frontier exceeds maxFrac·n the state is
+// left untouched and Incremental=false is returned; maxFrac <= 0 means no
+// limit.
 //
-// Frontier construction: an added edge (u,v) rescales row u of P — and
-// thereby column u of Pᵀ, i.e. every Pᵀ row of u's out-neighbors. An
-// attribute entry (w,r) re-normalizes row w of Rr and column r of Rc,
-// i.e. the Rc rows of r's supporting nodes. Seed rows whose P/Pᵀ row
-// changed propagate for the remaining t−1 iterations; seed rows whose
-// Rr/Rc row changed enter at iteration 0 and propagate t hops. Updates
-// only ever add edges, so expanding along the new graph's adjacency is a
-// superset of every propagation path in both the old and new graphs.
-func UpdateAffinity(s *AffinityState, g *graph.Graph, edges []graph.Edge, attrs []graph.AttrEntry, maxFrac float64, nb int) (AffinityUpdate, error) {
+// Frontier construction: seed rows whose P/Pᵀ row changed (eff.PRows,
+// eff.PTRows) propagate for the remaining t−1 iterations; seed rows whose
+// Rr/Rc row changed (eff.RrRows, eff.RcRows) enter at iteration 0 and
+// propagate t hops. Writes only ever add edges, so expanding along the new
+// graph's adjacency is a superset of every propagation path in both the
+// old and new graphs.
+func UpdateAffinity(s *AffinityState, g *graph.Graph, eff graph.Effect, maxFrac float64, nb int) (AffinityUpdate, error) {
 	if g.N != s.n || g.D != s.d {
 		return AffinityUpdate{}, fmt.Errorf("core: UpdateAffinity graph %dx%d does not match state %dx%d", g.N, g.D, s.n, s.d)
 	}
 	if nb < 1 {
 		nb = 1
 	}
-	srcSet := map[int]bool{}
-	for _, e := range edges {
-		if e.Src < 0 || e.Src >= s.n || e.Dst < 0 || e.Dst >= s.n {
-			return AffinityUpdate{}, fmt.Errorf("core: UpdateAffinity edge (%d,%d) out of range", e.Src, e.Dst)
-		}
-		srcSet[e.Src] = true
-	}
-	nodeSet := map[int]bool{}
-	attrSet := map[int]bool{}
-	for _, a := range attrs {
-		if a.Node < 0 || a.Node >= s.n || a.Attr < 0 || a.Attr >= s.d {
-			return AffinityUpdate{}, fmt.Errorf("core: UpdateAffinity attr entry (%d,%d) out of range", a.Node, a.Attr)
-		}
-		if a.Weight == 0 {
-			continue
-		}
-		nodeSet[a.Node] = true
-		attrSet[a.Attr] = true
-	}
-	if len(srcSet) == 0 && len(nodeSet) == 0 {
+	if len(eff.PRows) == 0 && len(eff.RrRows) == 0 {
 		return AffinityUpdate{Incremental: true}, nil
 	}
-	pSeeds := sortedSet(srcSet)
-	rrSeeds := sortedSet(nodeSet)
-	// Pᵀ rows that changed: the out-neighbors (old and new — P row u
-	// rescaled entirely) of every edge source, read off the new adjacency.
-	ptSet := map[int]bool{}
-	for _, u := range pSeeds {
-		cols, _ := g.Adj.Row(u)
-		for _, c := range cols {
-			ptSet[int(c)] = true
-		}
-	}
-	// Rc rows that changed: the supporters of every touched attribute.
-	rcSet := map[int]bool{}
-	if len(attrSet) > 0 {
-		for r := range attrSet {
-			nodes, _ := g.AttrT.Row(r)
-			for _, v := range nodes {
-				rcSet[int(v)] = true
-			}
-		}
-	}
 	frontierF := mergeSortedUnique(
-		sparse.Reach(g.AdjT, rrSeeds, s.t),
-		sparse.Reach(g.AdjT, pSeeds, s.t-1),
+		sparse.Reach(g.AdjT, eff.RrRows, s.t),
+		sparse.Reach(g.AdjT, eff.PRows, s.t-1),
 	)
 	frontierB := mergeSortedUnique(
-		sparse.Reach(g.Adj, sortedSet(rcSet), s.t),
-		sparse.Reach(g.Adj, sortedSet(ptSet), s.t-1),
+		sparse.Reach(g.Adj, eff.RcRows, s.t),
+		sparse.Reach(g.Adj, eff.PTRows, s.t-1),
 	)
 	up := AffinityUpdate{FrontierF: len(frontierF), FrontierB: len(frontierB)}
 	if maxFrac > 0 {
@@ -391,15 +349,6 @@ func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src *mat.Dense
 			m.AxpyRowInto(dst.Row(i), i, a, src, s.alpha, seed)
 		}
 	})
-}
-
-func sortedSet(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // mergeSortedUnique merges two ascending unique int slices into one.

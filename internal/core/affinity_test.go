@@ -114,11 +114,11 @@ func TestUpdateAffinityFrontierExact(t *testing.T) {
 		if trial%3 != 0 {
 			_, attrs = randomDelta(rng, g, 0, 1+rng.Intn(3))
 		}
-		g2, err := g.WithUpdates(edges, attrs)
+		g2, eff, err := g.Apply(edges, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		up, err := UpdateAffinity(s, g2, edges, attrs, 0, 2)
+		up, err := UpdateAffinity(s, g2, eff, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +168,11 @@ func TestUpdateAffinityThresholdFallback(t *testing.T) {
 	for v := 0; v < g.N; v += 2 {
 		edges = append(edges, graph.Edge{Src: v, Dst: (v + 3) % g.N})
 	}
-	g2, err := g.WithUpdates(edges, nil)
+	g2, eff, err := g.Apply(edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := UpdateAffinity(s, g2, edges, nil, 0.01, 1)
+	up, err := UpdateAffinity(s, g2, eff, 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestUpdateAffinityEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := testGraph(rng, 20, 4)
 	s := NewAffinityState(g, 0.5, 1, 1)
-	up, err := UpdateAffinity(s, g, nil, nil, 0.2, 1)
+	up, err := UpdateAffinity(s, g, graph.Effect{}, 0.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestUpdateAffinityChainEqualsFresh(t *testing.T) {
 			const chain = 100
 			for step := 0; step < chain; step++ {
 				edges, attrs := randomDelta(rng, g, 1+rng.Intn(3), rng.Intn(2))
-				g2, err := g.WithUpdates(edges, attrs)
+				g2, eff, err := g.Apply(edges, attrs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := UpdateAffinity(s, g2, edges, attrs, 0, nb); err != nil {
+				if _, err := UpdateAffinity(s, g2, eff, 0, nb); err != nil {
 					t.Fatal(err)
 				}
 				g = g2
@@ -247,13 +247,7 @@ func TestAffinityUpdateMismatchedGraph(t *testing.T) {
 	g := testGraph(rng, 20, 4)
 	other := testGraph(rng, 21, 4)
 	s := NewAffinityState(g, 0.5, 1, 1)
-	if _, err := UpdateAffinity(s, other, nil, nil, 0, 1); err == nil {
+	if _, err := UpdateAffinity(s, other, graph.Effect{}, 0, 1); err == nil {
 		t.Fatal("mismatched graph accepted")
-	}
-	if _, err := UpdateAffinity(s, g, []graph.Edge{{Src: -1, Dst: 0}}, nil, 0, 1); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-	if _, err := UpdateAffinity(s, g, nil, []graph.AttrEntry{{Node: 0, Attr: 99, Weight: 1}}, 0, 1); err == nil {
-		t.Fatal("out-of-range attr accepted")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"pane/internal/datagen"
-	"pane/internal/graph"
 	"pane/internal/mat"
 )
 
@@ -75,11 +74,11 @@ func TestAffinityGoldenBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 20; step++ {
 		edges, attrs := randomDelta(rng, g, rng.Intn(4), (step%2)*(1+rng.Intn(3)))
-		g2, err := g.WithUpdates(edges, attrs)
+		g2, eff, err := g.Apply(edges, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if up, err := UpdateAffinity(s, g2, edges, attrs, 0, 2); err != nil || !up.Incremental {
+		if up, err := UpdateAffinity(s, g2, eff, 0, 2); err != nil || !up.Incremental {
 			t.Fatalf("step %d: UpdateAffinity %+v, %v", step, up, err)
 		}
 		g = g2
@@ -110,9 +109,10 @@ func TestAffinityGoldenBits(t *testing.T) {
 // three refinements from a trained model. The first delta is node-only
 // (the gathered O(Δ) path), the second lists nodes and attributes
 // (restricted sweeps over full residuals), and the third lists every row
-// (the full path). Each step patches the retained affinity state over its
-// graph delta first, as the engine does. The hashes are amd64's, and one
-// worker and three leave the same bits.
+// (the full path). Each step patches the retained affinity state over the
+// write's effect first and refines the rows the effect lists, as the
+// engine does; no write in the chain re-sends an edge the graph holds. The
+// hashes are amd64's, and one worker and three leave the same bits.
 func TestRefineGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are amd64's; %s may fuse the recurrence's multiply-adds", runtime.GOARCH)
@@ -139,15 +139,15 @@ func TestRefineGoldenBits(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		for step, w := range want {
 			edges, attrs := randomDelta(rng, g, 4, 2*min(step, 1))
-			g2, err := g.WithUpdates(edges, attrs)
+			g2, eff, err := g.Apply(edges, attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := UpdateAffinity(s, g2, edges, attrs, 0, nb); err != nil {
+			if _, err := UpdateAffinity(s, g2, eff, 0, nb); err != nil {
 				t.Fatal(err)
 			}
 			g = g2
-			delta := deltaRows(edges, attrs)
+			delta := UpdateDelta{Nodes: eff.Nodes, Attrs: eff.Attrs}
 			if step == 2 {
 				delta = AllRows(g.N, g.D)
 			}
@@ -159,22 +159,4 @@ func TestRefineGoldenBits(t *testing.T) {
 			}
 		}
 	}
-}
-
-// deltaRows is the row delta of a graph delta: the endpoints of every edge
-// and the node of every attribute entry, and the attributes those entries
-// name, each ascending and without repeats.
-func deltaRows(edges []graph.Edge, attrs []graph.AttrEntry) UpdateDelta {
-	var d UpdateDelta
-	for _, e := range edges {
-		d.Nodes = append(d.Nodes, e.Src, e.Dst)
-	}
-	for _, a := range attrs {
-		d.Nodes = append(d.Nodes, a.Node)
-		d.Attrs = append(d.Attrs, a.Attr)
-	}
-	slices.Sort(d.Nodes)
-	slices.Sort(d.Attrs)
-	d.Nodes, d.Attrs = slices.Compact(d.Nodes), slices.Compact(d.Attrs)
-	return d
 }

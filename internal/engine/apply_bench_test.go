@@ -127,11 +127,12 @@ func TestRefreshEdgesAllocationBound(t *testing.T) {
 	dirty := 0
 	for i, g := 0, eng.Model().Graph; i < updates; i++ {
 		batches[i] = next()
-		dirty += len(touchedDelta(g, batches[i], nil).Nodes)
+		var eff graph.Effect
 		var err error
-		if g, err = g.WithUpdates(batches[i], nil); err != nil {
+		if g, eff, err = g.Apply(batches[i], nil); err != nil {
 			t.Fatal(err)
 		}
+		dirty += len(eff.Nodes)
 	}
 	encoded := func() (n uint64) {
 		for l := range eng.met.rowsEncoded {

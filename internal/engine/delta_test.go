@@ -763,7 +763,11 @@ func TestRefreshChainSharesPages(t *testing.T) {
 	const chain = 200
 	for i := 0; i < chain; i++ {
 		edges := []graph.Edge{{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}, {Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}}
-		prev, prevGraph := kept[len(kept)-1].c, kept[len(kept)-1].m.Graph
+		prev := kept[len(kept)-1].c
+		_, eff, err := kept[len(kept)-1].m.Graph.Apply(edges, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, e := range []*Engine{eng, one} {
 			if _, err := e.ApplyEdges(edges); err != nil {
 				t.Fatal(err)
@@ -772,7 +776,7 @@ func TestRefreshChainSharesPages(t *testing.T) {
 		}
 		cur := retain()
 		dirtyPage := map[[2]int]bool{}
-		for _, r := range touchedDelta(prevGraph, edges, nil).Nodes {
+		for _, r := range eff.Nodes {
 			for s, rg := range eng.shards.ranges[linkSpace] {
 				if r >= rg[0] && r < rg[1] {
 					dirtyPage[[2]int{s, (r - rg[0]) / mat.PageRows}] = true

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -372,9 +371,9 @@ func (e *Engine) Promote(epoch uint32) error {
 
 // ApplyEdges inserts directed edges into the graph and publishes a new
 // model version whose embedding is warm-started from the previous one.
-// Inserting an existing edge is a no-op on the graph but still refines
-// and republishes. The node universe is fixed: out-of-range endpoints are
-// rejected and no new version is published.
+// Inserting an edge the graph already holds changes no row but still
+// publishes a new version. The node universe is fixed: out-of-range
+// endpoints are rejected and no new version is published.
 func (e *Engine) ApplyEdges(edges []graph.Edge) (*Model, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("engine: empty edge update")
@@ -409,7 +408,7 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	}
 	prev := e.Model()
 	t0 := time.Now()
-	g, err := prev.Graph.WithUpdates(edges, attrs)
+	g, eff, err := prev.Graph.Apply(edges, attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -426,12 +425,12 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 		}
 		stats.WALSeconds = e.met.observeStage(stageWAL, t0)
 	}
-	// The update's row delta: exactly the node and attribute rows whose
-	// embedding rows a restricted warm start would move. Small deltas take
-	// the delta path — restricted sweeps leave every untouched row
-	// bit-identical, which is what lets the index refresh O(Δ) rows
-	// instead of rebuilding O(n/S) per shard.
-	touched := touchedDelta(prev.Graph, edges, attrs)
+	// The update's row delta: the node and attribute rows the write's
+	// effect says a warm start moves. Small deltas take the delta path —
+	// restricted sweeps leave every untouched row bit-identical, which is
+	// what lets the index refresh O(Δ) rows instead of rebuilding O(n/S)
+	// per shard.
+	touched := core.UpdateDelta{Nodes: eff.Nodes, Attrs: eff.Attrs}
 	thr := e.refreshThreshold
 	incremental := thr > 0 &&
 		float64(len(touched.Nodes)) <= thr*float64(g.N) &&
@@ -447,9 +446,9 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	st := e.affState
 	var affUp core.AffinityUpdate
 	if st != nil && incremental {
-		// An error (the range checks WithUpdates has already passed)
-		// leaves the state untouched and Incremental false: rebuild.
-		affUp, _ = core.UpdateAffinity(st, g, edges, attrs, e.affinityThreshold, nb)
+		// An error (a graph whose shape is not the state's) leaves the
+		// state untouched and Incremental false: rebuild.
+		affUp, _ = core.UpdateAffinity(st, g, eff, e.affinityThreshold, nb)
 	}
 	if !affUp.Incremental {
 		st = core.NewAffinityState(g, prev.Cfg.Alpha, prev.Cfg.Iterations(), nb)
@@ -577,46 +576,6 @@ func (e *Engine) AffinityStatus() AffinityStatus {
 		FrontierRows:    uint64(e.met.affFrontier.Value()),
 		GramCorrections: e.met.gram.Value(),
 	}
-}
-
-// touchedDelta collects the rows an update of g directly touches: both
-// endpoints of every edge g does not hold yet (an update refines a node's
-// forward and backward rows together) plus the node and attribute of
-// every attribute entry of non-zero weight, each sorted and deduplicated.
-// A re-sent edge and a zero-weight entry leave the graph as it was (an
-// inserted edge has weight 1 either way; Graph.WithUpdates and
-// core.UpdateAffinity skip a zero weight), so they touch no row.
-// Out-of-range ids were already rejected by Graph.WithUpdates.
-func touchedDelta(g *graph.Graph, edges []graph.Edge, attrs []graph.AttrEntry) core.UpdateDelta {
-	nodeSet := make(map[int]struct{}, 2*len(edges)+len(attrs))
-	for _, ed := range edges {
-		if g.HasEdge(ed.Src, ed.Dst) {
-			continue
-		}
-		nodeSet[ed.Src] = struct{}{}
-		nodeSet[ed.Dst] = struct{}{}
-	}
-	attrSet := make(map[int]struct{}, len(attrs))
-	for _, a := range attrs {
-		if a.Weight == 0 {
-			continue
-		}
-		nodeSet[a.Node] = struct{}{}
-		attrSet[a.Attr] = struct{}{}
-	}
-	return core.UpdateDelta{Nodes: sortedKeys(nodeSet), Attrs: sortedKeys(attrSet)}
-}
-
-func sortedKeys(set map[int]struct{}) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Snapshot atomically persists the current model as a single bundle file

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	"pane/internal/core"
+	"pane/internal/datagen"
 	"pane/internal/graph"
+	"pane/internal/mat"
 	"pane/internal/wal"
 )
 
@@ -114,10 +117,24 @@ func TestApplyRejectsBadUpdates(t *testing.T) {
 	}
 }
 
+// sharesEmbedding fails unless m's embedding is prev's: every Xf/Xb page
+// the same memory and Y the same matrix — moving Y would move G = YᵀY and
+// the whole link space.
+func sharesEmbedding(t *testing.T, label string, prev, m *Model) {
+	t.Helper()
+	for k := range prev.Emb.Xf.Pages() {
+		if !m.Emb.Xf.SamePage(prev.Emb.Xf, k) || !m.Emb.Xb.SamePage(prev.Emb.Xb, k) {
+			t.Fatalf("%s: page %d of Xf/Xb was copied", label, k)
+		}
+	}
+	if m.Emb.Y != prev.Emb.Y {
+		t.Fatalf("%s: Y is not the parent's matrix", label)
+	}
+}
+
 // TestZeroWeightAttrTouchesNoRows: an attribute entry of weight 0 leaves
 // the graph as it was, so the update it rides publishes the next version
-// with no dirty row, every Xf/Xb page the parent's memory and Y the
-// parent's matrix — moving Y would move G = YᵀY and the whole link space.
+// with no dirty row and the parent's embedding.
 func TestZeroWeightAttrTouchesNoRows(t *testing.T) {
 	var stats []UpdateStats
 	eng := trainTestEngine(t, WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
@@ -132,47 +149,92 @@ func TestZeroWeightAttrTouchesNoRows(t *testing.T) {
 	if len(stats) != 1 || stats[0].DirtyNodes != 0 || stats[0].DirtyAttrs != 0 {
 		t.Fatalf("update stats %+v, want one update with no dirty rows", stats)
 	}
-	for k := range prev.Emb.Xf.Pages() {
-		if !m.Emb.Xf.SamePage(prev.Emb.Xf, k) || !m.Emb.Xb.SamePage(prev.Emb.Xb, k) {
-			t.Fatalf("page %d of Xf/Xb was copied", k)
+	sharesEmbedding(t, "zero weight", prev, m)
+}
+
+// TestRepeatedEdgeWriteIsNoOp: the graph's effect, not the request, is
+// what an update acts on. For random graphs and random edge-only writes w,
+// applying w a second time changes nothing, so it publishes the next
+// version with no dirty row and no affinity frontier, the first
+// application's embedding, and every Adj/AdjT page the first's graph. The
+// first input is the running example with edge (1,5), where refining the
+// endpoints of the re-sent edge took the full path and seeding the
+// affinity patch from it re-ran all 12 rows.
+func TestRepeatedEdgeWriteIsNoOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 8; trial++ {
+		g, w := graph.RunningExample(), []graph.Edge{{Src: 1, Dst: 5}}
+		if trial > 0 {
+			var err error
+			g, err = datagen.Generate(datagen.Config{
+				Name: "repeat", N: 20 + rng.Intn(300), AvgOutDeg: float64(1 + rng.Intn(6)), D: 4 + rng.Intn(8),
+				AttrsPer: 2, Communities: 3, Seed: rng.Int63(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = make([]graph.Edge, 1+rng.Intn(5))
+			for i := range w {
+				w[i] = graph.Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}
+			}
 		}
-	}
-	if m.Emb.Y != prev.Emb.Y {
-		t.Fatal("Y is not the parent's matrix")
+		var stats []UpdateStats
+		eng, err := Train(g, testConfig(), WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := eng.ApplyEdges(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := eng.ApplyEdges(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d (n=%d, write %v)", trial, g.N, w)
+		if s := stats[1]; m.Version != first.Version+1 || s.DirtyNodes != 0 || s.DirtyAttrs != 0 || s.AffinityFrontier != 0 {
+			t.Fatalf("%s: version %d after %d, second write %+v; want no dirty row and no frontier", label, m.Version, first.Version, s)
+		}
+		sharesEmbedding(t, label, first, m)
+		for k := 0; k*mat.PageRows < g.N; k++ {
+			if !m.Graph.Adj.SamePage(first.Graph.Adj, k) || !m.Graph.AdjT.SamePage(first.Graph.AdjT, k) {
+				t.Fatalf("%s: page %d of Adj/AdjT was copied", label, k)
+			}
+		}
 	}
 }
 
-// TestResentEdgeTouchesNoRows: an edge the graph already holds leaves it
-// as it was, so the second of two identical edge-only writes publishes the
-// next version with no dirty row, every Xf/Xb page the parent's memory and
-// Y the parent's matrix — where listing its endpoints refined an unchanged
-// graph, and on a graph this small took the full path.
-func TestResentEdgeTouchesNoRows(t *testing.T) {
-	var stats []UpdateStats
-	eng := trainTestEngine(t, WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
-	write := []graph.Edge{{Src: 1, Dst: 5}}
-	if _, err := eng.ApplyEdges(write); err != nil {
-		t.Fatal(err)
+// TestWeightedResentEdgeIsNoOp: on a weighted graph, re-sending an edge it
+// holds keeps the stored weight, dirties no row and keeps the parent's
+// embedding — where merging the edge reset its weight 3 to 1 and moved
+// row 0 of P under an embedding no row of which was refined.
+func TestWeightedResentEdgeIsNoOp(t *testing.T) {
+	ex := graph.RunningExample()
+	var edges []graph.WeightedEdge
+	for _, e := range ex.Edges() {
+		edges = append(edges, graph.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: 3})
 	}
-	prev := eng.Model()
-	m, err := eng.ApplyEdges(write)
+	g, err := graph.NewWeighted(ex.N, ex.D, edges, ex.AttrEntries(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != prev.Version+1 {
-		t.Fatalf("version %d, want %d", m.Version, prev.Version+1)
+	var stats []UpdateStats
+	eng, err := Train(g, testConfig(), WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(stats) != 2 || stats[0].DirtyNodes != 2 || stats[1].DirtyNodes != 0 || stats[1].DirtyAttrs != 0 || !stats[1].Incremental {
-		t.Fatalf("update stats %+v, want the re-sent edge to dirty no row", stats)
+	prev := eng.Model()
+	m, err := eng.ApplyEdges([]graph.Edge{{Src: 0, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k := range prev.Emb.Xf.Pages() {
-		if !m.Emb.Xf.SamePage(prev.Emb.Xf, k) || !m.Emb.Xb.SamePage(prev.Emb.Xb, k) {
-			t.Fatalf("page %d of Xf/Xb was copied", k)
-		}
+	if w := m.Graph.EdgeWeight(0, 2); w != 3 {
+		t.Fatalf("re-sent edge (0,2) has weight %v, want 3", w)
 	}
-	if m.Emb.Y != prev.Emb.Y {
-		t.Fatal("Y is not the parent's matrix")
+	if len(stats) != 1 || stats[0].DirtyNodes != 0 || stats[0].DirtyAttrs != 0 {
+		t.Fatalf("update stats %+v, want one update with no dirty rows", stats)
 	}
+	sharesEmbedding(t, "weighted re-send", prev, m)
 }
 
 // TestNonFiniteAttrWeightRejected: a NaN or infinite attribute weight is

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,7 +52,8 @@ func checkShared(t *testing.T, what string, step int, prev, next *sparse.CSR, di
 // head equals graph.New on the union edge list bit for bit (Adj, AdjT,
 // P, Pᵀ, out-degrees), every retained earlier version still equals its
 // own from-scratch build after all later updates, and each step shares
-// with its parent every page the batch did not touch.
+// with its parent every page the batch's new edges did not touch — a
+// re-inserted edge touches none — and lists them in its effect.
 func TestWithUpdatesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 9*mat.PageRows + 7 // a partial last page
@@ -78,10 +80,12 @@ func TestWithUpdatesChain(t *testing.T) {
 			if rng.Intn(4) == 0 && len(union) > 0 {
 				batch[i] = union[rng.Intn(len(union))] // re-insert an existing edge
 			}
-			srcs = append(srcs, batch[i].Src)
-			dsts = append(dsts, batch[i].Dst)
+			if !cur.HasEdge(batch[i].Src, batch[i].Dst) { // a held edge changes nothing
+				srcs = append(srcs, batch[i].Src)
+				dsts = append(dsts, batch[i].Dst)
+			}
 		}
-		next, err := cur.WithUpdates(batch, nil)
+		next, eff, err := cur.Apply(batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,6 +96,10 @@ func TestWithUpdatesChain(t *testing.T) {
 			for _, c := range next.OutNeighbors(u) {
 				nbrs = append(nbrs, int(c))
 			}
+		}
+		srcs, nbrs = sortedSet(srcs), sortedSet(nbrs)
+		if !slices.Equal(eff.PRows, srcs) || !slices.Equal(eff.PTRows, nbrs) {
+			t.Fatalf("step %d: effect P rows %v, Pᵀ rows %v; want %v, %v", step, eff.PRows, eff.PTRows, srcs, nbrs)
 		}
 		cp, cpt := cur.Walk()
 		np, npt := next.Walk()

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pane/internal/sparse"
 )
@@ -37,48 +37,81 @@ func (g *Graph) AttrEntries() []AttrEntry {
 	return out
 }
 
-// WithUpdates returns a new Graph equal to g plus the given edge and
-// attribute deltas. Duplicate edges collapse (adding an existing edge is a
-// no-op); attribute weights are additive, matching New's semantics for the
-// weighted set ER. Node and attribute counts are unchanged, so entries
-// referencing ids outside [0,N) x [0,D) are rejected.
+// Effect is what one write changed in a graph, as ascending row lists
+// without repeats. Apply computes it once, from the write and the graph it
+// applies to; the derived cache, the affinity patch (core.UpdateAffinity)
+// and the warm start read it and re-derive nothing.
+type Effect struct {
+	// PRows are the sources of edges the graph did not hold: an added
+	// out-edge rescales the whole row of P.
+	PRows []int
+	// PTRows are the Pᵀ rows those rows rescale: the sources'
+	// out-neighbours in the new graph, each holding one entry of a
+	// rescaled column.
+	PTRows []int
+	// RrRows are the nodes of attribute entries of non-zero weight: the
+	// rows of Rr they re-normalize.
+	RrRows []int
+	// Attrs are those entries' attributes: their Rc column factors are
+	// re-summed, and their Y rows are the ones a warm start moves.
+	Attrs []int
+	// RcRows are the Rc rows Attrs re-normalize: their supporters in the
+	// new graph.
+	RcRows []int
+	// Nodes are the node rows a warm start moves: both endpoints of every
+	// added edge, and RrRows.
+	Nodes []int
+}
+
+// Apply returns a new Graph equal to g plus the given edge and attribute
+// writes, and the Effect the writes had. Node and attribute counts are
+// unchanged, so entries referencing ids outside [0,N) x [0,D) are
+// rejected, as are attribute weights checkAttrEntry refuses. An edge g
+// already holds is dropped before the merge, so re-sending one changes
+// nothing, its stored weight included; a new edge has weight 1. Attribute
+// weights are additive, matching New's semantics for the weighted set ER,
+// and a zero weight changes nothing.
 //
-// The delta is folded into the parent's CSRs page by page: Adj, AdjT,
-// Attr and AttrT share every row page the delta does not touch with g's,
+// The writes are folded into the parent's CSRs page by page: Adj, AdjT,
+// Attr and AttrT share every row page the effect does not touch with g's,
 // and the parent's derived cache (Walk / NormalizedAttrs products), when
-// it has been materialized, is carried over with only the dirty rows and
-// attribute factors recomputed — so a delta costs its own size plus one
-// pointer per page (and a d-vector when it touches attributes), not the
-// graph's.
-func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
+// it has been materialized, is carried over with only the effect's rows
+// and attribute factors recomputed — so a write costs its own size plus
+// one pointer per page (and a d-vector when it touches attributes), not
+// the graph's.
+func (g *Graph) Apply(edges []Edge, attrs []AttrEntry) (*Graph, Effect, error) {
+	var eff Effect
 	edgeEntries := make([]sparse.Entry, 0, len(edges))
 	edgeEntriesT := make([]sparse.Entry, 0, len(edges))
-	srcSet := map[int]bool{}
 	for _, e := range edges {
 		if e.Src < 0 || e.Src >= g.N || e.Dst < 0 || e.Dst >= g.N {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, g.N)
+			return nil, Effect{}, fmt.Errorf("graph: edge (%d,%d) out of range for %d nodes", e.Src, e.Dst, g.N)
+		}
+		if g.HasEdge(e.Src, e.Dst) {
+			continue
 		}
 		edgeEntries = append(edgeEntries, sparse.Entry{Row: e.Src, Col: e.Dst, Val: 1})
 		edgeEntriesT = append(edgeEntriesT, sparse.Entry{Row: e.Dst, Col: e.Src, Val: 1})
-		srcSet[e.Src] = true
+		eff.PRows = append(eff.PRows, e.Src)
+		eff.Nodes = append(eff.Nodes, e.Src, e.Dst)
 	}
 	attrEntries := make([]sparse.Entry, 0, len(attrs))
 	attrEntriesT := make([]sparse.Entry, 0, len(attrs))
-	attrSet := map[int]bool{}
 	for _, a := range attrs {
 		if err := checkAttrEntry(a, g.N, g.D); err != nil {
-			return nil, err
+			return nil, Effect{}, err
 		}
 		if a.Weight == 0 {
 			continue
 		}
 		attrEntries = append(attrEntries, sparse.Entry{Row: a.Node, Col: a.Attr, Val: a.Weight})
 		attrEntriesT = append(attrEntriesT, sparse.Entry{Row: a.Attr, Col: a.Node, Val: a.Weight})
-		attrSet[a.Attr] = true
+		eff.RrRows = append(eff.RrRows, a.Node)
+		eff.Attrs = append(eff.Attrs, a.Attr)
 	}
-	// An inserted edge has weight 1 whether or not it was already stored,
-	// on both sides, so AdjT stays exactly Adj's transpose. Weights on a
-	// repeated (node, attribute) pair are added in delta order on both
+	// An edge repeated within the write is inserted once, at weight 1, on
+	// both sides, so AdjT stays exactly Adj's transpose. Weights on a
+	// repeated (node, attribute) pair are added in write order on both
 	// sides, so AttrT stays exactly Attr's.
 	one := func(old, add float64) float64 { return 1 }
 	sum := func(old, add float64) float64 { return old + add }
@@ -89,22 +122,46 @@ func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
 		Attr:  g.Attr.MergeEntries(attrEntries, sum),
 		AttrT: g.AttrT.MergeEntries(attrEntriesT, sum),
 	}
+	eff.PRows, eff.RrRows, eff.Attrs = sortedSet(eff.PRows), sortedSet(eff.RrRows), sortedSet(eff.Attrs)
+	eff.Nodes = sortedSet(append(eff.Nodes, eff.RrRows...))
+	eff.PTRows, eff.RcRows = colsOf(ng.Adj, eff.PRows), colsOf(ng.AttrT, eff.Attrs)
 	g.prodMu.Lock()
 	old := g.prod
 	g.prodMu.Unlock()
 	if old != nil {
-		ng.prod = ng.patchDerived(old, sortedKeys(srcSet), sortedKeys(attrSet))
+		ng.prod = ng.patchDerived(old, eff)
 	}
-	return ng, nil
+	return ng, eff, nil
 }
 
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+// WithUpdates is Apply without the effect.
+func (g *Graph) WithUpdates(edges []Edge, attrs []AttrEntry) (*Graph, error) {
+	ng, _, err := g.Apply(edges, attrs)
+	return ng, err
+}
+
+// colsOf returns the column ids stored in the given rows of m, ascending
+// and without repeats.
+func colsOf(m *sparse.CSR, rows []int) []int {
+	n := 0
+	for _, r := range rows {
+		cols, _ := m.Row(r)
+		n += len(cols)
 	}
-	sort.Ints(out)
-	return out
+	out := slices.Grow([]int(nil), n) // nil when the rows hold nothing
+	for _, r := range rows {
+		cols, _ := m.Row(r)
+		for _, c := range cols {
+			out = append(out, int(c))
+		}
+	}
+	return sortedSet(out)
+}
+
+// sortedSet sorts rows ascending and drops repeats, in place.
+func sortedSet(rows []int) []int {
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // FromCSR reconstructs a Graph directly from its adjacency and attribute

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -23,36 +24,39 @@ func TestEdgesAndAttrEntriesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWithUpdates: a write of one new edge (sent twice), one held edge, a
+// weight bump and a zero weight merges the new edge and the bump, leaves
+// the receiver as it was, and reports as its effect exactly the rows the
+// new edge and the bump move.
 func TestWithUpdates(t *testing.T) {
 	g := RunningExample()
 	if g.HasEdge(1, 3) {
 		t.Fatal("test premise: edge (1,3) should not exist")
 	}
 	w0 := g.Attr.At(1, 0)
-	g2, err := g.WithUpdates(
-		[]Edge{{Src: 1, Dst: 3}},
-		[]AttrEntry{{Node: 1, Attr: 0, Weight: 2}},
+	g2, eff, err := g.Apply(
+		[]Edge{{Src: 1, Dst: 3}, {Src: 0, Dst: 2}, {Src: 1, Dst: 3}},
+		[]AttrEntry{{Node: 1, Attr: 0, Weight: 2}, {Node: 3, Attr: 2, Weight: 0}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g2.HasEdge(1, 3) {
-		t.Fatal("inserted edge missing")
+	if !g2.HasEdge(1, 3) || g2.M() != g.M()+1 {
+		t.Fatalf("m %d -> %d, want the one new edge (1,3) added", g.M(), g2.M())
 	}
 	if got := g2.Attr.At(1, 0); got != w0+2 {
 		t.Fatalf("attribute weight %v, want %v (additive)", got, w0+2)
+	}
+	if g2.NNZAttr() != g.NNZAttr()+1 {
+		t.Fatalf("|ER| %d -> %d, want the zero weight dropped", g.NNZAttr(), g2.NNZAttr())
 	}
 	// Original untouched (immutability contract).
 	if g.HasEdge(1, 3) || g.Attr.At(1, 0) != w0 {
 		t.Fatal("WithUpdates mutated the receiver")
 	}
-	// Duplicate edge inserts collapse.
-	g3, err := g2.WithUpdates([]Edge{{Src: 1, Dst: 3}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.M() != g2.M() {
-		t.Fatalf("duplicate edge changed m: %d -> %d", g2.M(), g3.M())
+	want := Effect{PRows: []int{1}, PTRows: []int{2, 3}, RrRows: []int{1}, Attrs: []int{0}, RcRows: []int{1, 2, 3, 4}, Nodes: []int{1, 3}}
+	if !reflect.DeepEqual(eff, want) {
+		t.Fatalf("effect %+v, want %+v", eff, want)
 	}
 	// Out-of-range entries are rejected.
 	if _, err := g.WithUpdates([]Edge{{Src: 0, Dst: g.N}}, nil); err == nil {

@@ -39,7 +39,7 @@ type Graph struct {
 
 	// Lazily-built cache of the derived products (P, Pᵀ, Rc's factors).
 	// Logically the graph stays immutable: the cache only memoizes pure
-	// functions of Adj/Attr, and WithUpdates carries it across versions
+	// functions of Adj/Attr, and Apply carries it across versions
 	// with the dirty parts patched.
 	prodMu sync.Mutex
 	prod   *derived
@@ -121,7 +121,7 @@ func (g *Graph) OutDegree(v int) float64 { return g.Adj.RowSum(v) }
 // behaviour of the simulator in package rwalk, which terminates walks
 // stranded at dangling nodes.
 //
-// The matrices are cached on the graph (and carried across WithUpdates
+// The matrices are cached on the graph (and carried across Apply
 // with only the dirty parts recomputed); they are shared and must not be
 // mutated.
 func (g *Graph) Walk() (p, pt *sparse.CSR) {
@@ -146,7 +146,7 @@ func (g *Graph) Walk() (p, pt *sparse.CSR) {
 // from the source.
 //
 // Rc's d column factors are cached on the graph and carried across
-// WithUpdates with only the touched attributes' re-summed; Rr's row
+// Apply with only the touched attributes' re-summed; Rr's row
 // factors are summed from the row as it is read.
 func (g *Graph) NormalizedAttrs() (rr, rc sparse.Scaled) {
 	return g.Attr.RowNormalized(), g.Attr.ColScaled(g.products().colInv)

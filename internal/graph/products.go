@@ -9,7 +9,7 @@ import (
 // derived caches what Walk and NormalizedAttrs compute from the graph: the
 // random-walk matrix P and its transpose, and Rc's column factors (one per
 // attribute). Building it costs O(m + |ER| + d); a Graph produced by
-// WithUpdates inherits its parent's cache with only the dirty rows and
+// Apply inherits its parent's cache with only the dirty rows and
 // factors recomputed, so repeated AffinityFromGraph calls across an update
 // stream stop re-deriving everything from scratch.
 type derived struct {
@@ -53,17 +53,17 @@ func (g *Graph) invOutDegree(v int) float64 {
 }
 
 // patchDerived carries a parent graph's derived cache into ng, recomputing
-// only what the delta dirtied: row u of P and column u of Pᵀ (one entry in
-// the Pᵀ row of each of u's out-neighbours) for every edge source u —
-// an added out-edge rescales the whole row — merged into the parent's
-// pages, and the column factor of every touched attribute, re-summed along
-// its AttrT row (its supporters in node order, as a fresh build sums
-// them). Every recomputed value goes through the same arithmetic as a
-// fresh buildDerived, so the patched cache is bit-identical to one built
-// from scratch on ng.
-func (ng *Graph) patchDerived(old *derived, edgeSrcs, touchedAttrs []int) *derived {
+// only the rows the write's effect lists: row u of P and column u of Pᵀ
+// (one entry in each of eff.PTRows) for every u in eff.PRows — an added
+// out-edge rescales the whole row — merged into the parent's pages, and
+// the column factor of every attribute in eff.Attrs, re-summed along its
+// AttrT row (its supporters in node order, as a fresh build sums them).
+// Every recomputed value goes through the same arithmetic as a fresh
+// buildDerived, so the patched cache is bit-identical to one built from
+// scratch on ng.
+func (ng *Graph) patchDerived(old *derived, eff Effect) *derived {
 	var pRows, ptRows []sparse.Entry
-	for _, u := range edgeSrcs {
+	for _, u := range eff.PRows {
 		inv := ng.invOutDegree(u)
 		cols, vals := ng.Adj.Row(u)
 		for k, c := range cols {
@@ -73,9 +73,9 @@ func (ng *Graph) patchDerived(old *derived, edgeSrcs, touchedAttrs []int) *deriv
 	}
 	set := func(old, v float64) float64 { return v }
 	d := &derived{p: old.p.MergeEntries(pRows, set), pt: old.pt.MergeEntries(ptRows, set), colInv: old.colInv}
-	if len(touchedAttrs) > 0 {
+	if len(eff.Attrs) > 0 {
 		d.colInv = slices.Clone(old.colInv)
-		for _, r := range touchedAttrs {
+		for _, r := range eff.Attrs {
 			d.colInv[r] = sparse.InvSum(ng.AttrT.RowSum(r))
 		}
 	}
