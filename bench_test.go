@@ -478,7 +478,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.ParMulDenseInto(dst, x, 8)
 	}
-	b.SetBytes(int64(p.NNZ() * 64 * 8))
+	b.SetBytes(int64(g.M() * 64 * 8))
 }
 
 // BenchmarkEndToEndMAG is the headline scalability number: full parallel

@@ -93,43 +93,3 @@ func TestPipelineFilesToPredictions(t *testing.T) {
 		}
 	}
 }
-
-// TestPipelineWeightedGraph runs the end-to-end flow on a weighted graph,
-// covering the NewWeighted path through APMI and the solver.
-func TestPipelineWeightedGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n, d := 200, 20
-	var wedges []graph.WeightedEdge
-	for v := 0; v < n; v++ {
-		for e := 0; e < 4; e++ {
-			wedges = append(wedges, graph.WeightedEdge{
-				Src: v, Dst: rng.Intn(n), Weight: 0.5 + 2*rng.Float64(),
-			})
-		}
-	}
-	var attrs []graph.AttrEntry
-	for v := 0; v < n; v++ {
-		attrs = append(attrs, graph.AttrEntry{Node: v, Attr: v % d, Weight: 1})
-	}
-	g, err := graph.NewWeighted(n, d, wedges, attrs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb, err := core.PANE(g, core.Config{K: 16, Alpha: 0.5, Eps: 0.05, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every node's own attribute should be among its top-5 scored.
-	hits := 0
-	for v := 0; v < n; v++ {
-		for _, s := range emb.TopKAttrs(v, 5, nil) {
-			if s.ID == v%d {
-				hits++
-				break
-			}
-		}
-	}
-	if frac := float64(hits) / float64(n); frac < 0.7 {
-		t.Fatalf("own-attribute top-5 hit rate %v on weighted graph", frac)
-	}
-}

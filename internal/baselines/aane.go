@@ -104,7 +104,7 @@ func DeepWalkMF(g *graph.Graph, cfg DeepWalkMFConfig) *NodeEmbedding {
 	invDeg := make([]float64, n)
 	var vol float64
 	for v := 0; v < n; v++ {
-		deg := g.OutDegree(v)
+		deg := float64(g.OutDegree(v))
 		vol += deg
 		if deg > 0 {
 			invDeg[v] = 1 / deg

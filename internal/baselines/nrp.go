@@ -35,15 +35,15 @@ func DefaultNRPConfig() NRPConfig {
 // passes only — this is how NRP (and RandNE/STRAP before it) avoids the
 // O(n²) proximity matrix.
 type pprOp struct {
-	p, pt *sparse.CSR
+	p, pt sparse.Scaled
 	alpha float64
 	t     int
 	nb    int
 }
 
-func (o pprOp) Dims() (int, int) { return o.p.R, o.p.R }
+func (o pprOp) Dims() (int, int) { return o.p.Dims() }
 
-func (o pprOp) series(m *sparse.CSR, x *mat.Dense) *mat.Dense {
+func (o pprOp) series(m sparse.Scaled, x *mat.Dense) *mat.Dense {
 	term := x.Clone()
 	acc := x.Clone()
 	acc.Scale(o.alpha)

@@ -341,7 +341,7 @@ func UpdateAffinity(s *AffinityState, g *graph.Graph, eff graph.Effect, maxFrac 
 // what iteration l needs). The per-row kernel is AxpyRowInto — the same
 // kernel AxpyInto runs — so a patched row is bit-identical to a full pass
 // over the same inputs.
-func (s *AffinityState) patchLevel(dst *mat.Dense, m *sparse.CSR, src *mat.Dense, seed sparse.Scaled, frontier []int, nb int) {
+func (s *AffinityState) patchLevel(dst *mat.Dense, m sparse.Scaled, src *mat.Dense, seed sparse.Scaled, frontier []int, nb int) {
 	a := 1 - s.alpha
 	mat.ParallelRanges(len(frontier), mat.RowWorkers(len(frontier), nb), func(lo, hi int) {
 		for k := lo; k < hi; k++ {

@@ -20,7 +20,7 @@ import (
 // the sparse views graph.NormalizedAttrs returns; the first iteration reads
 // their stored entries, so no dense copy of either is made. t < 1 runs one
 // iteration.
-func APMI(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t int) (f, b *mat.Dense) {
+func APMI(p, pt, rr, rc sparse.Scaled, alpha float64, t int) (f, b *mat.Dense) {
 	n, d := rr.Dims()
 	f, b = recurrence(p, pt, rr, rc, alpha, t, 1)
 	f.NormalizeColumns()
@@ -32,7 +32,7 @@ func APMI(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t int) (f, b *
 
 // recurrence runs Lines 3-5 with nb workers over row ranges and returns
 // the pre-normalization P(t)_f and P(t)_b.
-func recurrence(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t, nb int) (pf, pb *mat.Dense) {
+func recurrence(p, pt, rr, rc sparse.Scaled, alpha float64, t, nb int) (pf, pb *mat.Dense) {
 	n, d := rr.Dims()
 	pf, pb = mat.New(n, d), mat.New(n, d)
 	p.AxpyInto(pf, 1-alpha, nil, alpha, rr, nb)
@@ -59,7 +59,7 @@ func recurrence(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t, nb in
 // Lines 9-13 — the final normalization and SPMI transform — are
 // node-partitioned as in the paper. TestPAPMIMatchesAPMI checks the result
 // against APMI's.
-func PAPMI(p, pt *sparse.CSR, rr, rc sparse.Scaled, alpha float64, t, nb int) (f, b *mat.Dense) {
+func PAPMI(p, pt, rr, rc sparse.Scaled, alpha float64, t, nb int) (f, b *mat.Dense) {
 	n, d := rr.Dims()
 	if nb <= 1 || d == 0 {
 		return APMI(p, pt, rr, rc, alpha, t)

@@ -82,8 +82,7 @@ type Engine struct {
 	// reg is the obs registry every engine counter, gauge, and stage
 	// histogram lives in; met holds the pre-resolved handles the hot paths
 	// record through. IndexStatus and AffinityStatus read the same handles,
-	// so /healthz and /metrics cannot disagree. Per-engine by default
-	// (WithMetricsRegistry shares one across engine + HTTP layer).
+	// so /healthz and /metrics cannot disagree. Each engine has its own.
 	reg *obs.Registry
 	met *engineMetrics
 
@@ -254,9 +253,7 @@ func newEngine(g *graph.Graph, emb *core.Embedding, cfg core.Config, version uin
 			return nil, err
 		}
 	}
-	if e.reg == nil {
-		e.reg = obs.NewRegistry()
-	}
+	e.reg = obs.NewRegistry()
 	e.met = newEngineMetrics(e.reg)
 	e.met.modelVersion.Set(float64(version))
 	e.cur.Store(&Model{

@@ -204,39 +204,6 @@ func TestRepeatedEdgeWriteIsNoOp(t *testing.T) {
 	}
 }
 
-// TestWeightedResentEdgeIsNoOp: on a weighted graph, re-sending an edge it
-// holds keeps the stored weight, dirties no row and keeps the parent's
-// embedding — where merging the edge reset its weight 3 to 1 and moved
-// row 0 of P under an embedding no row of which was refined.
-func TestWeightedResentEdgeIsNoOp(t *testing.T) {
-	ex := graph.RunningExample()
-	var edges []graph.WeightedEdge
-	for _, e := range ex.Edges() {
-		edges = append(edges, graph.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: 3})
-	}
-	g, err := graph.NewWeighted(ex.N, ex.D, edges, ex.AttrEntries(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats []UpdateStats
-	eng, err := Train(g, testConfig(), WithUpdateObserver(func(s UpdateStats) { stats = append(stats, s) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := eng.Model()
-	m, err := eng.ApplyEdges([]graph.Edge{{Src: 0, Dst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := m.Graph.EdgeWeight(0, 2); w != 3 {
-		t.Fatalf("re-sent edge (0,2) has weight %v, want 3", w)
-	}
-	if len(stats) != 1 || stats[0].DirtyNodes != 0 || stats[0].DirtyAttrs != 0 {
-		t.Fatalf("update stats %+v, want one update with no dirty rows", stats)
-	}
-	sharesEmbedding(t, "weighted re-send", prev, m)
-}
-
 // TestNonFiniteAttrWeightRejected: a NaN or infinite attribute weight is
 // refused before it reaches the log or the model — the version and the
 // WAL's last version stay where they were.

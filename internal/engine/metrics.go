@@ -220,17 +220,6 @@ func (m *engineMetrics) recordBatch(n int, d time.Duration) {
 	m.batchQueries.ObserveCount(n)
 }
 
-// WithMetricsRegistry records the engine's metrics into reg instead of a
-// fresh per-engine registry — the way a server shares one registry between
-// the engine and its HTTP middleware so GET /metrics exposes both.
-func WithMetricsRegistry(reg *obs.Registry) Option {
-	return func(e *Engine) {
-		if reg != nil {
-			e.reg = reg
-		}
-	}
-}
-
 // Metrics returns the registry this engine records into (never nil).
 // Serving layers expose it (obs.Registry.Handler) and read snapshots from
 // it; its counters are the same cells IndexStatus and AffinityStatus

@@ -10,12 +10,10 @@ import (
 	"pane/internal/sparse"
 )
 
-// sameGraph reports whether g and want agree bit for bit on everything an
-// edge update maintains: Adj, AdjT, the walk matrices and the out-degrees.
+// sameGraph reports whether g and want agree on everything an edge update
+// maintains: Adj, AdjT and the out-degrees.
 func sameGraph(g, want *Graph) bool {
-	gp, gpt := g.Walk()
-	wp, wpt := want.Walk()
-	if !csrsEqual(g.Adj, want.Adj) || !csrsEqual(g.AdjT, want.AdjT) || !csrsEqual(gp, wp) || !csrsEqual(gpt, wpt) {
+	if !csrsEqual(g.Adj, want.Adj) || !csrsEqual(g.AdjT, want.AdjT) {
 		return false
 	}
 	for v := 0; v < g.N; v++ {
@@ -48,12 +46,12 @@ func checkShared(t *testing.T, what string, step int, prev, next *sparse.CSR, di
 }
 
 // TestWithUpdatesChain applies 240 random edge batches one after another
-// and checks the copy-on-write contract of the paged graph: the chain's
-// head equals graph.New on the union edge list bit for bit (Adj, AdjT,
-// P, Pᵀ, out-degrees), every retained earlier version still equals its
-// own from-scratch build after all later updates, and each step shares
-// with its parent every page the batch's new edges did not touch — a
-// re-inserted edge touches none — and lists them in its effect.
+// and checks the copy-on-write contract of the paged graph: every retained
+// version equals graph.New on its union edge list (Adj, AdjT, out-degrees)
+// and reads P and Pᵀ as D⁻¹A built from that list, bit for bit, after
+// all later updates, and each step shares with its parent every page the
+// batch's new edges did not touch — a re-inserted edge touches none — and
+// lists them in its effect.
 func TestWithUpdatesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 9*mat.PageRows + 7 // a partial last page
@@ -69,8 +67,10 @@ func TestWithUpdatesChain(t *testing.T) {
 		return g
 	}
 	cur := build()
-	cur.Walk() // materialize the cache so every step patches it
-	type version struct{ got, want *Graph }
+	type version struct {
+		got, want *Graph
+		edges     []Edge
+	}
 	var kept []version
 	for step := 0; step < 240; step++ {
 		batch := make([]Edge, 1+rng.Intn(8))
@@ -101,19 +101,15 @@ func TestWithUpdatesChain(t *testing.T) {
 		if !slices.Equal(eff.PRows, srcs) || !slices.Equal(eff.PTRows, nbrs) {
 			t.Fatalf("step %d: effect P rows %v, Pᵀ rows %v; want %v, %v", step, eff.PRows, eff.PTRows, srcs, nbrs)
 		}
-		cp, cpt := cur.Walk()
-		np, npt := next.Walk()
 		checkShared(t, "Adj", step, cur.Adj, next.Adj, pagesOf(srcs))
 		checkShared(t, "AdjT", step, cur.AdjT, next.AdjT, pagesOf(dsts))
-		checkShared(t, "P", step, cp, np, pagesOf(srcs))
-		checkShared(t, "Pt", step, cpt, npt, pagesOf(nbrs))
 		cur = next
 		if step%20 == 19 {
-			kept = append(kept, version{cur, build()})
+			kept = append(kept, version{cur, build(), slices.Clone(union)})
 		}
 	}
 	for i, v := range kept {
-		if !sameGraph(v.got, v.want) {
+		if !sameGraph(v.got, v.want) || !walkMatches(v.got, v.edges) {
 			t.Fatalf("version after %d updates differs from graph.New on its edge list", 20*(i+1))
 		}
 	}
@@ -133,7 +129,6 @@ func TestWithUpdatesConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Walk()
 	want, err := New(n, 0, edges, nil, nil)
 	if err != nil {
 		t.Fatal(err)

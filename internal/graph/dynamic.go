@@ -39,8 +39,8 @@ func (g *Graph) AttrEntries() []AttrEntry {
 
 // Effect is what one write changed in a graph, as ascending row lists
 // without repeats. Apply computes it once, from the write and the graph it
-// applies to; the derived cache, the affinity patch (core.UpdateAffinity)
-// and the warm start read it and re-derive nothing.
+// applies to; Rc's cached column factors, the affinity patch
+// (core.UpdateAffinity) and the warm start read it and re-derive nothing.
 type Effect struct {
 	// PRows are the sources of edges the graph did not hold: an added
 	// out-edge rescales the whole row of P.
@@ -68,17 +68,16 @@ type Effect struct {
 // unchanged, so entries referencing ids outside [0,N) x [0,D) are
 // rejected, as are attribute weights checkAttrEntry refuses. An edge g
 // already holds is dropped before the merge, so re-sending one changes
-// nothing, its stored weight included; a new edge has weight 1. Attribute
-// weights are additive, matching New's semantics for the weighted set ER,
-// and a zero weight changes nothing.
+// nothing. Attribute weights are additive, matching New's semantics for
+// the weighted set ER, and a zero weight changes nothing.
 //
 // The writes are folded into the parent's CSRs page by page: Adj, AdjT,
-// Attr and AttrT share every row page the effect does not touch with g's,
-// and the parent's derived cache (Walk / NormalizedAttrs products), when
-// it has been materialized, is carried over with only the effect's rows
-// and attribute factors recomputed — so a write costs its own size plus
-// one pointer per page (and a d-vector when it touches attributes), not
-// the graph's.
+// Attr and AttrT share every row page the effect does not touch with g's.
+// P and Pᵀ are views of Adj and AdjT, so they follow with nothing to
+// patch, and the parent's Rc column factors, when they have been built,
+// are carried over with only the effect's attributes re-summed — so a
+// write costs its own size plus one pointer per page (and a d-vector when
+// it touches attributes), not the graph's.
 func (g *Graph) Apply(edges []Edge, attrs []AttrEntry) (*Graph, Effect, error) {
 	var eff Effect
 	edgeEntries := make([]sparse.Entry, 0, len(edges))
@@ -90,8 +89,8 @@ func (g *Graph) Apply(edges []Edge, attrs []AttrEntry) (*Graph, Effect, error) {
 		if g.HasEdge(e.Src, e.Dst) {
 			continue
 		}
-		edgeEntries = append(edgeEntries, sparse.Entry{Row: e.Src, Col: e.Dst, Val: 1})
-		edgeEntriesT = append(edgeEntriesT, sparse.Entry{Row: e.Dst, Col: e.Src, Val: 1})
+		edgeEntries = append(edgeEntries, sparse.Entry{Row: e.Src, Col: e.Dst})
+		edgeEntriesT = append(edgeEntriesT, sparse.Entry{Row: e.Dst, Col: e.Src})
 		eff.PRows = append(eff.PRows, e.Src)
 		eff.Nodes = append(eff.Nodes, e.Src, e.Dst)
 	}
@@ -109,28 +108,22 @@ func (g *Graph) Apply(edges []Edge, attrs []AttrEntry) (*Graph, Effect, error) {
 		eff.RrRows = append(eff.RrRows, a.Node)
 		eff.Attrs = append(eff.Attrs, a.Attr)
 	}
-	// An edge repeated within the write is inserted once, at weight 1, on
-	// both sides, so AdjT stays exactly Adj's transpose. Weights on a
-	// repeated (node, attribute) pair are added in write order on both
-	// sides, so AttrT stays exactly Attr's.
-	one := func(old, add float64) float64 { return 1 }
+	// An edge repeated within the write is inserted once on both sides of
+	// the adjacency patterns, so AdjT stays exactly Adj's transpose.
+	// Weights on a repeated (node, attribute) pair are added in write order
+	// on both sides, so AttrT stays exactly Attr's.
 	sum := func(old, add float64) float64 { return old + add }
 	ng := &Graph{
 		N: g.N, D: g.D, Labels: g.Labels,
-		Adj:   g.Adj.MergeEntries(edgeEntries, one),
-		AdjT:  g.AdjT.MergeEntries(edgeEntriesT, one),
+		Adj:   g.Adj.MergeEntries(edgeEntries, nil),
+		AdjT:  g.AdjT.MergeEntries(edgeEntriesT, nil),
 		Attr:  g.Attr.MergeEntries(attrEntries, sum),
 		AttrT: g.AttrT.MergeEntries(attrEntriesT, sum),
 	}
 	eff.PRows, eff.RrRows, eff.Attrs = sortedSet(eff.PRows), sortedSet(eff.RrRows), sortedSet(eff.Attrs)
 	eff.Nodes = sortedSet(append(eff.Nodes, eff.RrRows...))
 	eff.PTRows, eff.RcRows = colsOf(ng.Adj, eff.PRows), colsOf(ng.AttrT, eff.Attrs)
-	g.prodMu.Lock()
-	old := g.prod
-	g.prodMu.Unlock()
-	if old != nil {
-		ng.prod = ng.patchDerived(old, eff)
-	}
+	ng.patchColInv(g, eff)
 	return ng, eff, nil
 }
 
@@ -168,7 +161,9 @@ func sortedSet(rows []int) []int {
 // matrices, bypassing the entry-list normalization of New — the CSRs are
 // used as-is, so a Graph round-tripped through its matrices (e.g. via a
 // store bundle) is bit-identical. The caller must not mutate adj or attr
-// afterwards; rows must be sorted by column as NewCSR produces them.
+// afterwards; rows must be sorted by column as NewCSR produces them. The
+// adjacency must store 1 at every entry (it is kept as a pattern), and
+// every attribute weight must pass New's rule.
 func FromCSR(adj, attr *sparse.CSR, labels [][]int) (*Graph, error) {
 	if adj.R != adj.C {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.R, adj.C)
@@ -178,6 +173,18 @@ func FromCSR(adj, attr *sparse.CSR, labels [][]int) (*Graph, error) {
 	}
 	if labels != nil && len(labels) != adj.R {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), adj.R)
+	}
+	adj, err := adj.Pattern()
+	if err != nil {
+		return nil, fmt.Errorf("graph: adjacency: %w", err)
+	}
+	for v := 0; v < attr.R; v++ {
+		cols, vals := attr.Row(v)
+		for k, c := range cols {
+			if err := checkAttrEntry(AttrEntry{Node: v, Attr: int(c), Weight: vals[k]}, attr.R, attr.C); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return newGraph(adj, attr, labels), nil
 }

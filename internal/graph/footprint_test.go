@@ -27,23 +27,50 @@ func benchShaped(n, d int, seed int64) *Graph {
 	return g
 }
 
-// TestDerivedFootprintBound is the memory gate of the derived cache: on a
-// bench-shaped graph (n = 30,000, d = 100) materializing P, Pᵀ and Rc's
-// column factors grows the live heap by at most 8 MB — P's values, Pᵀ and
-// a d-vector, never an n x d matrix. Dense Rr and Rc made it 52 MB.
-func TestDerivedFootprintBound(t *testing.T) {
-	g := benchShaped(30000, 100, 1)
+// heapGrowth returns how much the live heap grows across f.
+func heapGrowth(f func()) int64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	g.Walk()
-	g.NormalizedAttrs()
+	f()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestDerivedFootprintBound is the memory gate of a graph's edges and of
+// its derived cache on a bench-shaped graph (n = 30,000, m ≈ 240k,
+// d = 100). Adj and AdjT are patterns, a 4 B column per entry plus row
+// pointers and page headers, so the graph of the edges alone holds at most
+// 4 MB; with 12 B entries it held 7 MB, and P and Pᵀ as CSRs of their own
+// added 5.4 MB.
+// Materializing P, Pᵀ and Rc's column factors then grows the heap by at
+// most 64 KiB: a d-vector, since P and Pᵀ are views of the adjacency —
+// never an n-vector (240 KB) nor a copy of the adjacency (5.4 MB when P
+// and Pᵀ were CSRs; dense Rr and Rc made it 52 MB).
+func TestDerivedFootprintBound(t *testing.T) {
+	g := benchShaped(30000, 100, 1)
+	edges := g.Edges()
+	var edgeOnly *Graph
+	held := heapGrowth(func() {
+		var err error
+		if edgeOnly, err = New(g.N, 0, edges, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.KeepAlive(edges)
+	runtime.KeepAlive(edgeOnly)
+	if held > 4e6 {
+		t.Fatalf("the graph of %d edges holds %d bytes, over the 4 MB bound", len(edges), held)
+	}
+	t.Logf("the graph of %d edges holds %d bytes", len(edges), held)
+	grown := heapGrowth(func() {
+		g.Walk()
+		g.NormalizedAttrs()
+	})
 	runtime.KeepAlive(g)
-	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if grown > 8e6 {
-		t.Fatalf("the derived cache grows the heap by %d bytes, over the 8 MB bound", grown)
+	if grown > 64<<10 {
+		t.Fatalf("the derived cache grows the heap by %d bytes, over the 64 KiB bound", grown)
 	}
 	t.Logf("the derived cache grows the heap by %d bytes", grown)
 }
@@ -55,7 +82,7 @@ func TestDerivedFootprintBound(t *testing.T) {
 // dense Rr and Rc and re-transposing R made it 48 MB.
 func TestWithUpdatesAttrAllocationBound(t *testing.T) {
 	g := benchShaped(30000, 100, 2)
-	g.Walk()
+	g.NormalizedAttrs()
 	rng := rand.New(rand.NewSource(3))
 	const updates = 20
 	deltas := make([][]AttrEntry, updates)

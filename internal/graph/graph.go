@@ -1,7 +1,9 @@
 // Package graph defines the attributed network G = (V, EV, R, ER) of the
 // paper (§2.1) and derives from it the matrices PANE consumes: adjacency A
-// in CSR form, the random-walk matrix P = D⁻¹A, the attribute matrix R,
-// and its row/column normalizations Rr and Rc (Equation 1) as views of R.
+// and its transpose as CSR patterns (row pointers and columns, no values:
+// A[i,j] = 1 iff (i,j) ∈ EV), the random-walk matrix P = D⁻¹A and Pᵀ as
+// views of them, the attribute matrix R, and its row/column
+// normalizations Rr and Rc (Equation 1) as views of R.
 package graph
 
 import (
@@ -31,23 +33,23 @@ type Graph struct {
 	N int // number of nodes |V|
 	D int // number of attributes |R|
 
-	Adj    *sparse.CSR // n x n adjacency, A[i,j] = 1 iff (i,j) ∈ EV
-	AdjT   *sparse.CSR // transpose of Adj (in-edges as CSR)
+	Adj    *sparse.CSR // n x n adjacency pattern, A[i,j] = 1 iff (i,j) ∈ EV
+	AdjT   *sparse.CSR // transpose of Adj (in-edges), a pattern too
 	Attr   *sparse.CSR // n x d attribute matrix R
 	AttrT  *sparse.CSR // transpose of Attr (supporting nodes per attribute)
 	Labels [][]int     // optional per-node label sets (may be nil)
 
-	// Lazily-built cache of the derived products (P, Pᵀ, Rc's factors).
-	// Logically the graph stays immutable: the cache only memoizes pure
-	// functions of Adj/Attr, and Apply carries it across versions
-	// with the dirty parts patched.
-	prodMu sync.Mutex
-	prod   *derived
+	// Lazily-built cache of Rc's column factors, 1/Σ_v R[v,r] per
+	// attribute r (1 when r has no weight). Logically the graph stays
+	// immutable: the cache only memoizes a pure function of Attr, and
+	// Apply carries it across versions with the touched factors re-summed.
+	colInvMu sync.Mutex
+	colInv   []float64
 }
 
 // New builds a Graph from n nodes, d attributes, the directed edge list,
-// and the node-attribute associations. Duplicate edges collapse to weight
-// 1; attribute duplicates are summed. Labels may be nil.
+// and the node-attribute associations. A repeated edge is stored once;
+// attribute duplicates are summed. Labels may be nil.
 func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: need at least one node, got %d", n)
@@ -81,7 +83,11 @@ func New(n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) (*Graph, err
 	if labels != nil && len(labels) != n {
 		return nil, fmt.Errorf("graph: labels length %d != n %d", len(labels), n)
 	}
-	return newGraph(sparse.NewCSR(n, n, adjEntries), sparse.NewCSR(n, d, attrEntries), labels), nil
+	adj, err := sparse.NewCSR(n, n, adjEntries).Pattern()
+	if err != nil {
+		return nil, err
+	}
+	return newGraph(adj, sparse.NewCSR(n, d, attrEntries), labels), nil
 }
 
 // checkAttrEntry rejects an attribute entry outside the n x d universe, or
@@ -110,23 +116,19 @@ func (g *Graph) M() int { return g.Adj.NNZ() }
 // NNZAttr returns |ER|, the number of node-attribute associations.
 func (g *Graph) NNZAttr() int { return g.Attr.NNZ() }
 
-// OutDegree returns the out-degree of node v: the sum of its out-edge
-// weights, read off the adjacency row.
-func (g *Graph) OutDegree(v int) float64 { return g.Adj.RowSum(v) }
+// OutDegree returns the out-degree of node v, its adjacency row's length.
+func (g *Graph) OutDegree(v int) int { return len(g.OutNeighbors(v)) }
 
 // Walk returns the random-walk matrix P = D⁻¹A together with its
-// transpose Pᵀ. Rows of dangling nodes (out-degree 0) are zero: a walk at
-// a dangling node has nowhere to go, so the iterative recurrence of
-// Equation (6) simply stops propagating mass through it. This matches the
-// behaviour of the simulator in package rwalk, which terminates walks
-// stranded at dangling nodes.
-//
-// The matrices are cached on the graph (and carried across Apply
-// with only the dirty parts recomputed); they are shared and must not be
-// mutated.
-func (g *Graph) Walk() (p, pt *sparse.CSR) {
-	pr := g.products()
-	return pr.p, pr.pt
+// transpose Pᵀ, as views of the adjacency that store nothing: P is Adj
+// with row u scaled by 1/out-degree(u), Pᵀ is AdjT with column u scaled by
+// the same factor, read off Adj's row lengths. Rows of dangling nodes
+// (out-degree 0) are zero: a walk at a dangling node has nowhere to go,
+// so the iterative recurrence of Equation (6) simply stops propagating
+// mass through it. This matches the behaviour of the simulator in package
+// rwalk, which terminates walks stranded at dangling nodes.
+func (g *Graph) Walk() (p, pt sparse.Scaled) {
+	return g.Adj.RowNormalized(), g.AdjT.ColNormalizedBy(g.Adj)
 }
 
 // NormalizedAttrs returns the row-normalized attribute matrix Rr
@@ -149,7 +151,7 @@ func (g *Graph) Walk() (p, pt *sparse.CSR) {
 // Apply with only the touched attributes' re-summed; Rr's row
 // factors are summed from the row as it is read.
 func (g *Graph) NormalizedAttrs() (rr, rc sparse.Scaled) {
-	return g.Attr.RowNormalized(), g.Attr.ColScaled(g.products().colInv)
+	return g.Attr.RowNormalized(), g.Attr.ColScaled(g.attrColInv())
 }
 
 // NodeAttrs returns the attribute indices and weights of node v.

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"pane/internal/sparse"
 )
 
 func mustNew(t *testing.T, n, d int, edges []Edge, attrs []AttrEntry, labels [][]int) *Graph {
@@ -56,17 +58,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestNonFiniteAttrWeightRejected: NaN and ±Inf attribute weights are
-// refused when a graph is built, updated or loaded, and the error names the
-// entry — one such weight turns every embedding row it reaches into NaN.
+// TestNonFiniteAttrWeightRejected: NaN, ±Inf and negative attribute
+// weights are refused when a graph is built, updated or loaded — from text
+// files or from its matrices, a bundle's way in — and the error names the
+// entry: one such weight turns every embedding row it reaches into NaN.
 func TestNonFiniteAttrWeightRejected(t *testing.T) {
 	g := RunningExample()
-	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
 		bad := []AttrEntry{{Node: 2, Attr: 1, Weight: w}}
 		_, errNew := New(g.N, g.D, g.Edges(), append(g.AttrEntries(), bad...), nil)
-		_, errWeighted := NewWeighted(g.N, g.D, nil, bad, nil)
 		_, errUpdate := g.WithUpdates(nil, bad)
-		for site, err := range map[string]error{"New": errNew, "NewWeighted": errWeighted, "WithUpdates": errUpdate} {
+		attr := sparse.NewCSR(g.N, g.D, []sparse.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 2, Col: 1, Val: w}})
+		_, errCSR := FromCSR(g.Adj, attr, nil)
+		for site, err := range map[string]error{"New": errNew, "WithUpdates": errUpdate, "FromCSR": errCSR} {
 			if err == nil || !strings.Contains(err.Error(), "(2,1)") {
 				t.Errorf("%s with weight %v: error %v, want one naming entry (2,1)", site, w, err)
 			}
@@ -87,17 +91,19 @@ func TestNonFiniteAttrWeightRejected(t *testing.T) {
 
 func TestWalkRowStochastic(t *testing.T) {
 	g := mustNew(t, 4, 0, []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, nil, nil)
-	p, pt := g.Walk()
+	pv, ptv := g.Walk()
+	p := pv.ToDense()
+	sums := p.RowSums()
 	for i := 0; i < 3; i++ {
-		if s := p.RowSum(i); math.Abs(s-1) > 1e-12 {
-			t.Fatalf("row %d of P sums to %v", i, s)
+		if math.Abs(sums[i]-1) > 1e-12 {
+			t.Fatalf("row %d of P sums to %v", i, sums[i])
 		}
 	}
-	if p.RowSum(3) != 0 {
+	if sums[3] != 0 {
 		t.Fatal("dangling node 3 should have a zero row")
 	}
 	// Pᵀ really is the transpose.
-	if !pt.ToDense().Equal(p.ToDense().T(), 0) {
+	if !ptv.ToDense().Equal(p.T(), 0) {
 		t.Fatal("Pᵀ mismatch")
 	}
 	if math.Abs(p.At(0, 1)-0.5) > 1e-12 {
@@ -268,8 +274,9 @@ func TestPropertyWalkMassConservation(t *testing.T) {
 			return false
 		}
 		p, _ := g.Walk()
+		sums := p.ToDense().RowSums()
 		for i := 0; i < n; i++ {
-			s := p.RowSum(i)
+			s := sums[i]
 			if g.OutDegree(i) > 0 && math.Abs(s-1) > 1e-9 {
 				return false
 			}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,12 +37,13 @@ func randomGraph(rng *rand.Rand, n, d int) *Graph {
 	return g
 }
 
+// densesEqual reports whether a and b hold the same bits.
 func densesEqual(a, b *mat.Dense) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i, v := range a.Data {
-		if b.Data[i] != v {
+		if math.Float64bits(b.Data[i]) != math.Float64bits(v) {
 			return false
 		}
 	}
@@ -104,71 +106,120 @@ func TestWithUpdatesMergeMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestPatchedProductsMatchFresh checks that the derived-matrix cache
-// carried across WithUpdates is bit-identical to one built from scratch
-// on the updated graph.
+// walkReference returns P = D⁻¹A and Pᵀ built densely from an edge list:
+// A[u,v] = 1 for each listed edge, however often it is listed, and row u of
+// P is row u of A times 1/out-degree(u), a zero row for a dangling u.
+func walkReference(n int, edges []Edge) (p, pt *mat.Dense) {
+	a := mat.New(n, n)
+	for _, e := range edges {
+		a.Set(e.Src, e.Dst, 1)
+	}
+	p = mat.New(n, n)
+	for u := 0; u < n; u++ {
+		var deg float64
+		for _, x := range a.Row(u) {
+			deg += x
+		}
+		for v, x := range a.Row(u) {
+			if x != 0 {
+				p.Set(u, v, x*(1/deg))
+			}
+		}
+	}
+	return p, p.T()
+}
+
+// walkMatches reports whether g's P and Pᵀ views read bit for bit as
+// walkReference on edges.
+func walkMatches(g *Graph, edges []Edge) bool {
+	p, pt := g.Walk()
+	wp, wpt := walkReference(g.N, edges)
+	return densesEqual(p.ToDense(), wp) && densesEqual(pt.ToDense(), wpt)
+}
+
+// TestPatchedProductsMatchFresh checks what a graph reads along a chain of
+// Apply calls: P and Pᵀ, views of the merged adjacency, against a dense
+// D⁻¹A built from the edge list, and Rr, Rc and Rc's carried column
+// factors against a graph built from scratch — bit for bit. Each write
+// repeats an edge within itself and re-sends a held one; dangling nodes
+// get their first out-edges while node 0 stays dangling throughout.
 func TestPatchedProductsMatchFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 8+rng.Intn(20), 3+rng.Intn(6))
-		// Materialize the parent's cache so WithUpdates patches it.
-		g.Walk()
+		n, d := 8+rng.Intn(20), 3+rng.Intn(6)
+		start := randomGraph(rng, n, d)
 		var edges []Edge
-		for k := 0; k < 1+rng.Intn(5); k++ {
-			edges = append(edges, Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)})
-		}
-		var attrs []AttrEntry
-		if trial%2 == 0 {
-			for k := 0; k < 1+rng.Intn(5); k++ {
-				attrs = append(attrs, AttrEntry{Node: rng.Intn(g.N), Attr: rng.Intn(g.D), Weight: float64(1+rng.Intn(8)) * 0.25})
+		for _, e := range start.Edges() {
+			if e.Src%4 != 0 { // every fourth node starts dangling
+				edges = append(edges, e)
 			}
 		}
-		g2, err := g.WithUpdates(edges, attrs)
+		g, err := New(n, d, edges, start.AttrEntries(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g2.prod == nil {
-			t.Fatal("WithUpdates did not carry the derived cache")
+		if !walkMatches(g, edges) {
+			t.Fatalf("trial %d: walk views of the built graph differ from D⁻¹A", trial)
 		}
-		fresh, err := New(g.N, g.D, g2.Edges(), g2.AttrEntries(), g2.Labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, fpt := fresh.Walk()
-		frr, frc := fresh.NormalizedAttrs()
-		p, pt := g2.Walk()
-		rr, rc := g2.NormalizedAttrs()
-		if !csrsEqual(p, fp) || !csrsEqual(pt, fpt) {
-			t.Fatalf("trial %d: patched walk matrices differ from fresh", trial)
-		}
-		if !densesEqual(rr.ToDense(), frr.ToDense()) {
-			t.Fatalf("trial %d: patched Rr differs from fresh", trial)
-		}
-		if !densesEqual(rc.ToDense(), frc.ToDense()) {
-			t.Fatalf("trial %d: patched Rc differs from fresh", trial)
-		}
-		if !slices.Equal(g2.prod.colInv, fresh.products().colInv) {
-			t.Fatalf("trial %d: patched Rc column factors differ from fresh", trial)
-		}
-		if !csrsEqual(g2.AttrT, fresh.AttrT) {
-			t.Fatalf("trial %d: patched AttrT differs from fresh", trial)
+		// Build the parent's factors so Apply carries them.
+		g.NormalizedAttrs()
+		for step := 0; step < 6; step++ {
+			var w []Edge
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				w = append(w, Edge{Src: 1 + rng.Intn(n-1), Dst: rng.Intn(n)})
+			}
+			w = append(w, w[0])
+			if len(edges) > 0 {
+				w = append(w, edges[rng.Intn(len(edges))])
+			}
+			var attrs []AttrEntry
+			if step%2 == 0 {
+				for k := 0; k < 1+rng.Intn(5); k++ {
+					attrs = append(attrs, AttrEntry{Node: rng.Intn(n), Attr: rng.Intn(d), Weight: float64(1+rng.Intn(8)) * 0.25})
+				}
+			}
+			g2, _, err := g.Apply(w, attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges = append(edges, w...)
+			if !walkMatches(g2, edges) {
+				t.Fatalf("trial %d step %d: walk views differ from D⁻¹A", trial, step)
+			}
+			if g2.colInv == nil {
+				t.Fatal("Apply did not carry Rc's column factors")
+			}
+			fresh, err := New(n, d, g2.Edges(), g2.AttrEntries(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frr, frc := fresh.NormalizedAttrs()
+			rr, rc := g2.NormalizedAttrs()
+			if !densesEqual(rr.ToDense(), frr.ToDense()) {
+				t.Fatalf("trial %d step %d: patched Rr differs from fresh", trial, step)
+			}
+			if !densesEqual(rc.ToDense(), frc.ToDense()) {
+				t.Fatalf("trial %d step %d: patched Rc differs from fresh", trial, step)
+			}
+			if !slices.Equal(g2.colInv, fresh.colInv) {
+				t.Fatalf("trial %d step %d: patched Rc column factors differ from fresh", trial, step)
+			}
+			if !csrsEqual(g2.AttrT, fresh.AttrT) {
+				t.Fatalf("trial %d step %d: patched AttrT differs from fresh", trial, step)
+			}
+			g = g2
 		}
 	}
 }
 
-// TestProductsCachedAndShared checks that Walk and NormalizedAttrs read the
-// same cached products on repeated calls (the memoization contract).
+// TestProductsCachedAndShared checks that NormalizedAttrs reads the same
+// cached column factors on repeated calls (the memoization contract).
 func TestProductsCachedAndShared(t *testing.T) {
 	g := RunningExample()
-	p1, pt1 := g.Walk()
-	p2, pt2 := g.Walk()
-	if p1 != p2 || pt1 != pt2 {
-		t.Fatal("Walk results not cached")
-	}
 	g.NormalizedAttrs()
-	inv := g.prod.colInv
+	inv := g.colInv
 	g.NormalizedAttrs()
-	if &g.prod.colInv[0] != &inv[0] {
+	if &g.colInv[0] != &inv[0] {
 		t.Fatal("NormalizedAttrs rebuilt Rc's column factors")
 	}
 }
@@ -183,7 +234,7 @@ func TestEdgeOnlyUpdateSharesAttrProducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &g2.products().colInv[0] != &g.prod.colInv[0] {
+	if &g2.attrColInv()[0] != &g.colInv[0] {
 		t.Fatal("edge-only update should share Rc's column factors")
 	}
 	if g2.Attr != g.Attr || g2.AttrT != g.AttrT {

@@ -23,7 +23,7 @@ type Simulator struct {
 	alpha float64
 
 	// outCum[v]/outIdx[v] hold the cumulative out-edge distribution of v
-	// (weight-proportional; uniform for unit weights).
+	// (uniform over its out-neighbours).
 	// fwdPick[v] holds the cumulative attribute distribution of v.
 	// bwdStart[r] holds the cumulative node distribution of attribute r.
 	outCum      [][]float64
@@ -43,18 +43,13 @@ func New(g *graph.Graph, alpha float64) *Simulator {
 	s.outCum = make([][]float64, g.N)
 	s.outIdx = make([][]int32, g.N)
 	for v := 0; v < g.N; v++ {
-		cols, vals := g.Adj.Row(v)
+		cols := g.OutNeighbors(v)
 		if len(cols) == 0 {
 			continue
 		}
-		cum := make([]float64, len(vals))
-		var tot float64
-		for i, w := range vals {
-			tot += w
-			cum[i] = tot
-		}
+		cum := make([]float64, len(cols))
 		for i := range cum {
-			cum[i] /= tot
+			cum[i] = float64(i+1) / float64(len(cols))
 		}
 		s.outCum[v] = cum
 		s.outIdx[v] = cols

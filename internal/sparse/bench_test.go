@@ -29,7 +29,7 @@ func BenchmarkSpMMSerial(b *testing.B) {
 	dst := mat.New(20000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MulDenseInto(dst, x)
+		m.RowNormalized().ParMulDenseInto(dst, x, 1)
 	}
 	b.SetBytes(int64(m.NNZ() * 64 * 8))
 }
@@ -49,7 +49,7 @@ func BenchmarkSpMMFusedAxpy(b *testing.B) {
 	dst := mat.New(20000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AxpyInto(dst, 0.5, x, 0.5, y, 1)
+		m.RowNormalized().AxpyInto(dst, 0.5, x, 0.5, y, 1)
 	}
 }
 

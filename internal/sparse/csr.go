@@ -9,8 +9,11 @@
 //	P · X   (random-walk push along out-edges)
 //	Pᵀ · X  (pull along in-edges)
 //
-// Both are provided; Pᵀ·X is computed from a CSR of the transpose built
-// once up front, so that both directions stream memory with unit stride.
+// Both run on Scaled views of a pattern — a CSR whose stored values are
+// all 1, kept as row pointers and columns only: P is the adjacency read
+// with each row scaled by 1/(its length), Pᵀ the adjacency's transpose
+// read with column u scaled by the same factor of row u, so both
+// directions stream memory with unit stride and neither stores a value.
 package sparse
 
 import (
@@ -24,16 +27,20 @@ import (
 // CSR is an immutable sparse matrix in compressed sparse row format,
 // stored as row pages of mat.PageRows rows (of one row for a transpose
 // built by TByRow): row i's entries are a contiguous run of (column,
-// value) pairs, sorted by column, inside page i/PageRows. A freshly built
-// CSR is one allocation per array that every page aliases (Flat returns
-// it as is, and whole-matrix kernels stream it with unit stride);
-// MergeEntries copies the page slice and rebuilds only the pages its
-// entries fall in, sharing every other page with the matrix it came from.
+// value) pairs, sorted by column, inside page i/PageRows; a pattern (see
+// Pattern) stores the columns alone, every stored value reading 1. A
+// freshly built CSR is one allocation per array that every page aliases
+// (Flat returns it as is, and whole-matrix kernels stream it with unit
+// stride); MergeEntries copies the page slice and rebuilds only the pages
+// its entries fall in, sharing every other page with the matrix it came
+// from.
 type CSR struct {
 	R, C  int
 	nnz   int
 	shift uint // a page holds 1<<shift rows
 	pages []*page
+
+	pattern bool // no values are stored: every stored value is 1
 
 	// The contiguous arrays the pages alias; nil once a merge has
 	// replaced a page.
@@ -45,7 +52,7 @@ type CSR struct {
 // page holds up to 1<<shift consecutive rows: local row r is
 // cols[ptr[r]:ptr[r+1]] and the matching vals. The offsets are absolute
 // into the shared arrays of a freshly built CSR and start at 0 in a page
-// rebuilt by a merge.
+// rebuilt by a merge. vals is nil in a pattern's pages.
 type page struct {
 	ptr  []int
 	cols []int32
@@ -58,9 +65,9 @@ func (pg *page) nnz() int { return pg.ptr[len(pg.ptr)-1] - pg.ptr[0] }
 var pageShift = uint(bits.TrailingZeros(mat.PageRows))
 
 // fromArrays pages a CSR over its contiguous arrays without copying, 1<<shift
-// rows a page.
+// rows a page; vals == nil builds a pattern.
 func fromArrays(r, c int, shift uint, rowPtr []int, cols []int32, vals []float64) *CSR {
-	m := &CSR{R: r, C: c, nnz: len(cols), shift: shift, rowPtr: rowPtr, cols: cols, vals: vals}
+	m := &CSR{R: r, C: c, nnz: len(cols), shift: shift, rowPtr: rowPtr, cols: cols, vals: vals, pattern: vals == nil}
 	rows := 1 << shift
 	ps := make([]page, (r+rows-1)/rows)
 	m.pages = make([]*page, len(ps))
@@ -73,9 +80,11 @@ func fromArrays(r, c int, shift uint, rowPtr []int, cols []int32, vals []float64
 }
 
 // FromArrays builds a CSR over the given contiguous arrays (row i is
-// cols[rowPtr[i]:rowPtr[i+1]], sorted by column) without copying them;
+// cols[rowPtr[i]:rowPtr[i+1]], strictly ascending) without copying them;
 // the caller must not write them afterwards. It is how a deserialized
-// matrix enters the package, so the arrays are checked, not trusted.
+// matrix enters the package, so the arrays are checked, not trusted: a row
+// out of order or with a repeated column would make At's binary search
+// and MergeEntries' sorted merge give wrong answers.
 func FromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) (*CSR, error) {
 	if r < 0 || c < 0 || len(rowPtr) != r+1 || rowPtr[0] != 0 || rowPtr[r] != len(cols) || len(vals) != len(cols) {
 		return nil, fmt.Errorf("sparse: %dx%d CSR with %d row pointers, %d columns, %d values: lengths or end offsets disagree",
@@ -85,24 +94,45 @@ func FromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) (*CSR, err
 		if rowPtr[i] > rowPtr[i+1] {
 			return nil, fmt.Errorf("sparse: row pointers decrease at row %d", i)
 		}
-	}
-	for i, col := range cols {
-		if col < 0 || int(col) >= c {
-			return nil, fmt.Errorf("sparse: column %d out of range at entry %d", col, i)
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			if col := cols[k]; col < 0 || int(col) >= c {
+				return nil, fmt.Errorf("sparse: column %d out of range at entry %d", col, k)
+			} else if k > rowPtr[i] && col <= cols[k-1] {
+				return nil, fmt.Errorf("sparse: row %d is not strictly ascending at entry %d (column %d after %d)", i, k, col, cols[k-1])
+			}
 		}
 	}
 	return fromArrays(r, c, pageShift, rowPtr, cols, vals), nil
 }
 
+// Pattern returns m as a pattern: the same rows and columns with no values
+// stored, every stored value reading 1. It refuses a matrix storing any
+// other value; a pattern is returned as it is.
+func (m *CSR) Pattern() (*CSR, error) {
+	if m.pattern {
+		return m, nil
+	}
+	rowPtr, cols, vals := m.Flat()
+	for k, v := range vals {
+		if v != 1 {
+			return nil, fmt.Errorf("sparse: value %v at entry %d of a pattern, want 1", v, k)
+		}
+	}
+	return fromArrays(m.R, m.C, m.shift, rowPtr, cols, nil), nil
+}
+
 // Flat returns the matrix as contiguous CSR arrays, shared and read-only:
-// free for a freshly built matrix, an O(nnz) assembly after a merge.
+// free for a freshly built matrix, an O(nnz) assembly after a merge. vals
+// is nil for a pattern.
 func (m *CSR) Flat() (rowPtr []int, cols []int32, vals []float64) {
 	if m.rowPtr != nil {
 		return m.rowPtr, m.cols, m.vals
 	}
 	rowPtr = make([]int, m.R+1)
 	cols = make([]int32, 0, m.nnz)
-	vals = make([]float64, 0, m.nnz)
+	if !m.pattern {
+		vals = make([]float64, 0, m.nnz)
+	}
 	for i := 0; i < m.R; i++ {
 		cs, vs := m.Row(i)
 		cols = append(cols, cs...)
@@ -119,15 +149,38 @@ func (m *CSR) SamePage(o *CSR, k int) bool { return m.pages[k] == o.pages[k] }
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return m.nnz }
 
-// Row returns the column indices and values of row i as shared slices.
+// Row returns the column indices and values of row i as shared slices;
+// the values are nil for a pattern.
 func (m *CSR) Row(i int) ([]int32, []float64) {
 	pg, r := m.pages[i>>m.shift], i&(1<<m.shift-1)
 	lo, hi := pg.ptr[r], pg.ptr[r+1]
+	if m.pattern {
+		return pg.cols[lo:hi], nil
+	}
 	return pg.cols[lo:hi], pg.vals[lo:hi]
 }
 
-// RowSum returns the sum of row i's stored values, left to right.
+// rowLen returns the number of entries stored in row i.
+func (m *CSR) rowLen(i int) int {
+	pg, r := m.pages[i>>m.shift], i&(1<<m.shift-1)
+	return pg.ptr[r+1] - pg.ptr[r]
+}
+
+// value returns the k-th of a row's values as Row returned them: 1 when
+// they are nil, a pattern's.
+func value(vals []float64, k int) float64 {
+	if vals == nil {
+		return 1
+	}
+	return vals[k]
+}
+
+// RowSum returns the sum of row i's stored values, left to right: the row's
+// length for a pattern, in O(1).
 func (m *CSR) RowSum(i int) float64 {
+	if m.pattern {
+		return float64(m.rowLen(i))
+	}
 	_, vals := m.Row(i)
 	var s float64
 	for _, v := range vals {
@@ -142,7 +195,7 @@ func (m *CSR) At(i, j int) float64 {
 	cols, vals := m.Row(i)
 	k := sort.Search(len(cols), func(k int) bool { return cols[k] >= int32(j) })
 	if k < len(cols) && cols[k] == int32(j) {
-		return vals[k]
+		return value(vals, k)
 	}
 	return 0
 }
@@ -246,13 +299,18 @@ func (m *CSR) transpose(shift uint) *CSR {
 	rowPtr := make([]int, m.C+1)
 	copy(rowPtr, counts)
 	cols := make([]int32, m.nnz)
-	vals := make([]float64, m.nnz)
+	var vals []float64
+	if !m.pattern {
+		vals = make([]float64, m.nnz)
+	}
 	for i := 0; i < m.R; i++ {
 		cs, vs := m.Row(i)
 		for k, c := range cs {
 			p := counts[c]
 			cols[p] = int32(i)
-			vals[p] = vs[k]
+			if vals != nil {
+				vals[p] = vs[k]
+			}
 			counts[c]++
 		}
 	}
@@ -267,37 +325,8 @@ func (m *CSR) ToDense() *mat.Dense {
 		cols, vals := m.Row(i)
 		row := out.Row(i)
 		for k, c := range cols {
-			row[c] += vals[k]
+			row[c] += value(vals, k)
 		}
 	}
 	return out
-}
-
-// ScaleRows returns m with row i multiplied by s[i], as a freshly built
-// matrix. Used to turn an adjacency matrix into the random-walk matrix
-// P = D⁻¹A.
-func (m *CSR) ScaleRows(s []float64) *CSR {
-	if len(s) != m.R {
-		panic("sparse: ScaleRows length mismatch")
-	}
-	rowPtr, cols, vals := m.Flat()
-	scaled := make([]float64, len(vals))
-	for i := 0; i < m.R; i++ {
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			scaled[k] = vals[k] * s[i]
-		}
-	}
-	return fromArrays(m.R, m.C, m.shift, rowPtr, cols, scaled)
-}
-
-// ColSums returns the per-column sum of stored values.
-func (m *CSR) ColSums() []float64 {
-	sums := make([]float64, m.C)
-	for i := 0; i < m.R; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			sums[c] += vals[k]
-		}
-	}
-	return sums
 }

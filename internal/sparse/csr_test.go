@@ -22,6 +22,15 @@ func randomCSR(rng *rand.Rand, r, c int, density float64) *CSR {
 	return NewCSR(r, c, entries)
 }
 
+// plain returns the view of m that reads its stored values unscaled.
+func plain(m *CSR) Scaled {
+	ones := make([]float64, m.C)
+	for j := range ones {
+		ones[j] = 1
+	}
+	return m.ColScaled(ones)
+}
+
 func randomDense(rng *rand.Rand, r, c int) *mat.Dense {
 	m := mat.New(r, c)
 	for i := range m.Data {
@@ -96,7 +105,7 @@ func TestMulDenseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomCSR(rng, 17, 23, 0.2)
 	x := randomDense(rng, 23, 6)
-	got := m.MulDense(x)
+	got := plain(m).MulDense(x)
 	want := mat.Mul(m.ToDense(), x)
 	if got.MaxAbsDiff(want) > 1e-12 {
 		t.Fatal("sparse MulDense differs from dense multiply")
@@ -107,9 +116,9 @@ func TestParMulDenseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomCSR(rng, 41, 31, 0.15)
 	x := randomDense(rng, 31, 5)
-	want := m.MulDense(x)
+	want := plain(m).MulDense(x)
 	for _, nb := range []int{1, 2, 3, 8, 64} {
-		got := m.ParMulDense(x, nb)
+		got := plain(m).ParMulDense(x, nb)
 		if !got.Equal(want, 0) {
 			t.Fatalf("nb=%d: parallel result differs", nb)
 		}
@@ -130,11 +139,13 @@ func randomAttrs(rng *rand.Rand, r, c int) *CSR {
 	return NewCSR(r, c, entries)
 }
 
-// colInv returns the column factors of m's column-normalized view.
+// colInv returns the column factors of m's column-normalized view, summed
+// along the rows of its transpose (each column in row order).
 func colInv(m *CSR) []float64 {
-	inv := m.ColSums()
-	for j, s := range inv {
-		inv[j] = InvSum(s)
+	mt := m.T()
+	inv := make([]float64, m.C)
+	for j := range inv {
+		inv[j] = InvSum(mt.RowSum(j))
 	}
 	return inv
 }
@@ -156,46 +167,138 @@ func TestScaledMatchesDenseNormalize(t *testing.T) {
 }
 
 // TestAxpyInto: the view kernel equals the dense recurrence step
-// dst = b·y + Σ (a·m[i,c])·x[c] on the materialized seed bit for bit, at
-// the first level (x is the seed) and at a later one, for any worker count.
+// dst = b·y + Σ (a·m[i,c])·x[c] on the materialized views bit for bit, at
+// the first level (x is the seed) and at a later one, for any worker
+// count, with m any of the views: of a valued matrix, and the two views of
+// a pattern P and Pᵀ are.
 func TestAxpyInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n, d = 17, 6
 	m := randomAttrs(rng, n, n)
+	pat, err := NewCSR(n, n, ones(m)).Pattern()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := randomAttrs(rng, n, d)
 	later := mat.New(n, d)
 	for i := range later.Data {
 		later.Data[i] = rng.Float64()
 	}
 	a, b := 0.85, 0.15
-	for _, y := range []Scaled{r.RowNormalized(), r.ColScaled(colInv(r))} {
-		seed := y.ToDense()
-		for _, x := range []*mat.Dense{nil, later} {
-			dx := x
-			if x == nil {
-				dx = seed
-			}
-			want := mat.New(n, d)
-			for i := 0; i < n; i++ {
-				row := want.Row(i)
-				for p := range row {
-					row[p] = b * seed.At(i, p)
+	for mi, mv := range []Scaled{m.RowNormalized(), m.ColScaled(colInv(m)), pat.RowNormalized(), pat.T().ColNormalizedBy(pat)} {
+		dm := mv.ToDense()
+		for _, y := range []Scaled{r.RowNormalized(), r.ColScaled(colInv(r))} {
+			seed := y.ToDense()
+			for _, x := range []*mat.Dense{nil, later} {
+				dx := x
+				if x == nil {
+					dx = seed
 				}
-				cols, vals := m.Row(i)
-				for k, c := range cols {
-					v := a * vals[k]
+				want := mat.New(n, d)
+				for i := 0; i < n; i++ {
+					row := want.Row(i)
 					for p := range row {
-						row[p] += v * dx.At(int(c), p)
+						row[p] = b * seed.At(i, p)
+					}
+					for c, mic := range dm.Row(i) {
+						if mic == 0 {
+							continue
+						}
+						v := a * mic
+						for p := range row {
+							row[p] += v * dx.At(c, p)
+						}
+					}
+				}
+				for _, nb := range []int{1, 3} {
+					dst := mat.New(n, d)
+					mv.AxpyInto(dst, a, x, b, y, nb)
+					if !slices.Equal(dst.Data, want.Data) {
+						t.Fatalf("view %d, nb=%d, x nil=%v: AxpyInto differs from the dense step", mi, nb, x == nil)
 					}
 				}
 			}
-			for _, nb := range []int{1, 3} {
-				dst := mat.New(n, d)
-				m.AxpyInto(dst, a, x, b, y, nb)
-				if !slices.Equal(dst.Data, want.Data) {
-					t.Fatalf("nb=%d, x nil=%v: AxpyInto differs from the dense step", nb, x == nil)
-				}
+		}
+	}
+}
+
+// ones returns m's entries with every value set to 1.
+func ones(m *CSR) []Entry {
+	var out []Entry
+	for i := 0; i < m.R; i++ {
+		cols, _ := m.Row(i)
+		for _, c := range cols {
+			out = append(out, Entry{i, int(c), 1})
+		}
+	}
+	return out
+}
+
+// TestPattern: a pattern reads 1 at every stored entry through every
+// accessor, keeps its columns through a transpose and a merge — an entry
+// it holds or one repeated within the merge is stored once — and a
+// matrix storing any other value is refused.
+func TestPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := randomAttrs(rng, 37, 29)
+	p, err := NewCSR(m.R, m.C, ones(m)).Pattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, vals := p.Row(0); vals != nil {
+		t.Fatal("a pattern's row carries values")
+	}
+	if _, _, vals := p.Flat(); vals != nil {
+		t.Fatal("a pattern's flat arrays carry values")
+	}
+	want := NewCSR(m.R, m.C, ones(m)).ToDense()
+	if !slices.Equal(p.ToDense().Data, want.Data) || !slices.Equal(p.T().ToDense().Data, want.T().Data) {
+		t.Fatal("pattern or its transpose reads other than its entries at 1")
+	}
+	for i := 0; i < m.R; i++ {
+		cols, _ := p.Row(i)
+		if p.RowSum(i) != float64(len(cols)) {
+			t.Fatalf("row %d: RowSum %v of %d entries", i, p.RowSum(i), len(cols))
+		}
+		for _, c := range cols {
+			if p.At(i, int(c)) != 1 {
+				t.Fatalf("At(%d,%d) = %v", i, c, p.At(i, int(c)))
 			}
+		}
+	}
+	add := []Entry{{0, 1, 7}, {0, 1, 7}, {5, 3, 7}, {36, 28, 7}}
+	cols, _ := p.Row(5)
+	add = append(add, Entry{5, int(cols[0]), 7}) // held
+	merged := p.MergeEntries(add, nil)
+	rebuilt, err := NewCSR(m.R, m.C, ones(merged)).Pattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.NNZ() != rebuilt.NNZ() || !slices.Equal(merged.ToDense().Data, rebuilt.ToDense().Data) {
+		t.Fatal("merged pattern differs from a rebuild")
+	}
+	for _, e := range add {
+		if merged.At(e.Row, e.Col) != 1 {
+			t.Fatalf("merged pattern reads %v at (%d,%d)", merged.At(e.Row, e.Col), e.Row, e.Col)
+		}
+	}
+	if _, err := NewCSR(2, 2, []Entry{{0, 1, 1}, {1, 0, 0.5}}).Pattern(); err == nil {
+		t.Fatal("a matrix storing 0.5 became a pattern")
+	}
+}
+
+// TestFromArraysRejectsUnsortedRows: a row whose columns descend or repeat
+// is refused, since At's binary search and MergeEntries' sorted merge
+// would read it wrongly; an ascending one is accepted.
+func TestFromArraysRejectsUnsortedRows(t *testing.T) {
+	rowPtr := []int{0, 2, 3}
+	vals := []float64{1, 1, 1}
+	if _, err := FromArrays(2, 4, rowPtr, []int32{1, 3, 0}, vals); err != nil {
+		t.Fatalf("ascending rows refused: %v", err)
+	}
+	for _, cols := range [][]int32{{3, 1, 0}, {2, 2, 0}} {
+		if _, err := FromArrays(2, 4, rowPtr, cols, vals); err == nil {
+			t.Fatalf("row columns %v accepted", cols[:2])
 		}
 	}
 }
@@ -205,16 +308,12 @@ func TestScaleRowsAndSums(t *testing.T) {
 	if m.RowSum(0) != 6 || m.RowSum(1) != 3 {
 		t.Fatalf("RowSum = %v, %v", m.RowSum(0), m.RowSum(1))
 	}
-	cs := m.ColSums()
-	if cs[0] != 2 || cs[1] != 3 || cs[2] != 4 {
-		t.Fatalf("ColSums = %v", cs)
-	}
-	s := m.ScaleRows([]float64{0.5, 2})
-	if s.At(0, 2) != 2 || s.At(1, 1) != 6 {
-		t.Fatal("ScaleRows wrong")
+	s := m.RowNormalized().ToDense()
+	if s.At(0, 2) != 4*(1.0/6) || s.At(1, 1) != 1 {
+		t.Fatal("RowNormalized wrong")
 	}
 	if m.At(0, 2) != 4 || m.At(1, 1) != 3 {
-		t.Fatal("ScaleRows wrote through to its receiver")
+		t.Fatal("RowNormalized wrote through to its receiver")
 	}
 }
 
@@ -226,7 +325,7 @@ func TestPropertyTransposeMulAgree(t *testing.T) {
 		c := 2 + rng.Intn(12)
 		m := randomCSR(rng, r, c, 0.3)
 		x := randomDense(rng, r, 1+rng.Intn(4))
-		got := m.T().MulDense(x)
+		got := plain(m.T()).MulDense(x)
 		want := mat.Mul(m.ToDense().T(), x)
 		return got.MaxAbsDiff(want) < 1e-10
 	}
@@ -252,18 +351,14 @@ func TestPropertyRowStochasticPreservesMass(t *testing.T) {
 		}
 		m := NewCSR(n, n, entries)
 		sums := make([]float64, n)
-		inv := make([]float64, n)
 		for i := range sums {
-			if sums[i] = m.RowSum(i); sums[i] > 0 {
-				inv[i] = 1 / sums[i]
-			}
+			sums[i] = m.RowSum(i)
 		}
-		m = m.ScaleRows(inv)
 		ones := mat.New(n, 1)
 		for i := range ones.Data {
 			ones.Data[i] = 1
 		}
-		out := m.MulDense(ones)
+		out := m.RowNormalized().MulDense(ones)
 		for i := 0; i < n; i++ {
 			if sums[i] > 0 {
 				if d := out.At(i, 0) - 1; d > 1e-9 || d < -1e-9 {

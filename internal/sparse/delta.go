@@ -57,12 +57,13 @@ func Reach(m *CSR, seeds []int, steps int) []int {
 // each entry (r, c, v): when (r, c) is already stored with value old, the
 // stored value becomes combine(old, v); otherwise the entry is inserted
 // with value combine(0, v). Duplicates within entries apply combine
-// successively in the order they are given. Only the pages holding an
-// entry's row are rebuilt (a sorted merge per row, no re-sort); every
-// other page is shared with m, so the merge costs O(pages + nnz of
-// the touched pages + |entries| log |entries|). With no entries, m itself
-// is returned (CSRs are immutable by convention). Out-of-range entries
-// cause a panic, matching NewCSR.
+// successively in the order they are given. A pattern stores no values:
+// each entry's coordinates are inserted once, and combine, which may then
+// be nil, is not called. Only the pages holding an entry's row are rebuilt
+// (a sorted merge per row, no re-sort); every other page is shared with m,
+// so the merge costs O(pages + nnz of the touched pages + |entries| log
+// |entries|). With no entries, m itself is returned (CSRs are immutable by
+// convention). Out-of-range entries cause a panic, matching NewCSR.
 func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float64) *CSR {
 	if len(entries) == 0 {
 		return m
@@ -80,7 +81,10 @@ func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float
 		}
 		return add[i].Col < add[j].Col
 	})
-	out := &CSR{R: m.R, C: m.C, nnz: m.nnz, shift: m.shift, pages: append([]*page(nil), m.pages...)}
+	out := &CSR{R: m.R, C: m.C, nnz: m.nnz, shift: m.shift, pages: append([]*page(nil), m.pages...), pattern: m.pattern}
+	if m.pattern {
+		combine = nil
+	}
 	for len(add) > 0 {
 		k := add[0].Row >> m.shift
 		n := sort.Search(len(add), func(j int) bool { return add[j].Row>>m.shift > k })
@@ -92,48 +96,50 @@ func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float
 }
 
 // merge rebuilds one page with add folded in; add is sorted by (row, col)
-// and lies within the page, whose first row is base.
+// and lies within the page, whose first row is base. A nil combine merges
+// a pattern's page: columns only.
 func (pg *page) merge(base int, add []Entry, combine func(old, add float64) float64) *page {
 	rows := len(pg.ptr) - 1
 	ptr := make([]int, rows+1)
 	cols := make([]int32, 0, pg.nnz()+len(add))
-	vals := make([]float64, 0, pg.nnz()+len(add))
+	var vals []float64
+	if combine != nil {
+		vals = make([]float64, 0, pg.nnz()+len(add))
+	}
+	keep := func(lo, hi int) { // copies stored entries [lo, hi)
+		cols = append(cols, pg.cols[lo:hi]...)
+		if combine != nil {
+			vals = append(vals, pg.vals[lo:hi]...)
+		}
+	}
 	a := 0
 	for r := 0; r < rows; r++ {
 		i := base + r
 		k, hi := pg.ptr[r], pg.ptr[r+1]
-		if a >= len(add) || add[a].Row != i {
-			cols = append(cols, pg.cols[k:hi]...)
-			vals = append(vals, pg.vals[k:hi]...)
-			k = hi
-		}
-		for k < hi || (a < len(add) && add[a].Row == i) {
-			adding := a < len(add) && add[a].Row == i
-			switch {
-			case !adding || (k < hi && int(pg.cols[k]) < add[a].Col):
-				cols = append(cols, pg.cols[k])
-				vals = append(vals, pg.vals[k])
+		for a < len(add) && add[a].Row == i {
+			c, lo := add[a].Col, k
+			for k < hi && int(pg.cols[k]) < c {
 				k++
-			case k < hi && int(pg.cols[k]) == add[a].Col:
-				v := pg.vals[k]
-				for a < len(add) && add[a].Row == i && add[a].Col == int(pg.cols[k]) {
-					v = combine(v, add[a].Val)
-					a++
+			}
+			keep(lo, k)
+			var v float64
+			if k < hi && int(pg.cols[k]) == c {
+				if combine != nil {
+					v = pg.vals[k]
 				}
-				cols = append(cols, pg.cols[k])
-				vals = append(vals, v)
 				k++
-			default:
-				c := add[a].Col
-				var v float64
-				for a < len(add) && add[a].Row == i && add[a].Col == c {
+			}
+			for ; a < len(add) && add[a].Row == i && add[a].Col == c; a++ {
+				if combine != nil {
 					v = combine(v, add[a].Val)
-					a++
 				}
-				cols = append(cols, int32(c))
+			}
+			cols = append(cols, int32(c))
+			if combine != nil {
 				vals = append(vals, v)
 			}
 		}
+		keep(k, hi)
 		ptr[r+1] = len(cols)
 	}
 	return &page{ptr: ptr, cols: cols, vals: vals}

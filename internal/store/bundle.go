@@ -305,6 +305,11 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 			return nil, err
 		}
 	}
+	// The graph is unweighted: every adjacency value the format stores is
+	// 1, so the values are checked and dropped.
+	if b.Adj, err = b.Adj.Pattern(); err != nil {
+		return nil, fmt.Errorf("store: bundle adjacency: %w", err)
+	}
 	if hdr[1] >= 2 {
 		if b.Index, err = readIndexMeta(br, hdr[1]); err != nil {
 			return nil, err

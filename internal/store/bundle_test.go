@@ -390,6 +390,32 @@ func TestBundleRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBundleRejectsNonUnitAdjacency: the graph is unweighted, so a bundle
+// storing an adjacency value other than 1 is refused, and one storing 1s
+// loads as a pattern.
+func TestBundleRejectsNonUnitAdjacency(t *testing.T) {
+	b := testBundle(false)
+	b.Adj = sparse.NewCSR(b.Adj.R, b.Adj.C, []sparse.Entry{{Row: 0, Col: 1, Val: 1}, {Row: 2, Col: 0, Val: 0.5}})
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBundle(&buf); err == nil || !strings.Contains(err.Error(), "adjacency") {
+		t.Fatalf("adjacency value 0.5: error %v, want one naming the adjacency", err)
+	}
+	buf.Reset()
+	if err := WriteBundle(&buf, testBundle(false)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, vals := got.Adj.Row(0); vals != nil {
+		t.Fatal("the adjacency loaded with its values")
+	}
+}
+
 // TestBundleRejectsNonFiniteFactors: a NaN or an infinity in Xb or Y
 // fails ReadBundle with an error naming the matrix and the row.
 func TestBundleRejectsNonFiniteFactors(t *testing.T) {

@@ -38,6 +38,12 @@ func writeCSR(w io.Writer, m *sparse.CSR) error {
 	// One bulk write for the row pointers: binary.Write on a []uint64 hits
 	// encoding/binary's fast path, vs a reflection round trip per element.
 	rowPtr, cols, vals := m.Flat()
+	if vals == nil { // a pattern's stored values are all 1
+		vals = make([]float64, len(cols))
+		for k := range vals {
+			vals[k] = 1
+		}
+	}
 	ptr := make([]uint64, len(rowPtr))
 	for i, p := range rowPtr {
 		ptr[i] = uint64(p)

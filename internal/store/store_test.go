@@ -163,3 +163,22 @@ func TestCSRColumnRangeValidation(t *testing.T) {
 		t.Fatal("corrupt column index accepted")
 	}
 }
+
+// TestCSRRowOrderValidation: a section whose row lists its columns out of
+// order, or one twice, is refused on read.
+func TestCSRRowOrderValidation(t *testing.T) {
+	m := sparse.NewCSR(2, 4, []sparse.Entry{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 3, Val: 1}, {Row: 1, Col: 2, Val: 1}})
+	var buf bytes.Buffer
+	if err := writeCSR(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	// Header: 4x8 bytes; row pointers: 3x8 bytes; columns follow (int32).
+	colOff := 32 + 24
+	for name, second := range map[string]byte{"swapped": 0, "repeated": 1} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[colOff], raw[colOff+4] = 3, second
+		if _, err := readCSR(bytes.NewReader(raw)); err == nil {
+			t.Fatalf("row with %s columns accepted", name)
+		}
+	}
+}
