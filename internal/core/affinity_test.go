@@ -251,3 +251,22 @@ func TestAffinityUpdateMismatchedGraph(t *testing.T) {
 		t.Fatal("mismatched graph accepted")
 	}
 }
+
+// FinalRowsEqual reports whether row i of the pre-normalization state
+// matches other's bit-for-bit — the frontier property tests use it to
+// verify rows outside the frontier are untouched.
+func (s *AffinityState) FinalRowsEqual(other *AffinityState, i int) bool {
+	a, b := s.finalF().Row(i), other.finalF().Row(i)
+	for j := range a {
+		if a[j] != b[j] {
+			return false
+		}
+	}
+	a, b = s.finalB().Row(i), other.finalB().Row(i)
+	for j := range a {
+		if a[j] != b[j] {
+			return false
+		}
+	}
+	return true
+}

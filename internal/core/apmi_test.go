@@ -128,3 +128,8 @@ func TestRunningExampleAffinityTable(t *testing.T) {
 		t.Fatalf("v6 should prefer r3: F=%v B=%v", f.Row(v6), b.Row(v6))
 	}
 }
+
+// DefaultConfig returns the paper's default parameter setting (§5.1).
+func DefaultConfig() Config {
+	return Config{K: 128, Alpha: 0.5, Eps: 0.015, Threads: 10, Seed: 1}
+}

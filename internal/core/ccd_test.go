@@ -75,16 +75,22 @@ func TestCCDResidualMaintenance(t *testing.T) {
 	}
 }
 
+// peek returns st's factors as an embedding without ending st, which
+// embedding does: the sweeps go on after it.
+func peek(st *state) *Embedding {
+	return &Embedding{Xf: st.Xf.Paged(), Xb: st.Xb.Paged(), Y: st.Y}
+}
+
 func TestCCDMonotoneObjective(t *testing.T) {
 	// Each coordinate update is an exact 1-D minimization, so the
 	// objective must be non-increasing across sweeps.
 	rng := rand.New(rand.NewSource(4))
 	f, b := affinityPair(rng, 35, 14, 5)
 	st := RandomInit(f.Clone(), b.Clone(), 8, rng, 1)
-	prev := Objective(st.embedding(), f, b)
+	prev := Objective(peek(st), f, b)
 	for sweep := 0; sweep < 5; sweep++ {
 		refine(st, 1, 1)
-		cur := Objective(st.embedding(), f, b)
+		cur := Objective(peek(st), f, b)
 		if cur > prev+1e-9 {
 			t.Fatalf("objective rose from %v to %v at sweep %d", prev, cur, sweep)
 		}
@@ -128,8 +134,8 @@ func TestGreedyInitBeatsRandomInit(t *testing.T) {
 	r := RandomInit(f.Clone(), b.Clone(), 8, rand.New(rand.NewSource(7)), 1)
 	refine(g, cfgIters, 1)
 	refine(r, cfgIters, 1)
-	og := Objective(g.embedding(), f, b)
-	or := Objective(r.embedding(), f, b)
+	og := Objective(peek(g), f, b)
+	or := Objective(peek(r), f, b)
 	if og >= or {
 		t.Fatalf("greedy objective %v not below random %v", og, or)
 	}
@@ -142,8 +148,8 @@ func TestSMGreedyInitCloseToSerial(t *testing.T) {
 	f, b := affinityPair(rng, 60, 18, 4)
 	serial := GreedyInit(f.Clone(), b.Clone(), 8, 5, rand.New(rand.NewSource(1)), 1)
 	sm := SMGreedyInit(f.Clone(), b.Clone(), 8, 5, rand.New(rand.NewSource(1)), 4)
-	objSerial := Objective(serial.embedding(), f, b)
-	objSM := Objective(sm.embedding(), f, b)
+	objSerial := Objective(peek(serial), f, b)
+	objSM := Objective(peek(sm), f, b)
 	// Allow the parallel variant a modest slack — it performs extra
 	// truncations.
 	if objSM > 2*objSerial+1e-9 {
@@ -226,7 +232,7 @@ func TestObjectiveZeroForPerfectFactorization(t *testing.T) {
 		y.Data[i] = rng.NormFloat64()
 	}
 	f := mat.MulBT(xf, y)
-	e := &Embedding{Xf: mat.Page(xf), Xb: mat.Page(xf), Y: y}
+	e := &Embedding{Xf: xf.Paged(), Xb: xf.Paged(), Y: y}
 	if o := Objective(e, f, f); o > 1e-18 {
 		t.Fatalf("objective %v for perfect factorization", o)
 	}
@@ -283,10 +289,10 @@ func TestCCDSweepAtKernelWidths(t *testing.T) {
 	f, b := affinityPair(rng, 301, 43, 6)
 	mk := func() *state { return RandomInit(f.Clone(), b.Clone(), 14, rand.New(rand.NewSource(5)), 1) }
 	serial := mk()
-	prev := Objective(serial.embedding(), f, b)
+	prev := Objective(peek(serial), f, b)
 	for sweep := 0; sweep < 3; sweep++ {
 		refine(serial, 1, 1)
-		cur := Objective(serial.embedding(), f, b)
+		cur := Objective(peek(serial), f, b)
 		if cur > prev*(1+1e-12) {
 			t.Fatalf("sweep %d raised the objective %v -> %v", sweep, prev, cur)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // Config collects PANE's hyperparameters. The zero value is not usable;
-// start from DefaultConfig.
+// the paper's defaults (§5.1) are K 128, Alpha 0.5 and Eps 0.015.
 type Config struct {
 	// K is the per-node space budget: each node receives a forward and a
 	// backward embedding of length K/2, and each attribute an embedding of
@@ -37,11 +37,6 @@ type Config struct {
 	// Seed drives the randomized SVD sketch; fixed seeds give
 	// reproducible embeddings.
 	Seed int64
-}
-
-// DefaultConfig returns the paper's default parameter setting (§5.1).
-func DefaultConfig() Config {
-	return Config{K: 128, Alpha: 0.5, Eps: 0.015, Threads: 10, Seed: 1}
 }
 
 // Validate reports whether the configuration is usable.

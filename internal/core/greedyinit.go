@@ -30,10 +30,14 @@ type state struct {
 	svdTime   svd.StageTime
 }
 
-// embedding publishes the solver's factors, wrapped without a copy: st
-// must not be swept afterwards.
+// embedding publishes the solver's factors: Xf and Xb are copied onto
+// pages of their own once, and Y is handed over, so st must not be swept
+// afterwards. The residuals, each n x d and the largest part of the
+// state, are dropped first, so the copy never sits beside them once the
+// collector has run.
 func (st *state) embedding() *Embedding {
-	return &Embedding{Xf: mat.Page(st.Xf), Xb: mat.Page(st.Xb), Y: st.Y}
+	st.Sf, st.Sb = nil, nil
+	return &Embedding{Xf: st.Xf.Paged(), Xb: st.Xb.Paged(), Y: st.Y}
 }
 
 // GreedyInit (Algorithm 3) seeds the solver: a randomized SVD of F' gives

@@ -71,12 +71,18 @@ func (s *LinkScorer) TransformedCandidates(nb int) *mat.Dense {
 	return s.TransformedCandidatesRange(0, s.e.Xb.Rows, nb)
 }
 
-// TransformedCandidatesRange materializes rows [lo, hi) of Z = Xb·G — one
-// contiguous shard of the candidate matrix. Each output row is computed by
-// the same row-owned kernel as the full product, so shard-wise assembly is
-// bit-for-bit identical to TransformedCandidates: sharded serving can
-// build S independent blocks concurrently without changing any score.
+// TransformedCandidatesRange materializes rows [lo, hi) of Z = Xb·G as
+// one contiguous matrix: TransformedBlock copied.
 func (s *LinkScorer) TransformedCandidatesRange(lo, hi, nb int) *mat.Dense {
+	return s.TransformedBlock(lo, hi, nb).Dense()
+}
+
+// TransformedBlock materializes rows [lo, hi) of Z = Xb·G — one shard of
+// the candidate matrix — on pages of its own. Each output row is computed
+// by the same row-owned kernel as the full product, so shard-wise assembly
+// is bit-for-bit identical to TransformedCandidates: sharded serving can
+// build S independent blocks concurrently without changing any score.
+func (s *LinkScorer) TransformedBlock(lo, hi, nb int) *mat.Paged {
 	return s.e.Xb.MulRange(lo, hi, s.g, nb)
 }
 

@@ -35,7 +35,7 @@ func applyFixture(tb testing.TB, opts ...Option) (eng *Engine, next func() []gra
 		return m
 	}
 	cfg := core.Config{K: 128, Alpha: 0.5, Eps: 0.25, Threads: 2, Seed: 1}
-	emb := &core.Embedding{Xf: mat.Page(random(g.N, 64)), Xb: mat.Page(random(g.N, 64)), Y: random(g.D, 64)}
+	emb := &core.Embedding{Xf: random(g.N, 64).Paged(), Xb: random(g.N, 64).Paged(), Y: random(g.D, 64)}
 	eng, err = New(g, emb, cfg, append([]Option{WithRefreshThreshold(1), WithAffinityThreshold(1)}, opts...)...)
 	if err != nil {
 		tb.Fatal(err)

@@ -31,7 +31,7 @@ func batchTestModel(t *testing.T) func(shards, threads int) *Engine {
 		}
 		return m
 	}
-	emb := &core.Embedding{Xf: mat.Page(random(g.N)), Xb: mat.Page(random(g.N)), Y: random(g.D)}
+	emb := &core.Embedding{Xf: random(g.N).Paged(), Xb: random(g.N).Paged(), Y: random(g.D)}
 	return func(shards, threads int) *Engine {
 		eng, err := New(g, emb, cfg, WithIndex(IndexConfig{
 			IVF: true, Quantize: true, FP16: true, NList: 9, NProbe: 2, Shards: shards, Threads: threads,

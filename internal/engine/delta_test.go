@@ -629,7 +629,7 @@ func TestRefreshCycleTargetsMarkedModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s, sh := range fresh.shards.cut.Load().shards {
-			if !reflect.DeepEqual(c.shards[s].z.Dense().Data, sh.z.Dense().Data) {
+			if !reflect.DeepEqual(c.shards[s].rows[linkSpace].Dense().Data, sh.rows[linkSpace].Dense().Data) {
 				t.Fatalf("%s: shard %d's block of Z differs from a fresh build's", label, s)
 			}
 		}
@@ -784,8 +784,8 @@ func TestRefreshChainSharesPages(t *testing.T) {
 			}
 		}
 		for s, sh := range cur.c.shards {
-			for k := range sh.z.Pages() {
-				if sh.z.SamePage(prev.shards[s].z, k) == dirtyPage[[2]int{s, k}] {
+			for k := range sh.rows[linkSpace].Pages() {
+				if sh.rows[linkSpace].SamePage(prev.shards[s].rows[linkSpace], k) == dirtyPage[[2]int{s, k}] {
 					t.Fatalf("update %d shard %d: Z page %d shared=%v, dirty=%v", i, s, k, !dirtyPage[[2]int{s, k}], dirtyPage[[2]int{s, k}])
 				}
 			}

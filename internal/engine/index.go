@@ -212,7 +212,7 @@ type cells [nLayouts][index.NumCodecs]*index.Table
 // row left or joined; a shard with no dirty rows shares everything and
 // carrying it into the next cut is O(1).
 type shardIdx struct {
-	z      *mat.Paged // this shard's block of Z = Xb·G, on the pages the flat link cells hold
+	rows   [nSpaces]*mat.Paged // per space, this shard's block of candidates (Z = Xb·G, Y), which every cell reads
 	spaces [nSpaces]cells
 }
 
@@ -400,21 +400,21 @@ func (e *Engine) buildShard(d *idxDelta, s int, base *cut, bp buildParams) *shar
 }
 
 // buildSpace fills si's cells of space sp with a full build over the
-// shard's candidate rows: its freshly computed block of Z, or its block
-// of Y (a view of the model's matrix, not a copy). One BuildIVF serves
-// every inverted cell, so three codecs cost one k-means; its lists are
-// ids, and every cell reads their rows from the same block. Each layout's float64 cell holds the int8 encoding its scan
-// bounds scores with, and its int8 and binary16 cells scan that encoding
-// too (index.Table.Encode). A restored engine builds the same way: a
-// bundle carries no encodings.
+// shard's candidate rows: its block of Z, computed straight onto pages,
+// or its block of Y, copied onto pages. Every cell reads that one block:
+// one BuildIVF serves every inverted cell, so three codecs cost one
+// k-means, and its lists are ids into the block. Each layout's float64
+// cell holds the int8 encoding its scan bounds scores with, and its int8
+// and binary16 cells scan that encoding too (index.Table.Encode). A
+// restored engine builds the same way: a bundle carries no encodings.
 func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp buildParams) {
-	var rows *mat.Dense
+	var rows *mat.Paged
 	if sp == linkSpace {
-		rows = m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
-		si.z = mat.Page(rows)
+		rows = m.Scorer.TransformedBlock(lo, hi, bp.threads)
 	} else {
-		rows = m.Emb.Y.RowSlice(lo, hi)
+		rows = m.Emb.Y.RowView(lo, hi).Paged()
 	}
+	si.rows[sp] = rows
 	ex := index.NewExact(rows, bp.threads)
 	var iv *index.Table
 	if bp.cfg.IVF {
@@ -444,12 +444,12 @@ func (e *Engine) buildSpace(si *shardIdx, sp int, m *Model, lo, hi int, bp build
 // choosing between a full build (no base, poisoned space, or a delta past
 // the threshold), which it reports, sharing (nothing dirty), incremental
 // refresh, and reseating after a low-rank Gram correction. No-op for a
-// shard holding no rows of the space. Incremental link refresh recomputes
-// only the dirty Z rows (core's row-restricted transform is bit-identical
-// to the full product) and the new block is the previous one WithRows:
-// one pointer per page and the dirty pages are copied, the rest shared. A
-// correction rewrites every row, so that path copies the block whole; the
-// attribute block is a view of the new Y. Every cell then takes index's
+// shard holding no rows of the space. Incremental refresh recomputes only
+// the dirty rows — Z's by core's row-restricted transform, bit-identical
+// to the full product, Y's read off the new Y — and the new block is the
+// previous one WithRows: one pointer per page and the dirty pages are
+// copied, the rest shared. A correction rewrites every Z row, so that
+// path copies the block whole. Every cell then takes index's
 // copy-on-write Refresh, the inverted ones behind their float64 cell so
 // the layout is refreshed once; the coarse quantizer stays frozen, exactly
 // as a frozen-quantizer full rebuild would assign every row.
@@ -479,48 +479,47 @@ func (e *Engine) refreshSpace(si *shardIdx, sp int, d *idxDelta, s int, base *sh
 		e.buildSpace(si, sp, m, lo, hi, bp)
 		return true
 	case len(dirty) == 0 && len(grams) == 0:
-		// The rows are bit-identical in the new model (the previous
-		// generation's attribute cells wrap a view of the previous Y), so
-		// sharing them is exact.
-		si.spaces[sp] = base.spaces[sp]
-		if sp == linkSpace {
-			si.z = base.z
-		}
+		// The rows are bit-identical in the new model, so sharing them is
+		// exact.
+		si.spaces[sp], si.rows[sp] = base.spaces[sp], base.rows[sp]
 		return false
 	}
 	local := make([]int, len(dirty))
 	for j, r := range dirty {
 		local[j] = r - lo
 	}
-	var rows *mat.Paged
-	var copied int64
-	if sp == linkSpace {
-		rows = base.z
-		if len(grams) > 0 {
-			// Every candidate row shifts by Xb[i]·ΔG under a correction, so
-			// apply the accumulated ones to a copy of the whole block in
-			// O(n·rank·k); the dirty rows — whose Xb changed, for which the
-			// additive correction is wrong — are overwritten below.
-			z := rows.Dense()
-			for _, gd := range grams {
-				gd.Apply(z, m.Emb.Xb, lo, bp.threads)
-			}
-			rows, copied = mat.Page(z), int64(8*len(z.Data))
+	rows, copied := base.rows[sp], int64(0)
+	if len(grams) > 0 {
+		// Every candidate row shifts by Xb[i]·ΔG under a correction, so
+		// apply the accumulated ones to a copy of the whole block in
+		// O(n·rank·k); the dirty rows — whose Xb changed, for which the
+		// additive correction is wrong — are overwritten below.
+		z := rows.Dense()
+		for _, gd := range grams {
+			gd.Apply(z, m.Emb.Xb, lo, bp.threads)
 		}
-		if len(dirty) > 0 {
-			was := rows
-			rows = was.WithRows(local, m.Scorer.TransformedCandidatesRows(dirty, bp.threads))
-			for k, pg := range rows.Pages() {
-				copied += 24 // the page slice
-				if !rows.SamePage(was, k) {
-					copied += int64(8 * len(pg))
-				}
-			}
-		}
-		si.z = rows
-	} else {
-		rows = mat.Page(m.Emb.Y.RowSlice(lo, hi))
+		rows, copied = z.Paged(), int64(8*len(z.Data))
 	}
+	if len(dirty) > 0 {
+		var fresh *mat.Dense
+		if sp == linkSpace {
+			fresh = m.Scorer.TransformedCandidatesRows(dirty, bp.threads)
+		} else {
+			fresh = mat.New(len(dirty), m.Emb.Y.Cols)
+			for j, r := range dirty {
+				copy(fresh.Row(j), m.Emb.Y.Row(r))
+			}
+		}
+		was := rows
+		rows = was.WithRows(local, fresh)
+		for k, pg := range rows.Pages() {
+			copied += 24 // the page slice
+			if !rows.SamePage(was, k) {
+				copied += int64(8 * len(pg))
+			}
+		}
+	}
+	si.rows[sp] = rows
 	for l := range base.spaces[sp] {
 		var lead *index.Table
 		for c, old := range base.spaces[sp][l] {

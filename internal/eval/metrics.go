@@ -5,10 +5,7 @@
 // negative sampling).
 package eval
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // AUC computes the area under the ROC curve for scores with binary ground
 // truth, handling ties by assigning average ranks (the Mann-Whitney
@@ -162,19 +159,4 @@ func f1(tp, fp, fn int) float64 {
 	prec := float64(tp) / float64(tp+fp)
 	rec := float64(tp) / float64(tp+fn)
 	return 2 * prec * rec / (prec + rec)
-}
-
-// MeanStd returns the mean and population standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(std / float64(len(xs)))
 }

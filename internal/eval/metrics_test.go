@@ -261,3 +261,18 @@ func TestSplitNodes(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// MeanStd returns the mean and population standard deviation of xs.
+func MeanStd(xs []float64) (mean, std float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		std += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(std / float64(len(xs)))
+}

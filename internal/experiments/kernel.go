@@ -233,7 +233,7 @@ func RunKernel(opt KernelOptions) (*KernelBench, error) {
 				q[i] = rng.NormFloat64()
 			}
 		}
-		one := index.PrepareI8Scan(rm.RowSlice(0, 1), av)
+		one := index.PrepareI8Scan(rm.RowView(0, 1), av)
 		run := index.PrepareI8Scan(rm, av)
 		run4 := index.PrepareI8Scan(rm, qs...)
 		ch := index.EncodeFP16Rows(mat.FromRows([][]float64{bv}))

@@ -113,6 +113,13 @@ var batchSweepSizes = []int{1, 4, 16, 32, 64, 128}
 
 const batchGateSize = 32
 
+// topkRounds is how many times the scan and every cell are timed, in
+// interleaved rounds: a speedup is the median of its per-round ratios, so
+// a window one path spent beside a noisy neighbour moves one ratio, not
+// the gated figure. With one window a path, the quick gate failed about
+// one run in three on a 2-core host.
+const topkRounds = 3
+
 // Env says where a report's numbers were taken, so they can be read at
 // all: the same run on half the cores or without the vector kernels is a
 // different experiment.
@@ -320,13 +327,11 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 	// timeQueries also reports heap allocations per query (Mallocs is a
 	// process-global counter, so worker-goroutine allocations are
 	// included, and the single-stream loop keeps other mutators out of
-	// the window) and p50/p95/p99 latency from per-query durations
-	// recorded into an obs.Histogram — the same bucket layout the serving
-	// path exposes, so bench percentiles and scraped percentiles are
-	// directly comparable.
-	timeQueries := func(run func(u int) []core.Scored) ([][]core.Scored, float64, float64, *obs.LatencySummary) {
+	// the window) and records per-query durations into h, an
+	// obs.Histogram — the same bucket layout the serving path exposes, so
+	// bench percentiles and scraped percentiles are directly comparable.
+	timeQueries := func(run func(u int) []core.Scored, h *obs.Histogram) ([][]core.Scored, float64, float64) {
 		out := make([][]core.Scored, len(nodes))
-		h := obs.NewHistogram()
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
@@ -338,8 +343,7 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 		elapsed := time.Since(t0).Seconds()
 		runtime.ReadMemStats(&ms1)
 		allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(len(nodes))
-		sum := h.SummaryMs()
-		return out, float64(len(nodes)) / elapsed, allocs, &sum
+		return out, float64(len(nodes)) / elapsed, allocs
 	}
 	topLinks := func(e *engine.Engine, mode string, nprobe int, wantBackend string) func(u int) []core.Scored {
 		return func(u int) []core.Scored {
@@ -373,21 +377,48 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 		return float64(hit) / float64(total)
 	}
 
-	_, scanQPS, scanAllocs, scanLat := timeQueries(func(u int) []core.Scored {
-		return m.Scorer.TopKTargets(u, opt.TopK, nil)
-	})
-	exactRes, exactQPS, exactAllocs, exactLat := timeQueries(topLinks(eng, engine.ModeExact, 0, engine.BackendExact))
-	ivfRes, ivfQPS, ivfAllocs, ivfLat := timeQueries(topLinks(eng, engine.ModeIVF, 0, engine.BackendIVF))
-	sq8Res, sq8QPS, sq8Allocs, sq8Lat := timeQueries(topLinks(eng, engine.ModeSQ8, 0, engine.BackendSQ8))
-	ivfsqRes, ivfsqQPS, ivfsqAllocs, ivfsqLat := timeQueries(topLinks(eng, engine.ModeIVFSQ, 0, engine.BackendIVFSQ))
-	fp16Res, fp16QPS, fp16Allocs, fp16Lat := timeQueries(topLinks(eng, engine.ModeFP16, 0, engine.BackendFP16))
-	ivffpRes, ivffpQPS, ivffpAllocs, ivffpLat := timeQueries(topLinks(eng, engine.ModeIVFFP16, 0, engine.BackendIVFFP16))
+	// The scan, then each cell, once a round (see topkRounds). A path's
+	// answers are the same every round; its QPS is the median round's, its
+	// speedup the median of its per-round speedups over the scan, and its
+	// allocations and latencies are over every round.
+	type path struct {
+		run          func(u int) []core.Scored
+		res          [][]core.Scored
+		qps, speedup []float64
+		allocs       float64
+		lat          *obs.Histogram
+	}
+	paths := make([]*path, 0, 7)
+	for _, run := range []func(u int) []core.Scored{
+		func(u int) []core.Scored { return m.Scorer.TopKTargets(u, opt.TopK, nil) },
+		topLinks(eng, engine.ModeExact, 0, engine.BackendExact),
+		topLinks(eng, engine.ModeIVF, 0, engine.BackendIVF),
+		topLinks(eng, engine.ModeSQ8, 0, engine.BackendSQ8),
+		topLinks(eng, engine.ModeIVFSQ, 0, engine.BackendIVFSQ),
+		topLinks(eng, engine.ModeFP16, 0, engine.BackendFP16),
+		topLinks(eng, engine.ModeIVFFP16, 0, engine.BackendIVFFP16),
+	} {
+		paths = append(paths, &path{run: run, lat: obs.NewHistogram()})
+	}
+	for r := range topkRounds {
+		for _, p := range paths {
+			res, qps, allocs := timeQueries(p.run, p.lat)
+			p.res, p.qps, p.allocs = res, append(p.qps, qps), p.allocs+allocs/topkRounds
+			p.speedup = append(p.speedup, qps/paths[0].qps[r])
+		}
+	}
+	scan, exact, ivf, sq8, ivfsq, fp16, ivffp := paths[0], paths[1], paths[2], paths[3], paths[4], paths[5], paths[6]
+	latency := func(p *path) *obs.LatencySummary {
+		s := p.lat.SummaryMs()
+		return &s
+	}
+	exactRes := exact.res
 
 	st := eng.IndexStatus()
 	// Full-probe IVF must reproduce the exact answer; anything well below
 	// 1.0 means the inverted file itself lost candidates, and the report
 	// must not mask that as an aggressive-nprobe artifact.
-	fullRes, _, _, _ := timeQueries(topLinks(eng, engine.ModeIVF, st.NList, engine.BackendIVF))
+	fullRes, _, _ := timeQueries(topLinks(eng, engine.ModeIVF, st.NList, engine.BackendIVF), obs.NewHistogram())
 	fullRecall := recall(exactRes, fullRes)
 	if fullRecall < minFullProbeRecall {
 		return nil, fmt.Errorf("experiments: IVF recall@%d at full nprobe is %.3f (< %.2f): serving index is broken",
@@ -398,7 +429,7 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 	// The floor is defined at the default-or-wider survivor window — an
 	// explicit sub-default -rerank is a deliberate recall/speed trade the
 	// operator asked to measure, so it gets a report, not an abort.
-	sq8Recall := recall(exactRes, sq8Res)
+	sq8Recall := recall(exactRes, sq8.res)
 	if (opt.Rerank <= 0 || opt.Rerank >= index.DefaultRerank) && sq8Recall < minSQ8Recall {
 		return nil, fmt.Errorf("experiments: SQ8 recall@%d is %.4f (< %.2f): quantized tier is broken",
 			opt.TopK, sq8Recall, minSQ8Recall)
@@ -409,7 +440,7 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 	// (see fp16MissAllowance) rather than comparing the ratio sharply —
 	// the misses are boundary ties below fp16 resolution and wobble a few
 	// slots per query sample, while real breakage overshoots by many σ.
-	fp16Hits, fp16Slots := overlap(exactRes, fp16Res)
+	fp16Hits, fp16Slots := overlap(exactRes, fp16.res)
 	fp16Recall := float64(fp16Hits) / float64(fp16Slots)
 	if misses := fp16Slots - fp16Hits; misses > fp16MissAllowance(fp16Slots) {
 		return nil, fmt.Errorf("experiments: fp16 recall@%d is %.4f (%d/%d slots missed, floor %.3f allows %d): binary16 tier is broken",
@@ -421,35 +452,35 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 		Queries: opt.Queries, TopK: opt.TopK,
 		NList: st.NList, NProbe: st.NProbe, Rerank: st.Rerank, Threads: opt.Threads,
 		TrainSeconds: trainSec, IndexBuildSeconds: buildSec,
-		ScanQPS: scanQPS, ExactQPS: exactQPS, IVFQPS: ivfQPS,
-		SQ8QPS: sq8QPS, IVFSQQPS: ivfsqQPS,
-		FP16QPS: fp16QPS, IVFFP16QPS: ivffpQPS,
-		RecallAtK:            recall(exactRes, ivfRes),
+		ScanQPS: median(scan.qps), ExactQPS: median(exact.qps), IVFQPS: median(ivf.qps),
+		SQ8QPS: median(sq8.qps), IVFSQQPS: median(ivfsq.qps),
+		FP16QPS: median(fp16.qps), IVFFP16QPS: median(ivffp.qps),
+		RecallAtK:            recall(exactRes, ivf.res),
 		RecallFullProbe:      fullRecall,
 		RecallSQ8:            sq8Recall,
-		RecallIVFSQ:          recall(exactRes, ivfsqRes),
+		RecallIVFSQ:          recall(exactRes, ivfsq.res),
 		RecallFP16:           fp16Recall,
-		RecallIVFFP16:        recall(exactRes, ivffpRes),
-		SpeedupExactVsScan:   exactQPS / scanQPS,
-		SpeedupIVFVsScan:     ivfQPS / scanQPS,
-		SpeedupSQ8VsScan:     sq8QPS / scanQPS,
-		SpeedupIVFSQVsScan:   ivfsqQPS / scanQPS,
-		SpeedupFP16VsScan:    fp16QPS / scanQPS,
-		SpeedupIVFFP16VsScan: ivffpQPS / scanQPS,
-		ScanAllocs:           scanAllocs,
-		ExactAllocs:          exactAllocs,
-		IVFAllocs:            ivfAllocs,
-		SQ8Allocs:            sq8Allocs,
-		IVFSQAllocs:          ivfsqAllocs,
-		FP16Allocs:           fp16Allocs,
-		IVFFP16Allocs:        ivffpAllocs,
-		ScanLatency:          scanLat,
-		ExactLatency:         exactLat,
-		IVFLatency:           ivfLat,
-		SQ8Latency:           sq8Lat,
-		IVFSQLatency:         ivfsqLat,
-		FP16Latency:          fp16Lat,
-		IVFFP16Latency:       ivffpLat,
+		RecallIVFFP16:        recall(exactRes, ivffp.res),
+		SpeedupExactVsScan:   median(exact.speedup),
+		SpeedupIVFVsScan:     median(ivf.speedup),
+		SpeedupSQ8VsScan:     median(sq8.speedup),
+		SpeedupIVFSQVsScan:   median(ivfsq.speedup),
+		SpeedupFP16VsScan:    median(fp16.speedup),
+		SpeedupIVFFP16VsScan: median(ivffp.speedup),
+		ScanAllocs:           scan.allocs,
+		ExactAllocs:          exact.allocs,
+		IVFAllocs:            ivf.allocs,
+		SQ8Allocs:            sq8.allocs,
+		IVFSQAllocs:          ivfsq.allocs,
+		FP16Allocs:           fp16.allocs,
+		IVFFP16Allocs:        ivffp.allocs,
+		ScanLatency:          latency(scan),
+		ExactLatency:         latency(exact),
+		IVFLatency:           latency(ivf),
+		SQ8Latency:           latency(sq8),
+		IVFSQLatency:         latency(ivfsq),
+		FP16Latency:          latency(fp16),
+		IVFFP16Latency:       latency(ivffp),
 	}
 
 	b.Env = CaptureEnv()
@@ -470,7 +501,7 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 			// second identical engine would add nothing but build time.
 			b.Sharding = append(b.Sharding, ShardScalingPoint{
 				Shards: 1, IndexBuildSeconds: buildSec,
-				ExactQPS: exactQPS, IVFQPS: ivfQPS, SQ8QPS: sq8QPS, FP16QPS: fp16QPS,
+				ExactQPS: b.ExactQPS, IVFQPS: b.IVFQPS, SQ8QPS: b.SQ8QPS, FP16QPS: b.FP16QPS,
 				RecallAtK: b.RecallAtK,
 			})
 			continue
@@ -487,32 +518,25 @@ func RunTopK(opt TopKOptions) (*TopKBench, error) {
 		// cross-shard calibration).
 		verify := func(label string, want, got [][]core.Scored) error {
 			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					return fmt.Errorf("experiments: shards=%d %s returned %d results for query %d, single-shard %d",
-						s, label, len(got[i]), i, len(want[i]))
-				}
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						return fmt.Errorf("experiments: shards=%d %s diverges from single-shard at query %d rank %d: %v != %v",
-							s, label, i, j, got[i][j], want[i][j])
-					}
+				if err := sameScored(fmt.Sprintf("shards=%d %s", s, label), nodes[i], want[i], got[i]); err != nil {
+					return err
 				}
 			}
 			return nil
 		}
-		sExactRes, sExactQPS, _, _ := timeQueries(topLinks(se, engine.ModeExact, 0, engine.BackendExact))
+		sExactRes, sExactQPS, _ := timeQueries(topLinks(se, engine.ModeExact, 0, engine.BackendExact), obs.NewHistogram())
 		if err := verify("exact", exactRes, sExactRes); err != nil {
 			return nil, err
 		}
-		sSq8Res, sSq8QPS, _, _ := timeQueries(topLinks(se, engine.ModeSQ8, 0, engine.BackendSQ8))
-		if err := verify("sq8", sq8Res, sSq8Res); err != nil {
+		sSq8Res, sSq8QPS, _ := timeQueries(topLinks(se, engine.ModeSQ8, 0, engine.BackendSQ8), obs.NewHistogram())
+		if err := verify("sq8", sq8.res, sSq8Res); err != nil {
 			return nil, err
 		}
-		sFp16Res, sFp16QPS, _, _ := timeQueries(topLinks(se, engine.ModeFP16, 0, engine.BackendFP16))
-		if err := verify("fp16", fp16Res, sFp16Res); err != nil {
+		sFp16Res, sFp16QPS, _ := timeQueries(topLinks(se, engine.ModeFP16, 0, engine.BackendFP16), obs.NewHistogram())
+		if err := verify("fp16", fp16.res, sFp16Res); err != nil {
 			return nil, err
 		}
-		sIvfRes, sIvfQPS, _, _ := timeQueries(topLinks(se, engine.ModeIVF, 0, engine.BackendIVF))
+		sIvfRes, sIvfQPS, _ := timeQueries(topLinks(se, engine.ModeIVF, 0, engine.BackendIVF), obs.NewHistogram())
 		b.Sharding = append(b.Sharding, ShardScalingPoint{
 			Shards:            s,
 			IndexBuildSeconds: sBuild,

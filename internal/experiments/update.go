@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -500,15 +501,8 @@ func deltaSizes(points []UpdatePoint) []int {
 }
 
 func sameScored(label string, u int, want, got []core.Scored) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("experiments: %s top-k of u=%d diverges: %d results vs %d",
-			label, u, len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("experiments: %s top-k of u=%d diverges at rank %d: %v != %v",
-				label, u, i, got[i], want[i])
-		}
+	if !slices.Equal(want, got) {
+		return fmt.Errorf("experiments: %s top-k of u=%d diverges: %v != %v", label, u, got, want)
 	}
 	return nil
 }

@@ -350,7 +350,7 @@ func TestCertifiedScanEqualsFullScan(t *testing.T) {
 		}
 		ivCfg := IVFConfig{NList: 7, NProbe: 3, Seed: 4}
 		build := func(lo, hi int) [4]*Table {
-			block := data.RowSlice(lo, hi).Clone()
+			block := data.RowView(lo, hi).Clone()
 			ex, iv := NewExact(block, 1), BuildIVF(block, ivCfg)
 			return [4]*Table{ex.Shift(lo), iv.Shift(lo), ex.Encode(F16, 0).Shift(lo), iv.Encode(F16, 0).Shift(lo)}
 		}

@@ -118,7 +118,9 @@ func (c Codes) bytes() int64 {
 
 // pageCodes cuts c, the encoding of n rows, into mat.PageRows-row pages
 // that alias it: a freshly encoded block stays one allocation per array,
-// and every page reaches to its end.
+// and every page reaches to its end. Code pages are the one kind of page
+// that does not own its memory (see the package doc): a scan reads
+// across them as one run.
 func pageCodes(c Codes, n, dim int) []Codes {
 	pages := make([]Codes, (n+mat.PageRows-1)/mat.PageRows)
 	for k := range pages {

@@ -19,9 +19,10 @@ type grid struct {
 }
 
 func buildGrid(data *mat.Dense, base int) grid {
-	iv := BuildIVF(data, IVFConfig{NList: 9, Seed: 3})
-	g := grid{z: mat.Page(data), cells: [6]*Table{
-		NewExact(data, 1), NewSQ8(data, 3, 1), NewFP16(data, 1), iv, NewIVFSQ(iv, data, 3), NewIVFFP16(iv, data),
+	z := data.Paged()
+	iv := BuildIVF(z, IVFConfig{NList: 9, Seed: 3})
+	g := grid{z: z, cells: [6]*Table{
+		NewExact(z, 1), NewSQ8(z, 3, 1), NewFP16(z, 1), iv, NewIVFSQ(iv, data, 3), NewIVFFP16(iv, data),
 	}}
 	for i, c := range g.cells {
 		g.cells[i] = c.Shift(base)
@@ -113,7 +114,7 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 	qs := queries(dim, 4, 22)
 
 	whole := buildGrid(data.Clone(), 0)
-	shards := [2]grid{buildGrid(data.RowSlice(0, cut).Clone(), 0), buildGrid(data.RowSlice(cut, rows).Clone(), cut)}
+	shards := [2]grid{buildGrid(data.RowView(0, cut).Clone(), 0), buildGrid(data.RowView(cut, rows).Clone(), cut)}
 	bounds := [3]int{0, cut, rows}
 
 	type retained struct {
@@ -183,7 +184,7 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 				}
 			}
 			if local != nil {
-				shards[s] = shards[s].refresh(local, patch.RowSlice(lo, lo+len(local)))
+				shards[s] = shards[s].refresh(local, patch.RowView(lo, lo+len(local)))
 			}
 		}
 
@@ -249,7 +250,7 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 			sameEncoding(t, "exact", whole.cells[0], NewExact(fresh, 1))
 			sameEncoding(t, "sq8", whole.cells[1], NewSQ8(fresh, 3, 1))
 			sameEncoding(t, "fp16", whole.cells[2], NewFP16(fresh, 1))
-			rebuilt := whole.cells[3].Rebuild(mat.Page(fresh))
+			rebuilt := whole.cells[3].Rebuild(fresh.Paged())
 			sameEncoding(t, "ivf", whole.cells[3], rebuilt)
 			sameEncoding(t, "ivfsq", whole.cells[4], rebuilt.Encode(I8, 3))
 			sameEncoding(t, "ivffp16", whole.cells[5], rebuilt.Encode(F16, 0))
@@ -279,9 +280,9 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 	const rows, dim, steps = 300, 9, 60
 	rng := rand.New(rand.NewSource(33))
 	data := randMatrix(rows, dim, 34)
-	z := mat.Page(data)
-	ex := NewExact(data, 1)
-	iv := BuildIVF(data, IVFConfig{NList: 5, Seed: 6})
+	z := data.Paged()
+	ex := NewExact(z, 1)
+	iv := BuildIVF(z, IVFConfig{NList: 5, Seed: 6})
 	cells := [][2]*Table{
 		{ex, ex.Encode(F16, 0)},
 		{iv, iv.Encode(F16, 0)},
@@ -368,8 +369,8 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 func TestInvertedListsHoldNoRows(t *testing.T) {
 	const n, dim = 700, 24
 	data := mixture(n, dim, 5, 131)
-	z := mat.Page(data)
-	iv := BuildIVF(data, IVFConfig{NList: 9, Seed: 3, Threads: 2})
+	z := data.Paged()
+	iv := BuildIVF(z, IVFConfig{NList: 9, Seed: 3, Threads: 2})
 	aliasesRows := func(label string, tab *Table, z *mat.Paged) {
 		t.Helper()
 		for b := range tab.blocks {

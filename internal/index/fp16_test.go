@@ -223,7 +223,7 @@ func TestShardedFP16EqualsUnsharded(t *testing.T) {
 	for _, nShards := range []int{2, 3, 7} {
 		subs := make([]Index, 0, nShards)
 		for _, r := range mat.SplitRanges(data.Rows, nShards) {
-			subs = append(subs, Shift(NewFP16(data.RowSlice(r[0], r[1]), 2), r[0]))
+			subs = append(subs, Shift(NewFP16(data.RowView(r[0], r[1]), 2), r[0]))
 		}
 		for qi := 0; qi < queries.Rows; qi++ {
 			q := queries.Row(qi)
@@ -244,7 +244,7 @@ func TestEncodeFP16RowsSliceInvariance(t *testing.T) {
 	data := mixture(500, 9, 6, 55)
 	whole := EncodeFP16Rows(data)
 	for _, r := range [][2]int{{0, 100}, {100, 350}, {350, 500}} {
-		part := EncodeFP16Rows(data.RowSlice(r[0], r[1]))
+		part := EncodeFP16Rows(data.RowView(r[0], r[1]))
 		for i, c := range part {
 			if c != whole[r[0]*9+i] {
 				t.Fatalf("slice [%d,%d) code %d differs: %#04x vs %#04x", r[0], r[1], i, c, whole[r[0]*9+i])
@@ -267,7 +267,7 @@ func TestFP16RefreshBitForBit(t *testing.T) {
 			next.Row(r)[j] = rng.NormFloat64() * 3
 		}
 	}
-	refreshed := fp.Refresh(mat.Page(next), dirty, nil)
+	refreshed := fp.Refresh(next.Paged(), dirty, nil)
 	fresh := NewFP16(next, 3)
 	for i, c := range refreshed.blocks[0].whole().F16 {
 		if c != fresh.blocks[0].whole().F16[i] {
@@ -285,7 +285,7 @@ func TestFP16RefreshBitForBit(t *testing.T) {
 				t.Fatal("shape-mismatched Refresh did not panic")
 			}
 		}()
-		fp.Refresh(mat.Page(mat.New(10, 10)), nil, nil)
+		fp.Refresh(mat.New(10, 10).Paged(), nil, nil)
 	}()
 }
 
@@ -335,8 +335,8 @@ func TestIVFFP16RefreshBitForBit(t *testing.T) {
 			next.Row(r)[j] = rng.NormFloat64()
 		}
 	}
-	iv2 := iv.Refresh(mat.Page(next), dirty, nil)
-	got := h.Refresh(mat.Page(next), dirty, iv2)
+	iv2 := iv.Refresh(next.Paged(), dirty, nil)
+	got := h.Refresh(next.Paged(), dirty, iv2)
 	want := NewIVFFP16(iv2, next)
 	if len(got.blocks) != len(want.blocks) {
 		t.Fatalf("list count %d vs %d", len(got.blocks), len(want.blocks))

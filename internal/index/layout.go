@@ -81,7 +81,7 @@ type inverted struct {
 	threads  int
 	cents    *mat.Dense // nlist x dim centroids
 	ids      [][]int32  // per-list candidate ids, ascending
-	assigned [][]int32  // per-row home list, on mat.PageRows-row pages like the rows
+	assigned [][]int32  // per-row home list, on mat.PageRows-row pages of their own like the rows
 }
 
 // home returns the list candidate i lives in.
@@ -171,8 +171,8 @@ func trainInverted(data *mat.Paged, cfg IVFConfig) *inverted {
 
 // rebuild assigns every row of data to its nearest centroid and
 // materializes the lists' ascending ids, sharing only the centroids with
-// iv. The assignment is retained so refresh knows each row's previous
-// home.
+// iv. The assignment is retained, copied onto pages, so refresh knows
+// each row's previous home.
 func (iv *inverted) rebuild(data *mat.Paged) layout {
 	nlist := iv.cents.Rows
 	out := &inverted{
@@ -186,7 +186,7 @@ func (iv *inverted) rebuild(data *mat.Paged) layout {
 	}
 	out.assigned = make([][]int32, (data.Rows+mat.PageRows-1)/mat.PageRows)
 	for k := range out.assigned {
-		out.assigned[k] = assigned[k*mat.PageRows : min((k+1)*mat.PageRows, data.Rows)]
+		out.assigned[k] = slices.Clone(assigned[k*mat.PageRows : min((k+1)*mat.PageRows, data.Rows)])
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func TestExactRefreshMatchesFullBuild(t *testing.T) {
 	data := randMatrix(300, 8, 1)
 	old := NewExact(data, 2)
 	newData, dirty := refreshDelta(data, 17, 2)
-	ref := old.Refresh(mat.Page(newData), dirty, nil)
+	ref := old.Refresh(newData.Paged(), dirty, nil)
 	full := NewExact(newData, 2)
 	sameEncoding(t, "exact", ref, full)
 	for _, q := range queries(8, 10, 3) {
@@ -78,7 +78,7 @@ func TestSQ8RefreshBitForBit(t *testing.T) {
 	old := NewSQ8(data, 3, 2)
 	for _, nDirty := range []int{1, 13, 100, 257} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*7)
-		ref := old.Refresh(mat.Page(newData), dirty, nil)
+		ref := old.Refresh(newData.Paged(), dirty, nil)
 		full := NewSQ8(newData, 3, 2)
 		if len(ref.blocks[0].whole().I8) != len(full.blocks[0].whole().I8) {
 			t.Fatalf("nDirty=%d: code lengths differ", nDirty)
@@ -109,8 +109,8 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 	old := BuildIVF(data, IVFConfig{NList: 8, Seed: 11, Threads: 2})
 	for _, nDirty := range []int{1, 25, 150} {
 		newData, dirty := refreshDelta(data, nDirty, int64(nDirty)*13)
-		ref := old.Refresh(mat.Page(newData), dirty, nil)
-		full := old.Rebuild(mat.Page(newData))
+		ref := old.Refresh(newData.Paged(), dirty, nil)
+		full := old.Rebuild(newData.Paged())
 		if ref.NList() != full.NList() {
 			t.Fatalf("nDirty=%d: nlist differs", nDirty)
 		}
@@ -157,8 +157,8 @@ func TestIVFRefreshChains(t *testing.T) {
 	cur := BuildIVF(data, IVFConfig{NList: 6, Seed: 3})
 	for step := 0; step < 4; step++ {
 		newData, dirty := refreshDelta(data, 10+step*20, int64(step)*31+1)
-		cur = cur.Refresh(mat.Page(newData), dirty, nil)
-		full := cur.Rebuild(mat.Page(newData)) // same frozen centroids
+		cur = cur.Refresh(newData.Paged(), dirty, nil)
+		full := cur.Rebuild(newData.Paged()) // same frozen centroids
 		for l := 0; l < cur.NList(); l++ {
 			if len(cur.inverted().ids[l]) != len(full.inverted().ids[l]) {
 				t.Fatalf("step %d list %d: membership diverged", step, l)
@@ -184,7 +184,7 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	for i := range newData.Data {
 		newData.Data[i] += 0.01 * rng.NormFloat64()
 	}
-	res := old.Reseat(mat.Page(newData), nil)
+	res := old.Reseat(newData.Paged(), nil)
 	if res.inverted().cents != old.inverted().cents || &res.inverted().assigned[0][0] != &old.inverted().assigned[0][0] {
 		t.Fatal("Reseat must share the quantizer and the stored assignment")
 	}
@@ -213,7 +213,7 @@ func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
 	// assert the cheaper invariant that chains still serve exactly under
 	// full probe.
 	chained, dirty := refreshDelta(newData, 9, 47)
-	cur := res.Refresh(mat.Page(chained), dirty, nil)
+	cur := res.Refresh(chained.Paged(), dirty, nil)
 	fullChained := NewExact(chained, 1)
 	for _, q := range queries(6, 8, 49) {
 		sameResults(t, "reseat+refresh full-probe",
@@ -230,7 +230,7 @@ func TestIVFReseatShapePanics(t *testing.T) {
 			t.Fatal("mismatched shape should panic")
 		}
 	}()
-	iv.Reseat(mat.Page(randMatrix(49, 4, 3)), nil)
+	iv.Reseat(randMatrix(49, 4, 3).Paged(), nil)
 }
 
 // TestIVFSQRefreshBitForBit: the quantized inverted file refreshed
@@ -243,8 +243,8 @@ func TestIVFSQRefreshBitForBit(t *testing.T) {
 	// Two dirty rows touch at most four of the ten lists, so code reuse
 	// is guaranteed for the rest.
 	newData, dirty := refreshDelta(data, 2, 17)
-	newIV := iv.Refresh(mat.Page(newData), dirty, nil)
-	ref := old.Refresh(mat.Page(newData), dirty, newIV)
+	newIV := iv.Refresh(newData.Paged(), dirty, nil)
+	ref := old.Refresh(newData.Paged(), dirty, newIV)
 	full := NewIVFSQ(newIV, newData, 2)
 	shared := 0
 	for l := range full.blocks {
@@ -292,7 +292,7 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 	}
 	old := make([]shard, len(ranges))
 	for i, r := range ranges {
-		block := data.RowSlice(r[0], r[1]).Clone()
+		block := data.RowView(r[0], r[1]).Clone()
 		old[i] = shard{
 			block: block,
 			ex:    NewExact(block, 1),
@@ -320,9 +320,9 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 				copy(block.Row(l), newData.Row(r[0]+l))
 			}
 		}
-		exSubs[i] = Shift(old[i].ex.Refresh(mat.Page(block), local, nil), r[0])
-		sqSubs[i] = Shift(old[i].sq.Refresh(mat.Page(block), local, nil), r[0])
-		ivSubs[i] = Shift(old[i].iv.Refresh(mat.Page(block), local, nil), r[0])
+		exSubs[i] = Shift(old[i].ex.Refresh(block.Paged(), local, nil), r[0])
+		sqSubs[i] = Shift(old[i].sq.Refresh(block.Paged(), local, nil), r[0])
+		ivSubs[i] = Shift(old[i].iv.Refresh(block.Paged(), local, nil), r[0])
 	}
 
 	fullExact := NewExact(newData, 1)

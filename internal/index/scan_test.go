@@ -98,7 +98,7 @@ func TestSearchBatchUnitsAndBlocks(t *testing.T) {
 			for _, threads := range []int{1, 3} {
 				var flatTabs, ivfTabs []*Table
 				for _, r := range mat.SplitRanges(data.Rows, shards) {
-					rows := data.RowSlice(r[0], r[1])
+					rows := data.RowView(r[0], r[1])
 					flatTabs = append(flatTabs, NewExact(rows, threads).Encode(c, 0).Shift(r[0]))
 					ivfTabs = append(ivfTabs, BuildIVF(rows, IVFConfig{NList: 5, Seed: 2, Threads: threads}).Encode(c, 0).Shift(r[0]))
 				}

@@ -22,7 +22,7 @@ func shardExact(data *mat.Dense, s, threads int) []Index {
 	ranges := mat.SplitRanges(data.Rows, s)
 	subs := make([]Index, len(ranges))
 	for i, r := range ranges {
-		subs[i] = Shift(NewExact(data.RowSlice(r[0], r[1]), threads), r[0])
+		subs[i] = Shift(NewExact(data.RowView(r[0], r[1]), threads), r[0])
 	}
 	return subs
 }
@@ -30,7 +30,7 @@ func shardExact(data *mat.Dense, s, threads int) []Index {
 func TestShiftTranslatesIdsAndSkip(t *testing.T) {
 	data := randMatrix(10, 4, 3)
 	base := 100
-	idx := Shift(NewExact(data.RowSlice(5, 10), 1), base+5)
+	idx := Shift(NewExact(data.RowView(5, 10), 1), base+5)
 	q := data.Row(0)
 
 	res := idx.Search(q, 3, Options{})
@@ -118,7 +118,7 @@ func TestSearchShardedIVFFullProbe(t *testing.T) {
 	subs := make([]Index, len(ranges))
 	maxList := 0
 	for i, r := range ranges {
-		iv := BuildIVF(data.RowSlice(r[0], r[1]), IVFConfig{NList: 4, Seed: 3})
+		iv := BuildIVF(data.RowView(r[0], r[1]), IVFConfig{NList: 4, Seed: 3})
 		if iv.NList() > maxList {
 			maxList = iv.NList()
 		}

@@ -139,7 +139,7 @@ func TestShardedSQ8EqualsUnsharded(t *testing.T) {
 	for _, nShards := range []int{2, 3, 7} {
 		subs := make([]Index, 0, nShards)
 		for _, r := range mat.SplitRanges(data.Rows, nShards) {
-			subs = append(subs, Shift(NewSQ8(data.RowSlice(r[0], r[1]), 0, 2), r[0]))
+			subs = append(subs, Shift(NewSQ8(data.RowView(r[0], r[1]), 0, 2), r[0]))
 		}
 		for qi := 0; qi < queries.Rows; qi++ {
 			q := queries.Row(qi)
@@ -162,8 +162,8 @@ func TestShardedSQ8SurvivorCutIsGlobal(t *testing.T) {
 	q := mixture(1, 8, 6, 62).Row(0)
 	whole := NewSQ8(data, 0, 1)
 	subs := []*Table{
-		NewSQ8(data.RowSlice(0, 400), 0, 1),
-		NewSQ8(data.RowSlice(400, 1000), 0, 1).Shift(400),
+		NewSQ8(data.RowView(0, 400), 0, 1),
+		NewSQ8(data.RowView(400, 1000), 0, 1).Shift(400),
 	}
 	mult := subs[0].Rerank()
 	if mult != DefaultRerank {
@@ -444,7 +444,7 @@ func TestQuantizeRowsSliceInvariance(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		lo := rng.Intn(data.Rows - 1)
 		hi := lo + 1 + rng.Intn(data.Rows-lo-1)
-		sc, ss, sb := QuantizeRows(data.RowSlice(lo, hi))
+		sc, ss, sb := QuantizeRows(data.RowView(lo, hi))
 		for i := range ss {
 			if ss[i] != scale[lo+i] || sb[i] != base[lo+i] {
 				t.Fatalf("slice [%d,%d) row %d params differ", lo, hi, i)
@@ -470,8 +470,8 @@ func TestI8GroupLayout(t *testing.T) {
 		rng := rand.New(rand.NewSource(112))
 		data := mixture(203, dim, 6, 111)
 		cur := data.Clone()
-		z := mat.Page(data)
-		flatT, ivT := NewExact(data, 1), BuildIVF(data, IVFConfig{NList: 7, Seed: 3})
+		z := data.Paged()
+		flatT, ivT := NewExact(z, 1), BuildIVF(z, IVFConfig{NList: 7, Seed: 3})
 		midGroup := 0
 		check := func(label string, tab *Table) {
 			t.Helper()

@@ -51,37 +51,39 @@ func newCell(data *mat.Paged, lay layout, c Codec, rerank, threads int) *Table {
 	return &Table{data: data, lay: lay, codec: c, rerank: rerank, threads: threads}
 }
 
-// newFlat is the flat cell of codec c over data, paged without copying.
-func newFlat(data *mat.Dense, c Codec, rerank, threads int) *Table {
-	pd := mat.Page(data)
+// Candidates is a candidate matrix the constructors take: a *mat.Paged is
+// shared (it is immutable), a *mat.Dense copied onto pages of its own.
+type Candidates interface{ Paged() *mat.Paged }
+
+// newFlat is the flat cell of codec c over data.
+func newFlat(data Candidates, c Codec, rerank, threads int) *Table {
+	pd := data.Paged()
 	return newCell(pd, flat{pd.Rows}, c, rerank, threads).over(pd, flat{pd.Rows}, nil, nil, false)
 }
 
-// NewExact is the flat float64 cell: data (one candidate per row) is
-// wrapped without copying, so the caller must not mutate it afterwards,
-// and its rows are quantized once for the scan's score bound (see
-// f64Codec). threads is the search fan-out; values <= 1 scan serially.
-func NewExact(data *mat.Dense, threads int) *Table { return newFlat(data, F64, 0, threads) }
+// NewExact is the flat float64 cell over data, one candidate per row (see
+// Candidates). Its rows are quantized once for the scan's score bound
+// (see f64Codec). threads is the search fan-out; values <= 1 scan
+// serially.
+func NewExact(data Candidates, threads int) *Table { return newFlat(data, F64, 0, threads) }
 
-// NewSQ8 is the flat int8 cell: data is shared for the exact re-rank and
+// NewSQ8 is the flat int8 cell: data is kept for the exact re-rank and
 // its rows are quantized once (NewExact(data).Encode(I8, rerank) shares
 // the exact cell's quantization instead). rerank <= 0 means DefaultRerank.
-func NewSQ8(data *mat.Dense, rerank, threads int) *Table {
+func NewSQ8(data Candidates, rerank, threads int) *Table {
 	return newFlat(data, I8, rerank, threads)
 }
 
 // NewFP16 is the flat binary16 cell. Standing alone it quantizes its rows
 // too, for the int8 codes its scan bounds scores with;
 // NewExact(data).Encode(F16, 0) shares the exact cell's instead.
-func NewFP16(data *mat.Dense, threads int) *Table { return newFlat(data, F16, 0, threads) }
+func NewFP16(data Candidates, threads int) *Table { return newFlat(data, F16, 0, threads) }
 
 // BuildIVF is the inverted float64 cell: data is clustered into an
 // inverted file (see IVFConfig) whose lists hold candidate ids, not rows.
-// data is wrapped without copying, as NewExact does, so the caller must
-// not mutate it afterwards; builds with the same data and config are
-// bit-for-bit reproducible.
-func BuildIVF(data *mat.Dense, cfg IVFConfig) *Table {
-	pd := mat.Page(data)
+// Builds with the same data and config are bit-for-bit reproducible.
+func BuildIVF(data Candidates, cfg IVFConfig) *Table {
+	pd := data.Paged()
 	lay := trainInverted(pd, cfg)
 	return newCell(pd, lay, F64, 0, cfg.Threads).over(pd, lay, nil, nil, false)
 }

@@ -51,17 +51,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// RowSlice returns the rows [lo, hi) of m as a matrix view sharing m's
-// backing data — no copy, so writes through either alias are visible in
-// both. It is how the sharded serving path addresses one contiguous row
-// shard of a candidate matrix without materializing it.
-func (m *Dense) RowSlice(lo, hi int) *Dense {
-	if lo < 0 || hi < lo || hi > m.Rows {
-		panic(fmt.Sprintf("mat: RowSlice [%d,%d) out of range for %d rows", lo, hi, m.Rows))
-	}
-	return &Dense{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -276,7 +265,8 @@ func (m *Dense) NormalizeRows() {
 
 // RowView returns a Dense sharing storage with rows [lo, hi) of m. Mutating
 // the view mutates m. This is how the parallel algorithms hand row blocks
-// to worker goroutines without copying.
+// to worker goroutines, and the sharded serving path addresses one shard
+// of a candidate matrix, without copying.
 func (m *Dense) RowView(lo, hi int) *Dense {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("mat: RowView [%d,%d) out of range for %d rows", lo, hi, m.Rows))
@@ -455,11 +445,4 @@ func AxpyGeneric(y []float64, a float64, x []float64) {
 	for i, v := range x {
 		y[i] += float64(a * v)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,23 +13,53 @@ const PageRows = 16
 
 // Paged is an immutable row-major matrix stored as fixed-size row pages:
 // page p holds rows [p·PageRows, (p+1)·PageRows), the last page the
-// remainder. A new version (WithRows) copies the page slice and the pages
-// it writes, and shares every other page with its parent, which stays bit
-// for bit what it was for the readers still holding it.
+// remainder. Every page is its own allocation, so a page is the unit that
+// is copied and the unit that is reclaimed: a matrix holds its own size
+// whatever write history made it. A new version (WithRows) copies the
+// page slice and the pages it writes, and shares every other page with
+// its parent, which stays bit for bit what it was for the readers still
+// holding it.
 type Paged struct {
 	Rows, Cols int
 	pages      [][]float64
 }
 
-// Page wraps m without copying: the pages alias m's backing array, so m
-// must not be written afterwards.
-func Page(m *Dense) *Paged {
-	p := &Paged{Rows: m.Rows, Cols: m.Cols, pages: make([][]float64, (m.Rows+PageRows-1)/PageRows)}
+// newPaged returns a zero rows x cols matrix.
+func newPaged(rows, cols int) *Paged {
+	p := &Paged{Rows: rows, Cols: cols, pages: make([][]float64, (rows+PageRows-1)/PageRows)}
 	for k := range p.pages {
-		lo, hi := k*PageRows, min((k+1)*PageRows, m.Rows)
-		p.pages[k] = m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]
+		p.pages[k] = make([]float64, min(PageRows, rows-k*PageRows)*cols)
 	}
 	return p
+}
+
+// Paged returns a copy of m on pages of its own.
+func (m *Dense) Paged() *Paged {
+	p := newPaged(m.Rows, m.Cols)
+	for k, pg := range p.pages {
+		copy(pg, m.Data[k*PageRows*m.Cols:])
+	}
+	return p
+}
+
+// Paged returns p, so a *Paged and a *Dense can both be asked for pages.
+func (p *Paged) Paged() *Paged { return p }
+
+// ReadPaged builds a rows x cols matrix page by page in row order:
+// next(n) returns the n values of the next page, which become that page,
+// or an error. It is how a deserialized matrix is read without a
+// contiguous copy.
+func ReadPaged(rows, cols int, next func(n int) ([]float64, error)) (*Paged, error) {
+	p := &Paged{Rows: rows, Cols: cols}
+	for lo := 0; lo < rows; lo += PageRows {
+		n := min(PageRows, rows-lo) * cols
+		pg, err := next(n)
+		if err != nil {
+			return nil, err
+		}
+		p.pages = append(p.pages, pg)
+	}
+	return p, nil
 }
 
 // Row returns row i as a shared slice; it must not be written.
@@ -74,24 +104,30 @@ func (p *Paged) WithRows(ids []int, rows *Dense) *Paged {
 	return out
 }
 
-// MulRange returns rows [lo, hi) of p times b, nb workers each owning a
-// row range. gemmRows computes every output row on its own, so the block
-// is bit-identical to the same rows of a contiguous ParMul.
-func (p *Paged) MulRange(lo, hi int, b *Dense, nb int) *Dense {
+// view returns rows [i, i+n) of p, which lie on one page, as a matrix
+// view of that page.
+func (p *Paged) view(i, n int) *Dense {
+	r := i % PageRows
+	return &Dense{Rows: n, Cols: p.Cols, Data: p.pages[i/PageRows][r*p.Cols : (r+n)*p.Cols]}
+}
+
+// MulRange returns rows [lo, hi) of p times b, written straight onto the
+// result's pages by nb workers each owning a row range. gemmRows computes
+// every output row on its own, so the block is bit-identical to the same
+// rows of a contiguous ParMul.
+func (p *Paged) MulRange(lo, hi int, b *Dense, nb int) *Paged {
 	if p.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulRange inner dimension mismatch %dx%d * %dx%d", p.Rows, p.Cols, b.Rows, b.Cols))
 	}
 	if lo < 0 || hi < lo || hi > p.Rows {
 		panic(fmt.Sprintf("mat: MulRange [%d,%d) out of range for %d rows", lo, hi, p.Rows))
 	}
-	out := New(hi-lo, b.Cols)
+	out := newPaged(hi-lo, b.Cols)
 	ParallelRanges(hi-lo, nb, func(wlo, whi int) {
-		for i := lo + wlo; i < lo+whi; {
-			k, r := i/PageRows, i%PageRows
-			rows := min(PageRows-r, lo+whi-i)
-			a := &Dense{Rows: rows, Cols: p.Cols, Data: p.pages[k][r*p.Cols : (r+rows)*p.Cols]}
-			gemmRows(out.RowSlice(i-lo, i-lo+rows), a, b, 0, rows)
-			i += rows
+		for i := wlo; i < whi; {
+			n := min(PageRows-(lo+i)%PageRows, PageRows-i%PageRows, whi-i)
+			gemmRows(out.view(i, n), p.view(lo+i, n), b, 0, n)
+			i += n
 		}
 	})
 	return out

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestPagedCopyOnWriteChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n, cols = 10*PageRows + 5, 7 // a partial last page
 	model := randomDense(rng, n, cols)
-	cur := Page(model.Clone())
+	cur := model.Paged()
 	type version struct {
 		p    *Paged
 		want *Dense
@@ -65,7 +66,7 @@ func TestPagedConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const n, cols = 6 * PageRows, 5
 	want := randomDense(rng, n, cols)
-	v := Page(want.Clone())
+	v := want.Paged()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -101,16 +102,49 @@ func TestPagedMulRangeMatchesParMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomDense(rng, 5*PageRows+3, 12)
 	b := randomDense(rng, 12, 9)
-	p := Page(a.Clone()).WithRows([]int{4, 40}, a.RowSlice(0, 2)) // two private pages among shared ones
+	p := a.Paged().WithRows([]int{4, 40}, a.RowView(0, 2)) // two pages rewritten, the rest shared
 	copy(a.Row(4), a.Row(0))
 	copy(a.Row(40), a.Row(1))
 	want := ParMul(a, b, 1)
 	for _, r := range [][2]int{{0, a.Rows}, {3, 3}, {5, 21}, {PageRows, 2 * PageRows}, {a.Rows - 2, a.Rows}} {
 		for _, nb := range []int{1, 2, 7} {
 			got := p.MulRange(r[0], r[1], b, nb)
-			if !slices.Equal(got.Data, want.RowSlice(r[0], r[1]).Data) {
+			if !slices.Equal(got.Dense().Data, want.RowView(r[0], r[1]).Data) {
 				t.Fatalf("MulRange[%d,%d) nb=%d differs from the contiguous product", r[0], r[1], nb)
 			}
 		}
 	}
+}
+
+// TestPagedRetention: at the serving shape (30,000 x 64), after 1,000
+// random 8-row writes keeping only the newest version, the live heap is
+// at most 1.1x the matrix. A page is its own memory, so no untouched page
+// keeps the array its version was copied from alive.
+func TestPagedRetention(t *testing.T) {
+	const n, cols, writes = 30000, 64, 1000
+	rng := rand.New(rand.NewSource(4))
+	rows := randomDense(rng, 8, cols)
+	ids := make([]int, rows.Rows)
+	base := liveHeap()
+	p := randomDense(rng, n, cols).Paged()
+	for range writes {
+		for j := range ids {
+			ids[j] = rng.Intn(n)
+		}
+		p = p.WithRows(ids, rows)
+	}
+	held, size := liveHeap()-base, 8*n*cols
+	runtime.KeepAlive(p)
+	if float64(held) > 1.1*float64(size) {
+		t.Fatalf("after %d writes the matrix holds %d bytes live, %.2fx its %d", writes, held, float64(held)/float64(size), size)
+	}
+	t.Logf("after %d writes: %d bytes live, %.3fx the matrix", writes, held, float64(held)/float64(size))
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() int {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
 }

@@ -98,9 +98,6 @@ func TrainSVM(x *mat.Dense, y []bool, cfg SVMConfig) *SVM {
 // Score returns the signed decision value for feature vector x.
 func (s *SVM) Score(x []float64) float64 { return mat.Dot(s.W, x) + s.B }
 
-// Predict returns Score(x) > 0.
-func (s *SVM) Predict(x []float64) bool { return s.Score(x) > 0 }
-
 // OneVsRest is a multi-class / multi-label classifier made of one binary
 // SVM per class.
 type OneVsRest struct {
@@ -144,18 +141,6 @@ func TrainOneVsRest(x *mat.Dense, labels [][]int, cfg SVMConfig) *OneVsRest {
 		ovr.Models[ci] = TrainSVM(x, y, sub)
 	}
 	return ovr
-}
-
-// PredictTop returns the single best class for x (argmax decision value).
-func (o *OneVsRest) PredictTop(x []float64) int {
-	best, bestScore := -1, math.Inf(-1)
-	for i, m := range o.Models {
-		if s := m.Score(x); s > bestScore {
-			bestScore = s
-			best = o.Classes[i]
-		}
-	}
-	return best
 }
 
 // PredictK returns the k highest-scoring classes for x, in descending

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -158,4 +159,19 @@ func TestPredictKClampsToClassCount(t *testing.T) {
 	if got := ovr.PredictK([]float64{1}, 10); len(got) != 2 {
 		t.Fatalf("PredictK(k>classes) len = %d", len(got))
 	}
+}
+
+// Predict returns Score(x) > 0.
+func (s *SVM) Predict(x []float64) bool { return s.Score(x) > 0 }
+
+// PredictTop returns the single best class for x (argmax decision value).
+func (o *OneVsRest) PredictTop(x []float64) int {
+	best, bestScore := -1, math.Inf(-1)
+	for i, m := range o.Models {
+		if s := m.Score(x); s > bestScore {
+			bestScore = s
+			best = o.Classes[i]
+		}
+	}
+	return best
 }

@@ -14,11 +14,17 @@
 // with each row scaled by 1/(its length), Pᵀ the adjacency's transpose
 // read with column u scaled by the same factor of row u, so both
 // directions stream memory with unit stride and neither stores a value.
+//
+// A CSR is stored as row pages, each its own memory, never a window into
+// an array that spans other pages: a matrix holds its own size whatever
+// chain of merges produced it.
 package sparse
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pane/internal/mat"
@@ -28,10 +34,9 @@ import (
 // stored as row pages of mat.PageRows rows (of one row for a transpose
 // built by TByRow): row i's entries are a contiguous run of (column,
 // value) pairs, sorted by column, inside page i/PageRows; a pattern (see
-// Pattern) stores the columns alone, every stored value reading 1. A
-// freshly built CSR is one allocation per array that every page aliases
-// (Flat returns it as is, and whole-matrix kernels stream it with unit
-// stride); MergeEntries copies the page slice and rebuilds only the pages
+// Pattern) stores the columns alone, every stored value reading 1. Every
+// page is its own memory, so a matrix holds its own size whatever merges
+// made it: MergeEntries copies the page slice and rebuilds only the pages
 // its entries fall in, sharing every other page with the matrix it came
 // from.
 type CSR struct {
@@ -41,105 +46,129 @@ type CSR struct {
 	pages []*page
 
 	pattern bool // no values are stored: every stored value is 1
-
-	// The contiguous arrays the pages alias; nil once a merge has
-	// replaced a page.
-	rowPtr []int
-	cols   []int32
-	vals   []float64
 }
 
 // page holds up to 1<<shift consecutive rows: local row r is
-// cols[ptr[r]:ptr[r+1]] and the matching vals. The offsets are absolute
-// into the shared arrays of a freshly built CSR and start at 0 in a page
-// rebuilt by a merge. vals is nil in a pattern's pages.
+// cols[ptr[r]:ptr[r+1]] and the matching vals, ptr[0] = 0. vals is nil in
+// a pattern's pages.
 type page struct {
 	ptr  []int
 	cols []int32
 	vals []float64
 }
 
-func (pg *page) nnz() int { return pg.ptr[len(pg.ptr)-1] - pg.ptr[0] }
-
 // pageShift is log2 of mat.PageRows, the rows of a default page.
 var pageShift = uint(bits.TrailingZeros(mat.PageRows))
 
-// fromArrays pages a CSR over its contiguous arrays without copying, 1<<shift
-// rows a page; vals == nil builds a pattern.
-func fromArrays(r, c int, shift uint, rowPtr []int, cols []int32, vals []float64) *CSR {
-	m := &CSR{R: r, C: c, nnz: len(cols), shift: shift, rowPtr: rowPtr, cols: cols, vals: vals, pattern: vals == nil}
+// pagesOf returns the row pointers of r rows, 1<<shift a page, whose row
+// i holds rowLen[i] entries, as pages with no entries yet.
+func pagesOf(r int, shift uint, rowLen []int) []*page {
 	rows := 1 << shift
-	ps := make([]page, (r+rows-1)/rows)
-	m.pages = make([]*page, len(ps))
-	for k := range ps {
+	pages := make([]*page, (r+rows-1)/rows)
+	for k := range pages {
 		lo, hi := k*rows, min((k+1)*rows, r)
-		ps[k] = page{ptr: rowPtr[lo : hi+1], cols: cols, vals: vals}
-		m.pages[k] = &ps[k]
+		ptr := make([]int, hi-lo+1)
+		for i := lo; i < hi; i++ {
+			ptr[i-lo+1] = ptr[i-lo] + rowLen[i]
+		}
+		pages[k] = &page{ptr: ptr}
+	}
+	return pages
+}
+
+// newPaged returns an r x c CSR, 1<<shift rows a page, whose row i has
+// room for rowLen[i] entries, columns and values zero (columns only for a
+// pattern): its producer fills them in place.
+func newPaged(r, c int, shift uint, rowLen []int, pattern bool) *CSR {
+	m := &CSR{R: r, C: c, shift: shift, pages: pagesOf(r, shift, rowLen), pattern: pattern}
+	for _, pg := range m.pages {
+		pg.cols = make([]int32, pg.ptr[len(pg.ptr)-1])
+		if !pattern {
+			pg.vals = make([]float64, len(pg.cols))
+		}
+		m.nnz += len(pg.cols)
 	}
 	return m
 }
 
-// FromArrays builds a CSR over the given contiguous arrays (row i is
-// cols[rowPtr[i]:rowPtr[i+1]], strictly ascending) without copying them;
-// the caller must not write them afterwards. It is how a deserialized
-// matrix enters the package, so the arrays are checked, not trusted: a row
-// out of order or with a repeated column would make At's binary search
-// and MergeEntries' sorted merge give wrong answers.
-func FromArrays(r, c int, rowPtr []int, cols []int32, vals []float64) (*CSR, error) {
-	if r < 0 || c < 0 || len(rowPtr) != r+1 || rowPtr[0] != 0 || rowPtr[r] != len(cols) || len(vals) != len(cols) {
-		return nil, fmt.Errorf("sparse: %dx%d CSR with %d row pointers, %d columns, %d values: lengths or end offsets disagree",
-			r, c, len(rowPtr), len(cols), len(vals))
+// FromArrays builds an r x c CSR from a deserialized matrix's arrays, page
+// by page and without a contiguous copy: rowPtr says where each row's run
+// starts (row i is entries [rowPtr[i], rowPtr[i+1]) of the row-major
+// stream), then cols(n) and vals(n) return the next n columns and values,
+// called for every page in row order, the columns first; what they return
+// becomes the page. vals == nil builds a pattern. The arrays are checked,
+// not trusted: a row out of order or with a repeated column would make
+// At's binary search and MergeEntries' sorted merge give wrong answers.
+func FromArrays(r, c int, rowPtr []uint64, cols func(n int) ([]int32, error), vals func(n int) ([]float64, error)) (*CSR, error) {
+	if r < 0 || c < 0 || len(rowPtr) != r+1 || rowPtr[0] != 0 {
+		return nil, fmt.Errorf("sparse: %dx%d CSR with %d row pointers", r, c, len(rowPtr))
 	}
-	for i := 0; i < r; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
+	rowLen := make([]int, r)
+	for i := range rowLen {
+		if rowPtr[i+1] < rowPtr[i] {
 			return nil, fmt.Errorf("sparse: row pointers decrease at row %d", i)
 		}
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if col := cols[k]; col < 0 || int(col) >= c {
-				return nil, fmt.Errorf("sparse: column %d out of range at entry %d", col, k)
-			} else if k > rowPtr[i] && col <= cols[k-1] {
-				return nil, fmt.Errorf("sparse: row %d is not strictly ascending at entry %d (column %d after %d)", i, k, col, cols[k-1])
+		rowLen[i] = int(rowPtr[i+1] - rowPtr[i])
+	}
+	m := &CSR{R: r, C: c, nnz: int(rowPtr[r]), shift: pageShift, pages: pagesOf(r, pageShift, rowLen), pattern: vals == nil}
+	for _, pg := range m.pages {
+		var err error
+		if pg.cols, err = cols(pg.ptr[len(pg.ptr)-1]); err != nil {
+			return nil, err
+		}
+	}
+	for k, pg := range m.pages {
+		if vals != nil {
+			var err error
+			if pg.vals, err = vals(len(pg.cols)); err != nil {
+				return nil, err
+			}
+		}
+		for lr := range len(pg.ptr) - 1 {
+			i := k<<pageShift + lr
+			for j := pg.ptr[lr]; j < pg.ptr[lr+1]; j++ {
+				if col := pg.cols[j]; col < 0 || int(col) >= c {
+					return nil, fmt.Errorf("sparse: column %d out of range in row %d", col, i)
+				} else if j > pg.ptr[lr] && col <= pg.cols[j-1] {
+					return nil, fmt.Errorf("sparse: row %d is not strictly ascending (column %d after %d)", i, col, pg.cols[j-1])
+				}
 			}
 		}
 	}
-	return fromArrays(r, c, pageShift, rowPtr, cols, vals), nil
+	return m, nil
 }
 
 // Pattern returns m as a pattern: the same rows and columns with no values
-// stored, every stored value reading 1. It refuses a matrix storing any
-// other value; a pattern is returned as it is.
+// stored, every stored value reading 1. Its pages share m's row pointers
+// and columns and drop the values. It refuses a matrix storing any other
+// value; a pattern is returned as it is.
 func (m *CSR) Pattern() (*CSR, error) {
 	if m.pattern {
 		return m, nil
 	}
-	rowPtr, cols, vals := m.Flat()
-	for k, v := range vals {
-		if v != 1 {
-			return nil, fmt.Errorf("sparse: value %v at entry %d of a pattern, want 1", v, k)
+	out := *m
+	out.pattern, out.pages = true, make([]*page, len(m.pages))
+	for k, pg := range m.pages {
+		for j, v := range pg.vals {
+			if v != 1 {
+				return nil, fmt.Errorf("sparse: value %v in row page %d, entry %d, of a pattern, want 1", v, k, j)
+			}
 		}
+		out.pages[k] = &page{ptr: pg.ptr, cols: pg.cols}
 	}
-	return fromArrays(m.R, m.C, m.shift, rowPtr, cols, nil), nil
+	return &out, nil
 }
 
-// Flat returns the matrix as contiguous CSR arrays, shared and read-only:
-// free for a freshly built matrix, an O(nnz) assembly after a merge. vals
-// is nil for a pattern.
-func (m *CSR) Flat() (rowPtr []int, cols []int32, vals []float64) {
-	if m.rowPtr != nil {
-		return m.rowPtr, m.cols, m.vals
+// Pages yields each row page's entries in row order, as columns and
+// values (nil for a pattern), shared and read-only.
+func (m *CSR) Pages() iter.Seq2[[]int32, []float64] {
+	return func(yield func([]int32, []float64) bool) {
+		for _, pg := range m.pages {
+			if !yield(pg.cols, pg.vals) {
+				return
+			}
+		}
 	}
-	rowPtr = make([]int, m.R+1)
-	cols = make([]int32, 0, m.nnz)
-	if !m.pattern {
-		vals = make([]float64, 0, m.nnz)
-	}
-	for i := 0; i < m.R; i++ {
-		cs, vs := m.Row(i)
-		cols = append(cols, cs...)
-		vals = append(vals, vs...)
-		rowPtr[i+1] = len(cols)
-	}
-	return rowPtr, cols, vals
 }
 
 // SamePage reports whether page k of m and o is the same memory — what a
@@ -211,42 +240,45 @@ type Entry struct {
 // entries are kept (callers that want them dropped should filter first) so
 // that explicitly stored structural zeros survive round trips.
 func NewCSR(r, c int, entries []Entry) *CSR {
-	counts := make([]int, r+1)
+	rowLen := make([]int, r)
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= r || e.Col < 0 || e.Col >= c {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of range for %dx%d", e.Row, e.Col, r, c))
 		}
-		counts[e.Row+1]++
+		rowLen[e.Row]++
 	}
-	for i := 0; i < r; i++ {
-		counts[i+1] += counts[i]
-	}
-	rowPtr := counts
-	cols := make([]int32, len(entries))
-	vals := make([]float64, len(entries))
-	next := make([]int, r)
-	for i := range next {
-		next[i] = rowPtr[i]
-	}
+	m := newPaged(r, c, pageShift, rowLen, false)
+	clear(rowLen)
 	for _, e := range entries {
-		p := next[e.Row]
-		cols[p] = int32(e.Col)
-		vals[p] = e.Val
-		next[e.Row]++
+		pg, p := m.next(e.Row, rowLen)
+		pg.cols[p], pg.vals[p] = int32(e.Col), e.Val
 	}
-	rowPtr, cols, vals = sortRowsAndMergeDuplicates(r, rowPtr, cols, vals)
-	return fromArrays(r, c, pageShift, rowPtr, cols, vals)
+	m.nnz = 0
+	for _, pg := range m.pages {
+		pg.sortRows()
+		m.nnz += len(pg.cols)
+	}
+	return m
 }
 
-// sortRowsAndMergeDuplicates sorts each row by column and sums duplicates,
-// compacting the storage in place.
-func sortRowsAndMergeDuplicates(r int, rowPtr []int, cols []int32, vals []float64) ([]int, []int32, []float64) {
-	outPtr := make([]int, r+1)
+// next returns the page of row i and the position in it of the row's next
+// entry, fill[i] of the row's entries being placed already.
+func (m *CSR) next(i int, fill []int) (*page, int) {
+	pg := m.pages[i>>m.shift]
+	p := pg.ptr[i&(1<<m.shift-1)] + fill[i]
+	fill[i]++
+	return pg, p
+}
+
+// sortRows sorts each row of the page by column and sums duplicates,
+// compacting the page; one that shrinks is copied to its new size.
+func (pg *page) sortRows() {
+	cols, vals := pg.cols, pg.vals
 	w := 0
-	for i := 0; i < r; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
+	for r := range len(pg.ptr) - 1 {
+		lo, hi := pg.ptr[r], pg.ptr[r+1]
 		sort.Sort(rowSorter{cols: cols[lo:hi], vals: vals[lo:hi]})
-		outPtr[i] = w
+		pg.ptr[r] = w
 		for k := lo; k < hi; {
 			col := cols[k]
 			sum := vals[k]
@@ -260,8 +292,10 @@ func sortRowsAndMergeDuplicates(r int, rowPtr []int, cols []int32, vals []float6
 			w++
 		}
 	}
-	outPtr[r] = w
-	return outPtr, cols[:w], vals[:w]
+	pg.ptr[len(pg.ptr)-1] = w
+	if w < len(cols) {
+		pg.cols, pg.vals = slices.Clone(cols[:w]), slices.Clone(vals[:w])
+	}
 }
 
 type rowSorter struct {
@@ -286,35 +320,26 @@ func (m *CSR) T() *CSR { return m.transpose(pageShift) }
 func (m *CSR) TByRow() *CSR { return m.transpose(0) }
 
 func (m *CSR) transpose(shift uint) *CSR {
-	counts := make([]int, m.C+1)
+	rowLen := make([]int, m.C)
 	for i := 0; i < m.R; i++ {
 		cs, _ := m.Row(i)
 		for _, c := range cs {
-			counts[c+1]++
+			rowLen[c]++
 		}
 	}
-	for i := 0; i < m.C; i++ {
-		counts[i+1] += counts[i]
-	}
-	rowPtr := make([]int, m.C+1)
-	copy(rowPtr, counts)
-	cols := make([]int32, m.nnz)
-	var vals []float64
-	if !m.pattern {
-		vals = make([]float64, m.nnz)
-	}
+	out := newPaged(m.C, m.R, shift, rowLen, m.pattern)
+	clear(rowLen)
 	for i := 0; i < m.R; i++ {
 		cs, vs := m.Row(i)
 		for k, c := range cs {
-			p := counts[c]
-			cols[p] = int32(i)
-			if vals != nil {
-				vals[p] = vs[k]
+			pg, p := out.next(int(c), rowLen)
+			pg.cols[p] = int32(i)
+			if vs != nil {
+				pg.vals[p] = vs[k]
 			}
-			counts[c]++
 		}
 	}
-	return fromArrays(m.C, m.R, shift, rowPtr, cols, vals)
+	return out
 }
 
 // ToDense materializes m as a dense matrix. Intended for tests and small

@@ -248,8 +248,10 @@ func TestPattern(t *testing.T) {
 	if _, vals := p.Row(0); vals != nil {
 		t.Fatal("a pattern's row carries values")
 	}
-	if _, _, vals := p.Flat(); vals != nil {
-		t.Fatal("a pattern's flat arrays carry values")
+	for k, pg := range p.pages {
+		if pg.vals != nil {
+			t.Fatalf("a pattern's page %d carries values", k)
+		}
 	}
 	want := NewCSR(m.R, m.C, ones(m)).ToDense()
 	if !slices.Equal(p.ToDense().Data, want.Data) || !slices.Equal(p.T().ToDense().Data, want.T().Data) {
@@ -291,15 +293,25 @@ func TestPattern(t *testing.T) {
 // is refused, since At's binary search and MergeEntries' sorted merge
 // would read it wrongly; an ascending one is accepted.
 func TestFromArraysRejectsUnsortedRows(t *testing.T) {
-	rowPtr := []int{0, 2, 3}
+	rowPtr := []uint64{0, 2, 3}
 	vals := []float64{1, 1, 1}
-	if _, err := FromArrays(2, 4, rowPtr, []int32{1, 3, 0}, vals); err != nil {
+	if _, err := FromArrays(2, 4, rowPtr, sliceReader([]int32{1, 3, 0}), sliceReader(vals)); err != nil {
 		t.Fatalf("ascending rows refused: %v", err)
 	}
 	for _, cols := range [][]int32{{3, 1, 0}, {2, 2, 0}} {
-		if _, err := FromArrays(2, 4, rowPtr, cols, vals); err == nil {
+		if _, err := FromArrays(2, 4, rowPtr, sliceReader(cols), sliceReader(vals)); err == nil {
 			t.Fatalf("row columns %v accepted", cols[:2])
 		}
+	}
+}
+
+// sliceReader reads s front to back, n values a call, as FromArrays reads
+// a page's columns or values.
+func sliceReader[T any](s []T) func(n int) ([]T, error) {
+	return func(n int) ([]T, error) {
+		pg := s[:n:n]
+		s = s[n:]
+		return pg, nil
 	}
 }
 

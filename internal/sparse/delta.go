@@ -89,7 +89,7 @@ func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float
 		k := add[0].Row >> m.shift
 		n := sort.Search(len(add), func(j int) bool { return add[j].Row>>m.shift > k })
 		out.pages[k] = m.pages[k].merge(k<<m.shift, add[:n], combine)
-		out.nnz += out.pages[k].nnz() - m.pages[k].nnz()
+		out.nnz += len(out.pages[k].cols) - len(m.pages[k].cols)
 		add = add[n:]
 	}
 	return out
@@ -101,10 +101,10 @@ func (m *CSR) MergeEntries(entries []Entry, combine func(old, add float64) float
 func (pg *page) merge(base int, add []Entry, combine func(old, add float64) float64) *page {
 	rows := len(pg.ptr) - 1
 	ptr := make([]int, rows+1)
-	cols := make([]int32, 0, pg.nnz()+len(add))
+	cols := make([]int32, 0, len(pg.cols)+len(add))
 	var vals []float64
 	if combine != nil {
-		vals = make([]float64, 0, pg.nnz()+len(add))
+		vals = make([]float64, 0, len(pg.cols)+len(add))
 	}
 	keep := func(lo, hi int) { // copies stored entries [lo, hi)
 		cols = append(cols, pg.cols[lo:hi]...)

@@ -144,30 +144,17 @@ func writeIndexMeta(w io.Writer, im *IndexMeta) error {
 		}
 		return 0
 	}
-	nlist, nprobe, shards, rerank := im.NList, im.NProbe, im.Shards, im.Rerank
-	if nlist < 0 {
-		nlist = 0
-	}
-	if nprobe < 0 {
-		nprobe = 0
-	}
-	if shards < 0 {
-		shards = 0
-	}
-	if rerank < 0 {
-		rerank = 0
-	}
 	return binary.Write(w, order, []uint64{
-		1, flag(im.IVF), uint64(nlist), uint64(nprobe), uint64(im.Seed), uint64(shards),
-		flag(im.Quantize), uint64(rerank), flag(im.FP16),
+		1, flag(im.IVF), uint64(max(im.NList, 0)), uint64(max(im.NProbe, 0)), uint64(im.Seed), uint64(max(im.Shards, 0)),
+		flag(im.Quantize), uint64(max(im.Rerank, 0)), flag(im.FP16),
 	})
 }
 
 // readIndexMeta decodes the index section of a format-`version` bundle:
 // version 2 carries four configuration words, version 3 appends the
-// shard count (absent means 0, i.e. unsharded), version 4 the quantize
-// flag and re-rank multiplier (absent means unquantized), version 5 the
-// fp16 flag (absent means no half-precision tier).
+// shard count, version 4 the quantize flag and re-rank multiplier,
+// version 5 the fp16 flag. An absent word reads 0: unsharded, unquantized,
+// no half-precision tier.
 func readIndexMeta(r io.Reader, version uint64) (*IndexMeta, error) {
 	var present uint64
 	if err := binary.Read(r, order, &present); err != nil {
@@ -176,35 +163,13 @@ func readIndexMeta(r io.Reader, version uint64) (*IndexMeta, error) {
 	if present == 0 {
 		return nil, nil
 	}
-	nWords := 4
-	if version >= 3 {
-		nWords = 5
-	}
-	if version >= 4 {
-		nWords = 7
-	}
-	if version >= 5 {
-		nWords = 8
-	}
-	words := make([]uint64, nWords)
-	if err := binary.Read(r, order, words); err != nil {
+	var words [8]uint64
+	if err := binary.Read(r, order, words[:[...]int{2: 4, 3: 5, 4: 7, 5: 8}[version]]); err != nil {
 		return nil, fmt.Errorf("store: reading index config: %w", err)
 	}
 	im := &IndexMeta{
-		IVF:    words[0] != 0,
-		NList:  int(words[1]),
-		NProbe: int(words[2]),
-		Seed:   int64(words[3]),
-	}
-	if version >= 3 {
-		im.Shards = int(words[4])
-	}
-	if version >= 4 {
-		im.Quantize = words[5] != 0
-		im.Rerank = int(words[6])
-	}
-	if version >= 5 {
-		im.FP16 = words[7] != 0
+		IVF: words[0] != 0, NList: int(words[1]), NProbe: int(words[2]), Seed: int64(words[3]),
+		Shards: int(words[4]), Quantize: words[5] != 0, Rerank: int(words[6]), FP16: words[7] != 0,
 	}
 	if im.NList < 0 || im.NProbe < 0 || im.Shards < 0 || im.Rerank < 0 {
 		return nil, fmt.Errorf("store: negative index config nlist=%d nprobe=%d shards=%d rerank=%d",
@@ -290,16 +255,13 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 	if b.Labels, err = readLabels(br); err != nil {
 		return nil, err
 	}
-	for _, dst := range []**mat.Paged{&b.Xf, &b.Xb} {
-		m, err := readDense(br)
-		if err != nil {
+	var factors [3]*mat.Paged // Xf, Xb, Y
+	for i := range factors {
+		if factors[i], err = readPaged(br); err != nil {
 			return nil, err
 		}
-		*dst = mat.Page(m)
 	}
-	if b.Y, err = readDense(br); err != nil {
-		return nil, err
-	}
+	b.Xf, b.Xb, b.Y = factors[0], factors[1], factors[2].Dense()
 	for _, dst := range []**sparse.CSR{&b.Adj, &b.Attr} {
 		if *dst, err = readCSR(br); err != nil {
 			return nil, err
@@ -404,8 +366,8 @@ func readLabels(r io.Reader) ([][]int, error) {
 	if n > limit {
 		return nil, fmt.Errorf("store: implausible label count %d", n)
 	}
-	counts := make([]uint64, n)
-	if err := binary.Read(r, order, counts); err != nil {
+	counts, err := readN[uint64](r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading label sizes: %w", err)
 	}
 	// Bound each count and the running total inside the loop: a single
@@ -421,8 +383,8 @@ func readLabels(r io.Reader) ([][]int, error) {
 			return nil, fmt.Errorf("store: implausible label total %d", total)
 		}
 	}
-	flat := make([]int64, total)
-	if err := binary.Read(r, order, flat); err != nil {
+	flat, err := readN[int64](r, int(total))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading labels: %w", err)
 	}
 	labels := make([][]int, n)

@@ -38,8 +38,8 @@ func testBundle(withLabels bool) *Bundle {
 	b := &Bundle{
 		ModelVersion: 42,
 		Cfg:          core.Config{K: 2 * half, Alpha: 0.5, Eps: 0.015, Threads: 3, Seed: 9},
-		Xf:           mat.Page(randDense(n, half)),
-		Xb:           mat.Page(randDense(n, half)),
+		Xf:           randDense(n, half).Paged(),
+		Xb:           randDense(n, half).Paged(),
 		Y:            randDense(d, half),
 		Adj:          adj,
 		Attr:         attr,
@@ -339,6 +339,57 @@ func TestBundleSkipsPayloadsWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestSectionClaimsAllocateOnArrival: a bundle whose dense header, and
+// then one whose CSR header (or label count), claims about 2^27 entries (1 GiB of float64)
+// over a body of a few dozen bytes is refused after allocating under
+// 1 MiB (the read buffer is the caller's, as above). Sections are read in
+// bounded chunks that grow as bytes arrive, so neither a claimed shape nor
+// a claimed row length sizes an allocation: one row may hold all 2^27.
+func TestSectionClaimsAllocateOnArrival(t *testing.T) {
+	const claim = 1 << 27
+	b := testBundle(false)
+	var full bytes.Buffer
+	if err := WriteBundle(&full, b); err != nil {
+		t.Fatal(err)
+	}
+	n, half, d := b.Xf.Rows, b.Xf.Cols, b.Y.Rows
+	denseAt := 8 * (10 + 1)                  // the bundle header, the label flag
+	csrAt := denseAt + 3*24 + 8*half*(2*n+d) // Xf, Xb and Y
+	claimAt := func(at int, words ...uint64) []byte {
+		out := append([]byte(nil), full.Bytes()[:at]...)
+		for _, w := range words {
+			out = order.AppendUint64(out, w)
+		}
+		return append(out, make([]byte, 40)...)
+	}
+	wideRow := []uint64{magicCSR, uint64(n), uint64(n), claim, 0}
+	for range n {
+		wideRow = append(wideRow, claim)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"label count", claimAt(denseAt-8, 1, claim)},
+		{"dense rows", claimAt(denseAt, magicDense, claim/64, 64)},
+		{"dense row", claimAt(denseAt, magicDense, 1, claim)},
+		{"CSR rows", claimAt(csrAt, magicCSR, claim, claim, claim)},
+		{"CSR row", claimAt(csrAt, wideRow...)},
+	} {
+		br := bufio.NewReaderSize(bytes.NewReader(c.data), 1<<20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBundle(br)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a section claiming 2^27 entries and then ending was accepted", c.name)
+		}
+		if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
+			t.Fatalf("%s: refusing a claim of 2^27 entries allocated %d bytes", c.name, a)
+		}
+	}
+}
+
 func TestBundleFileAtomicSave(t *testing.T) {
 	b := testBundle(true)
 	path := filepath.Join(t.TempDir(), "m.pane")
@@ -428,7 +479,7 @@ func TestBundleRejectsNonFiniteFactors(t *testing.T) {
 		if tc.name == "Xb" {
 			xb := b.Xb.Dense()
 			xb.Row(tc.row)[1] = tc.v
-			b.Xb = mat.Page(xb)
+			b.Xb = xb.Paged()
 		} else {
 			b.Y.Row(tc.row)[0] = tc.v
 		}

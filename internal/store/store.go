@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"pane/internal/mat"
 	"pane/internal/sparse"
@@ -29,36 +30,37 @@ const (
 var order = binary.LittleEndian
 
 // writeCSR writes the CSR section to w without buffering or flushing,
-// so sections can be composed on one stream (see bundle.go).
+// so sections can be composed on one stream (see bundle.go): the header
+// and row pointers, then the columns and the values page by page.
 func writeCSR(w io.Writer, m *sparse.CSR) error {
-	hdr := []uint64{magicCSR, uint64(m.R), uint64(m.C), uint64(m.NNZ())}
+	hdr := []uint64{magicCSR, uint64(m.R), uint64(m.C), uint64(m.NNZ()), 0}
+	for i := range m.R {
+		cols, _ := m.Row(i)
+		hdr = append(hdr, hdr[len(hdr)-1]+uint64(len(cols)))
+	}
 	if err := binary.Write(w, order, hdr); err != nil {
 		return err
 	}
-	// One bulk write for the row pointers: binary.Write on a []uint64 hits
-	// encoding/binary's fast path, vs a reflection round trip per element.
-	rowPtr, cols, vals := m.Flat()
-	if vals == nil { // a pattern's stored values are all 1
-		vals = make([]float64, len(cols))
-		for k := range vals {
-			vals[k] = 1
+	for cols := range m.Pages() {
+		if err := binary.Write(w, order, cols); err != nil {
+			return err
 		}
 	}
-	ptr := make([]uint64, len(rowPtr))
-	for i, p := range rowPtr {
-		ptr[i] = uint64(p)
+	for cols, vals := range m.Pages() {
+		if vals == nil { // a pattern's stored values are all 1
+			vals = slices.Repeat([]float64{1}, len(cols))
+		}
+		if err := binary.Write(w, order, vals); err != nil {
+			return err
+		}
 	}
-	if err := binary.Write(w, order, ptr); err != nil {
-		return err
-	}
-	if err := binary.Write(w, order, cols); err != nil {
-		return err
-	}
-	return binary.Write(w, order, vals)
+	return nil
 }
 
 // readCSR reads exactly one CSR section from r. It performs only exact-
-// length reads (no readahead), so it is safe on a shared stream.
+// length reads (no readahead), so it is safe on a shared stream, and it
+// allocates only as the section's bytes arrive (see readN), writing the
+// columns and values straight onto the matrix's pages.
 func readCSR(r io.Reader) (*sparse.CSR, error) {
 	hdr := make([]uint64, 4)
 	if err := binary.Read(r, order, hdr); err != nil {
@@ -72,25 +74,18 @@ func readCSR(r io.Reader) (*sparse.CSR, error) {
 	if rows > limit || cols > limit || nnz > limit {
 		return nil, fmt.Errorf("store: implausible CSR dimensions %dx%d nnz=%d", rows, cols, nnz)
 	}
-	ptr := make([]uint64, rows+1)
-	if err := binary.Read(r, order, ptr); err != nil {
+	ptr, err := readN[uint64](r, int(rows)+1)
+	if err != nil {
 		return nil, fmt.Errorf("store: reading row pointers: %w", err)
 	}
-	rowPtr := make([]int, rows+1)
-	for i, v := range ptr {
-		rowPtr[i] = int(v)
+	if ptr[rows] != nnz {
+		return nil, fmt.Errorf("store: CSR row pointers end at %d, want nnz %d", ptr[rows], nnz)
 	}
-	colIdx := make([]int32, nnz)
-	if err := binary.Read(r, order, colIdx); err != nil {
-		return nil, fmt.Errorf("store: reading columns: %w", err)
-	}
-	vals := make([]float64, nnz)
-	if err := binary.Read(r, order, vals); err != nil {
-		return nil, fmt.Errorf("store: reading values: %w", err)
-	}
-	m, err := sparse.FromArrays(int(rows), int(cols), rowPtr, colIdx, vals)
+	m, err := sparse.FromArrays(int(rows), int(cols), ptr,
+		func(n int) ([]int32, error) { return readN[int32](r, n) },
+		func(n int) ([]float64, error) { return readN[float64](r, n) })
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: reading CSR: %w", err)
 	}
 	return m, nil
 }
@@ -111,8 +106,9 @@ func writeDense(w io.Writer, rows, cols int, pages ...[]float64) error {
 	return nil
 }
 
-// readDense reads exactly one dense section from r with exact-length reads.
-func readDense(r io.Reader) (*mat.Dense, error) {
+// readPaged reads exactly one dense section from r onto pages with the
+// exact-length reads of readN, so only what arrives is allocated.
+func readPaged(r io.Reader) (*mat.Paged, error) {
 	hdr := make([]uint64, 3)
 	if err := binary.Read(r, order, hdr); err != nil {
 		return nil, fmt.Errorf("store: reading dense header: %w", err)
@@ -124,11 +120,36 @@ func readDense(r io.Reader) (*mat.Dense, error) {
 	if rows > math.MaxInt32 || cols > math.MaxInt32 || rows*cols > 1<<33 {
 		return nil, fmt.Errorf("store: implausible dense dimensions %dx%d", rows, cols)
 	}
-	m := mat.New(int(rows), int(cols))
-	if err := binary.Read(r, order, m.Data); err != nil {
+	m, err := mat.ReadPaged(int(rows), int(cols), func(n int) ([]float64, error) { return readN[float64](r, n) })
+	if err != nil {
 		return nil, fmt.Errorf("store: reading dense data: %w", err)
 	}
 	return m, nil
+}
+
+// readChunk is the most a read asks of the stream at once, in bytes.
+const readChunk = 1 << 18
+
+// readN reads n little-endian values from r in reads of at most readChunk
+// bytes, into a slice that starts at one read's size and doubles up to n
+// as the values arrive: a header claiming more than the body holds costs
+// an error after allocating at most twice what the body held, not what
+// the header claimed.
+func readN[T int32 | int64 | uint64 | float64](r io.Reader, n int) ([]T, error) {
+	var zero T
+	step := readChunk / binary.Size(zero)
+	out := make([]T, 0, min(n, step))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			out = append(make([]T, 0, min(n, 2*cap(out))), out...)
+		}
+		part := out[len(out):min(cap(out), len(out)+step)]
+		if err := binary.Read(r, order, part); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+len(part)]
+	}
+	return out, nil
 }
 
 // saveAtomic writes via a temp file in path's directory and renames it
@@ -144,28 +165,20 @@ func saveAtomic(path string, write func(w io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err = f.Chmod(0o644); err == nil {
+		err = write(f)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
 	return syncDir(filepath.Dir(path))

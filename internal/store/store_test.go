@@ -92,11 +92,11 @@ func TestDenseRoundTrip(t *testing.T) {
 	if err := writeDense(&buf, m.Rows, m.Cols, m.Data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readDense(&buf)
+	got, err := readPaged(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(m, 0) {
+	if !got.Dense().Equal(m, 0) {
 		t.Fatal("dense round trip changed values")
 	}
 }
@@ -107,7 +107,7 @@ func TestDenseBadMagic(t *testing.T) {
 	if err := writeCSR(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readDense(&buf); err == nil {
+	if _, err := readPaged(&buf); err == nil {
 		t.Fatal("CSR payload accepted as dense")
 	}
 }
@@ -129,11 +129,11 @@ func TestFileHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readDense(bytes.NewReader(raw))
+	got, err := readPaged(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(d, 0) {
+	if !got.Dense().Equal(d, 0) {
 		t.Fatal("dense file round trip failed")
 	}
 	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(names) != 0 {
