@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pane/internal/graph"
@@ -106,6 +108,28 @@ func TestFP16SnapshotRestoreRoundTrip(t *testing.T) {
 	snapshotRestoreRoundTrip(t, eng, allModes)
 }
 
+// quantizeRows is the int8 payload older writers stored for rows: per
+// row, codes c ∈ [−128, 127] row-major and (scale, base) with row[j] ≈
+// base + scale·c[j], the per-row encoding the index's cells hold.
+func quantizeRows(rows *mat.Dense) (codes []int8, scale, base []float32) {
+	codes, scale, base = make([]int8, len(rows.Data)), make([]float32, rows.Rows), make([]float32, rows.Rows)
+	for i := range rows.Rows {
+		row := rows.Row(i)
+		mn, mx := slices.Min(row), slices.Max(row)
+		s := float32((mx - mn) / 255)
+		scale[i], base[i] = s, float32(mn)
+		if s == 0 {
+			continue
+		}
+		base[i] = float32(mn + float64(128*float64(s)))
+		inv := 1 / float64(s)
+		for j, v := range row {
+			codes[i*rows.Cols+j] = int8(int(min(max(math.Round((v-mn)*inv), 0), 255)) - 128)
+		}
+	}
+	return codes, scale, base
+}
+
 // TestRestoreIgnoresCorruptPayload: a format-5 bundle may carry the int8
 // and binary16 codes of its candidate matrices, as older writers stored
 // them. Here the link space's int8 payload is the true encoding except
@@ -141,7 +165,7 @@ func TestRestoreIgnoresCorruptPayload(t *testing.T) {
 	spaces := []*mat.Dense{m.Scorer.TransformedCandidatesRange(0, m.Nodes(), 1), m.Emb.Y}
 	put(uint64(1))
 	for sp, rows := range spaces {
-		codes, scale, base := index.QuantizeRows(rows)
+		codes, scale, base := quantizeRows(rows)
 		if sp == linkSpace {
 			for _, u := range probes {
 				top := mustTop(t, eng, true, u, 1, ModeExact, 0).Results[0].ID

@@ -253,19 +253,18 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 			continue
 		}
 		p := UpdatePoint{DeltaEdges: delta}
-		// One batch per point, re-applied on every repeat: re-inserting an
-		// existing edge still refines and republishes (the update cost does
-		// not depend on graph novelty), so the minimum timings and the
-		// reported dirty-row count all describe the same batch.
-		edges := make([]graph.Edge, delta)
-		touched := make(map[int]struct{}, 2*delta)
-		for i := range edges {
-			edges[i] = graph.Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}
-			touched[edges[i].Src] = struct{}{}
-			touched[edges[i].Dst] = struct{}{}
-		}
-		p.DirtyRows = len(touched)
+		// A fresh batch on every repeat: an edge the graph already holds
+		// dirties no row, so a re-sent batch would time a no-op. The
+		// incremental figures and the dirty-row count describe the batch
+		// with the fastest incremental update.
 		for rep := 0; rep < opt.Repeats; rep++ {
+			edges := make([]graph.Edge, delta)
+			touched := make(map[int]struct{}, 2*delta)
+			for i := range edges {
+				edges[i] = graph.Edge{Src: rng.Intn(g.N), Dst: rng.Intn(g.N)}
+				touched[edges[i].Src] = struct{}{}
+				touched[edges[i].Dst] = struct{}{}
+			}
 			im, ii, err := timeUpdate(engIncr, edges)
 			if err != nil {
 				return nil, err
@@ -277,6 +276,7 @@ func RunUpdate(opt UpdateOptions) (*UpdateBench, error) {
 			}
 			if rep == 0 || im+ii < p.IncrTotalSeconds {
 				p.IncrModelSeconds, p.IncrIndexSeconds, p.IncrTotalSeconds = im, ii, im+ii
+				p.DirtyRows = len(touched)
 				p.IncrGraphSeconds, p.IncrScorerSeconds = st.GraphSeconds, st.ScorerSeconds
 				p.IncrAffinitySeconds, p.IncrCCDSeconds = st.AffinitySeconds, st.CCDSeconds
 				p.AffinityIncremental = st.AffinityIncremental

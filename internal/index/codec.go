@@ -23,7 +23,7 @@ const (
 // is crossed once per contiguous row range, never once per row, so each
 // implementation's scan loop stays monomorphic over its dot kernel.
 type codec interface {
-	// alloc returns room for the encoding of n rows of dimension dim, one
+	// alloc returns room for a code page of n rows of dimension dim, one
 	// allocation per array; encodeRow writes row's encoding at position j
 	// of c. A row's encoding depends on that row alone, so it can be
 	// carried from one position, block or generation to another.
@@ -55,45 +55,16 @@ var codecs = [NumCodecs]codec{F64: f64Codec{}, I8: i8Codec{}, F16: f16Codec{}}
 // them (see f16Codec).
 var encodedAs = [NumCodecs]Codec{F64: I8, I8: I8, F16: F16}
 
-// Codes is one codec's encoding of a contiguous run of candidate rows.
-// The int8 and float64 codecs fill I8, Scale and Base (per row; see
-// QuantizeRows): the codes in 8-row groups interleaved by dimension pair
-// (see groupRows), the run starting on a group and padded to a whole one,
-// as Scale and Base are. The binary16 codec fills F16 (row-major; see
-// EncodeFP16Rows).
+// Codes is one codec's encoding of one code page of a block: runRows
+// rows (one row kernel run), or a block's remaining rows on its last page,
+// in memory of its own. The int8 and float64 codecs fill I8, Scale and
+// Base (per row): the codes in 8-row groups interleaved by dimension pair
+// (see groupRows), the page padded to a whole group, as Scale and Base
+// are. The binary16 codec fills F16 (row-major; see EncodeFP16Rows).
 type Codes struct {
 	I8          []int8
 	Scale, Base []float32
 	F16         []uint16
-}
-
-// rows returns the encoding of rows [lo, hi) as a view of c, which holds
-// rows of dimension dim, with the view's capacity reaching on to row max.
-// lo starts a group; int8 codes are cut at whole groups.
-func (c Codes) rows(lo, hi, max, dim int) Codes {
-	var out Codes
-	if c.Scale != nil {
-		w, hi, max := i8Width(dim), padRows(hi), padRows(max)
-		out.I8, out.Scale, out.Base = c.I8[lo*w:hi*w:max*w], c.Scale[lo:hi:max], c.Base[lo:hi:max]
-	}
-	if c.F16 != nil {
-		out.F16 = c.F16[lo*dim : hi*dim : max*dim]
-	}
-	return out
-}
-
-// reach is how many rows lie behind a page's first in one piece of memory
-// — its own and, by their capacity, the following pages' up to the first
-// one a refresh replaced. A scan reads on through them as one contiguous
-// run, so a block nothing has patched is scanned exactly as one array.
-func (c Codes) reach(dim int) int {
-	switch {
-	case c.Scale != nil:
-		return cap(c.Scale)
-	case dim > 0:
-		return cap(c.F16) / dim
-	}
-	return math.MaxInt32
 }
 
 // copyRow copies the encoding at position i of src to position j of c.
@@ -116,32 +87,20 @@ func (c Codes) bytes() int64 {
 	return int64(len(c.I8) + 4*len(c.Scale) + 4*len(c.Base) + 2*len(c.F16))
 }
 
-// pageCodes cuts c, the encoding of n rows, into mat.PageRows-row pages
-// that alias it: a freshly encoded block stays one allocation per array,
-// and every page reaches to its end. Code pages are the one kind of page
-// that does not own its memory (see the package doc): a scan reads
-// across them as one run.
-func pageCodes(c Codes, n, dim int) []Codes {
-	pages := make([]Codes, (n+mat.PageRows-1)/mat.PageRows)
-	for k := range pages {
-		pages[k] = c.rows(k*mat.PageRows, min((k+1)*mat.PageRows, n), n, dim)
-	}
-	return pages
-}
-
 // block is one layout block as a table holds it: its row count and the
-// table's codec's encoding of its rows, on mat.PageRows-row pages:
-// codes[k] encodes block rows [k·PageRows, (k+1)·PageRows). It holds no
-// float64 rows: block row j is the row of the table's candidate matrix
-// that the layout's ids name (row j itself under the flat layout), read
-// from the table, never through the block, so a block one generation
-// shares with the next keeps no page of the older matrix alive. A
-// binary16 block also holds keys, the int8 pages its scan bounds scores
-// with: the pages of the float64 cell's block at the same position,
-// shared, not copied, so the page helpers below never see them and a
-// refresh leaves them to their owner. open counts its rows whose halves
-// may overflow (see overflows); while there is one, its scan certifies
-// nothing.
+// table's codec's encoding of its rows, on code pages: codes[k] encodes
+// block rows [k·runRows, (k+1)·runRows). A code page is the run a row
+// kernel call reads, so a scan runs 64 rows a call whatever pages a
+// refresh replaced. It holds no float64 rows: block row j is the row of
+// the table's candidate matrix that the layout's ids name (row j itself
+// under the flat layout), read from the table, never through the block,
+// so a block one generation shares with the next keeps no page of the
+// older matrix alive. A binary16 block also holds keys, the int8 pages its
+// scan bounds scores with: the pages of the float64 cell's block at the
+// same position, shared, not copied, so the page helpers below never see
+// them and a refresh leaves them to their owner. open counts its rows
+// whose halves may overflow (see overflows); while there is one, its scan
+// certifies nothing.
 type block struct {
 	n     int
 	codes []Codes
@@ -151,27 +110,25 @@ type block struct {
 
 // i8Run returns the int8 encoding of the whole groups from row j, which
 // starts one, that cover rows [j, hi) from pages, whose rows' codes are w
-// wide (i8Width), as one stretch of memory: at most runGroups of them, and
-// as many as the pages reach.
+// wide (i8Width): as many as the rest of j's page holds.
 func i8Run(pages []Codes, j, hi, w int) (codes []int8, scale, base []float32) {
-	pg, r := &pages[j/mat.PageRows], j%mat.PageRows
-	n := min(pg.reach(w)-r, padRows(hi-j), runRows)
+	pg, r := &pages[j/runRows], j%runRows
+	n := min(len(pg.Scale)-r, padRows(hi-j))
 	return pg.I8[r*w : (r+n)*w], pg.Scale[r : r+n], pg.Base[r : r+n]
 }
 
-// encodeBlock returns the paged encoding of a block of n rows of data,
-// candidates ids (nil: row j is candidate j). A row that is not dirty and
-// that prev — the previous generation's block, candidates prevIDs — also
-// holds keeps its encoding; all three id lists ascend, so one merge walk
-// finds them.
-func encodeBlock(enc codec, data *mat.Paged, n int, ids []int32, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
-	c := enc.alloc(n, data.Cols)
+// encodeBlock returns enc's paged encoding of the n rows s names, every
+// page an allocation of its own. A row that is not dirty and that prev —
+// the previous generation's block, candidates prevIDs — also holds keeps
+// its encoding; all three id lists ascend, so one merge walk finds them.
+func encodeBlock(enc codec, s span, n int, prev []Codes, prevIDs []int32, dirty []int, w *Work) []Codes {
+	pages := make([]Codes, (n+runRows-1)/runRows)
+	for k := range pages {
+		pages[k] = enc.alloc(min(runRows, n-k*runRows), s.data.Cols)
+	}
 	i, d := 0, 0
 	for j := range n {
-		id := j
-		if ids != nil {
-			id = int(ids[j])
-		}
+		id, pg := s.local(j), &pages[j/runRows]
 		for d < len(dirty) && dirty[d] < id {
 			d++
 		}
@@ -179,35 +136,31 @@ func encodeBlock(enc codec, data *mat.Paged, n int, ids []int32, prev []Codes, p
 			i++
 		}
 		if i < len(prevIDs) && int(prevIDs[i]) == id && (d == len(dirty) || dirty[d] != id) {
-			c.copyRow(j, &prev[i/mat.PageRows], i%mat.PageRows, data.Cols)
+			pg.copyRow(j%runRows, &prev[i/runRows], i%runRows, s.data.Cols)
 			continue
 		}
-		enc.encodeRow(c, j, data.Row(id))
+		enc.encodeRow(*pg, j%runRows, s.row(j))
 		w.RowsEncoded++
 	}
-	w.BytesCopied += c.bytes()
-	return pageCodes(c, n, data.Cols)
+	for _, pg := range pages {
+		w.BytesCopied += pg.bytes()
+	}
+	return pages
 }
 
-// patchBlock returns prev, the paged encoding of a flat block over rows,
-// with the dirty rows re-encoded from rows: the page slice and the pages
-// holding a dirty row are copied, every other page is shared. A copied
-// page is memory of its own, so the pages before it stop reaching across
-// it.
-func patchBlock(enc codec, rows *mat.Paged, prev []Codes, dirty []int, w *Work) []Codes {
+// patchBlock returns prev, the paged encoding of the rows s names, with
+// the rows at positions at re-encoded from s: the page slice and the pages
+// holding such a row are copied, every other page is shared.
+func patchBlock(enc codec, s span, prev []Codes, at []int, w *Work) []Codes {
 	out := slices.Clone(prev)
 	w.BytesCopied += int64(96 * len(out)) // four slice headers a page
-	for _, r := range dirty {
-		k := r / mat.PageRows
+	for _, j := range at {
+		k := j / runRows
 		if pg := &out[k]; pg.shares(prev[k]) {
-			n := min(mat.PageRows, rows.Rows-k*mat.PageRows)
-			*pg = Codes{I8: slices.Clone(pg.I8), Scale: slices.Clone(pg.Scale), Base: slices.Clone(pg.Base), F16: slices.Clone(pg.F16)}.rows(0, n, n, rows.Cols)
+			*pg = Codes{I8: slices.Clone(pg.I8), Scale: slices.Clone(pg.Scale), Base: slices.Clone(pg.Base), F16: slices.Clone(pg.F16)}
 			w.BytesCopied += pg.bytes()
-			for p := k - 1; p >= 0 && out[p].reach(rows.Cols) > (k-p)*mat.PageRows; p-- {
-				out[p] = out[p].rows(0, mat.PageRows, (k-p)*mat.PageRows, rows.Cols)
-			}
 		}
-		enc.encodeRow(out[k], r%mat.PageRows, rows.Row(r))
+		enc.encodeRow(out[k], j%runRows, s.row(j))
 		w.RowsEncoded++
 	}
 	return out
@@ -419,10 +372,11 @@ func overflows(scale, base float32) bool {
 }
 
 // overflowing counts the rows of a block with int8 pages keys that
-// overflows flags: the listed rows, or all n when rows is nil.
+// overflows flags: those at the listed positions, or all n when rows is
+// nil.
 func overflowing(keys []Codes, rows []int, n int) (c int) {
 	at := func(r int) {
-		if pg, x := &keys[r/mat.PageRows], r%mat.PageRows; overflows(pg.Scale[x], pg.Base[x]) {
+		if pg, x := &keys[r/runRows], r%runRows; overflows(pg.Scale[x], pg.Base[x]) {
 			c++
 		}
 	}

@@ -1,11 +1,14 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pane/internal/core"
 	"pane/internal/mat"
@@ -55,25 +58,60 @@ func (g grid) answers(qs [][]float64) (out [][]core.Scored) {
 	return out
 }
 
-// checkRuns asserts what reach promises: reading on from any code page
-// through as many rows as it reaches gives exactly the codes the pages
-// themselves hold — no stretch runs across a page a refresh replaced.
+// checkRuns asserts that every code page of tb holds one row kernel run —
+// min(runRows, rows left) rows, padded to a whole group for int8 codes —
+// in memory no other page of tb shares, so every scan runs 64 rows a
+// kernel call whatever a refresh chain replaced.
 func checkRuns(t *testing.T, label string, tb *Table) {
 	t.Helper()
-	for l := range tb.blocks {
-		b := &tb.blocks[l]
-		if b.codes == nil {
-			continue
-		}
-		dim, whole := tb.data.Cols, b.whole()
-		for j := 0; j < b.n; j += mat.PageRows {
-			pg := b.codes[j/mat.PageRows]
-			n := min(pg.reach(dim), b.n-j)
-			if !reflect.DeepEqual(pg.rows(0, n, n, dim), whole.rows(j, j+n, j+n, dim)) {
-				t.Fatalf("%s block %d: code run of %d rows from %d is stale", label, l, n, j)
-			}
+	type extent struct{ lo, hi uintptr }
+	var mem []extent
+	add := func(p unsafe.Pointer, n, size int) {
+		if n > 0 {
+			mem = append(mem, extent{uintptr(p), uintptr(p) + uintptr(n*size)})
 		}
 	}
+	dim := tb.data.Cols
+	for l := range tb.blocks {
+		b := &tb.blocks[l]
+		if len(b.codes) != (b.n+runRows-1)/runRows {
+			t.Fatalf("%s block %d: %d code pages for %d rows", label, l, len(b.codes), b.n)
+		}
+		for k, pg := range b.codes {
+			n := min(runRows, b.n-k*runRows)
+			if pg.Scale != nil && (len(pg.Scale) != padRows(n) || len(pg.Base) != padRows(n) || len(pg.I8) != padRows(n)*i8Width(dim)) ||
+				pg.F16 != nil && len(pg.F16) != n*dim {
+				t.Fatalf("%s block %d page %d: holds %d parameters, %d codes, %d halves for %d rows", label, l, k, len(pg.Scale), len(pg.I8), len(pg.F16), n)
+			}
+			add(unsafe.Pointer(unsafe.SliceData(pg.I8)), cap(pg.I8), 1)
+			add(unsafe.Pointer(unsafe.SliceData(pg.Scale)), cap(pg.Scale), 4)
+			add(unsafe.Pointer(unsafe.SliceData(pg.Base)), cap(pg.Base), 4)
+			add(unsafe.Pointer(unsafe.SliceData(pg.F16)), cap(pg.F16), 2)
+		}
+	}
+	slices.SortFunc(mem, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(mem); i++ {
+		if mem[i].lo < mem[i-1].hi {
+			t.Fatalf("%s: two code pages share memory", label)
+		}
+	}
+}
+
+// touched returns what a refresh over dirty did to block b of next, which
+// descends from prev: whether the block kept prev's members (always, flat;
+// its ids the same memory, inverted), and the code pages of next a dirty
+// row is on.
+func touched(prev, next *Table, b int, dirty []int) (kept bool, pages map[int]bool) {
+	n, ids := next.lay.block(b)
+	_, was := prev.lay.block(b)
+	kept = ids == nil || len(ids) == len(was) && (n == 0 || &ids[0] == &was[0])
+	pages = map[int]bool{}
+	for j := range n {
+		if id := (&span{ids: ids}).local(j); slices.Contains(dirty, id) {
+			pages[j/runRows] = true
+		}
+	}
+	return kept, pages
 }
 
 // sameEncoding asserts two tables hold bit-identical blocks: members,
@@ -103,10 +141,12 @@ func sameEncoding(t *testing.T, label string, got, want *Table) {
 // holds the chain to the copy-on-write contract: every generation equals
 // a fresh build (flat) or a Rebuild against the frozen quantizer
 // (inverted) bit for bit, sharded equals unsharded, a generation shares
-// with its parent every page of rows and codes no dirty row is on and
-// every list none left or joined, and every earlier generation — read all
-// the while by goroutines racing the refreshes — keeps answering exactly
-// as it did when it was the newest.
+// with its parent every page of rows no dirty row is on, the ids of every
+// list none left or joined and every code page of such a block no dirty
+// row is on, every code page holds one row kernel run in memory of its
+// own, and every earlier generation — read all the while by goroutines
+// racing the refreshes — keeps answering exactly as it did when it was
+// the newest.
 func TestRefreshChainCopyOnWrite(t *testing.T) {
 	const rows, dim, cut, steps = 700, 12, 350, 240
 	rng := rand.New(rand.NewSource(5))
@@ -197,28 +237,32 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 			if whole.z.SamePage(prev.z, k) == dirtyPage[k] {
 				t.Fatalf("step %d: Z page %d shared=%v, dirty=%v", step, k, !dirtyPage[k], dirtyPage[k])
 			}
-			for _, i := range []int{0, 1, 2} {
-				if whole.cells[i].blocks[0].codes[k].shares(prev.cells[i].blocks[0].codes[k]) == dirtyPage[k] {
-					t.Fatalf("step %d: cell %d code page %d shared=%v, dirty=%v", step, i, k, !dirtyPage[k], dirtyPage[k])
-				}
+		}
+		// A block no dirty row joined or left keeps its ids and every code
+		// page no dirty row is on: every flat block, and every list but those
+		// a dirty row moved out of or into.
+		iv, old := whole.cells[3].inverted(), prev.cells[3].inverted()
+		moved := map[int]bool{}
+		for _, r := range dirty {
+			if o, n := old.home(r), iv.home(r); o != n {
+				moved[int(o)], moved[int(n)] = true, true
 			}
 		}
-		iv, old := whole.cells[3], prev.cells[3]
-		untouched := 0
-		for l := range iv.blocks {
-			if !old.kept(iv.data, iv.lay, l) {
-				continue
-			}
-			untouched++
-			for i := 3; i < 6; i++ {
-				nb, ob := whole.cells[i].blocks[l], prev.cells[i].blocks[l]
-				if nb.n != ob.n || (len(nb.codes) > 0 && !nb.codes[0].shares(ob.codes[0])) {
-					t.Fatalf("step %d: cell %d does not share untouched list %d", step, i, l)
+		for i, c := range whole.cells {
+			for b := range c.blocks {
+				kept, pages := touched(prev.cells[i], c, b, dirty)
+				if i >= 3 && kept == moved[b] {
+					t.Fatalf("step %d: cell %d list %d kept its ids=%v, a dirty row moved in or out=%v", step, i, b, kept, moved[b])
+				}
+				if !kept {
+					continue
+				}
+				for k, pg := range c.blocks[b].codes {
+					if pg.shares(prev.cells[i].blocks[b].codes[k]) == pages[k] {
+						t.Fatalf("step %d: cell %d block %d code page %d shared=%v, dirty=%v", step, i, b, k, !pages[k], pages[k])
+					}
 				}
 			}
-		}
-		if untouched < len(iv.blocks)-2*len(dirty) {
-			t.Fatalf("step %d: %d dirty rows left only %d of %d lists untouched", step, len(dirty), untouched, len(iv.blocks))
 		}
 		for i, c := range whole.cells {
 			checkRuns(t, fmt.Sprintf("step %d cell %d", step, i), c)
@@ -274,8 +318,10 @@ func TestRefreshChainCopyOnWrite(t *testing.T) {
 // over a float64 cell holds no int8 encoding of its own — every
 // int8 page it scans is the float64 cell's page at the same position —
 // and along a refresh chain it encodes and copies exactly what its halves
-// cost: the dirty rows, the page slice, and the halves pages a dirty row
-// is on (flat) or the changed lists' halves (inverted).
+// cost: the dirty rows, and in each block a dirty row is in, the page
+// slice and the halves pages a dirty row is on (a block that kept its
+// members: every flat one) or all its halves (a list a dirty row left or
+// joined).
 func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 	const rows, dim, steps = 300, 9, 60
 	rng := rand.New(rand.NewSource(33))
@@ -332,26 +378,21 @@ func TestCertifiedFP16KeysAliasLead(t *testing.T) {
 			aliased(label, lead, fp)
 			var want Work
 			for b, nb := range fp.blocks {
-				ob := c[1].blocks[b]
-				if c[1].kept(fp.data, fp.lay, b) {
-					continue
-				}
-				_, ids := fp.lay.block(b)
-				if ids == nil { // patched: the page slice and the pages a dirty row is on
-					want.RowsEncoded += int64(len(dirty))
+				kept, pages := touched(c[1], fp, b, dirty)
+				switch {
+				case kept && len(pages) == 0:
+				case kept: // patched: the page slice and the pages a dirty row is on
 					want.BytesCopied += int64(96 * len(nb.codes))
 					for k, pg := range nb.codes {
-						if !pg.shares(ob.codes[k]) {
+						if pages[k] {
 							want.BytesCopied += int64(2 * len(pg.F16))
 						}
 					}
-					continue
+				default: // re-made
+					want.BytesCopied += int64(2 * nb.n * dim)
 				}
-				want.BytesCopied += int64(2 * nb.n * dim)
 			}
-			if fp.inverted() != nil { // the changed lists' re-encoded rows, as the lead's
-				want.RowsEncoded = lead.Work().RowsEncoded
-			}
+			want.RowsEncoded = int64(len(dirty)) // each once, in the one block that holds it
 			if fp.Work() != want {
 				t.Fatalf("%s: work %+v, want %+v", label, fp.Work(), want)
 			}
@@ -383,19 +424,25 @@ func TestInvertedListsHoldNoRows(t *testing.T) {
 			}
 		}
 	}
-	codeBytes := func(tab, prev *Table) (c int64) {
+	codeBytes := func(tab, prev *Table, dirty []int) (c int64) {
 		for b, blk := range tab.blocks {
-			if prev != nil && prev.kept(tab.data, tab.lay, b) {
-				continue
+			kept, pages := false, map[int]bool(nil)
+			if prev != nil {
+				kept, pages = touched(prev, tab, b, dirty)
 			}
-			for _, pg := range blk.codes {
-				c += pg.bytes()
+			if kept && len(pages) > 0 {
+				c += int64(96 * len(blk.codes))
+			}
+			for k, pg := range blk.codes {
+				if !kept || pages[k] {
+					c += pg.bytes()
+				}
 			}
 		}
 		return c
 	}
 	aliasesRows("build", iv, z)
-	if got, want := iv.Work().BytesCopied, codeBytes(iv, nil); got != want {
+	if got, want := iv.Work().BytesCopied, codeBytes(iv, nil, nil); got != want {
 		t.Fatalf("build copied %d bytes, its codes are %d", got, want)
 	}
 	rng := rand.New(rand.NewSource(132))
@@ -409,8 +456,8 @@ func TestInvertedListsHoldNoRows(t *testing.T) {
 		next := iv.Refresh(z, dirty, nil)
 		label := fmt.Sprintf("refresh %d", step)
 		aliasesRows(label, next, z)
-		if got, want := next.Work().BytesCopied, codeBytes(next, iv); got != want {
-			t.Fatalf("%s copied %d bytes, its re-encoded lists' codes are %d", label, got, want)
+		if got, want := next.Work().BytesCopied, codeBytes(next, iv, dirty); got != want {
+			t.Fatalf("%s copied %d bytes, its re-made lists' codes and patched pages are %d", label, got, want)
 		}
 		iv = next
 	}

@@ -237,6 +237,6 @@ func (f16Codec) scan(b *block, s span, ts []taker, l *lanes) int {
 // scoreF16 is the binary16 codec's re-score of block row j: dotFP16 over
 // its halves.
 func scoreF16(q []float64, b *block, _ span, j int) float64 {
-	dim, r := len(q), j%mat.PageRows
-	return dotFP16(q, b.codes[j/mat.PageRows].F16[r*dim:(r+1)*dim])
+	dim, r := len(q), j%runRows
+	return dotFP16(q, b.codes[j/runRows].F16[r*dim:(r+1)*dim])
 }

@@ -351,7 +351,7 @@ func TestIVFFP16RefreshBitForBit(t *testing.T) {
 				t.Fatalf("list %d code %d differs", l, i)
 			}
 		}
-		if iv.kept(iv2.data, iv2.lay, l) {
+		if kept, pages := touched(iv, iv2, l, dirty); kept && len(pages) == 0 {
 			reused++
 			if &got.blocks[l].codes[0].F16[0] != &h.blocks[l].codes[0].F16[0] {
 				t.Fatalf("untouched list %d was re-encoded instead of reused", l)

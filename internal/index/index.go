@@ -41,25 +41,26 @@
 // whole sets atomically, so a query never observes a half-built
 // structure. For dynamic updates Table.Refresh produces the next
 // immutable generation from the new candidate matrix and the set of rows
-// that actually changed. Rows and codes live on mat.PageRows-row
-// copy-on-write pages, so a generation copies O(Δ) and shares the rest
-// with its predecessor. A row page, like an assignment page, is its own
-// memory. Code pages are the exception: a freshly encoded block is one
-// allocation per array that its pages alias, so a scan reads up to 64
-// rows of codes as one run; with every code page its own allocation an
-// exact search over a 15,000 x 64 block took 155-173 µs against 107-133
-// µs (sq8 138-200 against 129-141; 2-core Xeon). What is re-done per cell:
+// that actually changed. Rows and codes live on copy-on-write pages that
+// each own their memory, so a generation copies O(Δ) and shares the rest
+// with its predecessor: rows and assignments on mat.PageRows-row pages,
+// codes on pages of one row kernel run (64 rows), so a scan runs 64 rows
+// a kernel call whatever a refresh replaced. A block no dirty row is in is
+// shared whole; one that kept its members — every flat block, and every
+// list no dirty row left or joined — copies its page slice and the code
+// pages its dirty rows are on; a list a dirty row left or joined is
+// re-made. What is re-done per cell:
 //
 //	flat                the caller's WithRows matrix is adopted; the page
 //	                    slice and the dirty rows' code pages are copied,
 //	                    the dirty rows re-encoded
 //	inverted, float64   the dirty rows move between lists against the
-//	                    frozen quantizer; touched lists get new ids and
-//	                    carry their survivors' codes over, the dirty
-//	                    rows are encoded (a list holds ids and codes,
-//	                    never rows: it reads them from the matrix)
-//	inverted, binary16  touched lists carry their survivors' codes over;
-//	                    the dirty rows are encoded
+//	                    frozen quantizer; a list that kept its members is
+//	                    patched as a flat block is, one a row left or joined
+//	                    gets new ids and carries its survivors' codes over
+//	                    (a list holds ids and codes, never rows: it reads
+//	                    them from the matrix); only dirty rows are encoded
+//	inverted, binary16  the same over its halves, behind the float64 cell
 //	int8 behind float64 nothing: it adopts the float64 cell's blocks
 //
 // All rankings use core.Better ordering (score descending, ties by

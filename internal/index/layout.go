@@ -19,16 +19,17 @@ type layout interface {
 	// each row (nil: row j is candidate j). A block holds no float64 rows
 	// of its own: row j is the candidate matrix's row of its id.
 	block(b int) (n int, ids []int32)
+	// at returns the positions in block b of the listed rows (ascending
+	// local ids) that it holds, ascending.
+	at(b int, rows []int) []int
 	// probe returns the blocks a search for q visits, as TopK entries
 	// keyed by block number. nprobe <= 0 means the layout's default.
 	probe(q []float64, nprobe int) []core.Scored
 	// refresh returns the layout over data when only the dirty rows
 	// (ascending local ids) changed; reseat when every row's values moved
-	// but memberships are to be kept; rebuild from scratch, keeping only
-	// what was trained.
+	// but memberships are to be kept.
 	refresh(data *mat.Paged, dirty []int) layout
 	reseat(data *mat.Paged) layout
-	rebuild(data *mat.Paged) layout
 }
 
 // flat is the one-block layout over n candidates: block row j is
@@ -40,10 +41,10 @@ var wholeBlock = []core.Scored{{ID: 0}}
 
 func (f flat) nblocks() int                            { return 1 }
 func (f flat) block(int) (int, []int32)                { return f.n, nil }
+func (f flat) at(_ int, rows []int) []int              { return rows }
 func (f flat) probe([]float64, int) []core.Scored      { return wholeBlock }
 func (f flat) refresh(data *mat.Paged, _ []int) layout { return flat{data.Rows} }
 func (f flat) reseat(data *mat.Paged) layout           { return flat{data.Rows} }
-func (f flat) rebuild(data *mat.Paged) layout          { return flat{data.Rows} }
 
 // IVFConfig tunes BuildIVF. Zero values pick defaults scaled to the
 // candidate count n.
@@ -90,6 +91,16 @@ func (iv *inverted) home(i int) int32 { return iv.assigned[i/mat.PageRows][i%mat
 func (iv *inverted) nblocks() int { return len(iv.ids) }
 
 func (iv *inverted) block(b int) (int, []int32) { return len(iv.ids[b]), iv.ids[b] }
+
+func (iv *inverted) at(b int, rows []int) (pos []int) {
+	for _, r := range rows {
+		if iv.home(r) == int32(b) {
+			j, _ := slices.BinarySearch(iv.ids[b], int32(r))
+			pos = append(pos, j)
+		}
+	}
+	return pos
+}
 
 // trainInverted clusters data (one candidate per row) into an inverted
 // file.
@@ -166,14 +177,14 @@ func trainInverted(data *mat.Paged, cfg IVFConfig) *inverted {
 			}
 		}
 	}
-	return iv.rebuild(data).(*inverted)
+	return iv.rebuild(data)
 }
 
 // rebuild assigns every row of data to its nearest centroid and
 // materializes the lists' ascending ids, sharing only the centroids with
 // iv. The assignment is retained, copied onto pages, so refresh knows
 // each row's previous home.
-func (iv *inverted) rebuild(data *mat.Paged) layout {
+func (iv *inverted) rebuild(data *mat.Paged) *inverted {
 	nlist := iv.cents.Rows
 	out := &inverted{
 		nprobe: iv.nprobe, threads: iv.threads, cents: iv.cents,
@@ -192,11 +203,11 @@ func (iv *inverted) rebuild(data *mat.Paged) layout {
 }
 
 // refresh reassigns each dirty row to its nearest centroid and gives new
-// ids to the lists a dirty row left, joined, or stayed in — every
-// untouched list shares its ids with iv, and the assignment every page no
-// dirty row is on — at O(|dirty| · nlist + affected-list ids) cost
-// instead of rebuild's O(n · nlist). A list with new ids is how a table
-// tells that its rows changed (see Table.kept).
+// ids to the lists a dirty row left or joined — every other list shares
+// its ids with iv, a dirty row that stayed in it included, and the
+// assignment every page no row moved on — at O(|dirty| · nlist +
+// changed-list ids) cost instead of rebuild's O(n · nlist). A list with
+// new ids is how a table tells that its members changed (see Table.kept).
 func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 	if len(dirty) == 0 {
 		return iv
@@ -211,17 +222,21 @@ func (iv *inverted) refresh(data *mat.Paged, dirty []int) layout {
 
 	out := *iv
 	out.ids, out.assigned = slices.Clone(iv.ids), slices.Clone(iv.assigned)
-	added := make(map[int32][]int32) // per changed list, the dirty members it gains, ascending
+	added := make(map[int32][]int32) // per changed list, the dirty members it holds, ascending
 	for j, r := range dirty {
-		k := r / mat.PageRows
-		if &out.assigned[k][0] == &iv.assigned[k][0] {
-			out.assigned[k] = slices.Clone(iv.assigned[k])
+		if old := iv.home(r); old != newAssign[j] {
+			k := r / mat.PageRows
+			if &out.assigned[k][0] == &iv.assigned[k][0] {
+				out.assigned[k] = slices.Clone(iv.assigned[k])
+			}
+			out.assigned[k][r%mat.PageRows] = newAssign[j]
+			added[old], added[newAssign[j]] = added[old], added[newAssign[j]] // both lists change
 		}
-		out.assigned[k][r%mat.PageRows] = newAssign[j]
-		if old := iv.home(r); added[old] == nil {
-			added[old] = nil // a list a dirty row leaves changes too
+	}
+	for j, r := range dirty {
+		if gained, ok := added[newAssign[j]]; ok {
+			added[newAssign[j]] = append(gained, int32(r))
 		}
-		added[newAssign[j]] = append(added[newAssign[j]], int32(r))
 	}
 	for l, gained := range added {
 		// Survivors (clean old members) merged in id order with the dirty

@@ -128,7 +128,7 @@ func TestIVFRefreshMatchesRebuild(t *testing.T) {
 			if ref.blockRows(l).MaxAbsDiff(full.blockRows(l)) != 0 {
 				t.Fatalf("nDirty=%d list %d: vectors differ", nDirty, l)
 			}
-			if old.kept(ref.data, ref.lay, l) {
+			if kept, _ := touched(old, ref, l, dirty); kept {
 				shared++
 			}
 		}
@@ -261,7 +261,7 @@ func TestIVFSQRefreshBitForBit(t *testing.T) {
 				t.Fatalf("list %d row %d: parameters differ", l, j)
 			}
 		}
-		if iv.kept(newIV.data, newIV.lay, l) && &ref.blocks[l].codes[0].I8[0] == &old.blocks[l].codes[0].I8[0] {
+		if kept, _ := touched(iv, newIV, l, dirty); kept && &ref.blocks[l].codes[0].I8[0] == &old.blocks[l].codes[0].I8[0] {
 			shared++
 		}
 	}
@@ -336,6 +336,14 @@ func TestShardedRefreshMatchesUnshardedFullBuild(t *testing.T) {
 		sameResults(t, "sharded ivf refresh full-probe", want,
 			SearchSharded(ivSubs, q, 11, Options{NProbe: 1 << 20}))
 	}
+}
+
+// Rebuild re-indexes data (t's dimension, any row count) from scratch
+// against t's coarse quantizer: every row is reassigned and every block
+// encoded. It is the frozen-quantizer full build an inverted table's
+// Refresh must reproduce bit for bit.
+func (t *Table) Rebuild(data *mat.Paged) *Table {
+	return t.over(data, t.inverted().rebuild(data), nil, nil, false)
 }
 
 // whole returns the block's encoding as one contiguous run, for

@@ -37,29 +37,13 @@ import (
 // keeping the re-rank a constant, negligible cost.
 const DefaultRerank = 4
 
-// QuantizeRows computes the per-row SQ8 encoding of data: codes holds
-// data.Rows*data.Cols int8 codes row-major, and row i reconstructs as
-// x̂[j] = base[i] + scale[i]·codes[i*dim+j], with |x − x̂| ≤ scale[i]/2
-// per element up to float32 rounding of the stored parameters (f64Codec
-// states the bound with that rounding included). Constant
-// rows get scale 0 and exact base. The encoding is deterministic in data
-// alone — no seeds, no global statistics — so any row slice of data
-// quantizes to the corresponding slice of (codes, scale, base). A table
-// holds the same codes interleaved in groups (see groupRows).
-func QuantizeRows(data *mat.Dense) (codes []int8, scale, base []float32) {
-	n, dim := data.Rows, data.Cols
-	codes, scale, base = make([]int8, n*dim), make([]float32, n), make([]float32, n)
-	for i := range n {
-		scale[i], base[i] = quantizeRowInto(data.Row(i), codes[i*dim:(i+1)*dim], 2)
-	}
-	return codes, scale, base
-}
-
 // quantizeRowInto encodes one candidate row into c, the code of element x
 // at c[x/2·pair + x%2] — pair 2 lays the codes out row-major, pair 16 in
 // a group's chunks (see groupRows) — and returns its (scale, base) pair:
-// the per-row unit QuantizeRows and every table encoding share, so a
-// refreshed row's encoding is bit-identical to a full re-quantization's.
+// the per-row unit every table encoding shares, so a refreshed row's
+// encoding is bit-identical to a full re-quantization's. x̂[j] = base +
+// scale·c[j] is within scale/2 of row[j] up to float32 rounding of the
+// parameters (see f64Codec); a constant row gets scale 0 and exact base.
 // c may hold stale codes from a previous version; every element's code is
 // overwritten.
 func quantizeRowInto(row []float64, c []int8, pair int) (scale, base float32) {
@@ -102,9 +86,8 @@ func quantizeRowInto(row []float64, c []int8, pair int) (scale, base float32) {
 // two codes of each of its 8 rows (row r's at bytes 2r and 2r+1), so the
 // row kernel widens a chunk once and multiplies it by one broadcast pair
 // of each query's codes, and lane r ends as row r's dot with no
-// horizontal fold. A page (mat.PageRows) holds two groups; the encoding
-// of a block ends on a whole group, its pad rows' codes, scale and base
-// zero. An odd dimension is padded with a zero code, and the query with a
+// horizontal fold. A code page holds runGroups groups; a block's last
+// page ends on a whole group, its pad rows' codes, scale and base zero. An odd dimension is padded with a zero code, and the query with a
 // zero level (see query.i16).
 const groupRows = 8
 
@@ -207,8 +190,8 @@ func (f *factors) score(d int32, scale, base float32, bound bool) float64 {
 	return f.approx(d, scale, base)
 }
 
-// runGroups is how many groups one row kernel call scores at most: runRows
-// rows, one mask word per query.
+// runGroups is how many groups one row kernel call scores at most, and a
+// code page holds: runRows rows, one mask word per query.
 const (
 	runGroups = 8
 	runRows   = runGroups * groupRows

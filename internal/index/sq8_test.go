@@ -11,6 +11,24 @@ import (
 	"pane/internal/mat"
 )
 
+// QuantizeRows is the row-major reference encoding the tests hold a
+// table's grouped codes to: the per-row SQ8 encoding of data. codes holds
+// data.Rows*data.Cols int8 codes row-major, and row i reconstructs as
+// x̂[j] = base[i] + scale[i]·codes[i*dim+j], with |x − x̂| ≤ scale[i]/2
+// per element up to float32 rounding of the stored parameters (f64Codec
+// states the bound with that rounding included). Constant
+// rows get scale 0 and exact base. The encoding is deterministic in data
+// alone — no seeds, no global statistics — so any row slice of data
+// quantizes to the corresponding slice of (codes, scale, base).
+func QuantizeRows(data *mat.Dense) (codes []int8, scale, base []float32) {
+	n, dim := data.Rows, data.Cols
+	codes, scale, base = make([]int8, n*dim), make([]float32, n), make([]float32, n)
+	for i := range n {
+		scale[i], base[i] = quantizeRowInto(data.Row(i), codes[i*dim:(i+1)*dim], 2)
+	}
+	return codes, scale, base
+}
+
 // TestQuantizeRowsReconstructionBound is property (a) of the SQ8 tier:
 // every element reconstructs to within half a code step of its row's
 // scale (plus float32 parameter rounding), and constant rows reconstruct
@@ -486,7 +504,7 @@ func TestI8GroupLayout(t *testing.T) {
 					t.Fatalf("%s block %d: last page holds %d rows' parameters and %d codes", label, b, len(last.Scale), len(last.I8))
 				}
 				for j := range padRows(n) {
-					pg, r := &pages[j/mat.PageRows], j%mat.PageRows
+					pg, r := &pages[j/runRows], j%runRows
 					got := pg.i8Row(r, dim)
 					if dim%2 == 1 && pg.I8[i8At(r, dim)+dim/2*2*groupRows+1] != 0 {
 						t.Fatalf("%s block %d row %d: the padded pair's second code is not zero", label, b, j)

@@ -10,8 +10,8 @@ import (
 // Table is the one index type: a layout (which blocks of candidate rows a
 // query visits) times a codec (how a block stores and scores its rows).
 // Every Kind is a cell of that grid. A Table is immutable after
-// construction and safe for concurrent searches; Refresh, Reseat and
-// Rebuild return the next generation and leave the receiver intact.
+// construction and safe for concurrent searches; Refresh and Reseat
+// return the next generation and leave the receiver intact.
 type Table struct {
 	data    *mat.Paged // candidates by local id, shared with the caller
 	lay     layout
@@ -203,13 +203,14 @@ func (t *Table) checkShape(rows, cols int) {
 // Refresh returns the next generation of t over data, in which only the
 // listed dirty rows (local ids; ascending for an inverted file) differ
 // from the rows t holds; the caller contracts that every other row is
-// value-identical (data is typically t's matrix WithRows). Only O(Δ)
-// state is touched and the rest is shared with t: a flat block copies its
-// page slice and the pages a dirty row is on, an inverted file moves the
-// dirty rows between lists against its frozen coarse quantizer, and a list
-// that changed carries its survivors' codes over; only dirty rows are
-// encoded. The result is bit-identical to a fresh build over data (for an
-// inverted file, to Rebuild).
+// value-identical (data is typically t's matrix WithRows). Only O(Δ) state is touched and the rest
+// is shared with t: an inverted file moves the dirty rows that changed
+// lists against its frozen coarse quantizer; a block no dirty row is in is
+// shared, one whose dirty rows all stayed — every flat block — copies its
+// page slice and the code pages a dirty row is on, and a list a dirty row
+// left or joined is re-made, carrying its survivors' codes over. Only
+// dirty rows are encoded. The result is bit-identical to a fresh build
+// over data (for an inverted file, to one against the same quantizer).
 //
 // lead, when non-nil, is the already refreshed float64 cell of t's layout
 // over the same data: t adopts its layout instead of refreshing a copy,
@@ -248,17 +249,6 @@ func (t *Table) Reseat(data *mat.Paged, lead *Table) *Table {
 	return t.over(data, t.lay.reseat(data), nil, nil, false)
 }
 
-// Rebuild re-indexes data (t's dimension, any row count) from scratch
-// against t's coarse quantizer: every row is reassigned and every block
-// encoded. It is the frozen-quantizer full build Refresh must reproduce
-// bit for bit; retraining the quantizer is BuildIVF's decision.
-func (t *Table) Rebuild(data *mat.Paged) *Table {
-	if data.Cols != t.data.Cols {
-		panic(fmt.Sprintf("index: %s rebuild dim %d does not match index dim %d", t.Kind(), data.Cols, t.data.Cols))
-	}
-	return t.over(data, t.lay.rebuild(data), nil, nil, false)
-}
-
 // adopt returns t's codec and settings over lead's candidates, layout and
 // blocks, which hold t's encoding: producing it encodes and copies nothing.
 func (t *Table) adopt(lead *Table) *Table {
@@ -269,43 +259,53 @@ func (t *Table) adopt(lead *Table) *Table {
 
 // over returns t's codec and settings over (data, lay). With reuse, lay
 // descends from t's layout and t's encoding is kept where it still holds:
-// a block that holds the rows t's holds is shared (see kept), a flat block
-// (same membership by construction) is patched, and a list that changed
-// is encoded against the list it was. A binary16 cell takes its int8
+// a block that holds t's block's rows (see kept) is shared when none of
+// them is dirty and patched when some are, and one whose members changed
+// is encoded against the block it was. A binary16 cell takes its int8
 // pages from lead, a float64 or int8 cell over lay, or else keeps its own
 // the same way, and counts its open rows again only where a row changed.
 func (t *Table) over(data *mat.Paged, lay layout, lead *Table, dirty []int, reuse bool) *Table {
 	out := *t
 	out.data, out.lay, out.work = data, lay, Work{}
 	out.blocks = make([]block, lay.nblocks())
-	patch := reuse && t.inverted() == nil
 	for b := range out.blocks {
-		n, _ := lay.block(b)
-		var prev block
-		same := reuse && t.kept(data, lay, b)
+		n, ids := lay.block(b)
+		s := span{ids: ids, data: data}
+		var (
+			prev    block
+			prevIDs []int32
+			at      []int
+			same    bool
+		)
 		if reuse {
 			prev = t.blocks[b]
+			_, prevIDs = t.lay.block(b)
+			at, same = t.kept(lay, b, dirty)
+		}
+		// encode returns enc's encoding of block b, carrying over what
+		// still holds of pages, t's block b under enc (nil without reuse).
+		encode := func(enc codec, pages []Codes) []Codes {
+			switch {
+			case !same:
+				return encodeBlock(enc, s, n, pages, prevIDs, dirty, &out.work)
+			case len(at) > 0:
+				return patchBlock(enc, s, pages, at, &out.work)
+			}
+			return pages
 		}
 		nb := &out.blocks[b]
-		if same {
-			*nb = prev
-		} else {
-			*nb = block{n: n, codes: t.encode(codecs[t.codec], data, lay, b, prev.codes, dirty, patch, &out.work)}
-		}
+		*nb = block{n: n, codes: encode(codecs[t.codec], prev.codes)}
 		if t.codec != F16 {
 			continue
 		}
-		switch {
-		case lead != nil:
+		if lead != nil {
 			nb.keys = lead.keys(b)
-		case !same:
-			nb.keys = t.encode(codecs[I8], data, lay, b, prev.keys, dirty, patch, &out.work)
+		} else {
+			nb.keys = encode(codecs[I8], prev.keys)
 		}
-		switch {
-		case same:
-		case patch: // only the dirty rows changed
-			nb.open = prev.open - overflowing(prev.keys, dirty, 0) + overflowing(nb.keys, dirty, 0)
-		default:
+		if same {
+			nb.open = prev.open - overflowing(prev.keys, at, 0) + overflowing(nb.keys, at, 0)
+		} else {
 			nb.open = overflowing(nb.keys, nil, n)
 		}
 	}
@@ -313,33 +313,19 @@ func (t *Table) over(data *mat.Paged, lay layout, lead *Table, dirty []int, reus
 }
 
 // kept reports whether block b of lay, which descends from t's layout by
-// a refresh over data, holds exactly the rows t's block b holds: under
-// the flat layout, when data is t's matrix; in an inverted file, when the
-// list has t's list's ids, which a refresh keeps only for a list that no
-// dirty row left, joined or stayed in.
-func (t *Table) kept(data *mat.Paged, lay layout, b int) bool {
-	if t.inverted() == nil {
-		return data == t.data
+// a refresh over the dirty rows, holds exactly the rows t's block b holds,
+// and if so at which positions the dirty rows are: under the flat layout
+// always; in an inverted file, when the list has t's list's ids, which a
+// refresh keeps for a list that no dirty row left or joined.
+func (t *Table) kept(lay layout, b int, dirty []int) (at []int, ok bool) {
+	if t.inverted() != nil {
+		_, ids := lay.block(b)
+		_, prev := t.lay.block(b)
+		if len(ids) != len(prev) || len(ids) > 0 && &ids[0] != &prev[0] {
+			return nil, false
+		}
 	}
-	_, ids := lay.block(b)
-	_, prev := t.lay.block(b)
-	return len(ids) == len(prev) && (len(ids) == 0 || &ids[0] == &prev[0])
-}
-
-// encode returns enc's paged encoding of block b of lay over data,
-// carrying over what still holds of prev, t's encoding of its block b
-// under enc (nil: encode every row): patched in place for a flat block,
-// merged against t's list for an inverted one.
-func (t *Table) encode(enc codec, data *mat.Paged, lay layout, b int, prev []Codes, dirty []int, patch bool, w *Work) []Codes {
-	n, ids := lay.block(b)
-	switch {
-	case prev == nil:
-		return encodeBlock(enc, data, n, ids, nil, nil, nil, w)
-	case patch:
-		return patchBlock(enc, data, prev, dirty, w)
-	}
-	_, prevIDs := t.lay.block(b)
-	return encodeBlock(enc, data, n, ids, prev, prevIDs, dirty, w)
+	return lay.at(b, dirty), true
 }
 
 // keys returns the int8 pages of t's block b: a binary16 cell's keys, any
